@@ -78,8 +78,9 @@ use std::time::{Duration, Instant};
 use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
 use pstar_obs::{DropKind, MetricsRegistry, TraceEvent, TraceRecord};
 use pstar_sim::{
-    ArqConfig, Emit, FullQueuePolicy, LossCause, Packet, PacketKind, PriorityQueue,
-    RecoveryTracker, RetxEntry, Scheme, SimConfig, SimReport, TimeoutWheel, MAX_PRIORITY_CLASSES,
+    assemble, receptions_at_stake, ArqConfig, Emit, FaultTotals, FullQueuePolicy, LossCause,
+    Packet, PacketKind, PriorityQueue, RecoveryTracker, RetxEntry, RunOutcome, Scheme, SimConfig,
+    SimReport, TimeoutWheel, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Link, LinkId, Network, NodeId};
@@ -90,7 +91,7 @@ use rand::{Rng, SeedableRng};
 use crate::channel::Channel;
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
 use crate::inject::{node_stream_seed, InjectMsg, VirtualInjector, WallInjector};
-use crate::stats::{assemble_report, ReportInputs, WorkerStats, BACKOFF_HIST_BUCKETS};
+use crate::stats::WorkerStats;
 
 /// Same salt the engine uses for its ARQ jitter stream: recovery
 /// randomness is independent of traffic randomness.
@@ -584,16 +585,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     // ---------------------------------------------------------------
 
     fn phase_a(&mut self, t: u64) {
-        if t == self.cfg.warmup_slots {
-            self.stats.concurrent_bcast.reset_window(t);
-            self.stats.concurrent_ucast.reset_window(t);
-        }
-        if t == self.cfg.measure_end() && self.stats.concurrent_snapshot.is_none() {
-            self.stats.concurrent_snapshot = Some((
-                self.stats.concurrent_bcast.average(t),
-                self.stats.concurrent_ucast.average(t),
-            ));
-        }
+        self.stats.tasks.window_tick(t);
         let w = self.shared.workers;
         for li in 0..self.owned_links.len() {
             if let Some((pkt, finish)) = self.in_flight[li] {
@@ -711,16 +703,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         // 5. Occupancy sample at the engine's exact point: after
         //    arrivals, before service starts.
         if self.in_window(t) {
-            self.stats.occupancy_sum += self.queued.max(0) as u128;
+            self.stats.flow.occupancy_sum += self.queued.max(0) as u128;
         }
         // 6. Service starts on idle *alive* owned links, link-id order
         //    (the engine's scan gates on `link_alive` the same way).
-        let in_window = self.in_window(t);
         for li in 0..self.owned_links.len() {
             if self.in_flight[li].is_none() && !self.link_dead(self.owned_links[li] as usize) {
                 if let Some(pkt) = self.queues[li].pop() {
                     self.queued -= 1;
-                    self.start_service(li, pkt, t, in_window);
+                    self.start_service(li, pkt, t);
                 }
             }
         }
@@ -787,16 +778,16 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             if state.measured {
                 if state.lost == 0 {
                     let delay = (state.last_slot - state.gen_time) as f64;
-                    self.stats.broadcast_delay.push(delay);
+                    self.stats.tasks.broadcast_delay.push(delay);
                     if state.retx && self.cfg.arq.is_some() {
-                        self.stats.recovered_task_delay.push(delay);
+                        self.stats.tasks.recovered_task_delay.push(delay);
                     }
                 } else {
-                    self.stats.damaged_broadcasts += 1;
+                    self.stats.tasks.damaged_broadcasts += 1;
                 }
                 self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
             }
-            self.stats.concurrent_bcast.add(t, -1);
+            self.stats.tasks.concurrent_bcast.add(t, -1);
         }
     }
 
@@ -813,17 +804,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             let state = self.tasks.remove(&task).expect("just present");
             if state.measured {
                 if state.broadcast {
-                    self.stats.damaged_broadcasts += 1;
+                    self.stats.tasks.damaged_broadcasts += 1;
                     if fault {
-                        self.stats.fault_damaged += 1;
+                        self.stats.tasks.fault_damaged += 1;
                     }
                 }
                 self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
             }
             if state.broadcast {
-                self.stats.concurrent_bcast.add(t, -1);
+                self.stats.tasks.concurrent_bcast.add(t, -1);
             } else {
-                self.stats.concurrent_ucast.add(t, -1);
+                self.stats.tasks.concurrent_ucast.add(t, -1);
             }
         }
     }
@@ -843,7 +834,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 },
             );
             debug_assert!(prev.is_none(), "duplicate task id {}", msg.task);
-            self.stats.concurrent_bcast.add(t, 1);
+            self.stats.tasks.concurrent_bcast.add(t, 1);
         } else {
             let dest = match msg.emits.first().map(|e| e.kind) {
                 Some(PacketKind::Unicast { dest }) => dest,
@@ -863,14 +854,14 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     },
                 );
             }
-            self.stats.concurrent_ucast.add(t, 1);
+            self.stats.tasks.concurrent_ucast.add(t, 1);
         }
         if msg.measured {
             self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
             if msg.broadcast {
-                self.stats.measured_broadcasts += 1;
+                self.stats.tasks.measured_broadcasts += 1;
             } else {
-                self.stats.measured_unicasts += 1;
+                self.stats.tasks.measured_unicasts += 1;
             }
         }
         self.emit_buf = msg.emits;
@@ -894,22 +885,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         match pkt.kind {
             PacketKind::Broadcast(state) => {
                 if self.cfg.arq.is_some() {
-                    self.stats.acked_receptions += 1;
-                    if pkt.attempt > 0 {
-                        self.stats.recovered_deliveries += 1;
-                    }
+                    self.stats.arq.acked(pkt.attempt);
                 }
                 if measured {
-                    let delay = t - pkt.gen_time;
-                    if !self.stats.delay_by_distance.is_empty() {
-                        let dist = self.topo.distance(state.src, node) as usize;
-                        self.stats.delay_by_distance[dist].push(delay as f64);
-                    }
-                    self.stats.reception_delay.push(delay as f64);
-                    self.stats.reception_hist.record(delay);
-                    if let Some(tl) = self.stats.tails.as_deref_mut() {
-                        tl.record_reception(pkt.priority, delay);
-                    }
+                    let topo = self.topo;
+                    self.stats
+                        .tasks
+                        .measured_reception(t - pkt.gen_time, pkt.priority, || {
+                            topo.distance(state.src, node)
+                        });
                 }
                 let home = self.owner_of(state.src);
                 if home == self.id {
@@ -934,10 +918,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     // The destination's owner *is* the unicast home, so
                     // completion is settled locally.
                     if self.cfg.arq.is_some() {
-                        self.stats.acked_receptions += 1;
-                        if pkt.attempt > 0 {
-                            self.stats.recovered_deliveries += 1;
-                        }
+                        self.stats.arq.acked(pkt.attempt);
                     }
                     let state = self
                         .tasks
@@ -945,13 +926,13 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         .expect("unicast delivered before registration");
                     if state.measured {
                         let delay = (t - state.gen_time) as f64;
-                        self.stats.unicast_delay.push(delay);
+                        self.stats.tasks.unicast_delay.push(delay);
                         if state.retx && self.cfg.arq.is_some() {
-                            self.stats.recovered_task_delay.push(delay);
+                            self.stats.tasks.recovered_task_delay.push(delay);
                         }
                         self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
                     }
-                    self.stats.concurrent_ucast.add(t, -1);
+                    self.stats.tasks.concurrent_ucast.add(t, -1);
                 } else {
                     self.emit_buf.clear();
                     self.scheme.on_unicast_arrival(
@@ -968,7 +949,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     /// Enqueues `self.emit_buf` as packets on `from`'s outgoing links —
-    /// the engine's `flush_emits_with_len`, dead-link disposal included.
+    /// the engine's `flush_emits`, dead-link disposal included.
     fn enqueue_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16, t: u64) {
         let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
         let buf = std::mem::take(&mut self.emit_buf);
@@ -1016,7 +997,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         match self.queues[li].evict_lower_tail(packet.priority) {
                             Some(victim) => {
                                 self.queued -= 1;
-                                self.stats.evicted_packets += 1;
+                                self.stats.flow.evicted += 1;
                                 self.lose_packet(link, victim, t, LossCause::Overflow);
                                 true
                             }
@@ -1053,7 +1034,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// which is not a new packet drop; `LossCause::Fault` feeds the
     /// fault counters.
     fn lose_packet(&mut self, link: usize, pkt: Packet, t: u64, cause: LossCause) {
-        let is_retry = cause == LossCause::Retry;
         if self.trace_cap > 0 {
             self.record_trace(
                 t,
@@ -1080,8 +1060,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     0
                 };
                 let fire = t + arq.cfg.backoff(attempt) + jitter;
-                self.stats.backoff_hist[(attempt as usize).min(BACKOFF_HIST_BUCKETS - 1)] += 1;
-                self.stats.timeouts_scheduled += 1;
+                self.stats.arq.timer_armed(attempt);
                 let mut p = pkt;
                 p.attempt = p.attempt.saturating_add(1);
                 p.priority = boosted;
@@ -1100,28 +1079,18 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 } else {
                     self.send_ctrl(t, home, CtrlMsg::MarkRetx { task: pkt.task });
                 }
-                if !is_retry {
-                    self.stats.dropped_packets += 1;
-                    if cause == LossCause::Fault {
-                        self.stats.fault_dropped += 1;
-                    }
-                }
+                self.stats.tasks.packet_dropped(cause);
                 return;
             }
-            self.stats.gave_up_copies += 1;
+            self.stats.arq.gave_up_copies += 1;
         }
-        if !is_retry {
-            self.stats.dropped_packets += 1;
-        }
-        if cause == LossCause::Fault {
-            self.stats.fault_dropped += 1;
-        }
-        let before_lost = self.stats.lost_receptions;
-        // The engine's fault-damaged delta around `settle_drop` travels
-        // as the `fault` flag to the task's home (see `home_lost`).
+        self.stats.tasks.packet_dropped(cause);
+        let before_lost = self.stats.tasks.lost_receptions;
+        // The ledger's fault-damaged attribution travels as the `fault`
+        // flag to the task's home (see `home_lost`).
         self.settle_drop(&pkt, t, cause == LossCause::Fault);
         if self.cfg.arq.is_some() {
-            self.stats.gave_up_receptions += self.stats.lost_receptions - before_lost;
+            self.stats.arq.gave_up_receptions += self.stats.tasks.lost_receptions - before_lost;
         }
     }
 
@@ -1137,24 +1106,14 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// completion record updated at the task's home. `fault` carries the
     /// loss attribution to the home's fault-damaged accounting.
     fn settle_drop(&mut self, pkt: &Packet, t: u64, fault: bool) {
-        let measured = self.in_window(pkt.gen_time);
-        let (home, receptions) = match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                let lost = self.scheme.subtree_receptions(&state);
-                debug_assert!(lost >= 1);
-                if measured {
-                    self.stats.lost_receptions += lost as u64;
-                }
-                (self.owner_of(state.src), lost)
+        let (broadcast, receptions) = receptions_at_stake(&self.scheme, pkt);
+        if self.in_window(pkt.gen_time) {
+            self.stats.tasks.lost_receptions += u64::from(receptions);
+            if !broadcast {
+                self.stats.tasks.dropped_unicasts += 1;
             }
-            PacketKind::Unicast { dest } => {
-                if measured {
-                    self.stats.lost_receptions += 1;
-                    self.stats.dropped_unicasts += 1;
-                }
-                (self.owner_of(dest), 1)
-            }
-        };
+        }
+        let home = self.task_home(pkt);
         if home == self.id {
             self.home_lost(pkt.task, receptions, fault, t);
         } else {
@@ -1205,13 +1164,13 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             }
             self.queues[li].push(pkt);
             self.queued += 1;
-            self.stats.retransmissions += 1;
+            self.stats.arq.retransmissions += 1;
         }
         due.clear();
         self.retx_buf = due;
     }
 
-    fn start_service(&mut self, li: usize, pkt: Packet, t: u64, in_window: bool) {
+    fn start_service(&mut self, li: usize, pkt: Packet, t: u64) {
         let link = self.owned_links[li];
         if self.trace_cap > 0 {
             self.record_trace(
@@ -1225,22 +1184,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 },
             );
         }
-        self.stats.tx_by_vc[(pkt.vc as usize).min(3)] += 1;
-        if in_window {
-            let wait = t - pkt.enqueue_time;
-            self.stats.wait_by_class[pkt.priority as usize].push(wait as f64);
-            if self.faults.as_ref().is_some_and(|f| f.any_now) {
-                self.stats.wait_fault[pkt.priority as usize].push(wait as f64);
-            }
-            if let Some(tl) = self.stats.tails.as_deref_mut() {
-                tl.record_service(&pkt, wait, self.topo.d());
-            }
-            self.stats.window_transmissions += 1;
-            let end = self.cfg.measure_end();
-            let busy = (t + pkt.len as u64).min(end) - t;
-            self.stats.busy_by_class[pkt.priority as usize] += busy;
-            self.stats.busy_by_link[link as usize] += busy;
-        }
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        self.stats
+            .links
+            .service_start(link as usize, &pkt, t, faulted);
         self.in_flight[li] = Some((pkt, t + pkt.len as u64));
     }
 
@@ -1674,30 +1621,49 @@ where
         progress: (0..w).map(|_| AtomicU64::new(0)).collect(),
         done: AtomicUsize::new(0),
     };
-    let diameter = topo.diameter();
+    let new_stats = || WorkerStats::new(links, &sim, topo.d(), n, topo.diameter());
     let queue_limit = (sim.unstable_queue_per_link * links as f64) as i64;
-
-    // Zero-slot configs mirror the engine's pre-step checks.
-    if sim.measure_end() == 0 || sim.max_slots == 0 {
-        let completed = sim.measure_end() == 0;
-        let report = assemble_report(
-            WorkerStats::new(links, &sim, diameter),
-            ReportInputs {
+    // The one report rule (`pstar_sim::assemble`) over merged worker
+    // counters; the net-specific inputs are the end-of-slot queue peak
+    // and the stop code.
+    let report_of = |merged: WorkerStats,
+                     slots_run: u64,
+                     stop: u8,
+                     peak_queue_total: i64,
+                     queue_trace: Vec<(u64, u64)>| {
+        assemble(
+            merged.tasks,
+            merged.links,
+            RunOutcome {
                 cfg: &sim,
                 link_dim: &shared.link_dim,
                 d: topo.d(),
-                node_count: n as u64,
-                num_priorities,
-                slots_run: 0,
-                stable: true,
-                completed,
-                peak_queue_total: 0,
-                queue_trace: Vec::new(),
-                faults_enabled,
+                num_classes: num_priorities,
+                slots_run,
+                stable: stop != UNSTABLE,
+                completed: stop == COMPLETED,
+                peak_queue_total,
+                queue_trace,
+                faults: faults_enabled.then(|| FaultTotals {
+                    events_applied: merged.fault_events_applied,
+                    fault_slots: merged.fault_slots,
+                    recovery_time: merged.fault_recovery.summary(),
+                }),
+                arq: sim.arq.map(|_| &merged.arq),
+                flow: &merged.flow,
             },
-        );
+        )
+    };
+
+    // Zero-slot configs mirror the engine's pre-step checks.
+    if sim.measure_end() == 0 || sim.max_slots == 0 {
+        let stop = if sim.measure_end() == 0 {
+            COMPLETED
+        } else {
+            HORIZON
+        };
         return Ok(NetReport {
-            report,
+            report: report_of(new_stats(), 0, stop, 0, Vec::new()),
             workers: w,
             wall_secs: 0.0,
             slots_per_sec: 0.0,
@@ -1781,7 +1747,7 @@ where
                                     sim.seed ^ FWD_SEED_SALT,
                                     id as u32,
                                 )),
-                                stats: WorkerStats::new(links, &sim, diameter),
+                                stats: new_stats(),
                                 trace: Vec::new(),
                                 trace_cap: cfg.trace_capacity,
                                 inject_gen: Vec::new(),
@@ -1887,25 +1853,16 @@ where
                             }
                             shared_ref.progress[id].store((t << 3) | 4, Ordering::Release);
                             let slots_run = t + 1;
-                            if worker.stats.concurrent_snapshot.is_none() {
-                                worker.stats.concurrent_snapshot = Some((
-                                    worker.stats.concurrent_bcast.average(slots_run),
-                                    worker.stats.concurrent_ucast.average(slots_run),
-                                ));
-                            }
-                            worker.stats.pending_at_end =
+                            worker.stats.tasks.freeze_concurrency(slots_run);
+                            worker.stats.arq.pending_at_end =
                                 worker.arq.as_ref().map_or(0, |a| a.wheel.len());
-                            match &worker.injector {
-                                Injector::Virtual(inj) => {
-                                    worker.stats.rejected_broadcasts = inj.rejected.0;
-                                    worker.stats.rejected_unicasts = inj.rejected.1;
-                                }
-                                Injector::Wall(inj) => {
-                                    worker.stats.rejected_broadcasts = inj.rejected.0;
-                                    worker.stats.rejected_unicasts = inj.rejected.1;
-                                }
-                                Injector::Passive => {}
-                            }
+                            let (rejected_b, rejected_u) = match &worker.injector {
+                                Injector::Virtual(inj) => inj.rejected,
+                                Injector::Wall(inj) => inj.rejected,
+                                Injector::Passive => (0, 0),
+                            };
+                            worker.stats.flow.rejected_broadcasts = rejected_b;
+                            worker.stats.flow.rejected_unicasts = rejected_u;
                             // Close out recovery measurements whose backlog
                             // drained on the final slots, like the engine's
                             // report-time finalize; merge the samples into the
@@ -2081,24 +2038,9 @@ where
         }
     }
     let messages_sent = merged.messages_sent;
-    let report = assemble_report(
-        merged,
-        ReportInputs {
-            cfg: &sim,
-            link_dim: &shared.link_dim,
-            d: topo.d(),
-            node_count: n as u64,
-            num_priorities,
-            slots_run,
-            stable: stop != UNSTABLE,
-            completed: stop == COMPLETED,
-            peak_queue_total: shared.peak_queue.load(Ordering::Acquire),
-            queue_trace,
-            faults_enabled,
-        },
-    );
+    let peak_queue_total = shared.peak_queue.load(Ordering::Acquire);
     Ok(NetReport {
-        report,
+        report: report_of(merged, slots_run, stop, peak_queue_total, queue_trace),
         workers: w,
         wall_secs,
         slots_per_sec: if wall_secs > 0.0 {

@@ -1,11 +1,12 @@
-//! Per-worker measurement state and report assembly.
+//! Per-worker measurement state.
 //!
 //! Each worker accumulates its own [`WorkerStats`] with zero sharing
 //! during the run; after the last slot the runtime merges them **in
-//! worker order** (deterministic) and assembles the same [`SimReport`]
-//! shape the simulator produces, using the engine's exact normalization
-//! (realized measurement window, per-link busy fractions, per-dimension
-//! averages). Counters live at well-defined sites so no event is double
+//! worker order** (deterministic) and hands the merged counters to
+//! `pstar_sim::assemble` — the same report assembler the simulator's
+//! engines finish through, so normalization (realized measurement
+//! window, per-link busy fractions, per-dimension averages) cannot
+//! drift. Counters live at well-defined sites so no event is double
 //! counted across workers:
 //!
 //! * **creation site** (the worker that injects a task): measured-task
@@ -16,438 +17,74 @@
 //!   dropped/evicted/lost counters;
 //! * **home site** (the worker owning the task's completion record):
 //!   broadcast/unicast delay, damaged counts, concurrency `-1`.
+//!
+//! Because task records live at per-task home workers rather than in
+//! one table, the workers record reception delays through
+//! [`TaskLedger::measured_reception`] and write the ledger's public
+//! counters directly instead of going through its task-table methods;
+//! the batch-means accumulator is therefore never fed and
+//! `reception_ci_batch` comes out `None` (it needs a single serial
+//! reception stream).
 
-use pstar_sim::{
-    ClassStats, FaultReport, FlowReport, HopPhase, Packet, PacketKind, RecoveryReport, SimConfig,
-    SimReport, TailQuantiles, TailReport, MAX_PRIORITY_CLASSES,
-};
-use pstar_stats::{Histogram, LogHistogram, Moments, TimeWeighted};
-
-/// Tail-latency instrumentation of one worker, mirroring the engine's
-/// `TailsState` semantics (reception delays by delivering class, hop
-/// waits by trunk/ending/unicast phase, service times). The runtime's
-/// record rate per worker is `1/W`-th of the engine's, so these record
-/// straight into [`LogHistogram`]s without the engine's flat-count fast
-/// path; histograms are order-independent, so the merged report equals
-/// what a single accumulator would have produced.
-#[derive(Debug)]
-pub(crate) struct NetTails {
-    reception_by_class: [LogHistogram; MAX_PRIORITY_CLASSES],
-    hop_wait: [LogHistogram; 3],
-    service: LogHistogram,
-}
-
-impl NetTails {
-    pub fn new() -> Box<Self> {
-        Box::new(Self {
-            reception_by_class: std::array::from_fn(|_| LogHistogram::new()),
-            hop_wait: std::array::from_fn(|_| LogHistogram::new()),
-            service: LogHistogram::new(),
-        })
-    }
-
-    /// Records an in-window service start: wait decomposed by path phase
-    /// (a broadcast hop in rotation phase `d - 1` is an ending-dimension
-    /// hop), plus the service time.
-    #[inline]
-    pub fn record_service(&mut self, pkt: &Packet, wait: u64, d: usize) {
-        let phase = match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                if state.phase as usize == d - 1 {
-                    HopPhase::Ending
-                } else {
-                    HopPhase::Trunk
-                }
-            }
-            PacketKind::Unicast { .. } => HopPhase::Unicast,
-        };
-        self.hop_wait[phase as usize].record(wait);
-        self.service.record(pkt.len as u64);
-    }
-
-    /// Records a measured reception delay under the delivering class.
-    #[inline]
-    pub fn record_reception(&mut self, class: u8, delay: u64) {
-        self.reception_by_class[class as usize].record(delay);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self
-            .reception_by_class
-            .iter_mut()
-            .zip(&other.reception_by_class)
-        {
-            a.merge(b);
-        }
-        for (a, b) in self.hop_wait.iter_mut().zip(&other.hop_wait) {
-            a.merge(b);
-        }
-        self.service.merge(&other.service);
-    }
-
-    fn report(&self) -> TailReport {
-        let mut all = LogHistogram::new();
-        for h in &self.reception_by_class {
-            all.merge(h);
-        }
-        TailReport {
-            enabled: true,
-            reception_by_class: self
-                .reception_by_class
-                .iter()
-                .map(TailQuantiles::from_hist)
-                .collect(),
-            reception_all: TailQuantiles::from_hist(&all),
-            reception_cdf: all.cdf_points(),
-            hop_wait: std::array::from_fn(|i| TailQuantiles::from_hist(&self.hop_wait[i])),
-            hop_wait_cdf: std::array::from_fn(|i| self.hop_wait[i].cdf_points()),
-            service: TailQuantiles::from_hist(&self.service),
-        }
-    }
-}
+use pstar_sim::{ArqCounters, FlowCounters, LinkCounters, SimConfig, TaskLedger};
+use pstar_stats::Moments;
 
 /// One worker's private measurement accumulator.
 #[derive(Debug)]
 pub(crate) struct WorkerStats {
-    // -- service / utilization (owning-link worker) --
-    pub wait_by_class: [Moments; MAX_PRIORITY_CLASSES],
-    pub busy_by_class: [u64; MAX_PRIORITY_CLASSES],
-    /// Full-size per-link busy-slot counts; only this worker's owned
+    /// Task-level counters (creation / delivery / loss / home sites).
+    pub tasks: TaskLedger,
+    /// Service-start counters, full-size: only this worker's owned
     /// links are ever nonzero, so the merge is an elementwise add.
-    pub busy_by_link: Vec<u64>,
-    pub window_transmissions: u64,
-    pub tx_by_vc: [u64; 4],
-    // -- creation site --
-    pub measured_broadcasts: u64,
-    pub measured_unicasts: u64,
-    pub rejected_broadcasts: u64,
-    pub rejected_unicasts: u64,
-    // -- delivery site --
-    pub reception_delay: Moments,
-    pub reception_hist: Histogram,
-    pub delay_by_distance: Vec<Moments>,
-    pub acked_receptions: u64,
-    pub recovered_deliveries: u64,
-    // -- loss site --
-    pub dropped_packets: u64,
-    pub lost_receptions: u64,
-    pub dropped_unicasts: u64,
-    pub evicted_packets: u64,
-    pub gave_up_copies: u64,
-    pub gave_up_receptions: u64,
-    // -- ARQ (losing / retransmitting worker) --
-    pub retransmissions: u64,
-    pub timeouts_scheduled: u64,
-    pub backoff_hist: Vec<u64>,
-    pub pending_at_end: usize,
-    // -- home site --
-    pub broadcast_delay: Moments,
-    pub unicast_delay: Moments,
-    pub recovered_task_delay: Moments,
-    pub damaged_broadcasts: u64,
-    // -- fault accounting (loss / home / owning-link sites) --
-    pub fault_dropped: u64,
-    pub fault_damaged: u64,
+    pub links: LinkCounters,
+    /// ARQ counters (losing / retransmitting worker; all zero with ARQ
+    /// off).
+    pub arq: ArqCounters,
+    /// Admission rejections (creation site), evictions (loss site) and
+    /// the window-bounded occupancy sum.
+    pub flow: FlowCounters,
     /// Time-to-recovery samples of this worker's owned links (tracker
     /// watch lists are disjoint by link ownership, so merging samples
     /// suffices).
     pub fault_recovery: Moments,
-    /// Service waits observed while any fault was active (worker 0
-    /// broadcasts the liveness epoch, so "while faulted" is globally
-    /// consistent).
-    pub wait_fault: [Moments; MAX_PRIORITY_CLASSES],
     /// Fault-plan events applied (worker 0 only; it owns the clock).
     pub fault_events_applied: u64,
     /// Slots with ≥1 active fault (worker 0 only).
     pub fault_slots: u64,
-    // -- occupancy / concurrency (window-bounded) --
-    pub occupancy_sum: u128,
-    pub concurrent_bcast: TimeWeighted,
-    pub concurrent_ucast: TimeWeighted,
-    pub concurrent_snapshot: Option<(f64, f64)>,
-    // -- runtime accounting --
+    /// Cross-worker messages sent (runtime accounting).
     pub messages_sent: u64,
-    pub tails: Option<Box<NetTails>>,
 }
 
 impl WorkerStats {
-    pub fn new(num_links: usize, cfg: &SimConfig, diameter: u32) -> Self {
+    pub fn new(
+        num_links: usize,
+        cfg: &SimConfig,
+        d: usize,
+        node_count: u32,
+        diameter: u32,
+    ) -> Self {
         Self {
-            wait_by_class: std::array::from_fn(|_| Moments::new()),
-            busy_by_class: [0; MAX_PRIORITY_CLASSES],
-            busy_by_link: vec![0; num_links],
-            window_transmissions: 0,
-            tx_by_vc: [0; 4],
-            measured_broadcasts: 0,
-            measured_unicasts: 0,
-            rejected_broadcasts: 0,
-            rejected_unicasts: 0,
-            reception_delay: Moments::new(),
-            reception_hist: Histogram::new(cfg.delay_histogram_cap),
-            delay_by_distance: if cfg.profile_by_distance {
-                vec![Moments::new(); diameter as usize + 1]
-            } else {
-                Vec::new()
-            },
-            acked_receptions: 0,
-            recovered_deliveries: 0,
-            dropped_packets: 0,
-            lost_receptions: 0,
-            dropped_unicasts: 0,
-            evicted_packets: 0,
-            gave_up_copies: 0,
-            gave_up_receptions: 0,
-            retransmissions: 0,
-            timeouts_scheduled: 0,
-            backoff_hist: if cfg.arq.is_some() {
-                vec![0; BACKOFF_HIST_BUCKETS]
-            } else {
-                Vec::new()
-            },
-            pending_at_end: 0,
-            broadcast_delay: Moments::new(),
-            unicast_delay: Moments::new(),
-            recovered_task_delay: Moments::new(),
-            damaged_broadcasts: 0,
-            fault_dropped: 0,
-            fault_damaged: 0,
+            tasks: TaskLedger::new(cfg, node_count, diameter),
+            links: LinkCounters::new(cfg, d, 0, num_links),
+            arq: ArqCounters::default(),
+            flow: FlowCounters::default(),
             fault_recovery: Moments::new(),
-            wait_fault: std::array::from_fn(|_| Moments::new()),
             fault_events_applied: 0,
             fault_slots: 0,
-            occupancy_sum: 0,
-            concurrent_bcast: TimeWeighted::new(0, 0),
-            concurrent_ucast: TimeWeighted::new(0, 0),
-            concurrent_snapshot: None,
             messages_sent: 0,
-            tails: cfg.tails.then(NetTails::new),
         }
     }
 
     /// Folds `other` into `self`. Worker order is fixed by the caller,
     /// so the merged moments are deterministic for a given worker count.
     pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.wait_by_class.iter_mut().zip(&other.wait_by_class) {
-            a.merge(b);
-        }
-        for (a, b) in self.busy_by_class.iter_mut().zip(&other.busy_by_class) {
-            *a += b;
-        }
-        for (a, b) in self.busy_by_link.iter_mut().zip(&other.busy_by_link) {
-            *a += b;
-        }
-        self.window_transmissions += other.window_transmissions;
-        for (a, b) in self.tx_by_vc.iter_mut().zip(&other.tx_by_vc) {
-            *a += b;
-        }
-        self.measured_broadcasts += other.measured_broadcasts;
-        self.measured_unicasts += other.measured_unicasts;
-        self.rejected_broadcasts += other.rejected_broadcasts;
-        self.rejected_unicasts += other.rejected_unicasts;
-        self.reception_delay.merge(&other.reception_delay);
-        self.reception_hist.merge(&other.reception_hist);
-        for (a, b) in self
-            .delay_by_distance
-            .iter_mut()
-            .zip(&other.delay_by_distance)
-        {
-            a.merge(b);
-        }
-        self.acked_receptions += other.acked_receptions;
-        self.recovered_deliveries += other.recovered_deliveries;
-        self.dropped_packets += other.dropped_packets;
-        self.lost_receptions += other.lost_receptions;
-        self.dropped_unicasts += other.dropped_unicasts;
-        self.evicted_packets += other.evicted_packets;
-        self.gave_up_copies += other.gave_up_copies;
-        self.gave_up_receptions += other.gave_up_receptions;
-        self.retransmissions += other.retransmissions;
-        self.timeouts_scheduled += other.timeouts_scheduled;
-        for (a, b) in self.backoff_hist.iter_mut().zip(&other.backoff_hist) {
-            *a += b;
-        }
-        self.pending_at_end += other.pending_at_end;
-        self.broadcast_delay.merge(&other.broadcast_delay);
-        self.unicast_delay.merge(&other.unicast_delay);
-        self.recovered_task_delay.merge(&other.recovered_task_delay);
-        self.damaged_broadcasts += other.damaged_broadcasts;
-        self.fault_dropped += other.fault_dropped;
-        self.fault_damaged += other.fault_damaged;
+        self.tasks.merge(&other.tasks);
+        self.links.merge(&other.links);
+        self.arq.merge(&other.arq);
+        self.flow.merge(&other.flow);
         self.fault_recovery.merge(&other.fault_recovery);
-        for (a, b) in self.wait_fault.iter_mut().zip(&other.wait_fault) {
-            a.merge(b);
-        }
         self.fault_events_applied += other.fault_events_applied;
         self.fault_slots += other.fault_slots;
-        self.occupancy_sum += other.occupancy_sum;
-        // Concurrency levels decompose additively over workers (each
-        // task counts at exactly one worker), so the time-averages sum.
-        let (cb, cu) = self.concurrent_snapshot.get_or_insert((0.0, 0.0));
-        let (ocb, ocu) = other.concurrent_snapshot.unwrap_or((0.0, 0.0));
-        *cb += ocb;
-        *cu += ocu;
         self.messages_sent += other.messages_sent;
-        if let (Some(t), Some(o)) = (self.tails.as_mut(), other.tails.as_deref()) {
-            t.merge(o);
-        }
-    }
-}
-
-/// Attempt buckets of the ARQ backoff histogram (same as the engine).
-pub(crate) const BACKOFF_HIST_BUCKETS: usize = 32;
-
-/// Everything report assembly needs beyond the merged stats.
-pub(crate) struct ReportInputs<'a> {
-    pub cfg: &'a SimConfig,
-    /// Dimension of each link (`link_dim_table`).
-    pub link_dim: &'a [u8],
-    pub d: usize,
-    pub node_count: u64,
-    pub num_priorities: usize,
-    pub slots_run: u64,
-    pub stable: bool,
-    pub completed: bool,
-    pub peak_queue_total: i64,
-    pub queue_trace: Vec<(u64, u64)>,
-    /// A fault plan was installed: assemble a real [`FaultReport`]
-    /// instead of the fault-free default.
-    pub faults_enabled: bool,
-}
-
-/// Builds a [`SimReport`] from merged worker stats with the engine's
-/// exact normalization. Net-specific differences, all documented in the
-/// crate docs: `reception_ci_batch` is `None` (batch means require a
-/// single serial reception stream), and `peak_queue_total` is the
-/// end-of-slot peak rather than the engine's intra-slot peak.
-pub(crate) fn assemble_report(merged: WorkerStats, inp: ReportInputs<'_>) -> SimReport {
-    let cfg = inp.cfg;
-    let realized = inp
-        .slots_run
-        .min(cfg.measure_end())
-        .saturating_sub(cfg.warmup_slots);
-    let window = realized.max(1) as f64;
-    let links = merged.busy_by_link.len() as f64;
-    let per_link: Vec<f64> = merged
-        .busy_by_link
-        .iter()
-        .map(|&b| b as f64 / window)
-        .collect();
-    let mean_util = per_link.iter().sum::<f64>() / links;
-    let max_util = per_link.iter().fold(0.0f64, |m, &u| m.max(u));
-    let mut per_dim = vec![0.0; inp.d];
-    let mut links_in_dim = vec![0u32; inp.d];
-    for (l, &u) in per_link.iter().enumerate() {
-        let dim = inp.link_dim[l] as usize;
-        per_dim[dim] += u;
-        links_in_dim[dim] += 1;
-    }
-    for i in 0..inp.d {
-        per_dim[i] /= links_in_dim[i] as f64;
-    }
-    let class = (0..inp.num_priorities)
-        .map(|k| ClassStats {
-            utilization: merged.busy_by_class[k] as f64 / (window * links),
-            wait: merged.wait_by_class[k].summary(),
-        })
-        .collect();
-    let delivered = merged.reception_delay.summary().count + merged.unicast_delay.summary().count;
-    let offered = delivered + merged.lost_receptions;
-    let recovery = if cfg.arq.is_some() {
-        RecoveryReport {
-            enabled: true,
-            retransmissions: merged.retransmissions,
-            timeouts_scheduled: merged.timeouts_scheduled,
-            backoff_histogram: merged.backoff_hist.clone(),
-            acked_receptions: merged.acked_receptions,
-            recovered_deliveries: merged.recovered_deliveries,
-            gave_up_copies: merged.gave_up_copies,
-            gave_up_receptions: merged.gave_up_receptions,
-            recovered_task_delay: merged.recovered_task_delay.summary(),
-            pending_at_end: merged.pending_at_end,
-        }
-    } else {
-        RecoveryReport::default()
-    };
-    let rejected_receptions =
-        merged.rejected_broadcasts * (inp.node_count - 1) + merged.rejected_unicasts;
-    let offered_with_rejects = offered + rejected_receptions;
-    let flow = FlowReport {
-        rejected_broadcasts: merged.rejected_broadcasts,
-        rejected_unicasts: merged.rejected_unicasts,
-        deferred_injections: 0,
-        defer_delay: Moments::default().summary(),
-        evicted_packets: merged.evicted_packets,
-        mean_queued_packets: if realized == 0 {
-            0.0
-        } else {
-            merged.occupancy_sum as f64 / realized as f64
-        },
-        goodput_fraction: if offered_with_rejects == 0 {
-            1.0
-        } else {
-            delivered as f64 / offered_with_rejects as f64
-        },
-    };
-    let (avg_cb, avg_cu) = merged.concurrent_snapshot.unwrap_or((0.0, 0.0));
-    let faults = if inp.faults_enabled {
-        FaultReport {
-            events_applied: merged.fault_events_applied,
-            delivered_reception_fraction: if offered == 0 {
-                1.0
-            } else {
-                delivered as f64 / offered as f64
-            },
-            fault_dropped_packets: merged.fault_dropped,
-            fault_damaged_broadcasts: merged.fault_damaged,
-            recovery_time: merged.fault_recovery.summary(),
-            fault_slots: merged.fault_slots,
-            class_wait_fault: (0..inp.num_priorities)
-                .map(|k| merged.wait_fault[k].summary())
-                .collect(),
-        }
-    } else {
-        FaultReport::default()
-    };
-    SimReport {
-        stable: inp.stable,
-        completed: inp.completed,
-        slots_run: inp.slots_run,
-        measured_broadcasts: merged.measured_broadcasts,
-        measured_unicasts: merged.measured_unicasts,
-        reception_delay: merged.reception_delay.summary(),
-        reception_quantiles: (
-            merged.reception_hist.quantile(0.5),
-            merged.reception_hist.quantile(0.95),
-            merged.reception_hist.quantile(0.99),
-        ),
-        reception_ci_batch: None,
-        dropped_packets: merged.dropped_packets,
-        lost_receptions: merged.lost_receptions,
-        damaged_broadcasts: merged.damaged_broadcasts,
-        dropped_unicasts: merged.dropped_unicasts,
-        broadcast_delay: merged.broadcast_delay.summary(),
-        unicast_delay: merged.unicast_delay.summary(),
-        class,
-        mean_link_utilization: mean_util,
-        max_link_utilization: max_util,
-        per_dim_utilization: per_dim,
-        avg_concurrent_broadcasts: avg_cb,
-        avg_concurrent_unicasts: avg_cu,
-        peak_queue_total: inp.peak_queue_total,
-        window_transmissions: merged.window_transmissions,
-        vc_transmissions: merged.tx_by_vc,
-        delay_by_distance: merged
-            .delay_by_distance
-            .iter()
-            .map(|m| m.summary())
-            .collect(),
-        queue_trace: inp.queue_trace,
-        faults,
-        recovery,
-        flow,
-        tails: match merged.tails.as_deref() {
-            Some(t) => t.report(),
-            None => TailReport::default(),
-        },
     }
 }

@@ -3,18 +3,17 @@
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::SimConfig;
 use crate::faultepoch::{LossCause as DropCause, RecoveryTracker};
-use crate::metrics::{
-    ClassStats, FaultReport, FlowReport, HopPhase, RecoveryReport, SimReport, TailQuantiles,
-    TailReport,
+use crate::ledger::{
+    assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
+    RunOutcome, TaskLedger,
 };
+use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::queue::PriorityQueue;
 use crate::recovery::{ArqConfig, FullQueuePolicy, RetxEntry, TimeoutWheel};
 use crate::scheme::Scheme;
-use crate::task::{TaskKind, TaskSlot, TaskTable};
 use pstar_faults::{DeadLinkPolicy, FaultPlan, FaultRuntime};
 use pstar_obs::{DropKind, SlotSample, TraceEvent, TraceRecord, TraceSink};
-use pstar_stats::{BatchMeans, Histogram, LogHistogram, Moments, TimeWeighted};
 use pstar_topology::{Link, LinkId, Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
@@ -32,195 +31,15 @@ struct FaultState {
     /// Cached `runtime.view().any_faults()` for the hot paths.
     any_now: bool,
     events_applied: u64,
-    fault_dropped: u64,
-    fault_damaged: u64,
     fault_slots: u64,
     /// Time-to-recovery bookkeeping for repaired links (shared rule —
     /// see [`RecoveryTracker`]).
     recovery: RecoveryTracker,
-    wait_fault: [Moments; MAX_PRIORITY_CLASSES],
-}
-
-/// Tail-latency instrumentation carried by an engine with
-/// [`SimConfig::tails`] set: log-bucketed reception-delay and hop-wait
-/// histograms (`pstar_stats::LogHistogram`, full `u64` range — no
-/// overflow clamp, unlike the linear reception histogram).
-///
-/// Kept behind an `Option` so the disabled path pays exactly one
-/// never-taken branch per record site, and the recorders never touch
-/// the RNG: a run with tails on is bit-identical to one without, apart
-/// from [`SimReport::tails`] itself (pinned by `tests/tails.rs`).
-pub(crate) struct TailsState {
-    /// Flat per-class counts for reception delays below
-    /// [`FLAT_COUNT_LIMIT`] — the reception fast path.
-    small_reception: Vec<[u32; MAX_PRIORITY_CLASSES]>,
-    /// Reception delays at or above the flat-array limit (rare).
-    reception_overflow: [LogHistogram; MAX_PRIORITY_CLASSES],
-    /// Flat per-phase counts for hop waits below [`FLAT_COUNT_LIMIT`]
-    /// (column = `HopPhase` value) — the service-start fast path.
-    small_wait: Vec<[u32; 3]>,
-    /// Hop waits at or above the flat-array limit (rare), by phase.
-    wait_overflow: [LogHistogram; 3],
-    /// Flat counts for service times (packet lengths) below
-    /// [`FLAT_COUNT_LIMIT`]; lengths are tiny, so overflow is unheard of.
-    small_service: Vec<u32>,
-    /// Service times at or above the flat-array limit.
-    service_overflow: LogHistogram,
-}
-
-/// Values below this take the flat-count fast path.
-///
-/// Receptions and service starts are the simulator's highest-frequency
-/// events (~163 each per slot on an 8×8 at ρ = 0.7), and full per-event
-/// `LogHistogram::record`s on those paths measurably slow the engine
-/// (~10–15% each, dominated by the chain of dependent loads into the
-/// boxed histograms). Small values — all of them, in any stable run —
-/// instead bump one flat `u32` counter, and the counts are folded into
-/// the histograms once at report time via [`LogHistogram::record_n`].
-/// The fold is value-exact and histograms are order-independent, so the
-/// resulting report is identical to what per-event recording would have
-/// produced.
-const FLAT_COUNT_LIMIT: usize = 4096;
-
-impl TailsState {
-    pub(crate) fn new() -> Box<Self> {
-        Box::new(Self {
-            small_reception: vec![[0; MAX_PRIORITY_CLASSES]; FLAT_COUNT_LIMIT],
-            reception_overflow: std::array::from_fn(|_| LogHistogram::new()),
-            small_wait: vec![[0; 3]; FLAT_COUNT_LIMIT],
-            wait_overflow: std::array::from_fn(|_| LogHistogram::new()),
-            small_service: vec![0; FLAT_COUNT_LIMIT],
-            service_overflow: LogHistogram::new(),
-        })
-    }
-
-    /// Records an in-window service start: wait decomposed by path
-    /// phase (the packet's ending dimension is its last rotation phase,
-    /// `d - 1`), plus the service time.
-    #[inline]
-    pub(crate) fn record_service(&mut self, pkt: &Packet, wait: u64, d: usize) {
-        let phase = match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                if state.phase as usize == d - 1 {
-                    HopPhase::Ending
-                } else {
-                    HopPhase::Trunk
-                }
-            }
-            PacketKind::Unicast { .. } => HopPhase::Unicast,
-        };
-        match self.small_wait.get_mut(wait as usize) {
-            Some(row) => row[phase as usize] += 1,
-            None => self.wait_overflow[phase as usize].record(wait),
-        }
-        let len = pkt.len as u64;
-        match self.small_service.get_mut(len as usize) {
-            Some(n) => *n += 1,
-            None => self.service_overflow.record(len),
-        }
-    }
-
-    /// Records a measured reception delay under the delivering class.
-    #[inline]
-    pub(crate) fn record_reception(&mut self, class: u8, delay: u64) {
-        // Rows are `[count; class]` per delay value, so the common case
-        // is one indexed increment; `get_mut` doubles as the range test.
-        match self.small_reception.get_mut(delay as usize) {
-            Some(row) => row[class as usize] += 1,
-            None => self.reception_overflow[class as usize].record(delay),
-        }
-    }
-
-    /// One class's reception histogram: the flat small-delay counts
-    /// folded (value-exactly) over the overflow records.
-    fn class_reception_hist(&self, class: usize) -> LogHistogram {
-        let mut h = self.reception_overflow[class].clone();
-        for (delay, row) in self.small_reception.iter().enumerate() {
-            if row[class] > 0 {
-                h.record_n(delay as u64, u64::from(row[class]));
-            }
-        }
-        h
-    }
-
-    /// One phase's hop-wait histogram, folded the same way.
-    fn phase_wait_hist(&self, phase: usize) -> LogHistogram {
-        let mut h = self.wait_overflow[phase].clone();
-        for (wait, row) in self.small_wait.iter().enumerate() {
-            if row[phase] > 0 {
-                h.record_n(wait as u64, u64::from(row[phase]));
-            }
-        }
-        h
-    }
-
-    /// Folds another recorder's counts into this one. Value-exact:
-    /// flat arrays add element-wise and overflow histograms merge
-    /// bucket-wise, so report quantiles are independent of how events
-    /// were partitioned across recorders. Used by the sharded engine to
-    /// combine per-shard service/wait recorders with the coordinator's
-    /// reception recorder.
-    pub(crate) fn merge_from(&mut self, other: &TailsState) {
-        for (row, src) in self.small_reception.iter_mut().zip(&other.small_reception) {
-            for (a, b) in row.iter_mut().zip(src) {
-                *a += *b;
-            }
-        }
-        for (h, o) in self
-            .reception_overflow
-            .iter_mut()
-            .zip(&other.reception_overflow)
-        {
-            h.merge(o);
-        }
-        for (row, src) in self.small_wait.iter_mut().zip(&other.small_wait) {
-            for (a, b) in row.iter_mut().zip(src) {
-                *a += *b;
-            }
-        }
-        for (h, o) in self.wait_overflow.iter_mut().zip(&other.wait_overflow) {
-            h.merge(o);
-        }
-        for (a, b) in self.small_service.iter_mut().zip(&other.small_service) {
-            *a += *b;
-        }
-        self.service_overflow.merge(&other.service_overflow);
-    }
-
-    pub(crate) fn report(&mut self) -> TailReport {
-        let by_class: Vec<LogHistogram> = (0..MAX_PRIORITY_CLASSES)
-            .map(|c| self.class_reception_hist(c))
-            .collect();
-        let mut all = LogHistogram::new();
-        for h in &by_class {
-            all.merge(h);
-        }
-        let hop_wait: [LogHistogram; 3] = std::array::from_fn(|i| self.phase_wait_hist(i));
-        let mut service = self.service_overflow.clone();
-        for (len, &n) in self.small_service.iter().enumerate() {
-            if n > 0 {
-                service.record_n(len as u64, u64::from(n));
-            }
-        }
-        TailReport {
-            enabled: true,
-            reception_by_class: by_class.iter().map(TailQuantiles::from_hist).collect(),
-            reception_all: TailQuantiles::from_hist(&all),
-            reception_cdf: all.cdf_points(),
-            hop_wait: std::array::from_fn(|i| TailQuantiles::from_hist(&hop_wait[i])),
-            hop_wait_cdf: std::array::from_fn(|i| hop_wait[i].cdf_points()),
-            service: TailQuantiles::from_hist(&service),
-        }
-    }
 }
 
 /// Seed perturbation for the ARQ jitter RNG: recovery draws come from
 /// their own stream so enabling ARQ never shifts traffic randomness.
 const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// How many attempt buckets the backoff histogram tracks (the last
-/// bucket saturates).
-const BACKOFF_HIST_BUCKETS: usize = 32;
 
 // `DropCause` is the crate-shared `LossCause` (see `faultepoch`): the
 // runtime backend attributes losses with the identical vocabulary.
@@ -235,14 +54,7 @@ struct RecoveryState {
     rng: StdRng,
     /// Scratch buffer reused by `fire_retransmissions`.
     fire_buf: Vec<RetxEntry>,
-    timeouts_scheduled: u64,
-    retransmissions: u64,
-    backoff_hist: Vec<u64>,
-    acked_receptions: u64,
-    recovered_deliveries: u64,
-    gave_up_copies: u64,
-    gave_up_receptions: u64,
-    recovered_task_delay: Moments,
+    counters: ArqCounters,
 }
 
 impl RecoveryState {
@@ -252,14 +64,7 @@ impl RecoveryState {
             wheel: TimeoutWheel::new(),
             rng: StdRng::seed_from_u64(seed ^ ARQ_SEED_SALT),
             fire_buf: Vec::new(),
-            timeouts_scheduled: 0,
-            retransmissions: 0,
-            backoff_hist: vec![0; BACKOFF_HIST_BUCKETS],
-            acked_receptions: 0,
-            recovered_deliveries: 0,
-            gave_up_copies: 0,
-            gave_up_receptions: 0,
-            recovered_task_delay: Moments::new(),
+            counters: ArqCounters::default(),
         }
     }
 }
@@ -289,12 +94,7 @@ struct FlowState {
     deferred_measured: u64,
     /// Outgoing links per node; built only for backpressure.
     out_links: Vec<Vec<u32>>,
-    rejected_broadcasts: u64,
-    rejected_unicasts: u64,
-    deferred_injections: u64,
-    defer_delay: Moments,
-    evicted: u64,
-    occupancy_sum: u128,
+    counters: FlowCounters,
 }
 
 /// The simulator: a torus, a routing scheme, a workload, and per-link
@@ -318,36 +118,17 @@ pub struct Engine<N: Network, S: Scheme> {
     active: Vec<u32>,
     is_active: Vec<bool>,
 
-    tasks: TaskTable,
     dests: DestSampler,
     /// Scenario modulation cursor, advanced once per slot through the
     /// shared arrival generator.
     scenario: ScenarioCursor,
 
-    // Measurement state.
-    reception_delay: Moments,
-    reception_hist: Histogram,
-    reception_batch: BatchMeans,
-    broadcast_delay: Moments,
-    unicast_delay: Moments,
-    dropped_packets: u64,
-    lost_receptions: u64,
-    damaged_broadcasts: u64,
-    dropped_unicasts: u64,
-    wait_by_class: [Moments; MAX_PRIORITY_CLASSES],
-    busy_by_class: [u64; MAX_PRIORITY_CLASSES],
-    busy_by_link: Vec<u64>,
+    // Measurement state (see `crate::ledger`).
+    ledger: TaskLedger,
+    links: LinkCounters,
     tx_by_dim: Vec<u64>,
-    tx_by_vc: [u64; 4],
-    concurrent_bcast: TimeWeighted,
-    concurrent_ucast: TimeWeighted,
-    concurrent_snapshot: Option<(f64, f64)>,
     queued_total: i64,
     peak_queue: i64,
-    window_transmissions: u64,
-    outstanding_measured: u64,
-    measured_broadcasts: u64,
-    measured_unicasts: u64,
 
     emit_buf: Vec<Emit>,
     /// Scratch for disposing of a dying link's backlog; swapped out
@@ -357,7 +138,6 @@ pub struct Engine<N: Network, S: Scheme> {
     /// each [`SlotSample`] and back so sampling allocates once per run,
     /// not once per sample.
     sample_links: Vec<u32>,
-    delay_by_distance: Vec<Moments>,
     queue_trace: Vec<(u64, u64)>,
     unstable: bool,
     faults: Option<Box<FaultState>>,
@@ -371,9 +151,6 @@ pub struct Engine<N: Network, S: Scheme> {
     obs: Option<Box<dyn TraceSink>>,
     /// Cached `obs.decimation()`; 0 disables slot sampling.
     obs_decim: u64,
-    /// Tail-latency instrumentation; `None` (default) keeps every record
-    /// site at a single never-taken branch (see [`TailsState`]).
-    tails: Option<Box<TailsState>>,
 }
 
 impl<N: Network, S: Scheme> Engine<N, S> {
@@ -411,12 +188,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             } else {
                 Vec::new()
             },
-            rejected_broadcasts: 0,
-            rejected_unicasts: 0,
-            deferred_injections: 0,
-            defer_delay: Moments::new(),
-            evicted: 0,
-            occupancy_sum: 0,
+            counters: FlowCounters::default(),
         });
         Self {
             queues: (0..links).map(|_| PriorityQueue::new()).collect(),
@@ -425,40 +197,16 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             link_dim: topo.link_dim_table(),
             active: Vec::with_capacity(links),
             is_active: vec![false; links],
-            tasks: TaskTable::new(),
             dests,
             scenario: ScenarioCursor::new(cfg.scenario),
-            reception_delay: Moments::new(),
-            reception_hist: Histogram::new(cfg.delay_histogram_cap),
-            reception_batch: BatchMeans::new(cfg.delay_batch_size),
-            broadcast_delay: Moments::new(),
-            unicast_delay: Moments::new(),
-            dropped_packets: 0,
-            lost_receptions: 0,
-            damaged_broadcasts: 0,
-            dropped_unicasts: 0,
-            wait_by_class: [Moments::new(); MAX_PRIORITY_CLASSES],
-            busy_by_class: [0; MAX_PRIORITY_CLASSES],
-            busy_by_link: vec![0; links],
+            ledger: TaskLedger::new(&cfg, n, topo.diameter()),
+            links: LinkCounters::new(&cfg, topo.d(), 0, links),
             tx_by_dim: vec![0; topo.d()],
-            tx_by_vc: [0; 4],
-            concurrent_bcast: TimeWeighted::new(0, 0),
-            concurrent_ucast: TimeWeighted::new(0, 0),
-            concurrent_snapshot: None,
             queued_total: 0,
             peak_queue: 0,
-            window_transmissions: 0,
-            outstanding_measured: 0,
-            measured_broadcasts: 0,
-            measured_unicasts: 0,
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
             sample_links: Vec::new(),
-            delay_by_distance: if cfg.profile_by_distance {
-                vec![Moments::new(); topo.diameter() as usize + 1]
-            } else {
-                Vec::new()
-            },
             queue_trace: Vec::new(),
             unstable: false,
             faults: None,
@@ -466,7 +214,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             flow,
             obs: None,
             obs_decim: 0,
-            tails: cfg.tails.then(TailsState::new),
             rng: StdRng::seed_from_u64(cfg.seed),
             now: 0,
             topo,
@@ -499,11 +246,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             policy,
             any_now: false,
             events_applied: 0,
-            fault_dropped: 0,
-            fault_damaged: 0,
             fault_slots: 0,
             recovery: RecoveryTracker::new(),
-            wait_fault: [Moments::new(); MAX_PRIORITY_CLASSES],
         }));
         self
     }
@@ -563,7 +307,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// Number of tasks currently in progress (and the slab's high-water
     /// allocation footprint).
     pub fn active_tasks(&self) -> (usize, usize) {
-        (self.tasks.active(), self.tasks.capacity())
+        self.ledger.active_tasks()
     }
 
     /// The simulated topology.
@@ -674,7 +418,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         let mut completed = true;
         loop {
             if self.now >= end_measure
-                && self.outstanding_measured == 0
+                && self.ledger.outstanding_measured() == 0
                 && self.flow.deferred_measured == 0
             {
                 break;
@@ -734,16 +478,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
 
         // Window boundaries for the time-weighted concurrency counters:
         // restart at warmup, snapshot at the end of the measurement window.
-        if t == self.cfg.warmup_slots {
-            self.concurrent_bcast.reset_window(t);
-            self.concurrent_ucast.reset_window(t);
-        }
-        if t == self.cfg.measure_end() && self.concurrent_snapshot.is_none() {
-            self.concurrent_snapshot = Some((
-                self.concurrent_bcast.average(t),
-                self.concurrent_ucast.average(t),
-            ));
-        }
+        self.ledger.window_tick(t);
 
         // Phase 1: deliveries. Only links already active can be busy;
         // forwards appended during the loop are new (idle) links and have
@@ -785,9 +520,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
 
         // Phase 3: service starts, then in-place compaction of the active
         // list (a link stays active while busy or backlogged).
-        let in_window = t >= self.cfg.warmup_slots && t < self.cfg.measure_end();
-        if in_window {
-            self.flow.occupancy_sum += self.queued_total.max(0) as u128;
+        if self.in_measure_window() {
+            self.flow.counters.occupancy_sum += self.queued_total.max(0) as u128;
         }
         let mut w = 0;
         for i in 0..self.active.len() {
@@ -795,7 +529,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             if self.in_flight[l].is_none() && self.link_alive(l) {
                 if let Some(pkt) = self.queues[l].pop() {
                     self.queued_total -= 1;
-                    self.start_service(l, pkt, in_window);
+                    self.start_service(l, pkt);
                 }
             }
             if self.in_flight[l].is_some() || !self.queues[l].is_empty() {
@@ -878,7 +612,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         if let Some((pkt, _)) = self.in_flight[l].take() {
             match f.policy {
                 DeadLinkPolicy::Drop => {
-                    self.handle_loss(l, pkt, DropCause::Fault, Some(f));
+                    self.handle_loss(l, pkt, DropCause::Fault);
                 }
                 DeadLinkPolicy::Requeue => {
                     // Head of line again: the interrupted transmission
@@ -897,7 +631,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             let mut stranded = std::mem::take(&mut self.loss_buf);
             stranded.extend(self.queues[l].drain_all());
             for pkt in stranded.drain(..) {
-                self.handle_loss(l, pkt, DropCause::Fault, Some(f));
+                self.handle_loss(l, pkt, DropCause::Fault);
             }
             self.loss_buf = stranded;
         }
@@ -907,18 +641,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// stay alive and a backoff timer is armed; without it (or once the
     /// retry budget is exhausted — the `GaveUp` terminal state) the loss
     /// is settled permanently.
-    ///
-    /// `faults` carries the fault-counter state when the caller already
-    /// holds it (fault ticks detach it from the engine); pass `None`
-    /// only via [`Engine::lose_packet`].
-    fn handle_loss(
-        &mut self,
-        link: usize,
-        pkt: Packet,
-        cause: DropCause,
-        faults: Option<&mut FaultState>,
-    ) {
-        let is_retry = cause == DropCause::Retry;
+    fn handle_loss(&mut self, link: usize, pkt: Packet, cause: DropCause) {
         if self.obs.is_some() {
             // A copy lost at this hop — possibly recovered later by ARQ;
             // terminal losses are distinguishable by a missing follow-up
@@ -955,8 +678,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                     0
                 };
                 let fire = now + rec.cfg.backoff(attempt) + jitter;
-                rec.backoff_hist[(attempt as usize).min(BACKOFF_HIST_BUCKETS - 1)] += 1;
-                rec.timeouts_scheduled += 1;
+                rec.counters.timer_armed(attempt);
                 let mut p = pkt;
                 p.attempt = p.attempt.saturating_add(1);
                 p.priority = boosted;
@@ -967,46 +689,24 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                         pkt: p,
                     },
                 );
-                self.tasks.mark_retx(pkt.task);
-                if !is_retry {
-                    self.dropped_packets += 1;
-                    if cause == DropCause::Fault {
-                        if let Some(f) = faults {
-                            f.fault_dropped += 1;
-                        }
-                    }
-                }
+                self.ledger.mark_retx(pkt.task);
+                self.ledger.packet_dropped(cause);
                 return;
             }
-            rec.gave_up_copies += 1;
+            rec.counters.gave_up_copies += 1;
         }
         // Terminal loss: settle the packet's future receptions.
-        let before_damaged = self.damaged_broadcasts;
-        let before_lost = self.lost_receptions;
-        if !is_retry {
-            self.dropped_packets += 1;
-        }
-        self.settle_drop(&pkt);
-        if cause == DropCause::Fault {
-            if let Some(f) = faults {
-                f.fault_dropped += 1;
-                f.fault_damaged += self.damaged_broadcasts - before_damaged;
-            }
-        }
+        self.ledger.packet_dropped(cause);
+        let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
+        let lost_measured = self
+            .ledger
+            .settle(self.now, pkt.task, broadcast, lost, cause);
         if let Some(rec) = self.recovery.as_deref_mut() {
-            rec.gave_up_receptions += self.lost_receptions - before_lost;
+            rec.counters.gave_up_receptions += lost_measured;
         }
     }
 
-    /// [`Engine::handle_loss`] for callers that do not already hold the
-    /// fault state (the emit-flush paths).
-    fn lose_packet(&mut self, link: usize, pkt: Packet, cause: DropCause) {
-        let mut f = self.faults.take();
-        self.handle_loss(link, pkt, cause, f.as_deref_mut());
-        self.faults = f;
-    }
-
-    fn start_service(&mut self, link: usize, pkt: Packet, in_window: bool) {
+    fn start_service(&mut self, link: usize, pkt: Packet) {
         let t = self.now;
         if self.obs.is_some() {
             self.obs_record(TraceEvent::ServiceStart {
@@ -1018,29 +718,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             });
         }
         self.tx_by_dim[self.link_dim[link] as usize] += 1;
-        self.tx_by_vc[(pkt.vc as usize).min(3)] += 1;
-        if in_window {
-            let wait = (t - pkt.enqueue_time) as f64;
-            self.wait_by_class[pkt.priority as usize].push(wait);
-            if let Some(f) = self.faults.as_mut() {
-                if f.any_now {
-                    f.wait_fault[pkt.priority as usize].push(wait);
-                }
-            }
-            if self.tails.is_some() {
-                let d = self.topo.d();
-                if let Some(tl) = self.tails.as_deref_mut() {
-                    tl.record_service(&pkt, t - pkt.enqueue_time, d);
-                }
-            }
-            self.window_transmissions += 1;
-            // Credit busy slots only for the part of the service that
-            // overlaps the window, so utilizations stay exact estimates.
-            let end = self.cfg.measure_end();
-            let busy = (t + pkt.len as u64).min(end) - t;
-            self.busy_by_class[pkt.priority as usize] += busy;
-            self.busy_by_link[link] += busy;
-        }
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        self.links.service_start(link, &pkt, t, faulted);
         self.in_flight[link] = Some((pkt, t + pkt.len as u64));
     }
 
@@ -1059,18 +738,11 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 // Every broadcast reception is ACKed to the source over
                 // the (contention-free) control plane while ARQ is on.
                 if let Some(rec) = self.recovery.as_deref_mut() {
-                    rec.acked_receptions += 1;
-                    if pkt.attempt > 0 {
-                        rec.recovered_deliveries += 1;
-                    }
+                    rec.counters.acked(pkt.attempt);
                 }
-                // Distance profiling must read the task slot *before* the
-                // reception possibly completes and recycles it.
-                if !self.delay_by_distance.is_empty() && self.tasks.get(pkt.task).measured {
-                    let dist = self.topo.distance(state.src, node) as usize;
-                    self.delay_by_distance[dist].push((self.now - pkt.gen_time) as f64);
-                }
-                self.record_broadcast_reception(pkt.task, pkt.priority);
+                self.ledger.reception(self.now, pkt.task, pkt.priority, || {
+                    self.topo.distance(state.src, node)
+                });
                 self.emit_buf.clear();
                 self.scheme
                     .on_broadcast_arrival(node, &state, &mut self.emit_buf);
@@ -1079,12 +751,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             PacketKind::Unicast { dest } => {
                 if node == dest {
                     if let Some(rec) = self.recovery.as_deref_mut() {
-                        rec.acked_receptions += 1;
-                        if pkt.attempt > 0 {
-                            rec.recovered_deliveries += 1;
-                        }
+                        rec.counters.acked(pkt.attempt);
                     }
-                    self.record_unicast_delivery(pkt.task);
+                    self.ledger.unicast_done(self.now, pkt.task);
                 } else {
                     self.emit_buf.clear();
                     self.scheme
@@ -1094,96 +763,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 }
             }
         }
-    }
-
-    /// `class` is the delivering packet's priority, used only by the
-    /// tails decomposition (which class pays which reception tail).
-    fn record_broadcast_reception(&mut self, task: u32, class: u8) {
-        let t = self.now;
-        let slot = *self.tasks.get(task);
-        if slot.measured {
-            let delay = (t - slot.gen_time) as f64;
-            self.reception_delay.push(delay);
-            self.reception_hist.record(t - slot.gen_time);
-            self.reception_batch.push(delay);
-            if let Some(tl) = self.tails.as_deref_mut() {
-                tl.record_reception(class, t - slot.gen_time);
-            }
-        }
-        if self.tasks.record_reception(task) {
-            // Last reception completes the broadcast. Damaged tasks
-            // (finite-buffer losses) are excluded from the completion
-            // statistic — they never actually reached everyone.
-            if slot.measured {
-                if slot.lost == 0 {
-                    let delay = (t - slot.gen_time) as f64;
-                    self.broadcast_delay.push(delay);
-                    if slot.retx {
-                        if let Some(rec) = self.recovery.as_deref_mut() {
-                            rec.recovered_task_delay.push(delay);
-                        }
-                    }
-                } else {
-                    self.damaged_broadcasts += 1;
-                }
-                self.outstanding_measured -= 1;
-            }
-            self.concurrent_bcast.add(t, -1);
-        }
-    }
-
-    /// Settles a dropped packet's future receptions against its task.
-    /// The drop-event counting lives in [`Engine::handle_loss`] (a
-    /// failed *retry* settles here without being a new packet drop).
-    fn settle_drop(&mut self, pkt: &Packet) {
-        let t = self.now;
-        match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                let lost = self.scheme.subtree_receptions(&state);
-                debug_assert!(lost >= 1);
-                let slot = *self.tasks.get(pkt.task);
-                if slot.measured {
-                    self.lost_receptions += lost as u64;
-                }
-                if self.tasks.cancel_receptions(pkt.task, lost) {
-                    if slot.measured {
-                        self.damaged_broadcasts += 1;
-                        self.outstanding_measured -= 1;
-                    }
-                    self.concurrent_bcast.add(t, -1);
-                }
-            }
-            PacketKind::Unicast { .. } => {
-                let slot = *self.tasks.get(pkt.task);
-                if slot.measured {
-                    self.lost_receptions += 1;
-                    self.dropped_unicasts += 1;
-                    self.outstanding_measured -= 1;
-                }
-                let done = self.tasks.cancel_receptions(pkt.task, 1);
-                debug_assert!(done);
-                self.concurrent_ucast.add(t, -1);
-            }
-        }
-    }
-
-    fn record_unicast_delivery(&mut self, task: u32) {
-        let t = self.now;
-        let slot = *self.tasks.get(task);
-        debug_assert_eq!(slot.kind, TaskKind::Unicast);
-        if slot.measured {
-            let delay = (t - slot.gen_time) as f64;
-            self.unicast_delay.push(delay);
-            if slot.retx {
-                if let Some(rec) = self.recovery.as_deref_mut() {
-                    rec.recovered_task_delay.push(delay);
-                }
-            }
-            self.outstanding_measured -= 1;
-        }
-        let done = self.tasks.record_reception(task);
-        debug_assert!(done);
-        self.concurrent_ucast.add(t, -1);
     }
 
     /// Fires due retransmission timers: re-injects each copy at the hop
@@ -1205,7 +784,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             let room = self.queues[link].len() < capacity
                 || matches!(self.cfg.full_queue_policy, FullQueuePolicy::Backpressure);
             if !self.link_alive(link) || !room {
-                self.lose_packet(link, e.pkt, DropCause::Retry);
+                self.handle_loss(link, e.pkt, DropCause::Retry);
                 continue;
             }
             let mut pkt = e.pkt;
@@ -1228,6 +807,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.recovery
                 .as_deref_mut()
                 .expect("still installed")
+                .counters
                 .retransmissions += 1;
         }
         due.clear();
@@ -1250,8 +830,11 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.flow.deferred.remove(i);
             if d.measured {
                 self.flow.deferred_measured -= 1;
-                self.flow.deferred_injections += 1;
-                self.flow.defer_delay.push((self.now - d.arrival) as f64);
+                self.flow.counters.deferred_injections += 1;
+                self.flow
+                    .counters
+                    .defer_delay
+                    .push((self.now - d.arrival) as f64);
             }
             self.new_task(d.src, d.dest, d.measured, None, d.arrival);
         }
@@ -1281,8 +864,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             if *tok < 1.0 {
                 if measured {
                     match dest {
-                        None => self.flow.rejected_broadcasts += 1,
-                        Some(_) => self.flow.rejected_unicasts += 1,
+                        None => self.flow.counters.rejected_broadcasts += 1,
+                        Some(_) => self.flow.counters.rejected_unicasts += 1,
                     }
                 }
                 return;
@@ -1334,50 +917,26 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         len_override: Option<u16>,
         gen_time: u64,
     ) -> u32 {
-        let t = self.now;
-        let (kind, remaining) = match dest {
-            None => (TaskKind::Broadcast, self.topo.node_count() - 1),
-            Some(_) => (TaskKind::Unicast, 1),
-        };
-        let task = self.tasks.insert(TaskSlot {
-            gen_time,
-            remaining,
-            measured,
-            kind,
-            lost: 0,
-            retx: false,
-        });
-        if measured {
-            self.outstanding_measured += 1;
-            match kind {
-                TaskKind::Broadcast => self.measured_broadcasts += 1,
-                TaskKind::Unicast => self.measured_unicasts += 1,
-            }
-        }
+        let task = self
+            .ledger
+            .open_task(self.now, gen_time, dest.is_none(), measured);
         let len = len_override.unwrap_or_else(|| self.cfg.lengths.sample_length(&mut self.rng));
         self.emit_buf.clear();
         match dest {
-            None => {
-                self.concurrent_bcast.add(t, 1);
-                self.scheme
-                    .on_broadcast_generated(src, &mut self.rng, &mut self.emit_buf);
-            }
+            None => self
+                .scheme
+                .on_broadcast_generated(src, &mut self.rng, &mut self.emit_buf),
             Some(dest) => {
-                self.concurrent_ucast.add(t, 1);
                 self.scheme
-                    .on_unicast_generated(src, dest, &mut self.rng, &mut self.emit_buf);
+                    .on_unicast_generated(src, dest, &mut self.rng, &mut self.emit_buf)
             }
         }
         debug_assert!(!self.emit_buf.is_empty(), "task with no transmissions");
-        self.flush_emits_with_len(src, task, gen_time, len);
+        self.flush_emits(src, task, gen_time, len);
         task
     }
 
     fn flush_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16) {
-        self.flush_emits_with_len(from, task, gen_time, len)
-    }
-
-    fn flush_emits_with_len(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16) {
         let t = self.now;
         let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
         // Swap the buffer out to appease the borrow checker without
@@ -1411,7 +970,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             if !self.link_alive(link) {
                 let policy = self.faults.as_ref().map(|f| f.policy).unwrap_or_default();
                 if matches!(policy, DeadLinkPolicy::Drop) {
-                    self.lose_packet(link, packet, DropCause::Fault);
+                    self.handle_loss(link, packet, DropCause::Fault);
                     continue;
                 }
             }
@@ -1426,8 +985,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                         match self.queues[link].evict_lower_tail(packet.priority) {
                             Some(victim) => {
                                 self.queued_total -= 1;
-                                self.flow.evicted += 1;
-                                self.lose_packet(link, victim, DropCause::Overflow);
+                                self.flow.counters.evicted += 1;
+                                self.handle_loss(link, victim, DropCause::Overflow);
                                 true
                             }
                             None => false,
@@ -1436,7 +995,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                     FullQueuePolicy::DropTail => false,
                 };
                 if !enqueue_anyway {
-                    self.lose_packet(link, packet, DropCause::Overflow);
+                    self.handle_loss(link, packet, DropCause::Overflow);
                     continue;
                 }
             }
@@ -1463,150 +1022,39 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // Close out recovery measurements whose backlog drained on the
         // run's final slots (after the last `fault_tick`); links that
         // never carried traffic again are censored.
-        if let Some(f) = self.faults.as_mut() {
-            let now = self.now;
-            let queues = &self.queues;
-            let in_flight = &self.in_flight;
+        let (now, queues, in_flight) = (self.now, &self.queues, &self.in_flight);
+        let faults = self.faults.as_mut().map(|f| {
             f.recovery.finalize(now, |l| {
                 let l = l as usize;
                 !queues[l].is_empty() || in_flight[l].is_some()
             });
-        }
-        // Normalize by the *realized* measurement window: a run cut
-        // short by `max_slots` (overload bail-out) has measured fewer
-        // than `measure_slots` slots, and dividing busy time by the
-        // configured window would understate utilization. For completed
-        // runs `now >= measure_end()`, so this is exactly
-        // `measure_slots` and the report is unchanged.
-        let realized = self
-            .now
-            .min(self.cfg.measure_end())
-            .saturating_sub(self.cfg.warmup_slots);
-        let window = realized.max(1) as f64;
-        let links = self.queues.len() as f64;
-        let per_link: Vec<f64> = self
-            .busy_by_link
-            .iter()
-            .map(|&b| b as f64 / window)
-            .collect();
-        let mean_util = per_link.iter().sum::<f64>() / links;
-        let max_util = per_link.iter().fold(0.0f64, |m, &u| m.max(u));
-        let d = self.topo.d();
-        let mut per_dim = vec![0.0; d];
-        let mut links_in_dim = vec![0u32; d];
-        for (l, &u) in per_link.iter().enumerate() {
-            let dim = self.link_dim[l] as usize;
-            per_dim[dim] += u;
-            links_in_dim[dim] += 1;
-        }
-        for i in 0..d {
-            per_dim[i] /= links_in_dim[i] as f64;
-        }
-        let num_classes = self.scheme.num_priorities();
-        let class = (0..num_classes)
-            .map(|k| ClassStats {
-                utilization: self.busy_by_class[k] as f64 / (window * links),
-                wait: self.wait_by_class[k].summary(),
-            })
-            .collect();
-        let (avg_cb, avg_cu) = self.concurrent_snapshot.unwrap_or((
-            self.concurrent_bcast.average(self.now),
-            self.concurrent_ucast.average(self.now),
-        ));
-        let delivered = self.reception_delay.summary().count + self.unicast_delay.summary().count;
-        let offered = delivered + self.lost_receptions;
-        let faults = match &self.faults {
-            Some(f) => FaultReport {
+            FaultTotals {
                 events_applied: f.events_applied,
-                delivered_reception_fraction: if offered == 0 {
-                    1.0
-                } else {
-                    delivered as f64 / offered as f64
-                },
-                fault_dropped_packets: f.fault_dropped,
-                fault_damaged_broadcasts: f.fault_damaged,
-                recovery_time: f.recovery.samples().summary(),
                 fault_slots: f.fault_slots,
-                class_wait_fault: (0..num_classes)
-                    .map(|k| f.wait_fault[k].summary())
-                    .collect(),
-            },
-            None => FaultReport::default(),
-        };
-        let recovery = match &self.recovery {
-            Some(rec) => RecoveryReport {
-                enabled: true,
-                retransmissions: rec.retransmissions,
-                timeouts_scheduled: rec.timeouts_scheduled,
-                backoff_histogram: rec.backoff_hist.clone(),
-                acked_receptions: rec.acked_receptions,
-                recovered_deliveries: rec.recovered_deliveries,
-                gave_up_copies: rec.gave_up_copies,
-                gave_up_receptions: rec.gave_up_receptions,
-                recovered_task_delay: rec.recovered_task_delay.summary(),
-                pending_at_end: rec.wheel.len(),
-            },
-            None => RecoveryReport::default(),
-        };
-        let rejected_receptions = self.flow.rejected_broadcasts
-            * (self.topo.node_count() as u64 - 1)
-            + self.flow.rejected_unicasts;
-        let offered_with_rejects = offered + rejected_receptions;
-        let flow = FlowReport {
-            rejected_broadcasts: self.flow.rejected_broadcasts,
-            rejected_unicasts: self.flow.rejected_unicasts,
-            deferred_injections: self.flow.deferred_injections,
-            defer_delay: self.flow.defer_delay.summary(),
-            evicted_packets: self.flow.evicted,
-            mean_queued_packets: if realized == 0 {
-                0.0
-            } else {
-                self.flow.occupancy_sum as f64 / realized as f64
-            },
-            goodput_fraction: if offered_with_rejects == 0 {
-                1.0
-            } else {
-                delivered as f64 / offered_with_rejects as f64
-            },
-        };
-        SimReport {
-            stable: !self.unstable,
-            completed,
-            slots_run: self.now,
-            measured_broadcasts: self.measured_broadcasts,
-            measured_unicasts: self.measured_unicasts,
-            reception_delay: self.reception_delay.summary(),
-            reception_quantiles: (
-                self.reception_hist.quantile(0.5),
-                self.reception_hist.quantile(0.95),
-                self.reception_hist.quantile(0.99),
-            ),
-            reception_ci_batch: self.reception_batch.ci95(),
-            dropped_packets: self.dropped_packets,
-            lost_receptions: self.lost_receptions,
-            damaged_broadcasts: self.damaged_broadcasts,
-            dropped_unicasts: self.dropped_unicasts,
-            broadcast_delay: self.broadcast_delay.summary(),
-            unicast_delay: self.unicast_delay.summary(),
-            class,
-            mean_link_utilization: mean_util,
-            max_link_utilization: max_util,
-            per_dim_utilization: per_dim,
-            avg_concurrent_broadcasts: avg_cb,
-            avg_concurrent_unicasts: avg_cu,
-            peak_queue_total: self.peak_queue,
-            window_transmissions: self.window_transmissions,
-            vc_transmissions: self.tx_by_vc,
-            delay_by_distance: self.delay_by_distance.iter().map(|m| m.summary()).collect(),
-            queue_trace: self.queue_trace,
-            faults,
-            recovery,
-            flow,
-            tails: match self.tails.as_deref_mut() {
-                Some(tl) => tl.report(),
-                None => TailReport::default(),
-            },
+                recovery_time: f.recovery.samples().summary(),
+            }
+        });
+        if let Some(rec) = self.recovery.as_deref_mut() {
+            rec.counters.pending_at_end = rec.wheel.len();
         }
+        assemble(
+            self.ledger,
+            self.links,
+            RunOutcome {
+                cfg: &self.cfg,
+                link_dim: &self.link_dim,
+                d: self.topo.d(),
+                num_classes: self.scheme.num_priorities(),
+                slots_run: self.now,
+                stable: !self.unstable,
+                completed,
+                peak_queue_total: self.peak_queue,
+                queue_trace: self.queue_trace,
+                faults,
+                arq: self.recovery.as_deref().map(|rec| &rec.counters),
+                flow: &self.flow.counters,
+            },
+        )
     }
 }
 

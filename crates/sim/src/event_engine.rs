@@ -19,7 +19,7 @@
 //! (finite buffers, histograms, traces, distance profiles).
 
 use crate::config::SimConfig;
-use crate::engine::TailsState;
+use crate::ledger::TailsState;
 use crate::metrics::{ClassStats, SimReport, TailReport};
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::queue::PriorityQueue;

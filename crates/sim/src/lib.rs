@@ -28,6 +28,12 @@
 //! generated tasks are tagged, and a drain phase (traffic keeps flowing)
 //! that lasts until every tagged task completes. Queue blow-ups and
 //! horizon overruns are reported as instability rather than hanging.
+//!
+//! How a run is counted and how the counters become a [`SimReport`] is
+//! written once, in the ledger ([`TaskLedger`], [`LinkCounters`],
+//! [`assemble`]), for [`Engine`], [`ShardedEngine`] and the `pstar-net`
+//! runtime alike; [`EventEngine`] keeps independent accounting because
+//! it is the oracle the step engine is cross-validated against.
 
 #![warn(missing_docs)]
 
@@ -36,6 +42,7 @@ mod config;
 mod engine;
 mod event_engine;
 mod faultepoch;
+mod ledger;
 mod metrics;
 mod packet;
 mod perf;
@@ -50,6 +57,10 @@ pub use config::SimConfig;
 pub use engine::Engine;
 pub use event_engine::EventEngine;
 pub use faultepoch::{LossCause, RecoveryTracker};
+pub use ledger::{
+    assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
+    RunOutcome, TailsState, TaskLedger, BACKOFF_HIST_BUCKETS,
+};
 pub use metrics::{
     ClassStats, FaultReport, FlowReport, HopPhase, RecoveryReport, SimReport, TailQuantiles,
     TailReport,

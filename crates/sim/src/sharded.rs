@@ -25,10 +25,10 @@
 //!   `(stage, link, seq)` key order**. That order equals the serial
 //!   engine's processing order (the ascending-link-id merge rule shared
 //!   with `pstar-net`), so a seeded run is bit-identical to the serial
-//!   engine at any shard count, threaded or not, on every integer
-//!   report field; floating-point wait summaries are mathematically
-//!   equal but accumulated by exact integer sums rather than Welford
-//!   recurrences (see [`IntMoments`]).
+//!   engine at any shard count, threaded or not, on every report
+//!   field. The coordinator embeds the same [`TaskLedger`] the serial
+//!   engine does and each shard the same [`LinkCounters`] (see
+//!   `crate::ledger`), so the accounting rules exist once.
 //!
 //! Scope: the sharded engine covers the measurement configurations the
 //! benchmarks run — fault plans (both dead-link policies), tails
@@ -38,15 +38,15 @@
 
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::SimConfig;
-use crate::engine::TailsState;
-use crate::faultepoch::RecoveryTracker;
-use crate::metrics::{ClassStats, FaultReport, FlowReport, RecoveryReport, SimReport, TailReport};
+use crate::faultepoch::{LossCause, RecoveryTracker};
+use crate::ledger::{
+    assemble, receptions_at_stake, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
+};
+use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::perf::{assemble_perf, CoordHooks, EnginePerf, EnginePerfConfig, WorkerPerf};
 use crate::scheme::Scheme;
-use crate::task::{TaskKind, TaskSlot, TaskTable};
 use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
-use pstar_stats::{BatchMeans, Histogram, Moments, Summary, TimeWeighted};
 use pstar_topology::{Link, Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
@@ -173,73 +173,6 @@ struct SlotCtrl {
     delta: Option<Arc<FaultDelta>>,
 }
 
-/// Exact integer moment accumulator for slot-valued waiting times.
-///
-/// The serial engine pushes waits into Welford-recurrence
-/// [`Moments`], whose float state depends on push order — which a
-/// sharded run cannot reproduce without serializing every service
-/// start. Integer sums commute exactly, so this accumulator makes the
-/// wait summaries *shard-count invariant* (identical at 1, 2, 4, 8
-/// shards, threaded or not); `count`/`min`/`max` match the serial
-/// engine bit-for-bit and `mean`/`variance` agree to float rounding.
-#[derive(Clone, Copy)]
-struct IntMoments {
-    count: u64,
-    sum: u128,
-    sumsq: u128,
-    min: u64,
-    max: u64,
-}
-
-impl IntMoments {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            sumsq: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v as u128;
-        self.sumsq += (v as u128) * (v as u128);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    fn summary(&self) -> Summary {
-        if self.count == 0 {
-            return Moments::new().summary();
-        }
-        let n = self.count as f64;
-        let variance = if self.count < 2 {
-            0.0
-        } else {
-            let num = self.count as u128 * self.sumsq - self.sum * self.sum;
-            num as f64 / (n * (n - 1.0))
-        };
-        Summary {
-            count: self.count,
-            mean: self.sum as f64 / n,
-            variance,
-            min: self.min as f64,
-            max: self.max as f64,
-        }
-    }
-}
-
 /// Read-only per-run context shared by every shard and the coordinator.
 struct ShardCtx<'a, N> {
     topo: &'a N,
@@ -298,17 +231,11 @@ fn dummy_packet() -> Packet {
 /// loss (the caller chooses pre- or post-liveness-update, matching the
 /// serial engine's call sites).
 fn settle_pkt<S: Scheme>(scheme: &S, pkt: &Packet) -> MsgBody {
-    match pkt.kind {
-        PacketKind::Broadcast(state) => MsgBody::Settle {
-            task: pkt.task,
-            broadcast: true,
-            lost: scheme.subtree_receptions(&state),
-        },
-        PacketKind::Unicast { .. } => MsgBody::Settle {
-            task: pkt.task,
-            broadcast: false,
-            lost: 1,
-        },
+    let (broadcast, lost) = receptions_at_stake(scheme, pkt);
+    MsgBody::Settle {
+        task: pkt.task,
+        broadcast,
+        lost,
     }
 }
 
@@ -364,14 +291,9 @@ struct Shard<S> {
     any_now: bool,
     watched: Vec<u32>,
 
-    // Window statistics owned per shard, merged at report time.
-    wait_by_class: [IntMoments; MAX_PRIORITY_CLASSES],
-    wait_fault: [IntMoments; MAX_PRIORITY_CLASSES],
-    busy_by_class: [u64; MAX_PRIORITY_CLASSES],
-    busy_by_link: Vec<u64>,
-    tx_by_vc: [u64; 4],
-    window_transmissions: u64,
-    tails: Option<Box<TailsState>>,
+    /// Service-start statistics of the owned links, merged at report
+    /// time.
+    links: LinkCounters,
 }
 
 /// Construction-time parameters common to every shard.
@@ -380,17 +302,22 @@ struct ShardInit {
     shards: usize,
     link_count: u32,
     node_count: u32,
-    tails: bool,
     direct: bool,
 }
 
 impl<S: Scheme> Shard<S> {
-    fn new(id: u32, lo_link: u32, hi_link: u32, scheme: S, init: ShardInit) -> Self {
+    fn new(
+        id: u32,
+        links: LinkCounters,
+        lo_link: u32,
+        hi_link: u32,
+        scheme: S,
+        init: ShardInit,
+    ) -> Self {
         let ShardInit {
             shards,
             link_count,
             node_count,
-            tails,
             direct,
         } = init;
         let n_links = (hi_link - lo_link) as usize;
@@ -426,13 +353,7 @@ impl<S: Scheme> Shard<S> {
             view: LivenessView::healthy(link_count, node_count),
             any_now: false,
             watched: Vec::new(),
-            wait_by_class: [IntMoments::new(); MAX_PRIORITY_CLASSES],
-            wait_fault: [IntMoments::new(); MAX_PRIORITY_CLASSES],
-            busy_by_class: [0; MAX_PRIORITY_CLASSES],
-            busy_by_link: vec![0; n_links],
-            tx_by_vc: [0; 4],
-            window_transmissions: 0,
-            tails: tails.then(TailsState::new),
+            links,
         }
     }
 
@@ -782,7 +703,7 @@ impl<S: Scheme> Shard<S> {
     /// Phase B: merge local and coordinator enqueues in key order
     /// (reproducing the serial per-queue insertion order), then start
     /// service on every backlogged, idle, alive link.
-    fn phase_b<N: Network>(&mut self, t: u64, ctx: &ShardCtx<'_, N>, cmds: &mut Vec<Cmd>) {
+    fn phase_b(&mut self, t: u64, cmds: &mut Vec<Cmd>) {
         let local = std::mem::take(&mut self.enq_local);
         let (mut i, mut j) = (0, 0);
         loop {
@@ -806,9 +727,7 @@ impl<S: Scheme> Shard<S> {
         self.enq_local = local;
 
         self.b.pre_service = self.queued_local;
-        let in_window = t >= ctx.cfg.warmup_slots && t < ctx.cfg.measure_end();
-        let end = ctx.cfg.measure_end();
-        let d = ctx.topo.d();
+        let faulted = self.faulted && self.any_now;
         for w in 0..self.backlog.len() {
             let mut m = self.backlog[w] & !self.busy[w] & self.alive[w];
             while m != 0 {
@@ -816,21 +735,7 @@ impl<S: Scheme> Shard<S> {
                 m &= m - 1;
                 let li = (w << 6) | b;
                 let pkt = self.q_pop(li).expect("backlogged link has a packet");
-                self.tx_by_vc[(pkt.vc as usize).min(3)] += 1;
-                if in_window {
-                    let wait = t - pkt.enqueue_time;
-                    self.wait_by_class[pkt.priority as usize].push(wait);
-                    if self.faulted && self.any_now {
-                        self.wait_fault[pkt.priority as usize].push(wait);
-                    }
-                    if let Some(tl) = self.tails.as_deref_mut() {
-                        tl.record_service(&pkt, wait, d);
-                    }
-                    self.window_transmissions += 1;
-                    let busy = (t + pkt.len as u64).min(end) - t;
-                    self.busy_by_class[pkt.priority as usize] += busy;
-                    self.busy_by_link[li] += busy;
-                }
+                self.links.service_start(li, &pkt, t, faulted);
                 self.flight_pkt[li] = pkt;
                 self.flight_finish[li] = t + pkt.len as u64;
                 bit_set(&mut self.busy, li);
@@ -852,8 +757,6 @@ struct CoordFaults {
     policy: DeadLinkPolicy,
     any_now: bool,
     events_applied: u64,
-    fault_dropped: u64,
-    fault_damaged: u64,
     fault_slots: u64,
     recovery: RecoveryTracker,
     /// Delta produced by the last advance, awaiting the next slot's
@@ -861,9 +764,9 @@ struct CoordFaults {
     pending: Option<Arc<FaultDelta>>,
 }
 
-/// All global, order-sensitive state: the RNG, the task table, delay
-/// statistics, fault accounting. Consumes shard messages in key order,
-/// which equals serial processing order.
+/// All global, order-sensitive state: the RNG, the task ledger, fault
+/// accounting. Consumes shard messages in key order, which equals
+/// serial processing order.
 struct Coordinator<S> {
     scheme: S,
     cfg: SimConfig,
@@ -871,33 +774,18 @@ struct Coordinator<S> {
     dests: DestSampler,
     /// Scenario modulation cursor (coordinator-owned, like the RNG).
     scenario: ScenarioCursor,
-    tasks: TaskTable,
+    ledger: TaskLedger,
     node_count: u32,
     mix: TrafficMix,
 
-    reception_delay: Moments,
-    reception_hist: Histogram,
-    reception_batch: BatchMeans,
-    broadcast_delay: Moments,
-    unicast_delay: Moments,
-    dropped_packets: u64,
-    lost_receptions: u64,
-    damaged_broadcasts: u64,
-    dropped_unicasts: u64,
-    concurrent_bcast: TimeWeighted,
-    concurrent_ucast: TimeWeighted,
-    concurrent_snapshot: Option<(f64, f64)>,
-    outstanding_measured: u64,
-    measured_broadcasts: u64,
-    measured_unicasts: u64,
-    delay_by_distance: Vec<Moments>,
     queue_trace: Vec<(u64, u64)>,
     peak_queue: i64,
-    occupancy_sum: u128,
+    /// Only `occupancy_sum` is ever nonzero (flow control is asserted
+    /// off at construction).
+    flow: FlowCounters,
     queued_end: u64,
 
     emit_buf: Vec<Emit>,
-    tails: Option<Box<TailsState>>,
     faults: Option<Box<CoordFaults>>,
     now: u64,
     unstable: bool,
@@ -954,7 +842,7 @@ impl<S: Scheme> Coordinator<S> {
                     lost,
                 } = m.body
                 {
-                    self.apply_settle(t, task, broadcast, lost);
+                    self.settle(t, task, broadcast, lost);
                 }
             }
             if let Some(f) = self.faults.as_mut() {
@@ -985,29 +873,20 @@ impl<S: Scheme> Coordinator<S> {
             }
         }
 
-        if t == self.cfg.warmup_slots {
-            self.concurrent_bcast.reset_window(t);
-            self.concurrent_ucast.reset_window(t);
-        }
-        if t == self.cfg.measure_end() && self.concurrent_snapshot.is_none() {
-            self.concurrent_snapshot = Some((
-                self.concurrent_bcast.average(t),
-                self.concurrent_ucast.average(t),
-            ));
-        }
+        self.ledger.window_tick(t);
 
         for m in &msgs[split..] {
             match m.body {
                 MsgBody::Reception { task, class, dist } => {
                     self.arrivals_any = true;
-                    self.apply_reception(t, task, class, dist);
+                    self.ledger.reception(t, task, class, || dist);
                 }
-                MsgBody::UnicastDone { task } => self.apply_unicast_done(t, task),
+                MsgBody::UnicastDone { task } => self.ledger.unicast_done(t, task),
                 MsgBody::Settle {
                     task,
                     broadcast,
                     lost,
-                } => self.apply_settle(t, task, broadcast, lost),
+                } => self.settle(t, task, broadcast, lost),
                 MsgBody::RouteReq {
                     node,
                     dest,
@@ -1059,39 +938,17 @@ impl<S: Scheme> Coordinator<S> {
         dest: Option<NodeId>,
         measured: bool,
     ) {
-        let (kind, remaining) = match dest {
-            None => (TaskKind::Broadcast, self.node_count - 1),
-            Some(_) => (TaskKind::Unicast, 1),
-        };
-        let task = self.tasks.insert(TaskSlot {
-            gen_time: t,
-            remaining,
-            measured,
-            kind,
-            lost: 0,
-            retx: false,
-        });
-        if measured {
-            self.outstanding_measured += 1;
-            match kind {
-                TaskKind::Broadcast => self.measured_broadcasts += 1,
-                TaskKind::Unicast => self.measured_unicasts += 1,
-            }
-        }
+        let task = self.ledger.open_task(t, t, dest.is_none(), measured);
         let len = self.cfg.lengths.sample_length(&mut self.rng);
         let mut buf = std::mem::take(&mut self.emit_buf);
         buf.clear();
         match dest {
-            None => {
-                self.concurrent_bcast.add(t, 1);
-                self.scheme
-                    .on_broadcast_generated(src, &mut self.rng, &mut buf);
-            }
-            Some(dest) => {
-                self.concurrent_ucast.add(t, 1);
-                self.scheme
-                    .on_unicast_generated(src, dest, &mut self.rng, &mut buf);
-            }
+            None => self
+                .scheme
+                .on_broadcast_generated(src, &mut self.rng, &mut buf),
+            Some(dest) => self
+                .scheme
+                .on_unicast_generated(src, dest, &mut self.rng, &mut buf),
         }
         debug_assert!(!buf.is_empty(), "task with no transmissions");
         let seq = self.gen_seq;
@@ -1150,7 +1007,8 @@ impl<S: Scheme> Coordinator<S> {
             if !self.link_alive(gid) {
                 let policy = self.faults.as_ref().map(|f| f.policy).unwrap_or_default();
                 if matches!(policy, DeadLinkPolicy::Drop) {
-                    self.apply_drop(t, &pkt);
+                    let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
+                    self.settle(t, pkt.task, broadcast, lost);
                     continue;
                 }
             }
@@ -1162,91 +1020,12 @@ impl<S: Scheme> Coordinator<S> {
         }
     }
 
-    /// A coordinator-side fault drop (emit toward a dead link): the
-    /// serial `lose_packet` on the no-ARQ path.
-    fn apply_drop(&mut self, t: u64, pkt: &Packet) {
-        let (broadcast, lost) = match pkt.kind {
-            PacketKind::Broadcast(state) => (true, self.scheme.subtree_receptions(&state)),
-            PacketKind::Unicast { .. } => (false, 1),
-        };
-        self.apply_settle(t, pkt.task, broadcast, lost);
-    }
-
-    /// The serial `handle_loss` terminal path + `settle_drop`, for a
-    /// fault-caused loss (the only loss cause the sharded engine has).
-    fn apply_settle(&mut self, t: u64, task: u32, broadcast: bool, lost: u32) {
-        self.dropped_packets += 1;
-        let before_damaged = self.damaged_broadcasts;
-        if broadcast {
-            debug_assert!(lost >= 1);
-            let slot = *self.tasks.get(task);
-            if slot.measured {
-                self.lost_receptions += lost as u64;
-            }
-            if self.tasks.cancel_receptions(task, lost) {
-                if slot.measured {
-                    self.damaged_broadcasts += 1;
-                    self.outstanding_measured -= 1;
-                }
-                self.concurrent_bcast.add(t, -1);
-            }
-        } else {
-            let slot = *self.tasks.get(task);
-            if slot.measured {
-                self.lost_receptions += 1;
-                self.dropped_unicasts += 1;
-                self.outstanding_measured -= 1;
-            }
-            let done = self.tasks.cancel_receptions(task, 1);
-            debug_assert!(done);
-            self.concurrent_ucast.add(t, -1);
-        }
-        if let Some(f) = self.faults.as_mut() {
-            f.fault_dropped += 1;
-            f.fault_damaged += self.damaged_broadcasts - before_damaged;
-        }
-    }
-
-    /// The serial `record_broadcast_reception` (+ the distance-profile
-    /// push that precedes it).
-    fn apply_reception(&mut self, t: u64, task: u32, class: u8, dist: u32) {
-        let slot = *self.tasks.get(task);
-        if !self.delay_by_distance.is_empty() && slot.measured {
-            self.delay_by_distance[dist as usize].push((t - slot.gen_time) as f64);
-        }
-        if slot.measured {
-            let delay = (t - slot.gen_time) as f64;
-            self.reception_delay.push(delay);
-            self.reception_hist.record(t - slot.gen_time);
-            self.reception_batch.push(delay);
-            if let Some(tl) = self.tails.as_deref_mut() {
-                tl.record_reception(class, t - slot.gen_time);
-            }
-        }
-        if self.tasks.record_reception(task) {
-            if slot.measured {
-                if slot.lost == 0 {
-                    self.broadcast_delay.push((t - slot.gen_time) as f64);
-                } else {
-                    self.damaged_broadcasts += 1;
-                }
-                self.outstanding_measured -= 1;
-            }
-            self.concurrent_bcast.add(t, -1);
-        }
-    }
-
-    /// The serial `record_unicast_delivery`.
-    fn apply_unicast_done(&mut self, t: u64, task: u32) {
-        let slot = *self.tasks.get(task);
-        debug_assert_eq!(slot.kind, TaskKind::Unicast);
-        if slot.measured {
-            self.unicast_delay.push((t - slot.gen_time) as f64);
-            self.outstanding_measured -= 1;
-        }
-        let done = self.tasks.record_reception(task);
-        debug_assert!(done);
-        self.concurrent_ucast.add(t, -1);
+    /// A fault-caused terminal loss (the only loss cause the sharded
+    /// engine has): one dropped packet, its receptions settled.
+    fn settle(&mut self, t: u64, task: u32, broadcast: bool, lost: u32) {
+        self.ledger.packet_dropped(LossCause::Fault);
+        self.ledger
+            .settle(t, task, broadcast, lost, LossCause::Fault);
     }
 
     /// End-of-slot accounting (peak, occupancy, trace baseline) and the
@@ -1269,7 +1048,7 @@ impl<S: Scheme> Coordinator<S> {
             self.peak_queue = self.peak_queue.max(pre_service as i64);
         }
         if self.in_window(t) {
-            self.occupancy_sum += pre_service as u128;
+            self.flow.occupancy_sum += pre_service as u128;
         }
         self.queued_end = end_total;
         self.now = t + 1;
@@ -1283,7 +1062,7 @@ impl<S: Scheme> Coordinator<S> {
     /// The serial `run_observed` loop-head checks for the current
     /// `self.now`, in order.
     fn check_stop(&mut self, queue_limit: i64, end_total: i64, max_qlen: u32) -> Option<bool> {
-        if self.now >= self.cfg.measure_end() && self.outstanding_measured == 0 {
+        if self.now >= self.cfg.measure_end() && self.ledger.outstanding_measured() == 0 {
             return Some(true);
         }
         if self.now >= self.cfg.max_slots {
@@ -1368,10 +1147,10 @@ struct Exchange {
 
 /// The sharded structure-of-arrays step engine (see module docs).
 ///
-/// Seeded runs are bit-identical to [`crate::Engine`] on every integer
-/// report field at any shard/thread count; float wait summaries agree
-/// to rounding. Build with [`ShardedEngine::new`], optionally install
-/// a fault plan and worker threads, then [`ShardedEngine::run`].
+/// Seeded runs are bit-identical to [`crate::Engine`] on every report
+/// field at any shard/thread count. Build with [`ShardedEngine::new`],
+/// optionally install a fault plan and worker threads, then
+/// [`ShardedEngine::run`].
 pub struct ShardedEngine<N, S> {
     topo: N,
     cfg: SimConfig,
@@ -1437,16 +1216,17 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         }
         shard_lo_link.push(links);
         for s in 0..shards {
+            let (lo, hi) = (shard_lo_link[s], shard_lo_link[s + 1]);
             shard_vec.push(Shard::new(
                 s as u32,
-                shard_lo_link[s],
-                shard_lo_link[s + 1],
+                LinkCounters::new(&cfg, topo.d(), lo as usize, (hi - lo) as usize),
+                lo,
+                hi,
                 scheme.clone(),
                 ShardInit {
                     shards,
                     link_count: links,
                     node_count: n,
-                    tails: cfg.tails,
                     direct: mix.lambda_unicast == 0.0,
                 },
             ));
@@ -1458,35 +1238,14 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             rng: StdRng::seed_from_u64(cfg.seed),
             dests,
             scenario: ScenarioCursor::new(cfg.scenario),
-            tasks: TaskTable::new(),
+            ledger: TaskLedger::new(&cfg, n, topo.diameter()),
             node_count: n,
             mix,
-            reception_delay: Moments::new(),
-            reception_hist: Histogram::new(cfg.delay_histogram_cap),
-            reception_batch: BatchMeans::new(cfg.delay_batch_size),
-            broadcast_delay: Moments::new(),
-            unicast_delay: Moments::new(),
-            dropped_packets: 0,
-            lost_receptions: 0,
-            damaged_broadcasts: 0,
-            dropped_unicasts: 0,
-            concurrent_bcast: TimeWeighted::new(0, 0),
-            concurrent_ucast: TimeWeighted::new(0, 0),
-            concurrent_snapshot: None,
-            outstanding_measured: 0,
-            measured_broadcasts: 0,
-            measured_unicasts: 0,
-            delay_by_distance: if cfg.profile_by_distance {
-                vec![Moments::new(); topo.diameter() as usize + 1]
-            } else {
-                Vec::new()
-            },
             queue_trace: Vec::new(),
             peak_queue: 0,
-            occupancy_sum: 0,
+            flow: FlowCounters::default(),
             queued_end: 0,
             emit_buf: Vec::with_capacity(64),
-            tails: cfg.tails.then(TailsState::new),
             faults: None,
             now: 0,
             unstable: false,
@@ -1527,8 +1286,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             policy,
             any_now: false,
             events_applied: 0,
-            fault_dropped: 0,
-            fault_damaged: 0,
             fault_slots: 0,
             recovery: RecoveryTracker::new(),
             pending: None,
@@ -1641,10 +1398,43 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             assemble_perf(h, worker_perfs, arena, nsh, coord.now - t0, wall_ns)
         });
 
-        (
-            assemble_report(coord, shards, &shard_lo_link, &link_dim, links, completed),
-            perf,
-        )
+        // Close out recovery measurements against the shards' final
+        // queue state (the serial engine probes its own queues here).
+        let faults = coord.faults.take().map(|mut f| {
+            f.recovery.finalize(coord.now, |l| {
+                let sh = &shards[ctx.shard_of(l)];
+                let li = (l - sh.lo_link) as usize;
+                sh.qlen[li] > 0 || bit_get(&sh.busy, li)
+            });
+            FaultTotals {
+                events_applied: f.events_applied,
+                fault_slots: f.fault_slots,
+                recovery_time: f.recovery.samples().summary(),
+            }
+        });
+        let mut link_counters = LinkCounters::new(&cfg, topo.d(), 0, links);
+        for sh in &shards {
+            link_counters.merge(&sh.links);
+        }
+        let report = assemble(
+            coord.ledger,
+            link_counters,
+            RunOutcome {
+                cfg: &cfg,
+                link_dim: &link_dim,
+                d: topo.d(),
+                num_classes: coord.scheme.num_priorities(),
+                slots_run: coord.now,
+                stable: !coord.unstable,
+                completed,
+                peak_queue_total: coord.peak_queue,
+                queue_trace: coord.queue_trace,
+                faults,
+                arq: None,
+                flow: &coord.flow,
+            },
+        );
+        (report, perf)
     }
 }
 
@@ -1770,7 +1560,7 @@ fn run_sequential<N: Network, S: Scheme>(
         let mut end = 0u64;
         let mut maxq = 0u32;
         for (si, sh) in shards.iter_mut().enumerate() {
-            sh.phase_b(t, ctx, &mut coord.cmds[si]);
+            sh.phase_b(t, &mut coord.cmds[si]);
             pre += sh.b.pre_service;
             end += sh.b.end_total;
             maxq = maxq.max(sh.b.max_qlen);
@@ -2031,7 +1821,7 @@ fn worker_loop<N: Network, S: Scheme>(
         }
         for (i, sh) in chunk.iter_mut().enumerate() {
             let mut cmds = std::mem::take(&mut *ex.cmds[base + i].lock().unwrap());
-            sh.phase_b(t, ctx, &mut cmds);
+            sh.phase_b(t, &mut cmds);
             *ex.cmds[base + i].lock().unwrap() = cmds;
             *ex.b[base + i].lock().unwrap() = sh.b;
         }
@@ -2054,163 +1844,4 @@ fn worker_loop<N: Network, S: Scheme>(
         t += 1;
     }
     (chunk, perf)
-}
-
-/// Assembles the final [`SimReport`], mirroring the serial engine's
-/// report field for field.
-fn assemble_report<S: Scheme>(
-    mut coord: Coordinator<S>,
-    mut shards: Vec<Shard<S>>,
-    shard_lo_link: &[u32],
-    link_dim: &[u8],
-    links: usize,
-    completed: bool,
-) -> SimReport {
-    // Close out recovery measurements against the shards' final queue
-    // state (the serial engine probes its own queues here).
-    let mut faults_box = coord.faults.take();
-    if let Some(f) = faults_box.as_mut() {
-        let now = coord.now;
-        let shards_ref = &shards;
-        f.recovery.finalize(now, |l| {
-            let s = shard_lo_link.partition_point(|&lo| lo <= l) - 1;
-            let sh = &shards_ref[s];
-            let li = (l - sh.lo_link) as usize;
-            sh.qlen[li] > 0 || bit_get(&sh.busy, li)
-        });
-    }
-
-    // Scatter the per-shard contiguous busy slices into the global
-    // per-link table; sum the class/vc/window counters.
-    let mut busy_by_link = vec![0u64; links];
-    let mut busy_by_class = [0u64; MAX_PRIORITY_CLASSES];
-    let mut tx_by_vc = [0u64; 4];
-    let mut window_transmissions = 0u64;
-    let mut wait_by_class = [IntMoments::new(); MAX_PRIORITY_CLASSES];
-    let mut wait_fault = [IntMoments::new(); MAX_PRIORITY_CLASSES];
-    for sh in &mut shards {
-        busy_by_link[sh.lo_link as usize..sh.lo_link as usize + sh.n_links]
-            .copy_from_slice(&sh.busy_by_link);
-        for k in 0..MAX_PRIORITY_CLASSES {
-            busy_by_class[k] += sh.busy_by_class[k];
-            wait_by_class[k].merge(&sh.wait_by_class[k]);
-            wait_fault[k].merge(&sh.wait_fault[k]);
-        }
-        for (v, dst) in tx_by_vc.iter_mut().enumerate() {
-            *dst += sh.tx_by_vc[v];
-        }
-        window_transmissions += sh.window_transmissions;
-        if let (Some(dst), Some(src)) = (coord.tails.as_deref_mut(), sh.tails.as_deref()) {
-            dst.merge_from(src);
-        }
-    }
-
-    let realized = coord
-        .now
-        .min(coord.cfg.measure_end())
-        .saturating_sub(coord.cfg.warmup_slots);
-    let window = realized.max(1) as f64;
-    let links_f = links as f64;
-    let per_link: Vec<f64> = busy_by_link.iter().map(|&b| b as f64 / window).collect();
-    let mean_util = per_link.iter().sum::<f64>() / links_f;
-    let max_util = per_link.iter().fold(0.0f64, |m, &u| m.max(u));
-    let d = link_dim.iter().copied().max().unwrap_or(0) as usize + 1;
-    let mut per_dim = vec![0.0; d];
-    let mut links_in_dim = vec![0u32; d];
-    for (l, &u) in per_link.iter().enumerate() {
-        let dim = link_dim[l] as usize;
-        per_dim[dim] += u;
-        links_in_dim[dim] += 1;
-    }
-    for i in 0..d {
-        per_dim[i] /= links_in_dim[i] as f64;
-    }
-    let num_classes = coord.scheme.num_priorities();
-    let class = (0..num_classes)
-        .map(|k| ClassStats {
-            utilization: busy_by_class[k] as f64 / (window * links_f),
-            wait: wait_by_class[k].summary(),
-        })
-        .collect();
-    let (avg_cb, avg_cu) = coord.concurrent_snapshot.unwrap_or((
-        coord.concurrent_bcast.average(coord.now),
-        coord.concurrent_ucast.average(coord.now),
-    ));
-    let delivered = coord.reception_delay.summary().count + coord.unicast_delay.summary().count;
-    let offered = delivered + coord.lost_receptions;
-    let faults = match &faults_box {
-        Some(f) => FaultReport {
-            events_applied: f.events_applied,
-            delivered_reception_fraction: if offered == 0 {
-                1.0
-            } else {
-                delivered as f64 / offered as f64
-            },
-            fault_dropped_packets: f.fault_dropped,
-            fault_damaged_broadcasts: f.fault_damaged,
-            recovery_time: f.recovery.samples().summary(),
-            fault_slots: f.fault_slots,
-            class_wait_fault: (0..num_classes).map(|k| wait_fault[k].summary()).collect(),
-        },
-        None => FaultReport::default(),
-    };
-    let flow = FlowReport {
-        rejected_broadcasts: 0,
-        rejected_unicasts: 0,
-        deferred_injections: 0,
-        defer_delay: Moments::new().summary(),
-        evicted_packets: 0,
-        mean_queued_packets: if realized == 0 {
-            0.0
-        } else {
-            coord.occupancy_sum as f64 / realized as f64
-        },
-        goodput_fraction: if offered == 0 {
-            1.0
-        } else {
-            delivered as f64 / offered as f64
-        },
-    };
-    SimReport {
-        stable: !coord.unstable,
-        completed,
-        slots_run: coord.now,
-        measured_broadcasts: coord.measured_broadcasts,
-        measured_unicasts: coord.measured_unicasts,
-        reception_delay: coord.reception_delay.summary(),
-        reception_quantiles: (
-            coord.reception_hist.quantile(0.5),
-            coord.reception_hist.quantile(0.95),
-            coord.reception_hist.quantile(0.99),
-        ),
-        reception_ci_batch: coord.reception_batch.ci95(),
-        dropped_packets: coord.dropped_packets,
-        lost_receptions: coord.lost_receptions,
-        damaged_broadcasts: coord.damaged_broadcasts,
-        dropped_unicasts: coord.dropped_unicasts,
-        broadcast_delay: coord.broadcast_delay.summary(),
-        unicast_delay: coord.unicast_delay.summary(),
-        class,
-        mean_link_utilization: mean_util,
-        max_link_utilization: max_util,
-        per_dim_utilization: per_dim,
-        avg_concurrent_broadcasts: avg_cb,
-        avg_concurrent_unicasts: avg_cu,
-        peak_queue_total: coord.peak_queue,
-        window_transmissions,
-        vc_transmissions: tx_by_vc,
-        delay_by_distance: coord
-            .delay_by_distance
-            .iter()
-            .map(|m| m.summary())
-            .collect(),
-        queue_trace: coord.queue_trace,
-        faults,
-        recovery: RecoveryReport::default(),
-        flow,
-        tails: match coord.tails.as_deref_mut() {
-            Some(tl) => tl.report(),
-            None => TailReport::default(),
-        },
-    }
 }

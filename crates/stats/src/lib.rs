@@ -1,7 +1,8 @@
 //! # pstar-stats
 //!
 //! Streaming statistics for the simulator: numerically stable moment
-//! accumulators (Welford), integer histograms for delay distributions,
+//! accumulators (Welford; exact integer sums for slot-valued waits),
+//! integer histograms for delay distributions,
 //! time-weighted averages (for queue lengths and concurrent-task counts à
 //! la Little's law), and normal-approximation confidence intervals.
 //!
@@ -20,7 +21,7 @@ mod timeavg;
 pub use batch::BatchMeans;
 pub use histogram::Histogram;
 pub use loghist::{LogHistogram, DEFAULT_SUB_BITS};
-pub use moments::{Moments, Summary};
+pub use moments::{IntMoments, Moments, Summary};
 pub use mser::{mser_truncation, mser_truncation_batched};
 pub use timeavg::TimeWeighted;
 

@@ -1,4 +1,4 @@
-//! Welford-style streaming moments.
+//! Streaming moments: Welford for floats, exact sums for slot counts.
 
 /// Numerically stable streaming accumulator for mean and variance.
 ///
@@ -140,6 +140,105 @@ impl Summary {
     /// 95% normal-approximation confidence half-width for the mean.
     pub fn ci95(&self) -> f64 {
         crate::ci_half_width(self.variance, self.count, 1.96)
+    }
+}
+
+/// Exact integer moment accumulator for slot-valued observations
+/// (per-hop waits measured in whole slots).
+///
+/// [`Moments`] carries float state that depends on push order; integer
+/// sums commute exactly, so this accumulator is order-free: any
+/// partition of a sample stream over any number of accumulators, merged
+/// in any order, yields bit-identical summaries. The simulator's serial
+/// engine, sharded engine and thread-per-core runtime all accumulate
+/// waits through it, which is what makes their wait summaries equal
+/// field for field.
+///
+/// Exact while `count · max < 2^64` (the variance numerator
+/// `n·Σv² − (Σv)²` must fit `u128`) — slot counts are nowhere near it.
+///
+/// ```
+/// use pstar_stats::IntMoments;
+///
+/// let mut m = IntMoments::new();
+/// for v in [1, 2, 3] {
+///     m.push(v);
+/// }
+/// let s = m.summary();
+/// assert_eq!((s.mean, s.variance, s.min, s.max), (2.0, 1.0, 1.0, 3.0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntMoments {
+    count: u64,
+    sum: u128,
+    sumsq: u128,
+    min: u64,
+    max: u64,
+}
+
+impl Default for IntMoments {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl IntMoments {
+    /// Fresh accumulator.
+    pub fn new() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            sumsq: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Adds one observation.
+    #[inline]
+    pub fn push(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v as u128;
+        self.sumsq += (v as u128) * (v as u128);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Merges another accumulator into this one (exact, commutative,
+    /// associative).
+    pub fn merge(&mut self, other: &Self) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sumsq += other.sumsq;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Snapshot with the same conventions as [`Moments::summary`]
+    /// (unbiased variance, `±inf` extremes when empty).
+    pub fn summary(&self) -> Summary {
+        if self.count == 0 {
+            return Moments::new().summary();
+        }
+        let n = self.count as f64;
+        let variance = if self.count < 2 {
+            0.0
+        } else {
+            let num = self.count as u128 * self.sumsq - self.sum * self.sum;
+            num as f64 / (n * (n - 1.0))
+        };
+        Summary {
+            count: self.count,
+            mean: self.sum as f64 / n,
+            variance,
+            min: self.min as f64,
+            max: self.max as f64,
+        }
     }
 }
 

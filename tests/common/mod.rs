@@ -4,10 +4,10 @@
 //! helpers so the comparison contract lives in exactly one place:
 //!
 //! * serial vs **sharded**: full-report identity via
-//!   [`assert_reports_match`] — every integer field exact, the wait
-//!   summaries' mean/variance to float-rounding tolerance (the sharded
-//!   engine accumulates them as integer sums instead of Welford
-//!   recurrences; see `tests/sharded.rs` module docs).
+//!   [`assert_reports_match`] — every field exact, the wait summaries
+//!   included: both engines account through the same ledger
+//!   (`pstar_sim::TaskLedger` / `LinkCounters`), and waits accumulate
+//!   as exact integer moments, which merge order-free.
 //! * serial vs **pstar-net** (virtual clock): exact count agreement via
 //!   [`assert_net_counts_match`] — the runtime's documented contract
 //!   for broadcast-only workloads. Mixed workloads agree statistically
@@ -95,17 +95,8 @@ pub fn net_run(
     .expect("run_net failed")
 }
 
-/// Relative tolerance for the Welford-vs-integer-sum float deviation.
-pub fn close(a: f64, b: f64, label: &str) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-9 * scale,
-        "{label}: {a} vs {b} beyond float-rounding tolerance"
-    );
-}
-
-/// Field-for-field serial-vs-sharded comparison; everything except
-/// wait-summary floats is required to match exactly.
+/// Field-for-field serial-vs-sharded comparison; everything is
+/// required to match exactly.
 pub fn assert_reports_match(serial: &SimReport, sharded: &SimReport, label: &str) {
     assert_eq!(serial.stable, sharded.stable, "{label}: stable");
     assert_eq!(serial.completed, sharded.completed, "{label}: completed");
@@ -198,27 +189,15 @@ pub fn assert_reports_match(serial: &SimReport, sharded: &SimReport, label: &str
         serial.delay_by_distance, sharded.delay_by_distance,
         "{label}: delay_by_distance"
     );
-    // Per-class service stats: utilization (integer busy slots) exact;
-    // wait count/min/max exact; wait mean/variance to rounding.
+    // Per-class service stats: utilization from integer busy slots,
+    // waits from exact integer moments — both merge order-free.
     assert_eq!(serial.class.len(), sharded.class.len(), "{label}: classes");
     for (k, (a, b)) in serial.class.iter().zip(&sharded.class).enumerate() {
         assert_eq!(
             a.utilization, b.utilization,
             "{label}: class {k} utilization"
         );
-        assert_eq!(a.wait.count, b.wait.count, "{label}: class {k} wait count");
-        assert_eq!(a.wait.min, b.wait.min, "{label}: class {k} wait min");
-        assert_eq!(a.wait.max, b.wait.max, "{label}: class {k} wait max");
-        close(
-            a.wait.mean,
-            b.wait.mean,
-            &format!("{label}: class {k} mean"),
-        );
-        close(
-            a.wait.variance,
-            b.wait.variance,
-            &format!("{label}: class {k} variance"),
-        );
+        assert_eq!(a.wait, b.wait, "{label}: class {k} wait");
     }
     // Resilience counters: all integer, all coordinator-side — exact.
     assert_eq!(
@@ -246,27 +225,9 @@ pub fn assert_reports_match(serial: &SimReport, sharded: &SimReport, label: &str
         "{label}: recovery_time"
     );
     assert_eq!(
-        serial.faults.class_wait_fault.len(),
-        sharded.faults.class_wait_fault.len(),
-        "{label}: class_wait_fault len"
+        serial.faults.class_wait_fault, sharded.faults.class_wait_fault,
+        "{label}: class_wait_fault"
     );
-    for (k, (a, b)) in serial
-        .faults
-        .class_wait_fault
-        .iter()
-        .zip(&sharded.faults.class_wait_fault)
-        .enumerate()
-    {
-        assert_eq!(a.count, b.count, "{label}: wait_fault {k} count");
-        assert_eq!(a.min, b.min, "{label}: wait_fault {k} min");
-        assert_eq!(a.max, b.max, "{label}: wait_fault {k} max");
-        close(a.mean, b.mean, &format!("{label}: wait_fault {k} mean"));
-        close(
-            a.variance,
-            b.variance,
-            &format!("{label}: wait_fault {k} variance"),
-        );
-    }
     // Flow accounting (exact integer occupancy sums) and tails digests
     // (integer bucket counters, merge-order free).
     assert_eq!(

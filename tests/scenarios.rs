@@ -4,9 +4,9 @@
 //! destination matrices, the all-to-all phase):
 //!
 //! * **Sharded** — for every scenario in the catalog, the sharded SoA
-//!   engine reproduces the serial engine's full report (every integer
-//!   field exact, wait summaries to float rounding) at two shard
-//!   counts, threaded and not, on the scenario's own traffic mix.
+//!   engine reproduces the serial engine's full report (every field
+//!   exact, wait summaries included) at two shard counts, threaded and
+//!   not, on the scenario's own traffic mix.
 //! * **Net** — for every scenario's broadcast-only projection, the
 //!   virtual-clock runtime reproduces the serial engine's measured task
 //!   set and delivery counts exactly at two worker counts. (Mixed
@@ -192,6 +192,64 @@ fn every_scenario_agrees_on_the_net_runtime() {
             name,
         );
     }
+}
+
+/// A run cut short by `max_slots` mid-measurement normalizes busy time
+/// and queue occupancy by the *realized* window on every backend — the
+/// rule lives once, in `pstar_sim::assemble`. (Dividing by the
+/// configured window would report about half the offered load here.)
+#[test]
+fn truncated_runs_normalize_by_the_realized_window_on_every_backend() {
+    let topo = Torus::new(&[4, 4]);
+    let rho = 0.6;
+    let spec = spec_for(
+        ScenarioConfig::default(),
+        1.0,
+        SchemeKind::PriorityStar,
+        rho,
+    );
+    let full = SimConfig::quick(crn_seed(5));
+    let mut cut = full;
+    cut.max_slots = cut.warmup_slots + cut.measure_slots / 2;
+    let reference = run_scenario(&topo, &spec, full);
+    assert!(reference.ok());
+    let serial = cross_backend_agree(
+        &topo,
+        &spec,
+        cut,
+        &[Backend::Sharded {
+            shards: 2,
+            threads: 1,
+        }],
+        "truncated",
+    );
+    let net = common::run_backend(&topo, &spec, cut, Backend::NetVirtual { workers: 2 });
+    for (label, rep) in [("serial", &serial), ("net(w=2)", &net)] {
+        assert!(!rep.completed, "{label}: the horizon must cut the window");
+        assert_eq!(rep.slots_run, cut.max_slots, "{label}: slots_run");
+        assert!(
+            (rep.mean_link_utilization - rho).abs() < 0.05,
+            "{label}: utilization {} vs offered {rho} over the realized window",
+            rep.mean_link_utilization
+        );
+        let class_sum: f64 = rep.class.iter().map(|c| c.utilization).sum();
+        assert!((class_sum - rep.mean_link_utilization).abs() < 1e-9);
+        let ratio = rep.flow.mean_queued_packets / reference.flow.mean_queued_packets;
+        assert!(
+            (0.75..1.25).contains(&ratio),
+            "{label}: mean queued packets {} vs {} of the full run",
+            rep.flow.mean_queued_packets,
+            reference.flow.mean_queued_packets
+        );
+    }
+    // Broadcast-only on the virtual clock, packets follow the serial
+    // trajectories exactly, so the window statistics are not just close.
+    assert_eq!(serial.mean_link_utilization, net.mean_link_utilization);
+    assert_eq!(
+        serial.flow.mean_queued_packets,
+        net.flow.mean_queued_packets
+    );
+    assert_eq!(serial.window_transmissions, net.window_transmissions);
 }
 
 /// CRN-paired ordering on the steady scenario at high load: priority

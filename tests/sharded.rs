@@ -3,15 +3,14 @@
 //! The sharded engine's whole design contract is that sharding is a
 //! *performance* transform, not a semantic one: for a given seed the
 //! coordinator consumes shard messages in the exact order the serial
-//! engine would have processed the same events, so every integer report
-//! field — delivered/measured counts, loss and fault counters, queue
-//! peaks/traces, tails digests — is identical at any shard count,
-//! threaded or not. The one sanctioned deviation: per-class service-wait
-//! summaries are accumulated as exact integer sums instead of
-//! order-dependent Welford recurrences, so their `mean`/`variance` agree
-//! with the serial engine to float rounding (their `count`/`min`/`max`
-//! are still exact, and they are shard-count invariant among sharded
-//! runs).
+//! engine would have processed the same events, so every report field —
+//! delivered/measured counts, delay moments, loss and fault counters,
+//! queue peaks/traces, tails digests, per-class service-wait summaries —
+//! is identical at any shard count, threaded or not. Both engines
+//! account through the same ledger (`pstar_sim::TaskLedger` in the
+//! serial engine and the coordinator, `pstar_sim::LinkCounters` per
+//! engine / per shard); waits are exact integer moments, so their merge
+//! is order-free and no tolerance is needed anywhere.
 
 //! The comparison itself — [`common::assert_reports_match`] — is shared
 //! with the scenario differential suite (`tests/scenarios.rs`), so the
@@ -177,9 +176,8 @@ fn threaded_matches_sequential_and_serial() {
     }
 }
 
-/// The wait summaries are exact integer sums, so sharded runs must be
-/// bit-identical to *each other* on every field — including the floats
-/// the serial comparison only bounds.
+/// Sharded runs must be bit-identical to *each other* on every field,
+/// whole-report `Debug` text included.
 #[test]
 fn sharded_runs_are_shard_count_invariant() {
     let topo = Torus::new(&[4, 4]);
