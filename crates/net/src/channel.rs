@@ -3,26 +3,32 @@
 //! The workspace is offline (no crossbeam, no tokio — see the
 //! `compat-*` stub precedent), so the runtime's channels are a small
 //! `Mutex<VecDeque>` with a condvar for the bounded data plane. The
-//! phase protocol of [`crate::runtime`] guarantees that receivers only
-//! drain at barriers where every in-flight send has completed, so there
-//! is no `recv`-blocking path at all: consumers call
+//! runtime's senders hand over once per phase, not once per message:
+//! a worker collects a phase's messages for each destination in an
+//! outbox it owns and passes the whole outbox through
+//! [`Channel::send_batch`] under one lock ([`Channel::send`] is the
+//! one-message form, used by the rare fault-delta lane). The phase
+//! protocol of [`crate::runtime`] guarantees that receivers only drain
+//! at barriers where every hand-over of the phase has completed, so
+//! there is no `recv`-blocking path at all: consumers call
 //! [`Channel::drain_into`] and always observe a complete, deterministic
-//! batch.
+//! batch — and a lane nobody wrote to costs them one atomic load, no
+//! lock.
 //!
 //! Two robustness properties back the supervised-shutdown protocol:
 //!
 //! * **Poison recovery.** A panicking worker can leave any mutex
 //!   poisoned. Our queue state is a plain `VecDeque` that is valid after
-//!   every atomic push/drain, so a poisoned lock is recovered
+//!   every push/extend/drain, so a poisoned lock is recovered
 //!   (`into_inner` on the guard) instead of propagating the panic into
 //!   innocent peers — the panic itself is reported once, through the
 //!   supervisor, not N times through lock poisoning.
 //! * **Halt.** [`Channel::halt`] flips a teardown latch and wakes every
-//!   blocked sender; from then on `send` drops its message instead of
-//!   waiting for room. The supervisor halts all channels when a worker
-//!   dies so peers blocked mid-`send` unblock and reach the poisoned
-//!   barrier check instead of deadlocking on a consumer that will never
-//!   drain again.
+//!   blocked sender; from then on `send` and `send_batch` drop their
+//!   messages instead of waiting for room. The supervisor halts all
+//!   channels when a worker dies so peers blocked mid-hand-over unblock
+//!   and reach the poisoned barrier check instead of deadlocking on a
+//!   consumer that will never drain again.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,12 +49,12 @@ pub struct ChannelStats {
 /// A multi-producer channel drained in batches.
 ///
 /// Two flavors:
-/// * [`Channel::bounded`] — `send` blocks while the buffer holds
+/// * [`Channel::bounded`] — senders block while the buffer holds
 ///   `capacity` messages (the data plane: one slot's deliveries between
 ///   a worker pair can never exceed the number of links between them,
 ///   so a correctly sized channel never actually blocks — the bound is
 ///   an enforced invariant, not a throttle).
-/// * [`Channel::unbounded`] — `send` never blocks (the control and
+/// * [`Channel::unbounded`] — senders never block (the control and
 ///   injection lanes, mirroring the simulator's contention-free ARQ
 ///   control plane).
 #[derive(Debug)]
@@ -57,6 +63,10 @@ pub struct Channel<T> {
     not_full: Condvar,
     capacity: usize,
     halted: AtomicBool,
+    /// Mirror of the queue length, stored (`Release`) under the lock
+    /// after every change; [`Channel::drain_into`] loads it (`Acquire`)
+    /// to skip the lock on an empty lane.
+    queued: AtomicUsize,
     stats: Option<Box<ChannelStats>>,
 }
 
@@ -68,6 +78,7 @@ impl<T> Channel<T> {
             not_full: Condvar::new(),
             capacity: capacity.max(1),
             halted: AtomicBool::new(false),
+            queued: AtomicUsize::new(0),
             stats: None,
         }
     }
@@ -79,6 +90,7 @@ impl<T> Channel<T> {
             not_full: Condvar::new(),
             capacity: usize::MAX,
             halted: AtomicBool::new(false),
+            queued: AtomicUsize::new(0),
             stats: None,
         }
     }
@@ -113,18 +125,20 @@ impl<T> Channel<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues one message, blocking while the channel is full. On a
-    /// [`Channel::halt`]ed channel the message is dropped instead — the
-    /// run is already dead, nobody will drain it.
-    pub fn send(&self, value: T) {
-        let mut q = self.lock();
+    /// Waits until the queue has room for one more message. `None` on a
+    /// [`Channel::halt`]ed channel: the run is already dead and nobody
+    /// will drain it, so the caller drops what it meant to enqueue.
+    fn wait_for_room<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, VecDeque<T>>,
+    ) -> Option<MutexGuard<'a, VecDeque<T>>> {
         if q.len() >= self.capacity {
             // Only the genuinely-blocking path is timed, so the
             // telemetry cost scales with contention, not traffic.
             let t0 = self.stats.as_ref().map(|_| Instant::now());
             while q.len() >= self.capacity {
                 if self.halted.load(Ordering::Acquire) {
-                    return;
+                    return None;
                 }
                 q = self.not_full.wait(q).unwrap_or_else(|e| e.into_inner());
             }
@@ -134,20 +148,71 @@ impl<T> Channel<T> {
             }
         }
         if self.halted.load(Ordering::Acquire) {
-            return;
+            return None;
         }
-        q.push_back(value);
+        Some(q)
+    }
+
+    /// Publishes the queue's new length after an enqueue: the length
+    /// mirror for [`Channel::drain_into`]'s empty-lane check and the
+    /// depth high-water mark.
+    fn note_enqueued(&self, q: &VecDeque<T>) {
+        // Release: pairs with the Acquire load in `drain_into`.
+        self.queued.store(q.len(), Ordering::Release);
         if let Some(s) = self.stats.as_ref() {
             s.depth_high.fetch_max(q.len(), Ordering::Relaxed);
         }
     }
 
+    /// Enqueues one message, blocking while the channel is full. On a
+    /// [`Channel::halt`]ed channel the message is dropped instead — the
+    /// run is already dead, nobody will drain it.
+    pub fn send(&self, value: T) {
+        if let Some(mut q) = self.wait_for_room(self.lock()) {
+            q.push_back(value);
+            self.note_enqueued(&q);
+        }
+    }
+
+    /// Enqueues every message of `batch`, in order, and leaves `batch`
+    /// empty with its allocation intact. The whole batch goes in under
+    /// one lock acquisition when it fits; on a bounded channel the part
+    /// that does not fit blocks exactly as that many [`Channel::send`]s
+    /// would, and [`Channel::halt`] drops whatever is still waiting. An
+    /// empty batch takes no lock.
+    pub fn send_batch(&self, batch: &mut Vec<T>) {
+        if batch.is_empty() {
+            return;
+        }
+        let mut guard = self.lock();
+        while !batch.is_empty() {
+            let Some(mut q) = self.wait_for_room(guard) else {
+                batch.clear();
+                return;
+            };
+            let fits = (self.capacity - q.len()).min(batch.len());
+            q.extend(batch.drain(..fits));
+            self.note_enqueued(&q);
+            guard = q;
+        }
+    }
+
     /// Moves every queued message into `out`, preserving send order, and
-    /// wakes any sender blocked on a full buffer.
+    /// wakes any sender blocked on a full buffer. An empty channel is
+    /// left without taking the lock.
     pub fn drain_into(&self, out: &mut Vec<T>) {
+        // Acquire: pairs with the Release stores made under the lock.
+        // A zero means no completed enqueue is visible to this thread,
+        // so the drain is ordered before any enqueue still in flight;
+        // a sender blocked on a full buffer stored a non-zero length
+        // before it began to wait, so it is never passed over.
+        if self.queued.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut q = self.lock();
         let was_full = q.len() >= self.capacity;
         out.extend(q.drain(..));
+        self.queued.store(0, Ordering::Release);
         drop(q);
         if was_full {
             self.not_full.notify_all();
@@ -155,8 +220,8 @@ impl<T> Channel<T> {
     }
 
     /// Teardown latch: wakes every blocked sender and makes all future
-    /// `send`s drop their message. Irreversible; only the supervisor
-    /// calls this, after the run has already failed.
+    /// `send`s and `send_batch`es drop their messages. Irreversible;
+    /// only the supervisor calls this, after the run has already failed.
     pub fn halt(&self) {
         self.halted.store(true, Ordering::Release);
         // Take the lock so a sender between its full-check and its wait
@@ -194,6 +259,96 @@ mod tests {
         assert!(ch.is_empty());
     }
 
+    /// Single sends and batch hand-offs share one FIFO: whatever the
+    /// interleaving, a drain returns the messages in hand-over order,
+    /// and a handed-over batch comes back empty with its allocation.
+    #[test]
+    fn interleaved_sends_and_batches_keep_order() {
+        let ch = Channel::unbounded();
+        let mut batch = Vec::with_capacity(16);
+        let mut out = Vec::new();
+        let mut next = 0u32;
+        for round in 0..20u32 {
+            ch.send(next);
+            next += 1;
+            batch.extend(next..next + round % 5);
+            next += round % 5;
+            ch.send_batch(&mut batch); // empty every fifth round
+            assert!(batch.is_empty());
+            assert!(batch.capacity() >= 16, "outbox allocation is reused");
+            if round % 3 == 0 {
+                ch.drain_into(&mut out);
+            }
+        }
+        ch.drain_into(&mut out);
+        assert_eq!(out, (0..next).collect::<Vec<_>>());
+        assert!(ch.is_empty());
+        ch.drain_into(&mut out); // empty lane: nothing appended
+        assert_eq!(out.len(), next as usize);
+    }
+
+    /// Hands `batch` to `ch` on a second thread and returns once the
+    /// channel holds `full_at` messages — its capacity, so the sender
+    /// cannot return before the test drains or halts. The interleaving
+    /// is forced by the channel's own state, not by sleeping; the
+    /// thread yields the batch as it got it back.
+    fn blocked_batch(
+        ch: &Arc<Channel<u32>>,
+        mut batch: Vec<u32>,
+        full_at: usize,
+    ) -> std::thread::JoinHandle<Vec<u32>> {
+        let ch2 = Arc::clone(ch);
+        let sender = std::thread::spawn(move || {
+            ch2.send_batch(&mut batch);
+            batch
+        });
+        while ch.len() < full_at {
+            std::thread::yield_now();
+        }
+        sender
+    }
+
+    /// A batch larger than the room left fills the lane to capacity and
+    /// blocks with the rest, like that many `send`s; the next drain
+    /// lets the rest in, in order.
+    #[test]
+    fn bounded_batch_blocks_for_the_part_that_does_not_fit() {
+        let ch = Arc::new(Channel::bounded(4).with_stats());
+        ch.send(0);
+        let sender = blocked_batch(&ch, vec![1, 2, 3, 4, 5], 4);
+        assert!(
+            !sender.is_finished(),
+            "two messages cannot fit: the hand-over must still be blocked"
+        );
+        let mut out = Vec::new();
+        ch.drain_into(&mut out);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        let batch = sender.join().unwrap();
+        assert!(batch.is_empty(), "a completed hand-over empties the batch");
+        ch.drain_into(&mut out);
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(ch.depth_high_water(), 4);
+        assert!(ch.blocked_send_ns() > 0, "the blocked part was timed");
+    }
+
+    /// `halt` releases a blocked batch hand-over: the part still waiting
+    /// is dropped, and later batches are dropped without blocking.
+    #[test]
+    fn halt_releases_a_blocked_batch() {
+        let ch = Arc::new(Channel::bounded(2));
+        let sender = blocked_batch(&ch, vec![0, 1, 2, 3], 2);
+        assert!(!sender.is_finished(), "blocked at 2 of 2");
+        ch.halt();
+        let batch = sender.join().unwrap(); // must return
+        assert!(batch.is_empty(), "the waiting part is dropped");
+        let mut late = vec![7, 8, 9];
+        ch.send_batch(&mut late); // full and halted: drops, no wait
+        assert!(late.is_empty());
+        let mut out = Vec::new();
+        ch.drain_into(&mut out);
+        assert_eq!(out, vec![0, 1], "only what fit before the halt");
+    }
+
     #[test]
     fn bounded_send_blocks_until_drained() {
         let ch = Arc::new(Channel::bounded(4));
@@ -224,15 +379,27 @@ mod tests {
         assert_eq!(out, vec![99]);
     }
 
+    /// Two senders use `send`, two hand over batches of 8, all at once.
     #[test]
     fn concurrent_senders_lose_no_messages() {
         let ch = Arc::new(Channel::bounded(1024));
+        let start = Arc::new(std::sync::Barrier::new(4));
         let mut handles = Vec::new();
         for s in 0..4u64 {
             let ch = Arc::clone(&ch);
+            let start = Arc::clone(&start);
             handles.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    ch.send(s * 1000 + i);
+                start.wait();
+                if s % 2 == 0 {
+                    for i in 0..200u64 {
+                        ch.send(s * 1000 + i);
+                    }
+                } else {
+                    let mut batch = Vec::new();
+                    for chunk in 0..25u64 {
+                        batch.extend((chunk * 8..chunk * 8 + 8).map(|i| s * 1000 + i));
+                        ch.send_batch(&mut batch);
+                    }
                 }
             }));
         }
@@ -312,9 +479,10 @@ mod tests {
         .join();
         assert!(ch.inner.is_poisoned());
         ch.send(8); // recovered, not propagated
+        ch.send_batch(&mut vec![9, 10]);
         let mut out = Vec::new();
         ch.drain_into(&mut out);
-        assert_eq!(out, vec![7, 8]);
+        assert_eq!(out, vec![7, 8, 9, 10]);
         assert_eq!(ch.len(), 0);
     }
 }

@@ -4,8 +4,8 @@
 //! `Result<NetReport, NetError>` and **never** lets a raw panic or a
 //! deadlock escape. Config problems are rejected up front
 //! ([`NetConfigError`]); a worker that panics mid-run trips the shared
-//! poison flag so its peers abort at their next barrier or blocked send
-//! ([`NetError::WorkerPanic`]); a worker that silently stops making
+//! poison flag so its peers abort at their next barrier, decision wait
+//! or blocked hand-over ([`NetError::WorkerPanic`]); a worker that silently stops making
 //! progress is converted into [`NetError::BarrierTimeout`] by the
 //! supervisor's watchdog, with every worker's last known position
 //! attached.
@@ -76,7 +76,8 @@ pub struct WorkerPosition {
     /// Slot the worker was executing.
     pub slot: u64,
     /// Phase within the slot: 0 = fault exchange / loop top, 1 = phase
-    /// A (send), 2 = phase B (process), 3 = phase C (decide), 4 = done.
+    /// A (send), 2 = phase B (process), 3 = decision hand-off (worker 0
+    /// deciding, every other worker waiting for its decision), 4 = done.
     pub phase: u8,
 }
 
@@ -86,7 +87,7 @@ impl fmt::Display for WorkerPosition {
             0 => "loop-top",
             1 => "phase-a",
             2 => "phase-b",
-            3 => "phase-c",
+            3 => "decision",
             _ => "done",
         };
         write!(f, "worker {} @ slot {} ({phase})", self.worker, self.slot)
@@ -157,9 +158,12 @@ pub struct ChaosConfig {
     /// Selects the victim worker of each armed fault (independently per
     /// fault kind, via a splitmix64 finalizer over `seed ^ kind`).
     pub seed: u64,
-    /// Panic the chosen worker at the top of this slot — exercises
-    /// `catch_unwind` → poison → peer drain →
-    /// [`NetError::WorkerPanic`].
+    /// Panic the chosen worker in this slot's decision step, right after
+    /// barrier B — exercises `catch_unwind` → poison → peer drain →
+    /// [`NetError::WorkerPanic`]. When the victim is worker 0 the panic
+    /// lands before it publishes the slot's decision, so its peers are
+    /// released from the decision wait by the poison flag alone; any
+    /// other victim's peers abort at the next slot's barrier A.
     pub panic_at_slot: Option<u64>,
     /// `(slot, millis)`: stall the chosen worker once, at the top of
     /// that slot. A stall below the watchdog interval must NOT fail the

@@ -5,39 +5,59 @@
 //! queues and in-flight registers), a private [`crate::stats::WorkerStats`]
 //! accumulator, and — with ARQ on — its own retransmit timing wheel.
 //! Workers never share mutable state: everything crosses core
-//! boundaries as messages over [`crate::channel::Channel`]s.
+//! boundaries as messages over [`crate::channel::Channel`]s, handed
+//! over one batch per lane per phase — a worker appends a phase's
+//! messages to per-destination outboxes it owns and passes each
+//! non-empty outbox through one `Channel::send_batch`, so no lock is
+//! taken per message and none at all for a lane nothing was sent on.
 //!
 //! # Slot protocol
 //!
-//! Every slot `t` runs three barrier-separated phases:
+//! Every slot `t` runs two barrier-separated phases and a one-way
+//! decision hand-off:
 //!
 //! * **Phase A (send)** — each worker moves deliveries finishing at `t`
-//!   off its in-flight registers into the data channel of the target
+//!   off its in-flight registers into the data outbox of the target
 //!   node's owner, and traffic is injected (virtual mode: worker 0 runs
 //!   the global [`crate::inject::VirtualInjector`] and scatters
 //!   [`crate::inject::InjectMsg`]s to source owners; wall-clock mode:
-//!   every worker injects for its own nodes).
+//!   every worker injects for its own nodes). The phase ends by
+//!   flushing the data and inject outboxes; **barrier A** follows.
 //! * **Phase B (process)** — each worker drains control messages
 //!   (acks/losses/registrations from slot `t − 1`), then data channels
 //!   (this slot's deliveries, applying scheme forwarding), then fires
 //!   its due ARQ retransmissions, then processes injections, and
 //!   finally starts service on idle owned links — the same
 //!   deliveries → retransmissions → arrivals → service order as one
-//!   `Engine::step`.
-//! * **Phase C (decide)** — worker 0 totals the per-worker queue gauges
+//!   `Engine::step`. The phase ends by flushing the ctrl outboxes (what
+//!   this phase and this slot's fault tick produced) into generation
+//!   `(t + 1) % 2`; **barrier B** follows.
+//! * **Decision hand-off** — worker 0 totals the per-worker queue gauges
 //!   and decides whether the run completed, hit the horizon, or went
-//!   unstable, with the simulator's exact criteria.
+//!   unstable, with the simulator's exact criteria, then publishes the
+//!   decided slot; every other worker waits on that word alone. No
+//!   third barrier is needed: what the decision reads (the queue gauges
+//!   and the outstanding-task count) is written only in phase B and in
+//!   the fault tick, and a peer reaches neither before it has seen the
+//!   decision — while worker 0 running ahead into slot `t + 1` can get
+//!   no further than barrier A, and all it hands over before that goes
+//!   to data and inject lanes every peer drained before barrier B.
 //!
 //! # Determinism
 //!
 //! Channels are drained at barriers in a fixed sender order, each
 //! channel is FIFO per sender, and control channels are split into two
-//! slot-parity generations so messages produced while a channel's other
-//! generation is being drained never race. Every RNG is seeded from
-//! `SimConfig::seed`, so a run is bit-reproducible for a given
-//! `(seed, workers, mode)` triple. In virtual mode the injector consumes
-//! its RNG in the engine's exact draw order, which makes the measured
-//! task population identical to a simulator run of the same config —
+//! slot-parity generations so a generation is never flushed into while
+//! it is being drained: generation `(t + 1) % 2` is flushed at the end
+//! of phase B of slot `t` and drained in phase B of slot `t + 1`, with
+//! barrier B of `t` and barrier A of `t + 1` in between, and the next
+//! flush into it (end of phase B of `t + 2`) lies behind barrier A of
+//! `t + 2`, which no worker passes before every peer has left phase B
+//! of `t + 1`. Every RNG is seeded from `SimConfig::seed`, so a run is
+//! bit-reproducible for a given `(seed, workers, mode)` triple. In
+//! virtual mode the injector consumes its RNG in the engine's exact
+//! draw order, which makes the measured task population identical to a
+//! simulator run of the same config —
 //! the sim-vs-net agreement tests in `tests/net.rs` assert equality of
 //! delivered-reception counts on exactly that basis. The agreement
 //! extends to *faulted* runs: [`run_net_with_faults`] reproduces the
@@ -63,13 +83,15 @@
 //! runs under `catch_unwind`; a panic records the first
 //! [`NetError::WorkerPanic`], trips the shared poison flag, and halts
 //! the bounded data channels so blocked peers unblock, abort at their
-//! next poison-aware barrier wait, and exit cleanly. The main thread
-//! acts as supervisor: it polls per-worker progress words and converts
-//! a fleet that stops progressing for [`NetConfig::watchdog_ms`] into
-//! [`NetError::BarrierTimeout`] with every worker's last position.
-//! [`ChaosConfig`] injects exactly these failures deterministically.
+//! next poison-aware wait (a barrier or the decision word), and exit
+//! cleanly. The main thread acts as supervisor: it polls per-worker
+//! progress words and converts a fleet that stops progressing for
+//! [`NetConfig::watchdog_ms`] into [`NetError::BarrierTimeout`] with
+//! every worker's last position. [`ChaosConfig`] injects exactly these
+//! failures deterministically.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -214,7 +236,9 @@ pub struct NetWorkerPerf {
     pub slot_ns_median: u64,
     /// Slowest single slot.
     pub slot_ns_max: u64,
-    /// Time spent waiting at the three slot barriers (A, B, C).
+    /// Time spent waiting per slot: at barrier A, at barrier B, and for
+    /// worker 0's decision (index 2; always 0 on worker 0, which
+    /// decides instead of waiting).
     pub barrier_wait_ns: [u64; 3],
     /// Time spent waiting at the fault barrier (faulted runs only).
     pub fault_barrier_wait_ns: u64,
@@ -222,7 +246,8 @@ pub struct NetWorkerPerf {
     pub phase_a_ns: u64,
     /// Phase B (drain + process) work time.
     pub phase_b_ns: u64,
-    /// Phase C decide time (nonzero only on worker 0).
+    /// Time spent deciding the slot's outcome between barrier B and
+    /// publishing the decision (nonzero only on worker 0).
     pub decide_ns: u64,
     /// Fault-epoch application latency: time inside
     /// `apply_fault_delta` (liveness replica update, stranded-packet
@@ -244,7 +269,7 @@ impl NetWorkerPerf {
         }
     }
 
-    /// Total barrier wait (slot barriers + fault barrier).
+    /// Total wait (slot barriers + decision wait + fault barrier).
     pub fn wait_ns_total(&self) -> u64 {
         self.barrier_wait_ns.iter().sum::<u64>() + self.fault_barrier_wait_ns
     }
@@ -252,8 +277,10 @@ impl NetWorkerPerf {
 
 impl NetPerf {
     /// Publishes every worker's timings into `reg` as labeled counters
-    /// (`net_slot_ns{worker=N}`, `net_barrier_wait_ns{worker,barrier}`,
-    /// `net_phase_ns{worker,phase}`, `net_blocked_send_ns{worker}`) and
+    /// (`net_slot_ns{worker=N}`, `net_barrier_wait_ns{worker,barrier}` —
+    /// `barrier="c"` is the wait for worker 0's decision, the label kept
+    /// from the barrier it replaced — `net_phase_ns{worker,phase}`,
+    /// `net_blocked_send_ns{worker}`) and
     /// gauges (`net_data_depth_high{worker}`), so net runs land in the
     /// same registry/exporter pipeline as the sharded engine.
     pub fn publish(&self, reg: &MetricsRegistry) {
@@ -293,9 +320,28 @@ const COMPLETED: u8 = 1;
 const HORIZON: u8 = 2;
 const UNSTABLE: u8 = 3;
 
-/// A sense-reversing spin barrier: spins briefly, then yields. All
-/// workers run in lockstep, so waits are short and a futex-free spin
-/// wins over `std::sync::Barrier`'s mutex+condvar on the per-slot path.
+/// The fleet's one waiting policy: spins briefly, then yields, until
+/// `ready()` — or until `poison` trips, in which case it returns `true`
+/// and the caller abandons the run. All workers run in lockstep, so
+/// waits are short and a futex-free spin wins over a mutex+condvar on
+/// the per-slot path.
+fn spin_until(poison: &AtomicBool, ready: impl Fn() -> bool) -> bool {
+    let mut spins = 0u32;
+    while !ready() {
+        if poison.load(Ordering::Acquire) {
+            return true;
+        }
+        spins += 1;
+        if spins < 64 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    false
+}
+
+/// A sense-reversing spin barrier on [`spin_until`]'s waiting policy.
 pub(crate) struct SlotBarrier {
     count: AtomicUsize,
     generation: AtomicUsize,
@@ -327,20 +373,39 @@ impl SlotBarrier {
                 .store(gen.wrapping_add(1), Ordering::Release);
             false
         } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if poison.load(Ordering::Acquire) {
-                    return true;
-                }
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            false
+            spin_until(poison, || self.generation.load(Ordering::Acquire) != gen)
         }
+    }
+}
+
+/// The one-way hand-off that ends a slot: worker 0 decides the slot's
+/// outcome after barrier B and publishes it here; every other worker
+/// waits on this word instead of meeting worker 0 at a third barrier.
+pub(crate) struct DecisionWord {
+    /// Slots decided so far: `t + 1` once slot `t`'s outcome stands.
+    decided: AtomicU64,
+}
+
+impl DecisionWord {
+    pub fn new() -> Self {
+        Self {
+            decided: AtomicU64::new(0),
+        }
+    }
+
+    /// Worker 0, after `decide(slot)`. The Release store pairs with the
+    /// Acquire load in [`DecisionWord::wait_poisoned`], so a peer that
+    /// sees the slot decided also sees the stop code the decision
+    /// stored.
+    pub fn publish(&self, slot: u64) {
+        self.decided.store(slot + 1, Ordering::Release);
+    }
+
+    /// Waits until `slot` is decided, aborting when `poison` trips —
+    /// returns `true` when the caller should abandon the run, which is
+    /// how a worker 0 that dies before publishing releases its peers.
+    pub fn wait_poisoned(&self, slot: u64, poison: &AtomicBool) -> bool {
+        spin_until(poison, || self.decided.load(Ordering::Acquire) > slot)
     }
 }
 
@@ -388,6 +453,44 @@ struct TaskState {
     last_slot: u64,
 }
 
+/// Hasher of the task-home table. Task ids are sequential counters
+/// generated inside this program (never outside input, so there is no
+/// collision attack to defend against), and one multiplication spreads
+/// them over both the bucket bits (low) and the control-byte bits (high)
+/// — SipHash on every ack and loss bought nothing.
+#[derive(Default)]
+struct TaskIdHasher(u64);
+
+impl Hasher for TaskIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("task ids hash through write_u32");
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type TaskTable = HashMap<u32, TaskState, BuildHasherDefault<TaskIdHasher>>;
+
+/// Hands every outbox (index = destination worker) over to its lane —
+/// one lock per non-empty lane, none for an empty one — counting the
+/// messages, not the batches, as sent.
+fn flush_outboxes<'c, T: 'c>(
+    outboxes: &mut [Vec<T>],
+    lane_to: impl Fn(usize) -> &'c Channel<T>,
+    messages_sent: &mut u64,
+) {
+    for (to, outbox) in outboxes.iter_mut().enumerate() {
+        *messages_sent += outbox.len() as u64;
+        lane_to(to).send_batch(outbox);
+    }
+}
+
 /// Everything the workers share. Channels are indexed `from * W + to`.
 struct Shared {
     workers: usize,
@@ -396,12 +499,13 @@ struct Shared {
     link_dim: Vec<u8>,
     barrier_a: SlotBarrier,
     barrier_b: SlotBarrier,
-    barrier_c: SlotBarrier,
+    decision: DecisionWord,
     data: Vec<Channel<DataMsg>>,
-    /// Two slot-parity generations: messages sent during phase B of
-    /// slot `t` go to generation `(t + 1) % 2` and are drained in phase
-    /// B of slot `t + 1` (which reads generation `(t + 1) % 2`), so a
-    /// generation is never written and drained concurrently.
+    /// Two slot-parity generations: messages produced during slot `t`
+    /// are flushed at the end of its phase B into generation
+    /// `(t + 1) % 2` and drained in phase B of slot `t + 1` (which reads
+    /// generation `(t + 1) % 2`), so a generation is never written and
+    /// drained concurrently.
     ctrl: [Vec<Channel<CtrlMsg>>; 2],
     inject: Vec<Channel<InjectMsg>>,
     /// Measured tasks not yet completed, incremented by the *creating*
@@ -415,8 +519,8 @@ struct Shared {
     /// Fault-epoch coordination; `None` on fault-free runs.
     faults: Option<SharedFaults>,
     /// Supervised-shutdown latch: once `true`, every worker aborts at
-    /// its next barrier wait (and halted data channels unblock any
-    /// worker stuck mid-send).
+    /// its next barrier or decision wait (and halted data channels
+    /// unblock any worker stuck mid-hand-over).
     poison: AtomicBool,
     /// First failure observed (panic or watchdog timeout); later
     /// failures are secondary casualties of the teardown.
@@ -524,13 +628,20 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     queues: Vec<PriorityQueue>,
     in_flight: Vec<Option<(Packet, u64)>>,
     queued: i64,
-    tasks: HashMap<u32, TaskState>,
+    tasks: TaskTable,
     injector: Injector,
     arq: Option<WorkerArq>,
     fwd_rng: StdRng,
     stats: WorkerStats,
     trace: Vec<TraceRecord>,
     trace_cap: usize,
+    /// Outboxes, index = destination worker: a phase's cross-worker
+    /// messages collect here and are handed over one batch per lane
+    /// when the phase ends (data and inject after phase A, ctrl after
+    /// phase B). Reused across slots, so a slot allocates nothing.
+    out_data: Vec<Vec<DataMsg>>,
+    out_ctrl: Vec<Vec<CtrlMsg>>,
+    out_inject: Vec<Vec<InjectMsg>>,
     // Drain scratch buffers, reused across slots.
     inject_gen: Vec<InjectMsg>,
     inject_buf: Vec<InjectMsg>,
@@ -573,11 +684,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    fn send_ctrl(&mut self, t: u64, to: usize, msg: CtrlMsg) {
+    /// Queues `msg` for `to`'s ctrl lane; it is handed over with the
+    /// rest of the slot's control traffic when phase B ends.
+    fn send_ctrl(&mut self, to: usize, msg: CtrlMsg) {
         debug_assert_ne!(to, self.id, "local ctrl must be applied directly");
-        let w = self.shared.workers;
-        self.shared.ctrl[((t + 1) % 2) as usize][self.id * w + to].send(msg);
-        self.stats.messages_sent += 1;
+        self.out_ctrl[to].push(msg);
     }
 
     // ---------------------------------------------------------------
@@ -586,7 +697,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
 
     fn phase_a(&mut self, t: u64) {
         self.stats.tasks.window_tick(t);
-        let w = self.shared.workers;
         for li in 0..self.owned_links.len() {
             if let Some((pkt, finish)) = self.in_flight[li] {
                 if finish == t {
@@ -597,8 +707,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     if to == self.id {
                         self.deliver_local.push(msg);
                     } else {
-                        self.shared.data[self.id * w + to].send(msg);
-                        self.stats.messages_sent += 1;
+                        self.out_data[to].push(msg);
                     }
                 }
             }
@@ -629,8 +738,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     if to == self.id {
                         self.inject_buf.push(msg);
                     } else {
-                        self.shared.inject[to].send(msg);
-                        self.stats.messages_sent += 1;
+                        self.out_inject[to].push(msg);
                     }
                 }
             }
@@ -638,6 +746,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             Injector::Passive => {}
         }
         self.inject_gen = gen;
+        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
+        let sent = &mut self.stats.messages_sent;
+        flush_outboxes(&mut self.out_data, |to| &shared.data[id * w + to], sent);
+        flush_outboxes(&mut self.out_inject, |to| &shared.inject[to], sent);
     }
 
     // ---------------------------------------------------------------
@@ -728,6 +840,16 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 );
             }
         }
+        // 8. Hand over the slot's control traffic — the fault tick's and
+        //    this phase's — to the generation phase B of slot t + 1
+        //    drains.
+        let (shared, id) = (self.shared, self.id);
+        let ctrl_next = &shared.ctrl[((t + 1) % 2) as usize];
+        flush_outboxes(
+            &mut self.out_ctrl,
+            |to| &ctrl_next[id * w + to],
+            &mut self.stats.messages_sent,
+        );
         self.shared.queued_by_worker[self.id].store(self.queued, Ordering::Release);
     }
 
@@ -845,7 +967,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 self.home_register_unicast(msg.task, msg.gen_time, msg.measured);
             } else {
                 self.send_ctrl(
-                    t,
                     home,
                     CtrlMsg::Register {
                         task: msg.task,
@@ -900,7 +1021,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     self.home_ack(pkt.task, t, t);
                 } else {
                     self.send_ctrl(
-                        t,
                         home,
                         CtrlMsg::Ack {
                             task: pkt.task,
@@ -1077,7 +1197,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         s.retx = true;
                     }
                 } else {
-                    self.send_ctrl(t, home, CtrlMsg::MarkRetx { task: pkt.task });
+                    self.send_ctrl(home, CtrlMsg::MarkRetx { task: pkt.task });
                 }
                 self.stats.tasks.packet_dropped(cause);
                 return;
@@ -1118,7 +1238,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             self.home_lost(pkt.task, receptions, fault, t);
         } else {
             self.send_ctrl(
-                t,
                 home,
                 CtrlMsg::Lost {
                     task: pkt.task,
@@ -1366,7 +1485,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     // ---------------------------------------------------------------
-    // Phase C: worker 0 decides
+    // Decision hand-off: worker 0 decides
     // ---------------------------------------------------------------
 
     fn decide(&mut self, t: u64, queue_limit: i64, queue_trace: &mut Vec<(u64, u64)>) {
@@ -1468,8 +1587,9 @@ where
     )
 }
 
-/// Halts every bounded data channel (the only blocking sends in the
-/// runtime) so workers stuck mid-`send` unblock during teardown.
+/// Halts every bounded data channel (the only blocking hand-overs in
+/// the runtime) so workers stuck mid-`send_batch` unblock during
+/// teardown.
 fn halt_data(shared: &Shared) {
     for ch in &shared.data {
         ch.halt();
@@ -1591,7 +1711,7 @@ where
         link_dim,
         barrier_a: SlotBarrier::new(w),
         barrier_b: SlotBarrier::new(w),
-        barrier_c: SlotBarrier::new(w),
+        decision: DecisionWord::new(),
         data: pair_links
             .iter()
             .map(|&c| {
@@ -1733,7 +1853,7 @@ where
                                 owned_links,
                                 link_local,
                                 queued: 0,
-                                tasks: HashMap::new(),
+                                tasks: TaskTable::default(),
                                 injector,
                                 arq: sim.arq.map(|a| WorkerArq {
                                     cfg: a,
@@ -1750,6 +1870,9 @@ where
                                 stats: new_stats(),
                                 trace: Vec::new(),
                                 trace_cap: cfg.trace_capacity,
+                                out_data: (0..w).map(|_| Vec::new()).collect(),
+                                out_ctrl: (0..w).map(|_| Vec::new()).collect(),
+                                out_inject: (0..w).map(|_| Vec::new()).collect(),
                                 inject_gen: Vec::new(),
                                 inject_buf: Vec::new(),
                                 deliver_local: Vec::new(),
@@ -1786,9 +1909,6 @@ where
                                 shared_ref.progress[id].store(t << 3, Ordering::Release);
                                 if poison.load(Ordering::Acquire) {
                                     break;
-                                }
-                                if chaos_panic == Some(t) {
-                                    panic!("chaos: injected panic at slot {t} on worker {id}");
                                 }
                                 if let Some((slot, ms)) = chaos_delay {
                                     if slot == t {
@@ -1829,19 +1949,27 @@ where
                                     p.barrier_wait_ns[1] += m.elapsed().as_nanos() as u64;
                                 }
                                 shared_ref.progress[id].store((t << 3) | 3, Ordering::Release);
+                                // Chaos panics strike here: on worker 0
+                                // that is after barrier B and before the
+                                // decision is published, the one stretch
+                                // where peers wait on a single worker.
+                                if chaos_panic == Some(t) {
+                                    panic!("chaos: injected panic at slot {t} on worker {id}");
+                                }
+                                let mark = slot_t0.map(|_| Instant::now());
                                 if id == 0 {
-                                    let mark = slot_t0.map(|_| Instant::now());
                                     worker.decide(t, queue_limit, &mut queue_trace);
                                     if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
                                         p.decide_ns += m.elapsed().as_nanos() as u64;
                                     }
-                                }
-                                let mark = slot_t0.map(|_| Instant::now());
-                                if shared_ref.barrier_c.wait_poisoned(poison) {
-                                    break;
-                                }
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.barrier_wait_ns[2] += m.elapsed().as_nanos() as u64;
+                                    shared_ref.decision.publish(t);
+                                } else {
+                                    if shared_ref.decision.wait_poisoned(t, poison) {
+                                        break;
+                                    }
+                                    if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                        p.barrier_wait_ns[2] += m.elapsed().as_nanos() as u64;
+                                    }
                                 }
                                 if let (Some(p), Some(t0)) = (worker.perf.as_mut(), slot_t0) {
                                     p.slot_hist.record(t0.elapsed().as_nanos() as u64);
@@ -2404,6 +2532,36 @@ mod tests {
         }
     }
 
+    /// Worker 0 dying after barrier B and before it publishes the
+    /// decision — the stretch where every peer waits on that one worker
+    /// — releases the peers through the poison flag: the run ends as
+    /// worker 0's `WorkerPanic`, at every fleet size.
+    #[test]
+    fn worker0_panic_before_publishing_releases_every_peer() {
+        for workers in 2..=4 {
+            let seed = (0..)
+                .find(|&seed| {
+                    let chaos = ChaosConfig {
+                        seed,
+                        ..Default::default()
+                    };
+                    chaos.victim(0, workers) == 0
+                })
+                .expect("some seed picks worker 0");
+            let chaos = ChaosConfig {
+                seed,
+                panic_at_slot: Some(100),
+                ..Default::default()
+            };
+            match chaos_run(chaos, 2_000, workers) {
+                Err(NetError::WorkerPanic { worker: 0, message }) => {
+                    assert!(message.contains("slot 100 on worker 0"), "{message}");
+                }
+                other => panic!("W={workers}: expected worker 0's panic, got {other:?}"),
+            }
+        }
+    }
+
     /// A stall shorter than the watchdog interval is NOT a failure —
     /// the watchdog must not produce false positives.
     #[test]
@@ -2459,6 +2617,27 @@ mod tests {
                     }
                 });
             }
+        });
+    }
+
+    /// The decision word releases a waiter when its slot is published,
+    /// lets a late waiter through at once, and aborts a waiter whose
+    /// slot will never be published once the fleet is poisoned.
+    #[test]
+    fn decision_word_releases_on_publish_and_on_poison() {
+        let word = DecisionWord::new();
+        let poison = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| word.wait_poisoned(0, &poison));
+            word.publish(0);
+            assert!(!waiter.join().unwrap(), "published slot: carry on");
+            assert!(!word.wait_poisoned(0, &poison), "already decided");
+            let waiter = s.spawn(|| word.wait_poisoned(1, &poison));
+            poison.store(true, Ordering::Release);
+            assert!(
+                waiter.join().unwrap(),
+                "waiter must abort, not spin forever"
+            );
         });
     }
 

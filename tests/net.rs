@@ -350,6 +350,102 @@ fn sim_and_net_agree_under_requeue_policy() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Bit-identity pin: the message plane may change, the reports may not
+// ---------------------------------------------------------------------
+
+/// FNV-1a over everything a run reports: the `Debug` text of the whole
+/// `SimReport` — every field, and `{:?}` spells an `f64` with the
+/// shortest text that round-trips, so two floats print alike only when
+/// their bits are equal — plus the runtime's message count.
+fn net_digest(net: &pstar_net::NetReport) -> u64 {
+    pstar_obs::fnv1a64(format!("{:?} sent={}", net.report, net.messages_sent).as_bytes())
+}
+
+/// The digests below were captured at commit 18cea4f, where every
+/// message took its own channel lock and the slot ended in a third
+/// barrier. How messages cross workers and how the fleet synchronizes
+/// are host-time matters: drain points, per-sender order and the
+/// ascending-link merge fix every reported number for a given
+/// `(seed, workers, mode)`, so any difference here is a protocol bug.
+/// Re-pin only for a change that means to alter what a run reports.
+#[test]
+fn net_reports_match_the_pinned_per_message_plane() {
+    let short = |seed| SimConfig {
+        warmup_slots: 500,
+        measure_slots: 2_000,
+        ..SimConfig::quick(seed)
+    };
+    let mut got: Vec<(String, u64)> = Vec::new();
+
+    let torus8 = Torus::new(&[8, 8]);
+    let pstar = ScenarioSpec {
+        rho: 0.7,
+        ..ScenarioSpec::default()
+    };
+    for workers in 1..=4 {
+        let net = net_run(&pstar, &torus8, short(41), workers);
+        got.push((format!("8x8 pstar rho.7 W={workers}"), net_digest(&net)));
+    }
+
+    let mixed = ScenarioSpec {
+        scheme: SchemeKind::ThreeClass,
+        rho: 0.7,
+        broadcast_load_fraction: 0.5,
+        ..ScenarioSpec::default()
+    };
+    let net = net_run(&mixed, &Torus::new(&[4, 4, 8]), short(42), 2);
+    got.push(("4x4x8 three-class mixed W=2".into(), net_digest(&net)));
+
+    let torus4 = Torus::new(&[4, 4]);
+    let (_, staggered) = scripted_plans(&torus4).swap_remove(1);
+    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
+        let net = fault_net_run(
+            &pstar,
+            &torus4,
+            SimConfig::quick(43),
+            3,
+            staggered.clone(),
+            policy,
+        );
+        assert!(net.report.faults.events_applied > 0, "plan never fired");
+        got.push((
+            format!("4x4 staggered faults {policy:?} W=3"),
+            net_digest(&net),
+        ));
+    }
+
+    let lossy = SimConfig {
+        queue_capacity: Some(1),
+        arq: Some(pstar_sim::ArqConfig::default()),
+        ..SimConfig::quick(44)
+    };
+    let net = net_run(&pstar, &torus4, lossy, 2);
+    assert!(net.report.recovery.retransmissions > 0, "ARQ never fired");
+    got.push(("4x4 capacity-1 ARQ W=2".into(), net_digest(&net)));
+
+    assert_eq!(got.len(), PINNED_DIGESTS.len());
+    for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_DIGESTS) {
+        assert_eq!(label, want_label);
+        assert_eq!(
+            *digest, want,
+            "{label}: report or message count differs from the pinned parent \
+             (got {digest:#018x})"
+        );
+    }
+}
+
+const PINNED_DIGESTS: [(&str, u64); 8] = [
+    ("8x8 pstar rho.7 W=1", 0x0a0e_0b5a_3072_5c31),
+    ("8x8 pstar rho.7 W=2", 0x1feb_0ac1_041e_c838),
+    ("8x8 pstar rho.7 W=3", 0x3de4_de58_72eb_03b5),
+    ("8x8 pstar rho.7 W=4", 0x4ccd_f673_01a3_fe4e),
+    ("4x4x8 three-class mixed W=2", 0x5b3f_f2f1_8cc3_64c2),
+    ("4x4 staggered faults Drop W=3", 0xcc90_512e_d1ad_6b98),
+    ("4x4 staggered faults Requeue W=3", 0x67a7_1a2a_1808_52e6),
+    ("4x4 capacity-1 ARQ W=2", 0x7849_2ec8_3c07_3b00),
+];
+
 fn packet(task: u32, priority: u8) -> Packet {
     Packet {
         task,
@@ -405,21 +501,32 @@ proptest! {
     }
 
     /// The runtime's channel preserves per-sender FIFO order for any
-    /// batch split across drains.
+    /// mix of single sends and batch hand-overs (empty ones included),
+    /// split across drains anywhere.
     #[test]
     fn channel_never_reorders(
-        batches in prop::collection::vec(1usize..40, 1..10)
+        ops in prop::collection::vec((0u32..40, any::<bool>(), any::<bool>()), 1..12)
     ) {
         let ch = Channel::unbounded();
+        let mut outbox = Vec::new();
         let mut sent = 0u32;
         let mut received = Vec::new();
-        for batch in batches {
-            for _ in 0..batch {
-                ch.send(sent);
-                sent += 1;
+        for (count, batched, drain) in ops {
+            if batched {
+                outbox.extend(sent..sent + count);
+                ch.send_batch(&mut outbox);
+                prop_assert!(outbox.is_empty());
+            } else {
+                for v in sent..sent + count {
+                    ch.send(v);
+                }
             }
-            ch.drain_into(&mut received);
+            sent += count;
+            if drain {
+                ch.drain_into(&mut received);
+            }
         }
+        ch.drain_into(&mut received);
         prop_assert_eq!(received, (0..sent).collect::<Vec<_>>());
         prop_assert!(ch.is_empty());
     }
