@@ -92,6 +92,70 @@ fn engine_twins(c: &mut Criterion) {
     g.finish();
 }
 
+fn link_kernel(c: &mut Criterion) {
+    // The per-link state every backend drives, on its own: one slot's
+    // finish scan, the forwards' admits and the service starts over 1024
+    // links, next to the reference `PriorityQueue` doing the same
+    // push/pop volume.
+    use pstar_sim::{Admit, LinkKernel, Packet, PacketKind, PriorityQueue};
+    const LINKS: u32 = 1024;
+    const SLOTS: u64 = 64;
+    let packet = |task: u32| Packet {
+        task,
+        gen_time: 0,
+        enqueue_time: 0,
+        len: 1,
+        priority: (task % 3) as u8,
+        vc: 0,
+        attempt: 0,
+        kind: PacketKind::Unicast { dest: NodeId(0) },
+    };
+    // Where a delivery on `link` forwards to (any fixed scatter does).
+    let forward = |link: u32, t: u64| (link * 7 + 13 + t as u32) % LINKS;
+    let mut g = c.benchmark_group("link_kernel");
+    for depth in [1u32, 8] {
+        g.bench_function(format!("finish_admit_start_depth{depth}"), |b| {
+            let mut kernel = LinkKernel::new(&SimConfig::default(), 2, 0, LINKS);
+            for task in 0..depth * LINKS {
+                kernel.admit(task % LINKS, packet(task));
+            }
+            let mut t = 0;
+            b.iter(|| {
+                for _ in 0..SLOTS {
+                    let mut scan = kernel.finish_scan();
+                    while let Some((link, pkt)) = kernel.next_finished(&mut scan, t) {
+                        let pkt = *pkt;
+                        let outcome = kernel.admit(forward(link, t), pkt);
+                        debug_assert!(matches!(outcome, Admit::Queued));
+                    }
+                    kernel.start(t, false, |_, _| {});
+                    t += 1;
+                }
+                black_box(kernel.queued())
+            })
+        });
+        g.bench_function(format!("reference_queue_push_pop_depth{depth}"), |b| {
+            let mut queues: Vec<PriorityQueue> = (0..LINKS).map(|_| PriorityQueue::new()).collect();
+            for task in 0..depth * LINKS {
+                queues[(task % LINKS) as usize].push(packet(task));
+            }
+            let mut t = 0;
+            b.iter(|| {
+                for _ in 0..SLOTS {
+                    for link in 0..LINKS {
+                        if let Some(pkt) = queues[link as usize].pop() {
+                            queues[forward(link, t) as usize].push(pkt);
+                        }
+                    }
+                    t += 1;
+                }
+                black_box(queues[0].len())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn unicast_kernel(c: &mut Criterion) {
     let topo = Torus::new(&[16, 16, 16]);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
@@ -112,6 +176,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = kernels;
     config = configured();
-    targets = sim_throughput, tree_kernels, balance_kernels, engine_twins, unicast_kernel
+    targets = sim_throughput, tree_kernels, balance_kernels, engine_twins, link_kernel,
+        unicast_kernel
 }
 criterion_main!(kernels);

@@ -41,6 +41,9 @@ pub enum NetConfigError {
     /// which per-node independent streams cannot honor. Virtual mode
     /// supports every scenario.
     WallClockScenario,
+    /// The topology's dense link ids are not grouped by source node, so
+    /// a worker's links would not form one contiguous range.
+    LinksNotNodeContiguous,
 }
 
 impl fmt::Display for NetConfigError {
@@ -60,6 +63,11 @@ impl fmt::Display for NetConfigError {
                 f,
                 "wall-clock mode supports the default scenario only \
                  (modulation state is global; use ClockMode::Virtual)"
+            ),
+            Self::LinksNotNodeContiguous => write!(
+                f,
+                "the topology's link ids are not node-contiguous; \
+                 pstar-net partitions links by contiguous id ranges"
             ),
         }
     }

@@ -5,10 +5,11 @@
 //! protocol stack — the trunk/ending priority split of Eq. (2)/(4), the
 //! ARQ retransmit-priority hook, token-bucket admission, bounded-queue
 //! drop policies — on an actual concurrent runtime: torus nodes are
-//! sharded across OS threads, every link is a bounded
-//! mutex-and-condvar [`Channel`] fronted by the per-class
-//! `PriorityQueue`, and routing decisions come from the *same*
-//! [`pstar_sim::Scheme`] implementations the simulator runs. A
+//! sharded across OS threads, every worker queues and serves its
+//! links through the *same* [`pstar_sim::LinkKernel`] the simulator's
+//! engines run, deliveries cross workers over bounded
+//! mutex-and-condvar [`Channel`]s, and routing decisions come from the
+//! *same* [`pstar_sim::Scheme`] implementations the simulator runs. A
 //! simulator validates the paper's analysis; this runtime validates the
 //! simulator — and gives the schemes a harness whose costs (cache
 //! traffic, synchronization, skew) are real.

@@ -1,9 +1,11 @@
 //! The thread-per-core slot-synchronous runtime.
 //!
 //! Topology nodes are sharded into contiguous ranges over `W` worker
-//! threads; each worker owns its nodes' outgoing links (their priority
-//! queues and in-flight registers), a private [`crate::stats::WorkerStats`]
-//! accumulator, and — with ARQ on — its own retransmit timing wheel.
+//! threads; each worker owns its nodes' outgoing links — one
+//! [`pstar_sim::LinkKernel`] over their contiguous id range, the same
+//! queueing and service code the simulator's engines run — a private
+//! [`crate::stats::WorkerStats`] accumulator, and — with ARQ on — its
+//! own [`pstar_sim::Arq`] timers.
 //! Workers never share mutable state: everything crosses core
 //! boundaries as messages over [`crate::channel::Channel`]s, handed
 //! over one batch per lane per phase — a worker appends a phase's
@@ -17,7 +19,7 @@
 //! decision hand-off:
 //!
 //! * **Phase A (send)** — each worker moves deliveries finishing at `t`
-//!   off its in-flight registers into the data outbox of the target
+//!   off its links into the data outbox of the target
 //!   node's owner, and traffic is injected (virtual mode: worker 0 runs
 //!   the global [`crate::inject::VirtualInjector`] and scatters
 //!   [`crate::inject::InjectMsg`]s to source owners; wall-clock mode:
@@ -98,26 +100,23 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
-use pstar_obs::{DropKind, MetricsRegistry, TraceEvent, TraceRecord};
+use pstar_obs::{MetricsRegistry, TraceEvent, TraceRecord};
 use pstar_sim::{
-    assemble, receptions_at_stake, ArqConfig, Emit, FaultTotals, FullQueuePolicy, LossCause,
-    Packet, PacketKind, PriorityQueue, RecoveryTracker, RetxEntry, RunOutcome, Scheme, SimConfig,
-    SimReport, TimeoutWheel, MAX_PRIORITY_CLASSES,
+    assemble, receptions_at_stake, Admit, Arq, Emit, FaultTotals, FullQueuePolicy, LinkCounters,
+    LinkKernel, LossCause, Packet, PacketKind, RecoveryTracker, RunOutcome, Scheme, SimConfig,
+    SimReport, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
-use pstar_topology::{Link, LinkId, Network, NodeId};
+use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::channel::Channel;
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
 use crate::inject::{node_stream_seed, InjectMsg, VirtualInjector, WallInjector};
 use crate::stats::WorkerStats;
 
-/// Same salt the engine uses for its ARQ jitter stream: recovery
-/// randomness is independent of traffic randomness.
-const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Salt of the per-worker unicast-forwarding RNG streams.
 const FWD_SEED_SALT: u64 = 0x5BF0_3635_0D52_A34F;
 
@@ -563,7 +562,6 @@ struct FaultMsg {
 /// links, and — on worker 0 — the fault clock itself.
 struct WorkerFaults {
     view: LivenessView,
-    policy: DeadLinkPolicy,
     recovery: RecoveryTracker,
     /// Cached `view.any_faults()` for the hot paths.
     any_now: bool,
@@ -621,16 +619,12 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     scheme: SS,
     cfg: SimConfig,
     shared: &'a Shared,
-    /// Owned links' global ids, ascending (service order).
-    owned_links: Vec<u32>,
-    /// Global link id → local index (`u32::MAX` for links of others).
-    link_local: Vec<u32>,
-    queues: Vec<PriorityQueue>,
-    in_flight: Vec<Option<(Packet, u64)>>,
-    queued: i64,
+    /// Queueing and service for the owned links (a contiguous id
+    /// range: link ids are node-major).
+    kernel: LinkKernel,
     tasks: TaskTable,
     injector: Injector,
-    arq: Option<WorkerArq>,
+    arq: Option<Arq>,
     fwd_rng: StdRng,
     stats: WorkerStats,
     trace: Vec<TraceRecord>,
@@ -649,7 +643,8 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     data_buf: Vec<DataMsg>,
     ctrl_buf: Vec<CtrlMsg>,
     emit_buf: Vec<Emit>,
-    retx_buf: Vec<RetxEntry>,
+    /// Scratch for the packets a dying link loses.
+    loss_buf: Vec<Packet>,
     /// `Some` on faulted runs: this worker's liveness replica.
     faults: Option<WorkerFaults>,
     /// Chaos: from this slot on, remote data channels are not drained
@@ -658,12 +653,6 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// `Some` on [`NetConfig::perf`] runs: this worker's timing
     /// accumulator. `None` costs one never-taken branch per phase.
     perf: Option<Box<NetWorkerAcc>>,
-}
-
-struct WorkerArq {
-    cfg: ArqConfig,
-    wheel: TimeoutWheel,
-    rng: StdRng,
 }
 
 impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
@@ -697,19 +686,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
 
     fn phase_a(&mut self, t: u64) {
         self.stats.tasks.window_tick(t);
-        for li in 0..self.owned_links.len() {
-            if let Some((pkt, finish)) = self.in_flight[li] {
-                if finish == t {
-                    self.in_flight[li] = None;
-                    let gl = self.owned_links[li];
-                    let to = self.owner_of(self.shared.link_target[gl as usize]);
-                    let msg = DataMsg { link: gl, pkt };
-                    if to == self.id {
-                        self.deliver_local.push(msg);
-                    } else {
-                        self.out_data[to].push(msg);
-                    }
-                }
+        let mut scan = self.kernel.finish_scan();
+        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
+            let target = self.shared.link_target[link as usize];
+            let to = self.shared.node_owner[target.index()] as usize;
+            let msg = DataMsg { link, pkt: *pkt };
+            if to == self.id {
+                self.deliver_local.push(msg);
+            } else {
+                self.out_data[to].push(msg);
             }
         }
         let mut gen = std::mem::take(&mut self.inject_gen);
@@ -796,11 +781,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
         data.sort_unstable_by_key(|m| m.link);
         for msg in data.drain(..) {
-            self.process_deliver(msg.link as usize, msg.pkt, t);
+            self.process_deliver(msg.link, msg.pkt, t);
         }
         self.data_buf = data;
         // 3. Due retransmissions (before arrivals, like the engine).
-        if self.arq.as_ref().is_some_and(|a| !a.wheel.is_empty()) {
+        if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
             self.fire_retx(t);
         }
         // 4. Injections of slot t.
@@ -815,30 +800,34 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         // 5. Occupancy sample at the engine's exact point: after
         //    arrivals, before service starts.
         if self.in_window(t) {
-            self.stats.flow.occupancy_sum += self.queued.max(0) as u128;
+            self.stats.flow.occupancy_sum += self.kernel.queued() as u128;
         }
-        // 6. Service starts on idle *alive* owned links, link-id order
-        //    (the engine's scan gates on `link_alive` the same way).
-        for li in 0..self.owned_links.len() {
-            if self.in_flight[li].is_none() && !self.link_dead(self.owned_links[li] as usize) {
-                if let Some(pkt) = self.queues[li].pop() {
-                    self.queued -= 1;
-                    self.start_service(li, pkt, t);
-                }
+        // 6. Service starts on the owned links, link-id order.
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        let (trace, cap) = (&mut self.trace, self.trace_cap);
+        self.kernel.start(t, faulted, |link, pkt| {
+            if trace.len() < cap {
+                trace.push(TraceRecord {
+                    slot: t,
+                    event: TraceEvent::ServiceStart {
+                        link,
+                        class: pkt.priority,
+                        wait: t - pkt.enqueue_time,
+                        len: pkt.len,
+                        task: pkt.task,
+                    },
+                });
             }
-        }
+        });
         // 7. Local single-queue divergence guard (engine scans every
         //    4096 slots; each worker scans its own links).
-        if (t + 1) % 4096 == 0 {
-            let max_q = self.queues.iter().map(|q| q.len()).max().unwrap_or(0);
-            if max_q as f64 > self.cfg.unstable_single_queue {
-                let _ = self.shared.stop.compare_exchange(
-                    RUN,
-                    UNSTABLE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-            }
+        if (t + 1) % 4096 == 0 && self.kernel.max_qlen() as f64 > self.cfg.unstable_single_queue {
+            let _ = self.shared.stop.compare_exchange(
+                RUN,
+                UNSTABLE,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
         }
         // 8. Hand over the slot's control traffic — the fault tick's and
         //    this phase's — to the generation phase B of slot t + 1
@@ -850,7 +839,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             |to| &ctrl_next[id * w + to],
             &mut self.stats.messages_sent,
         );
-        self.shared.queued_by_worker[self.id].store(self.queued, Ordering::Release);
+        self.shared.queued_by_worker[self.id].store(self.kernel.queued() as i64, Ordering::Release);
     }
 
     fn handle_ctrl(&mut self, msg: CtrlMsg, t: u64) {
@@ -989,24 +978,24 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         self.enqueue_emits(msg.src, msg.task, msg.gen_time, msg.len, t);
     }
 
-    fn process_deliver(&mut self, link: usize, pkt: Packet, t: u64) {
+    fn process_deliver(&mut self, link: u32, pkt: Packet, t: u64) {
         if self.trace_cap > 0 {
             self.record_trace(
                 t,
                 TraceEvent::Delivery {
-                    link: link as u32,
+                    link,
                     class: pkt.priority,
                     age: t - pkt.gen_time,
                     task: pkt.task,
                 },
             );
         }
-        let node = self.shared.link_target[link];
+        let node = self.shared.link_target[link as usize];
         let measured = self.in_window(pkt.gen_time);
         match pkt.kind {
             PacketKind::Broadcast(state) => {
-                if self.cfg.arq.is_some() {
-                    self.stats.arq.acked(pkt.attempt);
+                if let Some(arq) = self.arq.as_mut() {
+                    arq.counters.acked(pkt.attempt);
                 }
                 if measured {
                     let topo = self.topo;
@@ -1037,8 +1026,8 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 if node == dest {
                     // The destination's owner *is* the unicast home, so
                     // completion is settled locally.
-                    if self.cfg.arq.is_some() {
-                        self.stats.arq.acked(pkt.attempt);
+                    if let Some(arq) = self.arq.as_mut() {
+                        arq.counters.acked(pkt.attempt);
                     }
                     let state = self
                         .tasks
@@ -1068,66 +1057,26 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    /// Enqueues `self.emit_buf` as packets on `from`'s outgoing links —
-    /// the engine's `flush_emits`, dead-link disposal included.
+    /// Offers `self.emit_buf`'s transmissions to `from`'s outgoing links
+    /// (the engine's `flush_emits`); a packet the kernel refuses or
+    /// evicts is a loss.
     fn enqueue_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16, t: u64) {
-        let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
         let buf = std::mem::take(&mut self.emit_buf);
         for emit in &buf {
             debug_assert!(
                 (emit.priority as usize) < self.scheme.num_priorities(),
                 "emit priority out of range"
             );
-            let link = self
-                .topo
-                .link_id(Link {
-                    from,
-                    dim: emit.dim,
-                    dir: emit.dir,
-                })
-                .index();
-            let li = self.link_local[link] as usize;
-            debug_assert!(li != u32::MAX as usize, "emit on a link of another worker");
-            let packet = Packet {
-                task,
-                gen_time,
-                enqueue_time: t,
-                len,
-                priority: emit.priority,
-                vc: emit.vc,
-                attempt: 0,
-                kind: emit.kind,
-            };
-            // A dead outgoing link loses the packet under `Drop` policy
-            // (under `Requeue` it queues normally and waits for repair)
-            // — engine order: before the capacity check.
-            if self.link_dead(link)
-                && matches!(
-                    self.faults.as_ref().map(|f| f.policy).unwrap_or_default(),
-                    DeadLinkPolicy::Drop
-                )
-            {
-                self.lose_packet(link, packet, t, LossCause::Fault);
-                continue;
-            }
-            if self.queues[li].len() >= capacity {
-                let enqueue_anyway = match self.cfg.full_queue_policy {
-                    FullQueuePolicy::Backpressure => unreachable!("rejected at validation"),
-                    FullQueuePolicy::DropLowestClass => {
-                        match self.queues[li].evict_lower_tail(packet.priority) {
-                            Some(victim) => {
-                                self.queued -= 1;
-                                self.stats.flow.evicted += 1;
-                                self.lose_packet(link, victim, t, LossCause::Overflow);
-                                true
-                            }
-                            None => false,
-                        }
-                    }
-                    FullQueuePolicy::DropTail => false,
-                };
-                if !enqueue_anyway {
-                    self.lose_packet(link, packet, t, LossCause::Overflow);
+            let link = self.topo.link_id(emit.link_from(from)).0;
+            let packet = emit.packet(task, gen_time, len, t);
+            match self.kernel.admit(link, packet) {
+                Admit::Queued => {}
+                Admit::Evicted(victim) => {
+                    self.stats.flow.evicted += 1;
+                    self.lose_packet(link, victim, t, LossCause::Overflow);
+                }
+                Admit::Lost(pkt, cause) => {
+                    self.lose_packet(link, pkt, t, cause);
                     continue;
                 }
             }
@@ -1135,14 +1084,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 self.record_trace(
                     t,
                     TraceEvent::Enqueue {
-                        link: link as u32,
+                        link,
                         class: packet.priority,
                         task: packet.task,
                     },
                 );
             }
-            self.queues[li].push(packet);
-            self.queued += 1;
         }
         self.emit_buf = buf;
         self.emit_buf.clear();
@@ -1153,18 +1100,14 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// permanently. `LossCause::Retry` marks a failed re-injection,
     /// which is not a new packet drop; `LossCause::Fault` feeds the
     /// fault counters.
-    fn lose_packet(&mut self, link: usize, pkt: Packet, t: u64, cause: LossCause) {
+    fn lose_packet(&mut self, link: u32, pkt: Packet, t: u64, cause: LossCause) {
         if self.trace_cap > 0 {
             self.record_trace(
                 t,
                 TraceEvent::Drop {
-                    link: link as u32,
+                    link,
                     class: pkt.priority,
-                    cause: match cause {
-                        LossCause::Fault => DropKind::Fault,
-                        LossCause::Overflow => DropKind::Overflow,
-                        LossCause::Retry => DropKind::RetryFailed,
-                    },
+                    cause: cause.into(),
                     task: pkt.task,
                 },
             );
@@ -1172,25 +1115,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         if let Some(arq) = self.arq.as_mut() {
             let boosted = self.scheme.retransmit_priority(pkt.priority);
             debug_assert!((boosted as usize) < self.scheme.num_priorities());
-            let attempt = pkt.attempt as u32;
-            if arq.cfg.max_retries.is_none_or(|m| attempt < m) {
-                let jitter = if arq.cfg.jitter > 0 {
-                    arq.rng.gen_range(0..=arq.cfg.jitter)
-                } else {
-                    0
-                };
-                let fire = t + arq.cfg.backoff(attempt) + jitter;
-                self.stats.arq.timer_armed(attempt);
-                let mut p = pkt;
-                p.attempt = p.attempt.saturating_add(1);
-                p.priority = boosted;
-                arq.wheel.schedule(
-                    fire,
-                    RetxEntry {
-                        link: link as u32,
-                        pkt: p,
-                    },
-                );
+            if arq.on_loss(t, link, pkt, boosted) {
                 let home = self.task_home(&pkt);
                 if home == self.id {
                     if let Some(s) = self.tasks.get_mut(&pkt.task) {
@@ -1202,15 +1127,14 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 self.stats.tasks.packet_dropped(cause);
                 return;
             }
-            self.stats.arq.gave_up_copies += 1;
         }
         self.stats.tasks.packet_dropped(cause);
         let before_lost = self.stats.tasks.lost_receptions;
         // The ledger's fault-damaged attribution travels as the `fault`
         // flag to the task's home (see `home_lost`).
         self.settle_drop(&pkt, t, cause == LossCause::Fault);
-        if self.cfg.arq.is_some() {
-            self.stats.arq.gave_up_receptions += self.stats.tasks.lost_receptions - before_lost;
+        if let Some(arq) = self.arq.as_mut() {
+            arq.counters.gave_up_receptions += self.stats.tasks.lost_receptions - before_lost;
         }
     }
 
@@ -1251,78 +1175,35 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// Fires due ARQ timers — the engine's `fire_retransmissions` for
     /// this worker's links.
     fn fire_retx(&mut self, t: u64) {
-        let mut due = std::mem::take(&mut self.retx_buf);
-        due.clear();
-        self.arq
-            .as_mut()
-            .expect("fire without recovery")
-            .wheel
-            .drain_due(t, &mut due);
-        let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
+        let due = self.arq.as_mut().expect("fire without ARQ").take_due(t);
         for e in &due {
-            let link = e.link as usize;
-            let li = self.link_local[link] as usize;
-            // A dead link fails the re-injection like a full queue does
-            // (engine: `!link_alive || !room` → `Retry` loss).
-            if self.link_dead(link) || self.queues[li].len() >= capacity {
-                self.lose_packet(link, e.pkt, t, LossCause::Retry);
+            if let Admit::Lost(pkt, cause) = self.kernel.readmit(e.link, e.pkt, t) {
+                self.lose_packet(e.link, pkt, t, cause);
                 continue;
             }
-            let mut pkt = e.pkt;
-            pkt.enqueue_time = t;
             if self.trace_cap > 0 {
                 self.record_trace(
                     t,
                     TraceEvent::Retransmit {
                         link: e.link,
-                        class: pkt.priority,
-                        attempt: pkt.attempt,
-                        task: pkt.task,
+                        class: e.pkt.priority,
+                        attempt: e.pkt.attempt,
+                        task: e.pkt.task,
                     },
                 );
             }
-            self.queues[li].push(pkt);
-            self.queued += 1;
-            self.stats.arq.retransmissions += 1;
+            self.arq
+                .as_mut()
+                .expect("still installed")
+                .counters
+                .retransmissions += 1;
         }
-        due.clear();
-        self.retx_buf = due;
-    }
-
-    fn start_service(&mut self, li: usize, pkt: Packet, t: u64) {
-        let link = self.owned_links[li];
-        if self.trace_cap > 0 {
-            self.record_trace(
-                t,
-                TraceEvent::ServiceStart {
-                    link,
-                    class: pkt.priority,
-                    wait: t - pkt.enqueue_time,
-                    len: pkt.len,
-                    task: pkt.task,
-                },
-            );
-        }
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
-        self.stats
-            .links
-            .service_start(link as usize, &pkt, t, faulted);
-        self.in_flight[li] = Some((pkt, t + pkt.len as u64));
+        self.arq.as_mut().expect("still installed").give_back(due);
     }
 
     // ---------------------------------------------------------------
     // Fault epochs (the engine's `fault_tick`, sharded)
     // ---------------------------------------------------------------
-
-    /// `true` when global link `gl` is currently dead. One `None` branch
-    /// on fault-free runs; one cached-bool check while no fault is live.
-    #[inline]
-    fn link_dead(&self, gl: usize) -> bool {
-        match &self.faults {
-            Some(f) if f.any_now => !f.view.link_alive(LinkId(gl as u32)),
-            _ => false,
-        }
-    }
 
     /// Top-of-slot fault exchange — the engine's `fault_tick`, run
     /// before phase A so a delta lands exactly where the engine applies
@@ -1397,9 +1278,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         let Self {
             id,
             faults,
-            queues,
-            in_flight,
-            link_local,
+            kernel,
             stats,
             ..
         } = self;
@@ -1408,11 +1287,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 stats.fault_slots += 1;
             }
             if f.recovery.is_watching() {
-                f.recovery.tick(t, |gl| {
-                    let li = link_local[gl as usize];
-                    li != u32::MAX
-                        && (!queues[li as usize].is_empty() || in_flight[li as usize].is_some())
-                });
+                f.recovery.tick(t, |link| kernel.is_active(link));
             }
         }
         false
@@ -1429,19 +1304,20 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             .apply_delta(delta);
         if delta.changed() {
             for &l in &delta.newly_dead {
-                if self.link_local[l.index()] != u32::MAX {
-                    self.on_link_death_net(l, t);
+                if self.kernel.owns(l.0) {
+                    self.on_link_death(l.0, t);
                 }
             }
             let Self {
                 faults,
-                link_local,
+                kernel,
                 scheme,
                 ..
             } = self;
             let f = faults.as_mut().expect("faulted run");
             for &l in &delta.repaired {
-                if link_local[l.index()] != u32::MAX {
+                if kernel.owns(l.0) {
+                    kernel.revive(l.0);
                     f.recovery.on_repair(l.0, t);
                 }
             }
@@ -1453,35 +1329,20 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         f.any_now = f.view.any_faults();
     }
 
-    /// The engine's `on_link_death` for one owned link: interrupt the
-    /// in-flight transmission and dispose of the backlog per policy.
-    fn on_link_death_net(&mut self, link: LinkId, t: u64) {
-        let gl = link.index();
-        let li = self.link_local[gl] as usize;
-        let policy = {
-            let f = self.faults.as_mut().expect("faulted run");
-            f.recovery.on_death(link.0);
-            f.policy
-        };
-        if let Some((pkt, _finish)) = self.in_flight[li].take() {
-            match policy {
-                DeadLinkPolicy::Drop => self.lose_packet(gl, pkt, t, LossCause::Fault),
-                DeadLinkPolicy::Requeue => {
-                    // Head requeue may overflow a bounded queue by one —
-                    // the engine documents the same allowance for the
-                    // interrupted transmission.
-                    self.queues[li].push_front(pkt);
-                    self.queued += 1;
-                }
-            }
+    /// The engine's `on_link_death` for one owned link: whatever the
+    /// kernel's dead-link policy loses is a fault loss.
+    fn on_link_death(&mut self, link: u32, t: u64) {
+        self.faults
+            .as_mut()
+            .expect("faulted run")
+            .recovery
+            .on_death(link);
+        let mut lost = std::mem::take(&mut self.loss_buf);
+        self.kernel.kill(link, &mut lost);
+        for pkt in lost.drain(..) {
+            self.lose_packet(link, pkt, t, LossCause::Fault);
         }
-        if matches!(policy, DeadLinkPolicy::Drop) && !self.queues[li].is_empty() {
-            self.queued -= self.queues[li].len() as i64;
-            let stranded: Vec<Packet> = self.queues[li].drain_all().collect();
-            for pkt in stranded {
-                self.lose_packet(gl, pkt, t, LossCause::Fault);
-            }
-        }
+        self.loss_buf = lost;
     }
 
     // ---------------------------------------------------------------
@@ -1520,16 +1381,18 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 }
 
-/// What each worker thread hands back: its stats shard, its trace ring,
-/// the queue trace (worker 0 only), its slot count, and its perf
-/// accumulator (perf runs only).
-type WorkerOutput = (
-    WorkerStats,
-    Vec<TraceRecord>,
-    Vec<(u64, u64)>,
-    u64,
-    Option<Box<NetWorkerAcc>>,
-);
+/// What each worker thread hands back.
+struct WorkerOutput {
+    stats: WorkerStats,
+    /// Service-start counters of the worker's own link range.
+    links: LinkCounters,
+    trace: Vec<TraceRecord>,
+    /// Worker 0 only.
+    queue_trace: Vec<(u64, u64)>,
+    slots_run: u64,
+    /// Perf runs only.
+    perf: Option<Box<NetWorkerAcc>>,
+}
 
 /// Runs the full warmup → measure → drain protocol on the
 /// thread-per-core runtime and reports. See the module docs for the
@@ -1681,7 +1544,13 @@ where
     let link_target = topo.link_target_table();
     let link_source = topo.link_source_table();
     let link_dim = topo.link_dim_table();
-    let link_owner: Vec<u32> = link_source.iter().map(|s| node_owner[s.index()]).collect();
+    // A worker's links must be one contiguous id range (the kernel's
+    // `[lo, hi)`), which node-major link ids give — the same rule the
+    // sharded engine partitions by.
+    if link_source.windows(2).any(|w| w[0].0 > w[1].0) {
+        return Err(NetConfigError::LinksNotNodeContiguous.into());
+    }
+    let first_link_of = |node: u32| link_source.partition_point(|src| src.0 < node) as u32;
 
     let faults_enabled = faults.is_some();
     let policy = faults.as_ref().map(|(_, p)| *p).unwrap_or_default();
@@ -1700,7 +1569,7 @@ where
     // channel never blocks — the bound is an enforced invariant.
     let mut pair_links = vec![0usize; w * w];
     for l in 0..links {
-        let from = link_owner[l] as usize;
+        let from = node_owner[link_source[l].index()] as usize;
         let to = node_owner[link_target[l].index()] as usize;
         pair_links[from * w + to] += 1;
     }
@@ -1741,19 +1610,21 @@ where
         progress: (0..w).map(|_| AtomicU64::new(0)).collect(),
         done: AtomicUsize::new(0),
     };
-    let new_stats = || WorkerStats::new(links, &sim, topo.d(), n, topo.diameter());
+    let new_stats = || WorkerStats::new(&sim, n, topo.diameter());
+    let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
     let queue_limit = (sim.unstable_queue_per_link * links as f64) as i64;
     // The one report rule (`pstar_sim::assemble`) over merged worker
     // counters; the net-specific inputs are the end-of-slot queue peak
     // and the stop code.
     let report_of = |merged: WorkerStats,
+                     link_counters: LinkCounters,
                      slots_run: u64,
                      stop: u8,
                      peak_queue_total: i64,
                      queue_trace: Vec<(u64, u64)>| {
         assemble(
             merged.tasks,
-            merged.links,
+            link_counters,
             RunOutcome {
                 cfg: &sim,
                 link_dim: &shared.link_dim,
@@ -1783,7 +1654,7 @@ where
             HORIZON
         };
         return Ok(NetReport {
-            report: report_of(new_stats(), 0, stop, 0, Vec::new()),
+            report: report_of(new_stats(), new_link_counters(), 0, stop, 0, Vec::new()),
             workers: w,
             wall_secs: 0.0,
             slots_per_sec: 0.0,
@@ -1801,227 +1672,201 @@ where
         let handles: Vec<_> = (0..w)
             .map(|id| {
                 let range = ranges[id].clone();
-                let link_owner = &link_owner;
-                let link_source = &link_source;
+                let mut kernel = LinkKernel::new(
+                    &sim,
+                    topo.d(),
+                    first_link_of(range.start),
+                    first_link_of(range.end),
+                );
+                kernel.set_dead_link_policy(policy);
                 let dims = dims.clone();
                 // Built on the main thread: `make_scheme` is `FnMut` and
                 // worker 0 takes the fault clock.
                 let scheme_inst = make_scheme(id);
                 let rt = if id == 0 { rt0.take() } else { None };
                 s.spawn(move || {
-                    let body =
-                        move || {
-                            let owned_links: Vec<u32> = (0..links as u32)
-                                .filter(|&l| link_owner[l as usize] == id as u32)
-                                .collect();
-                            let mut link_local = vec![u32::MAX; links];
-                            for (li, &gl) in owned_links.iter().enumerate() {
-                                link_local[gl as usize] = li as u32;
+                    let body = move || {
+                        let injector = match cfg.mode {
+                            ClockMode::Virtual if id == 0 => {
+                                Injector::Virtual(VirtualInjector::new(&dims, mix, sim))
                             }
-                            debug_assert!(link_source
-                                .iter()
-                                .enumerate()
-                                .all(|(l, src)| (link_owner[l] == id as u32)
-                                    == range.contains(&src.0)));
-                            let injector = match cfg.mode {
-                                ClockMode::Virtual if id == 0 => {
-                                    Injector::Virtual(VirtualInjector::new(&dims, mix, sim))
-                                }
-                                ClockMode::Virtual => Injector::Passive,
-                                ClockMode::WallClock => {
-                                    Injector::Wall(WallInjector::new(id, range, n, mix, sim))
-                                }
-                            };
-                            let worker_faults = faults_enabled.then(|| WorkerFaults {
-                                view: LivenessView::healthy(links as u32, n),
-                                policy,
-                                recovery: RecoveryTracker::new(),
-                                any_now: false,
-                                next_fault: first_fault,
-                                rt,
-                            });
-                            let mut worker = Worker {
-                                id,
-                                topo,
-                                scheme: scheme_inst,
-                                cfg: sim,
-                                shared: shared_ref,
-                                queues: (0..owned_links.len())
-                                    .map(|_| PriorityQueue::new())
-                                    .collect(),
-                                in_flight: vec![None; owned_links.len()],
-                                owned_links,
-                                link_local,
-                                queued: 0,
-                                tasks: TaskTable::default(),
-                                injector,
-                                arq: sim.arq.map(|a| WorkerArq {
-                                    cfg: a,
-                                    wheel: TimeoutWheel::new(),
-                                    rng: StdRng::seed_from_u64(node_stream_seed(
-                                        sim.seed ^ ARQ_SEED_SALT,
-                                        id as u32,
-                                    )),
-                                }),
-                                fwd_rng: StdRng::seed_from_u64(node_stream_seed(
-                                    sim.seed ^ FWD_SEED_SALT,
-                                    id as u32,
-                                )),
-                                stats: new_stats(),
-                                trace: Vec::new(),
-                                trace_cap: cfg.trace_capacity,
-                                out_data: (0..w).map(|_| Vec::new()).collect(),
-                                out_ctrl: (0..w).map(|_| Vec::new()).collect(),
-                                out_inject: (0..w).map(|_| Vec::new()).collect(),
-                                inject_gen: Vec::new(),
-                                inject_buf: Vec::new(),
-                                deliver_local: Vec::new(),
-                                data_buf: Vec::new(),
-                                ctrl_buf: Vec::new(),
-                                emit_buf: Vec::with_capacity(64),
-                                retx_buf: Vec::new(),
-                                faults: worker_faults,
-                                deaf_from: cfg
-                                    .chaos
-                                    .deaf_from_slot
-                                    .filter(|_| cfg.chaos.victim(2, w) == id),
-                                perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
-                            };
-                            let mut queue_trace: Vec<(u64, u64)> = Vec::new();
-                            if id == 0 {
-                                if let Some(k) = sim.trace_interval {
-                                    if 0 % k == 0 {
-                                        queue_trace.push((0, 0));
-                                    }
-                                }
+                            ClockMode::Virtual => Injector::Passive,
+                            ClockMode::WallClock => {
+                                Injector::Wall(WallInjector::new(id, range, n, mix, sim))
                             }
-                            let chaos_panic = cfg
-                                .chaos
-                                .panic_at_slot
-                                .filter(|_| cfg.chaos.victim(0, w) == id);
-                            let chaos_delay = cfg
-                                .chaos
-                                .delay_at_slot
-                                .filter(|(_, _)| cfg.chaos.victim(1, w) == id);
-                            let poison = &shared_ref.poison;
-                            let mut t: u64 = 0;
-                            loop {
-                                shared_ref.progress[id].store(t << 3, Ordering::Release);
-                                if poison.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                if let Some((slot, ms)) = chaos_delay {
-                                    if slot == t {
-                                        std::thread::sleep(Duration::from_millis(ms));
-                                    }
-                                }
-                                // Perf marks are `None` on uninstrumented
-                                // runs: one never-taken branch per phase,
-                                // no `Instant` reads, no RNG contact.
-                                let slot_t0 = worker.perf.as_ref().map(|_| Instant::now());
-                                if worker.fault_slot_top(t) {
-                                    break;
-                                }
-                                shared_ref.progress[id].store((t << 3) | 1, Ordering::Release);
-                                let mark = slot_t0.map(|_| Instant::now());
-                                worker.phase_a(t);
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.phase_a_ns += m.elapsed().as_nanos() as u64;
-                                }
-                                let mark = slot_t0.map(|_| Instant::now());
-                                if shared_ref.barrier_a.wait_poisoned(poison) {
-                                    break;
-                                }
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.barrier_wait_ns[0] += m.elapsed().as_nanos() as u64;
-                                }
-                                shared_ref.progress[id].store((t << 3) | 2, Ordering::Release);
-                                let mark = slot_t0.map(|_| Instant::now());
-                                worker.phase_b(t);
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.phase_b_ns += m.elapsed().as_nanos() as u64;
-                                }
-                                let mark = slot_t0.map(|_| Instant::now());
-                                if shared_ref.barrier_b.wait_poisoned(poison) {
-                                    break;
-                                }
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.barrier_wait_ns[1] += m.elapsed().as_nanos() as u64;
-                                }
-                                shared_ref.progress[id].store((t << 3) | 3, Ordering::Release);
-                                // Chaos panics strike here: on worker 0
-                                // that is after barrier B and before the
-                                // decision is published, the one stretch
-                                // where peers wait on a single worker.
-                                if chaos_panic == Some(t) {
-                                    panic!("chaos: injected panic at slot {t} on worker {id}");
-                                }
-                                let mark = slot_t0.map(|_| Instant::now());
-                                if id == 0 {
-                                    worker.decide(t, queue_limit, &mut queue_trace);
-                                    if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                        p.decide_ns += m.elapsed().as_nanos() as u64;
-                                    }
-                                    shared_ref.decision.publish(t);
-                                } else {
-                                    if shared_ref.decision.wait_poisoned(t, poison) {
-                                        break;
-                                    }
-                                    if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                        p.barrier_wait_ns[2] += m.elapsed().as_nanos() as u64;
-                                    }
-                                }
-                                if let (Some(p), Some(t0)) = (worker.perf.as_mut(), slot_t0) {
-                                    p.slot_hist.record(t0.elapsed().as_nanos() as u64);
-                                }
-                                if shared_ref.stop.load(Ordering::Acquire) != RUN {
-                                    break;
-                                }
-                                t += 1;
-                            }
-                            shared_ref.progress[id].store((t << 3) | 4, Ordering::Release);
-                            let slots_run = t + 1;
-                            worker.stats.tasks.freeze_concurrency(slots_run);
-                            worker.stats.arq.pending_at_end =
-                                worker.arq.as_ref().map_or(0, |a| a.wheel.len());
-                            let (rejected_b, rejected_u) = match &worker.injector {
-                                Injector::Virtual(inj) => inj.rejected,
-                                Injector::Wall(inj) => inj.rejected,
-                                Injector::Passive => (0, 0),
-                            };
-                            worker.stats.flow.rejected_broadcasts = rejected_b;
-                            worker.stats.flow.rejected_unicasts = rejected_u;
-                            // Close out recovery measurements whose backlog
-                            // drained on the final slots, like the engine's
-                            // report-time finalize; merge the samples into the
-                            // mergeable stats shard.
-                            {
-                                let Worker {
-                                    faults,
-                                    queues,
-                                    in_flight,
-                                    link_local,
-                                    stats,
-                                    ..
-                                } = &mut worker;
-                                if let Some(f) = faults.as_mut() {
-                                    f.recovery.finalize(slots_run, |gl| {
-                                        let li = link_local[gl as usize];
-                                        li != u32::MAX
-                                            && (!queues[li as usize].is_empty()
-                                                || in_flight[li as usize].is_some())
-                                    });
-                                    stats.fault_recovery.merge(f.recovery.samples());
-                                }
-                            }
-                            (
-                                worker.stats,
-                                worker.trace,
-                                queue_trace,
-                                slots_run,
-                                worker.perf,
-                            )
                         };
+                        let worker_faults = faults_enabled.then(|| WorkerFaults {
+                            view: LivenessView::healthy(links as u32, n),
+                            recovery: RecoveryTracker::new(),
+                            any_now: false,
+                            next_fault: first_fault,
+                            rt,
+                        });
+                        let mut worker = Worker {
+                            id,
+                            topo,
+                            scheme: scheme_inst,
+                            cfg: sim,
+                            shared: shared_ref,
+                            kernel,
+                            tasks: TaskTable::default(),
+                            injector,
+                            arq: sim.arq.map(|a| {
+                                Arq::new(a, node_stream_seed(sim.seed ^ ARQ_SEED_SALT, id as u32))
+                            }),
+                            fwd_rng: StdRng::seed_from_u64(node_stream_seed(
+                                sim.seed ^ FWD_SEED_SALT,
+                                id as u32,
+                            )),
+                            stats: new_stats(),
+                            trace: Vec::new(),
+                            trace_cap: cfg.trace_capacity,
+                            out_data: (0..w).map(|_| Vec::new()).collect(),
+                            out_ctrl: (0..w).map(|_| Vec::new()).collect(),
+                            out_inject: (0..w).map(|_| Vec::new()).collect(),
+                            inject_gen: Vec::new(),
+                            inject_buf: Vec::new(),
+                            deliver_local: Vec::new(),
+                            data_buf: Vec::new(),
+                            ctrl_buf: Vec::new(),
+                            emit_buf: Vec::with_capacity(64),
+                            loss_buf: Vec::new(),
+                            faults: worker_faults,
+                            deaf_from: cfg
+                                .chaos
+                                .deaf_from_slot
+                                .filter(|_| cfg.chaos.victim(2, w) == id),
+                            perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
+                        };
+                        let mut queue_trace: Vec<(u64, u64)> = Vec::new();
+                        if id == 0 {
+                            if let Some(k) = sim.trace_interval {
+                                if 0 % k == 0 {
+                                    queue_trace.push((0, 0));
+                                }
+                            }
+                        }
+                        let chaos_panic = cfg
+                            .chaos
+                            .panic_at_slot
+                            .filter(|_| cfg.chaos.victim(0, w) == id);
+                        let chaos_delay = cfg
+                            .chaos
+                            .delay_at_slot
+                            .filter(|(_, _)| cfg.chaos.victim(1, w) == id);
+                        let poison = &shared_ref.poison;
+                        let mut t: u64 = 0;
+                        loop {
+                            shared_ref.progress[id].store(t << 3, Ordering::Release);
+                            if poison.load(Ordering::Acquire) {
+                                break;
+                            }
+                            if let Some((slot, ms)) = chaos_delay {
+                                if slot == t {
+                                    std::thread::sleep(Duration::from_millis(ms));
+                                }
+                            }
+                            // Perf marks are `None` on uninstrumented
+                            // runs: one never-taken branch per phase,
+                            // no `Instant` reads, no RNG contact.
+                            let slot_t0 = worker.perf.as_ref().map(|_| Instant::now());
+                            if worker.fault_slot_top(t) {
+                                break;
+                            }
+                            shared_ref.progress[id].store((t << 3) | 1, Ordering::Release);
+                            let mark = slot_t0.map(|_| Instant::now());
+                            worker.phase_a(t);
+                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                p.phase_a_ns += m.elapsed().as_nanos() as u64;
+                            }
+                            let mark = slot_t0.map(|_| Instant::now());
+                            if shared_ref.barrier_a.wait_poisoned(poison) {
+                                break;
+                            }
+                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                p.barrier_wait_ns[0] += m.elapsed().as_nanos() as u64;
+                            }
+                            shared_ref.progress[id].store((t << 3) | 2, Ordering::Release);
+                            let mark = slot_t0.map(|_| Instant::now());
+                            worker.phase_b(t);
+                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                p.phase_b_ns += m.elapsed().as_nanos() as u64;
+                            }
+                            let mark = slot_t0.map(|_| Instant::now());
+                            if shared_ref.barrier_b.wait_poisoned(poison) {
+                                break;
+                            }
+                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                p.barrier_wait_ns[1] += m.elapsed().as_nanos() as u64;
+                            }
+                            shared_ref.progress[id].store((t << 3) | 3, Ordering::Release);
+                            // Chaos panics strike here: on worker 0
+                            // that is after barrier B and before the
+                            // decision is published, the one stretch
+                            // where peers wait on a single worker.
+                            if chaos_panic == Some(t) {
+                                panic!("chaos: injected panic at slot {t} on worker {id}");
+                            }
+                            let mark = slot_t0.map(|_| Instant::now());
+                            if id == 0 {
+                                worker.decide(t, queue_limit, &mut queue_trace);
+                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                    p.decide_ns += m.elapsed().as_nanos() as u64;
+                                }
+                                shared_ref.decision.publish(t);
+                            } else {
+                                if shared_ref.decision.wait_poisoned(t, poison) {
+                                    break;
+                                }
+                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
+                                    p.barrier_wait_ns[2] += m.elapsed().as_nanos() as u64;
+                                }
+                            }
+                            if let (Some(p), Some(t0)) = (worker.perf.as_mut(), slot_t0) {
+                                p.slot_hist.record(t0.elapsed().as_nanos() as u64);
+                            }
+                            if shared_ref.stop.load(Ordering::Acquire) != RUN {
+                                break;
+                            }
+                            t += 1;
+                        }
+                        shared_ref.progress[id].store((t << 3) | 4, Ordering::Release);
+                        let slots_run = t + 1;
+                        worker.stats.tasks.freeze_concurrency(slots_run);
+                        worker.stats.arq = worker.arq.take().map(Arq::finish).unwrap_or_default();
+                        let (rejected_b, rejected_u) = match &worker.injector {
+                            Injector::Virtual(inj) => inj.rejected,
+                            Injector::Wall(inj) => inj.rejected,
+                            Injector::Passive => (0, 0),
+                        };
+                        worker.stats.flow.rejected_broadcasts = rejected_b;
+                        worker.stats.flow.rejected_unicasts = rejected_u;
+                        // Close out recovery measurements whose backlog
+                        // drained on the final slots, like the engine's
+                        // report-time finalize; merge the samples into the
+                        // mergeable stats shard.
+                        {
+                            let Worker {
+                                faults,
+                                kernel,
+                                stats,
+                                ..
+                            } = &mut worker;
+                            if let Some(f) = faults.as_mut() {
+                                f.recovery
+                                    .finalize(slots_run, |link| kernel.is_active(link));
+                                stats.fault_recovery.merge(f.recovery.samples());
+                            }
+                        }
+                        WorkerOutput {
+                            stats: worker.stats,
+                            links: worker.kernel.into_counters(),
+                            trace: worker.trace,
+                            queue_trace,
+                            slots_run,
+                            perf: worker.perf,
+                        }
+                    };
                     match catch_unwind(AssertUnwindSafe(body)) {
                         Ok(out) => {
                             shared_ref.done.fetch_add(1, Ordering::AcqRel);
@@ -2117,7 +1962,7 @@ where
     }
 
     let stop = shared.stop.load(Ordering::Acquire);
-    let slots_run = results[0].3;
+    let slots_run = results[0].slots_run;
     // Perf assembly: per-worker accumulators plus channel telemetry.
     // Blocked-send time of channel `data[s*w + r]` belongs to sender
     // `s`; the depth high-water belongs to receiver `r` (it measures
@@ -2127,7 +1972,7 @@ where
             .iter()
             .enumerate()
             .map(|(i, out)| {
-                let acc = out.4.as_deref().expect("perf run collects accumulators");
+                let acc = out.perf.as_deref().expect("perf run collects accumulators");
                 NetWorkerPerf {
                     worker: i as u32,
                     slots: acc.slot_hist.count(),
@@ -2153,22 +1998,36 @@ where
             })
             .collect(),
     });
+    // Worker 0's stats seed the merge and the others fold in, in worker
+    // order; the link counters are exact integers over disjoint ranges,
+    // so they fold into a zeroed whole-network set.
     let mut iter = results.into_iter();
-    let (mut merged, trace0, queue_trace, _, _) = iter.next().expect("at least one worker");
+    let first = iter.next().expect("at least one worker");
+    let (mut merged, queue_trace) = (first.stats, first.queue_trace);
+    let mut link_counters = new_link_counters();
+    link_counters.merge(&first.links);
     let mut worker_traces = Vec::new();
     if cfg.trace_capacity > 0 {
-        worker_traces.push((0u32, trace0));
+        worker_traces.push((0u32, first.trace));
     }
-    for (i, (stats, trace, _, _, _)) in iter.enumerate() {
-        merged.merge(&stats);
+    for (i, out) in iter.enumerate() {
+        merged.merge(&out.stats);
+        link_counters.merge(&out.links);
         if cfg.trace_capacity > 0 {
-            worker_traces.push((i as u32 + 1, trace));
+            worker_traces.push((i as u32 + 1, out.trace));
         }
     }
     let messages_sent = merged.messages_sent;
     let peak_queue_total = shared.peak_queue.load(Ordering::Acquire);
     Ok(NetReport {
-        report: report_of(merged, slots_run, stop, peak_queue_total, queue_trace),
+        report: report_of(
+            merged,
+            link_counters,
+            slots_run,
+            stop,
+            peak_queue_total,
+            queue_trace,
+        ),
         workers: w,
         wall_secs,
         slots_per_sec: if wall_secs > 0.0 {
@@ -2399,7 +2258,7 @@ mod tests {
     fn arq_retransmits_and_still_conserves() {
         let mut sim = SimConfig::quick(13);
         sim.queue_capacity = Some(1);
-        sim.arq = Some(ArqConfig::default());
+        sim.arq = Some(pstar_sim::ArqConfig::default());
         let net = run(SchemeKind::PriorityStar, 0.7, sim, 4, ClockMode::Virtual);
         let r = &net.report;
         assert!(r.completed);

@@ -26,7 +26,7 @@
 //! `reception_ci_batch` comes out `None` (it needs a single serial
 //! reception stream).
 
-use pstar_sim::{ArqCounters, FlowCounters, LinkCounters, SimConfig, TaskLedger};
+use pstar_sim::{ArqCounters, FlowCounters, SimConfig, TaskLedger};
 use pstar_stats::Moments;
 
 /// One worker's private measurement accumulator.
@@ -34,11 +34,8 @@ use pstar_stats::Moments;
 pub(crate) struct WorkerStats {
     /// Task-level counters (creation / delivery / loss / home sites).
     pub tasks: TaskLedger,
-    /// Service-start counters, full-size: only this worker's owned
-    /// links are ever nonzero, so the merge is an elementwise add.
-    pub links: LinkCounters,
     /// ARQ counters (losing / retransmitting worker; all zero with ARQ
-    /// off).
+    /// off), taken from the worker's `pstar_sim::Arq` when it finishes.
     pub arq: ArqCounters,
     /// Admission rejections (creation site), evictions (loss site) and
     /// the window-bounded occupancy sum.
@@ -56,16 +53,9 @@ pub(crate) struct WorkerStats {
 }
 
 impl WorkerStats {
-    pub fn new(
-        num_links: usize,
-        cfg: &SimConfig,
-        d: usize,
-        node_count: u32,
-        diameter: u32,
-    ) -> Self {
+    pub fn new(cfg: &SimConfig, node_count: u32, diameter: u32) -> Self {
         Self {
             tasks: TaskLedger::new(cfg, node_count, diameter),
-            links: LinkCounters::new(cfg, d, 0, num_links),
             arq: ArqCounters::default(),
             flow: FlowCounters::default(),
             fault_recovery: Moments::new(),
@@ -79,7 +69,6 @@ impl WorkerStats {
     /// so the merged moments are deterministic for a given worker count.
     pub fn merge(&mut self, other: &Self) {
         self.tasks.merge(&other.tasks);
-        self.links.merge(&other.links);
         self.arq.merge(&other.arq);
         self.flow.merge(&other.flow);
         self.fault_recovery.merge(&other.fault_recovery);

@@ -31,7 +31,7 @@ pub struct SimConfig {
     /// mode measures how much). Two documented exceptions may briefly
     /// exceed the bound by in-transit packets that cannot be refused: a
     /// fault requeue re-admitting an interrupted in-service packet
-    /// ([`crate::PriorityQueue::push_front`]), and transit forwards
+    /// ([`crate::LinkKernel::kill`]), and transit forwards
     /// under [`FullQueuePolicy::Backpressure`].
     pub queue_capacity: Option<u32>,
     /// What a full bounded queue does with an arriving packet (ignored

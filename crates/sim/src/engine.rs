@@ -3,21 +3,20 @@
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::SimConfig;
 use crate::faultepoch::{LossCause as DropCause, RecoveryTracker};
+use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{
-    assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
-    RunOutcome, TaskLedger,
+    assemble, receptions_at_stake, FaultTotals, FlowCounters, RunOutcome, TaskLedger,
 };
 use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
-use crate::queue::PriorityQueue;
-use crate::recovery::{ArqConfig, FullQueuePolicy, RetxEntry, TimeoutWheel};
+use crate::recovery::{Arq, FullQueuePolicy, ARQ_SEED_SALT};
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultPlan, FaultRuntime};
-use pstar_obs::{DropKind, SlotSample, TraceEvent, TraceRecord, TraceSink};
-use pstar_topology::{Link, LinkId, Network, NodeId};
+use pstar_obs::{SlotSample, TraceEvent, TraceRecord, TraceSink};
+use pstar_topology::{Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// Fault-injection state carried by an engine with a non-empty plan.
@@ -27,7 +26,6 @@ use std::collections::VecDeque;
 /// bit-identical to one built before fault support existed.
 struct FaultState {
     runtime: FaultRuntime,
-    policy: DeadLinkPolicy,
     /// Cached `runtime.view().any_faults()` for the hot paths.
     any_now: bool,
     events_applied: u64,
@@ -37,37 +35,8 @@ struct FaultState {
     recovery: RecoveryTracker,
 }
 
-/// Seed perturbation for the ARQ jitter RNG: recovery draws come from
-/// their own stream so enabling ARQ never shifts traffic randomness.
-const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
 // `DropCause` is the crate-shared `LossCause` (see `faultepoch`): the
 // runtime backend attributes losses with the identical vocabulary.
-
-/// ARQ recovery state carried by an engine with `cfg.arq` set; behind an
-/// `Option` so the recovery-free path pays nothing and stays
-/// bit-identical to the pre-recovery engine.
-struct RecoveryState {
-    cfg: ArqConfig,
-    wheel: TimeoutWheel,
-    /// Dedicated jitter stream (never the engine RNG).
-    rng: StdRng,
-    /// Scratch buffer reused by `fire_retransmissions`.
-    fire_buf: Vec<RetxEntry>,
-    counters: ArqCounters,
-}
-
-impl RecoveryState {
-    fn new(cfg: ArqConfig, seed: u64) -> Self {
-        Self {
-            cfg,
-            wheel: TimeoutWheel::new(),
-            rng: StdRng::seed_from_u64(seed ^ ARQ_SEED_SALT),
-            fire_buf: Vec::new(),
-            counters: ArqCounters::default(),
-        }
-    }
-}
 
 /// A task arrival deferred by source backpressure: it re-attempts
 /// injection each slot, and its eventual `gen_time` stays the arrival
@@ -100,8 +69,11 @@ struct FlowState {
 /// The simulator: a torus, a routing scheme, a workload, and per-link
 /// priority queues stepped slot by slot.
 ///
-/// See the crate docs for the timing model. Construction is cheap; `run`
-/// consumes the engine and returns a [`SimReport`].
+/// The queues, the in-flight transmissions and the service discipline
+/// live in one [`LinkKernel`] over every link; the engine drives it and
+/// owns what a delivery, a loss and an arrival mean. See the crate docs
+/// for the timing model. Construction is cheap; `run` consumes the
+/// engine and returns a [`SimReport`].
 pub struct Engine<N: Network, S: Scheme> {
     topo: N,
     scheme: S,
@@ -110,13 +82,10 @@ pub struct Engine<N: Network, S: Scheme> {
     rng: StdRng,
     now: u64,
 
-    // Per-link state, indexed by dense LinkId.
-    queues: Vec<PriorityQueue>,
-    in_flight: Vec<Option<(Packet, u64)>>,
+    /// Queueing and service for every link (dense `LinkId` order).
+    kernel: LinkKernel,
     link_target: Vec<NodeId>,
     link_dim: Vec<u8>,
-    active: Vec<u32>,
-    is_active: Vec<bool>,
 
     dests: DestSampler,
     /// Scenario modulation cursor, advanced once per slot through the
@@ -125,14 +94,12 @@ pub struct Engine<N: Network, S: Scheme> {
 
     // Measurement state (see `crate::ledger`).
     ledger: TaskLedger,
-    links: LinkCounters,
     tx_by_dim: Vec<u64>,
-    queued_total: i64,
     peak_queue: i64,
 
     emit_buf: Vec<Emit>,
-    /// Scratch for disposing of a dying link's backlog; swapped out
-    /// around the loss loop so fault bursts never allocate per event.
+    /// Scratch for the packets a dying link loses; swapped out around
+    /// the loss loop so fault bursts never allocate per event.
     loss_buf: Vec<Packet>,
     /// Scratch for the decimated per-link queue snapshot; swapped into
     /// each [`SlotSample`] and back so sampling allocates once per run,
@@ -141,7 +108,9 @@ pub struct Engine<N: Network, S: Scheme> {
     queue_trace: Vec<(u64, u64)>,
     unstable: bool,
     faults: Option<Box<FaultState>>,
-    recovery: Option<Box<RecoveryState>>,
+    /// ARQ recovery; behind an `Option` so the recovery-free path pays
+    /// nothing and stays bit-identical to the pre-recovery engine.
+    arq: Option<Box<Arq>>,
     flow: Box<FlowState>,
     /// Observability sink; `None` (default) keeps every trace site at a
     /// single never-taken branch and the run bit-identical to an engine
@@ -168,7 +137,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             .scenario
             .resolve_dests(&dims)
             .expect("validated just above");
-        let links = topo.link_count() as usize;
         let n = topo.node_count();
         let flow = Box::new(FlowState {
             tokens: match cfg.admission {
@@ -191,18 +159,13 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             counters: FlowCounters::default(),
         });
         Self {
-            queues: (0..links).map(|_| PriorityQueue::new()).collect(),
-            in_flight: vec![None; links],
+            kernel: LinkKernel::new(&cfg, topo.d(), 0, topo.link_count()),
             link_target: topo.link_target_table(),
             link_dim: topo.link_dim_table(),
-            active: Vec::with_capacity(links),
-            is_active: vec![false; links],
             dests,
             scenario: ScenarioCursor::new(cfg.scenario),
             ledger: TaskLedger::new(&cfg, n, topo.diameter()),
-            links: LinkCounters::new(&cfg, topo.d(), 0, links),
             tx_by_dim: vec![0; topo.d()],
-            queued_total: 0,
             peak_queue: 0,
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
@@ -210,7 +173,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             queue_trace: Vec::new(),
             unstable: false,
             faults: None,
-            recovery: cfg.arq.map(|a| Box::new(RecoveryState::new(a, cfg.seed))),
+            arq: cfg
+                .arq
+                .map(|a| Box::new(Arq::new(a, cfg.seed ^ ARQ_SEED_SALT))),
             flow,
             obs: None,
             obs_decim: 0,
@@ -241,9 +206,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.link_target.clone(),
             self.topo.node_count(),
         );
+        self.kernel.set_dead_link_policy(policy);
         self.faults = Some(Box::new(FaultState {
             runtime,
-            policy,
             any_now: false,
             events_applied: 0,
             fault_slots: 0,
@@ -274,22 +239,26 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// called at sampling instants (`obs_decim > 0`), so the O(links)
     /// scan never touches an untraced run.
     fn obs_sample(&mut self, slot: u64) {
+        let links = self.kernel.n_links() as u32;
         let mut queued_by_link = std::mem::take(&mut self.sample_links);
         queued_by_link.clear();
-        queued_by_link.reserve(self.queues.len());
+        queued_by_link.reserve(links as usize);
         let mut sample = SlotSample {
             slot,
-            queued_total: self.queued_total.max(0) as u64,
+            queued_total: self.kernel.queued(),
             in_flight_links: 0,
             queued_by_class: [0; MAX_PRIORITY_CLASSES],
             queued_by_link,
         };
-        for (l, q) in self.queues.iter().enumerate() {
-            sample.queued_by_link.push(q.len() as u32);
+        for l in 0..links {
+            let mut qlen = 0;
             for (c, acc) in sample.queued_by_class.iter_mut().enumerate() {
-                *acc += q.class_len(c) as u64;
+                let n = self.kernel.class_len(l, c);
+                *acc += n as u64;
+                qlen += n;
             }
-            if self.in_flight[l].is_some() {
+            sample.queued_by_link.push(qlen as u32);
+            if self.kernel.is_busy(l) {
                 sample.in_flight_links += 1;
             }
         }
@@ -338,6 +307,18 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         self.new_task(src, Some(dest), true, None, now)
     }
 
+    /// The global divergence guard's threshold, in queued packets.
+    fn queue_limit(&self) -> i64 {
+        (self.cfg.unstable_queue_per_link * self.kernel.n_links() as f64) as i64
+    }
+
+    /// Queue occupancy as the divergence guard counts it:
+    /// backpressure-deferred arrivals are occupancy the links haven't
+    /// accepted yet.
+    fn guarded_occupancy(&self) -> i64 {
+        (self.kernel.queued() + self.flow.deferred.len() as u64) as i64
+    }
+
     /// Replays a recorded workload trace instead of sampling arrivals.
     ///
     /// Events fire at their recorded slots with their recorded lengths;
@@ -345,7 +326,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// tagged exactly as in a live run, so trace replays produce
     /// comparable reports. After the last event the network drains.
     pub fn replay(mut self, trace: &pstar_traffic::Trace) -> SimReport {
-        let queue_limit = (self.cfg.unstable_queue_per_link * self.queues.len() as f64) as i64;
+        let queue_limit = self.queue_limit();
         let mut next = 0;
         let events = trace.events();
         let mut completed = true;
@@ -365,15 +346,14 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 self.new_task(src, dest, measured, Some(ev.len.max(1)), now);
                 next += 1;
             }
-            let drained = next >= events.len() && self.active.is_empty() && self.fully_idle();
-            if drained {
+            if next >= events.len() && self.fully_idle() {
                 break;
             }
             if self.now >= self.cfg.max_slots {
                 completed = false;
                 break;
             }
-            if self.queued_total + self.flow.deferred.len() as i64 > queue_limit {
+            if self.guarded_occupancy() > queue_limit {
                 self.unstable = true;
                 completed = false;
                 break;
@@ -388,19 +368,20 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// slots stepped. Panics after `max_slots` as a safety net.
     pub fn run_until_idle(&mut self) -> u64 {
         let start = self.now;
-        while !self.active.is_empty() || !self.fully_idle() {
+        while !self.fully_idle() {
             assert!(self.now < self.cfg.max_slots, "drain did not terminate");
             self.step(false);
         }
         self.now - start
     }
 
-    /// `true` when no recovery timer is armed and no injection is
-    /// deferred — the recovery-layer half of the drain condition
-    /// (trivially true with recovery and backpressure off).
+    /// `true` when no link holds a packet, no recovery timer is armed
+    /// and no injection is deferred — the drain condition.
     #[inline]
     fn fully_idle(&self) -> bool {
-        self.flow.deferred.is_empty() && self.recovery.as_ref().is_none_or(|r| r.wheel.is_empty())
+        self.kernel.is_idle()
+            && self.flow.deferred.is_empty()
+            && self.arq.as_ref().is_none_or(|a| a.is_idle())
     }
 
     /// Runs the full warmup → measure → drain protocol and reports.
@@ -414,7 +395,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// [`pstar_obs::TraceSink::into_any`]).
     pub fn run_observed(mut self) -> (SimReport, Option<Box<dyn TraceSink>>) {
         let end_measure = self.cfg.measure_end();
-        let queue_limit = (self.cfg.unstable_queue_per_link * self.queues.len() as f64) as i64;
+        let queue_limit = self.queue_limit();
         let mut completed = true;
         loop {
             if self.now >= end_measure
@@ -427,22 +408,16 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 completed = false;
                 break;
             }
-            // Backpressure-deferred arrivals are queue occupancy the
-            // links haven't accepted yet; count them against the guard.
-            if self.queued_total + self.flow.deferred.len() as i64 > queue_limit {
+            // Single-link divergence (e.g. a mesh corner) grows far more
+            // slowly than the global guard can see; scan periodically.
+            if self.guarded_occupancy() > queue_limit
+                || (self.now % 4096 == 0
+                    && self.now > 0
+                    && self.kernel.max_qlen() as f64 > self.cfg.unstable_single_queue)
+            {
                 self.unstable = true;
                 completed = false;
                 break;
-            }
-            // Single-link divergence (e.g. a mesh corner) grows far more
-            // slowly than the global guard can see; scan periodically.
-            if self.now % 4096 == 0 && self.now > 0 {
-                let max_q = self.queues.iter().map(|q| q.len()).max().unwrap_or(0);
-                if max_q as f64 > self.cfg.unstable_single_queue {
-                    self.unstable = true;
-                    completed = false;
-                    break;
-                }
             }
             self.step(true);
         }
@@ -466,7 +441,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
 
         if let Some(k) = self.cfg.trace_interval {
             if t % k == 0 {
-                self.queue_trace.push((t, self.queued_total as u64));
+                self.queue_trace.push((t, self.kernel.queued()));
             }
         }
 
@@ -480,30 +455,23 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // restart at warmup, snapshot at the end of the measurement window.
         self.ledger.window_tick(t);
 
-        // Phase 1: deliveries. Only links already active can be busy;
-        // forwards appended during the loop are new (idle) links and have
-        // nothing to deliver this slot. The scan runs in ascending link
-        // order — a deterministic tie-break shared with pstar-net's
-        // receiver-side merge, so both backends enqueue same-slot
-        // forwards into each queue in the same order and per-packet
-        // trajectories agree exactly (which the fault-agreement gate
-        // relies on: boundary-straddling drops are order-sensitive).
-        self.active.sort_unstable();
-        let n_active = self.active.len();
-        for i in 0..n_active {
-            let l = self.active[i] as usize;
-            if let Some((pkt, finish)) = self.in_flight[l] {
-                if finish == t {
-                    self.in_flight[l] = None;
-                    self.deliver(l, pkt);
-                }
-            }
+        // Phase 1: deliveries, in ascending link order — a deterministic
+        // tie-break shared with the sharded engine's merge and
+        // pstar-net's receiver-side merge, so every backend enqueues
+        // same-slot forwards into each queue in the same order and
+        // per-packet trajectories agree exactly (which the
+        // fault-agreement gate relies on: boundary-straddling drops are
+        // order-sensitive).
+        let mut scan = self.kernel.finish_scan();
+        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
+            let pkt = *pkt;
+            self.deliver(link, pkt);
         }
 
         // Phase 2: re-injections, then new tasks. Retransmission timers
         // and deferred (backpressured) injections fire before fresh
         // arrivals so recovered / older work keeps its age order.
-        if self.recovery.as_ref().is_some_and(|r| !r.wheel.is_empty()) {
+        if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
             self.fire_retransmissions();
         }
         if !self.flow.deferred.is_empty() {
@@ -518,39 +486,29 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.generate_arrivals();
         }
 
-        // Phase 3: service starts, then in-place compaction of the active
-        // list (a link stays active while busy or backlogged).
+        // Phase 3: service starts.
         if self.in_measure_window() {
-            self.flow.counters.occupancy_sum += self.queued_total.max(0) as u128;
+            self.flow.counters.occupancy_sum += self.kernel.queued() as u128;
         }
-        let mut w = 0;
-        for i in 0..self.active.len() {
-            let l = self.active[i] as usize;
-            if self.in_flight[l].is_none() && self.link_alive(l) {
-                if let Some(pkt) = self.queues[l].pop() {
-                    self.queued_total -= 1;
-                    self.start_service(l, pkt);
-                }
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        let (obs, tx_by_dim, link_dim) = (&mut self.obs, &mut self.tx_by_dim, &self.link_dim);
+        self.kernel.start(t, faulted, |link, pkt| {
+            if let Some(sink) = obs.as_deref_mut() {
+                sink.record(TraceRecord {
+                    slot: t,
+                    event: TraceEvent::ServiceStart {
+                        link,
+                        class: pkt.priority,
+                        wait: t - pkt.enqueue_time,
+                        len: pkt.len,
+                        task: pkt.task,
+                    },
+                });
             }
-            if self.in_flight[l].is_some() || !self.queues[l].is_empty() {
-                self.active[w] = l as u32;
-                w += 1;
-            } else {
-                self.is_active[l] = false;
-            }
-        }
-        self.active.truncate(w);
+            tx_by_dim[link_dim[link as usize] as usize] += 1;
+        });
 
         self.now = t + 1;
-    }
-
-    /// `true` when the link can transmit (trivially so without faults).
-    #[inline]
-    fn link_alive(&self, link: usize) -> bool {
-        match &self.faults {
-            Some(f) if f.any_now => f.runtime.view().link_alive(LinkId(link as u32)),
-            _ => true,
-        }
     }
 
     /// `true` when the node is crashed (never without faults).
@@ -572,9 +530,15 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             f.events_applied += delta.events_applied as u64;
             if delta.changed() {
                 for &link in &delta.newly_dead {
-                    self.on_link_death(&mut f, link);
+                    f.recovery.on_death(link.0);
+                    self.on_link_death(link.0);
                 }
                 for &link in &delta.repaired {
+                    // The runtime's view is the authority: a link forced
+                    // up and down again inside one delta stays dead.
+                    if f.runtime.view().link_alive(link) {
+                        self.kernel.revive(link.0);
+                    }
                     f.recovery.on_repair(link.0, t);
                 }
                 self.scheme.on_liveness_change(f.runtime.view());
@@ -594,70 +558,40 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // A repaired link has recovered once it has carried traffic
         // again and its backlog first clears (shared rule).
         if f.recovery.is_watching() {
-            let queues = &self.queues;
-            let in_flight = &self.in_flight;
-            f.recovery.tick(t, |l| {
-                let l = l as usize;
-                !queues[l].is_empty() || in_flight[l].is_some()
-            });
+            let kernel = &self.kernel;
+            f.recovery.tick(t, |l| kernel.is_active(l));
         }
         self.faults = Some(f);
     }
 
-    /// A link just died: interrupt its in-flight packet and dispose of
-    /// its backlog according to the dead-link policy.
-    fn on_link_death(&mut self, f: &mut FaultState, link: LinkId) {
-        let l = link.index();
-        f.recovery.on_death(link.0);
-        if let Some((pkt, _)) = self.in_flight[l].take() {
-            match f.policy {
-                DeadLinkPolicy::Drop => {
-                    self.handle_loss(l, pkt, DropCause::Fault);
-                }
-                DeadLinkPolicy::Requeue => {
-                    // Head of line again: the interrupted transmission
-                    // restarts from scratch after repair. This is the
-                    // documented one-slot capacity overflow: the packet
-                    // was already admitted once, so re-admitting it
-                    // must not fail even if the queue is full (see
-                    // `PriorityQueue::push_front`).
-                    self.queues[l].push_front(pkt);
-                    self.queued_total += 1;
-                }
-            }
+    /// A link just died: whatever the kernel's dead-link policy loses —
+    /// the interrupted transmission, the backlog — is a fault loss.
+    fn on_link_death(&mut self, link: u32) {
+        let mut lost = std::mem::take(&mut self.loss_buf);
+        self.kernel.kill(link, &mut lost);
+        for pkt in lost.drain(..) {
+            self.handle_loss(link, pkt, DropCause::Fault);
         }
-        if matches!(f.policy, DeadLinkPolicy::Drop) && !self.queues[l].is_empty() {
-            self.queued_total -= self.queues[l].len() as i64;
-            let mut stranded = std::mem::take(&mut self.loss_buf);
-            stranded.extend(self.queues[l].drain_all());
-            for pkt in stranded.drain(..) {
-                self.handle_loss(l, pkt, DropCause::Fault);
-            }
-            self.loss_buf = stranded;
-        }
+        self.loss_buf = lost;
     }
 
     /// Central loss handler: with ARQ recovery the packet's receptions
     /// stay alive and a backoff timer is armed; without it (or once the
     /// retry budget is exhausted — the `GaveUp` terminal state) the loss
     /// is settled permanently.
-    fn handle_loss(&mut self, link: usize, pkt: Packet, cause: DropCause) {
+    fn handle_loss(&mut self, link: u32, pkt: Packet, cause: DropCause) {
         if self.obs.is_some() {
             // A copy lost at this hop — possibly recovered later by ARQ;
             // terminal losses are distinguishable by a missing follow-up
             // `Retransmit` for the same link/class.
             self.obs_record(TraceEvent::Drop {
-                link: link as u32,
+                link,
                 class: pkt.priority,
-                cause: match cause {
-                    DropCause::Fault => DropKind::Fault,
-                    DropCause::Overflow => DropKind::Overflow,
-                    DropCause::Retry => DropKind::RetryFailed,
-                },
+                cause: cause.into(),
                 task: pkt.task,
             });
         }
-        if self.recovery.is_some() {
+        if let Some(arq) = self.arq.as_deref_mut() {
             // Re-inject at the failed hop: the source's retransmission
             // would be duplicate-suppressed along the already-ACKed tree
             // prefix, so the effective retransmission starts where the
@@ -668,32 +602,11 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 (boosted as usize) < self.scheme.num_priorities(),
                 "retransmit_priority out of range"
             );
-            let now = self.now;
-            let rec = self.recovery.as_deref_mut().expect("checked above");
-            let attempt = pkt.attempt as u32;
-            if rec.cfg.max_retries.is_none_or(|m| attempt < m) {
-                let jitter = if rec.cfg.jitter > 0 {
-                    rec.rng.gen_range(0..=rec.cfg.jitter)
-                } else {
-                    0
-                };
-                let fire = now + rec.cfg.backoff(attempt) + jitter;
-                rec.counters.timer_armed(attempt);
-                let mut p = pkt;
-                p.attempt = p.attempt.saturating_add(1);
-                p.priority = boosted;
-                rec.wheel.schedule(
-                    fire,
-                    RetxEntry {
-                        link: link as u32,
-                        pkt: p,
-                    },
-                );
+            if arq.on_loss(self.now, link, pkt, boosted) {
                 self.ledger.mark_retx(pkt.task);
                 self.ledger.packet_dropped(cause);
                 return;
             }
-            rec.counters.gave_up_copies += 1;
         }
         // Terminal loss: settle the packet's future receptions.
         self.ledger.packet_dropped(cause);
@@ -701,44 +614,27 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         let lost_measured = self
             .ledger
             .settle(self.now, pkt.task, broadcast, lost, cause);
-        if let Some(rec) = self.recovery.as_deref_mut() {
-            rec.counters.gave_up_receptions += lost_measured;
+        if let Some(arq) = self.arq.as_deref_mut() {
+            arq.counters.gave_up_receptions += lost_measured;
         }
     }
 
-    fn start_service(&mut self, link: usize, pkt: Packet) {
-        let t = self.now;
-        if self.obs.is_some() {
-            self.obs_record(TraceEvent::ServiceStart {
-                link: link as u32,
-                class: pkt.priority,
-                wait: t - pkt.enqueue_time,
-                len: pkt.len,
-                task: pkt.task,
-            });
-        }
-        self.tx_by_dim[self.link_dim[link] as usize] += 1;
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
-        self.links.service_start(link, &pkt, t, faulted);
-        self.in_flight[link] = Some((pkt, t + pkt.len as u64));
-    }
-
-    fn deliver(&mut self, link: usize, pkt: Packet) {
+    fn deliver(&mut self, link: u32, pkt: Packet) {
         if self.obs.is_some() {
             self.obs_record(TraceEvent::Delivery {
-                link: link as u32,
+                link,
                 class: pkt.priority,
                 age: self.now - pkt.gen_time,
                 task: pkt.task,
             });
         }
-        let node = self.link_target[link];
+        let node = self.link_target[link as usize];
         match pkt.kind {
             PacketKind::Broadcast(state) => {
                 // Every broadcast reception is ACKed to the source over
                 // the (contention-free) control plane while ARQ is on.
-                if let Some(rec) = self.recovery.as_deref_mut() {
-                    rec.counters.acked(pkt.attempt);
+                if let Some(arq) = self.arq.as_deref_mut() {
+                    arq.counters.acked(pkt.attempt);
                 }
                 self.ledger.reception(self.now, pkt.task, pkt.priority, || {
                     self.topo.distance(state.src, node)
@@ -750,8 +646,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             }
             PacketKind::Unicast { dest } => {
                 if node == dest {
-                    if let Some(rec) = self.recovery.as_deref_mut() {
-                        rec.counters.acked(pkt.attempt);
+                    if let Some(arq) = self.arq.as_deref_mut() {
+                        arq.counters.acked(pkt.attempt);
                     }
                     self.ledger.unicast_done(self.now, pkt.task);
                 } else {
@@ -766,55 +662,40 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     }
 
     /// Fires due retransmission timers: re-injects each copy at the hop
-    /// where it was lost, or — if the link is still dead or the bounded
-    /// queue still full — arms the next backoff round (or gives up once
-    /// the retry budget is spent).
+    /// where it was lost, or — if the kernel refuses it (link still
+    /// dead, bounded queue still full) — arms the next backoff round
+    /// (or gives up once the retry budget is spent).
     fn fire_retransmissions(&mut self) {
         let now = self.now;
-        let rec = self.recovery.as_deref_mut().expect("fire without recovery");
-        let mut due = std::mem::take(&mut rec.fire_buf);
-        due.clear();
-        rec.wheel.drain_due(now, &mut due);
-        let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
+        let due = self
+            .arq
+            .as_deref_mut()
+            .expect("fire without ARQ")
+            .take_due(now);
         for e in &due {
-            let link = e.link as usize;
-            // Backpressure lets a retransmission through like any
-            // transit packet; the drop policies re-arm the timer
-            // instead of overflowing the bound.
-            let room = self.queues[link].len() < capacity
-                || matches!(self.cfg.full_queue_policy, FullQueuePolicy::Backpressure);
-            if !self.link_alive(link) || !room {
-                self.handle_loss(link, e.pkt, DropCause::Retry);
+            if let Admit::Lost(pkt, cause) = self.kernel.readmit(e.link, e.pkt, now) {
+                self.handle_loss(e.link, pkt, cause);
                 continue;
             }
-            let mut pkt = e.pkt;
-            pkt.enqueue_time = now;
             if self.obs.is_some() {
                 self.obs_record(TraceEvent::Retransmit {
                     link: e.link,
-                    class: pkt.priority,
-                    attempt: pkt.attempt,
-                    task: pkt.task,
+                    class: e.pkt.priority,
+                    attempt: e.pkt.attempt,
+                    task: e.pkt.task,
                 });
             }
-            self.queues[link].push(pkt);
-            self.queued_total += 1;
-            self.peak_queue = self.peak_queue.max(self.queued_total);
-            if !self.is_active[link] {
-                self.is_active[link] = true;
-                self.active.push(link as u32);
-            }
-            self.recovery
+            self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
+            self.arq
                 .as_deref_mut()
                 .expect("still installed")
                 .counters
                 .retransmissions += 1;
         }
-        due.clear();
-        self.recovery
+        self.arq
             .as_deref_mut()
             .expect("still installed")
-            .fire_buf = due;
+            .give_back(due);
     }
 
     /// Re-attempts backpressure-deferred injections in arrival order;
@@ -853,7 +734,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             .expect("backpressure without capacity") as usize;
         self.flow.out_links[src.index()]
             .iter()
-            .any(|&l| self.queues[l as usize].len() >= cap)
+            .any(|&l| self.kernel.qlen(l) >= cap)
     }
 
     /// Admission-control and backpressure gate in front of task
@@ -936,9 +817,10 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         task
     }
 
+    /// Offers `emit_buf`'s transmissions to `from`'s outgoing links; a
+    /// packet the kernel refuses or evicts is a loss.
     fn flush_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16) {
         let t = self.now;
-        let capacity = self.cfg.queue_capacity.map_or(usize::MAX, |c| c as usize);
         // Swap the buffer out to appease the borrow checker without
         // allocating: flushing never re-enters emit generation.
         let mut buf = std::mem::take(&mut self.emit_buf);
@@ -947,73 +829,28 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 (emit.priority as usize) < self.scheme.num_priorities(),
                 "emit priority out of range"
             );
-            let link = self
-                .topo
-                .link_id(Link {
-                    from,
-                    dim: emit.dim,
-                    dir: emit.dir,
-                })
-                .index();
-            let packet = Packet {
-                task,
-                gen_time,
-                enqueue_time: t,
-                len,
-                priority: emit.priority,
-                vc: emit.vc,
-                attempt: 0,
-                kind: emit.kind,
-            };
-            // A dead output link: drop with loss accounting, or enqueue
-            // anyway and wait out the repair (requeue policy).
-            if !self.link_alive(link) {
-                let policy = self.faults.as_ref().map(|f| f.policy).unwrap_or_default();
-                if matches!(policy, DeadLinkPolicy::Drop) {
-                    self.handle_loss(link, packet, DropCause::Fault);
-                    continue;
+            let link = self.topo.link_id(emit.link_from(from)).0;
+            let packet = emit.packet(task, gen_time, len, t);
+            match self.kernel.admit(link, packet) {
+                Admit::Queued => {}
+                Admit::Evicted(victim) => {
+                    self.flow.counters.evicted += 1;
+                    self.handle_loss(link, victim, DropCause::Overflow);
                 }
-            }
-            if self.queues[link].len() >= capacity {
-                let enqueue_anyway = match self.cfg.full_queue_policy {
-                    // Injection is gated at the source; a transit
-                    // forward cannot be refused mid-path, so it may
-                    // briefly exceed the bound (documented in
-                    // `SimConfig::queue_capacity`).
-                    FullQueuePolicy::Backpressure => true,
-                    FullQueuePolicy::DropLowestClass => {
-                        match self.queues[link].evict_lower_tail(packet.priority) {
-                            Some(victim) => {
-                                self.queued_total -= 1;
-                                self.flow.counters.evicted += 1;
-                                self.handle_loss(link, victim, DropCause::Overflow);
-                                true
-                            }
-                            None => false,
-                        }
-                    }
-                    FullQueuePolicy::DropTail => false,
-                };
-                if !enqueue_anyway {
-                    self.handle_loss(link, packet, DropCause::Overflow);
+                Admit::Lost(pkt, cause) => {
+                    self.handle_loss(link, pkt, cause);
                     continue;
                 }
             }
             if self.obs.is_some() {
                 self.obs_record(TraceEvent::Enqueue {
-                    link: link as u32,
+                    link,
                     class: packet.priority,
                     task: packet.task,
                 });
             }
-            self.queues[link].push(packet);
-            self.queued_total += 1;
-            if !self.is_active[link] {
-                self.is_active[link] = true;
-                self.active.push(link as u32);
-            }
         }
-        self.peak_queue = self.peak_queue.max(self.queued_total);
+        self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
         buf.clear();
         self.emit_buf = buf;
     }
@@ -1022,24 +859,19 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // Close out recovery measurements whose backlog drained on the
         // run's final slots (after the last `fault_tick`); links that
         // never carried traffic again are censored.
-        let (now, queues, in_flight) = (self.now, &self.queues, &self.in_flight);
+        let (now, kernel) = (self.now, &self.kernel);
         let faults = self.faults.as_mut().map(|f| {
-            f.recovery.finalize(now, |l| {
-                let l = l as usize;
-                !queues[l].is_empty() || in_flight[l].is_some()
-            });
+            f.recovery.finalize(now, |l| kernel.is_active(l));
             FaultTotals {
                 events_applied: f.events_applied,
                 fault_slots: f.fault_slots,
                 recovery_time: f.recovery.samples().summary(),
             }
         });
-        if let Some(rec) = self.recovery.as_deref_mut() {
-            rec.counters.pending_at_end = rec.wheel.len();
-        }
+        let arq = self.arq.map(|a| a.finish());
         assemble(
             self.ledger,
-            self.links,
+            self.kernel.into_counters(),
             RunOutcome {
                 cfg: &self.cfg,
                 link_dim: &self.link_dim,
@@ -1051,7 +883,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 peak_queue_total: self.peak_queue,
                 queue_trace: self.queue_trace,
                 faults,
-                arq: self.recovery.as_deref().map(|rec| &rec.counters),
+                arq: arq.as_ref(),
                 flow: &self.flow.counters,
             },
         )
@@ -1590,14 +1422,14 @@ mod tests {
         // Slot 1: B and C fill the queue to capacity...
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.queues[0].len(), 2);
+        assert_eq!(e.kernel.qlen(0), 2);
         // ...then the link dies: A is requeued head-of-line, one over.
         e.step(false);
-        assert_eq!(e.queues[0].len(), 3, "capacity + 1 after requeue");
+        assert_eq!(e.kernel.qlen(0), 3, "capacity + 1 after requeue");
         // A further emit toward the (full, dead) queue is dropped — the
         // overflow never compounds.
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.queues[0].len(), 3);
+        assert_eq!(e.kernel.qlen(0), 3);
         e.run_until_idle();
         let rep = e.report(true);
         assert_eq!(rep.dropped_packets, 1, "only the post-overflow emit");
@@ -1768,10 +1600,10 @@ mod tests {
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.queues[0].len(), 2);
+        assert_eq!(e.kernel.qlen(0), 2);
         // A class-0 broadcast copy evicts the newest queued unicast.
         e.inject_broadcast(NodeId(0));
-        assert_eq!(e.queues[0].len(), 2);
+        assert_eq!(e.kernel.qlen(0), 2);
         e.run_until_idle();
         let rep = e.report(true);
         assert_eq!(rep.flow.evicted_packets, 1);

@@ -32,6 +32,17 @@ pub enum LossCause {
     Retry,
 }
 
+impl From<LossCause> for pstar_obs::DropKind {
+    /// How a loss reads in a trace.
+    fn from(cause: LossCause) -> Self {
+        match cause {
+            LossCause::Fault => Self::Fault,
+            LossCause::Overflow => Self::Overflow,
+            LossCause::Retry => Self::RetryFailed,
+        }
+    }
+}
+
 /// Watches repaired links until each one counts as *recovered*, and
 /// accumulates the time-to-recovery samples.
 ///

@@ -29,11 +29,16 @@
 //! that lasts until every tagged task completes. Queue blow-ups and
 //! horizon overruns are reported as instability rather than hanging.
 //!
-//! How a run is counted and how the counters become a [`SimReport`] is
-//! written once, in the ledger ([`TaskLedger`], [`LinkCounters`],
-//! [`assemble`]), for [`Engine`], [`ShardedEngine`] and the `pstar-net`
-//! runtime alike; [`EventEngine`] keeps independent accounting because
-//! it is the oracle the step engine is cross-validated against.
+//! ## One kernel, one ledger
+//!
+//! The per-link state — queues, the transmission in flight, admission,
+//! link death, service starts — is written once, in [`LinkKernel`], and
+//! the ARQ timers once, in [`Arq`]; how a run is counted and how the
+//! counters become a [`SimReport`] is written once, in the ledger
+//! ([`TaskLedger`], [`LinkCounters`], [`assemble`]). [`Engine`],
+//! [`ShardedEngine`] and the `pstar-net` runtime are drivers of those;
+//! [`EventEngine`] keeps its own [`PriorityQueue`]s and accounting
+//! because it is the oracle the step engine is cross-validated against.
 
 #![warn(missing_docs)]
 
@@ -42,6 +47,7 @@ mod config;
 mod engine;
 mod event_engine;
 mod faultepoch;
+mod kernel;
 mod ledger;
 mod metrics;
 mod packet;
@@ -57,6 +63,7 @@ pub use config::SimConfig;
 pub use engine::Engine;
 pub use event_engine::EventEngine;
 pub use faultepoch::{LossCause, RecoveryTracker};
+pub use kernel::{Admit, FinishScan, LinkKernel};
 pub use ledger::{
     assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
     RunOutcome, TailsState, TaskLedger, BACKOFF_HIST_BUCKETS,
@@ -68,7 +75,7 @@ pub use metrics::{
 pub use packet::{BroadcastState, Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 pub use perf::{CoordPhases, EnginePerf, EnginePerfConfig, WorkerPhases, PHASE_NAMES};
 pub use queue::PriorityQueue;
-pub use recovery::{AdmissionConfig, ArqConfig, FullQueuePolicy, RetxEntry, TimeoutWheel};
+pub use recovery::{AdmissionConfig, Arq, ArqConfig, FullQueuePolicy, RetxEntry, ARQ_SEED_SALT};
 pub use scheme::Scheme;
 pub use sharded::ShardedEngine;
 

@@ -1,6 +1,6 @@
 //! In-flight packet representation.
 
-use pstar_topology::{Direction, NodeId};
+use pstar_topology::{Direction, Link, NodeId};
 
 /// Maximum number of priority classes a scheme may use.
 ///
@@ -93,6 +93,35 @@ pub struct Emit {
     pub priority: u8,
     /// Virtual channel tag.
     pub vc: u8,
+}
+
+impl Emit {
+    /// The directed link this transmission leaves node `from` on.
+    #[inline]
+    pub fn link_from(&self, from: NodeId) -> Link {
+        Link {
+            from,
+            dim: self.dim,
+            dir: self.dir,
+        }
+    }
+
+    /// The packet this transmission offers its link at slot `now`: a
+    /// first attempt of `len` slots for task `task`, generated at
+    /// `gen_time`.
+    #[inline]
+    pub fn packet(&self, task: u32, gen_time: u64, len: u16, now: u64) -> Packet {
+        Packet {
+            task,
+            gen_time,
+            enqueue_time: now,
+            len,
+            priority: self.priority,
+            vc: self.vc,
+            attempt: 0,
+            kind: self.kind,
+        }
+    }
 }
 
 #[cfg(test)]

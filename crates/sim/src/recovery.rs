@@ -24,7 +24,10 @@
 //! an engine built before this module existed (enforced by the
 //! zero-overhead proptests).
 
+use crate::ledger::ArqCounters;
 use crate::packet::Packet;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// End-to-end ARQ (retransmission) configuration; install via
 /// [`crate::SimConfig::arq`].
@@ -135,12 +138,6 @@ pub struct TimeoutWheel {
     len: usize,
 }
 
-impl Default for TimeoutWheel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TimeoutWheel {
     /// An empty wheel.
     pub fn new() -> Self {
@@ -187,6 +184,99 @@ impl TimeoutWheel {
             }
         }
         bucket.truncate(kept);
+    }
+}
+
+/// Seed perturbation of the ARQ jitter streams: recovery draws come from
+/// their own stream, so enabling ARQ never shifts traffic randomness.
+/// XOR it into the run seed before [`Arq::new`].
+pub const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The ARQ recovery state of one driver (the serial engine, or one
+/// `pstar-net` worker for the links it owns): armed timers, the jitter
+/// stream, and the counters. What arming a timer means for the task
+/// (marking it retransmitted) and what giving up means (settling the
+/// loss) stay with the caller.
+#[derive(Debug)]
+pub struct Arq {
+    cfg: ArqConfig,
+    wheel: TimeoutWheel,
+    /// Dedicated jitter stream (never a traffic RNG).
+    rng: StdRng,
+    /// Scratch lent out by [`Arq::take_due`].
+    due: Vec<RetxEntry>,
+    /// What the layer did so far; the caller adds the events it alone
+    /// sees (acks, successful re-injections, receptions given up).
+    pub counters: ArqCounters,
+}
+
+impl Arq {
+    /// An idle layer drawing jitter from `jitter_seed` (the run seed
+    /// salted with [`ARQ_SEED_SALT`]).
+    pub fn new(cfg: ArqConfig, jitter_seed: u64) -> Self {
+        Self {
+            cfg,
+            wheel: TimeoutWheel::new(),
+            rng: StdRng::seed_from_u64(jitter_seed),
+            due: Vec::new(),
+            counters: ArqCounters::default(),
+        }
+    }
+
+    /// `true` when no timer is armed.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.wheel.is_empty()
+    }
+
+    /// The copy `pkt` was lost at `link` in slot `now`: arms its next
+    /// backoff timer — the copy will come back one attempt older, in
+    /// class `boosted` — and returns `true`, or returns `false` once
+    /// the retry budget is spent (the `GaveUp` terminal state: the
+    /// caller settles the loss for good).
+    pub fn on_loss(&mut self, now: u64, link: u32, pkt: Packet, boosted: u8) -> bool {
+        let attempt = pkt.attempt as u32;
+        if self.cfg.max_retries.is_some_and(|m| attempt >= m) {
+            self.counters.gave_up_copies += 1;
+            return false;
+        }
+        let jitter = if self.cfg.jitter > 0 {
+            self.rng.gen_range(0..=self.cfg.jitter)
+        } else {
+            0
+        };
+        self.counters.timer_armed(attempt);
+        let pkt = Packet {
+            attempt: pkt.attempt.saturating_add(1),
+            priority: boosted,
+            ..pkt
+        };
+        self.wheel.schedule(
+            now + self.cfg.backoff(attempt) + jitter,
+            RetxEntry { link, pkt },
+        );
+        true
+    }
+
+    /// The timers firing at `now`, in arming order, in a buffer to hand
+    /// back through [`Arq::give_back`] (so firing allocates nothing).
+    pub fn take_due(&mut self, now: u64) -> Vec<RetxEntry> {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        self.wheel.drain_due(now, &mut due);
+        due
+    }
+
+    /// Returns the buffer lent by [`Arq::take_due`].
+    pub fn give_back(&mut self, due: Vec<RetxEntry>) {
+        self.due = due;
+    }
+
+    /// Closes the layer at the end of a run: the counters, with the
+    /// timers still armed recorded.
+    pub fn finish(mut self) -> ArqCounters {
+        self.counters.pending_at_end = self.wheel.len();
+        self.counters
     }
 }
 

@@ -1,34 +1,23 @@
-//! The sharded structure-of-arrays engine: the serial [`crate::Engine`]
-//! re-built for single-run throughput.
+//! The sharded engine: the serial [`crate::Engine`] split spatially for
+//! single-run throughput.
 //!
-//! Two independent optimizations compose here:
-//!
-//! * **Flat SoA queue/packet arenas.** The serial engine keeps one
-//!   [`crate::PriorityQueue`] (four `VecDeque`s) per link; every push
-//!   and pop touches a scattered heap object. The sharded engine holds
-//!   all queued packets of a shard in one packet arena with `u32`
-//!   intrusive free/next links, one `(head, tail)` pair per
-//!   (link, class), a per-link class bitmask, and per-link `u64`
-//!   bitsets for *backlogged*, *busy* and *alive*. The service scan is
-//!   a word-at-a-time bitset walk instead of a `Vec<u32>` active-list
-//!   sort + compaction.
-//!
-//! * **Spatial sharding with a deterministic coordinator.** Nodes are
-//!   split into contiguous ranges, one shard per range; a link belongs
-//!   to the shard owning its *source* node (torus link ids are
-//!   node-major, so each shard owns a contiguous link range). Shards
-//!   run the per-link hot work (delivery scan, queue ops, service
-//!   starts) and exchange boundary deliveries per slot; everything
-//!   with global, order-sensitive state — the RNG, the task table, the
-//!   delay statistics, fault accounting — lives in a single
-//!   coordinator that consumes shard messages in **ascending
-//!   `(stage, link, seq)` key order**. That order equals the serial
-//!   engine's processing order (the ascending-link-id merge rule shared
-//!   with `pstar-net`), so a seeded run is bit-identical to the serial
-//!   engine at any shard count, threaded or not, on every report
-//!   field. The coordinator embeds the same [`TaskLedger`] the serial
-//!   engine does and each shard the same [`LinkCounters`] (see
-//!   `crate::ledger`), so the accounting rules exist once.
+//! Nodes are split into contiguous ranges, one shard per range; a link
+//! belongs to the shard owning its *source* node (link ids are
+//! node-major, so each shard owns a contiguous link range). Each shard
+//! runs one [`LinkKernel`] — the same queueing, in-flight and service
+//! code the serial engine runs over all links — plus the scheme's
+//! broadcast forwarding for its nodes, and exchanges boundary
+//! deliveries per slot. Everything with global, order-sensitive state —
+//! the RNG, the task table, the delay statistics, fault accounting —
+//! lives in a single coordinator that consumes shard messages in
+//! **ascending `(stage, link, seq)` key order**. That order equals the
+//! serial engine's processing order (the ascending-link-id merge rule
+//! shared with `pstar-net`), so a seeded run is bit-identical to the
+//! serial engine at any shard count, threaded or not, on every report
+//! field. The coordinator embeds the same [`TaskLedger`] the serial
+//! engine does and each shard's kernel the same
+//! [`crate::LinkCounters`] (see `crate::ledger`), so the accounting
+//! rules exist once.
 //!
 //! Scope: the sharded engine covers the measurement configurations the
 //! benchmarks run — fault plans (both dead-link policies), tails
@@ -39,6 +28,7 @@
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::SimConfig;
 use crate::faultepoch::{LossCause, RecoveryTracker};
+use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{
     assemble, receptions_at_stake, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
 };
@@ -47,14 +37,11 @@ use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::perf::{assemble_perf, CoordHooks, EnginePerf, EnginePerfConfig, WorkerPerf};
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
-use pstar_topology::{Link, Network, NodeId};
+use pstar_topology::{Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Barrier, Mutex};
-
-/// Sentinel for "no slot" in the arena's intrusive lists.
-const NIL: u32 = u32::MAX;
 
 /// Deterministic merge key for everything a shard sends the
 /// coordinator within one slot: `(stage, major, minor)`.
@@ -197,35 +184,6 @@ impl<N> ShardCtx<'_, N> {
     }
 }
 
-#[inline]
-fn bit_get(bits: &[u64], i: usize) -> bool {
-    bits[i >> 6] & (1u64 << (i & 63)) != 0
-}
-
-#[inline]
-fn bit_set(bits: &mut [u64], i: usize) {
-    bits[i >> 6] |= 1u64 << (i & 63);
-}
-
-#[inline]
-fn bit_clear(bits: &mut [u64], i: usize) {
-    bits[i >> 6] &= !(1u64 << (i & 63));
-}
-
-/// Placeholder for `flight_pkt` slots of idle links.
-fn dummy_packet() -> Packet {
-    Packet {
-        task: 0,
-        gen_time: 0,
-        enqueue_time: 0,
-        len: 1,
-        priority: 0,
-        vc: 0,
-        attempt: 0,
-        kind: PacketKind::Unicast { dest: NodeId(0) },
-    }
-}
-
 /// The receptions a lost copy was still responsible for, as a keyed
 /// settle payload. Must be computed against the scheme state at the
 /// loss (the caller chooses pre- or post-liveness-update, matching the
@@ -239,35 +197,13 @@ fn settle_pkt<S: Scheme>(scheme: &S, pkt: &Packet) -> MsgBody {
     }
 }
 
-/// One spatial shard: the SoA queue state and service/delivery hot
-/// loops for a contiguous range of links.
+/// One spatial shard: the [`LinkKernel`] of a contiguous range of
+/// links, the scheme replica that forwards their deliveries, and the
+/// per-slot exchange buffers.
 struct Shard<S> {
     id: u32,
-    lo_link: u32,
-    n_links: usize,
     scheme: S,
-
-    // Packet arena with intrusive next links and a LIFO free list.
-    arena_pkts: Vec<Packet>,
-    arena_next: Vec<u32>,
-    free_head: u32,
-
-    // Per-(link, class) FIFO heads/tails, per-link class mask + length.
-    qhead: Vec<u32>,
-    qtail: Vec<u32>,
-    class_mask: Vec<u8>,
-    qlen: Vec<u32>,
-
-    // Per-link bitsets.
-    backlog: Vec<u64>,
-    busy: Vec<u64>,
-    alive: Vec<u64>,
-
-    // In-flight transmissions (valid where the busy bit is set).
-    flight_pkt: Vec<Packet>,
-    flight_finish: Vec<u64>,
-
-    queued_local: u64,
+    kernel: LinkKernel,
 
     // Per-slot buffers.
     local_arrivals: Vec<(u32, Packet)>,
@@ -275,6 +211,8 @@ struct Shard<S> {
     msgs: Vec<Msg>,
     out: Vec<Vec<(u32, Packet)>>,
     emit_buf: Vec<Emit>,
+    /// Scratch for the packets a dying link loses.
+    loss_buf: Vec<Packet>,
     a1: A1Report,
     b: BReport,
 
@@ -284,161 +222,40 @@ struct Shard<S> {
     /// phase B merely appends the coordinator's stage-2 generation
     /// commands — the per-slot key merge disappears.
     direct: bool,
-    // Fault state (replica view, kept in lockstep via deltas).
-    faulted: bool,
-    policy: DeadLinkPolicy,
+    // Fault state (replica view, kept in lockstep via deltas; idle
+    // without a plan).
     view: LivenessView,
     any_now: bool,
     watched: Vec<u32>,
-
-    /// Service-start statistics of the owned links, merged at report
-    /// time.
-    links: LinkCounters,
-}
-
-/// Construction-time parameters common to every shard.
-#[derive(Clone, Copy)]
-struct ShardInit {
-    shards: usize,
-    link_count: u32,
-    node_count: u32,
-    direct: bool,
 }
 
 impl<S: Scheme> Shard<S> {
+    /// A shard among `shards`, starting from a healthy liveness `view`.
     fn new(
         id: u32,
-        links: LinkCounters,
-        lo_link: u32,
-        hi_link: u32,
+        kernel: LinkKernel,
         scheme: S,
-        init: ShardInit,
+        shards: usize,
+        view: LivenessView,
+        direct: bool,
     ) -> Self {
-        let ShardInit {
-            shards,
-            link_count,
-            node_count,
-            direct,
-        } = init;
-        let n_links = (hi_link - lo_link) as usize;
-        let words = n_links.div_ceil(64);
         Self {
             id,
-            lo_link,
-            n_links,
             scheme,
-            arena_pkts: Vec::new(),
-            arena_next: Vec::new(),
-            free_head: NIL,
-            qhead: vec![NIL; n_links * MAX_PRIORITY_CLASSES],
-            qtail: vec![NIL; n_links * MAX_PRIORITY_CLASSES],
-            class_mask: vec![0; n_links],
-            qlen: vec![0; n_links],
-            backlog: vec![0; words],
-            busy: vec![0; words],
-            alive: vec![u64::MAX; words],
-            flight_pkt: vec![dummy_packet(); n_links],
-            flight_finish: vec![0; n_links],
-            queued_local: 0,
+            kernel,
             local_arrivals: Vec::new(),
             enq_local: Vec::new(),
             msgs: Vec::new(),
             out: (0..shards).map(|_| Vec::new()).collect(),
             emit_buf: Vec::with_capacity(64),
+            loss_buf: Vec::new(),
             a1: A1Report::default(),
             b: BReport::default(),
             direct,
-            faulted: false,
-            policy: DeadLinkPolicy::default(),
-            view: LivenessView::healthy(link_count, node_count),
+            view,
             any_now: false,
             watched: Vec::new(),
-            links,
         }
-    }
-
-    #[inline]
-    fn alloc(&mut self, pkt: Packet) -> u32 {
-        if self.free_head != NIL {
-            let slot = self.free_head;
-            self.free_head = self.arena_next[slot as usize];
-            self.arena_pkts[slot as usize] = pkt;
-            slot
-        } else {
-            let slot = self.arena_pkts.len() as u32;
-            self.arena_pkts.push(pkt);
-            self.arena_next.push(NIL);
-            slot
-        }
-    }
-
-    /// Appends to the tail of the packet's class FIFO on local link
-    /// `li` (the serial `PriorityQueue::push`).
-    fn q_push(&mut self, li: usize, pkt: Packet) {
-        let slot = self.alloc(pkt);
-        self.arena_next[slot as usize] = NIL;
-        let class = pkt.priority as usize;
-        let idx = li * MAX_PRIORITY_CLASSES + class;
-        if self.qtail[idx] != NIL {
-            self.arena_next[self.qtail[idx] as usize] = slot;
-        } else {
-            self.qhead[idx] = slot;
-            self.class_mask[li] |= 1 << class;
-        }
-        self.qtail[idx] = slot;
-        self.qlen[li] += 1;
-        if self.qlen[li] == 1 {
-            bit_set(&mut self.backlog, li);
-        }
-        self.queued_local += 1;
-    }
-
-    /// Re-admits an interrupted transmission at the head of its class
-    /// FIFO (the serial `PriorityQueue::push_front`).
-    fn q_push_front(&mut self, li: usize, pkt: Packet) {
-        let slot = self.alloc(pkt);
-        let class = pkt.priority as usize;
-        let idx = li * MAX_PRIORITY_CLASSES + class;
-        self.arena_next[slot as usize] = self.qhead[idx];
-        self.qhead[idx] = slot;
-        if self.qtail[idx] == NIL {
-            self.qtail[idx] = slot;
-        }
-        self.class_mask[li] |= 1 << class;
-        self.qlen[li] += 1;
-        if self.qlen[li] == 1 {
-            bit_set(&mut self.backlog, li);
-        }
-        self.queued_local += 1;
-    }
-
-    /// Pops the head of the lowest non-empty class (the serial
-    /// `PriorityQueue::pop`); repeated calls drain in exactly
-    /// `PriorityQueue::drain_all` order.
-    fn q_pop(&mut self, li: usize) -> Option<Packet> {
-        let mask = self.class_mask[li];
-        if mask == 0 {
-            return None;
-        }
-        let class = mask.trailing_zeros() as usize;
-        let idx = li * MAX_PRIORITY_CLASSES + class;
-        let slot = self.qhead[idx];
-        debug_assert_ne!(slot, NIL);
-        let next = self.arena_next[slot as usize];
-        self.qhead[idx] = next;
-        if next == NIL {
-            self.qtail[idx] = NIL;
-            self.class_mask[li] &= !(1 << class);
-        }
-        let pkt = self.arena_pkts[slot as usize];
-        self.arena_next[slot as usize] = self.free_head;
-        self.free_head = slot;
-        self.qlen[li] -= 1;
-        if self.qlen[li] == 0 {
-            bit_clear(&mut self.backlog, li);
-        }
-        self.queued_local -= 1;
-        Some(pkt)
     }
 
     /// Phase A1: apply the slot's fault delta (interrupt in-flight
@@ -456,50 +273,30 @@ impl<S: Scheme> Shard<S> {
         if let Some(delta) = delta {
             self.view.apply_delta(delta);
             if delta.changed() {
+                let before = self.kernel.queued();
                 for (di, &link) in delta.newly_dead.iter().enumerate() {
-                    let gid = link.0;
-                    if gid < self.lo_link || (gid - self.lo_link) as usize >= self.n_links {
+                    if !self.kernel.owns(link.0) {
                         continue;
                     }
-                    let li = (gid - self.lo_link) as usize;
-                    let mut seq = 0u32;
-                    if bit_get(&self.busy, li) {
-                        bit_clear(&mut self.busy, li);
-                        let pkt = self.flight_pkt[li];
-                        match self.policy {
-                            DeadLinkPolicy::Drop => {
-                                self.msgs.push(Msg {
-                                    key: key(0, di as u64, seq),
-                                    body: settle_pkt(&self.scheme, &pkt),
-                                });
-                                seq += 1;
-                            }
-                            DeadLinkPolicy::Requeue => {
-                                self.q_push_front(li, pkt);
-                                self.a1.fault_qdelta += 1;
-                            }
-                        }
+                    // Whatever the dead-link policy loses settles in the
+                    // kernel's order: the interrupted transmission, then
+                    // the backlog.
+                    self.kernel.kill(link.0, &mut self.loss_buf);
+                    for (seq, pkt) in self.loss_buf.drain(..).enumerate() {
+                        self.msgs.push(Msg {
+                            key: key(0, di as u64, seq as u32),
+                            body: settle_pkt(&self.scheme, &pkt),
+                        });
                     }
-                    if matches!(self.policy, DeadLinkPolicy::Drop) && self.qlen[li] > 0 {
-                        self.a1.fault_qdelta -= self.qlen[li] as i64;
-                        while let Some(pkt) = self.q_pop(li) {
-                            self.msgs.push(Msg {
-                                key: key(0, di as u64, seq),
-                                body: settle_pkt(&self.scheme, &pkt),
-                            });
-                            seq += 1;
-                        }
-                    }
-                    bit_clear(&mut self.alive, li);
                 }
+                self.a1.fault_qdelta = self.kernel.queued() as i64 - before as i64;
                 for &link in &delta.repaired {
-                    let gid = link.0;
-                    if gid < self.lo_link || (gid - self.lo_link) as usize >= self.n_links {
+                    if !self.kernel.owns(link.0) {
                         continue;
                     }
-                    bit_set(&mut self.alive, (gid - self.lo_link) as usize);
-                    if !self.watched.contains(&gid) {
-                        self.watched.push(gid);
+                    self.kernel.revive(link.0);
+                    if !self.watched.contains(&link.0) {
+                        self.watched.push(link.0);
                     }
                 }
                 // The settles above use the *pre-update* scheme, as the
@@ -512,13 +309,8 @@ impl<S: Scheme> Shard<S> {
 
         // Recovery busy probe: post-drain, pre-delivery — the serial
         // `fault_tick` probe point.
-        if self.faulted && !self.watched.is_empty() {
-            for &gid in &self.watched {
-                let li = (gid - self.lo_link) as usize;
-                self.a1
-                    .watch_busy
-                    .push((gid, self.qlen[li] > 0 || bit_get(&self.busy, li)));
-            }
+        for &gid in &self.watched {
+            self.a1.watch_busy.push((gid, self.kernel.is_active(gid)));
         }
 
         // Delivery scan in ascending link order. Single-shard runs have
@@ -526,29 +318,19 @@ impl<S: Scheme> Shard<S> {
         // already the merged arrival order — handle deliveries on the
         // spot instead of buffering them for phase A2.
         let solo = self.out.len() == 1;
-        for w in 0..self.busy.len() {
-            let mut m = self.busy[w];
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let li = (w << 6) | b;
-                if self.flight_finish[li] != t {
-                    continue;
-                }
-                bit_clear(&mut self.busy, li);
-                let gid = self.lo_link + li as u32;
-                let pkt = self.flight_pkt[li];
-                if solo {
-                    self.handle_arrival(t, ctx, gid, pkt);
-                    continue;
-                }
-                let target = ctx.link_target[gid as usize];
-                let ts = ctx.node_shard[target.0 as usize];
-                if ts == self.id {
-                    self.local_arrivals.push((gid, pkt));
-                } else {
-                    self.out[ts as usize].push((gid, pkt));
-                }
+        let mut scan = self.kernel.finish_scan();
+        while let Some((gid, pkt)) = self.kernel.next_finished(&mut scan, t) {
+            if solo {
+                let pkt = *pkt;
+                self.handle_arrival(t, ctx, gid, pkt);
+                continue;
+            }
+            let target = ctx.link_target[gid as usize];
+            let ts = ctx.node_shard[target.0 as usize];
+            if ts == self.id {
+                self.local_arrivals.push((gid, *pkt));
+            } else {
+                self.out[ts as usize].push((gid, *pkt));
             }
         }
     }
@@ -656,35 +438,14 @@ impl<S: Scheme> Shard<S> {
         emits: &[Emit],
     ) {
         for (i, emit) in emits.iter().enumerate() {
-            let link = ctx
-                .topo
-                .link_id(Link {
-                    from,
-                    dim: emit.dim,
-                    dir: emit.dir,
-                })
-                .0;
+            let link = ctx.topo.link_id(emit.link_from(from)).0;
             debug_assert!(
-                link >= self.lo_link && ((link - self.lo_link) as usize) < self.n_links,
+                self.kernel.owns(link),
                 "emit link not owned by the emitting node's shard"
             );
             let key = key(1, gid, 1 + i as u32);
-            let pkt = Packet {
-                task: meta.task,
-                gen_time: meta.gen_time,
-                enqueue_time: t,
-                len: meta.len,
-                priority: emit.priority,
-                vc: emit.vc,
-                attempt: 0,
-                kind: emit.kind,
-            };
-            let li = (link - self.lo_link) as usize;
-            if self.faulted
-                && self.any_now
-                && !bit_get(&self.alive, li)
-                && matches!(self.policy, DeadLinkPolicy::Drop)
-            {
+            let pkt = emit.packet(meta.task, meta.gen_time, meta.len, t);
+            if self.kernel.drops(link) {
                 self.msgs.push(Msg {
                     key,
                     body: settle_pkt(&self.scheme, &pkt),
@@ -693,11 +454,20 @@ impl<S: Scheme> Shard<S> {
                 // Broadcast-only: no stage-1 coordinator commands can
                 // interleave, so the A2 processing order IS the merged
                 // key order for this link — enqueue on the spot.
-                self.q_push(li, pkt);
+                self.admit(link, pkt);
             } else {
                 self.enq_local.push(Cmd { key, link, pkt });
             }
         }
+    }
+
+    /// Enqueues a packet that is known to stay: queues are unbounded
+    /// here, and emits toward a dropping link were settled when staged
+    /// (liveness cannot change between staging and phase B).
+    #[inline]
+    fn admit(&mut self, link: u32, pkt: Packet) {
+        let outcome = self.kernel.admit(link, pkt);
+        debug_assert!(matches!(outcome, Admit::Queued), "unbounded admit refused");
     }
 
     /// Phase B: merge local and coordinator enqueues in key order
@@ -720,30 +490,16 @@ impl<S: Scheme> Shard<S> {
                 j += 1;
                 cmds[j - 1]
             };
-            let li = (cmd.link - self.lo_link) as usize;
-            self.q_push(li, cmd.pkt);
+            self.admit(cmd.link, cmd.pkt);
         }
         cmds.clear();
         self.enq_local = local;
 
-        self.b.pre_service = self.queued_local;
-        let faulted = self.faulted && self.any_now;
-        for w in 0..self.backlog.len() {
-            let mut m = self.backlog[w] & !self.busy[w] & self.alive[w];
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let li = (w << 6) | b;
-                let pkt = self.q_pop(li).expect("backlogged link has a packet");
-                self.links.service_start(li, &pkt, t, faulted);
-                self.flight_pkt[li] = pkt;
-                self.flight_finish[li] = t + pkt.len as u64;
-                bit_set(&mut self.busy, li);
-            }
-        }
-        self.b.end_total = self.queued_local;
+        self.b.pre_service = self.kernel.queued();
+        self.kernel.start(t, self.any_now, |_, _| {});
+        self.b.end_total = self.kernel.queued();
         self.b.max_qlen = if (t + 1) % 4096 == 0 {
-            self.qlen.iter().copied().max().unwrap_or(0)
+            self.kernel.max_qlen() as u32
         } else {
             0
         };
@@ -986,24 +742,8 @@ impl<S: Scheme> Coordinator<S> {
                 (emit.priority as usize) < self.scheme.num_priorities(),
                 "emit priority out of range"
             );
-            let gid = ctx
-                .topo
-                .link_id(Link {
-                    from,
-                    dim: emit.dim,
-                    dir: emit.dir,
-                })
-                .0;
-            let pkt = Packet {
-                task: meta.task,
-                gen_time: meta.gen_time,
-                enqueue_time: t,
-                len: meta.len,
-                priority: emit.priority,
-                vc: emit.vc,
-                attempt: 0,
-                kind: emit.kind,
-            };
+            let gid = ctx.topo.link_id(emit.link_from(from)).0;
+            let pkt = emit.packet(meta.task, meta.gen_time, meta.len, t);
             if !self.link_alive(gid) {
                 let policy = self.faults.as_ref().map(|f| f.policy).unwrap_or_default();
                 if matches!(policy, DeadLinkPolicy::Drop) {
@@ -1219,16 +959,11 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             let (lo, hi) = (shard_lo_link[s], shard_lo_link[s + 1]);
             shard_vec.push(Shard::new(
                 s as u32,
-                LinkCounters::new(&cfg, topo.d(), lo as usize, (hi - lo) as usize),
-                lo,
-                hi,
+                LinkKernel::new(&cfg, topo.d(), lo, hi),
                 scheme.clone(),
-                ShardInit {
-                    shards,
-                    link_count: links,
-                    node_count: n,
-                    direct: mix.lambda_unicast == 0.0,
-                },
+                shards,
+                LivenessView::healthy(links, n),
+                mix.lambda_unicast == 0.0,
             ));
         }
 
@@ -1291,8 +1026,7 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             pending: None,
         }));
         for sh in &mut self.shards {
-            sh.faulted = true;
-            sh.policy = policy;
+            sh.kernel.set_dead_link_policy(policy);
         }
         self
     }
@@ -1377,22 +1111,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             }
         };
 
-        // Arena high-water marks come for free: the arena never
-        // shrinks, so its final length is the peak occupancy, and the
-        // free list is whatever of that peak is idle at the end.
         let perf = hooks.map(|h| {
-            let arena: Vec<(u32, u32)> = shards
-                .iter()
-                .map(|sh| {
-                    let mut free = 0u32;
-                    let mut cur = sh.free_head;
-                    while cur != NIL {
-                        free += 1;
-                        cur = sh.arena_next[cur as usize];
-                    }
-                    (sh.arena_pkts.len() as u32, free)
-                })
-                .collect();
+            let arena: Vec<(u32, u32)> = shards.iter().map(|sh| sh.kernel.arena_stats()).collect();
             let wall_ns = h.now_ns();
             let nsh = shards.len();
             assemble_perf(h, worker_perfs, arena, nsh, coord.now - t0, wall_ns)
@@ -1401,11 +1121,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         // Close out recovery measurements against the shards' final
         // queue state (the serial engine probes its own queues here).
         let faults = coord.faults.take().map(|mut f| {
-            f.recovery.finalize(coord.now, |l| {
-                let sh = &shards[ctx.shard_of(l)];
-                let li = (l - sh.lo_link) as usize;
-                sh.qlen[li] > 0 || bit_get(&sh.busy, li)
-            });
+            f.recovery
+                .finalize(coord.now, |l| shards[ctx.shard_of(l)].kernel.is_active(l));
             FaultTotals {
                 events_applied: f.events_applied,
                 fault_slots: f.fault_slots,
@@ -1414,7 +1131,7 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         });
         let mut link_counters = LinkCounters::new(&cfg, topo.d(), 0, links);
         for sh in &shards {
-            link_counters.merge(&sh.links);
+            link_counters.merge(sh.kernel.counters());
         }
         let report = assemble(
             coord.ledger,

@@ -26,10 +26,11 @@ mod common;
 use common::{crn_seed, net_run};
 use priority_star::{run_scenario, ScenarioSpec, SchemeKind};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use pstar_net::{run_net, run_net_with_faults, Channel, ChaosConfig, NetConfig, NetError};
 use pstar_sim::{
-    run_with_faults, DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, Packet, PacketKind,
-    PriorityQueue, SimConfig,
+    run_with_faults, Admit, DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, FullQueuePolicy,
+    LinkKernel, LossCause, Packet, PacketKind, PriorityQueue, SimConfig,
 };
 use pstar_topology::{LinkId, NodeId, Torus};
 
@@ -459,6 +460,181 @@ fn packet(task: u32, priority: u8) -> Packet {
     }
 }
 
+/// First global link id of the property-tested kernel: not a multiple
+/// of 64, so global ids and bitset positions differ.
+const KERNEL_LO: u32 = 37;
+
+/// The links the kernel proptest drives: both ends of the range and the
+/// ones around the first 64-bit word boundary of the kernel's bitsets.
+const KERNEL_LINKS: [u32; 7] = [
+    KERNEL_LO,
+    KERNEL_LO + 1,
+    KERNEL_LO + 62,
+    KERNEL_LO + 63,
+    KERNEL_LO + 64,
+    KERNEL_LO + 65,
+    KERNEL_LO + 69,
+];
+
+/// An `Admit` reduced to what the reference model predicts: `Ok(evicted
+/// task)` when the packet was queued, `Err(cause)` when it was refused.
+fn outcome(admit: Admit) -> Result<Option<u32>, LossCause> {
+    match admit {
+        Admit::Queued => Ok(None),
+        Admit::Evicted(victim) => Ok(Some(victim.task)),
+        Admit::Lost(_, cause) => Err(cause),
+    }
+}
+
+/// One link of the reference model: the queue, in-flight register and
+/// liveness flag every backend kept per link before the kernel.
+struct ReferenceLink {
+    id: u32,
+    queue: PriorityQueue,
+    in_flight: Option<(Packet, u64)>,
+    alive: bool,
+}
+
+impl ReferenceLink {
+    fn is_full(&self, capacity: Option<u32>) -> bool {
+        capacity.is_some_and(|c| self.queue.len() >= c as usize)
+    }
+}
+
+/// The pre-kernel engines' per-link state and decisions, kept here as
+/// the model `LinkKernel` is checked against.
+struct ReferenceLinks {
+    links: Vec<ReferenceLink>,
+    policy: DeadLinkPolicy,
+    capacity: Option<u32>,
+    full_policy: FullQueuePolicy,
+}
+
+impl ReferenceLinks {
+    fn new(policy: DeadLinkPolicy, capacity: Option<u32>, full_policy: FullQueuePolicy) -> Self {
+        Self {
+            links: KERNEL_LINKS
+                .iter()
+                .map(|&id| ReferenceLink {
+                    id,
+                    queue: PriorityQueue::new(),
+                    in_flight: None,
+                    alive: true,
+                })
+                .collect(),
+            policy,
+            capacity,
+            full_policy,
+        }
+    }
+
+    fn at(&mut self, link: u32) -> &mut ReferenceLink {
+        self.links
+            .iter_mut()
+            .find(|l| l.id == link)
+            .expect("a driven link")
+    }
+
+    /// The engine's `flush_emits` decision.
+    fn admit(&mut self, link: u32, pkt: Packet) -> Result<Option<u32>, LossCause> {
+        let (policy, capacity, full_policy) = (self.policy, self.capacity, self.full_policy);
+        let l = self.at(link);
+        if !l.alive && policy == DeadLinkPolicy::Drop {
+            return Err(LossCause::Fault);
+        }
+        let mut evicted = None;
+        if l.is_full(capacity) {
+            match full_policy {
+                FullQueuePolicy::Backpressure => {}
+                FullQueuePolicy::DropLowestClass => match l.queue.evict_lower_tail(pkt.priority) {
+                    Some(victim) => evicted = Some(victim.task),
+                    None => return Err(LossCause::Overflow),
+                },
+                FullQueuePolicy::DropTail => return Err(LossCause::Overflow),
+            }
+        }
+        l.queue.push(pkt);
+        Ok(evicted)
+    }
+
+    /// The engine's `fire_retransmissions` decision.
+    fn readmit(&mut self, link: u32, pkt: Packet) -> Result<Option<u32>, LossCause> {
+        let (capacity, full_policy) = (self.capacity, self.full_policy);
+        let l = self.at(link);
+        if !l.alive || (l.is_full(capacity) && full_policy != FullQueuePolicy::Backpressure) {
+            return Err(LossCause::Retry);
+        }
+        l.queue.push(pkt);
+        Ok(None)
+    }
+
+    /// The engine's `on_link_death`: the tasks lost, in order.
+    fn kill(&mut self, link: u32) -> Vec<u32> {
+        let policy = self.policy;
+        let l = self.at(link);
+        l.alive = false;
+        let mut lost = Vec::new();
+        if let Some((pkt, _)) = l.in_flight.take() {
+            match policy {
+                DeadLinkPolicy::Drop => lost.push(pkt.task),
+                DeadLinkPolicy::Requeue => l.queue.push_front(pkt),
+            }
+        }
+        if policy == DeadLinkPolicy::Drop {
+            lost.extend(l.queue.drain_all().map(|p| p.task));
+        }
+        lost
+    }
+
+    /// One slot on both sides: the deliveries finishing at `t`, then the
+    /// service starts, each in ascending link order.
+    fn slot(&mut self, kernel: &mut LinkKernel, t: u64) -> Result<(), TestCaseError> {
+        let mut want = Vec::new();
+        for l in &mut self.links {
+            if l.in_flight.is_some_and(|(_, finish)| finish == t) {
+                want.push((l.id, l.in_flight.take().expect("checked").0.task));
+            }
+        }
+        let mut got = Vec::new();
+        let mut scan = kernel.finish_scan();
+        while let Some((link, pkt)) = kernel.next_finished(&mut scan, t) {
+            got.push((link, pkt.task));
+        }
+        prop_assert_eq!(got, want, "deliveries of slot {}", t);
+
+        let mut want = Vec::new();
+        for l in &mut self.links {
+            if l.in_flight.is_none() && l.alive {
+                if let Some(pkt) = l.queue.pop() {
+                    want.push((l.id, pkt.task));
+                    l.in_flight = Some((pkt, t + pkt.len as u64));
+                }
+            }
+        }
+        let mut got = Vec::new();
+        kernel.start(t, false, |link, pkt| got.push((link, pkt.task)));
+        prop_assert_eq!(got, want, "service starts of slot {}", t);
+        Ok(())
+    }
+
+    /// Lengths and the backlog / busy / alive sets agree link by link.
+    fn assert_same_state(&self, kernel: &LinkKernel) -> Result<(), TestCaseError> {
+        let mut queued = 0;
+        for l in &self.links {
+            prop_assert_eq!(kernel.qlen(l.id), l.queue.len(), "len of link {}", l.id);
+            for class in 0..4 {
+                prop_assert_eq!(kernel.class_len(l.id, class), l.queue.class_len(class));
+            }
+            prop_assert_eq!(kernel.has_backlog(l.id), !l.queue.is_empty());
+            prop_assert_eq!(kernel.is_busy(l.id), l.in_flight.is_some());
+            prop_assert_eq!(kernel.is_alive(l.id), l.alive);
+            queued += l.queue.len() as u64;
+        }
+        prop_assert_eq!(kernel.queued(), queued);
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -466,10 +642,17 @@ proptest! {
     /// random interleaving of pushes and pops: within a class strictly
     /// FIFO (never reorders), across classes strict head-of-line
     /// priority (class 0 is never starved while present — it is always
-    /// served first).
+    /// served first). Then the same queue *as* the reference model:
+    /// `LinkKernel` against one `PriorityQueue` + in-flight register per
+    /// link and the decisions the engines used to spell out themselves,
+    /// over random admits, slots, link deaths, repairs and re-admissions.
     #[test]
     fn priority_queue_fifo_per_class_and_no_class0_starvation(
-        ops in prop::collection::vec((any::<bool>(), 0u8..4), 1..200)
+        ops in prop::collection::vec((any::<bool>(), 0u8..4), 1..200),
+        kernel_ops in prop::collection::vec((0u8..8, 0usize..7, 0u8..4), 1..300),
+        requeue in any::<bool>(),
+        capacity in 0u32..4,
+        full_policy in 0u8..3,
     ) {
         let mut q = PriorityQueue::new();
         let mut model: Vec<std::collections::VecDeque<u32>> =
@@ -498,6 +681,63 @@ proptest! {
             prop_assert_eq!(Some(p.task), want);
         }
         prop_assert!(model.iter().all(|c| c.is_empty()));
+
+        let policy = if requeue { DeadLinkPolicy::Requeue } else { DeadLinkPolicy::Drop };
+        let full_policy = [
+            FullQueuePolicy::DropTail,
+            FullQueuePolicy::DropLowestClass,
+            FullQueuePolicy::Backpressure,
+        ][full_policy as usize];
+        let capacity = (capacity > 0).then_some(capacity);
+        let mut reference = ReferenceLinks::new(policy, capacity, full_policy);
+        let mut kernel = LinkKernel::new(
+            &SimConfig { queue_capacity: capacity, full_queue_policy: full_policy, ..SimConfig::quick(1) },
+            2,
+            KERNEL_LO,
+            KERNEL_LO + 70,
+        );
+        kernel.set_dead_link_policy(policy);
+        let mut lost = Vec::new();
+        let mut t = 0u64;
+        for (i, (op, link, class)) in kernel_ops.into_iter().enumerate() {
+            let link = KERNEL_LINKS[link];
+            // Every other packet occupies its link for two slots.
+            let pkt = Packet { len: 1 + (i % 2) as u16, ..packet(i as u32, class) };
+            match op {
+                0..=2 => prop_assert_eq!(outcome(kernel.admit(link, pkt)), reference.admit(link, pkt)),
+                3 | 4 => {
+                    t += 1;
+                    reference.slot(&mut kernel, t)?;
+                }
+                5 => {
+                    lost.clear();
+                    kernel.kill(link, &mut lost);
+                    let got: Vec<u32> = lost.iter().map(|p| p.task).collect();
+                    prop_assert_eq!(got, reference.kill(link));
+                }
+                6 => {
+                    kernel.revive(link);
+                    reference.at(link).alive = true;
+                }
+                _ => prop_assert_eq!(
+                    outcome(kernel.readmit(link, pkt, t)),
+                    reference.readmit(link, pkt)
+                ),
+            }
+            reference.assert_same_state(&kernel)?;
+        }
+        // Drain: repaired, every link serves what it still holds, in
+        // the reference's order.
+        for &link in &KERNEL_LINKS {
+            kernel.revive(link);
+            reference.at(link).alive = true;
+        }
+        while !kernel.is_idle() {
+            t += 1;
+            reference.slot(&mut kernel, t)?;
+            reference.assert_same_state(&kernel)?;
+        }
+        prop_assert!(reference.links.iter().all(|l| l.queue.is_empty() && l.in_flight.is_none()));
     }
 
     /// The runtime's channel preserves per-sender FIFO order for any

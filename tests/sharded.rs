@@ -20,7 +20,7 @@ mod common;
 
 use common::assert_reports_match;
 use priority_star::prelude::*;
-use pstar_sim::{DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan};
+use pstar_sim::{DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, SimReport};
 use pstar_topology::LinkId;
 
 fn cfg_with(seed: u64, tails: bool, trace: bool, by_distance: bool) -> SimConfig {
@@ -197,3 +197,143 @@ fn sharded_runs_are_shard_count_invariant() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Bit-identity pin: the serial engine may move, its reports may not
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the `Debug` text of the whole report — every field, and
+/// `{:?}` spells an `f64` with the shortest text that round-trips, so
+/// two floats print alike only when their bits are equal (the
+/// `tests/net.rs::net_digest` form).
+fn report_digest(report: &SimReport) -> u64 {
+    pstar_obs::fnv1a64(format!("{report:?}").as_bytes())
+}
+
+/// The serial and the sharded engine run on the same `LinkKernel`, so
+/// the serial ≡ sharded suites above cannot show that *neither* moved.
+/// These digests were captured at commit 6013377, the last one where
+/// the serial engine kept its own `Vec<PriorityQueue>`, in-flight vector
+/// and sorted active list; they cover the unbounded hot path, both
+/// dead-link policies, ARQ, every full-queue policy and admission
+/// control. Re-pin only for a change that means to alter what a run
+/// reports.
+#[test]
+fn serial_reports_match_the_pinned_pre_kernel_engine() {
+    let short = |seed| SimConfig {
+        warmup_slots: 500,
+        measure_slots: 2_000,
+        ..SimConfig::quick(seed)
+    };
+    let pstar = |rho| ScenarioSpec {
+        rho,
+        ..ScenarioSpec::default()
+    };
+    let torus4 = Torus::new(&[4, 4]);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+
+    let rep = run_scenario(&Torus::new(&[8, 8]), &pstar(0.7), short(41));
+    assert!(rep.ok());
+    got.push(("8x8 pstar rho.7", report_digest(&rep)));
+
+    let mixed = ScenarioSpec {
+        scheme: SchemeKind::ThreeClass,
+        rho: 0.7,
+        broadcast_load_fraction: 0.5,
+        ..ScenarioSpec::default()
+    };
+    let rep = run_scenario(&Torus::new(&[4, 4, 8]), &mixed, short(42));
+    assert!(rep.ok() && rep.measured_unicasts > 0);
+    got.push(("4x4x8 three-class mixed", report_digest(&rep)));
+
+    // The staggered plan of `tests/net.rs::scripted_plans`.
+    let links: Vec<LinkId> = pstar_sim::shuffled_links(torus4.link_count(), 0xFA)
+        .into_iter()
+        .take(6)
+        .collect();
+    let staggered = || {
+        FaultPlan::scripted(
+            [
+                (2_200, FaultKind::LinkDown(links[0])),
+                (2_600, FaultKind::LinkDown(links[3])),
+                (3_500, FaultKind::LinkUp(links[0])),
+                (3_900, FaultKind::LinkDown(links[5])),
+                (4_500, FaultKind::LinkUp(links[3])),
+                (5_200, FaultKind::LinkUp(links[5])),
+            ]
+            .into_iter()
+            .map(|(slot, kind)| FaultEvent { slot, kind })
+            .collect(),
+        )
+    };
+    for (label, policy) in [
+        ("4x4 staggered faults Drop", DeadLinkPolicy::Drop),
+        ("4x4 staggered faults Requeue", DeadLinkPolicy::Requeue),
+    ] {
+        let cfg = SimConfig::quick(43);
+        let rep = run_scenario_with_faults(&torus4, &pstar(0.7), cfg, staggered(), policy);
+        assert_eq!(rep.faults.events_applied, 6, "{label}: plan never fired");
+        got.push((label, report_digest(&rep)));
+    }
+
+    let lossy = SimConfig {
+        queue_capacity: Some(1),
+        arq: Some(pstar_sim::ArqConfig::default()),
+        ..SimConfig::quick(44)
+    };
+    let rep = run_scenario(&torus4, &pstar(0.7), lossy);
+    assert!(rep.recovery.retransmissions > 0, "ARQ never fired");
+    got.push(("4x4 capacity-1 ARQ", report_digest(&rep)));
+
+    let bounded = |policy, seed| SimConfig {
+        queue_capacity: Some(2),
+        full_queue_policy: policy,
+        ..SimConfig::quick(seed)
+    };
+    let rep = run_scenario(
+        &torus4,
+        &pstar(0.9),
+        bounded(pstar_sim::FullQueuePolicy::DropLowestClass, 45),
+    );
+    assert!(rep.flow.evicted_packets > 0, "nothing was evicted");
+    got.push(("4x4 capacity-2 DropLowestClass", report_digest(&rep)));
+
+    let rep = run_scenario(
+        &torus4,
+        &pstar(0.9),
+        bounded(pstar_sim::FullQueuePolicy::Backpressure, 46),
+    );
+    assert!(rep.flow.deferred_injections > 0, "nothing was deferred");
+    got.push(("4x4 capacity-2 Backpressure", report_digest(&rep)));
+
+    let admitted = SimConfig {
+        admission: Some(pstar_sim::AdmissionConfig {
+            rate: pstar(0.8).mix(&torus4).lambda_broadcast,
+            burst: 4.0,
+        }),
+        ..SimConfig::quick(47)
+    };
+    let rep = run_scenario(&torus4, &pstar(1.2), admitted);
+    assert!(rep.flow.rejected_broadcasts > 0, "nothing was rejected");
+    got.push(("4x4 rho1.2 admission", report_digest(&rep)));
+
+    assert_eq!(got.len(), PINNED_SERIAL_DIGESTS.len());
+    for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_SERIAL_DIGESTS) {
+        assert_eq!(*label, want_label);
+        assert_eq!(
+            *digest, want,
+            "{label}: serial report differs from the pinned parent (got {digest:#018x})"
+        );
+    }
+}
+
+const PINNED_SERIAL_DIGESTS: [(&str, u64); 8] = [
+    ("8x8 pstar rho.7", 0xbd85_d6d9_f64f_f8e8),
+    ("4x4x8 three-class mixed", 0xf6bb_1c0e_f5c9_e05a),
+    ("4x4 staggered faults Drop", 0xbf53_3d87_1c46_9ea4),
+    ("4x4 staggered faults Requeue", 0xf1f0_540f_669f_09f7),
+    ("4x4 capacity-1 ARQ", 0xb2c3_0a7c_314d_2096),
+    ("4x4 capacity-2 DropLowestClass", 0xf382_7cce_bb75_b570),
+    ("4x4 capacity-2 Backpressure", 0xe554_b65e_b698_a9bf),
+    ("4x4 rho1.2 admission", 0x80a0_8751_016a_9617),
+];
