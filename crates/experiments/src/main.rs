@@ -32,42 +32,32 @@
 //!                       protection: fault-rate × ρ × policy sweep plus
 //!                       an admission-control overload sweep (`--smoke`
 //!                       asserts the recovery guarantees for CI)
-//!   profile             instrumented pilot runs per scheme (trace, slot
-//!                       series, link-load heatmap, MSER steady-state
-//!                       estimate) + engine-throughput bench; writes
-//!                       BENCH_obs.json to the working directory
+//!   profile             instrumented pilot runs per scheme: slot series,
+//!                       link-load heatmap, MSER steady-state estimate
+//!                       against the configured warmup
 //!   tails               tail-latency decomposition: per-class reception
 //!                       percentiles, trunk vs ending-dim HOL waits,
-//!                       delay CDFs, BENCH_tails.json (`--smoke` gates
-//!                       the p99 orderings for CI)
+//!                       delay CDFs (`--smoke` gates the p99 orderings
+//!                       for CI)
 //!   trace export        Chrome trace-event JSON per scheme (view in
 //!                       chrome://tracing or ui.perfetto.dev)
 //!   scenarios           workload-scenario matrix: bursty (MMPP, ON-OFF),
 //!                       diurnal, hot-spot, permutation (transpose,
 //!                       bit-reversal, shuffle) and all-to-all workloads
-//!                       × scheme × ρ; CDF figure, p99-inversion findings,
-//!                       BENCH_scenarios.json (`--smoke` gates the
+//!                       × scheme × ρ; CDF figure, p99-inversion and
+//!                       all-to-all findings (`--smoke` gates the
 //!                       cross-backend differential and the all-to-all
 //!                       completion bound for CI)
 //!   net                 run the schemes on the pstar-net thread-per-core
 //!                       runtime: sim-vs-net agreement table, CDF
-//!                       overlays, per-worker Chrome trace, and the
-//!                       worker-scaling bench (BENCH_net.json). `--smoke`
+//!                       overlays, per-worker Chrome trace. `--smoke`
 //!                       gates exact delivered-count agreement and the
 //!                       runtime p99 ordering for CI
-//!   engine              serial vs sharded step-engine throughput at
-//!                       shard counts 1/2/4/8 with in-bench bit-identity
-//!                       checks; writes BENCH_engine.json and the
-//!                       scaling SVG (`--smoke` gates identity always,
-//!                       and the 5x@4-shards speedup when host_cores>=4)
-//!   perf                runtime-telemetry bench: phase-timing breakdown
-//!                       of the sharded engine's five barriers and the
-//!                       coordinator merge, measured Amdahl serial
-//!                       fraction + predicted speedups, per-worker net
-//!                       straggler spread; writes BENCH_perf.json, the
-//!                       stacked phase SVG, a Prometheus snapshot and a
-//!                       JSONL stream (`--smoke` gates telemetry-off
-//!                       bit-identity and < 5% telemetry-on overhead)
+//!   perf                one instrumented sharded run and one instrumented
+//!                       net run: per-barrier work/wait phase table,
+//!                       per-worker net slot times, the stacked phase
+//!                       SVG, a Prometheus snapshot and a JSONL stream
+//!                       (timings are read in `benchmark/`, not here)
 //!   plot                render previously generated CSVs as SVG figures
 //!   collectives         static MNB / total-exchange completion vs bounds
 //!   verify              reproduction gate: re-check every headline claim
@@ -78,10 +68,8 @@
 //! `results/<name>.csv` (plus a JSON-lines record stream for downstream
 //! tooling).
 
-mod bench_util;
 mod csvout;
 mod custom;
-mod engine;
 mod figures;
 mod net;
 mod perf;
@@ -110,6 +98,32 @@ use std::sync::Mutex;
 pub fn fatal(context: &str, err: &dyn std::fmt::Display) -> ! {
     eprintln!("experiments: {context}: {err}");
     std::process::exit(1);
+}
+
+/// PASS/FAIL bookkeeping shared by `verify` and every `--smoke` gate.
+#[derive(Default)]
+pub struct Gate {
+    failures: u32,
+}
+
+impl Gate {
+    /// Prints one PASS/FAIL line and counts a failure.
+    pub fn check(&mut self, name: &str, ok: bool, detail: String) {
+        if ok {
+            println!("PASS  {name}: {detail}");
+        } else {
+            println!("FAIL  {name}: {detail}");
+            self.failures += 1;
+        }
+    }
+
+    /// Exits with status 1 if any claim of `command` failed.
+    pub fn finish(self, command: &str) {
+        if self.failures > 0 {
+            eprintln!("{command}: {} claim(s) FAILED", self.failures);
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Shared harness context.
@@ -209,7 +223,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--quick] [--smoke] [--out DIR] <fig2..fig8|table1..5|ablation_*|resilience|profile|tails|net|engine|perf|scenarios|all>"
+                    "usage: experiments [--quick] [--smoke] [--out DIR] <fig2..fig8|table1..5|ablation_*|resilience|profile|tails|net|perf|scenarios|all>"
                 );
                 return;
             }
@@ -267,7 +281,6 @@ fn run_command(ctx: &Ctx, cmd: &str) {
         "recovery" => recovery::recovery(ctx),
         "net" => net::net(ctx),
         "scenarios" => scenarios::scenarios(ctx),
-        "engine" => engine::engine(ctx),
         "perf" => perf::perf(ctx),
         "profile" => profile::profile(ctx),
         "tails" => tails::tails(ctx),
@@ -302,7 +315,6 @@ fn run_command(ctx: &Ctx, cmd: &str) {
                 "recovery",
                 "net",
                 "scenarios",
-                "engine",
                 "perf",
                 "profile",
                 "tails",

@@ -1,4 +1,4 @@
-//! `experiments net` — sim-vs-runtime validation and runtime benchmarks.
+//! `experiments net` — sim-vs-runtime validation.
 //!
 //! Runs every (scheme × ρ) arm on *both* backends — the slotted
 //! simulator and the `pstar-net` thread-per-core runtime in virtual-time
@@ -6,19 +6,16 @@
 //!
 //! * `results/net_agreement.csv` — the agreement table: delivered
 //!   receptions and measured tasks per backend, whether they match
-//!   exactly, mean/p99 delays side by side, plus runtime-only columns
-//!   (workers, simulated slots per wall second, cross-worker messages,
-//!   and the per-worker slot-time min/median/max spread — the straggler
-//!   columns: one slow worker shows as a runaway median/max while the
-//!   aggregate slots/sec merely sags);
+//!   exactly, mean/p99 delays side by side, plus the runtime's worker
+//!   count and cross-worker messages. Every column is a function of the
+//!   seed and the fixed worker count, so two runs on any host write the
+//!   same bytes (runtime timings are read in `benchmark/`);
 //! * `results/net_cdf_reception.svg` — reception-delay CDF overlay at
 //!   the highest swept ρ: simulator dashed, runtime solid;
 //! * `results/net_cdf_wait.svg` — priority STAR trunk vs ending-dim
 //!   HOL-wait CDFs, both backends overlaid the same way;
 //! * `results/net_trace.chrome.json` — a Chrome trace of the runtime's
-//!   per-worker tracks (open in `chrome://tracing` / ui.perfetto.dev);
-//! * `BENCH_net.json` — wall-clock-mode throughput (slots/sec) vs
-//!   worker count (working directory, next to the other `BENCH_*`).
+//!   per-worker tracks (open in `chrome://tracing` / ui.perfetto.dev).
 //!
 //! Under `--smoke` the run is the CI gate for the runtime: the
 //! delivered-reception counts must agree **exactly** between backends
@@ -35,54 +32,31 @@
 
 use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
-use crate::svg::{Chart, Series};
+use crate::svg::{write_svg, Chart, Series};
 use crate::sweep::{broadcast_arm, scheme_rho_points};
-use crate::{fatal, Ctx};
+use crate::{fatal, Ctx, Gate};
 use priority_star::prelude::*;
-use pstar_net::{run_net, ClockMode, NetConfig, NetReport};
-use pstar_obs::{chrome_trace_workers, git_rev};
+use pstar_net::{run_net, NetConfig, NetReport};
+use pstar_obs::chrome_trace_workers;
 use pstar_sim::{HopPhase, SimConfig, SimReport};
-use std::fmt::Write as _;
 
 /// Per-scheme series colors (same tab palette as `plot`/`tails`).
 const COLORS: [&str; 5] = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"];
 
-struct Gate {
-    failures: u32,
-}
+/// Worker count of the agreement sweep. Fixed rather than taken from the
+/// host so `net_messages` — and with it the whole CSV — is the same on
+/// every machine.
+const WORKERS: usize = 2;
 
-impl Gate {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        if ok {
-            println!("PASS  {name}: {detail}");
-        } else {
-            println!("FAIL  {name}: {detail}");
-            self.failures += 1;
-        }
-    }
-}
-
-fn topo_label(topo: &Torus) -> String {
-    let dims: Vec<String> = (0..topo.d())
-        .map(|i| topo.dim_size(i).to_string())
-        .collect();
-    format!("torus({})", dims.join("x"))
-}
-
-/// One virtual-mode runtime run. Telemetry is on: agreement rows and
-/// the scaling series carry the per-worker slot-time spread, which is
-/// how a straggling worker becomes visible (the report itself is
-/// bit-identical with telemetry off — `perf_run_is_bit_identical_and_\
-/// populated` in the runtime pins that).
-fn net_point(topo: &Torus, spec: &ScenarioSpec, mut cfg: SimConfig, workers: usize) -> NetReport {
+/// One virtual-mode runtime run of the agreement sweep.
+fn net_point(topo: &Torus, spec: &ScenarioSpec, mut cfg: SimConfig) -> NetReport {
     cfg.lengths = spec.lengths;
     match run_net(
         topo,
         spec.build_scheme(topo),
         spec.mix(topo),
         NetConfig {
-            workers,
-            perf: true,
+            workers: WORKERS,
             ..NetConfig::new(cfg)
         },
     ) {
@@ -91,27 +65,8 @@ fn net_point(topo: &Torus, spec: &ScenarioSpec, mut cfg: SimConfig, workers: usi
     }
 }
 
-/// Per-worker slot-time spread `(min_us, straggler_median_us, max_us)`:
-/// the fastest single slot anywhere, the *slowest worker's* median (the
-/// binding constraint of a barrier-synchronous fleet), and the slowest
-/// single slot anywhere.
-fn slot_spread_us(net: &NetReport) -> (f64, f64, f64) {
-    let Some(p) = net.perf.as_ref() else {
-        return (f64::NAN, f64::NAN, f64::NAN);
-    };
-    let min = p.workers.iter().map(|w| w.slot_ns_min).min().unwrap_or(0);
-    let med = p
-        .workers
-        .iter()
-        .map(|w| w.slot_ns_median)
-        .max()
-        .unwrap_or(0);
-    let max = p.workers.iter().map(|w| w.slot_ns_max).max().unwrap_or(0);
-    (min as f64 / 1e3, med as f64 / 1e3, max as f64 / 1e3)
-}
-
-/// Runs the agreement sweep, the CDF overlays, the trace export and the
-/// throughput bench; under `--smoke`, enforces the runtime gates.
+/// Runs the agreement sweep, the CDF overlays and the trace export;
+/// under `--smoke`, enforces the runtime gates.
 pub fn net(ctx: &Ctx) {
     let topo = if ctx.smoke {
         Torus::new(&[4, 4])
@@ -139,8 +94,8 @@ pub fn net(ctx: &Ctx) {
 
     // Each backend pair shares one seed per ρ index (common random
     // numbers across schemes, and — the whole point — across backends).
-    // The runtime already spreads each run over every core, so the
-    // sweep itself runs serially.
+    // The runtime runs its own worker threads, so the sweep itself runs
+    // serially.
     let pairs: Vec<(SimReport, NetReport)> = points
         .iter()
         .enumerate()
@@ -151,7 +106,7 @@ pub fn net(ctx: &Ctx) {
             cfg.seed = ctx.seed("net", i % rhos.len());
             let spec = broadcast_arm(scheme, rho);
             let sim = run_scenario(&topo, &spec, cfg);
-            let net = net_point(&topo, &spec, cfg, 0);
+            let net = net_point(&topo, &spec, cfg);
             ctx.push_phase(
                 &format!("{}:rho{rho}", scheme.label()),
                 t0.elapsed().as_secs_f64(),
@@ -174,17 +129,12 @@ pub fn net(ctx: &Ctx) {
         "sim_p99",
         "net_p99",
         "net_workers",
-        "net_kslots_per_sec",
         "net_messages",
-        "net_slot_us_min",
-        "net_slot_us_med",
-        "net_slot_us_max",
     ]);
     let mut records = Vec::new();
-    let label = topo_label(&topo);
+    let label = topo.to_string();
     for (&(scheme, rho), (sim, net)) in points.iter().zip(&pairs) {
         let r = &net.report;
-        let spread = slot_spread_us(net);
         table.row(vec![
             scheme.label().to_string(),
             format!("{rho:.2}"),
@@ -198,11 +148,7 @@ pub fn net(ctx: &Ctx) {
             sim.tails.reception_all.p99.to_string(),
             r.tails.reception_all.p99.to_string(),
             net.workers.to_string(),
-            Table::f(net.slots_per_sec / 1e3),
             net.messages_sent.to_string(),
-            Table::f(spread.0),
-            Table::f(spread.1),
-            Table::f(spread.2),
         ]);
         records.push(PointRecord::new("net", &label, scheme.label(), rho, 1.0, r));
     }
@@ -211,10 +157,9 @@ pub fn net(ctx: &Ctx) {
 
     write_overlays(ctx, &points, &pairs, rho_hi);
     export_trace(ctx, &topo, cfg0);
-    throughput_bench(ctx, &topo, cfg0);
 
     if ctx.smoke {
-        let mut gate = Gate { failures: 0 };
+        let mut gate = Gate::default();
         for (&(scheme, rho), (sim, net)) in points.iter().zip(&pairs) {
             gate.check(
                 "count-agreement",
@@ -247,10 +192,7 @@ pub fn net(ctx: &Ctx) {
                 pstar.reception_all.p99, fcfs.reception_all.p99
             ),
         );
-        if gate.failures > 0 {
-            eprintln!("net: {} smoke claim(s) FAILED", gate.failures);
-            std::process::exit(1);
-        }
+        gate.finish("net");
     }
 }
 
@@ -366,122 +308,4 @@ fn export_trace(ctx: &Ctx, topo: &Torus, cfg0: SimConfig) {
         fatal(&format!("writing {}", path.display()), &e);
     }
     println!("exported {}", path.display());
-}
-
-/// Wall-clock-mode throughput vs worker count, written to
-/// `BENCH_net.json`.
-///
-/// Single runs on shared hardware are noisy; like the other `BENCH_*`
-/// artifacts this is a tracking series for trend inspection, not a
-/// gated number.
-fn throughput_bench(ctx: &Ctx, topo: &Torus, cfg0: SimConfig) {
-    let mut cfg = cfg0;
-    cfg.seed = ctx.seed("net-bench", 0);
-    let spec = broadcast_arm(SchemeKind::PriorityStar, 0.7);
-    // The grid is fixed, not derived from the host: capping it at
-    // `available_parallelism` once collapsed the whole series to a
-    // single `workers: 1` point on a 1-CPU CI runner. Oversubscribed
-    // points still run correctly (the runtime pins nothing) — they
-    // just measure the oversubscription, which is exactly what a
-    // scaling series is for. Only the topology can shrink the grid,
-    // and that is a configuration error, not a skip.
-    const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
-    for &workers in &WORKER_GRID {
-        if workers > topo.node_count() as usize {
-            fatal(
-                "net throughput bench",
-                &format!(
-                    "worker grid point {workers} exceeds {} nodes — shrink the grid explicitly",
-                    topo.node_count()
-                ),
-            );
-        }
-    }
-    let mut results = Vec::new();
-    for &workers in &WORKER_GRID {
-        let t0 = std::time::Instant::now();
-        let net = net_point(topo, &spec, cfg, workers);
-        ctx.push_phase(
-            &format!("bench:w{workers}"),
-            t0.elapsed().as_secs_f64(),
-            Some(net.report.slots_run),
-        );
-        // Wall-clock (sharded-injection) mode for the scaling series.
-        let mut bench_cfg = cfg;
-        bench_cfg.lengths = spec.lengths;
-        let wall = match run_net(
-            topo,
-            spec.build_scheme(topo),
-            spec.mix(topo),
-            NetConfig {
-                workers,
-                mode: ClockMode::WallClock,
-                ..NetConfig::new(bench_cfg)
-            },
-        ) {
-            Ok(net) => net,
-            Err(e) => fatal("running pstar-net wall-clock bench", &e),
-        };
-        let spread = slot_spread_us(&net);
-        println!(
-            "net bench: workers={workers} virtual {:.0} slots/s, wall-mode {:.0} slots/s, \
-             slot us min/med/max {:.1}/{:.1}/{:.1}",
-            net.slots_per_sec, wall.slots_per_sec, spread.0, spread.1, spread.2
-        );
-        results.push((workers, net, wall));
-    }
-
-    assert_eq!(
-        results.len(),
-        WORKER_GRID.len(),
-        "worker-scaling bench must emit every configured grid point"
-    );
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"net_throughput\",");
-    let _ = writeln!(s, "  \"host_cores\": {host_cores},");
-    match git_rev() {
-        Some(rev) => {
-            let _ = writeln!(s, "  \"git_rev\": \"{rev}\",");
-        }
-        None => s.push_str("  \"git_rev\": null,\n"),
-    }
-    let _ = writeln!(s, "  \"topology\": \"{}\",", topo_label(topo));
-    let _ = writeln!(s, "  \"rho\": 0.7,");
-    s.push_str("  \"points\": [");
-    for (i, (workers, virt, wall)) in results.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let spread = slot_spread_us(virt);
-        let _ = write!(
-            s,
-            "\n    {{\"workers\": {workers}, \"virtual_slots_per_sec\": {:.1}, \
-             \"wall_slots_per_sec\": {:.1}, \"virtual_wall_secs\": {:.3}, \
-             \"messages\": {}, \"slot_us_min\": {:.1}, \"slot_us_median\": {:.1}, \
-             \"slot_us_max\": {:.1}}}",
-            virt.slots_per_sec,
-            wall.slots_per_sec,
-            virt.wall_secs,
-            virt.messages_sent,
-            spread.0,
-            spread.1,
-            spread.2
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_net.json", &s) {
-        fatal("writing BENCH_net.json", &e);
-    }
-    println!("(benchmark summary written to BENCH_net.json)");
-}
-
-fn write_svg(ctx: &Ctx, name: &str, chart: &Chart) {
-    let path = ctx.out.join(format!("{name}.svg"));
-    if let Err(e) = std::fs::write(&path, chart.render()) {
-        fatal(&format!("writing {}", path.display()), &e);
-    }
-    println!("plotted {}", path.display());
 }

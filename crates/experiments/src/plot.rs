@@ -1,7 +1,7 @@
 //! The `plot` command: turns previously generated CSV series into SVG
 //! figures (`results/*.svg`), visually comparable to the paper's plots.
 
-use crate::svg::{Chart, Series};
+use crate::svg::{write_svg, Chart, Series};
 use crate::Ctx;
 use std::path::Path;
 
@@ -50,14 +50,6 @@ fn series_from(
         color: color.to_string(),
         dashed,
     })
-}
-
-fn write_svg(ctx: &Ctx, name: &str, chart: &Chart) {
-    let path = ctx.out.join(format!("{name}.svg"));
-    if let Err(e) = std::fs::write(&path, chart.render()) {
-        crate::fatal(&format!("writing {}", path.display()), &e);
-    }
-    println!("plotted {}", path.display());
 }
 
 fn plot_delay_figure(ctx: &Ctx, name: &str, metric: &str, network: &str) {

@@ -1,5 +1,4 @@
-//! `experiments profile`: instrumented pilot runs and an
-//! engine-throughput bench over the five schemes.
+//! `experiments profile`: instrumented pilot runs over the five schemes.
 //!
 //! Per scheme this produces:
 //!
@@ -9,31 +8,18 @@
 //! * `profile_heatmap_<scheme>.svg` — per-link utilization laid out on
 //!   the torus grid, one panel per (dimension, direction);
 //! * an MSER steady-state estimate (a measured replacement for the
-//!   hardcoded warmup guess — the console output compares the two);
-//! * wall-clock slots/sec for the step engine, the event engine, and the
-//!   step engine with a discarding trace installed (trace overhead).
+//!   hardcoded warmup guess — `results/profile.csv` puts the two side by
+//!   side).
 //!
-//! The summary lands in `results/profile.csv` and, for the benchmark
-//! dashboard, in `BENCH_obs.json` in the working directory.
+//! Every artifact is a function of the seeds alone; engine and tracing
+//! timings are read in `benchmark/` (`obs.trace_overhead_frac`).
 
-use crate::bench_util::{median, overhead_frac};
 use crate::csvout::Table;
 use crate::{fatal, Ctx};
 use priority_star::prelude::*;
 use priority_star::run_scenario_observed;
-use pstar_obs::{git_rev, render_heatmap, HeatPanel, NullSink, ObsCollector};
-use pstar_sim::EventEngine;
+use pstar_obs::{render_heatmap, HeatPanel, ObsCollector};
 use pstar_topology::{Direction, Link, NodeId};
-use std::fmt::Write as _;
-
-struct SchemeProfile {
-    scheme: &'static str,
-    steady_state_slot: Option<u64>,
-    step_slots_per_sec: f64,
-    event_slots_per_sec: f64,
-    traced_slots_per_sec: f64,
-    trace_overhead_frac: f64,
-}
 
 /// Runs the full profile sweep (see module docs).
 pub fn profile(ctx: &Ctx) {
@@ -50,20 +36,12 @@ pub fn profile(ctx: &Ctx) {
         max_slots: 400_000,
         ..SimConfig::default()
     };
-    // Bench: ordinary windows; throughput is wall-clock per slot run.
-    let bench_cfg = SimConfig {
-        warmup_slots: if ctx.smoke { 500 } else { 4_000 },
-        measure_slots: if ctx.smoke { 2_000 } else { 16_000 },
-        max_slots: 400_000,
-        ..SimConfig::default()
-    };
 
-    let mut results = Vec::new();
+    let mut table = Table::new(&["scheme", "steady_state_slot", "configured_warmup"]);
     for (i, scheme) in SchemeKind::all().into_iter().enumerate() {
         let label = scheme.label();
         let spec = crate::sweep::broadcast_arm(scheme, rho);
 
-        // Instrumented pilot.
         let t0 = std::time::Instant::now();
         let mut cfg = pilot_cfg;
         cfg.seed = ctx.seed("profile-pilot", i);
@@ -80,104 +58,14 @@ pub fn profile(ctx: &Ctx) {
         );
         write_series_csv(ctx, label, &obs);
         write_heatmap(ctx, label, &topo, &obs);
-        let steady = obs.steady_state_slot();
-
-        // Throughput: step engine, event engine, step + discarding
-        // trace. The three arms are interleaved within each round and
-        // each arm takes the *median* wall time across rounds — the
-        // tails overhead bench's discipline. Timing each configuration
-        // exactly once, unwarmed, let first-touch page faults and
-        // frequency ramp bias whichever arm ran first; that is how the
-        // trace overhead once came out at -0.23.
-        let mut cfg = bench_cfg;
-        cfg.seed = ctx.seed("profile-bench", i);
-        let mut ev_cfg = cfg;
-        ev_cfg.lengths = spec.lengths;
-        let rounds = if ctx.smoke { 3 } else { 7 };
-        let mut step_times = Vec::with_capacity(rounds);
-        let mut event_times = Vec::with_capacity(rounds);
-        let mut traced_times = Vec::with_capacity(rounds);
-        let mut reps = None;
-        let t_bench = std::time::Instant::now();
-        for _ in 0..rounds {
-            let t0 = std::time::Instant::now();
-            let step_rep = run_scenario(&topo, &spec, cfg);
-            step_times.push(t0.elapsed().as_secs_f64());
-
-            let t0 = std::time::Instant::now();
-            let event_rep = EventEngine::new(
-                topo.clone(),
-                spec.build_scheme(&topo),
-                spec.mix(&topo),
-                ev_cfg,
-            )
-            .run();
-            event_times.push(t0.elapsed().as_secs_f64());
-
-            let t0 = std::time::Instant::now();
-            let (traced_rep, _) =
-                run_scenario_observed(&topo, &spec, cfg, Box::new(NullSink::new()));
-            traced_times.push(t0.elapsed().as_secs_f64());
-
-            // Seeded runs are deterministic, so reports are identical
-            // across rounds; keep the last of each for the sanity gate.
-            reps = Some((step_rep, event_rep, traced_rep));
-        }
-        let (step_rep, event_rep, traced_rep) = reps.expect("rounds >= 1");
-        ctx.push_phase(
-            &format!("bench:{label}"),
-            t_bench.elapsed().as_secs_f64(),
-            Some(rounds as u64 * (step_rep.slots_run + event_rep.slots_run + traced_rep.slots_run)),
-        );
-        assert!(
-            step_rep.ok() && event_rep.ok() && traced_rep.ok(),
-            "profile bench runs must be clean at rho=0.5"
-        );
-
-        let sps = |slots: u64, secs: f64| {
-            if secs > 0.0 {
-                slots as f64 / secs
-            } else {
-                f64::NAN
-            }
-        };
-        let step_sps = sps(step_rep.slots_run, median(&mut step_times));
-        let traced_sps = sps(traced_rep.slots_run, median(&mut traced_times));
-        results.push(SchemeProfile {
-            scheme: label,
-            steady_state_slot: steady,
-            step_slots_per_sec: step_sps,
-            event_slots_per_sec: sps(event_rep.slots_run, median(&mut event_times)),
-            traced_slots_per_sec: traced_sps,
-            trace_overhead_frac: overhead_frac(step_sps, traced_sps),
-        });
-    }
-
-    // Console + CSV summary.
-    let mut table = Table::new(&[
-        "scheme",
-        "steady_state_slot",
-        "configured_warmup",
-        "step_slots_per_sec",
-        "event_slots_per_sec",
-        "traced_slots_per_sec",
-        "trace_overhead_frac",
-    ]);
-    for r in &results {
         table.row(vec![
-            r.scheme.to_string(),
-            r.steady_state_slot
+            label.to_string(),
+            obs.steady_state_slot()
                 .map_or("n/a".to_string(), |s| s.to_string()),
             ctx.cfg.warmup_slots.to_string(),
-            Table::f(r.step_slots_per_sec),
-            Table::f(r.event_slots_per_sec),
-            Table::f(r.traced_slots_per_sec),
-            Table::f(r.trace_overhead_frac),
         ]);
     }
     table.emit(&ctx.out, "profile");
-
-    write_bench_json(ctx, &topo, rho, &results);
 }
 
 /// The pilot's decimated queue-state series as CSV columns.
@@ -250,65 +138,4 @@ fn write_heatmap(ctx: &Ctx, label: &str, topo: &Torus, obs: &ObsCollector) {
     if let Err(e) = std::fs::write(&path, svg) {
         fatal(&format!("writing {}", path.display()), &e);
     }
-}
-
-/// The benchmark summary for dashboards, at the repository root (the
-/// working directory) by convention with the other `BENCH_*.json` files.
-fn write_bench_json(ctx: &Ctx, topo: &Torus, rho: f64, results: &[SchemeProfile]) {
-    let json_f64 = |out: &mut String, v: f64| {
-        if v.is_finite() {
-            let _ = write!(out, "{v}");
-        } else {
-            out.push_str("null");
-        }
-    };
-    let mut s = String::with_capacity(1024);
-    let _ = write!(
-        s,
-        "{{\"schema\":1,\"bench\":\"profile\",\"topology\":\"torus({}x{})\",\"rho\":{rho},\"smoke\":{},",
-        topo.dim_size(0),
-        topo.dim_size(1),
-        ctx.smoke
-    );
-    match git_rev() {
-        Some(rev) => {
-            let _ = write!(s, "\"git_rev\":\"{rev}\",");
-        }
-        None => s.push_str("\"git_rev\":null,"),
-    }
-    // `host_cores` qualifies the overhead numbers: a 1-core runner and a
-    // 16-core workstation produce different, equally honest, figures.
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let _ = write!(s, "\"host_cores\":{host_cores},");
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let _ = write!(s, "\"unix_time_secs\":{unix},\"results\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"scheme\":\"{}\",", r.scheme);
-        match r.steady_state_slot {
-            Some(v) => {
-                let _ = write!(s, "\"steady_state_slot\":{v},");
-            }
-            None => s.push_str("\"steady_state_slot\":null,"),
-        }
-        s.push_str("\"step_slots_per_sec\":");
-        json_f64(&mut s, r.step_slots_per_sec);
-        s.push_str(",\"event_slots_per_sec\":");
-        json_f64(&mut s, r.event_slots_per_sec);
-        s.push_str(",\"traced_slots_per_sec\":");
-        json_f64(&mut s, r.traced_slots_per_sec);
-        s.push_str(",\"trace_overhead_frac\":");
-        json_f64(&mut s, r.trace_overhead_frac);
-        s.push('}');
-    }
-    s.push_str("]}\n");
-    if let Err(e) = std::fs::write("BENCH_obs.json", &s) {
-        fatal("writing BENCH_obs.json", &e);
-    }
-    println!("(benchmark summary written to BENCH_obs.json)");
 }

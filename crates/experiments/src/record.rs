@@ -5,6 +5,7 @@
 //! Serialization is hand-rolled (field order = declaration order, like a
 //! serde derive would emit) because the offline build has no serde.
 
+use pstar_obs::{escape_json, json_f64};
 use pstar_sim::SimReport;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -63,33 +64,6 @@ pub struct PointRecord {
     pub goodput_fraction: f64,
     /// Time-average network-wide queued packets over the window.
     pub mean_queued_packets: f64,
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// JSON number token: `Display` for finite floats (shortest round-trip),
-/// `null` for NaN / infinities (what `serde_json` cannot represent).
-fn json_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 impl PointRecord {

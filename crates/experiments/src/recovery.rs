@@ -33,7 +33,7 @@
 use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
 use crate::sweep::{broadcast_arm, parallel_map};
-use crate::Ctx;
+use crate::{Ctx, Gate};
 use priority_star::prelude::*;
 use priority_star::run_scenario_with_faults;
 use pstar_sim::{
@@ -121,22 +121,6 @@ fn dead_count(link_count: u32, rate: f64) -> usize {
     (rate * link_count as f64).ceil() as usize
 }
 
-/// Smoke-gate bookkeeping: prints PASS/FAIL per claim.
-struct Gate {
-    failures: u32,
-}
-
-impl Gate {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        if ok {
-            println!("PASS  {name}: {detail}");
-        } else {
-            println!("FAIL  {name}: {detail}");
-            self.failures += 1;
-        }
-    }
-}
-
 /// Runs both sweeps, writes the artifacts, and (under `--smoke`)
 /// enforces the recovery acceptance criteria.
 pub fn recovery(ctx: &Ctx) {
@@ -150,15 +134,12 @@ pub fn recovery(ctx: &Ctx) {
     } else {
         ctx.cfg
     };
-    let mut gate = Gate { failures: 0 };
+    let mut gate = Gate::default();
 
     fault_sweep(ctx, &topo, cfg0, &mut gate);
     overload_sweep(ctx, &topo, &mut gate);
 
-    if gate.failures > 0 {
-        eprintln!("recovery: {} smoke claim(s) FAILED", gate.failures);
-        std::process::exit(1);
-    }
+    gate.finish("recovery");
 }
 
 /// Part A: fault-rate × ρ × arm.

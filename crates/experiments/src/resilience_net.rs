@@ -30,9 +30,9 @@
 use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
 use crate::resilience::FAULT_RATES;
-use crate::svg::{Chart, Series};
+use crate::svg::{write_svg, Chart, Series};
 use crate::sweep::broadcast_arm;
-use crate::{fatal, Ctx};
+use crate::{fatal, Ctx, Gate};
 use priority_star::prelude::*;
 use priority_star::run_scenario_with_faults;
 use pstar_net::{run_net_with_faults, NetConfig, NetReport};
@@ -193,7 +193,7 @@ pub fn resilience_net(ctx: &Ctx) {
     write_charts(ctx, &schemes, &arms);
 
     if ctx.smoke {
-        let mut failures = 0u32;
+        let mut gate = Gate::default();
         for (scheme, rate, sim, nets) in &arms {
             for (wi, net) in nets.iter().enumerate() {
                 let ok = sim.completed && net.report.completed && arms_agree(sim, net);
@@ -206,12 +206,7 @@ pub fn resilience_net(ctx: &Ctx) {
                     sim.faults.fault_dropped_packets,
                     net.report.faults.fault_dropped_packets,
                 );
-                if ok {
-                    println!("PASS  fault-agreement: {line}");
-                } else {
-                    println!("FAIL  fault-agreement: {line}");
-                    failures += 1;
-                }
+                gate.check("fault-agreement", ok, line);
             }
         }
         // Nested outages + CRN: the delivered fraction must be monotone
@@ -228,18 +223,10 @@ pub fn resilience_net(ctx: &Ctx) {
                     .collect();
                 let ok = fracs.windows(2).all(|p| p[1] <= p[0] + 1e-12);
                 let line = format!("{} W={w}: {fracs:?}", scheme.label());
-                if ok {
-                    println!("PASS  delivered-monotone: {line}");
-                } else {
-                    println!("FAIL  delivered-monotone: {line}");
-                    failures += 1;
-                }
+                gate.check("delivered-monotone", ok, line);
             }
         }
-        if failures > 0 {
-            eprintln!("resilience_net: {failures} smoke claim(s) FAILED");
-            std::process::exit(1);
-        }
+        gate.finish("resilience_net");
     }
 }
 
@@ -316,10 +303,6 @@ fn write_charts(
         if chart.series.is_empty() {
             continue;
         }
-        let path = ctx.out.join(format!("{name}.svg"));
-        if let Err(e) = std::fs::write(&path, chart.render()) {
-            fatal(&format!("writing {}", path.display()), &e);
-        }
-        println!("plotted {}", path.display());
+        write_svg(ctx, name, chart);
     }
 }

@@ -225,6 +225,15 @@ fn xml_escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
+/// Renders `chart` to `<out>/<name>.svg`; exits loudly if the write fails.
+pub fn write_svg(ctx: &crate::Ctx, name: &str, chart: &Chart) {
+    let path = ctx.out.join(format!("{name}.svg"));
+    if let Err(e) = std::fs::write(&path, chart.render()) {
+        crate::fatal(&format!("writing {}", path.display()), &e);
+    }
+    println!("plotted {}", path.display());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

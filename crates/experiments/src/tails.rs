@@ -11,10 +11,7 @@
 //! * `results/tails_cdf_reception.svg` — reception-delay CDFs per scheme
 //!   at the highest swept ρ;
 //! * `results/tails_cdf_wait.svg` — trunk vs ending-dimension wait CDFs
-//!   for priority STAR at the same ρ;
-//! * `BENCH_tails.json` — machine-readable summary plus the tails-on vs
-//!   tails-off engine-throughput bench (working directory, next to the
-//!   other `BENCH_*.json` files).
+//!   for priority STAR at the same ρ.
 //!
 //! Under `--smoke` the run doubles as a CI regression gate: priority
 //! STAR must beat the FCFS direct scheme on p99 reception delay at
@@ -29,39 +26,15 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use crate::csvout::Table;
-use crate::svg::{Chart, Series};
+use crate::svg::{write_svg, Chart, Series};
 use crate::sweep::{broadcast_arm, parallel_map, scheme_rho_points};
-use crate::{fatal, Ctx};
+use crate::{fatal, Ctx, Gate};
 use priority_star::prelude::*;
-use pstar_obs::{chrome_trace, git_rev, ObsCollector};
+use pstar_obs::{chrome_trace, ObsCollector};
 use pstar_sim::{HopPhase, SimConfig, SimReport};
-use std::fmt::Write as _;
 
 /// Per-scheme series colors (matplotlib "tab" palette, as in `plot`).
 const COLORS: [&str; 5] = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"];
-
-/// Smoke-gate bookkeeping: prints PASS/FAIL per claim.
-struct Gate {
-    failures: u32,
-}
-
-impl Gate {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        if ok {
-            println!("PASS  {name}: {detail}");
-        } else {
-            println!("FAIL  {name}: {detail}");
-            self.failures += 1;
-        }
-    }
-}
-
-fn topo_label(topo: &Torus) -> String {
-    let dims: Vec<String> = (0..topo.d())
-        .map(|i| topo.dim_size(i).to_string())
-        .collect();
-    format!("torus({})", dims.join("x"))
-}
 
 /// Runs the decomposition sweep, writes the artifacts, and (under
 /// `--smoke`) enforces the tail-ordering acceptance criteria.
@@ -145,22 +118,8 @@ pub fn tails(ctx: &Ctx) {
     let rho_hi = *rhos.last().expect("non-empty rho grid");
     write_cdf_figures(ctx, &points, &reports, rho_hi);
 
-    let (base_sps, tails_sps, overhead) = overhead_bench(ctx, &topo);
-    println!(
-        "tails overhead bench: base {base_sps:.0} slots/s, tails {tails_sps:.0} slots/s \
-         ({:+.2}% overhead)",
-        overhead * 100.0
-    );
-    write_bench_json(
-        ctx,
-        &topo,
-        &points,
-        &reports,
-        (base_sps, tails_sps, overhead),
-    );
-
     if ctx.smoke {
-        let mut gate = Gate { failures: 0 };
+        let mut gate = Gate::default();
         let at = |scheme: SchemeKind| {
             let i = points
                 .iter()
@@ -185,10 +144,7 @@ pub fn tails(ctx: &Ctx) {
             trunk < ending,
             format!("priority-star trunk p99 wait {trunk} < ending-dim p99 wait {ending} at rho={rho_hi}"),
         );
-        if gate.failures > 0 {
-            eprintln!("tails: {} smoke claim(s) FAILED", gate.failures);
-            std::process::exit(1);
-        }
+        gate.finish("tails");
     }
 }
 
@@ -257,152 +213,6 @@ fn write_cdf_figures(ctx: &Ctx, points: &[(SchemeKind, f64)], reports: &[SimRepo
         };
         write_svg(ctx, "tails_cdf_wait", &chart);
     }
-}
-
-fn write_svg(ctx: &Ctx, name: &str, chart: &Chart) {
-    let path = ctx.out.join(format!("{name}.svg"));
-    if let Err(e) = std::fs::write(&path, chart.render()) {
-        fatal(&format!("writing {}", path.display()), &e);
-    }
-    println!("plotted {}", path.display());
-}
-
-/// Same seed, same scenario, tails off vs on: the instrumentation never
-/// touches the RNG, so any slots/sec delta is pure recording cost.
-///
-/// Machine noise between single runs easily reaches ±10% on shared
-/// hardware — larger than the effect being measured — so the bench
-/// interleaves the two arms over several rounds and reports the median
-/// of each, which is stable to ~1–2%.
-fn overhead_bench(ctx: &Ctx, topo: &Torus) -> (f64, f64, f64) {
-    let spec = broadcast_arm(SchemeKind::PriorityStar, 0.7);
-    let mut cfg = SimConfig {
-        warmup_slots: if ctx.smoke { 500 } else { 2_000 },
-        measure_slots: if ctx.smoke { 4_000 } else { 12_000 },
-        max_slots: 400_000,
-        ..SimConfig::default()
-    };
-    cfg.seed = ctx.seed("tails-bench", 0);
-    let rounds = if ctx.smoke { 3 } else { 7 };
-
-    let timed = |cfg: SimConfig| {
-        let t0 = std::time::Instant::now();
-        let rep = run_scenario(topo, &spec, cfg);
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(rep.ok(), "tails bench runs must be clean at rho=0.7");
-        if secs > 0.0 {
-            rep.slots_run as f64 / secs
-        } else {
-            f64::NAN
-        }
-    };
-    let mut base = Vec::with_capacity(rounds);
-    let mut tails = Vec::with_capacity(rounds);
-    let t0 = std::time::Instant::now();
-    for _ in 0..rounds {
-        base.push(timed(cfg));
-        tails.push(timed(SimConfig { tails: true, ..cfg }));
-    }
-    ctx.push_phase(
-        "bench",
-        t0.elapsed().as_secs_f64(),
-        Some((rounds as u64) * 2 * (cfg.warmup_slots + cfg.measure_slots)),
-    );
-
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[xs.len() / 2]
-    };
-    let base_sps = median(&mut base);
-    let tails_sps = median(&mut tails);
-    let overhead = if base_sps.is_finite() && base_sps > 0.0 {
-        1.0 - tails_sps / base_sps
-    } else {
-        f64::NAN
-    };
-    (base_sps, tails_sps, overhead)
-}
-
-/// The benchmark summary for dashboards, in the working directory by
-/// convention with the other `BENCH_*.json` files.
-fn write_bench_json(
-    ctx: &Ctx,
-    topo: &Torus,
-    points: &[(SchemeKind, f64)],
-    reports: &[SimReport],
-    (base_sps, tails_sps, overhead): (f64, f64, f64),
-) {
-    let json_f64 = |out: &mut String, v: f64| {
-        if v.is_finite() {
-            let _ = write!(out, "{v}");
-        } else {
-            out.push_str("null");
-        }
-    };
-    let mut s = String::with_capacity(4096);
-    let _ = write!(
-        s,
-        "{{\"schema\":1,\"bench\":\"tails\",\"topology\":\"{}\",\"smoke\":{},",
-        topo_label(topo),
-        ctx.smoke
-    );
-    match git_rev() {
-        Some(rev) => {
-            let _ = write!(s, "\"git_rev\":\"{rev}\",");
-        }
-        None => s.push_str("\"git_rev\":null,"),
-    }
-    // `host_cores` qualifies the overhead numbers: a 1-core runner and a
-    // 16-core workstation produce different, equally honest, figures.
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let _ = write!(s, "\"host_cores\":{host_cores},");
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let _ = write!(s, "\"unix_time_secs\":{unix},");
-    s.push_str("\"overhead\":{\"base_slots_per_sec\":");
-    json_f64(&mut s, base_sps);
-    s.push_str(",\"tails_slots_per_sec\":");
-    json_f64(&mut s, tails_sps);
-    s.push_str(",\"overhead_frac\":");
-    json_f64(&mut s, overhead);
-    s.push_str("},\"results\":[");
-    for (i, &(scheme, rho)) in points.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let t = &reports[i].tails;
-        let _ = write!(
-            s,
-            "{{\"scheme\":\"{}\",\"rho\":{rho},\"ok\":{},\
-             \"recv\":{{\"count\":{},\"mean\":",
-            scheme.label(),
-            reports[i].ok(),
-            t.reception_all.count,
-        );
-        json_f64(&mut s, t.reception_all.mean);
-        let _ = write!(
-            s,
-            ",\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}},\
-             \"wait_trunk_p99\":{},\"wait_ending_p99\":{},\"wait_unicast_p99\":{},\
-             \"service_p99\":{}}}",
-            t.reception_all.p50,
-            t.reception_all.p90,
-            t.reception_all.p99,
-            t.reception_all.p999,
-            t.reception_all.max,
-            t.hop_wait[HopPhase::Trunk as usize].p99,
-            t.hop_wait[HopPhase::Ending as usize].p99,
-            t.hop_wait[HopPhase::Unicast as usize].p99,
-            t.service.p99,
-        );
-    }
-    s.push_str("]}\n");
-    if let Err(e) = std::fs::write("BENCH_tails.json", &s) {
-        fatal("writing BENCH_tails.json", &e);
-    }
-    println!("(benchmark summary written to BENCH_tails.json)");
 }
 
 /// `experiments trace export [--chrome]`: short instrumented pilot per

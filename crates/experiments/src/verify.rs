@@ -4,24 +4,9 @@
 //! PASS/FAIL per claim, exiting nonzero on any failure — the thing CI
 //! runs to ensure the reproduction stays reproduced.
 
-use crate::Ctx;
+use crate::{Ctx, Gate};
 use priority_star::prelude::*;
 use pstar_traffic::TrafficMix;
-
-struct Gate {
-    failures: u32,
-}
-
-impl Gate {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        if ok {
-            println!("PASS  {name}: {detail}");
-        } else {
-            println!("FAIL  {name}: {detail}");
-            self.failures += 1;
-        }
-    }
-}
 
 fn quick(seed: u64) -> SimConfig {
     SimConfig {
@@ -40,7 +25,7 @@ fn run(topo: &Torus, kind: SchemeKind, rho: f64, frac: f64, seed: u64) -> SimRep
 
 /// Runs the full gate; exits the process with status 1 on any failure.
 pub fn verify(_ctx: &Ctx) {
-    let mut gate = Gate { failures: 0 };
+    let mut gate = Gate::default();
 
     // Claim 1 (Figs. 2–7): priority STAR beats FCFS at high load, on both
     // delay metrics.
@@ -194,9 +179,6 @@ pub fn verify(_ctx: &Ctx) {
         );
     }
 
-    if gate.failures > 0 {
-        eprintln!("verify: {} claim(s) FAILED", gate.failures);
-        std::process::exit(1);
-    }
+    gate.finish("verify");
     println!("verify: all claims reproduced");
 }

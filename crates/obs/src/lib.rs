@@ -38,7 +38,9 @@ mod trace;
 
 pub use chrome::{chrome_trace, chrome_trace_phases, chrome_trace_workers};
 pub use heatmap::{render_heatmap, HeatPanel};
-pub use manifest::{config_hash, fnv1a64, git_rev, PhaseTiming, RunManifest};
+pub use manifest::{
+    config_hash, escape_json, fnv1a64, git_rev, json_f64, PhaseTiming, RunManifest,
+};
 pub use metrics::{Counter, Gauge, JsonlSink, MetricsRegistry, PhaseSpan, Timer, COORD_TRACK};
 pub use series::{SeriesStats, SlotSample, MAX_OBS_CLASSES};
 pub use trace::{DropKind, NullSink, ObsCollector, RingTrace, TraceEvent, TraceRecord, TraceSink};

@@ -153,7 +153,9 @@ pub struct RunManifest {
     pub extra: Vec<(String, String)>,
 }
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` with minimal JSON string escaping (quotes,
+/// backslashes, control characters).
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -169,7 +171,9 @@ fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-fn json_f64(v: f64, out: &mut String) {
+/// Appends a JSON number token: `Display` for finite floats (shortest
+/// round-trip), `null` for NaN / infinities.
+pub fn json_f64(v: f64, out: &mut String) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
