@@ -3,9 +3,10 @@
 //! The runtime's failure contract: [`crate::run_net`] returns
 //! `Result<NetReport, NetError>` and **never** lets a raw panic or a
 //! deadlock escape. Config problems are rejected up front
-//! ([`NetConfigError`]); a worker that panics mid-run trips the shared
-//! poison flag so its peers abort at their next barrier, decision wait
-//! or blocked hand-over ([`NetError::WorkerPanic`]); a worker that silently stops making
+//! ([`NetConfigError`]); a worker that panics mid-run — inside the
+//! combiner of a rendezvous included — trips the shared poison flag so
+//! its peers abort at their next barrier wait or blocked hand-over
+//! ([`NetError::WorkerPanic`]); a worker that silently stops making
 //! progress is converted into [`NetError::BarrierTimeout`] by the
 //! supervisor's watchdog, with every worker's last known position
 //! attached.
@@ -83,9 +84,14 @@ pub struct WorkerPosition {
     pub worker: u32,
     /// Slot the worker was executing.
     pub slot: u64,
-    /// Phase within the slot: 0 = fault exchange / loop top, 1 = phase
-    /// A (send), 2 = phase B (process), 3 = decision hand-off (worker 0
-    /// deciding, every other worker waiting for its decision), 4 = done.
+    /// Phase within the slot, in the order a slot goes through them:
+    /// 0 = loop top (on a run with a fault plan: the rendezvous deciding
+    /// the previous slot, then the fault exchange), 1 = phase A (send:
+    /// finish scan, injection, one hand-over per peer — a worker stuck
+    /// here is waiting on a mailbox its peer stopped taking), 3 = the
+    /// slot's rendezvous (waiting for the fleet, or — as its last
+    /// arriver — deciding the previous slot), 2 = phase B (process),
+    /// 4 = done.
     pub phase: u8,
 }
 
@@ -95,7 +101,7 @@ impl fmt::Display for WorkerPosition {
             0 => "loop-top",
             1 => "phase-a",
             2 => "phase-b",
-            3 => "decision",
+            3 => "rendezvous",
             _ => "done",
         };
         write!(f, "worker {} @ slot {} ({phase})", self.worker, self.slot)
@@ -118,9 +124,9 @@ pub enum NetError {
         message: String,
     },
     /// No worker made progress for the watchdog interval — a hung
-    /// barrier or a send blocked on a channel nobody drains. The
-    /// supervisor poisoned the fleet and unblocked every channel, so
-    /// the threads were still joined cleanly.
+    /// barrier or a hand-over into a mailbox nobody takes. The
+    /// supervisor poisoned the fleet, which releases every wait of the
+    /// slot path, so the threads were still joined cleanly.
     BarrierTimeout {
         /// The watchdog interval that elapsed without progress.
         waited_ms: u64,
@@ -166,20 +172,21 @@ pub struct ChaosConfig {
     /// Selects the victim worker of each armed fault (independently per
     /// fault kind, via a splitmix64 finalizer over `seed ^ kind`).
     pub seed: u64,
-    /// Panic the chosen worker in this slot's decision step, right after
-    /// barrier B — exercises `catch_unwind` → poison → peer drain →
-    /// [`NetError::WorkerPanic`]. When the victim is worker 0 the panic
-    /// lands before it publishes the slot's decision, so its peers are
-    /// released from the decision wait by the poison flag alone; any
-    /// other victim's peers abort at the next slot's barrier A.
+    /// Panic the chosen worker right after the rendezvous that decides
+    /// this slot (the next slot's rendezvous; on a run with a fault
+    /// plan, the decision rendezvous at the top of the next slot),
+    /// whatever the verdict — exercises `catch_unwind` → poison → peer
+    /// drain → [`NetError::WorkerPanic`]. The victim's peers have left
+    /// the same rendezvous and abort at their next wait.
     pub panic_at_slot: Option<u64>,
     /// `(slot, millis)`: stall the chosen worker once, at the top of
     /// that slot. A stall below the watchdog interval must NOT fail the
     /// run — this arms the false-positive test of the watchdog.
     pub delay_at_slot: Option<(u64, u64)>,
-    /// From this slot on, the chosen worker stops draining its incoming
-    /// delivery channels (a "deaf" worker). Peers' bounded sends
-    /// eventually block, global progress stalls, and the watchdog must
+    /// From this slot on, the chosen worker stops taking its peers'
+    /// mailboxes (a "deaf" worker). A mailbox holds one batch and is
+    /// never overwritten, so two slots later the peers' next put of the
+    /// same parity waits, global progress stalls, and the watchdog must
     /// convert the hang into [`NetError::BarrierTimeout`].
     pub deaf_from_slot: Option<u64>,
 }
@@ -248,12 +255,18 @@ mod tests {
                     slot: 9,
                     phase: 1,
                 },
+                WorkerPosition {
+                    worker: 2,
+                    slot: 10,
+                    phase: 3,
+                },
             ],
         };
         let s = e.to_string();
         assert!(s.contains("500 ms"));
         assert!(s.contains("worker 0 @ slot 10 (phase-b)"));
         assert!(s.contains("worker 1 @ slot 9 (phase-a)"));
+        assert!(s.contains("worker 2 @ slot 10 (rendezvous)"));
         let c: NetError = NetConfigError::Backpressure.into();
         assert!(c.to_string().contains("Backpressure"));
     }

@@ -40,7 +40,31 @@ pub(crate) struct InjectMsg {
     pub len: u16,
     pub measured: bool,
     pub broadcast: bool,
+    /// The task's initial transmissions, as a range of the
+    /// [`InjectBatch::emits`] arena the message travels with.
+    pub emits: std::ops::Range<u32>,
+}
+
+/// One slot's injections for one owner: the tasks and, in one arena
+/// beside them, every task's initial transmissions. The batch travels
+/// whole (a mailbox hand-over swaps it) and comes back emptied with its
+/// allocations, so generating a task allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct InjectBatch {
+    pub msgs: Vec<InjectMsg>,
     pub emits: Vec<Emit>,
+}
+
+impl InjectBatch {
+    pub fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+}
+
+/// Where the global injector puts a task: the batch bound for the owner
+/// of its source node.
+pub(crate) trait InjectRoute {
+    fn batch_for(&mut self, src: NodeId) -> &mut InjectBatch;
 }
 
 /// splitmix64 finalizer: decorrelates per-node seed streams.
@@ -79,7 +103,7 @@ fn generate_task<S: Scheme + ?Sized>(
     t: u64,
     measured: bool,
     rejected: &mut (u64, u64),
-    out: &mut Vec<InjectMsg>,
+    out: &mut InjectBatch,
 ) -> bool {
     if let Some(tok) = tokens {
         // The admission gate consumes no randomness and fires *before*
@@ -97,13 +121,15 @@ fn generate_task<S: Scheme + ?Sized>(
         *tok -= 1.0;
     }
     let len = cfg.lengths.sample_length(rng);
-    let mut emits = Vec::new();
+    // Schemes append to `out`, so the arena is handed to them as it is.
+    let first = out.emits.len() as u32;
     match dest {
-        None => scheme.on_broadcast_generated(src, rng, &mut emits),
-        Some(d) => scheme.on_unicast_generated(src, d, rng, &mut emits),
+        None => scheme.on_broadcast_generated(src, rng, &mut out.emits),
+        Some(d) => scheme.on_unicast_generated(src, d, rng, &mut out.emits),
     }
+    let emits = first..out.emits.len() as u32;
     debug_assert!(!emits.is_empty(), "task with no transmissions");
-    out.push(InjectMsg {
+    out.msgs.push(InjectMsg {
         task,
         src,
         gen_time: t,
@@ -160,7 +186,7 @@ impl VirtualInjector {
         t >= self.cfg.warmup_slots && t < self.cfg.measure_end()
     }
 
-    /// Generates slot `t`'s arrivals into `out`, mirroring
+    /// Generates slot `t`'s arrivals into `route`'s batches, mirroring
     /// `Engine::step`'s phase-2 order: token refill, then the arrival
     /// draws. The draw sequence itself is not mirrored by hand — it *is*
     /// the engine's, via `pstar_sim::generate_arrivals_into`, with this
@@ -168,12 +194,12 @@ impl VirtualInjector {
     /// injection at dead nodes at exactly the points the engine does
     /// (the sink's `source_dead` probe), so the RNG stream stays aligned
     /// with the simulator under the same fault plan — for any scenario.
-    pub fn slot<S: Scheme + ?Sized>(
+    pub fn slot<S: Scheme + ?Sized, R: InjectRoute>(
         &mut self,
         t: u64,
         scheme: &S,
         view: Option<&LivenessView>,
-        out: &mut Vec<InjectMsg>,
+        route: &mut R,
     ) {
         if let Some(adm) = self.cfg.admission {
             for tok in &mut self.tokens {
@@ -188,7 +214,7 @@ impl VirtualInjector {
             scheme,
             view,
             t,
-            out,
+            route,
         };
         generate_arrivals_into(&mut sink, &mut cursor, mix, n, t);
         self.cursor = cursor;
@@ -198,15 +224,15 @@ impl VirtualInjector {
 /// [`ArrivalSink`] adapter: the shared generator owns the draw order;
 /// `spawn` performs the per-task admission gate and length/scheme draws
 /// in the engine's exact order (`generate_task`).
-struct VirtualSink<'a, S: Scheme + ?Sized> {
+struct VirtualSink<'a, S: Scheme + ?Sized, R: InjectRoute> {
     inj: &'a mut VirtualInjector,
     scheme: &'a S,
     view: Option<&'a LivenessView>,
     t: u64,
-    out: &'a mut Vec<InjectMsg>,
+    route: &'a mut R,
 }
 
-impl<S: Scheme + ?Sized> ArrivalSink for VirtualSink<'_, S> {
+impl<S: Scheme + ?Sized, R: InjectRoute> ArrivalSink for VirtualSink<'_, S, R> {
     fn draw_ctx(&mut self) -> (&mut StdRng, &DestSampler) {
         let inj = &mut *self.inj;
         (&mut inj.rng, &inj.dests)
@@ -230,7 +256,7 @@ impl<S: Scheme + ?Sized> ArrivalSink for VirtualSink<'_, S> {
             self.t,
             measured,
             &mut self.inj.rejected,
-            self.out,
+            self.route.batch_for(src),
         ) {
             self.inj.next_task += 1;
         }
@@ -268,11 +294,6 @@ impl WallInjector {
             worker < (1usize << (32 - TASK_SEQ_BITS)),
             "too many workers"
         );
-        let mut per_node_mix = mix;
-        // The aggregate Poisson superposition trick of the global
-        // injector does not shard; per-node sampling does (and is the
-        // same law).
-        per_node_mix.bernoulli = mix.bernoulli;
         Self {
             first_node: nodes.start,
             rngs: nodes
@@ -283,7 +304,10 @@ impl WallInjector {
                 Some(adm) => vec![adm.burst; nodes.len()],
                 None => Vec::new(),
             },
-            mix: per_node_mix,
+            // Sampled per node: the aggregate Poisson superposition of
+            // the global injector does not shard, per-node draws do (and
+            // follow the same law).
+            mix,
             dests: UniformDestinations::new(n),
             cfg,
             next_seq: 0,
@@ -310,7 +334,7 @@ impl WallInjector {
         t: u64,
         scheme: &S,
         view: Option<&LivenessView>,
-        out: &mut Vec<InjectMsg>,
+        out: &mut InjectBatch,
     ) {
         let measured = t >= self.cfg.warmup_slots && t < self.cfg.measure_end();
         if let Some(adm) = self.cfg.admission {

@@ -7,8 +7,9 @@
 //! drop policies — on an actual concurrent runtime: torus nodes are
 //! sharded across OS threads, every worker queues and serves its
 //! links through the *same* [`pstar_sim::LinkKernel`] the simulator's
-//! engines run, deliveries cross workers over bounded
-//! mutex-and-condvar [`Channel`]s, and routing decisions come from the
+//! engines run, a slot's traffic crosses workers in one mailbox
+//! hand-over per worker pair around one rendezvous that also decides
+//! whether the run goes on, and routing decisions come from the
 //! *same* [`pstar_sim::Scheme`] implementations the simulator runs. A
 //! simulator validates the paper's analysis; this runtime validates the
 //! simulator — and gives the schemes a harness whose costs (cache
@@ -35,11 +36,12 @@
 //!
 //! [`run_net_with_faults`] executes a scripted `pstar_faults::FaultPlan`
 //! at runtime: worker 0 advances the fault clock and broadcasts epoch
-//! deltas, every worker maintains a liveness replica, disposes of
-//! packets on dead links per `DeadLinkPolicy`, suppresses injection at
-//! dead nodes, and re-solves degraded-mode routing on its own scheme
-//! clone. Virtual-clock faulted runs reproduce the engine's delivered
-//! and fault-drop counts exactly under the same plan.
+//! deltas over a [`Channel`], every worker maintains a liveness
+//! replica, disposes of packets on dead links per `DeadLinkPolicy`,
+//! suppresses injection at dead nodes, and re-solves degraded-mode
+//! routing on its own scheme clone. Virtual-clock faulted runs
+//! reproduce the engine's delivered and fault-drop counts exactly under
+//! the same plan.
 //!
 //! Execution is panic-safe: [`run_net`] returns
 //! `Result<NetReport, NetError>` — a panicking worker poisons the fleet

@@ -7,55 +7,66 @@
 //! [`crate::stats::WorkerStats`] accumulator, and — with ARQ on — its
 //! own [`pstar_sim::Arq`] timers.
 //! Workers never share mutable state: everything crosses core
-//! boundaries as messages over [`crate::channel::Channel`]s, handed
-//! over one batch per lane per phase — a worker appends a phase's
-//! messages to per-destination outboxes it owns and passes each
-//! non-empty outbox through one `Channel::send_batch`, so no lock is
-//! taken per message and none at all for a lane nothing was sent on.
+//! boundaries in [`crate::channel::Mailbox`]es, one hand-over per peer
+//! per slot — a worker collects what it has for each peer (control,
+//! deliveries, injections) in one outbox it owns and swaps the whole
+//! outbox into the pair's mailbox, so no lock is taken per message and
+//! none at all towards a peer it has nothing for.
 //!
 //! # Slot protocol
 //!
-//! Every slot `t` runs two barrier-separated phases and a one-way
-//! decision hand-off:
+//! Every slot `t` is one exchange — *send*, **one rendezvous**,
+//! *process*:
 //!
-//! * **Phase A (send)** — each worker moves deliveries finishing at `t`
-//!   off its links into the data outbox of the target
-//!   node's owner, and traffic is injected (virtual mode: worker 0 runs
-//!   the global [`crate::inject::VirtualInjector`] and scatters
-//!   [`crate::inject::InjectMsg`]s to source owners; wall-clock mode:
-//!   every worker injects for its own nodes). The phase ends by
-//!   flushing the data and inject outboxes; **barrier A** follows.
-//! * **Phase B (process)** — each worker drains control messages
-//!   (acks/losses/registrations from slot `t − 1`), then data channels
-//!   (this slot's deliveries, applying scheme forwarding), then fires
-//!   its due ARQ retransmissions, then processes injections, and
-//!   finally starts service on idle owned links — the same
-//!   deliveries → retransmissions → arrivals → service order as one
-//!   `Engine::step`. The phase ends by flushing the ctrl outboxes (what
-//!   this phase and this slot's fault tick produced) into generation
-//!   `(t + 1) % 2`; **barrier B** follows.
-//! * **Decision hand-off** — worker 0 totals the per-worker queue gauges
-//!   and decides whether the run completed, hit the horizon, or went
-//!   unstable, with the simulator's exact criteria, then publishes the
-//!   decided slot; every other worker waits on that word alone. No
-//!   third barrier is needed: what the decision reads (the queue gauges
-//!   and the outstanding-task count) is written only in phase B and in
-//!   the fault tick, and a peer reaches neither before it has seen the
-//!   decision — while worker 0 running ahead into slot `t + 1` can get
-//!   no further than barrier A, and all it hands over before that goes
-//!   to data and inject lanes every peer drained before barrier B.
+//! * **Send** — each worker moves the deliveries finishing at `t` off
+//!   its links into the outbox of the target node's owner, and traffic
+//!   is injected (virtual mode: worker 0 runs the global
+//!   [`crate::inject::VirtualInjector`] straight into the source
+//!   owners' outboxes; wall-clock mode: every worker injects for its
+//!   own nodes). Each non-empty outbox — the control messages slot
+//!   `t − 1` produced, slot `t`'s deliveries and slot `t`'s injections —
+//!   then goes to its peer in one hand-over, into the pair's mailbox of
+//!   parity `t % 2`.
+//! * **Rendezvous** — the one barrier of the slot. Its *last arriver*,
+//!   before it releases the others, decides slot `t − 1`: it totals the
+//!   per-worker gauge lines (queued packets, outstanding measured
+//!   tasks, the single-queue guard's flag) and settles completed /
+//!   horizon / unstable by the simulator's exact criteria. Everyone
+//!   leaves the rendezvous knowing both that slot `t`'s traffic is in
+//!   the mailboxes and whether slot `t` exists.
+//! * **Process** — each worker takes its peers' mailboxes of parity
+//!   `t % 2`, then handles control (acks/losses/registrations from slot
+//!   `t − 1`), then this slot's deliveries in ascending link order
+//!   (applying scheme forwarding), then fires its due ARQ
+//!   retransmissions, then processes injections, and finally starts
+//!   service on idle owned links — the same deliveries →
+//!   retransmissions → arrivals → service order as one `Engine::step` —
+//!   and publishes its gauge line.
+//!
+//! *Why one rendezvous is enough.* Mailbox `t % 2` is written before
+//! rendezvous `t` and read after it, and its next write (send of
+//! `t + 2`) lies behind rendezvous `t + 1`, which nobody passes before
+//! every peer has finished processing `t`. The gauge lines are written
+//! at the end of process and read by the last arriver of the next
+//! rendezvous, when every writer is waiting or about to arrive.
+//!
+//! *The commit rule.* Send of `t` runs before slot `t − 1`'s outcome is
+//! known, so when `t − 1` turns out to be the last slot, send of `t` has
+//! already run. Nothing a report can see happens in it: the window tick
+//! of the concurrency gauges runs at the head of process; the data and
+//! injection share of [`NetReport::messages_sent`] and the injectors'
+//! admission-rejection counters are held back until the rendezvous says
+//! *run* (control messages are counted where they are produced); and
+//! control produced by slot `t` itself — its fault tick included — ships
+//! with send of `t + 1`, never with send of `t`.
 //!
 //! # Determinism
 //!
-//! Channels are drained at barriers in a fixed sender order, each
-//! channel is FIFO per sender, and control channels are split into two
-//! slot-parity generations so a generation is never flushed into while
-//! it is being drained: generation `(t + 1) % 2` is flushed at the end
-//! of phase B of slot `t` and drained in phase B of slot `t + 1`, with
-//! barrier B of `t` and barrier A of `t + 1` in between, and the next
-//! flush into it (end of phase B of `t + 2`) lies behind barrier A of
-//! `t + 2`, which no worker passes before every peer has left phase B
-//! of `t + 1`. Every RNG is seeded from `SimConfig::seed`, so a run is
+//! A mailbox holds one sender's batch in send order, batches are taken
+//! after the rendezvous in a fixed sender order, and a worker's links
+//! are one contiguous id range, so the senders' delivery runs — each
+//! ascending, a finish scan's order — concatenate into one ascending
+//! sequence. Every RNG is seeded from `SimConfig::seed`, so a run is
 //! bit-reproducible for a given `(seed, workers, mode)` triple. In
 //! virtual mode the injector consumes its RNG in the engine's exact
 //! draw order, which makes the measured task population identical to a
@@ -71,32 +82,41 @@
 //! Worker 0 owns the fault clock ([`pstar_faults::FaultRuntime`]): at
 //! the top of each slot that has a due plan event it advances the clock
 //! and broadcasts the [`FaultDelta`] to every worker over dedicated
-//! channels, separated by a dedicated barrier (deltas must take effect
-//! *this* slot — they cannot ride the parity ctrl lanes, which deliver
-//! with a one-slot lag). Each worker applies the delta to its private
-//! [`LivenessView`] replica, disposes of packets stranded on its
-//! newly-dead links per the [`DeadLinkPolicy`], and hands the new epoch
-//! to its owned scheme clone (`Scheme::on_liveness_change` — the
-//! degraded-mode re-solve). Fault-free slots cost one atomic load.
+//! channels, separated by a barrier wait of its own (deltas must take
+//! effect *this* slot — they cannot ride the mailboxes' control share,
+//! which arrives with a one-slot lag). Each worker applies the delta to
+//! its private [`LivenessView`] replica, disposes of packets stranded on
+//! its newly-dead links per the [`DeadLinkPolicy`], and hands the new
+//! epoch to its owned scheme clone (`Scheme::on_liveness_change` — the
+//! degraded-mode re-solve). The fault tick drops packets, counts fault
+//! slots and probes link state *before* the slot's finish scan — all of
+//! it visible in a report — so a run with a plan installed does not
+//! send ahead of the decision: slot `t − 1` is decided at a rendezvous
+//! of its own at the top of slot `t`, ahead of the fault tick, and the
+//! exchange rendezvous decides nothing. Which of the two shapes runs
+//! follows from whether a plan is installed.
 //!
 //! # Supervised shutdown
 //!
 //! `run_net` never lets a panic or a deadlock escape. Each worker body
-//! runs under `catch_unwind`; a panic records the first
-//! [`NetError::WorkerPanic`], trips the shared poison flag, and halts
-//! the bounded data channels so blocked peers unblock, abort at their
-//! next poison-aware wait (a barrier or the decision word), and exit
-//! cleanly. The main thread acts as supervisor: it polls per-worker
+//! runs under `catch_unwind`; a panic — in the combiner of a rendezvous
+//! as anywhere else — records the first [`NetError::WorkerPanic`] and
+//! trips the shared poison flag, and every wait of the slot path (the
+//! barrier, a put into an occupied mailbox) checks that flag, so peers
+//! abort where they stand and exit cleanly. The main thread acts as
+//! supervisor: parked between watchdog ticks, it reads per-worker
 //! progress words and converts a fleet that stops progressing for
 //! [`NetConfig::watchdog_ms`] into [`NetError::BarrierTimeout`] with
-//! every worker's last position. [`ChaosConfig`] injects exactly these
-//! failures deterministically.
+//! every worker's last position; the last worker to finish wakes it, so
+//! a run returns when its work does. [`ChaosConfig`] injects exactly
+//! these failures deterministically.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
@@ -112,9 +132,11 @@ use pstar_traffic::TrafficMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::channel::Channel;
+use crate::channel::{spin_until, Channel, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
-use crate::inject::{node_stream_seed, InjectMsg, VirtualInjector, WallInjector};
+use crate::inject::{
+    node_stream_seed, InjectBatch, InjectMsg, InjectRoute, VirtualInjector, WallInjector,
+};
 use crate::stats::WorkerStats;
 
 /// Salt of the per-worker unicast-forwarding RNG streams.
@@ -161,7 +183,7 @@ pub struct NetConfig {
     /// Deterministic failure injection for testing the teardown paths;
     /// inert by default.
     pub chaos: ChaosConfig,
-    /// Collect per-worker phase timings, barrier waits, and channel
+    /// Collect per-worker phase timings, barrier waits, and mailbox
     /// telemetry into [`NetReport::perf`]. Off (the default), the slot
     /// loop pays one never-taken branch per phase and the report is
     /// bit-identical to an uninstrumented run — timing never touches
@@ -203,7 +225,7 @@ pub struct NetReport {
     /// Per-worker trace tracks `(worker, records)`, when
     /// [`NetConfig::trace_capacity`] is nonzero.
     pub worker_traces: Vec<(u32, Vec<TraceRecord>)>,
-    /// Per-worker phase timings and channel telemetry, when
+    /// Per-worker phase timings and mailbox telemetry, when
     /// [`NetConfig::perf`] is set.
     pub perf: Option<NetPerf>,
 }
@@ -235,26 +257,36 @@ pub struct NetWorkerPerf {
     pub slot_ns_median: u64,
     /// Slowest single slot.
     pub slot_ns_max: u64,
-    /// Time spent waiting per slot: at barrier A, at barrier B, and for
-    /// worker 0's decision (index 2; always 0 on worker 0, which
-    /// decides instead of waiting).
+    /// Time spent waiting per slot: at the slot's rendezvous (index 0),
+    /// and at the rendezvous of its own that a run with a fault plan
+    /// decides the previous slot at (index 1; 0 on fault-free runs).
+    /// Index 2 is unused and reads 0; it keeps the array, and the
+    /// `barrier="c"` series [`NetPerf::publish`] writes, in shape. Time
+    /// spent inside the rendezvous' combiner is [`Self::decide_ns`], not
+    /// wait.
     pub barrier_wait_ns: [u64; 3],
     /// Time spent waiting at the fault barrier (faulted runs only).
     pub fault_barrier_wait_ns: u64,
-    /// Phase A (send + inject) work time.
+    /// Send work time (phase A): finish scan, injection and the
+    /// hand-overs.
     pub phase_a_ns: u64,
-    /// Phase B (drain + process) work time.
+    /// Process work time (phase B): taking the mailboxes and everything
+    /// after, up to the gauge update.
     pub phase_b_ns: u64,
-    /// Time spent deciding the slot's outcome between barrier B and
-    /// publishing the decision (nonzero only on worker 0).
+    /// Time spent deciding slot outcomes inside the rendezvous'
+    /// combiner. Whichever worker arrives last runs it, so the time
+    /// lands on a different worker from slot to slot; the sum over
+    /// workers is the run's decision cost.
     pub decide_ns: u64,
     /// Fault-epoch application latency: time inside
     /// `apply_fault_delta` (liveness replica update, stranded-packet
     /// disposal, degraded-mode re-solve).
     pub fault_apply_ns: u64,
-    /// Time this worker's data sends spent blocked on a full channel.
+    /// Time this worker's puts waited on a mailbox whose previous batch
+    /// had not been taken (0 unless a receiver falls a whole slot
+    /// behind).
     pub blocked_send_ns: u64,
-    /// Deepest any data channel *into* this worker ever got.
+    /// Deepest delivery batch any mailbox *into* this worker ever held.
     pub data_depth_high: usize,
 }
 
@@ -268,7 +300,7 @@ impl NetWorkerPerf {
         }
     }
 
-    /// Total wait (slot barriers + decision wait + fault barrier).
+    /// Total wait (slot rendezvous + fault barrier).
     pub fn wait_ns_total(&self) -> u64 {
         self.barrier_wait_ns.iter().sum::<u64>() + self.fault_barrier_wait_ns
     }
@@ -277,9 +309,10 @@ impl NetWorkerPerf {
 impl NetPerf {
     /// Publishes every worker's timings into `reg` as labeled counters
     /// (`net_slot_ns{worker=N}`, `net_barrier_wait_ns{worker,barrier}` —
-    /// `barrier="c"` is the wait for worker 0's decision, the label kept
-    /// from the barrier it replaced — `net_phase_ns{worker,phase}`,
-    /// `net_blocked_send_ns{worker}`) and
+    /// `barrier="a"` is the slot's rendezvous, `"b"` the decision
+    /// rendezvous of runs with a fault plan, and `"c"` is unused and
+    /// reads 0 —
+    /// `net_phase_ns{worker,phase}`, `net_blocked_send_ns{worker}`) and
     /// gauges (`net_data_depth_high{worker}`), so net runs land in the
     /// same registry/exporter pipeline as the sharded engine.
     pub fn publish(&self, reg: &MetricsRegistry) {
@@ -319,28 +352,27 @@ const COMPLETED: u8 = 1;
 const HORIZON: u8 = 2;
 const UNSTABLE: u8 = 3;
 
-/// The fleet's one waiting policy: spins briefly, then yields, until
-/// `ready()` — or until `poison` trips, in which case it returns `true`
-/// and the caller abandons the run. All workers run in lockstep, so
-/// waits are short and a futex-free spin wins over a mutex+condvar on
-/// the per-slot path.
-fn spin_until(poison: &AtomicBool, ready: impl Fn() -> bool) -> bool {
-    let mut spins = 0u32;
-    while !ready() {
-        if poison.load(Ordering::Acquire) {
-            return true;
-        }
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
+/// A value alone on its cache lines, so that no two workers ever write
+/// — or one spins on what another writes — within one line. 128 bytes
+/// covers the adjacent-line prefetch pair of x86-64 and the line of the
+/// aarch64 parts that have a 128-byte one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
     }
-    false
 }
 
-/// A sense-reversing spin barrier on [`spin_until`]'s waiting policy.
+/// A sense-reversing spin barrier on [`spin_until`]'s waiting policy
+/// that can *combine*: the last arriver runs a closure before anyone is
+/// released. The arrival count is the one read-modify-write the slot
+/// path makes on shared state.
+#[repr(align(128))]
 pub(crate) struct SlotBarrier {
     count: AtomicUsize,
     generation: AtomicUsize,
@@ -356,17 +388,29 @@ impl SlotBarrier {
         }
     }
 
-    /// Waits for the fleet, aborting when `poison` trips — returns
-    /// `true` when the caller should abandon the run instead of
-    /// continuing. Once poisoned, the barrier's counters may be left
-    /// inconsistent; that is fine because every worker also aborts and
-    /// never waits again.
-    pub fn wait_poisoned(&self, poison: &AtomicBool) -> bool {
+    /// Waits for the fleet; the last arriver runs `combine` first, so
+    /// every waiter returns to a world in which it has run — exactly
+    /// once per generation. Returns `true` when `poison` tripped and the
+    /// caller should abandon the run instead of continuing. Once
+    /// poisoned, the barrier's counters may be left inconsistent; that
+    /// is fine because every worker also aborts and never waits again.
+    /// A `combine` that panics leaves the generation where it was: the
+    /// waiters are released by the poison flag the panicking worker's
+    /// supervision trips.
+    ///
+    /// Memory ordering: every arrival is an `AcqRel` read-modify-write
+    /// of `count`, so the last arriver has acquired everything each
+    /// earlier arriver wrote before arriving, and the `Release` store of
+    /// `generation` pairs with the waiters' `Acquire` loads, so they see
+    /// everything `combine` wrote. That chain is what orders the plain
+    /// (`Relaxed`) gauge, tally and stop words around a rendezvous.
+    pub fn wait_with(&self, poison: &AtomicBool, combine: impl FnOnce()) -> bool {
         if poison.load(Ordering::Acquire) {
             return true;
         }
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
+            combine();
             self.count.store(0, Ordering::Relaxed);
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
@@ -375,37 +419,44 @@ impl SlotBarrier {
             spin_until(poison, || self.generation.load(Ordering::Acquire) != gen)
         }
     }
+
+    /// [`SlotBarrier::wait_with`] with nothing to combine.
+    pub fn wait_poisoned(&self, poison: &AtomicBool) -> bool {
+        self.wait_with(poison, || ())
+    }
 }
 
-/// The one-way hand-off that ends a slot: worker 0 decides the slot's
-/// outcome after barrier B and publishes it here; every other worker
-/// waits on this word instead of meeting worker 0 at a third barrier.
-pub(crate) struct DecisionWord {
-    /// Slots decided so far: `t + 1` once slot `t`'s outcome stands.
-    decided: AtomicU64,
+/// What a worker publishes at the end of process for the next
+/// rendezvous' combiner: one line per worker, written by its owner only.
+/// `Relaxed` throughout — [`SlotBarrier::wait_with`] orders the accesses.
+#[derive(Default)]
+#[repr(align(128))]
+struct GaugeLine {
+    /// Packets queued on the worker's links.
+    queued: AtomicI64,
+    /// The worker's balance of measured tasks: +1 where it injects one,
+    /// −1 where it completes one as the task's home. One worker's
+    /// balance may be negative; the sum over workers is the number of
+    /// measured tasks not yet completed.
+    outstanding: AtomicI64,
+    /// Set once the worker's single-queue divergence guard trips.
+    unstable: AtomicBool,
 }
 
-impl DecisionWord {
-    pub fn new() -> Self {
-        Self {
-            decided: AtomicU64::new(0),
-        }
-    }
-
-    /// Worker 0, after `decide(slot)`. The Release store pairs with the
-    /// Acquire load in [`DecisionWord::wait_poisoned`], so a peer that
-    /// sees the slot decided also sees the stop code the decision
-    /// stored.
-    pub fn publish(&self, slot: u64) {
-        self.decided.store(slot + 1, Ordering::Release);
-    }
-
-    /// Waits until `slot` is decided, aborting when `poison` trips —
-    /// returns `true` when the caller should abandon the run, which is
-    /// how a worker 0 that dies before publishing releases its peers.
-    pub fn wait_poisoned(&self, slot: u64, poison: &AtomicBool) -> bool {
-        spin_until(poison, || self.decided.load(Ordering::Acquire) > slot)
-    }
+/// The combiner's running totals, written by the last arriver of a
+/// deciding rendezvous before it releases the fleet and read after it —
+/// so also `Relaxed`, and never written by two threads at once. Apart
+/// from the stop code ([`Shared::stop`]), which every worker reads every
+/// slot and which is written once a run: on a line of its own it stays
+/// in every cache until then.
+#[derive(Default)]
+#[repr(align(128))]
+struct Tally {
+    /// Fleet-wide queued packets at the end of the decided slot (what
+    /// worker 0 samples into the queue trace).
+    total: AtomicI64,
+    /// Largest `total` of any decided slot.
+    peak: AtomicI64,
 }
 
 /// A delivery crossing a worker boundary (or looped back locally).
@@ -415,8 +466,9 @@ struct DataMsg {
 }
 
 /// Control-plane traffic: task registration, acks, loss settlements.
-/// Mirrors the simulator's contention-free ARQ control plane — these
-/// channels are unbounded and never modeled as carrying load.
+/// Mirrors the simulator's contention-free ARQ control plane — a
+/// mailbox takes any number of them and they are never modeled as
+/// carrying load.
 enum CtrlMsg {
     /// A unicast task registered at its home (the destination's owner).
     Register {
@@ -476,71 +528,180 @@ impl Hasher for TaskIdHasher {
 
 type TaskTable = HashMap<u32, TaskState, BuildHasherDefault<TaskIdHasher>>;
 
-/// Hands every outbox (index = destination worker) over to its lane —
-/// one lock per non-empty lane, none for an empty one — counting the
-/// messages, not the batches, as sent.
-fn flush_outboxes<'c, T: 'c>(
-    outboxes: &mut [Vec<T>],
-    lane_to: impl Fn(usize) -> &'c Channel<T>,
-    messages_sent: &mut u64,
-) {
-    for (to, outbox) in outboxes.iter_mut().enumerate() {
-        *messages_sent += outbox.len() as u64;
-        lane_to(to).send_batch(outbox);
+/// Everything one worker has for one peer in one slot — what a single
+/// mailbox hand-over carries. The outbox a worker keeps for *itself*
+/// (index = its own id) is the same type: its deliveries and injections
+/// loop back without leaving the thread, its `ctrl` stays empty (local
+/// control is applied directly).
+#[derive(Default)]
+struct Batch {
+    /// Control messages of the *previous* slot (sealed at the top of the
+    /// slot that sends them).
+    ctrl: Vec<CtrlMsg>,
+    /// This slot's deliveries, ascending in link id (finish-scan order).
+    data: Vec<DataMsg>,
+    /// This slot's injections.
+    inject: InjectBatch,
+}
+
+impl Batch {
+    fn is_empty(&self) -> bool {
+        self.ctrl.is_empty() && self.data.is_empty() && self.inject.is_empty()
     }
 }
 
-/// Everything the workers share. Channels are indexed `from * W + to`.
+/// Everything the workers share. What is written during a run sits in
+/// 128-byte-aligned homes of its own ([`Padded`], [`SlotBarrier`],
+/// [`GaugeLine`], [`Tally`], [`Mailbox`]); the rest is read-only once
+/// the threads run.
 struct Shared {
     workers: usize,
     node_owner: Vec<u32>,
     link_target: Vec<NodeId>,
     link_dim: Vec<u8>,
-    barrier_a: SlotBarrier,
-    barrier_b: SlotBarrier,
-    decision: DecisionWord,
-    data: Vec<Channel<DataMsg>>,
-    /// Two slot-parity generations: messages produced during slot `t`
-    /// are flushed at the end of its phase B into generation
-    /// `(t + 1) % 2` and drained in phase B of slot `t + 1` (which reads
-    /// generation `(t + 1) % 2`), so a generation is never written and
-    /// drained concurrently.
-    ctrl: [Vec<Channel<CtrlMsg>>; 2],
-    inject: Vec<Channel<InjectMsg>>,
-    /// Measured tasks not yet completed, incremented by the *creating*
-    /// worker at injection (so the count can never transiently read
-    /// zero between creation and registration).
-    outstanding: AtomicI64,
-    stop: AtomicU8,
-    /// End-of-slot queued-packet gauge per worker.
-    queued_by_worker: Vec<AtomicI64>,
-    peak_queue: AtomicI64,
+    /// Node range of each worker, and the first link id of each range
+    /// plus the link count (`workers + 1` entries): worker `i` owns
+    /// links `[link_lo[i], link_lo[i + 1])`.
+    ranges: Vec<std::ops::Range<u32>>,
+    link_lo: Vec<u32>,
+    /// The decision criteria: end of the measurement window, the
+    /// horizon, and the fleet-wide queued-packet limit.
+    measure_end: u64,
+    max_slots: u64,
+    queue_limit: i64,
+    /// The slot's rendezvous (and, on faulted runs, the decision
+    /// rendezvous and the fault barrier: the fleet goes through every
+    /// wait in the same order, so one barrier serves them all).
+    barrier: SlotBarrier,
+    /// Mailboxes by slot parity, indexed `from * W + to`.
+    mail: [Vec<Mailbox<Batch>>; 2],
+    gauges: Vec<GaugeLine>,
+    tally: Tally,
+    /// `RUN` until the combiner decides a slot to be the last.
+    stop: Padded<AtomicU8>,
     /// Fault-epoch coordination; `None` on fault-free runs.
     faults: Option<SharedFaults>,
     /// Supervised-shutdown latch: once `true`, every worker aborts at
-    /// its next barrier or decision wait (and halted data channels
-    /// unblock any worker stuck mid-hand-over).
-    poison: AtomicBool,
+    /// its next barrier wait or blocked put.
+    poison: Padded<AtomicBool>,
     /// First failure observed (panic or watchdog timeout); later
     /// failures are secondary casualties of the teardown.
     first_error: Mutex<Option<NetError>>,
     /// Per-worker progress words `(slot << 3) | phase`, stored at every
     /// phase boundary; the supervisor's watchdog input and the
     /// [`WorkerPosition`] context of a timeout.
-    progress: Vec<AtomicU64>,
+    progress: Vec<Padded<AtomicU64>>,
     /// Workers whose thread body (including panic handling) finished.
     done: AtomicUsize,
+    /// The supervising thread, parked between watchdog ticks; every
+    /// finishing worker unparks it.
+    supervisor: Thread,
+}
+
+impl Shared {
+    /// Partitions `topo` over `w` workers and lays out the shared state.
+    /// `first_fault` is the slot of the fault plan's first event, `None`
+    /// when no plan is installed.
+    fn new<N: Network>(
+        topo: &N,
+        w: usize,
+        sim: &SimConfig,
+        first_fault: Option<u64>,
+    ) -> Result<Self, NetConfigError> {
+        let n = topo.node_count();
+        // Contiguous node shards; owner tables for nodes and links.
+        let ranges: Vec<std::ops::Range<u32>> = (0..w)
+            .map(|i| (i as u32 * n / w as u32)..((i as u32 + 1) * n / w as u32))
+            .collect();
+        let mut node_owner = vec![0u32; n as usize];
+        for (i, r) in ranges.iter().enumerate() {
+            for v in r.clone() {
+                node_owner[v as usize] = i as u32;
+            }
+        }
+        let link_source = topo.link_source_table();
+        // A worker's links must be one contiguous id range (the kernel's
+        // `[lo, hi)`), which node-major link ids give — the same rule the
+        // sharded engine partitions by. It is also what makes the
+        // senders' delivery runs concatenate in ascending link order.
+        if link_source.windows(2).any(|w| w[0].0 > w[1].0) {
+            return Err(NetConfigError::LinksNotNodeContiguous);
+        }
+        let first_link_of = |node: u32| link_source.partition_point(|src| src.0 < node) as u32;
+        let mut link_lo: Vec<u32> = ranges.iter().map(|r| first_link_of(r.start)).collect();
+        link_lo.push(link_source.len() as u32);
+        Ok(Self {
+            workers: w,
+            node_owner,
+            link_target: topo.link_target_table(),
+            link_dim: topo.link_dim_table(),
+            ranges,
+            link_lo,
+            measure_end: sim.measure_end(),
+            max_slots: sim.max_slots,
+            queue_limit: (sim.unstable_queue_per_link * link_source.len() as f64) as i64,
+            barrier: SlotBarrier::new(w),
+            mail: [(); 2].map(|()| (0..w * w).map(|_| Mailbox::new()).collect()),
+            gauges: (0..w).map(|_| GaugeLine::default()).collect(),
+            tally: Tally::default(),
+            stop: Padded::default(),
+            faults: first_fault.map(|first| SharedFaults {
+                first,
+                deltas: (0..w).map(|_| Channel::unbounded()).collect(),
+            }),
+            poison: Padded::default(),
+            first_error: Mutex::new(None),
+            progress: (0..w).map(|_| Padded::default()).collect(),
+            done: AtomicUsize::new(0),
+            supervisor: std::thread::current(),
+        })
+    }
+
+    /// Decides `slot` — the combiner of the rendezvous that follows it,
+    /// run by the last arriver alone — by the simulator's criteria: a
+    /// tripped single-queue guard wins over everything, then completed,
+    /// horizon, fleet-wide queue limit. The queue peak is sampled on
+    /// every decided slot, the last included.
+    fn decide(&self, slot: u64) {
+        let (mut total, mut outstanding, mut tripped) = (0i64, 0i64, false);
+        for g in &self.gauges {
+            total += g.queued.load(Ordering::Relaxed);
+            outstanding += g.outstanding.load(Ordering::Relaxed);
+            tripped |= g.unstable.load(Ordering::Relaxed);
+        }
+        self.tally.total.store(total, Ordering::Relaxed);
+        if total > self.tally.peak.load(Ordering::Relaxed) {
+            self.tally.peak.store(total, Ordering::Relaxed);
+        }
+        let next = slot + 1;
+        let stop = if tripped {
+            UNSTABLE
+        } else if next >= self.measure_end && outstanding == 0 {
+            COMPLETED
+        } else if next >= self.max_slots {
+            HORIZON
+        } else if total > self.queue_limit {
+            UNSTABLE
+        } else {
+            RUN
+        };
+        if stop != RUN {
+            self.stop.store(stop, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Fault-epoch coordination: worker 0 advances the fault clock and
 /// broadcasts each [`FaultDelta`].
 struct SharedFaults {
-    /// Separates the delta broadcast from its application. Deltas must
-    /// take effect at the top of *this* slot (a link dying at `t` kills
-    /// the delivery it would have made at `t`), so they cannot ride the
-    /// parity ctrl lanes, which deliver with a one-slot lag.
-    barrier: SlotBarrier,
-    /// Per-worker delta channels (worker 0 sends to `1..w`).
+    /// Slot of the plan's first event (`u64::MAX` for an empty plan):
+    /// where every worker's local gate starts.
+    first: u64,
+    /// Per-worker delta channels (worker 0 sends to `1..w`), drained
+    /// behind a barrier wait of their own. Deltas must take effect at
+    /// the top of *this* slot (a link dying at `t` kills the delivery it
+    /// would have made at `t`), so they cannot ride the mailboxes'
+    /// control share, which arrives with a one-slot lag.
     deltas: Vec<Channel<FaultMsg>>,
 }
 
@@ -580,10 +741,6 @@ enum Injector {
     Passive,
 }
 
-/// One worker thread's whole state. The scheme is held by value: on
-/// fault-free runs `SS` is `&S` (the blanket `Scheme for &S` impl, zero
-/// cost, shared); on faulted runs each worker owns a clone so
-/// `Scheme::on_liveness_change` can mutate degraded-mode state.
 /// Thread-local perf accumulator of one worker ([`NetConfig::perf`]
 /// runs only). Plain fields, no atomics: the worker owns it for the
 /// whole run and it is published into [`NetPerf`] after join.
@@ -597,6 +754,8 @@ struct NetWorkerAcc {
     phase_b_ns: u64,
     decide_ns: u64,
     fault_apply_ns: u64,
+    blocked_send_ns: u64,
+    data_depth_high: usize,
 }
 
 impl NetWorkerAcc {
@@ -609,10 +768,30 @@ impl NetWorkerAcc {
             phase_b_ns: 0,
             decide_ns: 0,
             fault_apply_ns: 0,
+            blocked_send_ns: 0,
+            data_depth_high: 0,
         }
     }
 }
 
+/// Adds the time since `mark` to the accumulator field `field` picks.
+/// Both are `None` on uninstrumented runs: one never-taken branch, no
+/// `Instant` reads, no RNG contact.
+#[inline]
+fn lap(
+    perf: &mut Option<Box<NetWorkerAcc>>,
+    mark: Option<Instant>,
+    field: impl FnOnce(&mut NetWorkerAcc) -> &mut u64,
+) {
+    if let (Some(p), Some(m)) = (perf.as_mut(), mark) {
+        *field(p) += m.elapsed().as_nanos() as u64;
+    }
+}
+
+/// One worker thread's whole state. The scheme is held by value: on
+/// fault-free runs `SS` is `&S` (the blanket `Scheme for &S` impl, zero
+/// cost, shared); on faulted runs each worker owns a clone so
+/// `Scheme::on_liveness_change` can mutate degraded-mode state.
 struct Worker<'a, N: Network + Sync, SS: Scheme> {
     id: usize,
     topo: &'a N,
@@ -629,33 +808,130 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     stats: WorkerStats,
     trace: Vec<TraceRecord>,
     trace_cap: usize,
-    /// Outboxes, index = destination worker: a phase's cross-worker
-    /// messages collect here and are handed over one batch per lane
-    /// when the phase ends (data and inject after phase A, ctrl after
-    /// phase B). Reused across slots, so a slot allocates nothing.
-    out_data: Vec<Vec<DataMsg>>,
-    out_ctrl: Vec<Vec<CtrlMsg>>,
-    out_inject: Vec<Vec<InjectMsg>>,
-    // Drain scratch buffers, reused across slots.
-    inject_gen: Vec<InjectMsg>,
-    inject_buf: Vec<InjectMsg>,
-    deliver_local: Vec<DataMsg>,
-    data_buf: Vec<DataMsg>,
-    ctrl_buf: Vec<CtrlMsg>,
+    /// Worker 0 only: the sampled fleet-wide queue totals.
+    queue_trace: Vec<(u64, u64)>,
+    /// Outboxes, index = destination worker (`out[id]` loops back): the
+    /// slot's deliveries and injections collect here during send, beside
+    /// the control sealed at the top of the slot, and each non-empty one
+    /// is swapped into its mailbox in one hand-over. What comes back is
+    /// a batch the receiver emptied, so a slot allocates nothing.
+    out: Vec<Batch>,
+    /// Control messages the current slot has produced so far, index =
+    /// destination worker; sealed into `out` at the top of the next slot.
+    pending_ctrl: Vec<Vec<CtrlMsg>>,
+    /// Taken batches, index = source worker; emptied by process, then
+    /// swapped back into the mailbox by the next take.
+    inbox: Vec<Batch>,
+    /// This worker's balance of measured tasks (see [`GaugeLine`]).
+    outstanding: i64,
+    /// Data and injection messages of the send not yet committed: they
+    /// count as sent once the rendezvous says the slot runs.
+    uncommitted_sent: u64,
+    /// Scratch for one delivery's forwards.
     emit_buf: Vec<Emit>,
     /// Scratch for the packets a dying link loses.
     loss_buf: Vec<Packet>,
     /// `Some` on faulted runs: this worker's liveness replica.
     faults: Option<WorkerFaults>,
-    /// Chaos: from this slot on, remote data channels are not drained
-    /// (a "deaf" worker, for exercising the watchdog).
+    /// Chaos, resolved for this worker: panic right after the rendezvous
+    /// that decides this slot; stall `(slot, millis)` once; from this
+    /// slot on take no peer's mailbox (a "deaf" worker, for exercising
+    /// the watchdog).
+    chaos_panic: Option<u64>,
+    chaos_delay: Option<(u64, u64)>,
     deaf_from: Option<u64>,
     /// `Some` on [`NetConfig::perf`] runs: this worker's timing
     /// accumulator. `None` costs one never-taken branch per phase.
     perf: Option<Box<NetWorkerAcc>>,
 }
 
+/// Routes a generated task to the outbox of its source node's owner.
+struct OwnerRoute<'a> {
+    node_owner: &'a [u32],
+    out: &'a mut [Batch],
+}
+
+impl InjectRoute for OwnerRoute<'_> {
+    fn batch_for(&mut self, src: NodeId) -> &mut InjectBatch {
+        &mut self.out[self.node_owner[src.index()] as usize].inject
+    }
+}
+
 impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
+    /// Worker `id` of `shared`'s partition, before its first slot. `rt`
+    /// is the fault clock, for worker 0 of a faulted run.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        id: usize,
+        topo: &'a N,
+        scheme: SS,
+        shared: &'a Shared,
+        cfg: &NetConfig,
+        mix: TrafficMix,
+        policy: DeadLinkPolicy,
+        rt: Option<FaultRuntime>,
+    ) -> Self {
+        let (sim, w) = (cfg.sim, shared.workers);
+        let n = topo.node_count();
+        let mut kernel =
+            LinkKernel::new(&sim, topo.d(), shared.link_lo[id], shared.link_lo[id + 1]);
+        kernel.set_dead_link_policy(policy);
+        let injector = match cfg.mode {
+            ClockMode::Virtual if id == 0 => {
+                Injector::Virtual(VirtualInjector::new(&topo.dim_sizes(), mix, sim))
+            }
+            ClockMode::Virtual => Injector::Passive,
+            ClockMode::WallClock => Injector::Wall(WallInjector::new(
+                id,
+                shared.ranges[id].clone(),
+                n,
+                mix,
+                sim,
+            )),
+        };
+        let mut queue_trace = Vec::new();
+        if id == 0 && sim.trace_interval.is_some() {
+            queue_trace.push((0, 0));
+        }
+        let chaos = &cfg.chaos;
+        Self {
+            id,
+            topo,
+            scheme,
+            cfg: sim,
+            shared,
+            kernel,
+            tasks: TaskTable::default(),
+            injector,
+            arq: sim
+                .arq
+                .map(|a| Arq::new(a, node_stream_seed(sim.seed ^ ARQ_SEED_SALT, id as u32))),
+            fwd_rng: StdRng::seed_from_u64(node_stream_seed(sim.seed ^ FWD_SEED_SALT, id as u32)),
+            stats: WorkerStats::new(&sim, n, topo.diameter()),
+            trace: Vec::new(),
+            trace_cap: cfg.trace_capacity,
+            queue_trace,
+            out: (0..w).map(|_| Batch::default()).collect(),
+            pending_ctrl: (0..w).map(|_| Vec::new()).collect(),
+            inbox: (0..w).map(|_| Batch::default()).collect(),
+            outstanding: 0,
+            uncommitted_sent: 0,
+            emit_buf: Vec::with_capacity(64),
+            loss_buf: Vec::new(),
+            faults: shared.faults.as_ref().map(|sf| WorkerFaults {
+                view: LivenessView::healthy(topo.link_count(), n),
+                recovery: RecoveryTracker::new(),
+                any_now: false,
+                next_fault: sf.first,
+                rt,
+            }),
+            chaos_panic: chaos.panic_at_slot.filter(|_| chaos.victim(0, w) == id),
+            chaos_delay: chaos.delay_at_slot.filter(|_| chaos.victim(1, w) == id),
+            deaf_from: chaos.deaf_from_slot.filter(|_| chaos.victim(2, w) == id),
+            perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
+        }
+    }
+
     #[inline]
     fn owner_of(&self, node: NodeId) -> usize {
         self.shared.node_owner[node.index()] as usize
@@ -673,130 +949,263 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    /// Queues `msg` for `to`'s ctrl lane; it is handed over with the
-    /// rest of the slot's control traffic when phase B ends.
+    /// Queues `msg` for `to`: it ships with the next slot's hand-over —
+    /// the one-slot lag of the control plane — and counts as sent here,
+    /// where it is produced (the control of a run's last slot is
+    /// produced and never shipped).
     fn send_ctrl(&mut self, to: usize, msg: CtrlMsg) {
         debug_assert_ne!(to, self.id, "local ctrl must be applied directly");
-        self.out_ctrl[to].push(msg);
+        self.pending_ctrl[to].push(msg);
+        self.stats.messages_sent += 1;
     }
 
     // ---------------------------------------------------------------
-    // Phase A: move finished deliveries + inject traffic
+    // The slot loop
     // ---------------------------------------------------------------
 
-    fn phase_a(&mut self, t: u64) {
-        self.stats.tasks.window_tick(t);
-        let mut scan = self.kernel.finish_scan();
-        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
-            let target = self.shared.link_target[link as usize];
-            let to = self.shared.node_owner[target.index()] as usize;
-            let msg = DataMsg { link, pkt: *pkt };
-            if to == self.id {
-                self.deliver_local.push(msg);
-            } else {
-                self.out_data[to].push(msg);
+    /// Runs slots until one is decided to be the last (or the fleet is
+    /// poisoned) and returns how many ran.
+    fn run(&mut self) -> u64 {
+        let (shared, id) = (self.shared, self.id);
+        // With a fault plan installed the fault tick of slot `t` is
+        // visible in the report, so slot `t − 1` must be decided before
+        // it; without one, the decision rides the slot's rendezvous.
+        let decide_first = self.faults.is_some();
+        let mut t: u64 = 0;
+        loop {
+            shared.progress[id].store(t << 3, Ordering::Release);
+            if shared.poison.load(Ordering::Acquire) {
+                break;
+            }
+            if let Some((slot, ms)) = self.chaos_delay {
+                if slot == t {
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+            }
+            let slot_t0 = self.perf.as_ref().map(|_| Instant::now());
+            if decide_first && t > 0 && self.rendezvous(Some(t - 1), 1) {
+                break;
+            }
+            self.seal_ctrl();
+            if self.fault_slot_top(t) {
+                break;
+            }
+            shared.progress[id].store((t << 3) | 1, Ordering::Release);
+            let mark = slot_t0.map(|_| Instant::now());
+            let aborted = self.send(t);
+            lap(&mut self.perf, mark, |p| &mut p.phase_a_ns);
+            if aborted {
+                break;
+            }
+            shared.progress[id].store((t << 3) | 3, Ordering::Release);
+            let decides = (!decide_first && t > 0).then(|| t - 1);
+            if self.rendezvous(decides, 0) {
+                break;
+            }
+            shared.progress[id].store((t << 3) | 2, Ordering::Release);
+            let mark = slot_t0.map(|_| Instant::now());
+            self.commit_send();
+            self.process(t);
+            lap(&mut self.perf, mark, |p| &mut p.phase_b_ns);
+            if let (Some(p), Some(t0)) = (self.perf.as_mut(), slot_t0) {
+                p.slot_hist.record(t0.elapsed().as_nanos() as u64);
+            }
+            t += 1;
+        }
+        shared.progress[id].store((t << 3) | 4, Ordering::Release);
+        t
+    }
+
+    /// One barrier wait of the slot path, telemetry index `which`. With
+    /// `decides`, the last arriver decides that slot before releasing
+    /// the fleet, and every worker then acts on the verdict. Returns
+    /// `true` when the loop must end: the fleet is poisoned, or the
+    /// decided slot was the last.
+    fn rendezvous(&mut self, decides: Option<u64>, which: usize) -> bool {
+        let shared = self.shared;
+        let mark = self.perf.as_ref().map(|_| Instant::now());
+        let mut decide_ns = 0u64;
+        let aborted = shared.barrier.wait_with(&shared.poison, || {
+            if let Some(slot) = decides {
+                let m = mark.map(|_| Instant::now());
+                shared.decide(slot);
+                decide_ns = m.map_or(0, |m| m.elapsed().as_nanos() as u64);
+            }
+        });
+        if aborted {
+            return true;
+        }
+        if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
+            p.decide_ns += decide_ns;
+            p.barrier_wait_ns[which] += (m.elapsed().as_nanos() as u64).saturating_sub(decide_ns);
+        }
+        let Some(slot) = decides else {
+            return false;
+        };
+        if self.chaos_panic == Some(slot) {
+            panic!("chaos: injected panic at slot {slot} on worker {}", self.id);
+        }
+        if shared.stop.load(Ordering::Relaxed) != RUN {
+            return true;
+        }
+        if self.id == 0 {
+            if let Some(k) = self.cfg.trace_interval {
+                if (slot + 1) % k == 0 {
+                    let total = shared.tally.total.load(Ordering::Relaxed);
+                    self.queue_trace.push((slot + 1, total.max(0) as u64));
+                }
             }
         }
-        let mut gen = std::mem::take(&mut self.inject_gen);
-        gen.clear();
+        false
+    }
+
+    /// Top of slot: the control messages produced so far — the previous
+    /// slot's — move into the outboxes this slot's send hands over.
+    /// Whatever the slot itself produces from here on, its fault tick
+    /// included, collects in `pending_ctrl` for the next send.
+    fn seal_ctrl(&mut self) {
+        for (batch, pending) in self.out.iter_mut().zip(&mut self.pending_ctrl) {
+            debug_assert!(batch.ctrl.is_empty(), "outbox came back unemptied");
+            std::mem::swap(&mut batch.ctrl, pending);
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // Send: move finished deliveries + inject traffic, hand over
+    // ---------------------------------------------------------------
+
+    /// Slot `t`'s send. It runs before slot `t − 1` is decided (on
+    /// fault-free runs), so it must not do anything a report can see:
+    /// what it counts stays uncommitted until [`Worker::commit_send`].
+    /// Returns `true` when the run was poisoned during a hand-over.
+    fn send(&mut self, t: u64) -> bool {
+        let shared = self.shared;
+        let mut scan = self.kernel.finish_scan();
+        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
+            let target = shared.link_target[link as usize];
+            let to = shared.node_owner[target.index()] as usize;
+            self.out[to].data.push(DataMsg { link, pkt: *pkt });
+        }
         {
             // Disjoint borrows: the injector consumes the scheme and the
             // liveness view (dead nodes generate no traffic, in the
             // engine's exact RNG draw order).
             let Self {
+                id,
                 injector,
                 faults,
                 scheme,
+                out,
                 ..
             } = &mut *self;
             let view = faults.as_ref().map(|f| &f.view);
             match injector {
-                Injector::Virtual(inj) => inj.slot(t, &*scheme, view, &mut gen),
-                Injector::Wall(inj) => inj.slot(t, &*scheme, view, &mut gen),
+                Injector::Virtual(inj) => {
+                    let mut route = OwnerRoute {
+                        node_owner: &shared.node_owner,
+                        out,
+                    };
+                    inj.slot(t, &*scheme, view, &mut route)
+                }
+                Injector::Wall(inj) => inj.slot(t, &*scheme, view, &mut out[*id].inject),
                 Injector::Passive => {}
             }
         }
-        match &self.injector {
-            Injector::Virtual(_) => {
-                for msg in gen.drain(..) {
-                    let to = self.owner_of(msg.src);
-                    if to == self.id {
-                        self.inject_buf.push(msg);
-                    } else {
-                        self.out_inject[to].push(msg);
-                    }
-                }
+        let (w, id) = (shared.workers, self.id);
+        let mail = &shared.mail[(t % 2) as usize][id * w..(id + 1) * w];
+        for (to, batch) in self.out.iter_mut().enumerate() {
+            if to == id || batch.is_empty() {
+                continue;
             }
-            Injector::Wall(_) => self.inject_buf.append(&mut gen),
-            Injector::Passive => {}
+            self.uncommitted_sent += (batch.data.len() + batch.inject.msgs.len()) as u64;
+            let blocked_ns = self.perf.as_mut().map(|p| &mut p.blocked_send_ns);
+            if mail[to].put(batch, &shared.poison, blocked_ns) {
+                return true;
+            }
         }
-        self.inject_gen = gen;
-        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
-        let sent = &mut self.stats.messages_sent;
-        flush_outboxes(&mut self.out_data, |to| &shared.data[id * w + to], sent);
-        flush_outboxes(&mut self.out_inject, |to| &shared.inject[to], sent);
+        false
+    }
+
+    /// The rendezvous said the slot runs: what its send counted becomes
+    /// part of the report.
+    fn commit_send(&mut self) {
+        self.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
+        let (rejected_b, rejected_u) = match &self.injector {
+            Injector::Virtual(inj) => inj.rejected,
+            Injector::Wall(inj) => inj.rejected,
+            Injector::Passive => return,
+        };
+        self.stats.flow.rejected_broadcasts = rejected_b;
+        self.stats.flow.rejected_unicasts = rejected_u;
     }
 
     // ---------------------------------------------------------------
-    // Phase B: drain + process, engine step order
+    // Process: take + handle, engine step order
     // ---------------------------------------------------------------
 
-    fn phase_b(&mut self, t: u64) {
-        let w = self.shared.workers;
-        // 1. Control plane from slot t − 1: registrations must precede
-        //    the data drain so a task's home record always exists
-        //    before its first ack or loss can arrive.
-        let mut ctrl = std::mem::take(&mut self.ctrl_buf);
-        for from in 0..w {
-            if from == self.id {
-                continue;
+    fn process(&mut self, t: u64) {
+        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
+        self.stats.tasks.window_tick(t);
+        // 0. One take per peer; what this worker sent itself loops back
+        //    by the same swap, without a mailbox. A deaf worker (chaos)
+        //    stops taking, so its peers' next put of this parity finds
+        //    the mailbox occupied and waits — the hang the watchdog
+        //    exists to catch.
+        let deaf = self.deaf_from.is_some_and(|s| t >= s);
+        let mail = &shared.mail[(t % 2) as usize];
+        for (from, batch) in self.inbox.iter_mut().enumerate() {
+            debug_assert!(batch.is_empty(), "inbox not emptied by the last process");
+            if from == id {
+                std::mem::swap(batch, &mut self.out[id]);
+            } else if !deaf && mail[from * w + id].take(batch) {
+                if let Some(p) = self.perf.as_mut() {
+                    p.data_depth_high = p.data_depth_high.max(batch.data.len());
+                }
             }
-            ctrl.clear();
-            self.shared.ctrl[(t % 2) as usize][from * w + self.id].drain_into(&mut ctrl);
+        }
+        // 1. Control plane from slot t − 1: registrations must precede
+        //    the deliveries so a task's home record always exists before
+        //    its first ack or loss can arrive.
+        for from in 0..w {
+            let mut ctrl = std::mem::take(&mut self.inbox[from].ctrl);
             for msg in ctrl.drain(..) {
                 self.handle_ctrl(msg, t);
             }
+            self.inbox[from].ctrl = ctrl;
         }
-        self.ctrl_buf = ctrl;
-        // 2. Deliveries of slot t, merged into ascending link order —
-        //    the engine's delivery-scan order. A link carries at most
-        //    one delivery per slot, so the sort is a total order; it
-        //    makes same-slot forwards enqueue identically to the
-        //    engine, which the fault-agreement gate relies on
-        //    (boundary-straddling drops are order-sensitive).
-        let mut data = std::mem::take(&mut self.data_buf);
-        data.clear();
-        let deaf = self.deaf_from.is_some_and(|s| t >= s);
+        // 2. Deliveries of slot t in ascending link order — the engine's
+        //    delivery-scan order, which makes same-slot forwards enqueue
+        //    identically to the engine; the fault-agreement gate relies
+        //    on it (boundary-straddling drops are order-sensitive). Each
+        //    sender's run is ascending (its finish scan's order) and
+        //    holds only its own links, and workers own ascending,
+        //    disjoint link ranges: the k-way merge of the runs is their
+        //    concatenation in sender order, each processed where it lies.
+        let mut last_link = None;
         for from in 0..w {
-            if from == self.id {
-                data.append(&mut self.deliver_local);
-            } else if deaf {
-                // Chaos: a deaf worker stops draining its peers, so
-                // their bounded sends eventually block — the hang the
-                // watchdog exists to catch.
-                continue;
-            } else {
-                self.shared.data[from * w + self.id].drain_into(&mut data);
+            let mut run = std::mem::take(&mut self.inbox[from].data);
+            for msg in run.drain(..) {
+                debug_assert!(last_link < Some(msg.link), "deliveries out of link order");
+                last_link = Some(msg.link);
+                self.process_deliver(msg.link, msg.pkt, t);
             }
+            self.inbox[from].data = run;
         }
-        data.sort_unstable_by_key(|m| m.link);
-        for msg in data.drain(..) {
-            self.process_deliver(msg.link, msg.pkt, t);
-        }
-        self.data_buf = data;
         // 3. Due retransmissions (before arrivals, like the engine).
         if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
             self.fire_retx(t);
         }
-        // 4. Injections of slot t.
-        let mut inj = std::mem::take(&mut self.inject_buf);
-        if matches!(self.injector, Injector::Passive) {
-            self.shared.inject[self.id].drain_into(&mut inj);
+        // 4. Injections of slot t (one source per worker: its own
+        //    injector's, or in virtual mode worker 0's).
+        for from in 0..w {
+            let mut batch = std::mem::take(&mut self.inbox[from].inject);
+            for msg in batch.msgs.drain(..) {
+                let emits = &batch.emits[msg.emits.start as usize..msg.emits.end as usize];
+                self.process_inject(&msg, emits, t);
+            }
+            batch.emits.clear();
+            self.inbox[from].inject = batch;
         }
-        for msg in inj.drain(..) {
-            self.process_inject(msg, t);
-        }
-        self.inject_buf = inj;
         // 5. Occupancy sample at the engine's exact point: after
         //    arrivals, before service starts.
         if self.in_window(t) {
@@ -819,27 +1228,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 });
             }
         });
-        // 7. Local single-queue divergence guard (engine scans every
+        // 7. The slot's gauges for the next rendezvous' combiner, with
+        //    the local single-queue divergence guard (engine scans every
         //    4096 slots; each worker scans its own links).
+        let gauge = &shared.gauges[id];
+        gauge
+            .queued
+            .store(self.kernel.queued() as i64, Ordering::Relaxed);
+        gauge.outstanding.store(self.outstanding, Ordering::Relaxed);
         if (t + 1) % 4096 == 0 && self.kernel.max_qlen() as f64 > self.cfg.unstable_single_queue {
-            let _ = self.shared.stop.compare_exchange(
-                RUN,
-                UNSTABLE,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
+            gauge.unstable.store(true, Ordering::Relaxed);
         }
-        // 8. Hand over the slot's control traffic — the fault tick's and
-        //    this phase's — to the generation phase B of slot t + 1
-        //    drains.
-        let (shared, id) = (self.shared, self.id);
-        let ctrl_next = &shared.ctrl[((t + 1) % 2) as usize];
-        flush_outboxes(
-            &mut self.out_ctrl,
-            |to| &ctrl_next[id * w + to],
-            &mut self.stats.messages_sent,
-        );
-        self.shared.queued_by_worker[self.id].store(self.kernel.queued() as i64, Ordering::Release);
     }
 
     fn handle_ctrl(&mut self, msg: CtrlMsg, t: u64) {
@@ -896,7 +1295,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 } else {
                     self.stats.tasks.damaged_broadcasts += 1;
                 }
-                self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+                self.outstanding -= 1;
             }
             self.stats.tasks.concurrent_bcast.add(t, -1);
         }
@@ -920,7 +1319,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         self.stats.tasks.fault_damaged += 1;
                     }
                 }
-                self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+                self.outstanding -= 1;
             }
             if state.broadcast {
                 self.stats.tasks.concurrent_bcast.add(t, -1);
@@ -930,7 +1329,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    fn process_inject(&mut self, msg: InjectMsg, t: u64) {
+    fn process_inject(&mut self, msg: &InjectMsg, emits: &[Emit], t: u64) {
         if msg.broadcast {
             let prev = self.tasks.insert(
                 msg.task,
@@ -947,7 +1346,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             debug_assert!(prev.is_none(), "duplicate task id {}", msg.task);
             self.stats.tasks.concurrent_bcast.add(t, 1);
         } else {
-            let dest = match msg.emits.first().map(|e| e.kind) {
+            let dest = match emits.first().map(|e| e.kind) {
                 Some(PacketKind::Unicast { dest }) => dest,
                 _ => unreachable!("unicast inject without unicast emit"),
             };
@@ -967,15 +1366,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             self.stats.tasks.concurrent_ucast.add(t, 1);
         }
         if msg.measured {
-            self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+            // Counted by the *creating* worker, at injection, so the
+            // fleet-wide sum can never read zero between a task's
+            // creation and its registration at its home.
+            self.outstanding += 1;
             if msg.broadcast {
                 self.stats.tasks.measured_broadcasts += 1;
             } else {
                 self.stats.tasks.measured_unicasts += 1;
             }
         }
-        self.emit_buf = msg.emits;
-        self.enqueue_emits(msg.src, msg.task, msg.gen_time, msg.len, t);
+        self.enqueue_emits(emits, msg.src, msg.task, msg.gen_time, msg.len, t);
     }
 
     fn process_deliver(&mut self, link: u32, pkt: Packet, t: u64) {
@@ -1017,10 +1418,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         },
                     );
                 }
-                self.emit_buf.clear();
-                self.scheme
-                    .on_broadcast_arrival(node, &state, &mut self.emit_buf);
-                self.enqueue_emits(node, pkt.task, pkt.gen_time, pkt.len, t);
+                let mut emits = std::mem::take(&mut self.emit_buf);
+                emits.clear();
+                self.scheme.on_broadcast_arrival(node, &state, &mut emits);
+                self.enqueue_emits(&emits, node, pkt.task, pkt.gen_time, pkt.len, t);
+                self.emit_buf = emits;
             }
             PacketKind::Unicast { dest } => {
                 if node == dest {
@@ -1039,30 +1441,34 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         if state.retx && self.cfg.arq.is_some() {
                             self.stats.tasks.recovered_task_delay.push(delay);
                         }
-                        self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+                        self.outstanding -= 1;
                     }
                     self.stats.tasks.concurrent_ucast.add(t, -1);
                 } else {
-                    self.emit_buf.clear();
-                    self.scheme.on_unicast_arrival(
-                        node,
-                        dest,
-                        &mut self.fwd_rng,
-                        &mut self.emit_buf,
-                    );
-                    debug_assert!(!self.emit_buf.is_empty(), "unicast stranded");
-                    self.enqueue_emits(node, pkt.task, pkt.gen_time, pkt.len, t);
+                    let mut emits = std::mem::take(&mut self.emit_buf);
+                    emits.clear();
+                    self.scheme
+                        .on_unicast_arrival(node, dest, &mut self.fwd_rng, &mut emits);
+                    debug_assert!(!emits.is_empty(), "unicast stranded");
+                    self.enqueue_emits(&emits, node, pkt.task, pkt.gen_time, pkt.len, t);
+                    self.emit_buf = emits;
                 }
             }
         }
     }
 
-    /// Offers `self.emit_buf`'s transmissions to `from`'s outgoing links
-    /// (the engine's `flush_emits`); a packet the kernel refuses or
-    /// evicts is a loss.
-    fn enqueue_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16, t: u64) {
-        let buf = std::mem::take(&mut self.emit_buf);
-        for emit in &buf {
+    /// Offers `emits` to `from`'s outgoing links (the engine's
+    /// `flush_emits`); a packet the kernel refuses or evicts is a loss.
+    fn enqueue_emits(
+        &mut self,
+        emits: &[Emit],
+        from: NodeId,
+        task: u32,
+        gen_time: u64,
+        len: u16,
+        t: u64,
+    ) {
+        for emit in emits {
             debug_assert!(
                 (emit.priority as usize) < self.scheme.num_priorities(),
                 "emit priority out of range"
@@ -1091,8 +1497,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 );
             }
         }
-        self.emit_buf = buf;
-        self.emit_buf.clear();
     }
 
     /// The engine's `handle_loss`: ARQ arms a backoff timer, otherwise
@@ -1206,12 +1610,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     // ---------------------------------------------------------------
 
     /// Top-of-slot fault exchange — the engine's `fault_tick`, run
-    /// before phase A so a delta lands exactly where the engine applies
+    /// before send so a delta lands exactly where the engine applies
     /// it: before this slot's deliveries, arrivals, and service. Worker
     /// 0 advances the fault clock and broadcasts the delta; everyone
-    /// applies it behind the dedicated fault barrier, then ticks the
+    /// applies it behind a barrier wait of its own, then ticks the
     /// per-slot fault accounting. Returns `true` when the run was
-    /// poisoned at the fault barrier.
+    /// poisoned at that wait.
     fn fault_slot_top(&mut self, t: u64) -> bool {
         let shared = self.shared;
         let Some(sf) = shared.faults.as_ref() else {
@@ -1239,27 +1643,21 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 self.stats.fault_events_applied += u64::from(delta.events_applied);
                 let mark = self.perf.as_ref().map(|_| Instant::now());
                 self.apply_fault_delta(&delta, t);
-                if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
-                    p.fault_apply_ns += m.elapsed().as_nanos() as u64;
-                }
+                lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
                 let mark = self.perf.as_ref().map(|_| Instant::now());
-                if sf.barrier.wait_poisoned(&shared.poison) {
+                if shared.barrier.wait_poisoned(&shared.poison) {
                     return true;
                 }
-                if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
-                    p.fault_barrier_wait_ns += m.elapsed().as_nanos() as u64;
-                }
+                lap(&mut self.perf, mark, |p| &mut p.fault_barrier_wait_ns);
             } else {
                 // The send above happens before worker 0's barrier
                 // arrival, so after release the message is guaranteed
                 // present.
                 let mark = self.perf.as_ref().map(|_| Instant::now());
-                if sf.barrier.wait_poisoned(&shared.poison) {
+                if shared.barrier.wait_poisoned(&shared.poison) {
                     return true;
                 }
-                if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
-                    p.fault_barrier_wait_ns += m.elapsed().as_nanos() as u64;
-                }
+                lap(&mut self.perf, mark, |p| &mut p.fault_barrier_wait_ns);
                 let mut msgs = Vec::new();
                 sf.deltas[self.id].drain_into(&mut msgs);
                 let mark = self.perf.as_ref().map(|_| Instant::now());
@@ -1267,9 +1665,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     self.faults.as_mut().expect("faulted run").next_fault = msg.next;
                     self.apply_fault_delta(&msg.delta, t);
                 }
-                if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
-                    p.fault_apply_ns += m.elapsed().as_nanos() as u64;
-                }
+                lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
             }
         }
         // Per-slot fault accounting, engine order: the global
@@ -1345,38 +1741,26 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         self.loss_buf = lost;
     }
 
-    // ---------------------------------------------------------------
-    // Decision hand-off: worker 0 decides
-    // ---------------------------------------------------------------
-
-    fn decide(&mut self, t: u64, queue_limit: i64, queue_trace: &mut Vec<(u64, u64)>) {
-        let total: i64 = self
-            .shared
-            .queued_by_worker
-            .iter()
-            .map(|q| q.load(Ordering::Acquire))
-            .sum();
-        self.shared.peak_queue.fetch_max(total, Ordering::AcqRel);
-        if self.shared.stop.load(Ordering::Acquire) == RUN {
-            let next = t + 1;
-            let decision = if next >= self.cfg.measure_end()
-                && self.shared.outstanding.load(Ordering::Acquire) == 0
-            {
-                COMPLETED
-            } else if next >= self.cfg.max_slots {
-                HORIZON
-            } else if total > queue_limit {
-                UNSTABLE
-            } else {
-                RUN
-            };
-            if decision != RUN {
-                self.shared.stop.store(decision, Ordering::Release);
-            } else if let Some(k) = self.cfg.trace_interval {
-                if (t + 1) % k == 0 {
-                    queue_trace.push((t + 1, total.max(0) as u64));
-                }
-            }
+    /// Closes the books after `slots_run` slots.
+    fn finish(mut self, slots_run: u64) -> WorkerOutput {
+        self.stats.tasks.freeze_concurrency(slots_run);
+        self.stats.arq = self.arq.take().map(Arq::finish).unwrap_or_default();
+        // Close out recovery measurements whose backlog drained on the
+        // final slots, like the engine's report-time finalize; merge the
+        // samples into the mergeable stats shard.
+        if let Some(f) = self.faults.as_mut() {
+            let kernel = &self.kernel;
+            f.recovery
+                .finalize(slots_run, |link| kernel.is_active(link));
+            self.stats.fault_recovery.merge(f.recovery.samples());
+        }
+        WorkerOutput {
+            stats: self.stats,
+            links: self.kernel.into_counters(),
+            trace: self.trace,
+            queue_trace: self.queue_trace,
+            slots_run,
+            perf: self.perf,
         }
     }
 }
@@ -1450,17 +1834,9 @@ where
     )
 }
 
-/// Halts every bounded data channel (the only blocking hand-overs in
-/// the runtime) so workers stuck mid-`send_batch` unblock during
-/// teardown.
-fn halt_data(shared: &Shared) {
-    for ch in &shared.data {
-        ch.halt();
-    }
-}
-
 /// Records `err` as the run's failure if it is the first, then poisons
-/// the fleet and unblocks every blocked sender.
+/// the fleet: every wait of the slot path checks the flag, so nobody
+/// stays blocked.
 fn poison_with(shared: &Shared, err: NetError) {
     {
         let mut first = shared.first_error.lock().unwrap_or_else(|e| e.into_inner());
@@ -1469,7 +1845,6 @@ fn poison_with(shared: &Shared, err: NetError) {
         }
     }
     shared.poison.store(true, Ordering::Release);
-    halt_data(shared);
 }
 
 /// Stringifies a panic payload (`&str` and `String` pass through).
@@ -1480,6 +1855,90 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// Runs worker `id`'s thread body under supervision: a panic becomes the
+/// run's [`NetError::WorkerPanic`] and poisons the fleet, and either way
+/// the supervisor is told the worker is done.
+fn supervised<T>(shared: &Shared, id: usize, body: impl FnOnce() -> T) -> Option<T> {
+    let out = match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(out) => Some(out),
+        Err(payload) => {
+            // Order matters: record the error and poison *before*
+            // bumping `done`, so the supervisor can never observe a
+            // finished fleet with a missing output and no recorded
+            // failure.
+            poison_with(
+                shared,
+                NetError::WorkerPanic {
+                    worker: id as u32,
+                    message: panic_message(payload),
+                },
+            );
+            None
+        }
+    };
+    shared.done.fetch_add(1, Ordering::AcqRel);
+    shared.supervisor.unpark();
+    out
+}
+
+/// The supervisor's watchdog tick.
+const WATCHDOG_TICK: Duration = Duration::from_millis(10);
+
+/// The supervisor, on the thread that built `shared`: parked until the
+/// last worker is done, it wakes every [`WATCHDOG_TICK`] to read the
+/// per-worker progress words; a fleet that stops moving for
+/// `watchdog_ms` is hung (a put nobody takes, a lost barrier) and gets
+/// converted into a structured timeout instead of a deadlock.
+fn supervise(shared: &Shared, watchdog_ms: u64) {
+    let w = shared.workers;
+    let mut last: Vec<u64> = Vec::new();
+    let mut idle_ms: u64 = 0;
+    let mut tick_start = Instant::now();
+    while shared.done.load(Ordering::Acquire) < w {
+        // A finishing worker's unpark (or a spurious wake-up) ends the
+        // park early; that is a reason to look at `done`, not a tick.
+        match WATCHDOG_TICK.checked_sub(tick_start.elapsed()) {
+            Some(left) if !left.is_zero() => {
+                std::thread::park_timeout(left);
+                continue;
+            }
+            _ => tick_start = Instant::now(),
+        }
+        if shared.poison.load(Ordering::Acquire) {
+            continue; // teardown already under way; just wait
+        }
+        let snap: Vec<u64> = shared
+            .progress
+            .iter()
+            .map(|p| p.load(Ordering::Acquire))
+            .collect();
+        if snap != last {
+            last = snap;
+            idle_ms = 0;
+            continue;
+        }
+        idle_ms += WATCHDOG_TICK.as_millis() as u64;
+        if idle_ms >= watchdog_ms && shared.done.load(Ordering::Acquire) < w {
+            let workers = snap
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| WorkerPosition {
+                    worker: i as u32,
+                    slot: v >> 3,
+                    phase: (v & 7) as u8,
+                })
+                .collect();
+            poison_with(
+                shared,
+                NetError::BarrierTimeout {
+                    waited_ms: idle_ms,
+                    workers,
+                },
+            );
+        }
     }
 }
 
@@ -1510,8 +1969,7 @@ where
     {
         return Err(NetConfigError::Backpressure.into());
     }
-    let dims = topo.dim_sizes();
-    if let Err(e) = cfg.sim.scenario.validate(&dims, mix.bernoulli) {
+    if let Err(e) = cfg.sim.scenario.validate(&topo.dim_sizes(), mix.bernoulli) {
         return Err(NetConfigError::Scenario(e).into());
     }
     if matches!(cfg.mode, ClockMode::WallClock) && !cfg.sim.scenario.is_default() {
@@ -1531,88 +1989,18 @@ where
     }
     let w = workers;
 
-    // Contiguous node shards; owner tables for nodes and links.
-    let ranges: Vec<std::ops::Range<u32>> = (0..w)
-        .map(|i| (i as u32 * n / w as u32)..((i as u32 + 1) * n / w as u32))
-        .collect();
-    let mut node_owner = vec![0u32; n as usize];
-    for (i, r) in ranges.iter().enumerate() {
-        for v in r.clone() {
-            node_owner[v as usize] = i as u32;
-        }
-    }
-    let link_target = topo.link_target_table();
-    let link_source = topo.link_source_table();
-    let link_dim = topo.link_dim_table();
-    // A worker's links must be one contiguous id range (the kernel's
-    // `[lo, hi)`), which node-major link ids give — the same rule the
-    // sharded engine partitions by.
-    if link_source.windows(2).any(|w| w[0].0 > w[1].0) {
-        return Err(NetConfigError::LinksNotNodeContiguous.into());
-    }
-    let first_link_of = |node: u32| link_source.partition_point(|src| src.0 < node) as u32;
-
     let faults_enabled = faults.is_some();
     let policy = faults.as_ref().map(|(_, p)| *p).unwrap_or_default();
-    // Worker 0's fault clock, built before `link_target` moves into the
-    // shared state.
-    let mut rt0 = faults
-        .map(|(plan, _)| FaultRuntime::new(plan, link_source.clone(), link_target.clone(), n));
-    // Every worker's local gate starts at the plan's first event slot.
+    // Worker 0's fault clock; every worker's local gate starts at the
+    // plan's first event slot.
+    let mut rt0 = faults.map(|(plan, _)| {
+        FaultRuntime::new(plan, topo.link_source_table(), topo.link_target_table(), n)
+    });
     let first_fault = rt0
         .as_ref()
-        .and_then(|rt| rt.next_event_slot())
-        .unwrap_or(u64::MAX);
-
-    // Data channels bounded by the link count between each worker pair:
-    // at most one delivery per link per slot, so a correctly sized
-    // channel never blocks — the bound is an enforced invariant.
-    let mut pair_links = vec![0usize; w * w];
-    for l in 0..links {
-        let from = node_owner[link_source[l].index()] as usize;
-        let to = node_owner[link_target[l].index()] as usize;
-        pair_links[from * w + to] += 1;
-    }
-    let shared = Shared {
-        workers: w,
-        node_owner,
-        link_target,
-        link_dim,
-        barrier_a: SlotBarrier::new(w),
-        barrier_b: SlotBarrier::new(w),
-        decision: DecisionWord::new(),
-        data: pair_links
-            .iter()
-            .map(|&c| {
-                let ch = Channel::bounded(c.max(1));
-                if cfg.perf {
-                    ch.with_stats()
-                } else {
-                    ch
-                }
-            })
-            .collect(),
-        ctrl: [
-            (0..w * w).map(|_| Channel::unbounded()).collect(),
-            (0..w * w).map(|_| Channel::unbounded()).collect(),
-        ],
-        inject: (0..w).map(|_| Channel::unbounded()).collect(),
-        outstanding: AtomicI64::new(0),
-        stop: AtomicU8::new(RUN),
-        queued_by_worker: (0..w).map(|_| AtomicI64::new(0)).collect(),
-        peak_queue: AtomicI64::new(0),
-        faults: rt0.as_ref().map(|_| SharedFaults {
-            barrier: SlotBarrier::new(w),
-            deltas: (0..w).map(|_| Channel::unbounded()).collect(),
-        }),
-        poison: AtomicBool::new(false),
-        first_error: Mutex::new(None),
-        progress: (0..w).map(|_| AtomicU64::new(0)).collect(),
-        done: AtomicUsize::new(0),
-    };
-    let new_stats = || WorkerStats::new(&sim, n, topo.diameter());
+        .map(|rt| rt.next_event_slot().unwrap_or(u64::MAX));
+    let shared = Shared::new(topo, w, &sim, first_fault)?;
     let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
-    let queue_limit = (sim.unstable_queue_per_link * links as f64) as i64;
     // The one report rule (`pstar_sim::assemble`) over merged worker
     // counters; the net-specific inputs are the end-of-slot queue peak
     // and the stop code.
@@ -1654,7 +2042,14 @@ where
             HORIZON
         };
         return Ok(NetReport {
-            report: report_of(new_stats(), new_link_counters(), 0, stop, 0, Vec::new()),
+            report: report_of(
+                WorkerStats::new(&sim, n, topo.diameter()),
+                new_link_counters(),
+                0,
+                stop,
+                0,
+                Vec::new(),
+            ),
             workers: w,
             wall_secs: 0.0,
             slots_per_sec: 0.0,
@@ -1671,267 +2066,21 @@ where
     let outputs: Vec<Option<WorkerOutput>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..w)
             .map(|id| {
-                let range = ranges[id].clone();
-                let mut kernel = LinkKernel::new(
-                    &sim,
-                    topo.d(),
-                    first_link_of(range.start),
-                    first_link_of(range.end),
-                );
-                kernel.set_dead_link_policy(policy);
-                let dims = dims.clone();
                 // Built on the main thread: `make_scheme` is `FnMut` and
                 // worker 0 takes the fault clock.
-                let scheme_inst = make_scheme(id);
+                let scheme = make_scheme(id);
                 let rt = if id == 0 { rt0.take() } else { None };
                 s.spawn(move || {
-                    let body = move || {
-                        let injector = match cfg.mode {
-                            ClockMode::Virtual if id == 0 => {
-                                Injector::Virtual(VirtualInjector::new(&dims, mix, sim))
-                            }
-                            ClockMode::Virtual => Injector::Passive,
-                            ClockMode::WallClock => {
-                                Injector::Wall(WallInjector::new(id, range, n, mix, sim))
-                            }
-                        };
-                        let worker_faults = faults_enabled.then(|| WorkerFaults {
-                            view: LivenessView::healthy(links as u32, n),
-                            recovery: RecoveryTracker::new(),
-                            any_now: false,
-                            next_fault: first_fault,
-                            rt,
-                        });
-                        let mut worker = Worker {
-                            id,
-                            topo,
-                            scheme: scheme_inst,
-                            cfg: sim,
-                            shared: shared_ref,
-                            kernel,
-                            tasks: TaskTable::default(),
-                            injector,
-                            arq: sim.arq.map(|a| {
-                                Arq::new(a, node_stream_seed(sim.seed ^ ARQ_SEED_SALT, id as u32))
-                            }),
-                            fwd_rng: StdRng::seed_from_u64(node_stream_seed(
-                                sim.seed ^ FWD_SEED_SALT,
-                                id as u32,
-                            )),
-                            stats: new_stats(),
-                            trace: Vec::new(),
-                            trace_cap: cfg.trace_capacity,
-                            out_data: (0..w).map(|_| Vec::new()).collect(),
-                            out_ctrl: (0..w).map(|_| Vec::new()).collect(),
-                            out_inject: (0..w).map(|_| Vec::new()).collect(),
-                            inject_gen: Vec::new(),
-                            inject_buf: Vec::new(),
-                            deliver_local: Vec::new(),
-                            data_buf: Vec::new(),
-                            ctrl_buf: Vec::new(),
-                            emit_buf: Vec::with_capacity(64),
-                            loss_buf: Vec::new(),
-                            faults: worker_faults,
-                            deaf_from: cfg
-                                .chaos
-                                .deaf_from_slot
-                                .filter(|_| cfg.chaos.victim(2, w) == id),
-                            perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
-                        };
-                        let mut queue_trace: Vec<(u64, u64)> = Vec::new();
-                        if id == 0 {
-                            if let Some(k) = sim.trace_interval {
-                                if 0 % k == 0 {
-                                    queue_trace.push((0, 0));
-                                }
-                            }
-                        }
-                        let chaos_panic = cfg
-                            .chaos
-                            .panic_at_slot
-                            .filter(|_| cfg.chaos.victim(0, w) == id);
-                        let chaos_delay = cfg
-                            .chaos
-                            .delay_at_slot
-                            .filter(|(_, _)| cfg.chaos.victim(1, w) == id);
-                        let poison = &shared_ref.poison;
-                        let mut t: u64 = 0;
-                        loop {
-                            shared_ref.progress[id].store(t << 3, Ordering::Release);
-                            if poison.load(Ordering::Acquire) {
-                                break;
-                            }
-                            if let Some((slot, ms)) = chaos_delay {
-                                if slot == t {
-                                    std::thread::sleep(Duration::from_millis(ms));
-                                }
-                            }
-                            // Perf marks are `None` on uninstrumented
-                            // runs: one never-taken branch per phase,
-                            // no `Instant` reads, no RNG contact.
-                            let slot_t0 = worker.perf.as_ref().map(|_| Instant::now());
-                            if worker.fault_slot_top(t) {
-                                break;
-                            }
-                            shared_ref.progress[id].store((t << 3) | 1, Ordering::Release);
-                            let mark = slot_t0.map(|_| Instant::now());
-                            worker.phase_a(t);
-                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                p.phase_a_ns += m.elapsed().as_nanos() as u64;
-                            }
-                            let mark = slot_t0.map(|_| Instant::now());
-                            if shared_ref.barrier_a.wait_poisoned(poison) {
-                                break;
-                            }
-                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                p.barrier_wait_ns[0] += m.elapsed().as_nanos() as u64;
-                            }
-                            shared_ref.progress[id].store((t << 3) | 2, Ordering::Release);
-                            let mark = slot_t0.map(|_| Instant::now());
-                            worker.phase_b(t);
-                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                p.phase_b_ns += m.elapsed().as_nanos() as u64;
-                            }
-                            let mark = slot_t0.map(|_| Instant::now());
-                            if shared_ref.barrier_b.wait_poisoned(poison) {
-                                break;
-                            }
-                            if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                p.barrier_wait_ns[1] += m.elapsed().as_nanos() as u64;
-                            }
-                            shared_ref.progress[id].store((t << 3) | 3, Ordering::Release);
-                            // Chaos panics strike here: on worker 0
-                            // that is after barrier B and before the
-                            // decision is published, the one stretch
-                            // where peers wait on a single worker.
-                            if chaos_panic == Some(t) {
-                                panic!("chaos: injected panic at slot {t} on worker {id}");
-                            }
-                            let mark = slot_t0.map(|_| Instant::now());
-                            if id == 0 {
-                                worker.decide(t, queue_limit, &mut queue_trace);
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.decide_ns += m.elapsed().as_nanos() as u64;
-                                }
-                                shared_ref.decision.publish(t);
-                            } else {
-                                if shared_ref.decision.wait_poisoned(t, poison) {
-                                    break;
-                                }
-                                if let (Some(p), Some(m)) = (worker.perf.as_mut(), mark) {
-                                    p.barrier_wait_ns[2] += m.elapsed().as_nanos() as u64;
-                                }
-                            }
-                            if let (Some(p), Some(t0)) = (worker.perf.as_mut(), slot_t0) {
-                                p.slot_hist.record(t0.elapsed().as_nanos() as u64);
-                            }
-                            if shared_ref.stop.load(Ordering::Acquire) != RUN {
-                                break;
-                            }
-                            t += 1;
-                        }
-                        shared_ref.progress[id].store((t << 3) | 4, Ordering::Release);
-                        let slots_run = t + 1;
-                        worker.stats.tasks.freeze_concurrency(slots_run);
-                        worker.stats.arq = worker.arq.take().map(Arq::finish).unwrap_or_default();
-                        let (rejected_b, rejected_u) = match &worker.injector {
-                            Injector::Virtual(inj) => inj.rejected,
-                            Injector::Wall(inj) => inj.rejected,
-                            Injector::Passive => (0, 0),
-                        };
-                        worker.stats.flow.rejected_broadcasts = rejected_b;
-                        worker.stats.flow.rejected_unicasts = rejected_u;
-                        // Close out recovery measurements whose backlog
-                        // drained on the final slots, like the engine's
-                        // report-time finalize; merge the samples into the
-                        // mergeable stats shard.
-                        {
-                            let Worker {
-                                faults,
-                                kernel,
-                                stats,
-                                ..
-                            } = &mut worker;
-                            if let Some(f) = faults.as_mut() {
-                                f.recovery
-                                    .finalize(slots_run, |link| kernel.is_active(link));
-                                stats.fault_recovery.merge(f.recovery.samples());
-                            }
-                        }
-                        WorkerOutput {
-                            stats: worker.stats,
-                            links: worker.kernel.into_counters(),
-                            trace: worker.trace,
-                            queue_trace,
-                            slots_run,
-                            perf: worker.perf,
-                        }
-                    };
-                    match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(out) => {
-                            shared_ref.done.fetch_add(1, Ordering::AcqRel);
-                            Some(out)
-                        }
-                        Err(payload) => {
-                            // Order matters: record the error and poison
-                            // *before* bumping `done`, so the supervisor
-                            // can never observe a finished fleet with a
-                            // missing output and no recorded failure.
-                            poison_with(
-                                shared_ref,
-                                NetError::WorkerPanic {
-                                    worker: id as u32,
-                                    message: panic_message(payload),
-                                },
-                            );
-                            shared_ref.done.fetch_add(1, Ordering::AcqRel);
-                            None
-                        }
-                    }
+                    supervised(shared_ref, id, move || {
+                        let mut worker =
+                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, policy, rt);
+                        let slots_run = worker.run();
+                        worker.finish(slots_run)
+                    })
                 })
             })
             .collect();
-        // Supervisor: the main thread polls the per-worker progress
-        // words; a fleet that stops moving for `watchdog_ms` is hung
-        // (blocked send into a dead consumer, lost barrier) and gets
-        // converted into a structured timeout instead of a deadlock.
-        let mut last: Vec<u64> = Vec::new();
-        let mut idle_ms: u64 = 0;
-        while shared_ref.done.load(Ordering::Acquire) < w {
-            std::thread::sleep(Duration::from_millis(10));
-            if shared_ref.poison.load(Ordering::Acquire) {
-                continue; // teardown already under way; just wait
-            }
-            let snap: Vec<u64> = shared_ref
-                .progress
-                .iter()
-                .map(|p| p.load(Ordering::Acquire))
-                .collect();
-            if snap == last {
-                idle_ms += 10;
-                if idle_ms >= cfg.watchdog_ms && shared_ref.done.load(Ordering::Acquire) < w {
-                    let workers_pos = snap
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| WorkerPosition {
-                            worker: i as u32,
-                            slot: v >> 3,
-                            phase: (v & 7) as u8,
-                        })
-                        .collect();
-                    poison_with(
-                        shared_ref,
-                        NetError::BarrierTimeout {
-                            waited_ms: idle_ms,
-                            workers: workers_pos,
-                        },
-                    );
-                }
-            } else {
-                last = snap;
-                idle_ms = 0;
-            }
-        }
+        supervise(shared_ref, cfg.watchdog_ms);
         handles
             .into_iter()
             .map(|h| h.join().ok().flatten())
@@ -1963,10 +2112,6 @@ where
 
     let stop = shared.stop.load(Ordering::Acquire);
     let slots_run = results[0].slots_run;
-    // Perf assembly: per-worker accumulators plus channel telemetry.
-    // Blocked-send time of channel `data[s*w + r]` belongs to sender
-    // `s`; the depth high-water belongs to receiver `r` (it measures
-    // backlog the receiver let build up before draining).
     let perf = cfg.perf.then(|| NetPerf {
         workers: results
             .iter()
@@ -1987,13 +2132,8 @@ where
                     phase_b_ns: acc.phase_b_ns,
                     decide_ns: acc.decide_ns,
                     fault_apply_ns: acc.fault_apply_ns,
-                    blocked_send_ns: (0..w)
-                        .map(|to| shared.data[i * w + to].blocked_send_ns())
-                        .sum(),
-                    data_depth_high: (0..w)
-                        .map(|from| shared.data[from * w + i].depth_high_water())
-                        .max()
-                        .unwrap_or(0),
+                    blocked_send_ns: acc.blocked_send_ns,
+                    data_depth_high: acc.data_depth_high,
                 }
             })
             .collect(),
@@ -2018,7 +2158,7 @@ where
         }
     }
     let messages_sent = merged.messages_sent;
-    let peak_queue_total = shared.peak_queue.load(Ordering::Acquire);
+    let peak_queue_total = shared.tally.peak.load(Ordering::Acquire);
     Ok(NetReport {
         report: report_of(
             merged,
@@ -2145,11 +2285,12 @@ mod tests {
             assert_eq!(wp.fault_apply_ns, 0, "fault-free run");
             assert!(wp.slot_ns_mean() > 0.0);
         }
-        // All workers ran the same number of slots in lockstep, and only
-        // worker 0 decides.
+        // All workers ran the same number of slots in lockstep, and the
+        // decisions were taken by whichever worker arrived last.
         assert!(p.workers.iter().all(|wp| wp.slots == p.workers[0].slots));
-        assert!(p.workers[0].decide_ns > 0);
-        assert_eq!(p.workers[1].decide_ns, 0);
+        assert_eq!(p.workers[0].slots, inst.report.slots_run);
+        assert!(p.workers.iter().map(|wp| wp.decide_ns).sum::<u64>() > 0);
+        assert!(p.workers.iter().all(|wp| wp.barrier_wait_ns[1..] == [0, 0]));
         // Publishing lands the per-worker counters in a registry.
         let reg = MetricsRegistry::new();
         p.publish(&reg);
@@ -2391,36 +2532,6 @@ mod tests {
         }
     }
 
-    /// Worker 0 dying after barrier B and before it publishes the
-    /// decision — the stretch where every peer waits on that one worker
-    /// — releases the peers through the poison flag: the run ends as
-    /// worker 0's `WorkerPanic`, at every fleet size.
-    #[test]
-    fn worker0_panic_before_publishing_releases_every_peer() {
-        for workers in 2..=4 {
-            let seed = (0..)
-                .find(|&seed| {
-                    let chaos = ChaosConfig {
-                        seed,
-                        ..Default::default()
-                    };
-                    chaos.victim(0, workers) == 0
-                })
-                .expect("some seed picks worker 0");
-            let chaos = ChaosConfig {
-                seed,
-                panic_at_slot: Some(100),
-                ..Default::default()
-            };
-            match chaos_run(chaos, 2_000, workers) {
-                Err(NetError::WorkerPanic { worker: 0, message }) => {
-                    assert!(message.contains("slot 100 on worker 0"), "{message}");
-                }
-                other => panic!("W={workers}: expected worker 0's panic, got {other:?}"),
-            }
-        }
-    }
-
     /// A stall shorter than the watchdog interval is NOT a failure —
     /// the watchdog must not produce false positives.
     #[test]
@@ -2434,8 +2545,10 @@ mod tests {
         assert!(net.report.completed);
     }
 
-    /// A worker that stops draining its peers hangs the fleet; the
-    /// watchdog converts the hang into a timeout with positions.
+    /// A worker that stops taking its peers' mailboxes hangs the fleet
+    /// two slots on — the next put of the untaken parity waits, and the
+    /// rendezvous waits for the putter; the watchdog converts the hang
+    /// into a timeout with positions.
     #[test]
     fn chaos_deaf_worker_trips_the_watchdog() {
         let chaos = ChaosConfig {
@@ -2447,8 +2560,263 @@ mod tests {
             Err(NetError::BarrierTimeout { waited_ms, workers }) => {
                 assert!(waited_ms >= 300);
                 assert_eq!(workers.len(), 4);
+                assert!(workers.iter().all(|p| p.slot == 12), "{workers:?}");
+                assert!(
+                    workers.iter().any(|p| p.phase == 1),
+                    "somebody must be stuck in a hand-over: {workers:?}"
+                );
             }
             other => panic!("expected BarrierTimeout, got {other:?}"),
+        }
+    }
+
+    /// The supervisor wakes when the last worker finishes, not at its
+    /// next watchdog tick: fifty back-to-back eight-slot runs must not
+    /// cost fifty ticks (10 ms each — half a second — when the
+    /// supervisor slept through every run's end).
+    #[test]
+    fn short_runs_return_when_their_workers_do() {
+        let topo = Torus::new(&[4, 4]);
+        let spec = ScenarioSpec::default();
+        let scheme = spec.build_scheme(&topo);
+        let sim = SimConfig {
+            warmup_slots: 2,
+            measure_slots: 4,
+            max_slots: 8,
+            lengths: spec.lengths,
+            ..SimConfig::quick(23)
+        };
+        let started = Instant::now();
+        for _ in 0..50 {
+            let net = run_net(
+                &topo,
+                &scheme,
+                spec.mix(&topo),
+                NetConfig {
+                    workers: 2,
+                    ..NetConfig::new(sim)
+                },
+            )
+            .expect("run_net failed");
+            assert!(net.report.slots_run <= 8);
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "50 runs took {took:?}");
+    }
+
+    /// Every buffer of a stepped fleet — outboxes, pending control,
+    /// inboxes, both parities of every mailbox, the forward scratch —
+    /// as `(address, capacity in bytes)`, sorted: hand-overs move
+    /// buffers between owners, so the multiset is what stays put.
+    fn fleet_buffers<N: Network + Sync, SS: Scheme>(
+        shared: &Shared,
+        fleet: &[Worker<'_, N, SS>],
+    ) -> Vec<(usize, usize)> {
+        fn of<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity() * std::mem::size_of::<T>())
+        }
+        fn of_batch(b: &Batch) -> [(usize, usize); 4] {
+            [
+                of(&b.ctrl),
+                of(&b.data),
+                of(&b.inject.msgs),
+                of(&b.inject.emits),
+            ]
+        }
+        let mut all = Vec::new();
+        for worker in fleet {
+            all.push(of(&worker.emit_buf));
+            all.extend(worker.pending_ctrl.iter().map(of));
+            all.extend(worker.out.iter().flat_map(of_batch));
+            all.extend(worker.inbox.iter().flat_map(of_batch));
+        }
+        for parity in &shared.mail {
+            all.extend(parity.iter().flat_map(|mb| mb.peek(of_batch)));
+        }
+        all.sort_unstable();
+        all
+    }
+
+    /// A steady-state slot allocates nothing on the message plane: with
+    /// the fleet stepped on one thread in the order the rendezvous
+    /// enforces (every send, the decision, every process), after the
+    /// warm-up the outboxes, inject arenas, mailbox batches and the
+    /// forward scratch are the same allocations at the same capacities
+    /// 100 slots later — while every share of the hand-over (control,
+    /// deliveries, injections with their emits) carries traffic.
+    #[test]
+    fn steady_state_slots_reuse_every_buffer() {
+        const WARM: u64 = 400;
+        let topo = Torus::new(&[4, 4]);
+        let spec = ScenarioSpec {
+            scheme: SchemeKind::ThreeClass,
+            rho: 0.6,
+            broadcast_load_fraction: 0.5,
+            ..ScenarioSpec::default()
+        };
+        let scheme = spec.build_scheme(&topo);
+        let cfg = NetConfig {
+            workers: 2,
+            ..NetConfig::new(SimConfig {
+                lengths: spec.lengths,
+                ..SimConfig::quick(29)
+            })
+        };
+        let shared = Shared::new(&topo, 2, &cfg.sim, None).unwrap();
+        let mut fleet: Vec<_> = (0..2)
+            .map(|id| {
+                let policy = DeadLinkPolicy::default();
+                Worker::new(
+                    id,
+                    &topo,
+                    &scheme,
+                    &shared,
+                    &cfg,
+                    spec.mix(&topo),
+                    policy,
+                    None,
+                )
+            })
+            .collect();
+        let step = |fleet: &mut Vec<Worker<'_, _, _>>, t: u64| {
+            let mut crossed = [0usize; 3];
+            for worker in fleet.iter_mut() {
+                worker.seal_ctrl();
+                let peer = &worker.out[1 - worker.id];
+                crossed[0] += peer.ctrl.len();
+                assert!(!worker.send(t), "no put may wait in a stepped fleet");
+            }
+            for parity in &shared.mail {
+                for mb in parity {
+                    let (data, inject) = mb.peek(|b| (b.data.len(), b.inject.emits.len()));
+                    crossed[1] += data;
+                    crossed[2] += inject;
+                }
+            }
+            if t > 0 {
+                shared.decide(t - 1);
+                assert_eq!(shared.stop.load(Ordering::Relaxed), RUN);
+            }
+            for worker in fleet.iter_mut() {
+                worker.commit_send();
+                worker.process(t);
+            }
+            crossed
+        };
+        for t in 0..WARM {
+            step(&mut fleet, t);
+        }
+        let warm = fleet_buffers(&shared, &fleet);
+        let emit_buf: Vec<_> = fleet.iter().map(|w| w.emit_buf.as_ptr()).collect();
+        let mut crossed = [0usize; 3];
+        for t in WARM..WARM + 100 {
+            for (sum, c) in crossed.iter_mut().zip(step(&mut fleet, t)) {
+                *sum += c;
+            }
+        }
+        assert!(crossed.iter().all(|&c| c > 100), "idle share: {crossed:?}");
+        assert_eq!(fleet_buffers(&shared, &fleet), warm);
+        for (worker, ptr) in fleet.iter().zip(emit_buf) {
+            assert_eq!(worker.emit_buf.as_ptr(), ptr);
+            assert_eq!(worker.emit_buf.capacity(), 64);
+        }
+        let sent: u64 = fleet.iter().map(|w| w.stats.messages_sent).sum();
+        assert!(sent > 0 && fleet.iter().all(|w| w.uncommitted_sent == 0));
+    }
+
+    #[test]
+    fn shared_words_have_cache_lines_of_their_own() {
+        use std::mem::{align_of, size_of};
+        assert!(align_of::<Padded<AtomicBool>>() >= 128);
+        assert!(align_of::<Padded<AtomicU64>>() >= 128);
+        assert!(align_of::<GaugeLine>() >= 128);
+        assert!(align_of::<Tally>() >= 128);
+        assert!(align_of::<Padded<AtomicU8>>() >= 128);
+        assert!(align_of::<SlotBarrier>() >= 128);
+        assert!(align_of::<Mailbox<Batch>>() >= 128);
+        // Arrays of them keep every element apart.
+        assert_eq!(size_of::<Padded<AtomicU64>>() % 128, 0);
+        assert_eq!(size_of::<GaugeLine>() % 128, 0);
+        assert_eq!(size_of::<Mailbox<Batch>>() % 128, 0);
+    }
+
+    /// The combiner runs exactly once per generation, on the last
+    /// arriver, and before any waiter returns.
+    #[test]
+    fn combiner_runs_once_on_the_last_arriver_before_any_release() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 2000;
+        let barrier = SlotBarrier::new(THREADS as usize);
+        let (arrived, combined) = (AtomicU64::new(0), AtomicU64::new(0));
+        let poison = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for round in 0..ROUNDS {
+                        arrived.fetch_add(1, Ordering::AcqRel);
+                        let aborted = barrier.wait_with(&poison, || {
+                            assert_eq!(
+                                arrived.load(Ordering::Acquire),
+                                (round + 1) * THREADS,
+                                "the combiner ran before the last arrival"
+                            );
+                            combined.fetch_add(1, Ordering::AcqRel);
+                        });
+                        assert!(!aborted);
+                        assert_eq!(
+                            combined.load(Ordering::Acquire),
+                            round + 1,
+                            "a waiter was released before (or the combiner ran twice)"
+                        );
+                        // Nobody starts the next round's arrivals while
+                        // a peer still checks this round's counts.
+                        assert!(!barrier.wait_poisoned(&poison));
+                    }
+                });
+            }
+        });
+    }
+
+    /// A panic inside the combiner — the one stretch where the whole
+    /// fleet waits on a single worker — becomes that worker's
+    /// `WorkerPanic`, and the poison flag releases every waiting peer,
+    /// at every fleet size.
+    #[test]
+    fn combiner_panic_becomes_worker_panic_and_releases_every_peer() {
+        let topo = Torus::new(&[4, 4]);
+        for workers in 2..=4 {
+            let shared = Shared::new(&topo, workers, &SimConfig::quick(1), None).unwrap();
+            let outcomes: Vec<Option<bool>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|id| {
+                        let shared = &shared;
+                        s.spawn(move || {
+                            supervised(shared, id, || {
+                                assert!(!shared.barrier.wait_poisoned(&shared.poison));
+                                shared
+                                    .barrier
+                                    .wait_with(&shared.poison, || panic!("combiner gave up"))
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let panicked = outcomes.iter().filter(|o| o.is_none()).count();
+            assert_eq!(panicked, 1, "W={workers}: one last arriver");
+            assert!(
+                outcomes.iter().flatten().all(|&aborted| aborted),
+                "W={workers}: every peer must be told to abandon the run"
+            );
+            assert_eq!(shared.done.load(Ordering::Acquire), workers);
+            let first_error = shared.first_error.lock().unwrap().take();
+            match first_error {
+                Some(NetError::WorkerPanic { worker, message }) => {
+                    assert_eq!(outcomes[worker as usize], None);
+                    assert!(message.contains("combiner gave up"), "{message}");
+                }
+                other => panic!("W={workers}: expected WorkerPanic, got {other:?}"),
+            }
         }
     }
 
@@ -2476,27 +2844,6 @@ mod tests {
                     }
                 });
             }
-        });
-    }
-
-    /// The decision word releases a waiter when its slot is published,
-    /// lets a late waiter through at once, and aborts a waiter whose
-    /// slot will never be published once the fleet is poisoned.
-    #[test]
-    fn decision_word_releases_on_publish_and_on_poison() {
-        let word = DecisionWord::new();
-        let poison = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| word.wait_poisoned(0, &poison));
-            word.publish(0);
-            assert!(!waiter.join().unwrap(), "published slot: carry on");
-            assert!(!word.wait_poisoned(0, &poison), "already decided");
-            let waiter = s.spawn(|| word.wait_poisoned(1, &poison));
-            poison.store(true, Ordering::Release);
-            assert!(
-                waiter.join().unwrap(),
-                "waiter must abort, not spin forever"
-            );
         });
     }
 

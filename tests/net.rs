@@ -447,6 +447,187 @@ const PINNED_DIGESTS: [(&str, u64); 8] = [
     ("4x4 capacity-1 ARQ W=2", 0x7849_2ec8_3c07_3b00),
 ];
 
+/// Runs that end early — at the horizon, by the fleet-wide queue limit,
+/// by the single-queue guard — or end with faults live. The runtime
+/// learns that slot `t − 1` was the last only at the rendezvous of slot
+/// `t`, after the send of `t` has already run, so these cases pin that
+/// the send ahead of the decision leaves no mark: a rejection, a sent
+/// message, a window tick or a fault tick counted for the slot that
+/// never ran changes the digest. Captured at commit 866ac3b, where every
+/// slot was decided before the next one began: the eight cases the issue
+/// that introduced the protocol named, plus the two its own mutation
+/// checks needed — the warm-up boundary, the one stop a misplaced window
+/// tick shows at, and a plan whose fault losses cross workers, where
+/// control shipped a slot early shows.
+#[test]
+fn early_stops_match_the_pinned_decide_then_send_protocol() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    let (torus8, torus4) = (Torus::new(&[8, 8]), Torus::new(&[4, 4]));
+    let at_rho = |rho| ScenarioSpec {
+        rho,
+        ..ScenarioSpec::default()
+    };
+    let (overload, degraded) = (at_rho(1.3), at_rho(0.7));
+    let window = |seed, measure_slots| SimConfig {
+        warmup_slots: 100,
+        measure_slots,
+        ..SimConfig::quick(seed)
+    };
+    let admission = Some(pstar_sim::AdmissionConfig {
+        rate: 0.01,
+        burst: 1.0,
+    });
+
+    // Horizon inside the measurement window, admission rejecting.
+    let horizon = SimConfig {
+        max_slots: 777,
+        admission,
+        trace_interval: Some(50),
+        ..window(51, 2_000)
+    };
+    for workers in [2, 3] {
+        let net = net_run(&overload, &torus8, horizon, workers);
+        let r = &net.report;
+        assert!(r.stable && !r.completed && r.slots_run == 777, "{r:?}");
+        assert_eq!(r.flow.rejected_broadcasts, 3_184);
+        got.push((format!("8x8 horizon W={workers}"), net_digest(&net)));
+    }
+
+    // Fleet-wide queue limit, a few slots in.
+    let limit = SimConfig {
+        unstable_queue_per_link: 3.0,
+        ..window(52, 5_000)
+    };
+    for workers in [2, 4] {
+        let net = net_run(&overload, &torus8, limit, workers);
+        assert!(!net.report.stable && net.report.slots_run == 21);
+        got.push((format!("8x8 queue limit W={workers}"), net_digest(&net)));
+    }
+
+    // The single-queue guard, which only looks every 4096 slots.
+    let guard = SimConfig {
+        unstable_queue_per_link: 1e9,
+        unstable_single_queue: 5.0,
+        ..window(53, 9_000)
+    };
+    let net = net_run(&overload, &torus4, guard, 2);
+    assert!(!net.report.stable && net.report.slots_run == 4_096);
+    got.push(("4x4 single-queue guard W=2".into(), net_digest(&net)));
+
+    // Horizon at the warm-up boundary: the slot that never runs is the
+    // one whose window tick would restart the concurrency gauges.
+    let boundary = SimConfig {
+        max_slots: 100,
+        ..window(56, 2_000)
+    };
+    let net = net_run(&degraded, &torus4, boundary, 2);
+    assert_eq!(net.report.slots_run, 100);
+    assert!(net.report.avg_concurrent_broadcasts > 0.0);
+    got.push(("4x4 horizon at warm-up W=2".into(), net_digest(&net)));
+
+    // Horizon in wall-clock mode: every worker's injector rejects.
+    let wall = SimConfig {
+        max_slots: 555,
+        admission,
+        ..window(54, 2_000)
+    };
+    let net = run_net(
+        &torus8,
+        overload.build_scheme(&torus8),
+        overload.mix(&torus8),
+        NetConfig {
+            workers: 2,
+            mode: pstar_net::ClockMode::WallClock,
+            ..NetConfig::new(wall)
+        },
+    )
+    .expect("run_net failed");
+    assert!(net.report.slots_run == 555 && net.report.flow.rejected_broadcasts > 0);
+    got.push(("8x8 wall-clock horizon W=2".into(), net_digest(&net)));
+
+    // Horizon with faults live, the third event due at the slot that
+    // never runs.
+    let down = |slot, link| FaultEvent {
+        slot,
+        kind: FaultKind::LinkDown(LinkId(link)),
+    };
+    let plan = FaultPlan::scripted(vec![down(150, 3), down(300, 17), down(400, 40)]);
+    let faulted = SimConfig {
+        max_slots: 400,
+        ..window(55, 2_000)
+    };
+    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
+        let net = fault_net_run(&degraded, &torus4, faulted, 3, plan.clone(), policy);
+        let f = &net.report.faults;
+        assert_eq!((net.report.slots_run, f.events_applied), (400, 2));
+        assert_eq!(f.fault_slots, 250);
+        got.push((
+            format!("4x4 faulted horizon {policy:?} W=3"),
+            net_digest(&net),
+        ));
+    }
+
+    // Mass fault losses (two node crashes, six link outages at rho 0.9)
+    // whose settlements cross workers: a loss notice the fault tick of
+    // slot `t` produces must reach the task's home in slot `t + 1`, with
+    // the notices slot `t`'s deliveries produce — a slot earlier, some
+    // task's last settlement swaps between an ack and a fault loss.
+    let mut events = vec![
+        FaultEvent {
+            slot: 300,
+            kind: FaultKind::NodeCrash(NodeId(5)),
+        },
+        FaultEvent {
+            slot: 420,
+            kind: FaultKind::NodeCrash(NodeId(10)),
+        },
+    ];
+    events.extend([1, 9, 22, 37, 50, 61].map(|link| down(350, link)));
+    let crashes = SimConfig {
+        max_slots: 600,
+        ..window(57, 2_000)
+    };
+    let net = fault_net_run(
+        &at_rho(0.9),
+        &torus4,
+        crashes,
+        4,
+        FaultPlan::scripted(events),
+        DeadLinkPolicy::Drop,
+    );
+    assert_eq!(net.report.faults.fault_damaged_broadcasts, 78);
+    got.push((
+        "4x4 crashes, losses cross workers W=4".into(),
+        net_digest(&net),
+    ));
+
+    assert_eq!(got.len(), PINNED_EARLY_STOPS.len());
+    for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_EARLY_STOPS) {
+        assert_eq!(label, want_label);
+        assert_eq!(
+            *digest, want,
+            "{label}: report or message count differs from the pinned parent \
+             (got {digest:#018x})"
+        );
+    }
+}
+
+const PINNED_EARLY_STOPS: [(&str, u64); 10] = [
+    ("8x8 horizon W=2", 0xd3d5_c6f0_cfb0_f53f),
+    ("8x8 horizon W=3", 0x6bd9_5fb1_57f5_21df),
+    ("8x8 queue limit W=2", 0x78db_d92b_7efa_a5ad),
+    ("8x8 queue limit W=4", 0xcfe1_f934_3d30_c086),
+    ("4x4 single-queue guard W=2", 0x8817_6949_e2b3_aca4),
+    ("4x4 horizon at warm-up W=2", 0x99f9_c3b1_9960_d493),
+    ("8x8 wall-clock horizon W=2", 0x83b1_7578_7eb2_d85c),
+    ("4x4 faulted horizon Drop W=3", 0xa39f_70c1_e9f4_97e1),
+    ("4x4 faulted horizon Requeue W=3", 0xa106_a1b9_f999_6f5c),
+    (
+        "4x4 crashes, losses cross workers W=4",
+        0xf3ed_1cab_40d5_fe03,
+    ),
+];
+
 fn packet(task: u32, priority: u8) -> Packet {
     Packet {
         task,
