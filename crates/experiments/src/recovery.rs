@@ -16,7 +16,7 @@
 //!   | `arq-backpressure`| on  | 16 | defer injection |
 //!
 //!   ARQ uses an unbounded retry budget; with a *transient* fault plan
-//!   (checked via [`FaultPlan::is_transient`]) that makes full delivery a
+//!   (checked via [`pstar_sim::FaultPlan::is_transient`]) that makes full delivery a
 //!   guarantee, so the ARQ arms' delivered fraction must be exactly 1.
 //!
 //! * **Part B — `recovery_overload.csv`/`.jsonl`**: offered ρ ∈
@@ -32,13 +32,11 @@
 
 use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
-use crate::sweep::{broadcast_arm, parallel_map};
+use crate::sweep::{broadcast_arm, nested_outage, parallel_map};
 use crate::{Ctx, Gate};
 use priority_star::prelude::*;
 use priority_star::run_scenario_with_faults;
-use pstar_sim::{
-    shuffled_links, AdmissionConfig, ArqConfig, DeadLinkPolicy, FaultPlan, FullQueuePolicy,
-};
+use pstar_sim::{shuffled_links, AdmissionConfig, ArqConfig, DeadLinkPolicy, FullQueuePolicy};
 
 /// Fraction of links killed during the outage window (full mode).
 pub const FAULT_RATES: [f64; 3] = [0.0, 0.01, 0.05];
@@ -115,12 +113,6 @@ impl Arm {
     }
 }
 
-/// Links killed at fault rate `rate` (first `⌈rate·L⌉` entries of the
-/// shared permutation — nested, as in the resilience sweep).
-fn dead_count(link_count: u32, rate: f64) -> usize {
-    (rate * link_count as f64).ceil() as usize
-}
-
 /// Runs both sweeps, writes the artifacts, and (under `--smoke`)
 /// enforces the recovery acceptance criteria.
 pub fn recovery(ctx: &Ctx) {
@@ -176,12 +168,7 @@ fn fault_sweep(ctx: &Ctx, topo: &Torus, cfg0: SimConfig, gate: &mut Gate) {
         // legacy columns and the CRN pairing are unchanged.
         cfg.tails = true;
         arm.apply(&mut cfg);
-        let k = dead_count(topo.link_count(), rate);
-        let plan = if k == 0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::link_outage_window(&perm[..k], down, up)
-        };
+        let plan = nested_outage(&perm, rate, down, up);
         // The completeness guarantee asserted below only holds for
         // transient plans; an outage window is transient by construction.
         debug_assert!(plan.is_transient());

@@ -18,23 +18,17 @@
 
 use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
-use crate::sweep::{broadcast_arm, parallel_map};
+use crate::sweep::{broadcast_arm, dead_count, nested_outage, parallel_map};
 use crate::Ctx;
 use priority_star::prelude::*;
 use priority_star::run_scenario_with_faults;
-use pstar_sim::{shuffled_links, DeadLinkPolicy, FaultPlan};
+use pstar_sim::{shuffled_links, DeadLinkPolicy};
 
 /// Fraction of links killed during the outage window.
 pub const FAULT_RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
 
 /// Offered throughput factors.
 pub const RHOS: [f64; 3] = [0.3, 0.5, 0.7];
-
-/// Links killed at fault rate `rate` on a network with `link_count`
-/// links (first `⌈rate·L⌉` entries of the shared permutation).
-fn dead_count(link_count: u32, rate: f64) -> usize {
-    (rate * link_count as f64).ceil() as usize
-}
 
 /// Runs the sweep and writes `resilience.csv` + `resilience.jsonl`.
 pub fn resilience(ctx: &Ctx) {
@@ -69,17 +63,11 @@ pub fn resilience(ctx: &Ctx) {
         // Tail percentiles ride along for free (no RNG impact), so the
         // legacy columns and the CRN pairing are unchanged.
         cfg.tails = true;
-        let k = dead_count(topo.link_count(), rate);
-        let plan = if k == 0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::link_outage_window(&perm[..k], down, up)
-        };
         run_scenario_with_faults(
             &topo,
             &broadcast_arm(scheme, rho),
             cfg,
-            plan,
+            nested_outage(&perm, rate, down, up),
             DeadLinkPolicy::Drop,
         )
     });
@@ -170,14 +158,5 @@ mod tests {
         assert_eq!(FAULT_RATES[0], 0.0);
         assert!(RHOS.windows(2).all(|w| w[0] < w[1]));
         assert!(RHOS.iter().all(|&r| r > 0.0 && r < 1.0));
-    }
-
-    #[test]
-    fn dead_counts_nest_and_round_up() {
-        let l = 256; // 8x8 torus link count
-        let counts: Vec<usize> = FAULT_RATES.iter().map(|&f| dead_count(l, f)).collect();
-        assert_eq!(counts[0], 0);
-        assert!(counts.windows(2).all(|w| w[0] < w[1]), "{counts:?}");
-        assert_eq!(counts[3], 26); // ceil(0.10 * 256)
     }
 }

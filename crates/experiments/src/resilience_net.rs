@@ -31,7 +31,7 @@ use crate::csvout::Table;
 use crate::record::{write_jsonl, PointRecord};
 use crate::resilience::FAULT_RATES;
 use crate::svg::{write_svg, Chart, Series};
-use crate::sweep::broadcast_arm;
+use crate::sweep::{broadcast_arm, dead_count, nested_outage};
 use crate::{fatal, Ctx, Gate};
 use priority_star::prelude::*;
 use priority_star::run_scenario_with_faults;
@@ -46,10 +46,6 @@ const WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Per-scheme series colors (same tab palette as `plot`/`net`).
 const COLORS: [&str; 5] = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"];
-
-fn dead_count(link_count: u32, rate: f64) -> usize {
-    (rate * link_count as f64).ceil() as usize
-}
 
 fn net_fault_point(
     topo: &Torus,
@@ -120,12 +116,7 @@ pub fn resilience_net(ctx: &Ctx) {
             let t0 = std::time::Instant::now();
             let mut cfg = cfg0;
             cfg.seed = ctx.seed("resilience-net", si);
-            let k = dead_count(topo.link_count(), rate);
-            let plan = if k == 0 {
-                FaultPlan::none()
-            } else {
-                FaultPlan::link_outage_window(&perm[..k], down, up)
-            };
+            let plan = nested_outage(&perm, rate, down, up);
             let spec = broadcast_arm(scheme, RHO);
             let sim =
                 run_scenario_with_faults(&topo, &spec, cfg, plan.clone(), DeadLinkPolicy::Drop);

@@ -1,6 +1,8 @@
 //! Embarrassingly parallel sweep execution and shared arm construction.
 
 use priority_star::{ScenarioSpec, SchemeKind};
+use pstar_sim::FaultPlan;
+use pstar_topology::LinkId;
 
 /// Maps `f` over `items` on all available cores, preserving order.
 ///
@@ -103,9 +105,39 @@ pub fn rho_scheme_points(rhos: &[f64], schemes: &[SchemeKind]) -> Vec<(f64, Sche
         .collect()
 }
 
+/// Links killed at fault rate `rate` on a network with `link_count`
+/// links: the first `⌈rate·L⌉` entries of a sweep's link permutation.
+pub fn dead_count(link_count: u32, rate: f64) -> usize {
+    (rate * link_count as f64).ceil() as usize
+}
+
+/// The outage of fault rate `rate`: the first [`dead_count`] links of
+/// `perm` — a sweep's `shuffled_links` permutation of every link, so a
+/// higher rate strictly extends the dead set — down over `[down, up)`;
+/// no plan at rate 0.
+pub fn nested_outage(perm: &[LinkId], rate: f64, down: u64, up: u64) -> FaultPlan {
+    match dead_count(perm.len() as u32, rate) {
+        0 => FaultPlan::none(),
+        k => FaultPlan::link_outage_window(&perm[..k], down, up),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::FAULT_RATES;
+
+    #[test]
+    fn dead_counts_nest_and_round_up() {
+        let l = 256; // 8x8 torus link count
+        let counts: Vec<usize> = FAULT_RATES.iter().map(|&f| dead_count(l, f)).collect();
+        assert_eq!(counts[0], 0);
+        assert!(counts.windows(2).all(|w| w[0] < w[1]), "{counts:?}");
+        assert_eq!(counts[3], 26); // ceil(0.10 * 256)
+        let perm = pstar_sim::shuffled_links(l, 7);
+        assert!(nested_outage(&perm, 0.0, 10, 20).is_empty());
+        assert_eq!(nested_outage(&perm, 0.10, 10, 20).events().len(), 2 * 26);
+    }
 
     #[test]
     fn parallel_map_preserves_order() {

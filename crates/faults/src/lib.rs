@@ -12,11 +12,14 @@
 //! run without fault support at all, and the same seed + plan always
 //! reproduces the same report.
 //!
-//! At runtime the engine owns a [`FaultRuntime`], advances it each slot,
+//! At runtime a driver owns a [`FaultRuntime`], advances it each slot,
 //! and reads the effective [`LivenessView`]: a link is dead when it was
 //! forced down *or* either endpoint node is crashed. Routing schemes get
 //! the same view through `Scheme::on_liveness_change` so they can
-//! re-balance around the surviving links (degraded mode).
+//! re-balance around the surviving links (degraded mode). A runtime is
+//! `Clone` and a function of its plan and the slots it was advanced to
+//! alone, so a backend with several workers gives each a replica of its
+//! own instead of sending anyone a [`FaultDelta`].
 
 #![warn(missing_docs)]
 
@@ -341,37 +344,14 @@ impl LivenessView {
         }
         true
     }
-
-    /// Replays a [`FaultDelta`] onto this view, reproducing the state
-    /// transition that the originating [`FaultRuntime`] just made.
-    /// Deltas must be applied in the order they were produced, starting
-    /// from [`LivenessView::healthy`]; each is idempotent against its
-    /// own effects (flips already present are not double-counted).
-    pub fn apply_delta(&mut self, delta: &FaultDelta) {
-        for &l in &delta.newly_dead {
-            self.set_link(l.index(), true);
-        }
-        for &l in &delta.repaired {
-            self.set_link(l.index(), false);
-        }
-        for &n in &delta.crashed {
-            self.set_node(n.0 as usize, true);
-        }
-        for &n in &delta.recovered {
-            self.set_node(n.0 as usize, false);
-        }
-    }
 }
 
-/// What changed when the runtime advanced to a slot.
-///
-/// A delta is a complete, self-contained description of the effective
-/// liveness transition: replaying a run's deltas in order against a
-/// [`LivenessView::healthy`] view (via [`LivenessView::apply_delta`])
-/// reproduces the [`FaultRuntime`]'s view exactly. This is what lets a
-/// distributed runtime keep one authoritative `FaultRuntime` and
-/// broadcast deltas to per-worker replica views.
-#[derive(Debug, Clone, Default)]
+/// What changed when the runtime advanced to a slot: every flip of
+/// effective liveness, in the order the events made them. A link (or
+/// node) flipped twice by one advance is on both of its lists — the
+/// [`FaultRuntime::view`] says which state it ended in. Replicas of one
+/// runtime that advance to the same event slots produce equal deltas.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultDelta {
     /// Events that took effect.
     pub events_applied: u32,
@@ -471,17 +451,13 @@ impl FaultRuntime {
                     self.refresh_link(l.index(), &mut delta);
                 }
                 FaultKind::NodeCrash(n) => {
-                    if self.view.node_alive(n) {
-                        self.view.dead_nodes[n.0 as usize] = true;
-                        self.view.dead_node_count += 1;
+                    if self.view.set_node(n.0 as usize, true) {
                         delta.crashed.push(n);
                         self.refresh_node_links(n, &mut delta);
                     }
                 }
                 FaultKind::NodeRecover(n) => {
-                    if !self.view.node_alive(n) {
-                        self.view.dead_nodes[n.0 as usize] = false;
-                        self.view.dead_node_count -= 1;
+                    if self.view.set_node(n.0 as usize, false) {
                         delta.recovered.push(n);
                         self.refresh_node_links(n, &mut delta);
                     }
@@ -721,37 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_view_tracks_runtime_via_deltas() {
-        let (src, dst) = ring4_tables();
-        let plan = FaultPlan::scripted(vec![
-            FaultEvent {
-                slot: 1,
-                kind: FaultKind::LinkDown(LinkId(2)),
-            },
-            FaultEvent {
-                slot: 2,
-                kind: FaultKind::NodeCrash(NodeId(1)),
-            },
-            FaultEvent {
-                slot: 3,
-                kind: FaultKind::NodeRecover(NodeId(1)),
-            },
-            FaultEvent {
-                slot: 4,
-                kind: FaultKind::LinkUp(LinkId(2)),
-            },
-        ]);
-        let mut rt = FaultRuntime::new(plan, src.clone(), dst, 4);
-        let mut replica = LivenessView::healthy(src.len() as u32, 4);
-        for slot in 0..6 {
-            let delta = rt.advance_to(slot);
-            replica.apply_delta(&delta);
-            assert_eq!(&replica, rt.view(), "replica diverged at slot {slot}");
-        }
-        assert!(!replica.any_faults());
-    }
-
-    #[test]
     fn deltas_report_node_flips() {
         let (src, dst) = ring4_tables();
         let plan = FaultPlan::scripted(vec![
@@ -796,5 +741,76 @@ mod tests {
             .iter()
             .skip(2)
             .all(|e| matches!(e.kind, FaultKind::LinkUp(_)) && e.slot == 200));
+    }
+
+    /// Random scripted timelines over the 4-ring: any mix of the four
+    /// event kinds, repeats and same-slot ties included.
+    fn scripted_events() -> impl proptest::strategy::Strategy<Value = Vec<FaultEvent>> {
+        use proptest::prelude::*;
+        prop::collection::vec((0u64..60, 0u8..4, 0u32..8), 0..40).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(slot, kind, id)| FaultEvent {
+                    slot,
+                    kind: match kind {
+                        0 => FaultKind::LinkDown(LinkId(id)),
+                        1 => FaultKind::LinkUp(LinkId(id)),
+                        2 => FaultKind::NodeCrash(NodeId(id % 4)),
+                        _ => FaultKind::NodeRecover(NodeId(id % 4)),
+                    },
+                })
+                .collect()
+        })
+    }
+
+    /// What replicas rest on: a runtime is a function of its plan and
+    /// of the event slots it was advanced to. One clone advances every
+    /// slot, the other only where an event is due plus wherever `extra`
+    /// says: at every event slot both yield the same delta and hold the
+    /// same view, and in between nothing changes.
+    fn assert_replicas_agree(plan: FaultPlan, extra: &[bool]) {
+        let (src, dst) = ring4_tables();
+        let mut every_slot = FaultRuntime::new(plan, src, dst, 4);
+        let mut sparse = every_slot.clone();
+        for slot in 0..extra.len() as u64 {
+            let due = every_slot.next_event_slot().is_some_and(|s| s <= slot);
+            let delta = every_slot.advance_to(slot);
+            assert_eq!(delta.events_applied > 0, due, "slot {slot}");
+            if due || extra[slot as usize] {
+                assert_eq!(sparse.advance_to(slot), delta, "delta at slot {slot}");
+            }
+            assert_eq!(sparse.view(), every_slot.view(), "view at slot {slot}");
+        }
+        assert_eq!(
+            every_slot.next_event_slot(),
+            None,
+            "events past the horizon"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn replicas_of_a_scripted_plan_agree_whatever_slots_they_skip(
+            events in scripted_events(),
+            extra in proptest::collection::vec(proptest::prelude::any::<bool>(), 60..61),
+        ) {
+            assert_replicas_agree(FaultPlan::scripted(events), &extra);
+        }
+
+        #[test]
+        fn replicas_of_a_stochastic_plan_agree_whatever_slots_they_skip(
+            seed in 0u64..1_000_000,
+            link_fail in 0u32..20,
+            node_fail in 0u32..10,
+            extra in proptest::collection::vec(proptest::prelude::any::<bool>(), 200..201),
+        ) {
+            let cfg = StochasticFaultConfig {
+                link_fail_p: f64::from(link_fail) / 100.0,
+                link_repair_p: 0.1,
+                node_fail_p: f64::from(node_fail) / 100.0,
+                node_repair_p: 0.2,
+                seed,
+            };
+            assert_replicas_agree(FaultPlan::stochastic(&cfg, 8, 4, 200), &extra);
+        }
     }
 }

@@ -17,12 +17,15 @@
 //! which case the put waits (poison-aware) rather than grow or drop.
 //!
 //! **[`Channel`]** is a `Mutex<VecDeque>` with a condvar for bounded
-//! use. The runtime runs it on the rare fault-delta lane only
-//! ([`Channel::send`] / [`Channel::drain_into`], separated by the fault
-//! barrier); the batch and bounded forms remain for callers that hand
-//! over once per phase, not once per message: a sender collects a
-//! phase's messages in an outbox it owns and passes the whole outbox
-//! through [`Channel::send_batch`] under one lock. Consumers call
+//! use. No path of the runtime runs it any more (its last lane carried
+//! fault-epoch deltas from worker 0; every worker now ticks a replica of
+//! the fault clock instead): it stays exported and tested because
+//! `benchmark/` times it (`net.channel.send_drain_ns_per_msg`), until a
+//! `benchmark` change releases it (ROADMAP "One benchmark" (c)). It
+//! serves callers that hand over once per phase, not once per message:
+//! a sender collects a phase's messages in an outbox it owns and passes
+//! the whole outbox through [`Channel::send_batch`] under one lock
+//! ([`Channel::send`] is the single-message form). Consumers call
 //! [`Channel::drain_into`] at points where every hand-over of the phase
 //! has completed, so there is no `recv`-blocking path at all — and a
 //! lane nobody wrote to costs them one atomic load, no lock.
@@ -158,8 +161,7 @@ pub struct ChannelStats {
 /// * [`Channel::bounded`] — senders block while the buffer holds
 ///   `capacity` messages (for a lane whose traffic has a known ceiling,
 ///   where the bound is an enforced invariant, not a throttle).
-/// * [`Channel::unbounded`] — senders never block (the runtime's
-///   fault-delta lane).
+/// * [`Channel::unbounded`] — senders never block.
 #[derive(Debug)]
 pub struct Channel<T> {
     inner: Mutex<VecDeque<T>>,

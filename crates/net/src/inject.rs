@@ -20,7 +20,9 @@
 //! statistically interchangeable while only virtual mode is
 //! draw-for-draw comparable with the simulator.
 
-use pstar_sim::{generate_arrivals_into, ArrivalSink, Emit, LivenessView, Scheme, SimConfig};
+use pstar_sim::{
+    generate_arrivals_into, ArrivalSink, Emit, LivenessView, Scheme, SimConfig, TokenGate,
+};
 use pstar_topology::NodeId;
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix, UniformDestinations};
 use rand::rngs::StdRng;
@@ -89,36 +91,28 @@ fn node_dead(view: Option<&LivenessView>, node: NodeId) -> bool {
     view.is_some_and(|v| !v.node_alive(node))
 }
 
-/// Shared per-arrival generation: admission gate, then the length and
-/// scheme draws in the engine's exact order.
+/// Shared per-arrival generation: admission gate (`bucket` is the
+/// source's index in it), then the length and scheme draws in the
+/// engine's exact order.
 #[allow(clippy::too_many_arguments)]
 fn generate_task<S: Scheme + ?Sized>(
     rng: &mut StdRng,
     cfg: &SimConfig,
     scheme: &S,
-    tokens: Option<&mut f64>,
+    gate: Option<&mut TokenGate>,
+    bucket: usize,
     task: u32,
     src: NodeId,
     dest: Option<NodeId>,
     t: u64,
     measured: bool,
-    rejected: &mut (u64, u64),
     out: &mut InjectBatch,
 ) -> bool {
-    if let Some(tok) = tokens {
-        // The admission gate consumes no randomness and fires *before*
-        // the length/scheme draws, exactly like `Engine::arrive` — a
-        // rejected arrival leaves the RNG stream untouched.
-        if *tok < 1.0 {
-            if measured {
-                match dest {
-                    None => rejected.0 += 1,
-                    Some(_) => rejected.1 += 1,
-                }
-            }
-            return false;
-        }
-        *tok -= 1.0;
+    // The gate fires *before* the length/scheme draws, exactly like
+    // `Engine::arrive` — a rejected arrival leaves the RNG stream
+    // untouched.
+    if gate.is_some_and(|g| !g.admit(bucket, dest.is_none(), measured)) {
+        return false;
     }
     let len = cfg.lengths.sample_length(rng);
     // Schemes append to `out`, so the arena is handed to them as it is.
@@ -150,11 +144,10 @@ pub(crate) struct VirtualInjector {
     cursor: ScenarioCursor,
     cfg: SimConfig,
     n: u32,
-    /// Per-node token balances; empty unless admission control is on.
-    tokens: Vec<f64>,
+    /// The admission gate (and its rejection counters); `None` unless
+    /// admission control is on.
+    pub gate: Option<TokenGate>,
     next_task: u32,
-    /// (broadcasts, unicasts) rejected by admission while measured.
-    pub rejected: (u64, u64),
 }
 
 impl VirtualInjector {
@@ -171,14 +164,10 @@ impl VirtualInjector {
                 .resolve_dests(dims)
                 .expect("scenario validated by run_net"),
             cursor: ScenarioCursor::new(cfg.scenario),
-            tokens: match cfg.admission {
-                Some(adm) => vec![adm.burst; n as usize],
-                None => Vec::new(),
-            },
+            gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
             cfg,
             n,
             next_task: 0,
-            rejected: (0, 0),
         }
     }
 
@@ -201,10 +190,8 @@ impl VirtualInjector {
         view: Option<&LivenessView>,
         route: &mut R,
     ) {
-        if let Some(adm) = self.cfg.admission {
-            for tok in &mut self.tokens {
-                *tok = (*tok + adm.rate).min(adm.burst);
-            }
+        if let Some(gate) = self.gate.as_mut() {
+            gate.refill();
         }
         let n = self.n;
         let mix = self.mix;
@@ -249,22 +236,18 @@ impl<S: Scheme + ?Sized, R: InjectRoute> ArrivalSink for VirtualSink<'_, S, R> {
             &mut self.inj.rng,
             &self.inj.cfg,
             self.scheme,
-            token_of(&mut self.inj.tokens, src),
+            self.inj.gate.as_mut(),
+            src.index(),
             task,
             src,
             dest,
             self.t,
             measured,
-            &mut self.inj.rejected,
             self.route.batch_for(src),
         ) {
             self.inj.next_task += 1;
         }
     }
-}
-
-fn token_of(tokens: &mut [f64], src: NodeId) -> Option<&mut f64> {
-    tokens.get_mut(src.index())
 }
 
 /// The wall-clock sharded injector: one per worker, covering the
@@ -273,13 +256,14 @@ pub(crate) struct WallInjector {
     /// First owned node id (nodes are contiguous per worker).
     first_node: u32,
     rngs: Vec<StdRng>,
-    tokens: Vec<f64>,
+    /// The admission gate over the owned nodes (bucket = node −
+    /// `first_node`); `None` unless admission control is on.
+    pub gate: Option<TokenGate>,
     mix: TrafficMix,
     dests: UniformDestinations,
     cfg: SimConfig,
     next_seq: u32,
     worker_tag: u32,
-    pub rejected: (u64, u64),
 }
 
 impl WallInjector {
@@ -300,10 +284,7 @@ impl WallInjector {
                 .clone()
                 .map(|v| StdRng::seed_from_u64(node_stream_seed(cfg.seed, v)))
                 .collect(),
-            tokens: match cfg.admission {
-                Some(adm) => vec![adm.burst; nodes.len()],
-                None => Vec::new(),
-            },
+            gate: cfg.admission.map(|adm| TokenGate::new(adm, nodes.len())),
             // Sampled per node: the aggregate Poisson superposition of
             // the global injector does not shard, per-node draws do (and
             // follow the same law).
@@ -312,7 +293,6 @@ impl WallInjector {
             cfg,
             next_seq: 0,
             worker_tag: (worker as u32) << TASK_SEQ_BITS,
-            rejected: (0, 0),
         }
     }
 
@@ -337,10 +317,8 @@ impl WallInjector {
         out: &mut InjectBatch,
     ) {
         let measured = t >= self.cfg.warmup_slots && t < self.cfg.measure_end();
-        if let Some(adm) = self.cfg.admission {
-            for tok in &mut self.tokens {
-                *tok = (*tok + adm.rate).min(adm.burst);
-            }
+        if let Some(gate) = self.gate.as_mut() {
+            gate.refill();
         }
         for i in 0..self.rngs.len() {
             let node = NodeId(self.first_node + i as u32);
@@ -354,13 +332,13 @@ impl WallInjector {
                     &mut self.rngs[i],
                     &self.cfg,
                     scheme,
-                    self.tokens.get_mut(i),
+                    self.gate.as_mut(),
+                    i,
                     task,
                     node,
                     None,
                     t,
                     measured,
-                    &mut self.rejected,
                     out,
                 );
                 if !ok {
@@ -374,13 +352,13 @@ impl WallInjector {
                     &mut self.rngs[i],
                     &self.cfg,
                     scheme,
-                    self.tokens.get_mut(i),
+                    self.gate.as_mut(),
+                    i,
                     task,
                     node,
                     Some(dest),
                     t,
                     measured,
-                    &mut self.rejected,
                     out,
                 );
                 if !ok {

@@ -35,13 +35,13 @@
 //! ## Faults and supervised shutdown
 //!
 //! [`run_net_with_faults`] executes a scripted `pstar_faults::FaultPlan`
-//! at runtime: worker 0 advances the fault clock and broadcasts epoch
-//! deltas over a [`Channel`], every worker maintains a liveness
-//! replica, disposes of packets on dead links per `DeadLinkPolicy`,
-//! suppresses injection at dead nodes, and re-solves degraded-mode
-//! routing on its own scheme clone. Virtual-clock faulted runs
-//! reproduce the engine's delivered and fault-drop counts exactly under
-//! the same plan.
+//! at runtime: every worker runs its own replica of the plan's clock
+//! (`pstar_sim::FaultClock`, the fault tick the simulator's engines run)
+//! — no epoch crosses a thread — disposes of packets on its dead links
+//! per `DeadLinkPolicy`, suppresses injection at dead nodes, and
+//! re-solves degraded-mode routing on its own scheme clone.
+//! Virtual-clock faulted runs reproduce the engine's delivered and
+//! fault-drop counts exactly under the same plan.
 //!
 //! Execution is panic-safe: [`run_net`] returns
 //! `Result<NetReport, NetError>` — a panicking worker poisons the fleet

@@ -79,22 +79,25 @@
 //!
 //! # Runtime faults
 //!
-//! Worker 0 owns the fault clock ([`pstar_faults::FaultRuntime`]): at
-//! the top of each slot that has a due plan event it advances the clock
-//! and broadcasts the [`FaultDelta`] to every worker over dedicated
-//! channels, separated by a barrier wait of its own (deltas must take
-//! effect *this* slot — they cannot ride the mailboxes' control share,
-//! which arrives with a one-slot lag). Each worker applies the delta to
-//! its private [`LivenessView`] replica, disposes of packets stranded on
-//! its newly-dead links per the [`DeadLinkPolicy`], and hands the new
-//! epoch to its owned scheme clone (`Scheme::on_liveness_change` — the
-//! degraded-mode re-solve). The fault tick drops packets, counts fault
+//! No fault epoch ever crosses a thread: a [`FaultPlan`] is a fixed,
+//! sorted timeline, so every worker runs its own replica of the fault
+//! clock ([`pstar_sim::FaultClock`]) over the links its kernel owns, and
+//! the replicas agree by construction. At the top of each slot a worker
+//! ticks its replica — the plan events due, the packets stranded on its
+//! newly dead links disposed of per the [`DeadLinkPolicy`], the recovery
+//! probes of its watched links — settles what the epoch lost, and hands
+//! the new view to its owned scheme clone
+//! (`Scheme::on_liveness_change` — the degraded-mode re-solve). The
+//! report carries worker 0's event and fault-slot totals (every replica
+//! counts the same ones) and the workers' time-to-recovery samples
+//! merged in worker order. The fault tick drops packets, counts fault
 //! slots and probes link state *before* the slot's finish scan — all of
 //! it visible in a report — so a run with a plan installed does not
 //! send ahead of the decision: slot `t − 1` is decided at a rendezvous
 //! of its own at the top of slot `t`, ahead of the fault tick, and the
-//! exchange rendezvous decides nothing. Which of the two shapes runs
-//! follows from whether a plan is installed.
+//! exchange rendezvous decides nothing — two waits a slot, where a
+//! fault-free run makes one. Which of the two shapes runs follows from
+//! whether a plan is installed.
 //!
 //! # Supervised shutdown
 //!
@@ -119,12 +122,12 @@ use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
+use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceEvent, TraceRecord};
 use pstar_sim::{
-    assemble, receptions_at_stake, Admit, Arq, Emit, FaultTotals, FullQueuePolicy, LinkCounters,
-    LinkKernel, LossCause, Packet, PacketKind, RecoveryTracker, RunOutcome, Scheme, SimConfig,
-    SimReport, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
+    assemble, receptions_at_stake, stop_verdict, Admit, Arq, Emit, FaultClock, FaultLoss,
+    FullQueuePolicy, LinkCounters, LinkKernel, LossCause, Packet, PacketKind, RunOutcome, Scheme,
+    SimConfig, SimReport, Stop, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
@@ -132,7 +135,7 @@ use pstar_traffic::TrafficMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::channel::{spin_until, Channel, Mailbox};
+use crate::channel::{spin_until, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
 use crate::inject::{
     node_stream_seed, InjectBatch, InjectMsg, InjectRoute, VirtualInjector, WallInjector,
@@ -265,8 +268,6 @@ pub struct NetWorkerPerf {
     /// spent inside the rendezvous' combiner is [`Self::decide_ns`], not
     /// wait.
     pub barrier_wait_ns: [u64; 3],
-    /// Time spent waiting at the fault barrier (faulted runs only).
-    pub fault_barrier_wait_ns: u64,
     /// Send work time (phase A): finish scan, injection and the
     /// hand-overs.
     pub phase_a_ns: u64,
@@ -278,9 +279,10 @@ pub struct NetWorkerPerf {
     /// lands on a different worker from slot to slot; the sum over
     /// workers is the run's decision cost.
     pub decide_ns: u64,
-    /// Fault-epoch application latency: time inside
-    /// `apply_fault_delta` (liveness replica update, stranded-packet
-    /// disposal, degraded-mode re-solve).
+    /// Fault-epoch application latency: time inside the worker's fault
+    /// tick on the slots where liveness changed (plan events,
+    /// stranded-packet disposal, loss settlement, degraded-mode
+    /// re-solve).
     pub fault_apply_ns: u64,
     /// Time this worker's puts waited on a mailbox whose previous batch
     /// had not been taken (0 unless a receiver falls a whole slot
@@ -300,9 +302,9 @@ impl NetWorkerPerf {
         }
     }
 
-    /// Total wait (slot rendezvous + fault barrier).
+    /// Total wait over the slot path's rendezvous.
     pub fn wait_ns_total(&self) -> u64 {
-        self.barrier_wait_ns.iter().sum::<u64>() + self.fault_barrier_wait_ns
+        self.barrier_wait_ns.iter().sum()
     }
 }
 
@@ -333,7 +335,6 @@ impl NetPerf {
                 ("phase_b", wp.phase_b_ns),
                 ("decide", wp.decide_ns),
                 ("fault_apply", wp.fault_apply_ns),
-                ("fault_barrier_wait", wp.fault_barrier_wait_ns),
             ] {
                 reg.counter("net_phase_ns", &[("worker", wid.as_str()), ("phase", name)])
                     .add(ns);
@@ -418,11 +419,6 @@ impl SlotBarrier {
         } else {
             spin_until(poison, || self.generation.load(Ordering::Acquire) != gen)
         }
-    }
-
-    /// [`SlotBarrier::wait_with`] with nothing to combine.
-    pub fn wait_poisoned(&self, poison: &AtomicBool) -> bool {
-        self.wait_with(poison, || ())
     }
 }
 
@@ -564,14 +560,13 @@ struct Shared {
     /// links `[link_lo[i], link_lo[i + 1])`.
     ranges: Vec<std::ops::Range<u32>>,
     link_lo: Vec<u32>,
-    /// The decision criteria: end of the measurement window, the
-    /// horizon, and the fleet-wide queued-packet limit.
-    measure_end: u64,
-    max_slots: u64,
+    /// The decision criteria (`pstar_sim::stop_verdict`): the run's
+    /// configuration and the fleet-wide queued-packet limit.
+    sim: SimConfig,
     queue_limit: i64,
     /// The slot's rendezvous (and, on faulted runs, the decision
-    /// rendezvous and the fault barrier: the fleet goes through every
-    /// wait in the same order, so one barrier serves them all).
+    /// rendezvous: the fleet goes through every wait in the same order,
+    /// so one barrier serves both).
     barrier: SlotBarrier,
     /// Mailboxes by slot parity, indexed `from * W + to`.
     mail: [Vec<Mailbox<Batch>>; 2],
@@ -579,8 +574,6 @@ struct Shared {
     tally: Tally,
     /// `RUN` until the combiner decides a slot to be the last.
     stop: Padded<AtomicU8>,
-    /// Fault-epoch coordination; `None` on fault-free runs.
-    faults: Option<SharedFaults>,
     /// Supervised-shutdown latch: once `true`, every worker aborts at
     /// its next barrier wait or blocked put.
     poison: Padded<AtomicBool>,
@@ -600,14 +593,7 @@ struct Shared {
 
 impl Shared {
     /// Partitions `topo` over `w` workers and lays out the shared state.
-    /// `first_fault` is the slot of the fault plan's first event, `None`
-    /// when no plan is installed.
-    fn new<N: Network>(
-        topo: &N,
-        w: usize,
-        sim: &SimConfig,
-        first_fault: Option<u64>,
-    ) -> Result<Self, NetConfigError> {
+    fn new<N: Network>(topo: &N, w: usize, sim: &SimConfig) -> Result<Self, NetConfigError> {
         let n = topo.node_count();
         // Contiguous node shards; owner tables for nodes and links.
         let ranges: Vec<std::ops::Range<u32>> = (0..w)
@@ -637,18 +623,13 @@ impl Shared {
             link_dim: topo.link_dim_table(),
             ranges,
             link_lo,
-            measure_end: sim.measure_end(),
-            max_slots: sim.max_slots,
-            queue_limit: (sim.unstable_queue_per_link * link_source.len() as f64) as i64,
+            sim: *sim,
+            queue_limit: sim.queue_limit(link_source.len()),
             barrier: SlotBarrier::new(w),
             mail: [(); 2].map(|()| (0..w * w).map(|_| Mailbox::new()).collect()),
             gauges: (0..w).map(|_| GaugeLine::default()).collect(),
             tally: Tally::default(),
             stop: Padded::default(),
-            faults: first_fault.map(|first| SharedFaults {
-                first,
-                deltas: (0..w).map(|_| Channel::unbounded()).collect(),
-            }),
             poison: Padded::default(),
             first_error: Mutex::new(None),
             progress: (0..w).map(|_| Padded::default()).collect(),
@@ -658,10 +639,9 @@ impl Shared {
     }
 
     /// Decides `slot` — the combiner of the rendezvous that follows it,
-    /// run by the last arriver alone — by the simulator's criteria: a
-    /// tripped single-queue guard wins over everything, then completed,
-    /// horizon, fleet-wide queue limit. The queue peak is sampled on
-    /// every decided slot, the last included.
+    /// run by the last arriver alone — by the simulator's stop rule
+    /// (`pstar_sim::stop_verdict`). The queue peak is sampled on every
+    /// decided slot, the last included.
     fn decide(&self, slot: u64) {
         let (mut total, mut outstanding, mut tripped) = (0i64, 0i64, false);
         for g in &self.gauges {
@@ -673,65 +653,27 @@ impl Shared {
         if total > self.tally.peak.load(Ordering::Relaxed) {
             self.tally.peak.store(total, Ordering::Relaxed);
         }
-        let next = slot + 1;
-        let stop = if tripped {
-            UNSTABLE
-        } else if next >= self.measure_end && outstanding == 0 {
-            COMPLETED
-        } else if next >= self.max_slots {
-            HORIZON
-        } else if total > self.queue_limit {
-            UNSTABLE
-        } else {
-            RUN
-        };
-        if stop != RUN {
-            self.stop.store(stop, Ordering::Relaxed);
+        debug_assert!(
+            outstanding >= 0,
+            "more measured tasks completed than created"
+        );
+        let verdict = stop_verdict(
+            &self.sim,
+            slot + 1,
+            outstanding as u64,
+            total,
+            self.queue_limit,
+            || tripped,
+        );
+        if let Some(stop) = verdict {
+            let code = match stop {
+                Stop::Completed => COMPLETED,
+                Stop::Horizon => HORIZON,
+                Stop::Unstable => UNSTABLE,
+            };
+            self.stop.store(code, Ordering::Relaxed);
         }
     }
-}
-
-/// Fault-epoch coordination: worker 0 advances the fault clock and
-/// broadcasts each [`FaultDelta`].
-struct SharedFaults {
-    /// Slot of the plan's first event (`u64::MAX` for an empty plan):
-    /// where every worker's local gate starts.
-    first: u64,
-    /// Per-worker delta channels (worker 0 sends to `1..w`), drained
-    /// behind a barrier wait of their own. Deltas must take effect at
-    /// the top of *this* slot (a link dying at `t` kills the delivery it
-    /// would have made at `t`), so they cannot ride the mailboxes'
-    /// control share, which arrives with a one-slot lag.
-    deltas: Vec<Channel<FaultMsg>>,
-}
-
-/// A fault epoch as broadcast to the fleet: the delta plus the slot of
-/// the next plan event, which re-arms every receiver's *local* gate.
-/// The gate cannot live in shared state: worker 0 would overwrite it
-/// with the next event's slot while a slower worker is still deciding
-/// whether the *current* slot has an exchange, and the two would then
-/// disagree about whether the fault barrier is entered at all.
-struct FaultMsg {
-    delta: FaultDelta,
-    /// Slot of the next unapplied plan event (`u64::MAX` once
-    /// exhausted).
-    next: u64,
-}
-
-/// Per-worker fault state: the liveness replica (kept identical across
-/// workers by the delta broadcast), recovery bookkeeping for owned
-/// links, and — on worker 0 — the fault clock itself.
-struct WorkerFaults {
-    view: LivenessView,
-    recovery: RecoveryTracker,
-    /// Cached `view.any_faults()` for the hot paths.
-    any_now: bool,
-    /// Local copy of the next plan-event slot: every worker decides
-    /// `t >= next_fault` from its own state, so the whole fleet takes
-    /// the fault barrier on exactly the same slots.
-    next_fault: u64,
-    /// Worker 0 owns the plan cursor and broadcasts deltas.
-    rt: Option<FaultRuntime>,
 }
 
 enum Injector {
@@ -749,7 +691,6 @@ struct NetWorkerAcc {
     /// Per-slot wall-time distribution (min/median/max come from here).
     slot_hist: LogHistogram,
     barrier_wait_ns: [u64; 3],
-    fault_barrier_wait_ns: u64,
     phase_a_ns: u64,
     phase_b_ns: u64,
     decide_ns: u64,
@@ -763,7 +704,6 @@ impl NetWorkerAcc {
         Self {
             slot_hist: LogHistogram::new(),
             barrier_wait_ns: [0; 3],
-            fault_barrier_wait_ns: 0,
             phase_a_ns: 0,
             phase_b_ns: 0,
             decide_ns: 0,
@@ -829,10 +769,10 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     uncommitted_sent: u64,
     /// Scratch for one delivery's forwards.
     emit_buf: Vec<Emit>,
-    /// Scratch for the packets a dying link loses.
-    loss_buf: Vec<Packet>,
-    /// `Some` on faulted runs: this worker's liveness replica.
-    faults: Option<WorkerFaults>,
+    /// Scratch for a fault epoch's losses.
+    loss_buf: Vec<FaultLoss>,
+    /// `Some` on faulted runs: this worker's replica of the fault clock.
+    faults: Option<Box<FaultClock>>,
     /// Chaos, resolved for this worker: panic right after the rendezvous
     /// that decides this slot; stall `(slot, millis)` once; from this
     /// slot on take no peer's mailbox (a "deaf" worker, for exercising
@@ -858,8 +798,8 @@ impl InjectRoute for OwnerRoute<'_> {
 }
 
 impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
-    /// Worker `id` of `shared`'s partition, before its first slot. `rt`
-    /// is the fault clock, for worker 0 of a faulted run.
+    /// Worker `id` of `shared`'s partition, before its first slot.
+    /// `clock` is its replica of the fault clock on a faulted run.
     #[allow(clippy::too_many_arguments)]
     fn new(
         id: usize,
@@ -869,7 +809,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         cfg: &NetConfig,
         mix: TrafficMix,
         policy: DeadLinkPolicy,
-        rt: Option<FaultRuntime>,
+        clock: Option<FaultClock>,
     ) -> Self {
         let (sim, w) = (cfg.sim, shared.workers);
         let n = topo.node_count();
@@ -918,13 +858,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             uncommitted_sent: 0,
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
-            faults: shared.faults.as_ref().map(|sf| WorkerFaults {
-                view: LivenessView::healthy(topo.link_count(), n),
-                recovery: RecoveryTracker::new(),
-                any_now: false,
-                next_fault: sf.first,
-                rt,
-            }),
+            faults: clock.map(Box::new),
             chaos_panic: chaos.panic_at_slot.filter(|_| chaos.victim(0, w) == id),
             chaos_delay: chaos.delay_at_slot.filter(|_| chaos.victim(1, w) == id),
             deaf_from: chaos.deaf_from_slot.filter(|_| chaos.victim(2, w) == id),
@@ -987,8 +921,8 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 break;
             }
             self.seal_ctrl();
-            if self.fault_slot_top(t) {
-                break;
+            if decide_first {
+                self.fault_tick(t);
             }
             shared.progress[id].store((t << 3) | 1, Ordering::Release);
             let mark = slot_t0.map(|_| Instant::now());
@@ -1098,7 +1032,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 out,
                 ..
             } = &mut *self;
-            let view = faults.as_ref().map(|f| &f.view);
+            let view = faults.as_ref().map(|f| f.view());
             match injector {
                 Injector::Virtual(inj) => {
                     let mut route = OwnerRoute {
@@ -1130,13 +1064,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// part of the report.
     fn commit_send(&mut self) {
         self.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
-        let (rejected_b, rejected_u) = match &self.injector {
-            Injector::Virtual(inj) => inj.rejected,
-            Injector::Wall(inj) => inj.rejected,
+        let gate = match &self.injector {
+            Injector::Virtual(inj) => &inj.gate,
+            Injector::Wall(inj) => &inj.gate,
             Injector::Passive => return,
         };
-        self.stats.flow.rejected_broadcasts = rejected_b;
-        self.stats.flow.rejected_unicasts = rejected_u;
+        if let Some(gate) = gate {
+            self.stats.flow.rejected_broadcasts = gate.rejected_broadcasts;
+            self.stats.flow.rejected_unicasts = gate.rejected_unicasts;
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1212,7 +1148,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             self.stats.flow.occupancy_sum += self.kernel.queued() as u128;
         }
         // 6. Service starts on the owned links, link-id order.
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
         let (trace, cap) = (&mut self.trace, self.trace_cap);
         self.kernel.start(t, faulted, |link, pkt| {
             if trace.len() < cap {
@@ -1229,14 +1165,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             }
         });
         // 7. The slot's gauges for the next rendezvous' combiner, with
-        //    the local single-queue divergence guard (engine scans every
-        //    4096 slots; each worker scans its own links).
+        //    the local single-queue divergence guard (each worker scans
+        //    its own links on the engine's scan slots).
         let gauge = &shared.gauges[id];
         gauge
             .queued
             .store(self.kernel.queued() as i64, Ordering::Relaxed);
         gauge.outstanding.store(self.outstanding, Ordering::Relaxed);
-        if (t + 1) % 4096 == 0 && self.kernel.max_qlen() as f64 > self.cfg.unstable_single_queue {
+        if self
+            .cfg
+            .single_queue_tripped(t + 1, || self.kernel.max_qlen())
+        {
             gauge.unstable.store(true, Ordering::Relaxed);
         }
     }
@@ -1606,154 +1545,40 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     // ---------------------------------------------------------------
-    // Fault epochs (the engine's `fault_tick`, sharded)
+    // Fault epochs
     // ---------------------------------------------------------------
 
-    /// Top-of-slot fault exchange — the engine's `fault_tick`, run
-    /// before send so a delta lands exactly where the engine applies
-    /// it: before this slot's deliveries, arrivals, and service. Worker
-    /// 0 advances the fault clock and broadcasts the delta; everyone
-    /// applies it behind a barrier wait of its own, then ticks the
-    /// per-slot fault accounting. Returns `true` when the run was
-    /// poisoned at that wait.
-    fn fault_slot_top(&mut self, t: u64) -> bool {
-        let shared = self.shared;
-        let Some(sf) = shared.faults.as_ref() else {
-            return false;
-        };
-        if t >= self.faults.as_ref().map_or(u64::MAX, |f| f.next_fault) {
-            if self.id == 0 {
-                let (delta, next) = {
-                    let rt = self
-                        .faults
-                        .as_mut()
-                        .and_then(|f| f.rt.as_mut())
-                        .expect("worker 0 owns the fault clock");
-                    let delta = rt.advance_to(t);
-                    (delta, rt.next_event_slot().unwrap_or(u64::MAX))
-                };
-                for ch in &sf.deltas[1..] {
-                    ch.send(FaultMsg {
-                        delta: delta.clone(),
-                        next,
-                    });
-                    self.stats.messages_sent += 1;
-                }
-                self.faults.as_mut().expect("faulted run").next_fault = next;
-                self.stats.fault_events_applied += u64::from(delta.events_applied);
-                let mark = self.perf.as_ref().map(|_| Instant::now());
-                self.apply_fault_delta(&delta, t);
-                lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
-                let mark = self.perf.as_ref().map(|_| Instant::now());
-                if shared.barrier.wait_poisoned(&shared.poison) {
-                    return true;
-                }
-                lap(&mut self.perf, mark, |p| &mut p.fault_barrier_wait_ns);
-            } else {
-                // The send above happens before worker 0's barrier
-                // arrival, so after release the message is guaranteed
-                // present.
-                let mark = self.perf.as_ref().map(|_| Instant::now());
-                if shared.barrier.wait_poisoned(&shared.poison) {
-                    return true;
-                }
-                lap(&mut self.perf, mark, |p| &mut p.fault_barrier_wait_ns);
-                let mut msgs = Vec::new();
-                sf.deltas[self.id].drain_into(&mut msgs);
-                let mark = self.perf.as_ref().map(|_| Instant::now());
-                for msg in &msgs {
-                    self.faults.as_mut().expect("faulted run").next_fault = msg.next;
-                    self.apply_fault_delta(&msg.delta, t);
-                }
-                lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
+    /// Top of slot: one tick of this worker's fault-clock replica — the
+    /// engine's `fault_tick`, run before send so an epoch lands exactly
+    /// where the engine applies it: before this slot's deliveries,
+    /// arrivals, and service. What the epoch loses on owned links
+    /// settles against the scheme as it still is; then every worker
+    /// re-solves on its own clone: same view, same deterministic result
+    /// as the engine's single re-solve.
+    fn fault_tick(&mut self, t: u64) {
+        let mark = self.perf.as_ref().map(|_| Instant::now());
+        let mut clock = self.faults.take().expect("fault_tick without plan");
+        let mut losses = std::mem::take(&mut self.loss_buf);
+        if clock.tick(t, &mut self.kernel, &mut losses) {
+            for loss in losses.drain(..) {
+                self.lose_packet(loss.link, loss.pkt, t, LossCause::Fault);
             }
+            self.scheme.on_liveness_change(clock.view());
+            lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
         }
-        // Per-slot fault accounting, engine order: the global
-        // fault-exposure gauge (worker 0, to avoid W-fold counting),
-        // then recovery probes over this worker's watched links.
-        let Self {
-            id,
-            faults,
-            kernel,
-            stats,
-            ..
-        } = self;
-        if let Some(f) = faults.as_mut() {
-            if *id == 0 && f.any_now {
-                stats.fault_slots += 1;
-            }
-            if f.recovery.is_watching() {
-                f.recovery.tick(t, |link| kernel.is_active(link));
-            }
-        }
-        false
-    }
-
-    /// Applies one epoch delta to this worker's replica: the liveness
-    /// view, stranded-packet disposal on newly dead *owned* links,
-    /// recovery bookkeeping, and the scheme's degraded-mode re-solve.
-    fn apply_fault_delta(&mut self, delta: &FaultDelta, t: u64) {
-        self.faults
-            .as_mut()
-            .expect("faulted run")
-            .view
-            .apply_delta(delta);
-        if delta.changed() {
-            for &l in &delta.newly_dead {
-                if self.kernel.owns(l.0) {
-                    self.on_link_death(l.0, t);
-                }
-            }
-            let Self {
-                faults,
-                kernel,
-                scheme,
-                ..
-            } = self;
-            let f = faults.as_mut().expect("faulted run");
-            for &l in &delta.repaired {
-                if kernel.owns(l.0) {
-                    kernel.revive(l.0);
-                    f.recovery.on_repair(l.0, t);
-                }
-            }
-            // Every worker re-solves on its own clone: same view, same
-            // deterministic result as the engine's single re-solve.
-            scheme.on_liveness_change(&f.view);
-        }
-        let f = self.faults.as_mut().expect("faulted run");
-        f.any_now = f.view.any_faults();
-    }
-
-    /// The engine's `on_link_death` for one owned link: whatever the
-    /// kernel's dead-link policy loses is a fault loss.
-    fn on_link_death(&mut self, link: u32, t: u64) {
-        self.faults
-            .as_mut()
-            .expect("faulted run")
-            .recovery
-            .on_death(link);
-        let mut lost = std::mem::take(&mut self.loss_buf);
-        self.kernel.kill(link, &mut lost);
-        for pkt in lost.drain(..) {
-            self.lose_packet(link, pkt, t, LossCause::Fault);
-        }
-        self.loss_buf = lost;
+        self.loss_buf = losses;
+        self.faults = Some(clock);
     }
 
     /// Closes the books after `slots_run` slots.
     fn finish(mut self, slots_run: u64) -> WorkerOutput {
         self.stats.tasks.freeze_concurrency(slots_run);
         self.stats.arq = self.arq.take().map(Arq::finish).unwrap_or_default();
-        // Close out recovery measurements whose backlog drained on the
-        // final slots, like the engine's report-time finalize; merge the
-        // samples into the mergeable stats shard.
-        if let Some(f) = self.faults.as_mut() {
-            let kernel = &self.kernel;
-            f.recovery
-                .finalize(slots_run, |link| kernel.is_active(link));
-            self.stats.fault_recovery.merge(f.recovery.samples());
-        }
+        let kernel = &self.kernel;
+        self.stats.faults = self
+            .faults
+            .take()
+            .map(|f| f.finish(slots_run, |link| kernel.is_active(link)));
         WorkerOutput {
             stats: self.stats,
             links: self.kernel.into_counters(),
@@ -1809,7 +1634,7 @@ where
 ///
 /// The scheme must be `Clone`: each worker owns a clone so
 /// `Scheme::on_liveness_change` can re-solve degraded-mode state
-/// per epoch (all clones see identical [`LivenessView`]s, so they stay
+/// per epoch (all clones see identical `LivenessView`s, so they stay
 /// in agreement deterministically).
 pub fn run_net_with_faults<N, S>(
     topo: &N,
@@ -1989,17 +1814,10 @@ where
     }
     let w = workers;
 
-    let faults_enabled = faults.is_some();
     let policy = faults.as_ref().map(|(_, p)| *p).unwrap_or_default();
-    // Worker 0's fault clock; every worker's local gate starts at the
-    // plan's first event slot.
-    let mut rt0 = faults.map(|(plan, _)| {
-        FaultRuntime::new(plan, topo.link_source_table(), topo.link_target_table(), n)
-    });
-    let first_fault = rt0
-        .as_ref()
-        .map(|rt| rt.next_event_slot().unwrap_or(u64::MAX));
-    let shared = Shared::new(topo, w, &sim, first_fault)?;
+    // The fault clock every worker starts a replica of.
+    let clock = faults.map(|(plan, _)| FaultClock::new(plan, topo));
+    let shared = Shared::new(topo, w, &sim)?;
     let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
     // The one report rule (`pstar_sim::assemble`) over merged worker
     // counters; the net-specific inputs are the end-of-slot queue peak
@@ -2023,11 +1841,7 @@ where
                 completed: stop == COMPLETED,
                 peak_queue_total,
                 queue_trace,
-                faults: faults_enabled.then(|| FaultTotals {
-                    events_applied: merged.fault_events_applied,
-                    fault_slots: merged.fault_slots,
-                    recovery_time: merged.fault_recovery.summary(),
-                }),
+                faults: merged.faults,
                 arq: sim.arq.map(|_| &merged.arq),
                 flow: &merged.flow,
             },
@@ -2041,15 +1855,10 @@ where
         } else {
             HORIZON
         };
+        let mut stats = WorkerStats::new(&sim, n, topo.diameter());
+        stats.faults = clock.map(|c| c.finish(0, |_| false));
         return Ok(NetReport {
-            report: report_of(
-                WorkerStats::new(&sim, n, topo.diameter()),
-                new_link_counters(),
-                0,
-                stop,
-                0,
-                Vec::new(),
-            ),
+            report: report_of(stats, new_link_counters(), 0, stop, 0, Vec::new()),
             workers: w,
             wall_secs: 0.0,
             slots_per_sec: 0.0,
@@ -2066,14 +1875,13 @@ where
     let outputs: Vec<Option<WorkerOutput>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..w)
             .map(|id| {
-                // Built on the main thread: `make_scheme` is `FnMut` and
-                // worker 0 takes the fault clock.
+                // Built on the main thread: `make_scheme` is `FnMut`.
                 let scheme = make_scheme(id);
-                let rt = if id == 0 { rt0.take() } else { None };
+                let clock = clock.clone();
                 s.spawn(move || {
                     supervised(shared_ref, id, move || {
                         let mut worker =
-                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, policy, rt);
+                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, policy, clock);
                         let slots_run = worker.run();
                         worker.finish(slots_run)
                     })
@@ -2127,7 +1935,6 @@ where
                     slot_ns_median: acc.slot_hist.quantile(0.5),
                     slot_ns_max: acc.slot_hist.max(),
                     barrier_wait_ns: acc.barrier_wait_ns,
-                    fault_barrier_wait_ns: acc.fault_barrier_wait_ns,
                     phase_a_ns: acc.phase_a_ns,
                     phase_b_ns: acc.phase_b_ns,
                     decide_ns: acc.decide_ns,
@@ -2662,7 +2469,7 @@ mod tests {
                 ..SimConfig::quick(29)
             })
         };
-        let shared = Shared::new(&topo, 2, &cfg.sim, None).unwrap();
+        let shared = Shared::new(&topo, 2, &cfg.sim).unwrap();
         let mut fleet: Vec<_> = (0..2)
             .map(|id| {
                 let policy = DeadLinkPolicy::default();
@@ -2724,6 +2531,30 @@ mod tests {
         assert!(sent > 0 && fleet.iter().all(|w| w.uncommitted_sent == 0));
     }
 
+    /// The stop rule is the simulator's, in its order: a run whose last
+    /// measured task completes on a guard-scan slot with the guard
+    /// tripped has completed — the guard is asked last.
+    #[test]
+    fn a_completed_run_wins_over_a_tripped_single_queue_guard() {
+        let topo = Torus::new(&[4, 4]);
+        let sim = SimConfig {
+            warmup_slots: 96,
+            measure_slots: 4_000,
+            ..SimConfig::quick(1)
+        };
+        assert_eq!(sim.measure_end(), pstar_sim::SINGLE_QUEUE_SCAN_PERIOD);
+        let shared = Shared::new(&topo, 2, &sim).unwrap();
+        shared.gauges[1].unstable.store(true, Ordering::Relaxed);
+        shared.decide(4_095);
+        assert_eq!(shared.stop.load(Ordering::Relaxed), COMPLETED);
+        // With a measured task outstanding the same slot is unstable.
+        let shared = Shared::new(&topo, 2, &sim).unwrap();
+        shared.gauges[0].outstanding.store(1, Ordering::Relaxed);
+        shared.gauges[1].unstable.store(true, Ordering::Relaxed);
+        shared.decide(4_095);
+        assert_eq!(shared.stop.load(Ordering::Relaxed), UNSTABLE);
+    }
+
     #[test]
     fn shared_words_have_cache_lines_of_their_own() {
         use std::mem::{align_of, size_of};
@@ -2770,7 +2601,7 @@ mod tests {
                         );
                         // Nobody starts the next round's arrivals while
                         // a peer still checks this round's counts.
-                        assert!(!barrier.wait_poisoned(&poison));
+                        assert!(!barrier.wait_with(&poison, || ()));
                     }
                 });
             }
@@ -2785,14 +2616,14 @@ mod tests {
     fn combiner_panic_becomes_worker_panic_and_releases_every_peer() {
         let topo = Torus::new(&[4, 4]);
         for workers in 2..=4 {
-            let shared = Shared::new(&topo, workers, &SimConfig::quick(1), None).unwrap();
+            let shared = Shared::new(&topo, workers, &SimConfig::quick(1)).unwrap();
             let outcomes: Vec<Option<bool>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|id| {
                         let shared = &shared;
                         s.spawn(move || {
                             supervised(shared, id, || {
-                                assert!(!shared.barrier.wait_poisoned(&shared.poison));
+                                assert!(!shared.barrier.wait_with(&shared.poison, || ()));
                                 shared
                                     .barrier
                                     .wait_with(&shared.poison, || panic!("combiner gave up"))
@@ -2834,13 +2665,13 @@ mod tests {
                 s.spawn(|| {
                     for round in 0..ROUNDS {
                         counter.fetch_add(1, Ordering::AcqRel);
-                        assert!(!enter.wait_poisoned(&poison));
+                        assert!(!enter.wait_with(&poison, || ()));
                         assert_eq!(
                             counter.load(Ordering::Acquire),
                             (round + 1) * THREADS as u64,
                             "a thread raced past the barrier"
                         );
-                        assert!(!exit.wait_poisoned(&poison));
+                        assert!(!exit.wait_with(&poison, || ()));
                     }
                 });
             }
@@ -2854,7 +2685,7 @@ mod tests {
         let barrier = SlotBarrier::new(2);
         let poison = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let h = s.spawn(|| barrier.wait_poisoned(&poison));
+            let h = s.spawn(|| barrier.wait_with(&poison, || ()));
             std::thread::sleep(std::time::Duration::from_millis(50));
             poison.store(true, Ordering::Release);
             assert!(h.join().unwrap(), "waiter must abort, not spin forever");

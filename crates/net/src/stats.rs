@@ -26,8 +26,7 @@
 //! `reception_ci_batch` comes out `None` (it needs a single serial
 //! reception stream).
 
-use pstar_sim::{ArqCounters, FlowCounters, SimConfig, TaskLedger};
-use pstar_stats::Moments;
+use pstar_sim::{ArqCounters, FaultTotals, FlowCounters, SimConfig, TaskLedger};
 
 /// One worker's private measurement accumulator.
 #[derive(Debug)]
@@ -40,14 +39,9 @@ pub(crate) struct WorkerStats {
     /// Admission rejections (creation site), evictions (loss site) and
     /// the window-bounded occupancy sum.
     pub flow: FlowCounters,
-    /// Time-to-recovery samples of this worker's owned links (tracker
-    /// watch lists are disjoint by link ownership, so merging samples
-    /// suffices).
-    pub fault_recovery: Moments,
-    /// Fault-plan events applied (worker 0 only; it owns the clock).
-    pub fault_events_applied: u64,
-    /// Slots with ≥1 active fault (worker 0 only).
-    pub fault_slots: u64,
+    /// What this worker's replica of the fault clock totalled
+    /// (`pstar_sim::FaultClock::finish`); `None` on fault-free runs.
+    pub faults: Option<FaultTotals>,
     /// Cross-worker messages sent (runtime accounting).
     pub messages_sent: u64,
 }
@@ -58,9 +52,7 @@ impl WorkerStats {
             tasks: TaskLedger::new(cfg, node_count, diameter),
             arq: ArqCounters::default(),
             flow: FlowCounters::default(),
-            fault_recovery: Moments::new(),
-            fault_events_applied: 0,
-            fault_slots: 0,
+            faults: None,
             messages_sent: 0,
         }
     }
@@ -71,9 +63,45 @@ impl WorkerStats {
         self.tasks.merge(&other.tasks);
         self.arq.merge(&other.arq);
         self.flow.merge(&other.flow);
-        self.fault_recovery.merge(&other.fault_recovery);
-        self.fault_events_applied += other.fault_events_applied;
-        self.fault_slots += other.fault_slots;
+        // Every replica counts the same events and fault slots, so the
+        // first worker's stand — never a sum; only the time-to-recovery
+        // samples are per owned link (watch lists are disjoint by link
+        // ownership) and fold in.
+        if let (Some(mine), Some(theirs)) = (&mut self.faults, &other.faults) {
+            mine.recovery_time.merge(&theirs.recovery_time);
+        }
         self.messages_sent += other.messages_sent;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pstar_stats::Moments;
+
+    /// Every worker's replica of the fault clock counts the same events
+    /// and fault slots: the merged totals are one replica's, never a
+    /// sum, and only the per-link recovery samples fold in.
+    #[test]
+    fn fault_totals_are_one_replicas_and_recovery_samples_fold_in() {
+        let cfg = SimConfig::quick(1);
+        let worker = |sample: f64| {
+            let mut stats = WorkerStats::new(&cfg, 16, 4);
+            let mut recovery_time = Moments::new();
+            recovery_time.push(sample);
+            stats.faults = Some(FaultTotals {
+                events_applied: 6,
+                fault_slots: 250,
+                recovery_time,
+            });
+            stats
+        };
+        let mut merged = worker(10.0);
+        merged.merge(&worker(20.0));
+        merged.merge(&worker(60.0));
+        let totals = merged.faults.expect("a faulted run");
+        assert_eq!((totals.events_applied, totals.fault_slots), (6, 250));
+        assert_eq!(totals.recovery_time.count(), 3);
+        assert_eq!(totals.recovery_time.mean(), 30.0);
     }
 }

@@ -114,6 +114,65 @@ impl SimConfig {
     pub fn measure_end(&self) -> u64 {
         self.warmup_slots + self.measure_slots
     }
+
+    /// The fleet-wide divergence guard's threshold, in queued packets,
+    /// for a network of `links` links.
+    pub fn queue_limit(&self, links: usize) -> i64 {
+        (self.unstable_queue_per_link * links as f64) as i64
+    }
+
+    /// The periodic single-queue divergence guard, as the stop check of
+    /// `next_slot` sees it: single-link divergence (e.g. a mesh corner)
+    /// grows far more slowly than the fleet-wide guard can see, so every
+    /// [`SINGLE_QUEUE_SCAN_PERIOD`] slots the longest queue (`max_qlen`,
+    /// an O(links) scan, only then evaluated) is held against
+    /// [`SimConfig::unstable_single_queue`].
+    pub fn single_queue_tripped(&self, next_slot: u64, max_qlen: impl FnOnce() -> usize) -> bool {
+        next_slot > 0
+            && next_slot % SINGLE_QUEUE_SCAN_PERIOD == 0
+            && max_qlen() as f64 > self.unstable_single_queue
+    }
+}
+
+/// Slots between two scans of the single-queue divergence guard.
+pub const SINGLE_QUEUE_SCAN_PERIOD: u64 = 4096;
+
+/// Why a run ends before its next slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The measurement window is over and every measured task is done.
+    Completed,
+    /// The horizon ([`SimConfig::max_slots`]) is reached.
+    Horizon,
+    /// A divergence guard tripped.
+    Unstable,
+}
+
+/// The stop rule every driver applies between slot `next_slot − 1` and
+/// `next_slot`, in this order: completed, horizon, the fleet-wide queue
+/// limit, the periodic single-queue guard. `outstanding_measured` counts
+/// measured tasks not yet complete (created or deferred), `queued` the
+/// occupancy the fleet-wide guard counts, and `guard_tripped` is asked
+/// last, only when nothing else stops the run
+/// ([`SimConfig::single_queue_tripped`]).
+#[inline]
+pub fn stop_verdict(
+    cfg: &SimConfig,
+    next_slot: u64,
+    outstanding_measured: u64,
+    queued: i64,
+    queue_limit: i64,
+    guard_tripped: impl FnOnce() -> bool,
+) -> Option<Stop> {
+    if next_slot >= cfg.measure_end() && outstanding_measured == 0 {
+        Some(Stop::Completed)
+    } else if next_slot >= cfg.max_slots {
+        Some(Stop::Horizon)
+    } else if queued > queue_limit || guard_tripped() {
+        Some(Stop::Unstable)
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

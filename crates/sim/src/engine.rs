@@ -1,39 +1,21 @@
 //! The slotted simulation engine.
 
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
-use crate::config::SimConfig;
-use crate::faultepoch::{LossCause as DropCause, RecoveryTracker};
+use crate::config::{stop_verdict, SimConfig, Stop};
+use crate::faultepoch::{FaultClock, FaultLoss, LossCause as DropCause};
 use crate::kernel::{Admit, LinkKernel};
-use crate::ledger::{
-    assemble, receptions_at_stake, FaultTotals, FlowCounters, RunOutcome, TaskLedger,
-};
+use crate::ledger::{assemble, receptions_at_stake, FlowCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
-use crate::recovery::{Arq, FullQueuePolicy, ARQ_SEED_SALT};
+use crate::recovery::{Arq, FullQueuePolicy, TokenGate, ARQ_SEED_SALT};
 use crate::scheme::Scheme;
-use pstar_faults::{DeadLinkPolicy, FaultPlan, FaultRuntime};
+use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{SlotSample, TraceEvent, TraceRecord, TraceSink};
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-
-/// Fault-injection state carried by an engine with a non-empty plan.
-///
-/// Kept behind an `Option` so the fault-free path pays nothing and —
-/// crucially — never touches the engine RNG: a run with no plan is
-/// bit-identical to one built before fault support existed.
-struct FaultState {
-    runtime: FaultRuntime,
-    /// Cached `runtime.view().any_faults()` for the hot paths.
-    any_now: bool,
-    events_applied: u64,
-    fault_slots: u64,
-    /// Time-to-recovery bookkeeping for repaired links (shared rule —
-    /// see [`RecoveryTracker`]).
-    recovery: RecoveryTracker,
-}
 
 // `DropCause` is the crate-shared `LossCause` (see `faultepoch`): the
 // runtime backend attributes losses with the identical vocabulary.
@@ -53,8 +35,8 @@ struct DeferredTask {
 /// counters). Always present but empty/zero-cost when the features are
 /// off.
 struct FlowState {
-    /// Per-node token balances; empty unless admission control is on.
-    tokens: Vec<f64>,
+    /// The admission gate; `None` unless admission control is on.
+    gate: Option<TokenGate>,
     /// Arrival-ordered backpressured tasks; only ever non-empty under
     /// `FullQueuePolicy::Backpressure` with a finite capacity.
     deferred: VecDeque<DeferredTask>,
@@ -98,16 +80,20 @@ pub struct Engine<N: Network, S: Scheme> {
     peak_queue: i64,
 
     emit_buf: Vec<Emit>,
-    /// Scratch for the packets a dying link loses; swapped out around
-    /// the loss loop so fault bursts never allocate per event.
-    loss_buf: Vec<Packet>,
+    /// Scratch for a fault epoch's losses; swapped out around the
+    /// settle loop so fault bursts never allocate per event.
+    loss_buf: Vec<FaultLoss>,
     /// Scratch for the decimated per-link queue snapshot; swapped into
     /// each [`SlotSample`] and back so sampling allocates once per run,
     /// not once per sample.
     sample_links: Vec<u32>,
     queue_trace: Vec<(u64, u64)>,
     unstable: bool,
-    faults: Option<Box<FaultState>>,
+    /// The fault clock of an engine with a non-empty plan. Behind an
+    /// `Option` so the fault-free path pays nothing and — crucially —
+    /// never touches the engine RNG: a run with no plan is
+    /// bit-identical to one built before fault support existed.
+    faults: Option<Box<FaultClock>>,
     /// ARQ recovery; behind an `Option` so the recovery-free path pays
     /// nothing and stays bit-identical to the pre-recovery engine.
     arq: Option<Box<Arq>>,
@@ -139,10 +125,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             .expect("validated just above");
         let n = topo.node_count();
         let flow = Box::new(FlowState {
-            tokens: match cfg.admission {
-                Some(adm) => vec![adm.burst; n as usize],
-                None => Vec::new(),
-            },
+            gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
             deferred: VecDeque::new(),
             deferred_measured: 0,
             out_links: if matches!(cfg.full_queue_policy, FullQueuePolicy::Backpressure)
@@ -200,20 +183,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.faults = None;
             return self;
         }
-        let runtime = FaultRuntime::new(
-            plan,
-            self.topo.link_source_table(),
-            self.link_target.clone(),
-            self.topo.node_count(),
-        );
         self.kernel.set_dead_link_policy(policy);
-        self.faults = Some(Box::new(FaultState {
-            runtime,
-            any_now: false,
-            events_applied: 0,
-            fault_slots: 0,
-            recovery: RecoveryTracker::new(),
-        }));
+        self.faults = Some(Box::new(FaultClock::new(plan, &self.topo)));
         self
     }
 
@@ -307,11 +278,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         self.new_task(src, Some(dest), true, None, now)
     }
 
-    /// The global divergence guard's threshold, in queued packets.
-    fn queue_limit(&self) -> i64 {
-        (self.cfg.unstable_queue_per_link * self.kernel.n_links() as f64) as i64
-    }
-
     /// Queue occupancy as the divergence guard counts it:
     /// backpressure-deferred arrivals are occupancy the links haven't
     /// accepted yet.
@@ -326,7 +292,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// tagged exactly as in a live run, so trace replays produce
     /// comparable reports. After the last event the network drains.
     pub fn replay(mut self, trace: &pstar_traffic::Trace) -> SimReport {
-        let queue_limit = self.queue_limit();
+        let queue_limit = self.cfg.queue_limit(self.kernel.n_links());
         let mut next = 0;
         let events = trace.events();
         let mut completed = true;
@@ -394,35 +360,27 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// counters can be read after the run (downcast via
     /// [`pstar_obs::TraceSink::into_any`]).
     pub fn run_observed(mut self) -> (SimReport, Option<Box<dyn TraceSink>>) {
-        let end_measure = self.cfg.measure_end();
-        let queue_limit = self.queue_limit();
-        let mut completed = true;
-        loop {
-            if self.now >= end_measure
-                && self.ledger.outstanding_measured() == 0
-                && self.flow.deferred_measured == 0
-            {
-                break;
+        let queue_limit = self.cfg.queue_limit(self.kernel.n_links());
+        let stop = loop {
+            let verdict = stop_verdict(
+                &self.cfg,
+                self.now,
+                self.ledger.outstanding_measured() + self.flow.deferred_measured,
+                self.guarded_occupancy(),
+                queue_limit,
+                || {
+                    self.cfg
+                        .single_queue_tripped(self.now, || self.kernel.max_qlen())
+                },
+            );
+            match verdict {
+                Some(stop) => break stop,
+                None => self.step(true),
             }
-            if self.now >= self.cfg.max_slots {
-                completed = false;
-                break;
-            }
-            // Single-link divergence (e.g. a mesh corner) grows far more
-            // slowly than the global guard can see; scan periodically.
-            if self.guarded_occupancy() > queue_limit
-                || (self.now % 4096 == 0
-                    && self.now > 0
-                    && self.kernel.max_qlen() as f64 > self.cfg.unstable_single_queue)
-            {
-                self.unstable = true;
-                completed = false;
-                break;
-            }
-            self.step(true);
-        }
+        };
+        self.unstable = stop == Stop::Unstable;
         let sink = self.obs.take();
-        (self.report(completed), sink)
+        (self.report(stop == Stop::Completed), sink)
     }
 
     // ------------------------------------------------------------------
@@ -478,10 +436,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.retry_deferred();
         }
         if arrivals {
-            if let Some(adm) = self.cfg.admission {
-                for tok in &mut self.flow.tokens {
-                    *tok = (*tok + adm.rate).min(adm.burst);
-                }
+            if let Some(gate) = self.flow.gate.as_mut() {
+                gate.refill();
             }
             self.generate_arrivals();
         }
@@ -490,7 +446,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         if self.in_measure_window() {
             self.flow.counters.occupancy_sum += self.kernel.queued() as u128;
         }
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now);
+        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
         let (obs, tx_by_dim, link_dim) = (&mut self.obs, &mut self.tx_by_dim, &self.link_dim);
         self.kernel.start(t, faulted, |link, pkt| {
             if let Some(sink) = obs.as_deref_mut() {
@@ -514,65 +470,30 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// `true` when the node is crashed (never without faults).
     #[inline]
     fn node_dead(&self, node: NodeId) -> bool {
-        match &self.faults {
-            Some(f) if f.any_now => !f.runtime.view().node_alive(node),
-            _ => false,
-        }
+        self.faults.as_ref().is_some_and(|f| f.node_dead(node))
     }
 
-    /// Per-slot fault bookkeeping: applies due events, disposes of
-    /// packets stranded on newly-dead links, notifies the scheme, and
-    /// progresses time-to-recovery samples. Only called with a plan.
+    /// One slot of the engine's fault clock (only called with a plan):
+    /// what an epoch loses settles against the scheme as it still is,
+    /// then the scheme sees the new view.
     fn fault_tick(&mut self, t: u64) {
-        let mut f = self.faults.take().expect("fault_tick without plan");
-        if f.runtime.next_event_slot().is_some_and(|s| s <= t) {
-            let delta = f.runtime.advance_to(t);
-            f.events_applied += delta.events_applied as u64;
-            if delta.changed() {
-                for &link in &delta.newly_dead {
-                    f.recovery.on_death(link.0);
-                    self.on_link_death(link.0);
-                }
-                for &link in &delta.repaired {
-                    // The runtime's view is the authority: a link forced
-                    // up and down again inside one delta stays dead.
-                    if f.runtime.view().link_alive(link) {
-                        self.kernel.revive(link.0);
-                    }
-                    f.recovery.on_repair(link.0, t);
-                }
-                self.scheme.on_liveness_change(f.runtime.view());
-                if self.obs.is_some() {
-                    let view = f.runtime.view();
-                    self.obs_record(TraceEvent::FaultEpoch {
-                        dead_links: view.dead_link_count(),
-                        dead_nodes: view.dead_node_count(),
-                    });
-                }
+        let mut clock = self.faults.take().expect("fault_tick without plan");
+        let mut losses = std::mem::take(&mut self.loss_buf);
+        if clock.tick(t, &mut self.kernel, &mut losses) {
+            for loss in losses.drain(..) {
+                self.handle_loss(loss.link, loss.pkt, DropCause::Fault);
             }
-            f.any_now = f.runtime.view().any_faults();
+            self.scheme.on_liveness_change(clock.view());
+            if self.obs.is_some() {
+                let view = clock.view();
+                self.obs_record(TraceEvent::FaultEpoch {
+                    dead_links: view.dead_link_count(),
+                    dead_nodes: view.dead_node_count(),
+                });
+            }
         }
-        if f.any_now {
-            f.fault_slots += 1;
-        }
-        // A repaired link has recovered once it has carried traffic
-        // again and its backlog first clears (shared rule).
-        if f.recovery.is_watching() {
-            let kernel = &self.kernel;
-            f.recovery.tick(t, |l| kernel.is_active(l));
-        }
-        self.faults = Some(f);
-    }
-
-    /// A link just died: whatever the kernel's dead-link policy loses —
-    /// the interrupted transmission, the backlog — is a fault loss.
-    fn on_link_death(&mut self, link: u32) {
-        let mut lost = std::mem::take(&mut self.loss_buf);
-        self.kernel.kill(link, &mut lost);
-        for pkt in lost.drain(..) {
-            self.handle_loss(link, pkt, DropCause::Fault);
-        }
-        self.loss_buf = lost;
+        self.loss_buf = losses;
+        self.faults = Some(clock);
     }
 
     /// Central loss handler: with ARQ recovery the packet's receptions
@@ -740,18 +661,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// Admission-control and backpressure gate in front of task
     /// creation. With both features off this is exactly `new_task`.
     fn arrive(&mut self, src: NodeId, dest: Option<NodeId>, measured: bool) {
-        if self.cfg.admission.is_some() {
-            let tok = &mut self.flow.tokens[src.index()];
-            if *tok < 1.0 {
-                if measured {
-                    match dest {
-                        None => self.flow.counters.rejected_broadcasts += 1,
-                        Some(_) => self.flow.counters.rejected_unicasts += 1,
-                    }
-                }
-                return;
-            }
-            *tok -= 1.0;
+        let gate = self.flow.gate.as_mut();
+        if gate.is_some_and(|g| !g.admit(src.index(), dest.is_none(), measured)) {
+            return;
         }
         if self.source_blocked(src) {
             if measured {
@@ -856,19 +768,16 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     }
 
     fn report(mut self, completed: bool) -> SimReport {
-        // Close out recovery measurements whose backlog drained on the
-        // run's final slots (after the last `fault_tick`); links that
-        // never carried traffic again are censored.
         let (now, kernel) = (self.now, &self.kernel);
-        let faults = self.faults.as_mut().map(|f| {
-            f.recovery.finalize(now, |l| kernel.is_active(l));
-            FaultTotals {
-                events_applied: f.events_applied,
-                fault_slots: f.fault_slots,
-                recovery_time: f.recovery.samples().summary(),
-            }
-        });
+        let faults = self
+            .faults
+            .take()
+            .map(|f| f.finish(now, |l| kernel.is_active(l)));
         let arq = self.arq.map(|a| a.finish());
+        if let Some(gate) = &self.flow.gate {
+            self.flow.counters.rejected_broadcasts = gate.rejected_broadcasts;
+            self.flow.counters.rejected_unicasts = gate.rejected_unicasts;
+        }
         assemble(
             self.ledger,
             self.kernel.into_counters(),
@@ -1226,6 +1135,18 @@ mod tests {
         assert_eq!(base.peak_queue_total, faulted.peak_queue_total);
         assert_eq!(faulted.faults.events_applied, 0);
         assert_eq!(faulted.faults.delivered_reception_fraction, 1.0);
+        // A fault-free engine holds no clock at all.
+        let engine = Engine::new(
+            t.clone(),
+            TestScheme { topo: t },
+            TrafficMix::broadcast_only(lambda),
+            SimConfig::quick(42),
+        )
+        .with_fault_plan(
+            pstar_faults::FaultPlan::none(),
+            pstar_faults::DeadLinkPolicy::Drop,
+        );
+        assert!(engine.faults.is_none());
     }
 
     #[test]

@@ -31,9 +31,7 @@ use crate::metrics::{
 use crate::packet::{Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::scheme::Scheme;
 use crate::task::{TaskKind, TaskSlot, TaskTable};
-use pstar_stats::{
-    BatchMeans, Histogram, IntMoments, LogHistogram, Moments, Summary, TimeWeighted,
-};
+use pstar_stats::{BatchMeans, Histogram, IntMoments, LogHistogram, Moments, TimeWeighted};
 
 /// Tail-latency instrumentation carried by a backend with
 /// [`SimConfig::tails`] set: log-bucketed reception-delay and hop-wait
@@ -743,7 +741,7 @@ pub struct FaultTotals {
     /// Slots with at least one live fault.
     pub fault_slots: u64,
     /// Time-to-recovery samples of repaired links.
-    pub recovery_time: Summary,
+    pub recovery_time: Moments,
 }
 
 /// What [`assemble`] needs beyond the ledger and the link counters:
@@ -835,7 +833,7 @@ pub fn assemble(mut ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>
             delivered_reception_fraction: fraction(delivered, offered),
             fault_dropped_packets: ledger.fault_dropped,
             fault_damaged_broadcasts: ledger.fault_damaged,
-            recovery_time: f.recovery_time,
+            recovery_time: f.recovery_time.summary(),
             fault_slots: f.fault_slots,
             class_wait_fault: (0..run.num_classes)
                 .map(|k| links.wait_fault[k].summary())

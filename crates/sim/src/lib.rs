@@ -59,10 +59,10 @@ mod sharded;
 mod task;
 
 pub use arrivals::{generate_arrivals_into, sample_poisson, ArrivalSink};
-pub use config::SimConfig;
+pub use config::{stop_verdict, SimConfig, Stop, SINGLE_QUEUE_SCAN_PERIOD};
 pub use engine::Engine;
 pub use event_engine::EventEngine;
-pub use faultepoch::{LossCause, RecoveryTracker};
+pub use faultepoch::{FaultClock, FaultLoss, LossCause};
 pub use kernel::{Admit, FinishScan, LinkKernel};
 pub use ledger::{
     assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
@@ -75,7 +75,9 @@ pub use metrics::{
 pub use packet::{BroadcastState, Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 pub use perf::{CoordPhases, EnginePerf, EnginePerfConfig, WorkerPhases, PHASE_NAMES};
 pub use queue::PriorityQueue;
-pub use recovery::{AdmissionConfig, Arq, ArqConfig, FullQueuePolicy, RetxEntry, ARQ_SEED_SALT};
+pub use recovery::{
+    AdmissionConfig, Arq, ArqConfig, FullQueuePolicy, RetxEntry, TokenGate, ARQ_SEED_SALT,
+};
 pub use scheme::Scheme;
 pub use sharded::ShardedEngine;
 

@@ -110,6 +110,59 @@ pub struct AdmissionConfig {
     pub burst: f64,
 }
 
+/// The admission gate of one injector: [`AdmissionConfig`]'s token
+/// buckets for the nodes it generates for, and the rejections it counted.
+/// It consumes no randomness, so a rejected arrival leaves every RNG
+/// stream untouched.
+#[derive(Debug, Clone)]
+pub struct TokenGate {
+    tokens: Vec<f64>,
+    rate: f64,
+    burst: f64,
+    /// Measured broadcasts rejected so far.
+    pub rejected_broadcasts: u64,
+    /// Measured unicasts rejected so far.
+    pub rejected_unicasts: u64,
+}
+
+impl TokenGate {
+    /// A gate over `nodes` full buckets.
+    pub fn new(cfg: AdmissionConfig, nodes: usize) -> Self {
+        Self {
+            tokens: vec![cfg.burst; nodes],
+            rate: cfg.rate,
+            burst: cfg.burst,
+            rejected_broadcasts: 0,
+            rejected_unicasts: 0,
+        }
+    }
+
+    /// The per-slot refill, before the slot's arrivals.
+    pub fn refill(&mut self) {
+        for tok in &mut self.tokens {
+            *tok = (*tok + self.rate).min(self.burst);
+        }
+    }
+
+    /// Takes a token from bucket `node` for one arrival; an empty bucket
+    /// rejects it (counted by kind when `measured`).
+    pub fn admit(&mut self, node: usize, broadcast: bool, measured: bool) -> bool {
+        let tok = &mut self.tokens[node];
+        if *tok < 1.0 {
+            if measured {
+                if broadcast {
+                    self.rejected_broadcasts += 1;
+                } else {
+                    self.rejected_unicasts += 1;
+                }
+            }
+            return false;
+        }
+        *tok -= 1.0;
+        true
+    }
+}
+
 /// A lost transmission parked in the retransmit buffer, waiting for its
 /// backoff timer: the packet re-enters service at `link` when the timer
 /// fires (its `attempt` counter has already been advanced).

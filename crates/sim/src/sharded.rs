@@ -19,6 +19,12 @@
 //! [`crate::LinkCounters`] (see `crate::ledger`), so the accounting
 //! rules exist once.
 //!
+//! Fault epochs are never sent to a shard: each shard, and the
+//! coordinator, ticks a replica of the plan's [`FaultClock`] — a shard
+//! in phase A1 over the links its kernel owns, the coordinator at the
+//! head of `mid_slot` with the shards' busy probes — and the
+//! coordinator's replica is the one the report reads.
+//!
 //! Scope: the sharded engine covers the measurement configurations the
 //! benchmarks run — fault plans (both dead-link policies), tails
 //! instrumentation, queue traces and distance profiling are supported;
@@ -26,29 +32,29 @@
 //! sinks stay on the serial engine (construction asserts they are off).
 
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
-use crate::config::SimConfig;
-use crate::faultepoch::{LossCause, RecoveryTracker};
+use crate::config::{stop_verdict, SimConfig, Stop};
+use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{
-    assemble, receptions_at_stake, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
+    assemble, receptions_at_stake, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
 };
 use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::perf::{assemble_perf, CoordHooks, EnginePerf, EnginePerfConfig, WorkerPerf};
 use crate::scheme::Scheme;
-use pstar_faults::{DeadLinkPolicy, FaultDelta, FaultPlan, FaultRuntime, LivenessView};
+use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 
 /// Deterministic merge key for everything a shard sends the
 /// coordinator within one slot: `(stage, major, minor)`.
 ///
-/// * stage 0 — fault-tick loss settlements (`major` = index of the
-///   dying link within the slot's `FaultDelta::newly_dead`, `minor` =
-///   interrupted-transmission-then-backlog sequence on that link);
+/// * stage 0 — fault-tick loss settlements (`major`, `minor` = the
+///   [`FaultLoss`]'s `(death, seq)`);
 /// * stage 1 — delivery events (`major` = delivering global link id;
 ///   `minor` 0 = the arrival itself, `1 + i` = its `i`-th emitted
 ///   forward);
@@ -128,19 +134,6 @@ struct FlowMeta {
     len: u16,
 }
 
-/// Per-slot phase-A1 side data a shard reports to the coordinator.
-#[derive(Default)]
-struct A1Report {
-    /// Net change the fault tick made to the shard's queued-packet
-    /// population (requeues − drained backlog), needed to reconstruct
-    /// the serial engine's post-fault queue-trace sample.
-    fault_qdelta: i64,
-    /// `(global link id, busy)` for every ever-repaired owned link —
-    /// the recovery tracker's per-slot busy probe, taken post-drain /
-    /// pre-delivery exactly as the serial engine does.
-    watch_busy: Vec<(u32, bool)>,
-}
-
 /// Per-slot phase-B counters a shard reports to the coordinator.
 #[derive(Clone, Copy, Default)]
 struct BReport {
@@ -149,15 +142,8 @@ struct BReport {
     pre_service: u64,
     /// Queued packets after service starts (the loop-head guard value).
     end_total: u64,
-    /// Largest single queue, sampled only on the serial engine's
-    /// periodic divergence scan slots (0 otherwise).
-    max_qlen: u32,
-}
-
-/// Coordinator→worker per-slot control word (threaded driver).
-struct SlotCtrl {
-    stop: bool,
-    delta: Option<Arc<FaultDelta>>,
+    /// The periodic single-queue guard tripped on this shard's links.
+    guard_tripped: bool,
 }
 
 /// Read-only per-run context shared by every shard and the coordinator.
@@ -211,9 +197,12 @@ struct Shard<S> {
     msgs: Vec<Msg>,
     out: Vec<Vec<(u32, Packet)>>,
     emit_buf: Vec<Emit>,
-    /// Scratch for the packets a dying link loses.
-    loss_buf: Vec<Packet>,
-    a1: A1Report,
+    /// Scratch for a fault epoch's losses.
+    loss_buf: Vec<FaultLoss>,
+    /// Net change this slot's fault tick made to the shard's
+    /// queued-packet population (requeues − drained backlog), needed to
+    /// reconstruct the serial engine's post-fault queue-trace sample.
+    fault_qdelta: i64,
     b: BReport,
 
     /// Broadcast-only fast path: with no unicast traffic the
@@ -222,23 +211,13 @@ struct Shard<S> {
     /// phase B merely appends the coordinator's stage-2 generation
     /// commands — the per-slot key merge disappears.
     direct: bool,
-    // Fault state (replica view, kept in lockstep via deltas; idle
-    // without a plan).
-    view: LivenessView,
-    any_now: bool,
-    watched: Vec<u32>,
+    /// This shard's replica of the fault clock; `None` without a plan.
+    clock: Option<Box<FaultClock>>,
 }
 
 impl<S: Scheme> Shard<S> {
-    /// A shard among `shards`, starting from a healthy liveness `view`.
-    fn new(
-        id: u32,
-        kernel: LinkKernel,
-        scheme: S,
-        shards: usize,
-        view: LivenessView,
-        direct: bool,
-    ) -> Self {
+    /// A shard among `shards`.
+    fn new(id: u32, kernel: LinkKernel, scheme: S, shards: usize, direct: bool) -> Self {
         Self {
             id,
             scheme,
@@ -249,68 +228,37 @@ impl<S: Scheme> Shard<S> {
             out: (0..shards).map(|_| Vec::new()).collect(),
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
-            a1: A1Report::default(),
+            fault_qdelta: 0,
             b: BReport::default(),
             direct,
-            view,
-            any_now: false,
-            watched: Vec::new(),
+            clock: None,
         }
     }
 
-    /// Phase A1: apply the slot's fault delta (interrupt in-flight
-    /// transmissions, dispose of dead-link backlogs, update the scheme
-    /// replica), probe recovery-watched links, then scan for finishing
+    /// Phase A1: tick this shard's fault clock (what the epoch loses on
+    /// owned links becomes stage-0 settles), then scan for finishing
     /// transmissions and route each delivery to the shard owning the
     /// target node.
-    fn phase_a1<N: Network>(&mut self, t: u64, ctx: &ShardCtx<'_, N>, delta: Option<&FaultDelta>) {
+    fn phase_a1<N: Network>(&mut self, t: u64, ctx: &ShardCtx<'_, N>) {
         self.msgs.clear();
         self.local_arrivals.clear();
         self.enq_local.clear();
-        self.a1.fault_qdelta = 0;
-        self.a1.watch_busy.clear();
+        self.fault_qdelta = 0;
 
-        if let Some(delta) = delta {
-            self.view.apply_delta(delta);
-            if delta.changed() {
-                let before = self.kernel.queued();
-                for (di, &link) in delta.newly_dead.iter().enumerate() {
-                    if !self.kernel.owns(link.0) {
-                        continue;
-                    }
-                    // Whatever the dead-link policy loses settles in the
-                    // kernel's order: the interrupted transmission, then
-                    // the backlog.
-                    self.kernel.kill(link.0, &mut self.loss_buf);
-                    for (seq, pkt) in self.loss_buf.drain(..).enumerate() {
-                        self.msgs.push(Msg {
-                            key: key(0, di as u64, seq as u32),
-                            body: settle_pkt(&self.scheme, &pkt),
-                        });
-                    }
+        if let Some(clock) = self.clock.as_deref_mut() {
+            let before = self.kernel.queued();
+            if clock.tick(t, &mut self.kernel, &mut self.loss_buf) {
+                self.fault_qdelta = self.kernel.queued() as i64 - before as i64;
+                // The settles use the *pre-update* scheme, as the serial
+                // fault tick does; degraded routing applies from here on.
+                for loss in self.loss_buf.drain(..) {
+                    self.msgs.push(Msg {
+                        key: key(0, u64::from(loss.death), loss.seq),
+                        body: settle_pkt(&self.scheme, &loss.pkt),
+                    });
                 }
-                self.a1.fault_qdelta = self.kernel.queued() as i64 - before as i64;
-                for &link in &delta.repaired {
-                    if !self.kernel.owns(link.0) {
-                        continue;
-                    }
-                    self.kernel.revive(link.0);
-                    if !self.watched.contains(&link.0) {
-                        self.watched.push(link.0);
-                    }
-                }
-                // The settles above use the *pre-update* scheme, as the
-                // serial fault tick does; degraded routing applies from
-                // here on.
-                self.scheme.on_liveness_change(&self.view);
+                self.scheme.on_liveness_change(clock.view());
             }
-            self.any_now = self.view.any_faults();
-        }
-
-        // Recovery busy probe: post-drain, pre-delivery — the serial
-        // `fault_tick` probe point.
-        for &gid in &self.watched {
-            self.a1.watch_busy.push((gid, self.kernel.is_active(gid)));
         }
 
         // Delivery scan in ascending link order. Single-shard runs have
@@ -473,7 +421,7 @@ impl<S: Scheme> Shard<S> {
     /// Phase B: merge local and coordinator enqueues in key order
     /// (reproducing the serial per-queue insertion order), then start
     /// service on every backlogged, idle, alive link.
-    fn phase_b(&mut self, t: u64, cmds: &mut Vec<Cmd>) {
+    fn phase_b(&mut self, t: u64, cfg: &SimConfig, cmds: &mut Vec<Cmd>) {
         let local = std::mem::take(&mut self.enq_local);
         let (mut i, mut j) = (0, 0);
         loop {
@@ -496,28 +444,11 @@ impl<S: Scheme> Shard<S> {
         self.enq_local = local;
 
         self.b.pre_service = self.kernel.queued();
-        self.kernel.start(t, self.any_now, |_, _| {});
+        let faulted = self.clock.as_ref().is_some_and(|c| c.any_now());
+        self.kernel.start(t, faulted, |_, _| {});
         self.b.end_total = self.kernel.queued();
-        self.b.max_qlen = if (t + 1) % 4096 == 0 {
-            self.kernel.max_qlen() as u32
-        } else {
-            0
-        };
+        self.b.guard_tripped = cfg.single_queue_tripped(t + 1, || self.kernel.max_qlen());
     }
-}
-
-/// Fault state owned by the coordinator (the authoritative runtime;
-/// shards hold replica views fed by its deltas).
-struct CoordFaults {
-    runtime: FaultRuntime,
-    policy: DeadLinkPolicy,
-    any_now: bool,
-    events_applied: u64,
-    fault_slots: u64,
-    recovery: RecoveryTracker,
-    /// Delta produced by the last advance, awaiting the next slot's
-    /// phase A1 (shards) and mid-slot processing (coordinator).
-    pending: Option<Arc<FaultDelta>>,
 }
 
 /// All global, order-sensitive state: the RNG, the task ledger, fault
@@ -542,9 +473,11 @@ struct Coordinator<S> {
     queued_end: u64,
 
     emit_buf: Vec<Emit>,
-    faults: Option<Box<CoordFaults>>,
+    /// The coordinator's replica of the fault clock — the one whose
+    /// totals the report carries — and what dead links do to emits.
+    faults: Option<Box<FaultClock>>,
+    dead_policy: DeadLinkPolicy,
     now: u64,
-    unstable: bool,
 
     /// Per-shard staged enqueue commands (route forwards, generation).
     cmds: Vec<Vec<Cmd>>,
@@ -557,15 +490,6 @@ impl<S: Scheme> Coordinator<S> {
     #[inline]
     fn in_window(&self, t: u64) -> bool {
         t >= self.cfg.warmup_slots && t < self.cfg.measure_end()
-    }
-
-    /// `true` when the link can transmit (the serial `link_alive`).
-    #[inline]
-    fn link_alive(&self, gid: u32) -> bool {
-        match &self.faults {
-            Some(f) if f.any_now => f.runtime.view().link_alive(pstar_topology::LinkId(gid)),
-            _ => true,
-        }
     }
 
     /// Mid-slot global processing, in exact serial order: fault
@@ -583,13 +507,14 @@ impl<S: Scheme> Coordinator<S> {
         self.gen_any = false;
         self.gen_seq = 0;
 
+        // The coordinator's fault tick, in the pieces of
+        // `FaultClock::tick`: its replica owns no kernel — the shards
+        // killed and drained (stage 0) and probed the links.
         let split = msgs.partition_point(|m| m.key < STAGE1_BASE);
-        let delta = self.faults.as_mut().and_then(|f| f.pending.take());
-        if let Some(delta) = delta.as_deref() {
-            if let Some(f) = self.faults.as_mut() {
-                for &l in &delta.newly_dead {
-                    f.recovery.on_death(l.0);
-                }
+        if let Some(mut clock) = self.faults.take() {
+            let delta = clock.advance(t);
+            if let Some(delta) = &delta {
+                clock.watch(delta, t, |_| true);
             }
             for m in &msgs[..split] {
                 if let MsgBody::Settle {
@@ -601,25 +526,17 @@ impl<S: Scheme> Coordinator<S> {
                     self.settle(t, task, broadcast, lost);
                 }
             }
-            if let Some(f) = self.faults.as_mut() {
-                for &l in &delta.repaired {
-                    f.recovery.on_repair(l.0, t);
-                }
+            if delta.is_some() {
+                self.scheme.on_liveness_change(clock.view());
             }
-        }
-        if let Some(f) = self.faults.as_mut() {
-            if f.any_now {
-                f.fault_slots += 1;
-            }
-            if f.recovery.is_watching() {
-                f.recovery.tick(t, |l| {
-                    watch_busy
-                        .iter()
-                        .find(|&&(g, _)| g == l)
-                        .map(|&(_, b)| b)
-                        .expect("watched link busy bit reported by its shard")
-                });
-            }
+            clock.slot(t, |l| {
+                watch_busy
+                    .iter()
+                    .find(|&&(g, _)| g == l)
+                    .map(|&(_, b)| b)
+                    .expect("watched link probed by its shard")
+            });
+            self.faults = Some(clock);
         }
 
         if let Some(k) = self.cfg.trace_interval {
@@ -744,13 +661,12 @@ impl<S: Scheme> Coordinator<S> {
             );
             let gid = ctx.topo.link_id(emit.link_from(from)).0;
             let pkt = emit.packet(meta.task, meta.gen_time, meta.len, t);
-            if !self.link_alive(gid) {
-                let policy = self.faults.as_ref().map(|f| f.policy).unwrap_or_default();
-                if matches!(policy, DeadLinkPolicy::Drop) {
-                    let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
-                    self.settle(t, pkt.task, broadcast, lost);
-                    continue;
-                }
+            if matches!(self.dead_policy, DeadLinkPolicy::Drop)
+                && self.faults.as_ref().is_some_and(|f| f.link_dead(gid))
+            {
+                let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
+                self.settle(t, pkt.task, broadcast, lost);
+                continue;
             }
             self.cmds[ctx.shard_of(gid)].push(Cmd {
                 key: key(prefix.0, prefix.1, 1 + i as u32),
@@ -768,17 +684,16 @@ impl<S: Scheme> Coordinator<S> {
             .settle(t, task, broadcast, lost, LossCause::Fault);
     }
 
-    /// End-of-slot accounting (peak, occupancy, trace baseline) and the
-    /// serial loop-head stop checks, in their exact order. `Some(c)`
-    /// stops the run (`c` = completed cleanly).
+    /// End-of-slot accounting (peak, occupancy, trace baseline), then
+    /// the stop rule for the next slot.
     fn end_slot(
         &mut self,
         t: u64,
         pre_service: u64,
         end_total: u64,
-        max_qlen: u32,
+        guard_tripped: bool,
         queue_limit: i64,
-    ) -> Option<bool> {
+    ) -> Option<Stop> {
         // The serial peak is sampled after each emit flush; the queue
         // population is non-decreasing between the fault tick and
         // service, so the last flush of the slot sees `pre_service`.
@@ -792,53 +707,19 @@ impl<S: Scheme> Coordinator<S> {
         }
         self.queued_end = end_total;
         self.now = t + 1;
-        let res = self.check_stop(queue_limit, end_total as i64, max_qlen);
-        if res.is_none() {
-            self.advance_faults(self.now);
-        }
-        res
+        self.check_stop(queue_limit, guard_tripped)
     }
 
-    /// The serial `run_observed` loop-head checks for the current
-    /// `self.now`, in order.
-    fn check_stop(&mut self, queue_limit: i64, end_total: i64, max_qlen: u32) -> Option<bool> {
-        if self.now >= self.cfg.measure_end() && self.ledger.outstanding_measured() == 0 {
-            return Some(true);
-        }
-        if self.now >= self.cfg.max_slots {
-            return Some(false);
-        }
-        if end_total > queue_limit {
-            self.unstable = true;
-            return Some(false);
-        }
-        if self.now % 4096 == 0 && self.now > 0 && max_qlen as f64 > self.cfg.unstable_single_queue
-        {
-            self.unstable = true;
-            return Some(false);
-        }
-        None
-    }
-
-    /// The serial fault advance (normally the head of `fault_tick`),
-    /// run at the end of the previous slot so the delta is ready for
-    /// the shards' next phase A1. The coordinator's scheme replica is
-    /// updated here — before any of its uses in the coming slot — and
-    /// the delta is published for the shards.
-    fn advance_faults(&mut self, slot: u64) {
-        let Some(mut f) = self.faults.take() else {
-            return;
-        };
-        if f.runtime.next_event_slot().is_some_and(|s| s <= slot) {
-            let delta = f.runtime.advance_to(slot);
-            f.events_applied += delta.events_applied as u64;
-            if delta.changed() {
-                self.scheme.on_liveness_change(f.runtime.view());
-            }
-            f.any_now = f.runtime.view().any_faults();
-            f.pending = Some(Arc::new(delta));
-        }
-        self.faults = Some(f);
+    /// The stop rule between slot `self.now − 1` and `self.now`.
+    fn check_stop(&self, queue_limit: i64, guard_tripped: bool) -> Option<Stop> {
+        stop_verdict(
+            &self.cfg,
+            self.now,
+            self.ledger.outstanding_measured(),
+            self.queued_end as i64,
+            queue_limit,
+            || guard_tripped,
+        )
     }
 }
 
@@ -856,10 +737,7 @@ impl<N: Network, S: Scheme> ArrivalSink for GenSink<'_, N, S> {
     }
 
     fn source_dead(&self, node: NodeId) -> bool {
-        match &self.co.faults {
-            Some(f) if f.any_now => !f.runtime.view().node_alive(node),
-            _ => false,
-        }
+        self.co.faults.as_ref().is_some_and(|f| f.node_dead(node))
     }
 
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
@@ -869,13 +747,16 @@ impl<N: Network, S: Scheme> ArrivalSink for GenSink<'_, N, S> {
     }
 }
 
-/// One shard's published A1 side data: `(fault_qdelta, watch_busy)`.
+/// One shard's published A1 side data: its `fault_qdelta` and its
+/// clock's busy probes ([`FaultClock::probes`]), taken post-drain /
+/// pre-delivery exactly as the serial engine takes them.
 type A1Cell = Mutex<(i64, Vec<(u32, bool)>)>;
 
 /// Shared state of the threaded driver.
 struct Exchange {
     barrier: Barrier,
-    ctrl: Mutex<SlotCtrl>,
+    /// Set by the coordinator before barrier ε of the last slot.
+    stop: AtomicBool,
     inboxes: Vec<Mutex<Vec<(u32, Packet)>>>,
     a1: Vec<A1Cell>,
     /// Per-shard published message streams (each ascending), merged by
@@ -962,7 +843,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
                 LinkKernel::new(&cfg, topo.d(), lo, hi),
                 scheme.clone(),
                 shards,
-                LivenessView::healthy(links, n),
                 mix.lambda_unicast == 0.0,
             ));
         }
@@ -982,8 +862,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             queued_end: 0,
             emit_buf: Vec::with_capacity(64),
             faults: None,
+            dead_policy: DeadLinkPolicy::default(),
             now: 0,
-            unstable: false,
             cmds: (0..shards).map(|_| Vec::new()).collect(),
             gen_seq: 0,
             gen_any: false,
@@ -1010,24 +890,14 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         if plan.is_empty() {
             return self;
         }
-        let runtime = FaultRuntime::new(
-            plan,
-            self.topo.link_source_table(),
-            self.link_target.clone(),
-            self.topo.node_count(),
-        );
-        self.coord.faults = Some(Box::new(CoordFaults {
-            runtime,
-            policy,
-            any_now: false,
-            events_applied: 0,
-            fault_slots: 0,
-            recovery: RecoveryTracker::new(),
-            pending: None,
-        }));
+        // Every kernel owner, and the coordinator, runs a replica.
+        let clock = Box::new(FaultClock::new(plan, &self.topo));
         for sh in &mut self.shards {
             sh.kernel.set_dead_link_policy(policy);
+            sh.clock = Some(clock.clone());
         }
+        self.coord.faults = Some(clock);
+        self.coord.dead_policy = policy;
         self
     }
 
@@ -1079,35 +949,31 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             shard_lo_link: &shard_lo_link,
         };
         let links = topo.link_count() as usize;
-        let queue_limit = (cfg.unstable_queue_per_link * links as f64) as i64;
+        let queue_limit = cfg.queue_limit(links);
 
         let t0 = coord.now;
         let mut hooks = pcfg
             .map(|c| CoordHooks::new(c, t0).expect("creating the perf JSONL snapshot sink failed"));
         let mut worker_perfs: Vec<WorkerPerf> = Vec::new();
 
-        let completed = match coord.check_stop(queue_limit, 0, 0) {
-            Some(c) => c,
+        let stop = match coord.check_stop(queue_limit, false) {
+            Some(stop) => stop,
             None => {
-                coord.advance_faults(0);
                 let workers = threads.min(shards.len());
-                if workers <= 1 {
-                    let (c, wp) =
-                        run_sequential(&mut coord, &mut shards, &ctx, queue_limit, &mut hooks);
-                    worker_perfs = wp;
-                    c
+                let (stop, wp) = if workers <= 1 {
+                    run_sequential(&mut coord, &mut shards, &ctx, queue_limit, &mut hooks)
                 } else {
-                    let (c, wp) = run_threaded(
+                    run_threaded(
                         &mut coord,
                         &mut shards,
                         &ctx,
                         queue_limit,
                         workers,
                         &mut hooks,
-                    );
-                    worker_perfs = wp;
-                    c
-                }
+                    )
+                };
+                worker_perfs = wp;
+                stop
             }
         };
 
@@ -1118,17 +984,12 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             assemble_perf(h, worker_perfs, arena, nsh, coord.now - t0, wall_ns)
         });
 
-        // Close out recovery measurements against the shards' final
+        // The coordinator's replica closes against the shards' final
         // queue state (the serial engine probes its own queues here).
-        let faults = coord.faults.take().map(|mut f| {
-            f.recovery
-                .finalize(coord.now, |l| shards[ctx.shard_of(l)].kernel.is_active(l));
-            FaultTotals {
-                events_applied: f.events_applied,
-                fault_slots: f.fault_slots,
-                recovery_time: f.recovery.samples().summary(),
-            }
-        });
+        let faults = coord
+            .faults
+            .take()
+            .map(|f| f.finish(coord.now, |l| shards[ctx.shard_of(l)].kernel.is_active(l)));
         let mut link_counters = LinkCounters::new(&cfg, topo.d(), 0, links);
         for sh in &shards {
             link_counters.merge(sh.kernel.counters());
@@ -1142,8 +1003,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
                 d: topo.d(),
                 num_classes: coord.scheme.num_priorities(),
                 slots_run: coord.now,
-                stable: !coord.unstable,
-                completed,
+                stable: stop != Stop::Unstable,
+                completed: stop == Stop::Completed,
                 peak_queue_total: coord.peak_queue,
                 queue_trace: coord.queue_trace,
                 faults,
@@ -1194,7 +1055,7 @@ fn run_sequential<N: Network, S: Scheme>(
     ctx: &ShardCtx<'_, N>,
     queue_limit: i64,
     hooks: &mut Option<CoordHooks>,
-) -> (bool, Vec<WorkerPerf>) {
+) -> (Stop, Vec<WorkerPerf>) {
     let nsh = shards.len();
     let mut wp = hooks
         .as_ref()
@@ -1204,11 +1065,10 @@ fn run_sequential<N: Network, S: Scheme>(
     let mut merge_idx: Vec<usize> = Vec::new();
     let mut watch: Vec<(u32, bool)> = Vec::new();
     let mut t = coord.now;
-    let completed = loop {
+    let stop = loop {
         let mut mark = wp.as_ref().map(|w| w.now_ns());
-        let delta = coord.faults.as_ref().and_then(|f| f.pending.clone());
         for sh in shards.iter_mut() {
-            sh.phase_a1(t, ctx, delta.as_deref());
+            sh.phase_a1(t, ctx);
         }
         for (si, sh) in shards.iter_mut().enumerate() {
             for (ti, inbox) in inboxes.iter_mut().enumerate() {
@@ -1240,8 +1100,10 @@ fn run_sequential<N: Network, S: Scheme>(
         let mut fault_qdelta = 0i64;
         watch.clear();
         for sh in shards.iter() {
-            fault_qdelta += sh.a1.fault_qdelta;
-            watch.extend_from_slice(&sh.a1.watch_busy);
+            fault_qdelta += sh.fault_qdelta;
+            if let Some(clock) = &sh.clock {
+                watch.extend_from_slice(clock.probes());
+            }
         }
         let merged_len = if nsh == 1 {
             // Single shard: the stream is already in key order; it will
@@ -1275,19 +1137,19 @@ fn run_sequential<N: Network, S: Scheme>(
         }
         let mut pre = 0u64;
         let mut end = 0u64;
-        let mut maxq = 0u32;
+        let mut tripped = false;
         for (si, sh) in shards.iter_mut().enumerate() {
-            sh.phase_b(t, &mut coord.cmds[si]);
+            sh.phase_b(t, &ctx.cfg, &mut coord.cmds[si]);
             pre += sh.b.pre_service;
             end += sh.b.end_total;
-            maxq = maxq.max(sh.b.max_qlen);
+            tripped |= sh.b.guard_tripped;
         }
         if let Some(w) = wp.as_mut() {
             let now = w.now_ns();
             w.record_work(3, t, mark.unwrap(), now);
             mark = Some(now);
         }
-        let res = coord.end_slot(t, pre, end, maxq, queue_limit);
+        let res = coord.end_slot(t, pre, end, tripped, queue_limit);
         if let Some(h) = hooks.as_mut() {
             let now = h.now_ns();
             h.record_end(now - mark.unwrap());
@@ -1296,12 +1158,12 @@ fn run_sequential<N: Network, S: Scheme>(
             }
             h.end_of_slot(t);
         }
-        if let Some(c) = res {
-            break c;
+        if let Some(stop) = res {
+            break stop;
         }
         t += 1;
     };
-    (completed, wp.into_iter().collect())
+    (stop, wp.into_iter().collect())
 }
 
 /// Multi-threaded driver: shards split into contiguous chunks, one
@@ -1314,14 +1176,11 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
     queue_limit: i64,
     workers: usize,
     hooks: &mut Option<CoordHooks>,
-) -> (bool, Vec<WorkerPerf>) {
+) -> (Stop, Vec<WorkerPerf>) {
     let nsh = shards.len();
     let ex = Exchange {
         barrier: Barrier::new(workers + 1),
-        ctrl: Mutex::new(SlotCtrl {
-            stop: false,
-            delta: coord.faults.as_ref().and_then(|f| f.pending.clone()),
-        }),
+        stop: AtomicBool::new(false),
         inboxes: (0..nsh).map(|_| Mutex::new(Vec::new())).collect(),
         a1: (0..nsh).map(|_| Mutex::new((0, Vec::new()))).collect(),
         msgs: (0..nsh).map(|_| Mutex::new(Vec::new())).collect(),
@@ -1346,9 +1205,8 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
         debug_assert!(rest.is_empty());
     }
 
-    let mut completed = false;
     let mut worker_perfs: Vec<WorkerPerf> = Vec::new();
-    std::thread::scope(|scope| {
+    let stop = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (w, (base, chunk)) in chunks.into_iter().enumerate() {
             let ex = &ex;
@@ -1362,7 +1220,7 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
         let mut merge_idx: Vec<usize> = Vec::new();
         let mut watch: Vec<(u32, bool)> = Vec::new();
         let mut t = t0;
-        loop {
+        let stop = loop {
             let mut mark = hooks.as_ref().map(|h| h.now_ns());
             ex.barrier.wait(); // α: A1 + shipping done
             ex.barrier.wait(); // β: A2 done, msgs/a1 published
@@ -1418,19 +1276,15 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
             }
             let mut pre = 0u64;
             let mut end = 0u64;
-            let mut maxq = 0u32;
+            let mut tripped = false;
             for s in 0..nsh {
                 let b = *ex.b[s].lock().unwrap();
                 pre += b.pre_service;
                 end += b.end_total;
-                maxq = maxq.max(b.max_qlen);
+                tripped |= b.guard_tripped;
             }
-            let res = coord.end_slot(t, pre, end, maxq, queue_limit);
-            {
-                let mut c = ex.ctrl.lock().unwrap();
-                c.stop = res.is_some();
-                c.delta = coord.faults.as_ref().and_then(|f| f.pending.clone());
-            }
+            let res = coord.end_slot(t, pre, end, tripped, queue_limit);
+            ex.stop.store(res.is_some(), Ordering::Release);
             if let Some(h) = hooks.as_mut() {
                 let now = h.now_ns();
                 h.record_end(now - mark.unwrap());
@@ -1445,12 +1299,11 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
                 h.record_wait(now - mark.unwrap());
                 h.end_of_slot(t);
             }
-            if let Some(c) = res {
-                completed = c;
-                break;
+            if let Some(stop) = res {
+                break stop;
             }
             t += 1;
-        }
+        };
 
         for h in handles {
             let (mut chunk, wperf) = h.join().expect("worker thread panicked");
@@ -1459,8 +1312,9 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
                 worker_perfs.push(wp);
             }
         }
+        stop
     });
-    (completed, worker_perfs)
+    (stop, worker_perfs)
 }
 
 /// One worker's slot loop over its contiguous shard chunk.
@@ -1476,15 +1330,11 @@ fn worker_loop<N: Network, S: Scheme>(
     let mut t = t0;
     loop {
         let mut mark = perf.as_ref().map(|w| w.now_ns());
-        let (stop, delta) = {
-            let c = ex.ctrl.lock().unwrap();
-            (c.stop, c.delta.clone())
-        };
-        if stop {
+        if ex.stop.load(Ordering::Acquire) {
             break;
         }
         for (i, sh) in chunk.iter_mut().enumerate() {
-            sh.phase_a1(t, ctx, delta.as_deref());
+            sh.phase_a1(t, ctx);
             for ti in 0..nsh {
                 if !sh.out[ti].is_empty() {
                     if ti != base + i {
@@ -1498,9 +1348,11 @@ fn worker_loop<N: Network, S: Scheme>(
                 }
             }
             let mut g = ex.a1[base + i].lock().unwrap();
-            g.0 = sh.a1.fault_qdelta;
+            g.0 = sh.fault_qdelta;
             g.1.clear();
-            g.1.extend_from_slice(&sh.a1.watch_busy);
+            if let Some(clock) = &sh.clock {
+                g.1.extend_from_slice(clock.probes());
+            }
         }
         if let Some(w) = perf.as_mut() {
             let now = w.now_ns();
@@ -1538,7 +1390,7 @@ fn worker_loop<N: Network, S: Scheme>(
         }
         for (i, sh) in chunk.iter_mut().enumerate() {
             let mut cmds = std::mem::take(&mut *ex.cmds[base + i].lock().unwrap());
-            sh.phase_b(t, &mut cmds);
+            sh.phase_b(t, &ctx.cfg, &mut cmds);
             *ex.cmds[base + i].lock().unwrap() = cmds;
             *ex.b[base + i].lock().unwrap() = sh.b;
         }

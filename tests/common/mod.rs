@@ -15,15 +15,19 @@
 //!   the net helpers refuse specs with unicast traffic.
 //!
 //! [`Backend`] + [`run_backend`] + [`cross_backend_agree`] compose the
-//! two into a one-call differential gate over a backend list, and
+//! two into a one-call differential gate over a backend list — under an
+//! optional fault plan ([`Faults`]), which every backend accepts — and
 //! [`scheme_rho_grid`] builds the scheme × ρ point set with a
 //! common-random-numbers seed per ρ index.
 
 #![allow(dead_code)]
 
 use priority_star::prelude::*;
-use pstar_net::{run_net, NetConfig};
-use pstar_sim::SimReport;
+use pstar_net::{run_net, run_net_with_faults, NetConfig};
+use pstar_sim::{DeadLinkPolicy, FaultPlan, SimReport};
+
+/// A fault plan and what dead links do with their packets.
+pub type Faults = (FaultPlan, DeadLinkPolicy);
 
 /// Common-random-numbers seed for a sweep point: one seed per ρ index,
 /// shared by every scheme arm at that load.
@@ -53,22 +57,26 @@ impl Backend {
     }
 }
 
-/// Runs `spec` on `backend` and returns the simulator-shaped report.
-/// The spec's length law and scenario are applied on every path (the
-/// `run_scenario*` wrappers do it internally; the net path needs it
-/// done on the `SimConfig` by hand).
+/// Runs `spec` on `backend`, under `faults` if given, and returns the
+/// simulator-shaped report. The spec's length law and scenario are
+/// applied on every path (the `run_scenario*` wrappers do it
+/// internally; the net path needs it done on the `SimConfig` by hand).
 pub fn run_backend(
     topo: &Torus,
     spec: &ScenarioSpec,
     cfg: SimConfig,
     backend: Backend,
+    faults: Option<Faults>,
 ) -> SimReport {
     match backend {
-        Backend::Serial => run_scenario(topo, spec, cfg),
+        Backend::Serial => match faults {
+            Some((plan, policy)) => run_scenario_with_faults(topo, spec, cfg, plan, policy),
+            None => run_scenario(topo, spec, cfg),
+        },
         Backend::Sharded { shards, threads } => {
-            run_scenario_sharded(topo, spec, cfg, shards, threads, None)
+            run_scenario_sharded(topo, spec, cfg, shards, threads, faults)
         }
-        Backend::NetVirtual { workers } => net_run(spec, topo, cfg, workers).report,
+        Backend::NetVirtual { workers } => net_run_under(spec, topo, cfg, workers, faults).report,
     }
 }
 
@@ -78,21 +86,32 @@ pub fn run_backend(
 pub fn net_run(
     spec: &ScenarioSpec,
     topo: &Torus,
+    sim: SimConfig,
+    workers: usize,
+) -> pstar_net::NetReport {
+    net_run_under(spec, topo, sim, workers, None)
+}
+
+/// [`net_run`] under `faults`, if given.
+pub fn net_run_under(
+    spec: &ScenarioSpec,
+    topo: &Torus,
     mut sim: SimConfig,
     workers: usize,
+    faults: Option<Faults>,
 ) -> pstar_net::NetReport {
     sim.lengths = spec.lengths;
     sim.scenario = spec.scenario;
-    run_net(
-        topo,
-        spec.build_scheme(topo),
-        spec.mix(topo),
-        NetConfig {
-            workers,
-            ..NetConfig::new(sim)
-        },
-    )
-    .expect("run_net failed")
+    let (scheme, mix) = (spec.build_scheme(topo), spec.mix(topo));
+    let cfg = NetConfig {
+        workers,
+        ..NetConfig::new(sim)
+    };
+    match faults {
+        Some((plan, policy)) => run_net_with_faults(topo, scheme, mix, cfg, plan, policy),
+        None => run_net(topo, scheme, mix, cfg),
+    }
+    .expect("the runtime failed")
 }
 
 /// Field-for-field serial-vs-sharded comparison; everything is
@@ -243,7 +262,10 @@ pub fn assert_reports_match(serial: &SimReport, sharded: &SimReport, label: &str
 }
 
 /// Exact count agreement between the simulator and the virtual-clock
-/// runtime: the measured task set and every delivery/loss counter.
+/// runtime: the measured task set, every delivery/loss counter and the
+/// fault counters. (Fault-*damaged* attribution is deliberately
+/// excluded: whether a task's completing settlement is the ack or the
+/// loss can swap under the runtime's one-slot control lag.)
 pub fn assert_net_counts_match(sim: &SimReport, net: &SimReport, label: &str) {
     assert_eq!(
         sim.measured_broadcasts, net.measured_broadcasts,
@@ -261,12 +283,28 @@ pub fn assert_net_counts_match(sim: &SimReport, net: &SimReport, label: &str) {
         sim.dropped_packets, net.dropped_packets,
         "{label}: dropped-packet counts diverged"
     );
+    assert_eq!(
+        sim.damaged_broadcasts, net.damaged_broadcasts,
+        "{label}: damaged-broadcast counts diverged"
+    );
+    assert_eq!(
+        sim.faults.fault_dropped_packets, net.faults.fault_dropped_packets,
+        "{label}: fault-drop counts diverged"
+    );
+    assert_eq!(
+        sim.faults.events_applied, net.faults.events_applied,
+        "{label}: applied fault events diverged"
+    );
+    assert_eq!(
+        sim.faults.fault_slots, net.faults.fault_slots,
+        "{label}: fault-slot counts diverged"
+    );
 }
 
-/// One-call differential gate: runs `spec` on the serial engine and on
-/// every listed backend, asserting each backend's agreement contract
-/// against the serial reference (full-report identity for sharded,
-/// exact counts for net).
+/// One-call differential gate: runs `spec` — under `faults`, if given —
+/// on the serial engine and on every listed backend, asserting each
+/// backend's agreement contract against the serial reference
+/// (full-report identity for sharded, exact counts for net).
 ///
 /// Panics if a `NetVirtual` backend is listed for a spec with unicast
 /// traffic: mixed workloads are outside the runtime's draw-for-draw
@@ -276,16 +314,17 @@ pub fn cross_backend_agree(
     topo: &Torus,
     spec: &ScenarioSpec,
     cfg: SimConfig,
+    faults: Option<&Faults>,
     backends: &[Backend],
     label: &str,
 ) -> SimReport {
-    let serial = run_scenario(topo, spec, cfg);
+    let serial = run_backend(topo, spec, cfg, Backend::Serial, faults.cloned());
     for &backend in backends {
         let sub = format!("{label} [{}]", backend.label());
         match backend {
             Backend::Serial => {}
             Backend::Sharded { .. } => {
-                let rep = run_backend(topo, spec, cfg, backend);
+                let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
                 assert_reports_match(&serial, &rep, &sub);
             }
             Backend::NetVirtual { .. } => {
@@ -295,7 +334,7 @@ pub fn cross_backend_agree(
                      broadcast-only workloads (unicast forwarding draws are \
                      per-worker streams); use a broadcast-only projection"
                 );
-                let rep = run_backend(topo, spec, cfg, backend);
+                let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
                 assert_net_counts_match(&serial, &rep, &sub);
             }
         }

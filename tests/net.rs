@@ -23,11 +23,11 @@
 
 mod common;
 
-use common::{crn_seed, net_run};
+use common::{assert_net_counts_match, crn_seed, net_run, net_run_under};
 use priority_star::{run_scenario, ScenarioSpec, SchemeKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use pstar_net::{run_net, run_net_with_faults, Channel, ChaosConfig, NetConfig, NetError};
+use pstar_net::{run_net, Channel, ChaosConfig, NetConfig, NetError};
 use pstar_sim::{
     run_with_faults, Admit, DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, FullQueuePolicy,
     LinkKernel, LossCause, Packet, PacketKind, PriorityQueue, SimConfig,
@@ -148,24 +148,12 @@ fn priority_star_beats_fcfs_on_the_runtime_crn() {
 fn fault_net_run(
     spec: &ScenarioSpec,
     topo: &Torus,
-    mut sim: SimConfig,
+    sim: SimConfig,
     workers: usize,
     plan: FaultPlan,
     policy: DeadLinkPolicy,
 ) -> pstar_net::NetReport {
-    sim.lengths = spec.lengths;
-    run_net_with_faults(
-        topo,
-        spec.build_scheme(topo),
-        spec.mix(topo),
-        NetConfig {
-            workers,
-            ..NetConfig::new(sim)
-        },
-        plan,
-        policy,
-    )
-    .expect("run_net_with_faults failed")
+    net_run_under(spec, topo, sim, workers, Some((plan, policy)))
 }
 
 fn fault_sim_run(
@@ -248,10 +236,7 @@ fn scripted_plans(topo: &Torus) -> Vec<(&'static str, FaultPlan)> {
 
 /// The CI fault-agreement gate: under each scripted plan, every scheme,
 /// and 1/2/4 workers, the virtual-clock runtime reproduces the engine's
-/// delivered, lost, dropped, and fault-dropped counts exactly.
-/// (Fault-*damaged* attribution is deliberately excluded: whether a
-/// task's completing settlement is the ack or the loss can swap under
-/// the runtime's one-slot control lag.)
+/// counts exactly (`common::assert_net_counts_match`).
 #[test]
 fn sim_and_net_agree_under_faults() {
     let topo = Torus::new(&[4, 4]);
@@ -284,35 +269,7 @@ fn sim_and_net_agree_under_faults() {
                     DeadLinkPolicy::Drop,
                 );
                 let label = format!("{name} {scheme:?} W={workers}");
-                let r = &net.report;
-                assert_eq!(
-                    sim.measured_broadcasts, r.measured_broadcasts,
-                    "{label}: measured task sets diverged"
-                );
-                assert_eq!(
-                    sim.reception_delay.count, r.reception_delay.count,
-                    "{label}: delivered-reception counts diverged"
-                );
-                assert_eq!(
-                    sim.lost_receptions, r.lost_receptions,
-                    "{label}: lost-reception counts diverged"
-                );
-                assert_eq!(
-                    sim.dropped_packets, r.dropped_packets,
-                    "{label}: dropped-packet counts diverged"
-                );
-                assert_eq!(
-                    sim.damaged_broadcasts, r.damaged_broadcasts,
-                    "{label}: damaged-broadcast counts diverged"
-                );
-                assert_eq!(
-                    sim.faults.fault_dropped_packets, r.faults.fault_dropped_packets,
-                    "{label}: fault-drop counts diverged"
-                );
-                assert_eq!(
-                    sim.faults.events_applied, r.faults.events_applied,
-                    "{label}: applied fault events diverged"
-                );
+                assert_net_counts_match(&sim, &net.report, &label);
             }
         }
     }
@@ -363,13 +320,74 @@ fn net_digest(net: &pstar_net::NetReport) -> u64 {
     pstar_obs::fnv1a64(format!("{:?} sent={}", net.report, net.messages_sent).as_bytes())
 }
 
+/// What a faulted run is pinned by beside [`net_digest`]: the digest of
+/// the `SimReport` alone, and the message count on its own.
+fn report_and_sent(net: &pstar_net::NetReport) -> (u64, u64) {
+    let report = pstar_obs::fnv1a64(format!("{:?}", net.report).as_bytes());
+    (report, net.messages_sent)
+}
+
+/// Checks the faulted runs of a pin test against [`PINNED_FAULTED`].
+fn assert_faulted_pins(got: &[(String, (u64, u64))]) {
+    for (label, (report, sent)) in got {
+        let (_, want_report, want_sent) = PINNED_FAULTED
+            .iter()
+            .find(|(want_label, ..)| want_label == label)
+            .unwrap_or_else(|| panic!("{label}: no report-only pin"));
+        assert_eq!(
+            report, want_report,
+            "{label}: the report itself differs from commit b81f95b (got {report:#018x})"
+        );
+        assert_eq!(sent, want_sent, "{label}: messages_sent");
+    }
+}
+
+/// The five runs under a fault plan, by `SimReport` alone. The report
+/// digests were captured at commit b81f95b, the last one where worker 0
+/// owned the fault clock and sent every other worker each epoch's delta
+/// as a message: a replica per worker changes no reported number, so
+/// they are that commit's, while `messages_sent` is that commit's less
+/// `(W − 1) ·` the epochs that ran (558 957 − 12, 565 205 − 12,
+/// 20 938 − 4, 20 872 − 4, 38 144 − 9) — which is all that moved the
+/// full digests of these runs in [`PINNED_DIGESTS`] and
+/// [`PINNED_EARLY_STOPS`].
+const PINNED_FAULTED: [(&str, u64, u64); 5] = [
+    (
+        "4x4 staggered faults Drop W=3",
+        0xc539_cbd2_70d4_9f68,
+        558_945,
+    ),
+    (
+        "4x4 staggered faults Requeue W=3",
+        0x6d1f_77c5_2aeb_3ce4,
+        565_193,
+    ),
+    (
+        "4x4 faulted horizon Drop W=3",
+        0x619d_1681_2092_650c,
+        20_934,
+    ),
+    (
+        "4x4 faulted horizon Requeue W=3",
+        0x3665_51bd_70d4_17cc,
+        20_868,
+    ),
+    (
+        "4x4 crashes, losses cross workers W=4",
+        0x2a3a_f36b_c878_334a,
+        38_135,
+    ),
+];
+
 /// The digests below were captured at commit 18cea4f, where every
 /// message took its own channel lock and the slot ended in a third
 /// barrier. How messages cross workers and how the fleet synchronizes
 /// are host-time matters: drain points, per-sender order and the
 /// ascending-link merge fix every reported number for a given
 /// `(seed, workers, mode)`, so any difference here is a protocol bug.
-/// Re-pin only for a change that means to alter what a run reports.
+/// Re-pin only for a change that means to alter what a run reports —
+/// as the two faulted runs were when fault epochs stopped being
+/// messages ([`PINNED_FAULTED`]).
 #[test]
 fn net_reports_match_the_pinned_per_message_plane() {
     let short = |seed| SimConfig {
@@ -378,6 +396,7 @@ fn net_reports_match_the_pinned_per_message_plane() {
         ..SimConfig::quick(seed)
     };
     let mut got: Vec<(String, u64)> = Vec::new();
+    let mut faulted: Vec<(String, (u64, u64))> = Vec::new();
 
     let torus8 = Torus::new(&[8, 8]);
     let pstar = ScenarioSpec {
@@ -410,10 +429,9 @@ fn net_reports_match_the_pinned_per_message_plane() {
             policy,
         );
         assert!(net.report.faults.events_applied > 0, "plan never fired");
-        got.push((
-            format!("4x4 staggered faults {policy:?} W=3"),
-            net_digest(&net),
-        ));
+        let label = format!("4x4 staggered faults {policy:?} W=3");
+        faulted.push((label.clone(), report_and_sent(&net)));
+        got.push((label, net_digest(&net)));
     }
 
     let lossy = SimConfig {
@@ -425,6 +443,7 @@ fn net_reports_match_the_pinned_per_message_plane() {
     assert!(net.report.recovery.retransmissions > 0, "ARQ never fired");
     got.push(("4x4 capacity-1 ARQ W=2".into(), net_digest(&net)));
 
+    assert_faulted_pins(&faulted);
     assert_eq!(got.len(), PINNED_DIGESTS.len());
     for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_DIGESTS) {
         assert_eq!(label, want_label);
@@ -442,8 +461,8 @@ const PINNED_DIGESTS: [(&str, u64); 8] = [
     ("8x8 pstar rho.7 W=3", 0x3de4_de58_72eb_03b5),
     ("8x8 pstar rho.7 W=4", 0x4ccd_f673_01a3_fe4e),
     ("4x4x8 three-class mixed W=2", 0x5b3f_f2f1_8cc3_64c2),
-    ("4x4 staggered faults Drop W=3", 0xcc90_512e_d1ad_6b98),
-    ("4x4 staggered faults Requeue W=3", 0x67a7_1a2a_1808_52e6),
+    ("4x4 staggered faults Drop W=3", 0xcc8d_4f2e_d1ab_325b),
+    ("4x4 staggered faults Requeue W=3", 0x4e36_212a_09c6_f23c),
     ("4x4 capacity-1 ARQ W=2", 0x7849_2ec8_3c07_3b00),
 ];
 
@@ -454,7 +473,8 @@ const PINNED_DIGESTS: [(&str, u64); 8] = [
 /// the send ahead of the decision leaves no mark: a rejection, a sent
 /// message, a window tick or a fault tick counted for the slot that
 /// never ran changes the digest. Captured at commit 866ac3b, where every
-/// slot was decided before the next one began: the eight cases the issue
+/// slot was decided before the next one began (the three faulted runs
+/// re-pinned with [`PINNED_FAULTED`]): the eight cases the issue
 /// that introduced the protocol named, plus the two its own mutation
 /// checks needed — the warm-up boundary, the one stop a misplaced window
 /// tick shows at, and a plan whose fault losses cross workers, where
@@ -462,6 +482,7 @@ const PINNED_DIGESTS: [(&str, u64); 8] = [
 #[test]
 fn early_stops_match_the_pinned_decide_then_send_protocol() {
     let mut got: Vec<(String, u64)> = Vec::new();
+    let mut faulted_runs: Vec<(String, (u64, u64))> = Vec::new();
     let (torus8, torus4) = (Torus::new(&[8, 8]), Torus::new(&[4, 4]));
     let at_rho = |rho| ScenarioSpec {
         rho,
@@ -561,10 +582,9 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         let f = &net.report.faults;
         assert_eq!((net.report.slots_run, f.events_applied), (400, 2));
         assert_eq!(f.fault_slots, 250);
-        got.push((
-            format!("4x4 faulted horizon {policy:?} W=3"),
-            net_digest(&net),
-        ));
+        let label = format!("4x4 faulted horizon {policy:?} W=3");
+        faulted_runs.push((label.clone(), report_and_sent(&net)));
+        got.push((label, net_digest(&net)));
     }
 
     // Mass fault losses (two node crashes, six link outages at rho 0.9)
@@ -596,11 +616,11 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         DeadLinkPolicy::Drop,
     );
     assert_eq!(net.report.faults.fault_damaged_broadcasts, 78);
-    got.push((
-        "4x4 crashes, losses cross workers W=4".into(),
-        net_digest(&net),
-    ));
+    let label = "4x4 crashes, losses cross workers W=4".to_string();
+    faulted_runs.push((label.clone(), report_and_sent(&net)));
+    got.push((label, net_digest(&net)));
 
+    assert_faulted_pins(&faulted_runs);
     assert_eq!(got.len(), PINNED_EARLY_STOPS.len());
     for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_EARLY_STOPS) {
         assert_eq!(label, want_label);
@@ -620,11 +640,11 @@ const PINNED_EARLY_STOPS: [(&str, u64); 10] = [
     ("4x4 single-queue guard W=2", 0x8817_6949_e2b3_aca4),
     ("4x4 horizon at warm-up W=2", 0x99f9_c3b1_9960_d493),
     ("8x8 wall-clock horizon W=2", 0x83b1_7578_7eb2_d85c),
-    ("4x4 faulted horizon Drop W=3", 0xa39f_70c1_e9f4_97e1),
-    ("4x4 faulted horizon Requeue W=3", 0xa106_a1b9_f999_6f5c),
+    ("4x4 faulted horizon Drop W=3", 0xa39f_6cc1_e9f4_9115),
+    ("4x4 faulted horizon Requeue W=3", 0xa109_a1b9_f99b_a533),
     (
         "4x4 crashes, losses cross workers W=4",
-        0xf3ed_1cab_40d5_fe03,
+        0xf3d5_1bab_40c1_6a6f,
     ),
 ];
 

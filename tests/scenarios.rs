@@ -140,6 +140,7 @@ fn every_scenario_agrees_on_the_sharded_engine() {
             &topo,
             &spec,
             cfg,
+            None,
             &[
                 Backend::Sharded {
                     shards: 2,
@@ -185,6 +186,7 @@ fn every_scenario_agrees_on_the_net_runtime() {
             &topo,
             &spec,
             cfg,
+            None,
             &[
                 Backend::NetVirtual { workers: 2 },
                 Backend::NetVirtual { workers: 3 },
@@ -217,13 +219,14 @@ fn truncated_runs_normalize_by_the_realized_window_on_every_backend() {
         &topo,
         &spec,
         cut,
+        None,
         &[Backend::Sharded {
             shards: 2,
             threads: 1,
         }],
         "truncated",
     );
-    let net = common::run_backend(&topo, &spec, cut, Backend::NetVirtual { workers: 2 });
+    let net = common::run_backend(&topo, &spec, cut, Backend::NetVirtual { workers: 2 }, None);
     for (label, rep) in [("serial", &serial), ("net(w=2)", &net)] {
         assert!(!rep.completed, "{label}: the horizon must cut the window");
         assert_eq!(rep.slots_run, cut.max_slots, "{label}: slots_run");
@@ -305,6 +308,7 @@ fn all_to_all_respects_lower_bound_on_every_backend() {
         &topo,
         &spec,
         cfg,
+        None,
         &[
             Backend::Sharded {
                 shards: 4,

@@ -18,10 +18,15 @@
 
 mod common;
 
-use common::assert_reports_match;
+use common::{assert_reports_match, cross_backend_agree, Backend};
 use priority_star::prelude::*;
-use pstar_sim::{DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, SimReport};
-use pstar_topology::LinkId;
+use pstar_sim::{
+    BroadcastState, DeadLinkPolicy, Emit, FaultEvent, FaultKind, FaultPlan, LivenessView, Scheme,
+    SimReport,
+};
+use pstar_topology::{LinkId, NodeId};
+use rand::rngs::StdRng;
+use std::sync::{Arc, Mutex};
 
 fn cfg_with(seed: u64, tails: bool, trace: bool, by_distance: bool) -> SimConfig {
     let mut cfg = SimConfig::quick(seed);
@@ -195,6 +200,227 @@ fn sharded_runs_are_shard_count_invariant() {
             format!("{other:?}"),
             "shards={shards} threads={threads} diverged from single-shard run"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// One fault clock: the rules every driver's replica must keep
+// ---------------------------------------------------------------------
+
+/// Every driver under differential test: shards 1/2/4/8 on one and two
+/// threads, and the runtime at 1/2/4 workers.
+fn every_backend() -> Vec<Backend> {
+    let mut backends = Vec::new();
+    for threads in [1, 2] {
+        for shards in [1, 2, 4, 8] {
+            backends.push(Backend::Sharded { shards, threads });
+        }
+    }
+    backends.extend([1, 2, 4].map(|workers| Backend::NetVirtual { workers }));
+    backends
+}
+
+fn scripted(events: &[(u64, FaultKind)]) -> FaultPlan {
+    FaultPlan::scripted(
+        events
+            .iter()
+            .map(|&(slot, kind)| FaultEvent { slot, kind })
+            .collect(),
+    )
+}
+
+/// A link repaired and killed again inside one epoch stays dead: the
+/// clock's view is the authority on whether a repair holds. (Before
+/// the drivers shared one fault tick, only the serial engine asked it:
+/// the other two revived link 5 at slot 3000 and carried traffic over
+/// a dead link for 600 slots — 363 fault-dropped packets on one shard
+/// against the serial engine's 638 at this seed.)
+#[test]
+fn a_link_repaired_and_killed_in_one_epoch_stays_dead_on_every_backend() {
+    let topo = Torus::new(&[4, 4]);
+    let spec = ScenarioSpec {
+        rho: 0.6,
+        ..ScenarioSpec::default()
+    };
+    let flap = scripted(&[
+        (2_500, FaultKind::LinkDown(LinkId(5))),
+        (3_000, FaultKind::LinkUp(LinkId(5))),
+        (3_000, FaultKind::LinkDown(LinkId(5))),
+        (3_600, FaultKind::LinkUp(LinkId(5))),
+    ]);
+    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
+        let serial = cross_backend_agree(
+            &topo,
+            &spec,
+            cfg_with(0xF1A9, true, true, false),
+            Some(&(flap.clone(), policy)),
+            &every_backend(),
+            &format!("flap {policy:?}"),
+        );
+        assert_eq!(serial.faults.events_applied, 4);
+        assert_eq!(serial.faults.fault_slots, 1_100, "dead from 2500 to 3600");
+        assert_eq!(serial.faults.recovery_time.count, 1, "one repair held");
+    }
+}
+
+/// The stop check of slot `t − 1` precedes the fault tick of slot `t`
+/// on every driver: a run that ends at the horizon never applies the
+/// event due at the slot it did not run. And the totals are one
+/// replica's, not a sum over shards or workers.
+#[test]
+fn a_run_that_stops_at_an_event_slot_never_applies_it_on_any_backend() {
+    let topo = Torus::new(&[4, 4]);
+    let spec = ScenarioSpec {
+        rho: 0.7,
+        ..ScenarioSpec::default()
+    };
+    let down = |slot, link| (slot, FaultKind::LinkDown(LinkId(link)));
+    let plan = scripted(&[down(150, 3), down(300, 17), down(400, 40)]);
+    let cfg = SimConfig {
+        warmup_slots: 100,
+        measure_slots: 2_000,
+        max_slots: 400,
+        ..cfg_with(55, true, true, false)
+    };
+    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
+        let serial = cross_backend_agree(
+            &topo,
+            &spec,
+            cfg,
+            Some(&(plan.clone(), policy)),
+            &every_backend(),
+            &format!("horizon at an event slot {policy:?}"),
+        );
+        assert_eq!(serial.slots_run, 400);
+        assert_eq!(serial.faults.events_applied, 2);
+        assert_eq!(serial.faults.fault_slots, 250);
+    }
+}
+
+/// A scheme that counts, per fault epoch it has been told of so far,
+/// how many lost copies it was asked to price
+/// (`Scheme::subtree_receptions`, which only loss settlement calls).
+#[derive(Clone)]
+struct EpochLedger<S> {
+    inner: S,
+    epochs_seen: usize,
+    /// Shared by every clone: `settles[k]` = copies priced by a clone
+    /// that had seen `k` epochs.
+    settles: Arc<Mutex<Vec<u64>>>,
+}
+
+impl<S: Scheme> Scheme for EpochLedger<S> {
+    fn num_priorities(&self) -> usize {
+        self.inner.num_priorities()
+    }
+
+    fn on_broadcast_generated(&self, src: NodeId, rng: &mut StdRng, out: &mut Vec<Emit>) {
+        self.inner.on_broadcast_generated(src, rng, out)
+    }
+
+    fn on_broadcast_arrival(&self, node: NodeId, state: &BroadcastState, out: &mut Vec<Emit>) {
+        self.inner.on_broadcast_arrival(node, state, out)
+    }
+
+    fn on_unicast_generated(
+        &self,
+        src: NodeId,
+        dest: NodeId,
+        rng: &mut StdRng,
+        out: &mut Vec<Emit>,
+    ) {
+        self.inner.on_unicast_generated(src, dest, rng, out)
+    }
+
+    fn on_unicast_arrival(
+        &self,
+        node: NodeId,
+        dest: NodeId,
+        rng: &mut StdRng,
+        out: &mut Vec<Emit>,
+    ) {
+        self.inner.on_unicast_arrival(node, dest, rng, out)
+    }
+
+    fn subtree_receptions(&self, state: &BroadcastState) -> u32 {
+        self.settles.lock().unwrap()[self.epochs_seen] += 1;
+        self.inner.subtree_receptions(state)
+    }
+
+    fn on_liveness_change(&mut self, view: &LivenessView) {
+        self.epochs_seen += 1;
+        self.inner.on_liveness_change(view);
+    }
+}
+
+/// What a fault epoch loses settles against the scheme *as it still
+/// is*; only then does the scheme see the new view — on every driver.
+/// The plan blinks links (down and up again inside one epoch): the
+/// dying links lose their packets, but no link is ever dead when a
+/// packet is offered to it, so every copy the scheme prices is an
+/// epoch's own loss, priced by a scheme that has seen exactly the
+/// epochs before it.
+#[test]
+fn fault_losses_settle_before_the_scheme_sees_the_epoch_on_every_backend() {
+    let topo = Torus::new(&[4, 4]);
+    let spec = ScenarioSpec {
+        rho: 0.7,
+        ..ScenarioSpec::default()
+    };
+    let epochs = [2_500u64, 3_000, 3_500];
+    let mut events = Vec::new();
+    for (e, &slot) in epochs.iter().enumerate() {
+        // A third of the links each epoch, spread over every shard.
+        for link in (e as u32..topo.link_count()).step_by(3) {
+            events.push((slot, FaultKind::LinkDown(LinkId(link))));
+            events.push((slot, FaultKind::LinkUp(LinkId(link))));
+        }
+    }
+    let plan = scripted(&events);
+    let cfg = SimConfig {
+        lengths: spec.lengths,
+        ..SimConfig::quick(0xB11C)
+    };
+    let priced = |run: &dyn Fn(EpochLedger<_>)| {
+        let settles = Arc::new(Mutex::new(vec![0u64; epochs.len() + 1]));
+        run(EpochLedger {
+            inner: spec.build_scheme(&topo),
+            epochs_seen: 0,
+            settles: settles.clone(),
+        });
+        let settles = settles.lock().unwrap().clone();
+        settles
+    };
+    let (mix, drop) = (spec.mix(&topo), DeadLinkPolicy::Drop);
+
+    let serial = priced(&|scheme| {
+        let rep = pstar_sim::run_with_faults(&topo, scheme, mix, cfg, plan.clone(), drop);
+        assert_eq!(rep.faults.events_applied as usize, events.len());
+    });
+    assert!(
+        serial[..epochs.len()].iter().all(|&n| n > 0),
+        "an epoch lost nothing — the test is vacuous: {serial:?}"
+    );
+    assert_eq!(serial[epochs.len()], 0, "a loss after the last epoch");
+    for (shards, threads) in [(1, 1), (4, 1), (8, 2)] {
+        let sharded = priced(&|scheme| {
+            pstar_sim::ShardedEngine::new(topo.clone(), scheme, mix, cfg, shards)
+                .with_threads(threads)
+                .with_fault_plan(plan.clone(), drop)
+                .run();
+        });
+        assert_eq!(sharded, serial, "shards={shards} threads={threads}");
+    }
+    for workers in [1, 3] {
+        let net = priced(&|scheme| {
+            let cfg = pstar_net::NetConfig {
+                workers,
+                ..pstar_net::NetConfig::new(cfg)
+            };
+            pstar_net::run_net_with_faults(&topo, scheme, mix, cfg, plan.clone(), drop)
+                .expect("the runtime failed");
+        });
+        assert_eq!(net, serial, "workers={workers}");
     }
 }
 
