@@ -17,6 +17,7 @@
 //! integration tests.
 
 use pstar_linalg::Matrix;
+use pstar_sim::rotated_dim;
 use pstar_topology::Torus;
 
 /// The rotated dimension order used by a STAR broadcast with ending
@@ -24,7 +25,7 @@ use pstar_topology::Torus;
 /// itself comes last.
 pub fn rotated_order(d: usize, ending_dim: usize) -> impl Iterator<Item = usize> {
     assert!(ending_dim < d, "ending dimension out of range");
-    (0..d).map(move |t| (ending_dim + 1 + t) % d)
+    (0..d).map(move |t| rotated_dim(ending_dim, t, d))
 }
 
 /// Per-dimension transmission counts `a_{·,l}` of one STAR broadcast with

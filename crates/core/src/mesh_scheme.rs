@@ -21,7 +21,7 @@
 
 use crate::discipline::{Discipline, TrafficClass};
 use crate::distribution::EndingDimDistribution;
-use pstar_sim::{BroadcastState, Emit, PacketKind, Scheme};
+use pstar_sim::{rotated_dim, BroadcastState, Emit, PacketKind, Scheme};
 use pstar_topology::{toward, Direction, Mesh, NodeId};
 use rand::rngs::StdRng;
 
@@ -82,7 +82,7 @@ impl MeshStarScheme {
         out: &mut Vec<Emit>,
     ) {
         let d = self.mesh.d();
-        let dim = (ending_dim + 1 + phase) % d;
+        let dim = rotated_dim(ending_dim, phase, d);
         let n = self.mesh.dims()[dim];
         let digit = self.mesh.coords().digit(from, dim);
         let traffic = if phase == d - 1 {
@@ -178,10 +178,7 @@ impl Scheme for MeshStarScheme {
     fn subtree_receptions(&self, state: &BroadcastState) -> u32 {
         let d = self.mesh.d();
         let later_coverage: u64 = (state.phase as usize + 1..d)
-            .map(|q| {
-                let dim = (state.ending_dim as usize + 1 + q) % d;
-                self.mesh.dims()[dim] as u64
-            })
+            .map(|q| self.mesh.dims()[rotated_dim(state.ending_dim as usize, q, d)] as u64)
             .product();
         (state.hops_left as u64 * later_coverage) as u32
     }

@@ -6,7 +6,7 @@ use crate::discipline::{Discipline, TrafficClass};
 use crate::distribution::EndingDimDistribution;
 use crate::tree::{star_forward_emits, star_initial_emits};
 use crate::unicast;
-use pstar_sim::{BroadcastState, Emit, PacketKind, Scheme};
+use pstar_sim::{rotated_dim, BroadcastState, Emit, PacketKind, Scheme};
 use pstar_topology::{NodeId, Torus};
 use rand::rngs::StdRng;
 
@@ -230,8 +230,8 @@ impl Scheme for StarScheme {
         let d = self.topo.d();
         let later_coverage: u64 = (state.phase as usize + 1..d)
             .map(|q| {
-                let dim = (state.ending_dim as usize + 1 + q) % d;
-                self.topo.dim_size(dim) as u64
+                self.topo
+                    .dim_size(rotated_dim(state.ending_dim as usize, q, d)) as u64
             })
             .product();
         (state.hops_left as u64 * later_coverage) as u32

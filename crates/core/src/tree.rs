@@ -13,7 +13,7 @@
 //! for analysis, rendering (Fig. 1) and the Eq. (1) verification tests.
 
 use crate::discipline::{Discipline, TrafficClass};
-use pstar_sim::{BroadcastState, Emit, PacketKind};
+use pstar_sim::{rotated_dim, BroadcastState, Emit, PacketKind};
 use pstar_topology::{Direction, NodeId, Torus};
 
 /// Virtual-channel tag of §3.1: dimensions after the rotation point use
@@ -48,7 +48,7 @@ fn ring_initiation(
     out: &mut Vec<Emit>,
 ) {
     let d = topo.d();
-    let dim = (ending_dim + 1 + phase) % d;
+    let dim = rotated_dim(ending_dim, phase, d);
     let n = topo.dim_size(dim);
     let traffic = if phase == d - 1 {
         TrafficClass::BroadcastEnding

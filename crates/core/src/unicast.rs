@@ -9,7 +9,7 @@
 //! antipodal traffic would all pile onto `+` links and unbalance the
 //! network.
 
-use pstar_topology::{Direction, NodeId, Torus};
+use pstar_topology::{ring_offset, Direction, NodeId, Torus};
 use rand::Rng;
 
 /// The next hop of a shortest path from `node` to `dest`:
@@ -36,7 +36,7 @@ pub fn next_hop<R: Rng + ?Sized>(
         if n == 2 {
             return (dim, Direction::Plus);
         }
-        let fwd = (b + n - a) % n;
+        let fwd = ring_offset(a, b, n);
         let back = n - fwd;
         let dir = match fwd.cmp(&back) {
             std::cmp::Ordering::Less => Direction::Plus,
@@ -90,6 +90,56 @@ mod tests {
                             "{topo}: {a}->{b}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `next_hop` as it was written with hardware division — digits as
+    /// `(id / stride) % n`, the ring offset as `(b + n − a) % n` — kept as
+    /// the reference.
+    fn next_hop_by_division(
+        topo: &Torus,
+        node: NodeId,
+        dest: NodeId,
+        rng: &mut StdRng,
+    ) -> (usize, Direction) {
+        let mut stride = 1;
+        for (dim, &n) in topo.dims().iter().enumerate() {
+            let a = (node.0 / stride) % n;
+            let b = (dest.0 / stride) % n;
+            stride *= n;
+            if a == b {
+                continue;
+            }
+            if n == 2 {
+                return (dim, Direction::Plus);
+            }
+            let fwd = (b + n - a) % n;
+            return match fwd.cmp(&(n - fwd)) {
+                std::cmp::Ordering::Less => (dim, Direction::Plus),
+                std::cmp::Ordering::Greater => (dim, Direction::Minus),
+                std::cmp::Ordering::Equal if rng.gen::<bool>() => (dim, Direction::Plus),
+                std::cmp::Ordering::Equal => (dim, Direction::Minus),
+            };
+        }
+        unreachable!("node == dest");
+    }
+
+    #[test]
+    fn next_hop_matches_hardware_division_hop_and_draw() {
+        for dims in [&[8][..], &[5, 4], &[2, 3, 4], &[8, 8, 16]] {
+            let topo = Torus::new(dims);
+            let mut rng = StdRng::seed_from_u64(10);
+            let mut reference = rng.clone();
+            for a in topo.coords().nodes() {
+                for b in topo.coords().nodes().filter(|&b| b != a) {
+                    assert_eq!(
+                        next_hop(&topo, a, b, &mut rng),
+                        next_hop_by_division(&topo, a, b, &mut reference),
+                        "{topo}: {a}->{b}"
+                    );
+                    assert_eq!(rng, reference, "{topo}: {a}->{b} drew differently");
                 }
             }
         }

@@ -72,7 +72,7 @@ pub use metrics::{
     ClassStats, FaultReport, FlowReport, HopPhase, RecoveryReport, SimReport, TailQuantiles,
     TailReport,
 };
-pub use packet::{BroadcastState, Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
+pub use packet::{rotated_dim, BroadcastState, Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 pub use perf::{CoordPhases, EnginePerf, EnginePerfConfig, WorkerPhases, PHASE_NAMES};
 pub use queue::PriorityQueue;
 pub use recovery::{

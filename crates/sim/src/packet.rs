@@ -37,7 +37,23 @@ impl BroadcastState {
     /// The dimension this copy is currently travelling in (0-based).
     #[inline(always)]
     pub fn current_dim(&self, d: usize) -> usize {
-        (self.ending_dim as usize + 1 + self.phase as usize) % d
+        rotated_dim(self.ending_dim as usize, self.phase as usize, d)
+    }
+}
+
+/// The dimension travelled in phase `phase` of the rotated order of a
+/// `d`-dimensional tree with ending dimension `ending_dim`:
+/// `(l + 1 + p) mod d`. Both operands are `< d`, so the sum is `< 2d` and
+/// the reduction is one compare and subtract — every broadcast arrival
+/// takes it.
+#[inline(always)]
+pub fn rotated_dim(ending_dim: usize, phase: usize, d: usize) -> usize {
+    debug_assert!(ending_dim < d && phase < d);
+    let dim = ending_dim + 1 + phase;
+    if dim >= d {
+        dim - d
+    } else {
+        dim
     }
 }
 
@@ -142,6 +158,17 @@ mod tests {
         assert_eq!(mk(0).current_dim(3), 2);
         assert_eq!(mk(1).current_dim(3), 0);
         assert_eq!(mk(2).current_dim(3), 1); // last phase = ending dim
+    }
+
+    #[test]
+    fn rotated_dim_is_the_sum_mod_d() {
+        for d in 1..=8 {
+            for l in 0..d {
+                for p in 0..d {
+                    assert_eq!(rotated_dim(l, p, d), (l + 1 + p) % d, "d={d} l={l} p={p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! The crate is deliberately dependency-free and allocation-light: the hot
 //! simulation loop addresses nodes and directed links through dense integer
 //! ids ([`NodeId`], [`LinkId`]) and performs coordinate arithmetic with
-//! precomputed mixed-radix strides, never materializing coordinate vectors.
+//! precomputed mixed-radix strides and reciprocals (no hardware division),
+//! never materializing coordinate vectors.
 //!
 //! ## Conventions
 //!
@@ -72,16 +73,40 @@ pub fn paper_avg_ring_distance(n: u32) -> f64 {
     (n / 4) as f64
 }
 
+/// Hops from position `a` to `b` travelling the `+` way round an `n`-node
+/// ring: `(b − a) mod n`. Both positions are `< n`, so the reduction is one
+/// compare and subtract — this sits under every unicast hop.
+#[inline(always)]
+pub fn ring_offset(a: u32, b: u32, n: u32) -> u32 {
+    debug_assert!(a < n && b < n);
+    if b >= a {
+        b - a
+    } else {
+        b + n - a
+    }
+}
+
 /// Distance between two positions on an `n`-node ring (shortest way around).
 #[inline(always)]
 pub fn ring_distance(a: u32, b: u32, n: u32) -> u32 {
-    let fwd = (b + n - a) % n;
+    let fwd = ring_offset(a, b, n);
     fwd.min(n - fwd)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ring_offset_is_the_difference_mod_n() {
+        for n in 2..12u32 {
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(ring_offset(a, b, n), (b + n - a) % n);
+                }
+            }
+        }
+    }
 
     #[test]
     fn ring_distance_symmetric() {

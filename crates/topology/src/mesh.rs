@@ -23,9 +23,18 @@ pub struct Mesh {
 
 impl Mesh {
     /// Builds a mesh with the given per-dimension sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Coordinates::new`], or if the
+    /// directed-link count exceeds `u32::MAX` (a [`LinkId`] is a `u32`).
     pub fn new(dims: &[u32]) -> Self {
         let coords = Coordinates::new(dims);
         let n = coords.node_count();
+        assert!(
+            link_count(dims, n) <= u32::MAX as u64,
+            "link count exceeds u32 range"
+        );
         let mut port_offset = Vec::with_capacity(n as usize + 1);
         let mut acc = 0u32;
         for v in 0..n {
@@ -155,11 +164,7 @@ impl Mesh {
 
     /// Total number of directed links: `Σ_i 2 (n_i − 1) N / n_i`.
     pub fn link_count(&self) -> u32 {
-        let n = self.node_count() as u64;
-        self.dims()
-            .iter()
-            .map(|&ni| 2 * (ni as u64 - 1) * n / ni as u64)
-            .sum::<u64>() as u32
+        link_count(self.dims(), self.node_count()) as u32
     }
 
     /// Average number of directed outgoing links per node,
@@ -220,6 +225,13 @@ impl std::fmt::Display for Mesh {
     }
 }
 
+/// `Σ_i 2 (n_i − 1) N / n_i`, before it is known to fit a [`LinkId`].
+fn link_count(dims: &[u32], nodes: u32) -> u64 {
+    dims.iter()
+        .map(|&ni| 2 * (ni as u64 - 1) * nodes as u64 / ni as u64)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +246,14 @@ mod tests {
             let by_degree: u32 = m.coords().nodes().map(|v| m.degree(v)).sum();
             assert_eq!(m.link_count(), by_degree, "{m}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "link count exceeds u32 range")]
+    fn rejects_a_link_count_past_u32() {
+        // 2³¹ nodes fit a `NodeId`; their ≈ 6 · 2³¹ links do not fit a
+        // `LinkId`. Refused before the per-node offset table is built.
+        Mesh::new(&[2_048, 2_048, 512]);
     }
 
     #[test]

@@ -39,7 +39,9 @@ impl Torus {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Coordinates::new`].
+    /// Panics under the same conditions as [`Coordinates::new`], or if the
+    /// directed-link count `N · degree` exceeds `u32::MAX` (a [`LinkId`]
+    /// is a `u32`).
     pub fn new(dims: &[u32]) -> Self {
         let coords = Coordinates::new(dims);
         let mut port_offset = Vec::with_capacity(dims.len());
@@ -48,6 +50,10 @@ impl Torus {
             port_offset.push(acc);
             acc += if n == 2 { 1 } else { 2 };
         }
+        assert!(
+            coords.node_count() as u64 * acc as u64 <= u32::MAX as u64,
+            "link count exceeds u32 range"
+        );
         Self {
             coords,
             port_offset,
@@ -274,6 +280,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "link count exceeds u32 range")]
+    fn rejects_a_link_count_past_u32() {
+        // 2³⁰ nodes × 4 ports used to wrap `link_count()` to 0.
+        Torus::new(&[32_768, 32_768]);
+    }
+
+    #[test]
     fn torus_degree_is_2d_for_large_dims() {
         let t = Torus::new(&[8, 8, 8]);
         assert_eq!(t.degree(), 6);
@@ -328,18 +341,27 @@ mod tests {
 
     #[test]
     fn neighbor_relation_is_mutual() {
-        let t = Torus::new(&[4, 5, 2]);
-        for node in t.coords().nodes() {
-            for dim in 0..t.d() {
-                for &dir in t.ring_directions(dim) {
-                    let nb = t.neighbor(node, dim, dir);
-                    assert_ne!(nb, node);
-                    let back = if t.dim_size(dim) == 2 {
-                        Direction::Plus
-                    } else {
-                        dir.opposite()
-                    };
-                    assert_eq!(t.neighbor(nb, dim, back), node);
+        for t in [
+            Torus::new(&[4, 5, 2]),
+            Torus::new(&[5, 4]),
+            Torus::new(&[2, 3, 4]),
+            Torus::new(&[7, 11, 13]),
+            Torus::new(&[16, 16]),
+            Torus::new(&[8, 8, 16]),
+            Torus::hypercube(12),
+        ] {
+            for node in t.coords().nodes() {
+                for dim in 0..t.d() {
+                    for &dir in t.ring_directions(dim) {
+                        let nb = t.neighbor(node, dim, dir);
+                        assert_ne!(nb, node);
+                        let back = if t.dim_size(dim) == 2 {
+                            Direction::Plus
+                        } else {
+                            dir.opposite()
+                        };
+                        assert_eq!(t.neighbor(nb, dim, back), node, "{t}");
+                    }
                 }
             }
         }

@@ -119,6 +119,41 @@ proptest! {
         }
     }
 
+    /// Reciprocal-multiply digit extraction equals `(id / stride) % n` on
+    /// any radix vector whose node count fits a `u32` — radices from 2 to
+    /// past 2¹⁶, ids anywhere in the range — and a hop each way returns.
+    #[test]
+    fn coordinate_digits_match_hardware_division(
+        raw in prop::collection::vec(any::<u32>(), 1..=8),
+        scale in 0usize..4,
+        id_seed in any::<u32>(),
+    ) {
+        // The longest prefix of the drawn radices that still fits.
+        let mut dims = Vec::new();
+        let mut nodes = 1u64;
+        for r in raw {
+            let n = 2 + r % [7, 63, 1_023, 70_000][scale];
+            if nodes * n as u64 > u32::MAX as u64 {
+                break;
+            }
+            nodes *= n as u64;
+            dims.push(n);
+        }
+        let c = pstar_topology::Coordinates::new(&dims);
+        let id = NodeId((id_seed as u64 % nodes) as u32);
+        let mut stride = 1u32;
+        for (dim, &n) in dims.iter().enumerate() {
+            prop_assert_eq!(c.digit(id, dim), (id.0 / stride) % n);
+            for forward in [true, false] {
+                let there = c.step(id, dim, forward);
+                let moved = (c.digit(id, dim) + if forward { 1 } else { n - 1 }) % n;
+                prop_assert_eq!(c.with_digit(id, dim, moved), there);
+                prop_assert_eq!(c.step(there, dim, !forward), id);
+            }
+            stride *= n;
+        }
+    }
+
     /// The throughput-factor ↔ rates mapping round-trips for any mix.
     #[test]
     fn rates_roundtrip(topo in torus_strategy(), rho in 0.01f64..1.5, frac in 0.0f64..1.0) {

@@ -563,3 +563,67 @@ const PINNED_SERIAL_DIGESTS: [(&str, u64); 8] = [
     ("4x4 capacity-2 Backpressure", 0xe554_b65e_b698_a9bf),
     ("4x4 rho1.2 admission", 0x80a0_8751_016a_9617),
 ];
+
+/// The coordinate arithmetic under every hop — `Coordinates::digit` /
+/// `step`, `unicast::next_hop`'s ring offset, the tree rotation — is
+/// division-free; these three runs are the ones that lean on it hardest
+/// (unicast-only at even radix with tie coins, the asymmetric three-class
+/// mix, an odd radix with no ties). Captured at commit ac895e7, where all
+/// three were still `/` and `%`.
+#[test]
+fn serial_reports_match_the_pinned_hardware_division_routing() {
+    let short = |seed| SimConfig {
+        warmup_slots: 500,
+        measure_slots: 2_000,
+        ..SimConfig::quick(seed)
+    };
+    let runs = [
+        (
+            "16x16 unicast-only rho.3",
+            &[16, 16][..],
+            SchemeKind::PriorityStar,
+            0.3,
+            0.0,
+            51,
+        ),
+        (
+            "8x8x16 three-class mixed rho.7",
+            &[8, 8, 16],
+            SchemeKind::ThreeClass,
+            0.7,
+            0.5,
+            52,
+        ),
+        (
+            "5x5 three-class mixed rho.6",
+            &[5, 5],
+            SchemeKind::ThreeClass,
+            0.6,
+            0.5,
+            53,
+        ),
+    ];
+    let got = runs.map(
+        |(label, dims, scheme, rho, broadcast_load_fraction, seed)| {
+            let spec = ScenarioSpec {
+                scheme,
+                rho,
+                broadcast_load_fraction,
+                ..ScenarioSpec::default()
+            };
+            let rep = run_scenario(&Torus::new(dims), &spec, short(seed));
+            assert!(rep.ok() && rep.measured_unicasts > 0, "{label}");
+            (label, report_digest(&rep))
+        },
+    );
+    assert_eq!(
+        got, PINNED_DIVISION_DIGESTS,
+        "a serial report differs from the pinned parent (got {got:#018x?})"
+    );
+}
+
+const PINNED_DIVISION_DIGESTS: [(&str, u64); 3] = [
+    ("16x16 unicast-only rho.3", 0xd1d7_ddce_e6a8_5d1a),
+    ("8x8x16 three-class mixed rho.7", 0x4312_657a_6e50_8f8b),
+    ("5x5 three-class mixed rho.6", 0xb3d6_4985_68a7_219c),
+];
