@@ -87,7 +87,7 @@ mod tails;
 mod verify;
 
 use pstar_obs::{config_hash, PhaseTiming, RunManifest};
-use pstar_sim::SimConfig;
+use pstar_sim::{SimConfig, SimReport};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -114,6 +114,22 @@ impl Gate {
         } else {
             println!("FAIL  {name}: {detail}");
             self.failures += 1;
+        }
+    }
+
+    /// The cross-backend claim: `other` reports the run `reference`
+    /// reports, every field bit for bit. A failure names the first field
+    /// that differs.
+    pub fn same_report(
+        &mut self,
+        name: &str,
+        reference: &SimReport,
+        other: &SimReport,
+        what: String,
+    ) {
+        match reference.first_difference(other) {
+            None => self.check(name, true, what),
+            Some(difference) => self.check(name, false, format!("{what} — {difference}")),
         }
     }
 

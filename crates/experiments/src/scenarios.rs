@@ -20,12 +20,12 @@
 //! Under `--smoke` the run is the CI gate:
 //!
 //! 1. **Cross-backend differential**: each scenario runs on the serial
-//!    engine, the sharded engine at 2 and 4 shards (exact count
-//!    agreement on the scenario's own mix), and the pstar-net
-//!    virtual-clock runtime at 2 and 3 workers (exact
-//!    delivered/measured-count agreement on the scenario's
-//!    broadcast-only projection — the runtime's documented agreement
-//!    contract excludes unicast forwarding draws).
+//!    engine, the sharded engine at 2 and 4 shards (on the scenario's
+//!    own mix) and the pstar-net runtime at 2 and 3 workers (on the
+//!    scenario's broadcast-only projection — the runtime's documented
+//!    contract excludes unicast forwarding draws), and every one must
+//!    report the serial run bit for bit
+//!    (`SimReport::first_difference`).
 //! 2. **All-to-all bound**: the measured completion of a simultaneous
 //!    all-node broadcast phase must sit between the Jung & Sakho-style
 //!    lower bound `max(⌈(N−1)/degree⌉, diameter)` and
@@ -213,17 +213,9 @@ pub fn scenarios(ctx: &Ctx) {
     );
     write_findings(ctx, &topo, &scens, &points, &reports, &a2a);
 
-    let diffs = if ctx.smoke {
-        differential_gate(ctx, &topo, &scens)
-    } else {
-        Vec::new()
-    };
-
     if ctx.smoke {
         let mut gate = Gate::default();
-        for d in &diffs {
-            gate.check("differential", d.ok, d.detail.clone());
-        }
+        differential_gate(ctx, &topo, &scens, &mut gate);
         gate.check(
             "alltoall-bound",
             a2a.measured >= a2a.bound && a2a.measured <= ALL_TO_ALL_SLACK * a2a.bound,
@@ -417,43 +409,20 @@ fn all_to_all_gate(ctx: &Ctx, topo: &Torus) -> AllToAll {
     }
 }
 
-/// One cross-backend differential check's outcome.
-struct Diff {
-    ok: bool,
-    detail: String,
-}
-
-/// Exact-count agreement between two backends' reports: every integer
-/// a scenario can shift (task sets, receptions, losses, transmissions)
-/// plus the reception mean to float-merge tolerance. The field-by-field
-/// full-report identity check (with the sharded engine's documented
-/// wait-moment merge tolerance) lives in `tests/scenarios.rs`.
-fn counts_match(a: &SimReport, b: &SimReport) -> bool {
-    a.measured_broadcasts == b.measured_broadcasts
-        && a.measured_unicasts == b.measured_unicasts
-        && a.reception_delay.count == b.reception_delay.count
-        && a.lost_receptions == b.lost_receptions
-        && a.dropped_packets == b.dropped_packets
-        && a.slots_run == b.slots_run
-        && (a.reception_delay.mean - b.reception_delay.mean).abs()
-            <= 1e-9 * a.reception_delay.mean.abs().max(1.0)
-}
-
 /// Every scenario through serial, sharded (2 and 4 shards, the
-/// scenario's own mix) and the pstar-net virtual-clock runtime (2 and
-/// 3 workers), asserting exact count agreement. The net legs run each
-/// scenario's **broadcast-only projection**: draw-for-draw agreement
-/// on mixed workloads is a documented non-goal of the runtime (unicast
+/// scenario's own mix) and the pstar-net runtime (2 and 3 workers),
+/// asserting report identity. The net legs run each scenario's
+/// **broadcast-only projection**: draw-for-draw agreement on mixed
+/// workloads is a documented non-goal of the runtime (unicast
 /// forwarding tie-breaks come from per-worker streams, which the
 /// engine interleaves into its single stream — see `pstar-net`'s crate
-/// docs), so exact net agreement is contractual only without unicast.
+/// docs), so net agreement is contractual only without unicast.
 /// Destination matrices shape unicast traffic, so on the net legs
 /// their samplers sit constructed-but-idle; serial ≡ sharded covers
 /// them cross-backend on the full mix. The heavyweight version of this
-/// gate — more grids, full-report identity, CRN ordering, proptests —
-/// lives in `tests/scenarios.rs`; this is the CI smoke echo.
-fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario]) -> Vec<Diff> {
-    let mut out = Vec::new();
+/// gate — more grids, fault plans, CRN ordering, proptests — lives in
+/// `tests/scenarios.rs`; this is the CI smoke echo.
+fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario], gate: &mut Gate) {
     for (si, s) in scens.iter().enumerate() {
         let spec = point_spec(s, SchemeKind::PriorityStar, 0.5);
         let mut cfg = SimConfig::quick(0);
@@ -462,10 +431,12 @@ fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario]) -> Vec<Diff> {
         let serial = run_scenario(topo, &spec, cfg);
         for shards in [2usize, 4] {
             let sharded = run_scenario_sharded(topo, &spec, cfg, shards, 2, None);
-            out.push(Diff {
-                ok: counts_match(&serial, &sharded),
-                detail: format!("{}: serial == sharded@{shards} counts", s.label),
-            });
+            gate.same_report(
+                "differential",
+                &serial,
+                &sharded,
+                format!("{}: serial == sharded@{shards}", s.label),
+            );
         }
         let mut bspec = spec;
         bspec.broadcast_load_fraction = 1.0;
@@ -489,15 +460,15 @@ fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario]) -> Vec<Diff> {
             )
             .unwrap_or_else(|e| fatal(&format!("net run for {}", s.label), &e));
             let r = &net.report;
-            out.push(Diff {
-                ok: serial_b.measured_broadcasts == r.measured_broadcasts
-                    && serial_b.reception_delay.count == r.reception_delay.count
-                    && serial_b.lost_receptions == r.lost_receptions,
-                detail: format!(
-                    "{}: serial == net@{workers} counts, broadcast-only ({} bcast, {} recv)",
+            gate.same_report(
+                "differential",
+                &serial_b,
+                r,
+                format!(
+                    "{}: serial == net@{workers}, broadcast-only ({} bcast, {} recv)",
                     s.label, r.measured_broadcasts, r.reception_delay.count
                 ),
-            });
+            );
         }
         ctx.push_phase(
             &format!("diff:{}", s.label),
@@ -505,5 +476,4 @@ fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario]) -> Vec<Diff> {
             Some(serial.slots_run),
         );
     }
-    out
 }

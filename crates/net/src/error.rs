@@ -37,11 +37,6 @@ pub enum NetConfigError {
     /// The workload scenario is invalid for this topology/arrival model
     /// (wrapping [`pstar_traffic::ScenarioError`]).
     Scenario(pstar_traffic::ScenarioError),
-    /// A non-default workload scenario under wall-clock mode: the
-    /// modulator is one global Markov chain and a shared draw stream,
-    /// which per-node independent streams cannot honor. Virtual mode
-    /// supports every scenario.
-    WallClockScenario,
     /// The topology's dense link ids are not grouped by source node, so
     /// a worker's links would not form one contiguous range.
     LinksNotNodeContiguous,
@@ -60,11 +55,6 @@ impl fmt::Display for NetConfigError {
                 "scheme uses {requested} priority classes; the packet format carries at most {max}"
             ),
             Self::Scenario(e) => write!(f, "invalid scenario config: {e}"),
-            Self::WallClockScenario => write!(
-                f,
-                "wall-clock mode supports the default scenario only \
-                 (modulation state is global; use ClockMode::Virtual)"
-            ),
             Self::LinksNotNodeContiguous => write!(
                 f,
                 "the topology's link ids are not node-contiguous; \

@@ -1,4 +1,4 @@
-//! Traffic injection for the runtime's two clock modes.
+//! Traffic injection for the runtime.
 //!
 //! [`VirtualInjector`] is the virtual-time coordinator: one global
 //! generator that consumes its RNG in **exactly** the order
@@ -12,24 +12,14 @@
 //! RNG); unicast forwarding draws tie-break bits mid-slot
 //! (`unicast::next_hop`), which the simulator interleaves with arrival
 //! draws, so mixed workloads agree statistically but not per-task.
-//!
-//! [`WallInjector`] is the wall-clock sharded generator: each worker
-//! owns an independent per-node RNG stream, so injection scales with the
-//! worker count instead of serializing through a coordinator. Per-node
-//! Poisson superposes to the same aggregate law, making the two modes
-//! statistically interchangeable while only virtual mode is
-//! draw-for-draw comparable with the simulator.
 
 use pstar_sim::{
     generate_arrivals_into, ArrivalSink, Emit, LivenessView, Scheme, SimConfig, TokenGate,
 };
 use pstar_topology::NodeId;
-use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix, UniformDestinations};
+use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Worker-id tag width of wall-clock task ids: id = `worker << 26 | seq`.
-pub(crate) const TASK_SEQ_BITS: u32 = 26;
 
 /// A freshly generated task, routed to the owner of its source node for
 /// enqueueing (and, for broadcasts, registration — unicast tasks are
@@ -67,20 +57,6 @@ impl InjectBatch {
 /// of its source node.
 pub(crate) trait InjectRoute {
     fn batch_for(&mut self, src: NodeId) -> &mut InjectBatch;
-}
-
-/// splitmix64 finalizer: decorrelates per-node seed streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seed of node `v`'s wall-clock arrival stream.
-pub(crate) fn node_stream_seed(seed: u64, node: u32) -> u64 {
-    splitmix64(seed ^ (u64::from(node) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Dead-node injection suppression probe. `None` = no fault plan (the
@@ -246,125 +222,6 @@ impl<S: Scheme + ?Sized, R: InjectRoute> ArrivalSink for VirtualSink<'_, S, R> {
             self.route.batch_for(src),
         ) {
             self.inj.next_task += 1;
-        }
-    }
-}
-
-/// The wall-clock sharded injector: one per worker, covering the
-/// worker's owned nodes with independent per-node RNG streams.
-pub(crate) struct WallInjector {
-    /// First owned node id (nodes are contiguous per worker).
-    first_node: u32,
-    rngs: Vec<StdRng>,
-    /// The admission gate over the owned nodes (bucket = node −
-    /// `first_node`); `None` unless admission control is on.
-    pub gate: Option<TokenGate>,
-    mix: TrafficMix,
-    dests: UniformDestinations,
-    cfg: SimConfig,
-    next_seq: u32,
-    worker_tag: u32,
-}
-
-impl WallInjector {
-    pub fn new(
-        worker: usize,
-        nodes: std::ops::Range<u32>,
-        n: u32,
-        mix: TrafficMix,
-        cfg: SimConfig,
-    ) -> Self {
-        assert!(
-            worker < (1usize << (32 - TASK_SEQ_BITS)),
-            "too many workers"
-        );
-        Self {
-            first_node: nodes.start,
-            rngs: nodes
-                .clone()
-                .map(|v| StdRng::seed_from_u64(node_stream_seed(cfg.seed, v)))
-                .collect(),
-            gate: cfg.admission.map(|adm| TokenGate::new(adm, nodes.len())),
-            // Sampled per node: the aggregate Poisson superposition of
-            // the global injector does not shard, per-node draws do (and
-            // follow the same law).
-            mix,
-            dests: UniformDestinations::new(n),
-            cfg,
-            next_seq: 0,
-            worker_tag: (worker as u32) << TASK_SEQ_BITS,
-        }
-    }
-
-    fn next_task(&mut self) -> u32 {
-        assert!(
-            self.next_seq < 1 << TASK_SEQ_BITS,
-            "task id space exhausted"
-        );
-        let id = self.worker_tag | self.next_seq;
-        self.next_seq += 1;
-        id
-    }
-
-    /// Generates slot `t`'s arrivals of this worker's nodes into `out`.
-    /// `view` suppresses arrivals at dead nodes (the per-node draw still
-    /// happens, keeping each node's stream aligned across fault plans).
-    pub fn slot<S: Scheme + ?Sized>(
-        &mut self,
-        t: u64,
-        scheme: &S,
-        view: Option<&LivenessView>,
-        out: &mut InjectBatch,
-    ) {
-        let measured = t >= self.cfg.warmup_slots && t < self.cfg.measure_end();
-        if let Some(gate) = self.gate.as_mut() {
-            gate.refill();
-        }
-        for i in 0..self.rngs.len() {
-            let node = NodeId(self.first_node + i as u32);
-            let (b, u) = self.mix.sample(&mut self.rngs[i]);
-            if node_dead(view, node) {
-                continue;
-            }
-            for _ in 0..b {
-                let task = self.next_task();
-                let ok = generate_task(
-                    &mut self.rngs[i],
-                    &self.cfg,
-                    scheme,
-                    self.gate.as_mut(),
-                    i,
-                    task,
-                    node,
-                    None,
-                    t,
-                    measured,
-                    out,
-                );
-                if !ok {
-                    self.next_seq -= 1;
-                }
-            }
-            for _ in 0..u {
-                let dest = self.dests.sample(&mut self.rngs[i], node);
-                let task = self.next_task();
-                let ok = generate_task(
-                    &mut self.rngs[i],
-                    &self.cfg,
-                    scheme,
-                    self.gate.as_mut(),
-                    i,
-                    task,
-                    node,
-                    Some(dest),
-                    t,
-                    measured,
-                    out,
-                );
-                if !ok {
-                    self.next_seq -= 1;
-                }
-            }
         }
     }
 }

@@ -15,22 +15,21 @@
 //! simulator — and gives the schemes a harness whose costs (cache
 //! traffic, synchronization, skew) are real.
 //!
-//! ## Clock modes
+//! ## The contract
 //!
-//! * [`ClockMode::Virtual`] — slot-synchronous with a global injector
-//!   mirroring the engine's RNG draw order. For broadcast-only
-//!   workloads (the paper's random-broadcasting model and the default
-//!   `ScenarioSpec`) the measured task population is *identical* to a
-//!   simulator run with the same seed, so delivered-reception counts
-//!   agree exactly, for any worker count. Unicast forwarding draws
-//!   tie-break randomness mid-slot, which the engine interleaves with
-//!   arrival draws — mixed workloads agree statistically, not
-//!   draw-for-draw.
-//! * [`ClockMode::WallClock`] — still slot-synchronous (results stay
-//!   deterministic and reproducible) but injection is sharded: each
-//!   worker generates arrivals for its own nodes from independent
-//!   per-node streams, removing the coordinator bottleneck. This is the
-//!   throughput-benchmarking mode.
+//! A global injector on worker 0 mirrors the engine's RNG draw order,
+//! workers deliver in the engine's ascending-link order, and every
+//! statistic is one of `pstar_sim::TaskLedger`'s order-free integer
+//! sums. So for a workload without unicast traffic (the paper's
+//! random-broadcasting model and the default `ScenarioSpec`) a run
+//! reports what the simulator reports for the same seed, **bit for bit
+//! and field for field, at any worker count** —
+//! `SimReport::first_difference` is `None` — under fault plans, bounded
+//! queues (`DropTail`, `DropLowestClass`), admission control, ARQ and
+//! truncated runs alike. Unicast forwarding draws tie-break randomness
+//! mid-slot, which the engine interleaves with arrival draws and the
+//! workers take from per-worker streams: workloads with unicast traffic
+//! agree statistically, not draw-for-draw.
 //!
 //! ## Faults and supervised shutdown
 //!
@@ -40,8 +39,7 @@
 //! — no epoch crosses a thread — disposes of packets on its dead links
 //! per `DeadLinkPolicy`, suppresses injection at dead nodes, and
 //! re-solves degraded-mode routing on its own scheme clone.
-//! Virtual-clock faulted runs reproduce the engine's delivered and
-//! fault-drop counts exactly under the same plan.
+//! Faulted runs reproduce the engine's report under the same plan.
 //!
 //! Execution is panic-safe: [`run_net`] returns
 //! `Result<NetReport, NetError>` — a panicking worker poisons the fleet
@@ -57,14 +55,6 @@
 //!   [`NetConfigError::Backpressure`]): deferral needs a global
 //!   injection gate, which distributed injection does not have.
 //!   `DropTail` and `DropLowestClass` are supported exactly.
-//! * `reception_ci_batch` is `None` — batch-means confidence intervals
-//!   require a single serial reception stream.
-//! * `peak_queue_total` is the end-of-slot peak (the engine tracks the
-//!   intra-slot peak); `mean_queued_packets` sampling is identical.
-//! * Concurrency time-averages account task completions at the slot the
-//!   home worker *processes* the ack, which can lag the delivery slot by
-//!   one control hop — a ≤ 1-slot smear on `avg_concurrent_*` only;
-//!   every delay and count statistic uses exact event slots.
 
 #![warn(missing_docs)]
 

@@ -20,23 +20,23 @@
 //!
 //! * **Send** — each worker moves the deliveries finishing at `t` off
 //!   its links into the outbox of the target node's owner, and traffic
-//!   is injected (virtual mode: worker 0 runs the global
+//!   is injected (worker 0 runs the global
 //!   [`crate::inject::VirtualInjector`] straight into the source
-//!   owners' outboxes; wall-clock mode: every worker injects for its
-//!   own nodes). Each non-empty outbox — the control messages slot
+//!   owners' outboxes). Each non-empty outbox — the control messages slot
 //!   `t − 1` produced, slot `t`'s deliveries and slot `t`'s injections —
 //!   then goes to its peer in one hand-over, into the pair's mailbox of
 //!   parity `t % 2`.
 //! * **Rendezvous** — the one barrier of the slot. Its *last arriver*,
 //!   before it releases the others, decides slot `t − 1`: it totals the
-//!   per-worker gauge lines (queued packets, outstanding measured
-//!   tasks, the single-queue guard's flag) and settles completed /
+//!   per-worker gauge lines (queued packets, measured receptions still
+//!   due, the single-queue guard's flag) and settles completed /
 //!   horizon / unstable by the simulator's exact criteria. Everyone
 //!   leaves the rendezvous knowing both that slot `t`'s traffic is in
 //!   the mailboxes and whether slot `t` exists.
 //! * **Process** — each worker takes its peers' mailboxes of parity
 //!   `t % 2`, then handles control (acks/losses/registrations from slot
-//!   `t − 1`), then this slot's deliveries in ascending link order
+//!   `t − 1`, each carrying the slot it happened in), then this slot's
+//!   deliveries in ascending link order
 //!   (applying scheme forwarding), then fires its due ARQ
 //!   retransmissions, then processes injections, and finally starts
 //!   service on idle owned links — the same deliveries →
@@ -52,13 +52,17 @@
 //!
 //! *The commit rule.* Send of `t` runs before slot `t − 1`'s outcome is
 //! known, so when `t − 1` turns out to be the last slot, send of `t` has
-//! already run. Nothing a report can see happens in it: the window tick
-//! of the concurrency gauges runs at the head of process; the data and
+//! already run. Nothing a report can see happens in it: the data and
 //! injection share of [`NetReport::messages_sent`] and the injectors'
 //! admission-rejection counters are held back until the rendezvous says
 //! *run* (control messages are counted where they are produced); and
 //! control produced by slot `t` itself — its fault tick included — ships
-//! with send of `t + 1`, never with send of `t`.
+//! with send of `t + 1`, never with send of `t`. The control of the last
+//! slot still reaches the homes: of what send of `t` handed over, the
+//! workers apply the control and drop the rest (a faulted run, which has
+//! not sent, hands it over on its own), so a task whose last reception
+//! fell in the last slot completes in the report as it does in the
+//! engine's.
 //!
 //! # Determinism
 //!
@@ -66,16 +70,18 @@
 //! after the rendezvous in a fixed sender order, and a worker's links
 //! are one contiguous id range, so the senders' delivery runs — each
 //! ascending, a finish scan's order — concatenate into one ascending
-//! sequence. Every RNG is seeded from `SimConfig::seed`, so a run is
-//! bit-reproducible for a given `(seed, workers, mode)` triple. In
-//! virtual mode the injector consumes its RNG in the engine's exact
-//! draw order, which makes the measured task population identical to a
-//! simulator run of the same config —
-//! the sim-vs-net agreement tests in `tests/net.rs` assert equality of
-//! delivered-reception counts on exactly that basis. The agreement
-//! extends to *faulted* runs: [`run_net_with_faults`] reproduces the
-//! engine's delivered and fault-drop counts exactly under the same
-//! [`FaultPlan`].
+//! sequence. Every RNG is seeded from `SimConfig::seed`, and the
+//! injector consumes its RNG in the engine's exact draw order, which
+//! makes the task population identical to a simulator run of the same
+//! config. Every statistic is an order-free integer sum
+//! (`pstar_sim::TaskLedger`), so on a run without unicast traffic the
+//! whole report equals the simulator's bit for bit at any worker count
+//! (`SimReport::first_difference` is `None`; `tests/net.rs`), under a
+//! [`FaultPlan`] ([`run_net_with_faults`]), bounded queues, admission
+//! control and ARQ included. Unicast forwarding still draws its tie
+//! coins from per-worker streams, so a run with unicast traffic is
+//! reproducible for a given `(seed, workers)` pair and agrees with the
+//! simulator statistically.
 //!
 //! # Runtime faults
 //!
@@ -88,9 +94,9 @@
 //! probes of its watched links — settles what the epoch lost, and hands
 //! the new view to its owned scheme clone
 //! (`Scheme::on_liveness_change` — the degraded-mode re-solve). The
-//! report carries worker 0's event and fault-slot totals (every replica
-//! counts the same ones) and the workers' time-to-recovery samples
-//! merged in worker order. The fault tick drops packets, counts fault
+//! report carries one replica's event and fault-slot totals (every
+//! replica counts the same ones) and every worker's time-to-recovery
+//! samples. The fault tick drops packets, counts fault
 //! slots and probes link state *before* the slot's finish scan — all of
 //! it visible in a report — so a run with a plan installed does not
 //! send ahead of the decision: slot `t − 1` is decided at a rendezvous
@@ -114,7 +120,7 @@
 //! a run returns when its work does. [`ChaosConfig`] injects exactly
 //! these failures deterministically.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -125,9 +131,9 @@ use std::time::{Duration, Instant};
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceEvent, TraceRecord};
 use pstar_sim::{
-    assemble, receptions_at_stake, stop_verdict, Admit, Arq, Emit, FaultClock, FaultLoss,
-    FullQueuePolicy, LinkCounters, LinkKernel, LossCause, Packet, PacketKind, RunOutcome, Scheme,
-    SimConfig, SimReport, Stop, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
+    assemble, receptions_at_stake, splitmix64, stop_verdict, Admit, Arq, Emit, FaultClock,
+    FaultLoss, FullQueuePolicy, LinkCounters, LinkKernel, LossCause, Packet, PacketKind,
+    RunOutcome, Scheme, SimConfig, SimReport, Stop, TaskSlot, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
@@ -137,28 +143,21 @@ use rand::SeedableRng;
 
 use crate::channel::{spin_until, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
-use crate::inject::{
-    node_stream_seed, InjectBatch, InjectMsg, InjectRoute, VirtualInjector, WallInjector,
-};
+use crate::inject::{InjectBatch, InjectMsg, InjectRoute, VirtualInjector};
 use crate::stats::WorkerStats;
 
 /// Salt of the per-worker unicast-forwarding RNG streams.
 const FWD_SEED_SALT: u64 = 0x5BF0_3635_0D52_A34F;
 
-/// How simulated time is driven (both modes are slot-synchronous and
-/// deterministic; they differ in who generates traffic).
+/// How traffic is generated. There is one way; the enum and
+/// [`NetConfig::mode`] remain only because `benchmark/src/arms.rs`
+/// names them (ROADMAP `[benchmark]` (c) lists both for release).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
     /// Worker 0 runs a single global injector that mirrors the
-    /// simulator's RNG draw order — bit-comparable measured task sets,
-    /// the mode the CI agreement gates run in.
+    /// simulator's RNG draw order, so both generate the same tasks.
     #[default]
     Virtual,
-    /// Every worker injects for its own nodes from independent per-node
-    /// RNG streams — no serialized coordinator, the mode for throughput
-    /// benchmarking. Statistically equivalent to `Virtual`, but not
-    /// draw-for-draw comparable with the simulator.
-    WallClock,
 }
 
 /// Configuration of one runtime execution.
@@ -171,10 +170,9 @@ pub struct NetConfig {
     /// [`NetConfigError::Backpressure`].
     pub sim: SimConfig,
     /// Worker threads; `0` uses the machine's available parallelism.
-    /// Clamped to the node count (and to 64 in wall-clock mode, the
-    /// task-id tag width).
+    /// Clamped to the node count.
     pub workers: usize,
-    /// Traffic generation mode.
+    /// Traffic generation mode (see [`ClockMode`]: there is one).
     pub mode: ClockMode,
     /// Per-worker cap on collected [`TraceRecord`]s (the first
     /// `trace_capacity` events are kept); `0` disables tracing. Feed
@@ -214,8 +212,8 @@ impl NetConfig {
 /// plus runtime-level measurements.
 #[derive(Debug)]
 pub struct NetReport {
-    /// The run's measurements, same shape and normalization as the
-    /// simulator's (crate docs list the documented deviations).
+    /// The run's measurements: the simulator's report of the same run
+    /// (crate docs state the contract and its one exception).
     pub report: SimReport,
     /// Worker threads actually used.
     pub workers: usize,
@@ -428,12 +426,17 @@ impl SlotBarrier {
 #[derive(Default)]
 #[repr(align(128))]
 struct GaugeLine {
-    /// Packets queued on the worker's links.
+    /// Packets queued on the worker's links, at the end of process —
+    /// and, on a faulted run, again after the next slot's fault tick.
     queued: AtomicI64,
-    /// The worker's balance of measured tasks: +1 where it injects one,
-    /// −1 where it completes one as the task's home. One worker's
-    /// balance may be negative; the sum over workers is the number of
-    /// measured tasks not yet completed.
+    /// The same before the slot's service starts: what the queue peak is
+    /// taken over.
+    pre_service: AtomicI64,
+    /// The worker's balance of measured receptions
+    /// (`TaskLedger::outstanding_measured`): plus a task's receptions
+    /// where it is injected, minus one where a reception is delivered
+    /// or lost. One worker's balance may be negative; the sum over
+    /// workers is the number of measured receptions still due.
     outstanding: AtomicI64,
     /// Set once the worker's single-queue divergence guard trips.
     unstable: AtomicBool,
@@ -448,10 +451,10 @@ struct GaugeLine {
 #[derive(Default)]
 #[repr(align(128))]
 struct Tally {
-    /// Fleet-wide queued packets at the end of the decided slot (what
-    /// worker 0 samples into the queue trace).
+    /// Fleet-wide queued packets as last published (what worker 0
+    /// samples into the queue trace).
     total: AtomicI64,
-    /// Largest `total` of any decided slot.
+    /// Largest fleet-wide pre-service population of any decided slot.
     peak: AtomicI64,
 }
 
@@ -474,30 +477,17 @@ enum CtrlMsg {
     },
     /// One broadcast reception delivered at `slot`, acked to the home.
     Ack { task: u32, slot: u64 },
-    /// `receptions` of the task settled as permanently lost. `fault`
-    /// carries the loss attribution (dead link vs. overflow) so the
-    /// home can count fault-damaged broadcasts like the engine does.
+    /// `receptions` of the task settled as permanently lost at `slot`.
+    /// `fault` carries the loss attribution (dead link vs. overflow) so
+    /// the home can count fault-damaged broadcasts like the engine does.
     Lost {
         task: u32,
         receptions: u32,
         fault: bool,
+        slot: u64,
     },
     /// The task had a copy retransmitted (ARQ bookkeeping at the home).
     MarkRetx { task: u32 },
-}
-
-/// Completion bookkeeping of one task at its home worker (broadcast:
-/// the source's owner; unicast: the destination's owner).
-struct TaskState {
-    gen_time: u64,
-    remaining: u32,
-    measured: bool,
-    broadcast: bool,
-    lost: u32,
-    retx: bool,
-    /// Largest delivery slot acked so far (the broadcast completion
-    /// time, since acks arrive in slot batches).
-    last_slot: u64,
 }
 
 /// Hasher of the task-home table. Task ids are sequential counters
@@ -522,7 +512,9 @@ impl Hasher for TaskIdHasher {
     }
 }
 
-type TaskTable = HashMap<u32, TaskState, BuildHasherDefault<TaskIdHasher>>;
+/// The tasks a worker is home to (broadcast: the source's owner;
+/// unicast: the destination's owner), by the injector's task id.
+type TaskTable = HashMap<u32, TaskSlot, BuildHasherDefault<TaskIdHasher>>;
 
 /// Everything one worker has for one peer in one slot — what a single
 /// mailbox hand-over carries. The outbox a worker keeps for *itself*
@@ -555,10 +547,9 @@ struct Shared {
     node_owner: Vec<u32>,
     link_target: Vec<NodeId>,
     link_dim: Vec<u8>,
-    /// Node range of each worker, and the first link id of each range
-    /// plus the link count (`workers + 1` entries): worker `i` owns
-    /// links `[link_lo[i], link_lo[i + 1])`.
-    ranges: Vec<std::ops::Range<u32>>,
+    /// The first link id of each worker's node range, plus the link
+    /// count (`workers + 1` entries): worker `i` owns links
+    /// `[link_lo[i], link_lo[i + 1])`.
     link_lo: Vec<u32>,
     /// The decision criteria (`pstar_sim::stop_verdict`): the run's
     /// configuration and the fleet-wide queued-packet limit.
@@ -621,7 +612,6 @@ impl Shared {
             node_owner,
             link_target: topo.link_target_table(),
             link_dim: topo.link_dim_table(),
-            ranges,
             link_lo,
             sim: *sim,
             queue_limit: sim.queue_limit(link_source.len()),
@@ -638,24 +628,36 @@ impl Shared {
         })
     }
 
+    /// Totals the queued packets the workers last published (a
+    /// combiner's job, like [`Shared::decide`]).
+    fn total_queued(&self) -> i64 {
+        let total = self
+            .gauges
+            .iter()
+            .map(|g| g.queued.load(Ordering::Relaxed))
+            .sum();
+        self.tally.total.store(total, Ordering::Relaxed);
+        total
+    }
+
     /// Decides `slot` — the combiner of the rendezvous that follows it,
     /// run by the last arriver alone — by the simulator's stop rule
     /// (`pstar_sim::stop_verdict`). The queue peak is sampled on every
     /// decided slot, the last included.
     fn decide(&self, slot: u64) {
-        let (mut total, mut outstanding, mut tripped) = (0i64, 0i64, false);
+        let total = self.total_queued();
+        let (mut pre_service, mut outstanding, mut tripped) = (0i64, 0i64, false);
         for g in &self.gauges {
-            total += g.queued.load(Ordering::Relaxed);
+            pre_service += g.pre_service.load(Ordering::Relaxed);
             outstanding += g.outstanding.load(Ordering::Relaxed);
             tripped |= g.unstable.load(Ordering::Relaxed);
         }
-        self.tally.total.store(total, Ordering::Relaxed);
-        if total > self.tally.peak.load(Ordering::Relaxed) {
-            self.tally.peak.store(total, Ordering::Relaxed);
+        if pre_service > self.tally.peak.load(Ordering::Relaxed) {
+            self.tally.peak.store(pre_service, Ordering::Relaxed);
         }
         debug_assert!(
             outstanding >= 0,
-            "more measured tasks completed than created"
+            "more measured receptions settled than opened"
         );
         let verdict = stop_verdict(
             &self.sim,
@@ -674,13 +676,6 @@ impl Shared {
             self.stop.store(code, Ordering::Relaxed);
         }
     }
-}
-
-enum Injector {
-    Virtual(VirtualInjector),
-    Wall(WallInjector),
-    /// Virtual-mode workers other than 0 generate nothing.
-    Passive,
 }
 
 /// Thread-local perf accumulator of one worker ([`NetConfig::perf`]
@@ -742,7 +737,8 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// range: link ids are node-major).
     kernel: LinkKernel,
     tasks: TaskTable,
-    injector: Injector,
+    /// Worker 0 only: the global injector.
+    injector: Option<VirtualInjector>,
     arq: Option<Arq>,
     fwd_rng: StdRng,
     stats: WorkerStats,
@@ -762,8 +758,6 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// Taken batches, index = source worker; emptied by process, then
     /// swapped back into the mailbox by the next take.
     inbox: Vec<Batch>,
-    /// This worker's balance of measured tasks (see [`GaugeLine`]).
-    outstanding: i64,
     /// Data and injection messages of the send not yet committed: they
     /// count as sent once the rendezvous says the slot runs.
     uncommitted_sent: u64,
@@ -816,23 +810,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         let mut kernel =
             LinkKernel::new(&sim, topo.d(), shared.link_lo[id], shared.link_lo[id + 1]);
         kernel.set_dead_link_policy(policy);
-        let injector = match cfg.mode {
-            ClockMode::Virtual if id == 0 => {
-                Injector::Virtual(VirtualInjector::new(&topo.dim_sizes(), mix, sim))
-            }
-            ClockMode::Virtual => Injector::Passive,
-            ClockMode::WallClock => Injector::Wall(WallInjector::new(
-                id,
-                shared.ranges[id].clone(),
-                n,
-                mix,
-                sim,
-            )),
-        };
-        let mut queue_trace = Vec::new();
-        if id == 0 && sim.trace_interval.is_some() {
-            queue_trace.push((0, 0));
-        }
+        let injector = (id == 0).then(|| VirtualInjector::new(&topo.dim_sizes(), mix, sim));
+        // Worker `id`'s unicast tie coins: a stream of its own.
+        let fwd_seed = splitmix64(
+            sim.seed ^ FWD_SEED_SALT ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         let chaos = &cfg.chaos;
         Self {
             id,
@@ -843,18 +825,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             kernel,
             tasks: TaskTable::default(),
             injector,
-            arq: sim
-                .arq
-                .map(|a| Arq::new(a, node_stream_seed(sim.seed ^ ARQ_SEED_SALT, id as u32))),
-            fwd_rng: StdRng::seed_from_u64(node_stream_seed(sim.seed ^ FWD_SEED_SALT, id as u32)),
+            arq: sim.arq.map(|a| Arq::new(a, sim.seed ^ ARQ_SEED_SALT)),
+            fwd_rng: StdRng::seed_from_u64(fwd_seed),
             stats: WorkerStats::new(&sim, n, topo.diameter()),
             trace: Vec::new(),
             trace_cap: cfg.trace_capacity,
-            queue_trace,
+            queue_trace: Vec::new(),
             out: (0..w).map(|_| Batch::default()).collect(),
             pending_ctrl: (0..w).map(|_| Vec::new()).collect(),
             inbox: (0..w).map(|_| Batch::default()).collect(),
-            outstanding: 0,
             uncommitted_sent: 0,
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
@@ -884,9 +863,9 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     /// Queues `msg` for `to`: it ships with the next slot's hand-over —
-    /// the one-slot lag of the control plane — and counts as sent here,
-    /// where it is produced (the control of a run's last slot is
-    /// produced and never shipped).
+    /// the one-slot lag of the control plane, the run's last slot
+    /// included (`take_last_ctrl`) — and counts as sent here, where it is
+    /// produced.
     fn send_ctrl(&mut self, to: usize, msg: CtrlMsg) {
         debug_assert_ne!(to, self.id, "local ctrl must be applied directly");
         self.pending_ctrl[to].push(msg);
@@ -918,6 +897,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             }
             let slot_t0 = self.perf.as_ref().map(|_| Instant::now());
             if decide_first && t > 0 && self.rendezvous(Some(t - 1), 1) {
+                // Slot `t − 1` was the last and nothing of slot `t` has
+                // happened: hand its control over on its own.
+                self.seal_ctrl();
+                if !self.hand_over(t) && !self.rendezvous(None, 0) {
+                    self.take_last_ctrl(t);
+                }
                 break;
             }
             self.seal_ctrl();
@@ -934,7 +919,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             shared.progress[id].store((t << 3) | 3, Ordering::Release);
             let decides = (!decide_first && t > 0).then(|| t - 1);
             if self.rendezvous(decides, 0) {
+                // Slot `t − 1` was the last: of what send of `t` handed
+                // over, its control is still to be applied.
+                self.take_last_ctrl(t);
                 break;
+            }
+            // The slot runs. What the links held at its top — after its
+            // fault tick, before its deliveries — is the total the
+            // rendezvous just took.
+            if id == 0 && self.cfg.trace_interval.is_some_and(|k| t % k == 0) {
+                let total = shared.tally.total.load(Ordering::Relaxed);
+                self.queue_trace.push((t, total.max(0) as u64));
             }
             shared.progress[id].store((t << 3) | 2, Ordering::Release);
             let mark = slot_t0.map(|_| Instant::now());
@@ -952,19 +947,24 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
 
     /// One barrier wait of the slot path, telemetry index `which`. With
     /// `decides`, the last arriver decides that slot before releasing
-    /// the fleet, and every worker then acts on the verdict. Returns
-    /// `true` when the loop must end: the fleet is poisoned, or the
-    /// decided slot was the last.
+    /// the fleet, and every worker then acts on the verdict; without, it
+    /// only re-totals the queued packets (a faulted run's exchange
+    /// rendezvous, after the fault ticks). Returns `true` when the loop
+    /// must end: the fleet is poisoned, or the decided slot was the
+    /// last.
     fn rendezvous(&mut self, decides: Option<u64>, which: usize) -> bool {
         let shared = self.shared;
         let mark = self.perf.as_ref().map(|_| Instant::now());
         let mut decide_ns = 0u64;
         let aborted = shared.barrier.wait_with(&shared.poison, || {
-            if let Some(slot) = decides {
-                let m = mark.map(|_| Instant::now());
-                shared.decide(slot);
-                decide_ns = m.map_or(0, |m| m.elapsed().as_nanos() as u64);
+            let m = mark.map(|_| Instant::now());
+            match decides {
+                Some(slot) => shared.decide(slot),
+                None => {
+                    shared.total_queued();
+                }
             }
+            decide_ns = m.map_or(0, |m| m.elapsed().as_nanos() as u64);
         });
         if aborted {
             return true;
@@ -979,18 +979,29 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         if self.chaos_panic == Some(slot) {
             panic!("chaos: injected panic at slot {slot} on worker {}", self.id);
         }
-        if shared.stop.load(Ordering::Relaxed) != RUN {
-            return true;
+        shared.stop.load(Ordering::Relaxed) != RUN
+    }
+
+    /// After the last slot: the control it produced (the acks and loss
+    /// notices of its deliveries, its registrations) reaches the homes,
+    /// so that a task whose last settlement was in the run's last slot
+    /// completes in the report as it does in the engine's. The slot-`t`
+    /// traffic a fault-free run's send handed over with it never runs.
+    fn take_last_ctrl(&mut self, t: u64) {
+        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
+        if shared.poison.load(Ordering::Acquire) {
+            return;
         }
-        if self.id == 0 {
-            if let Some(k) = self.cfg.trace_interval {
-                if (slot + 1) % k == 0 {
-                    let total = shared.tally.total.load(Ordering::Relaxed);
-                    self.queue_trace.push((slot + 1, total.max(0) as u64));
+        let mail = &shared.mail[(t % 2) as usize];
+        for from in (0..w).filter(|&from| from != id) {
+            let mut batch = std::mem::take(&mut self.inbox[from]);
+            if mail[from * w + id].take(&mut batch) {
+                for msg in batch.ctrl.drain(..) {
+                    self.handle_ctrl(msg);
                 }
             }
+            self.inbox[from] = batch;
         }
-        false
     }
 
     /// Top of slot: the control messages produced so far — the previous
@@ -1025,27 +1036,28 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             // liveness view (dead nodes generate no traffic, in the
             // engine's exact RNG draw order).
             let Self {
-                id,
                 injector,
                 faults,
                 scheme,
                 out,
                 ..
             } = &mut *self;
-            let view = faults.as_ref().map(|f| f.view());
-            match injector {
-                Injector::Virtual(inj) => {
-                    let mut route = OwnerRoute {
-                        node_owner: &shared.node_owner,
-                        out,
-                    };
-                    inj.slot(t, &*scheme, view, &mut route)
-                }
-                Injector::Wall(inj) => inj.slot(t, &*scheme, view, &mut out[*id].inject),
-                Injector::Passive => {}
+            if let Some(inj) = injector {
+                let view = faults.as_ref().map(|f| f.view());
+                let mut route = OwnerRoute {
+                    node_owner: &shared.node_owner,
+                    out,
+                };
+                inj.slot(t, &*scheme, view, &mut route)
             }
         }
-        let (w, id) = (shared.workers, self.id);
+        self.hand_over(t)
+    }
+
+    /// Swaps each non-empty outbox into its peer's mailbox of slot `t`'s
+    /// parity. Returns `true` when the run was poisoned meanwhile.
+    fn hand_over(&mut self, t: u64) -> bool {
+        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
         let mail = &shared.mail[(t % 2) as usize][id * w..(id + 1) * w];
         for (to, batch) in self.out.iter_mut().enumerate() {
             if to == id || batch.is_empty() {
@@ -1064,12 +1076,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// part of the report.
     fn commit_send(&mut self) {
         self.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
-        let gate = match &self.injector {
-            Injector::Virtual(inj) => &inj.gate,
-            Injector::Wall(inj) => &inj.gate,
-            Injector::Passive => return,
-        };
-        if let Some(gate) = gate {
+        if let Some(gate) = self.injector.as_ref().and_then(|inj| inj.gate.as_ref()) {
             self.stats.flow.rejected_broadcasts = gate.rejected_broadcasts;
             self.stats.flow.rejected_unicasts = gate.rejected_unicasts;
         }
@@ -1081,7 +1088,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
 
     fn process(&mut self, t: u64) {
         let (shared, w, id) = (self.shared, self.shared.workers, self.id);
-        self.stats.tasks.window_tick(t);
         // 0. One take per peer; what this worker sent itself loops back
         //    by the same swap, without a mailbox. A deaf worker (chaos)
         //    stops taking, so its peers' next put of this parity finds
@@ -1105,7 +1111,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         for from in 0..w {
             let mut ctrl = std::mem::take(&mut self.inbox[from].ctrl);
             for msg in ctrl.drain(..) {
-                self.handle_ctrl(msg, t);
+                self.handle_ctrl(msg);
             }
             self.inbox[from].ctrl = ctrl;
         }
@@ -1131,8 +1137,8 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
             self.fire_retx(t);
         }
-        // 4. Injections of slot t (one source per worker: its own
-        //    injector's, or in virtual mode worker 0's).
+        // 4. Injections of slot t (worker 0's injector is the one
+        //    source).
         for from in 0..w {
             let mut batch = std::mem::take(&mut self.inbox[from].inject);
             for msg in batch.msgs.drain(..) {
@@ -1142,10 +1148,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             batch.emits.clear();
             self.inbox[from].inject = batch;
         }
-        // 5. Occupancy sample at the engine's exact point: after
+        // 5. The queued population, sampled at the engine's point: after
         //    arrivals, before service starts.
+        let pre_service = self.kernel.queued();
         if self.in_window(t) {
-            self.stats.flow.occupancy_sum += self.kernel.queued() as u128;
+            self.stats.flow.occupancy_sum += pre_service as u128;
         }
         // 6. Service starts on the owned links, link-id order.
         let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
@@ -1171,7 +1178,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         gauge
             .queued
             .store(self.kernel.queued() as i64, Ordering::Relaxed);
-        gauge.outstanding.store(self.outstanding, Ordering::Relaxed);
+        gauge
+            .pre_service
+            .store(pre_service as i64, Ordering::Relaxed);
+        gauge
+            .outstanding
+            .store(self.stats.tasks.outstanding_measured(), Ordering::Relaxed);
         if self
             .cfg
             .single_queue_tripped(t + 1, || self.kernel.max_qlen())
@@ -1180,110 +1192,69 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    fn handle_ctrl(&mut self, msg: CtrlMsg, t: u64) {
+    fn handle_ctrl(&mut self, msg: CtrlMsg) {
         match msg {
             CtrlMsg::Register {
                 task,
                 gen_time,
                 measured,
-            } => self.home_register_unicast(task, gen_time, measured),
-            CtrlMsg::Ack { task, slot } => self.home_ack(task, slot, t),
+            } => self.home_register(TaskSlot::new(gen_time, false, 1, measured), task),
+            CtrlMsg::Ack { task, slot } => self.home_ack(task, slot),
             CtrlMsg::Lost {
                 task,
                 receptions,
                 fault,
-            } => self.home_lost(task, receptions, fault, t),
-            CtrlMsg::MarkRetx { task } => {
-                if let Some(s) = self.tasks.get_mut(&task) {
-                    s.retx = true;
-                }
-            }
+                slot,
+            } => self.home_lost(task, receptions, fault, slot),
+            CtrlMsg::MarkRetx { task } => self.home_retx(task),
         }
     }
 
-    fn home_register_unicast(&mut self, task: u32, gen_time: u64, measured: bool) {
-        let prev = self.tasks.insert(
-            task,
-            TaskState {
-                gen_time,
-                remaining: 1,
-                measured,
-                broadcast: false,
-                lost: 0,
-                retx: false,
-                last_slot: 0,
-            },
-        );
+    /// `task` starts being tracked at this worker, its home.
+    fn home_register(&mut self, slot: TaskSlot, task: u32) {
+        let prev = self.tasks.insert(task, slot);
         debug_assert!(prev.is_none(), "duplicate task id {task}");
     }
 
-    /// One broadcast reception acked to the task's home.
-    fn home_ack(&mut self, task: u32, slot: u64, t: u64) {
-        let state = self.tasks.get_mut(&task).expect("ack for unknown task");
-        state.last_slot = state.last_slot.max(slot);
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            let state = self.tasks.remove(&task).expect("just present");
-            if state.measured {
-                if state.lost == 0 {
-                    let delay = (state.last_slot - state.gen_time) as f64;
-                    self.stats.tasks.broadcast_delay.push(delay);
-                    if state.retx && self.cfg.arq.is_some() {
-                        self.stats.tasks.recovered_task_delay.push(delay);
-                    }
-                } else {
-                    self.stats.tasks.damaged_broadcasts += 1;
-                }
-                self.outstanding -= 1;
-            }
-            self.stats.tasks.concurrent_bcast.add(t, -1);
+    /// One reception of `task` — a broadcast copy, or the unicast at its
+    /// destination — delivered at slot `at`.
+    fn home_ack(&mut self, task: u32, at: u64) {
+        self.home_settle(task, |slot| slot.receive(at));
+    }
+
+    /// `receptions` of `task` lost for good at slot `at` (`fault`: to a
+    /// dead link).
+    fn home_lost(&mut self, task: u32, receptions: u32, fault: bool, at: u64) {
+        self.home_settle(task, |slot| slot.lose(at, receptions, fault));
+    }
+
+    /// Applies one settlement to `task`'s record; the one that completes
+    /// the task takes the record out and counts it — one table lookup
+    /// either way (a unicast's only settlement is its completion).
+    fn home_settle(&mut self, task: u32, settle: impl FnOnce(&mut TaskSlot) -> bool) {
+        let Entry::Occupied(mut record) = self.tasks.entry(task) else {
+            panic!("settlement for unknown task {task}");
+        };
+        if settle(record.get_mut()) {
+            self.stats.tasks.completed(record.remove());
         }
     }
 
-    /// Permanently lost receptions settled against the task's home.
-    /// `fault` attributes the loss to a dead link, mirroring the
-    /// engine's fault-damaged delta: a measured broadcast whose
-    /// completing settlement was a fault loss counts as fault-damaged.
-    fn home_lost(&mut self, task: u32, receptions: u32, fault: bool, t: u64) {
-        let state = self.tasks.get_mut(&task).expect("loss for unknown task");
-        debug_assert!(state.remaining >= receptions);
-        state.remaining -= receptions;
-        state.lost += receptions;
-        if state.remaining == 0 {
-            let state = self.tasks.remove(&task).expect("just present");
-            if state.measured {
-                if state.broadcast {
-                    self.stats.tasks.damaged_broadcasts += 1;
-                    if fault {
-                        self.stats.tasks.fault_damaged += 1;
-                    }
-                }
-                self.outstanding -= 1;
-            }
-            if state.broadcast {
-                self.stats.tasks.concurrent_bcast.add(t, -1);
-            } else {
-                self.stats.tasks.concurrent_ucast.add(t, -1);
-            }
+    /// A copy of `task` was scheduled for retransmission.
+    fn home_retx(&mut self, task: u32) {
+        if let Some(slot) = self.tasks.get_mut(&task) {
+            slot.retx = true;
         }
     }
 
     fn process_inject(&mut self, msg: &InjectMsg, emits: &[Emit], t: u64) {
+        // Counted by the *creating* worker, at injection: the task's
+        // receptions are due from this slot on, wherever its home is.
+        self.stats.tasks.opened(t, msg.broadcast, msg.measured);
         if msg.broadcast {
-            let prev = self.tasks.insert(
-                msg.task,
-                TaskState {
-                    gen_time: msg.gen_time,
-                    remaining: self.topo.node_count() - 1,
-                    measured: msg.measured,
-                    broadcast: true,
-                    lost: 0,
-                    retx: false,
-                    last_slot: 0,
-                },
-            );
-            debug_assert!(prev.is_none(), "duplicate task id {}", msg.task);
-            self.stats.tasks.concurrent_bcast.add(t, 1);
+            let receivers = self.topo.node_count() - 1;
+            let slot = TaskSlot::new(msg.gen_time, true, receivers, msg.measured);
+            self.home_register(slot, msg.task);
         } else {
             let dest = match emits.first().map(|e| e.kind) {
                 Some(PacketKind::Unicast { dest }) => dest,
@@ -1291,7 +1262,8 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             };
             let home = self.owner_of(dest);
             if home == self.id {
-                self.home_register_unicast(msg.task, msg.gen_time, msg.measured);
+                let slot = TaskSlot::new(msg.gen_time, false, 1, msg.measured);
+                self.home_register(slot, msg.task);
             } else {
                 self.send_ctrl(
                     home,
@@ -1301,18 +1273,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                         measured: msg.measured,
                     },
                 );
-            }
-            self.stats.tasks.concurrent_ucast.add(t, 1);
-        }
-        if msg.measured {
-            // Counted by the *creating* worker, at injection, so the
-            // fleet-wide sum can never read zero between a task's
-            // creation and its registration at its home.
-            self.outstanding += 1;
-            if msg.broadcast {
-                self.stats.tasks.measured_broadcasts += 1;
-            } else {
-                self.stats.tasks.measured_unicasts += 1;
             }
         }
         self.enqueue_emits(emits, msg.src, msg.task, msg.gen_time, msg.len, t);
@@ -1341,13 +1301,13 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     let topo = self.topo;
                     self.stats
                         .tasks
-                        .measured_reception(t - pkt.gen_time, pkt.priority, || {
+                        .measured_reception(pkt.gen_time, t, pkt.priority, || {
                             topo.distance(state.src, node)
                         });
                 }
                 let home = self.owner_of(state.src);
                 if home == self.id {
-                    self.home_ack(pkt.task, t, t);
+                    self.home_ack(pkt.task, t);
                 } else {
                     self.send_ctrl(
                         home,
@@ -1370,19 +1330,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     if let Some(arq) = self.arq.as_mut() {
                         arq.counters.acked(pkt.attempt);
                     }
-                    let state = self
-                        .tasks
-                        .remove(&pkt.task)
-                        .expect("unicast delivered before registration");
-                    if state.measured {
-                        let delay = (t - state.gen_time) as f64;
-                        self.stats.tasks.unicast_delay.push(delay);
-                        if state.retx && self.cfg.arq.is_some() {
-                            self.stats.tasks.recovered_task_delay.push(delay);
-                        }
-                        self.outstanding -= 1;
-                    }
-                    self.stats.tasks.concurrent_ucast.add(t, -1);
+                    self.home_ack(pkt.task, t);
                 } else {
                     let mut emits = std::mem::take(&mut self.emit_buf);
                     emits.clear();
@@ -1461,9 +1409,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             if arq.on_loss(t, link, pkt, boosted) {
                 let home = self.task_home(&pkt);
                 if home == self.id {
-                    if let Some(s) = self.tasks.get_mut(&pkt.task) {
-                        s.retx = true;
-                    }
+                    self.home_retx(pkt.task);
                 } else {
                     self.send_ctrl(home, CtrlMsg::MarkRetx { task: pkt.task });
                 }
@@ -1472,12 +1418,9 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             }
         }
         self.stats.tasks.packet_dropped(cause);
-        let before_lost = self.stats.tasks.lost_receptions;
-        // The ledger's fault-damaged attribution travels as the `fault`
-        // flag to the task's home (see `home_lost`).
-        self.settle_drop(&pkt, t, cause == LossCause::Fault);
+        let lost_measured = self.settle_drop(&pkt, t, cause == LossCause::Fault);
         if let Some(arq) = self.arq.as_mut() {
-            arq.counters.gave_up_receptions += self.stats.tasks.lost_receptions - before_lost;
+            arq.counters.gave_up_receptions += lost_measured;
         }
     }
 
@@ -1490,16 +1433,13 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     /// Settles a terminally lost packet: loss-site counters here, the
-    /// completion record updated at the task's home. `fault` carries the
-    /// loss attribution to the home's fault-damaged accounting.
-    fn settle_drop(&mut self, pkt: &Packet, t: u64, fault: bool) {
+    /// completion record updated at the task's home (`fault` carries the
+    /// loss attribution to its fault-damaged accounting). Returns how
+    /// many measured receptions were lost.
+    fn settle_drop(&mut self, pkt: &Packet, t: u64, fault: bool) -> u64 {
         let (broadcast, receptions) = receptions_at_stake(&self.scheme, pkt);
-        if self.in_window(pkt.gen_time) {
-            self.stats.tasks.lost_receptions += u64::from(receptions);
-            if !broadcast {
-                self.stats.tasks.dropped_unicasts += 1;
-            }
-        }
+        let measured = self.in_window(pkt.gen_time);
+        let lost_measured = self.stats.tasks.lost(measured, broadcast, receptions);
         let home = self.task_home(pkt);
         if home == self.id {
             self.home_lost(pkt.task, receptions, fault, t);
@@ -1510,9 +1450,11 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                     task: pkt.task,
                     receptions,
                     fault,
+                    slot: t,
                 },
             );
         }
+        lost_measured
     }
 
     /// Fires due ARQ timers — the engine's `fire_retransmissions` for
@@ -1568,11 +1510,14 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
         self.loss_buf = losses;
         self.faults = Some(clock);
+        // What the links hold now is what the slot starts from.
+        self.shared.gauges[self.id]
+            .queued
+            .store(self.kernel.queued() as i64, Ordering::Relaxed);
     }
 
     /// Closes the books after `slots_run` slots.
     fn finish(mut self, slots_run: u64) -> WorkerOutput {
-        self.stats.tasks.freeze_concurrency(slots_run);
         self.stats.arq = self.arq.take().map(Arq::finish).unwrap_or_default();
         let kernel = &self.kernel;
         self.stats.faults = self
@@ -1797,30 +1742,26 @@ where
     if let Err(e) = cfg.sim.scenario.validate(&topo.dim_sizes(), mix.bernoulli) {
         return Err(NetConfigError::Scenario(e).into());
     }
-    if matches!(cfg.mode, ClockMode::WallClock) && !cfg.sim.scenario.is_default() {
-        return Err(NetConfigError::WallClockScenario.into());
-    }
     let sim = cfg.sim;
     let n = topo.node_count();
     let links = topo.link_count() as usize;
-    let mut workers = if cfg.workers == 0 {
+    let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         cfg.workers
     };
-    workers = workers.clamp(1, n as usize);
-    if matches!(cfg.mode, ClockMode::WallClock) {
-        workers = workers.min(64);
-    }
-    let w = workers;
+    let w = workers.clamp(1, n as usize);
 
+    // An empty plan is no plan, as on the engines: the run is the
+    // fault-free one, report included.
+    let faults = faults.filter(|(plan, _)| !plan.is_empty());
     let policy = faults.as_ref().map(|(_, p)| *p).unwrap_or_default();
     // The fault clock every worker starts a replica of.
     let clock = faults.map(|(plan, _)| FaultClock::new(plan, topo));
     let shared = Shared::new(topo, w, &sim)?;
     let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
     // The one report rule (`pstar_sim::assemble`) over merged worker
-    // counters; the net-specific inputs are the end-of-slot queue peak
+    // counters; the net-specific inputs are the combiner's queue peak
     // and the stop code.
     let report_of = |merged: WorkerStats,
                      link_counters: LinkCounters,
@@ -1945,9 +1886,10 @@ where
             })
             .collect(),
     });
-    // Worker 0's stats seed the merge and the others fold in, in worker
-    // order; the link counters are exact integers over disjoint ranges,
-    // so they fold into a zeroed whole-network set.
+    // Worker 0's stats seed the merge and the others fold in — exact
+    // integer sums, so the order is immaterial; the link counters are
+    // the same over disjoint ranges and fold into a zeroed
+    // whole-network set.
     let mut iter = results.into_iter();
     let first = iter.next().expect("at least one worker");
     let (mut merged, queue_trace) = (first.stats, first.queue_trace);
@@ -1994,13 +1936,7 @@ mod tests {
     use priority_star::{ScenarioSpec, SchemeKind};
     use pstar_topology::Torus;
 
-    fn run(
-        scheme: SchemeKind,
-        rho: f64,
-        mut sim: SimConfig,
-        workers: usize,
-        mode: ClockMode,
-    ) -> NetReport {
+    fn run(scheme: SchemeKind, rho: f64, mut sim: SimConfig, workers: usize) -> NetReport {
         let topo = Torus::new(&[4, 4]);
         let spec = ScenarioSpec {
             scheme,
@@ -2014,7 +1950,6 @@ mod tests {
             spec.mix(&topo),
             NetConfig {
                 workers,
-                mode,
                 ..NetConfig::new(sim)
             },
         )
@@ -2025,13 +1960,7 @@ mod tests {
     /// torus, and with infinite queues nothing is ever lost.
     #[test]
     fn virtual_run_completes_and_conserves_receptions() {
-        let net = run(
-            SchemeKind::PriorityStar,
-            0.5,
-            SimConfig::quick(7),
-            3,
-            ClockMode::Virtual,
-        );
+        let net = run(SchemeKind::PriorityStar, 0.5, SimConfig::quick(7), 3);
         let r = &net.report;
         assert!(r.completed, "drain did not finish: {r:?}");
         assert!(r.stable);
@@ -2108,20 +2037,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_workers_is_bit_deterministic() {
-        let a = run(
-            SchemeKind::ThreeClass,
-            0.7,
-            SimConfig::quick(21),
-            4,
-            ClockMode::Virtual,
-        );
-        let b = run(
-            SchemeKind::ThreeClass,
-            0.7,
-            SimConfig::quick(21),
-            4,
-            ClockMode::Virtual,
-        );
+        let a = run(SchemeKind::ThreeClass, 0.7, SimConfig::quick(21), 4);
+        let b = run(SchemeKind::ThreeClass, 0.7, SimConfig::quick(21), 4);
         assert_eq!(a.report.measured_broadcasts, b.report.measured_broadcasts);
         assert_eq!(
             a.report.reception_delay.count,
@@ -2135,52 +2052,16 @@ mod tests {
         assert_eq!(a.report.slots_run, b.report.slots_run);
     }
 
-    /// In virtual mode the measured task set comes from one global RNG
-    /// stream, so the delivered counts cannot depend on the sharding.
+    /// The task set comes from one global RNG stream and accounting is
+    /// order-free, so the report cannot depend on the sharding.
     #[test]
     fn worker_count_does_not_change_delivered_counts() {
-        let a = run(
-            SchemeKind::FcfsDirect,
-            0.6,
-            SimConfig::quick(3),
-            1,
-            ClockMode::Virtual,
-        );
-        let b = run(
-            SchemeKind::FcfsDirect,
-            0.6,
-            SimConfig::quick(3),
-            4,
-            ClockMode::Virtual,
-        );
-        assert_eq!(a.report.measured_broadcasts, b.report.measured_broadcasts);
-        assert_eq!(
-            a.report.reception_delay.count,
-            b.report.reception_delay.count
-        );
-        // The delay multiset is identical; only the float summation
-        // order differs across worker counts.
-        let (ma, mb) = (a.report.reception_delay.mean, b.report.reception_delay.mean);
-        assert!(
-            (ma - mb).abs() <= 1e-9 * ma.abs().max(1.0),
-            "per-reception delays should be worker-independent: {ma} vs {mb}"
-        );
-    }
-
-    #[test]
-    fn wall_clock_mode_completes_and_conserves() {
-        let net = run(
-            SchemeKind::PriorityStar,
-            0.5,
-            SimConfig::quick(11),
-            4,
-            ClockMode::WallClock,
-        );
-        let r = &net.report;
-        assert!(r.completed);
-        assert!(r.measured_broadcasts > 0);
-        assert_eq!(r.reception_delay.count, r.measured_broadcasts * 15);
-        assert_eq!(r.lost_receptions, 0);
+        let a = run(SchemeKind::FcfsDirect, 0.6, SimConfig::quick(3), 1);
+        let b = run(SchemeKind::FcfsDirect, 0.6, SimConfig::quick(3), 4);
+        // The events are the same and every statistic is an exact
+        // integer sum: who counted what cannot show.
+        assert_eq!(a.report.first_difference(&b.report), None);
+        assert!(a.messages_sent == 0 && b.messages_sent > 0);
     }
 
     /// Bounded queues with tail drop: every measured reception is
@@ -2190,7 +2071,7 @@ mod tests {
     fn drop_tail_conservation() {
         let mut sim = SimConfig::quick(5);
         sim.queue_capacity = Some(1);
-        let net = run(SchemeKind::FcfsDirect, 0.9, sim, 3, ClockMode::Virtual);
+        let net = run(SchemeKind::FcfsDirect, 0.9, sim, 3);
         let r = &net.report;
         assert!(r.completed, "losses must not strand the drain");
         assert!(r.dropped_packets > 0, "capacity 1 at rho .9 must drop");
@@ -2207,7 +2088,7 @@ mod tests {
         let mut sim = SimConfig::quick(13);
         sim.queue_capacity = Some(1);
         sim.arq = Some(pstar_sim::ArqConfig::default());
-        let net = run(SchemeKind::PriorityStar, 0.7, sim, 4, ClockMode::Virtual);
+        let net = run(SchemeKind::PriorityStar, 0.7, sim, 4);
         let r = &net.report;
         assert!(r.completed);
         assert!(r.recovery.enabled);
@@ -2222,13 +2103,7 @@ mod tests {
 
     #[test]
     fn overload_is_flagged_unstable() {
-        let net = run(
-            SchemeKind::FcfsDirect,
-            3.0,
-            SimConfig::quick(2),
-            2,
-            ClockMode::Virtual,
-        );
+        let net = run(SchemeKind::FcfsDirect, 3.0, SimConfig::quick(2), 2);
         assert!(!net.report.stable);
         assert!(!net.report.completed);
     }
@@ -2238,14 +2113,14 @@ mod tests {
         let mut sim = SimConfig::quick(1);
         sim.warmup_slots = 0;
         sim.measure_slots = 0;
-        let net = run(SchemeKind::PriorityStar, 0.5, sim, 2, ClockMode::Virtual);
+        let net = run(SchemeKind::PriorityStar, 0.5, sim, 2);
         assert!(net.report.completed);
         assert_eq!(net.report.slots_run, 0);
         assert_eq!(net.report.measured_broadcasts, 0);
 
         let mut sim = SimConfig::quick(1);
         sim.max_slots = 0;
-        let net = run(SchemeKind::PriorityStar, 0.5, sim, 2, ClockMode::Virtual);
+        let net = run(SchemeKind::PriorityStar, 0.5, sim, 2);
         assert!(!net.report.completed);
         assert_eq!(net.report.slots_run, 0);
     }

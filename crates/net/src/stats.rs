@@ -1,30 +1,30 @@
 //! Per-worker measurement state.
 //!
 //! Each worker accumulates its own [`WorkerStats`] with zero sharing
-//! during the run; after the last slot the runtime merges them **in
-//! worker order** (deterministic) and hands the merged counters to
-//! `pstar_sim::assemble` — the same report assembler the simulator's
-//! engines finish through, so normalization (realized measurement
-//! window, per-link busy fractions, per-dimension averages) cannot
-//! drift. Counters live at well-defined sites so no event is double
-//! counted across workers:
+//! during the run; after the last slot the runtime merges them and hands
+//! the merged counters to `pstar_sim::assemble` — the same report
+//! assembler the simulator's engines finish through, so normalization
+//! (realized measurement window, per-link busy fractions, per-dimension
+//! averages) cannot drift. Every counter is an exact integer sum
+//! (`pstar_sim::TaskLedger`'s order-free definitions), so neither the
+//! order the workers saw their events in nor the order they merge in
+//! reaches the report. Counters live at well-defined sites so no event
+//! is double counted across workers, and each site calls the ledger
+//! rule the simulator's engines call:
 //!
-//! * **creation site** (the worker that injects a task): measured-task
-//!   counts, admission rejections, concurrency `+1`;
-//! * **delivery site** (the worker owning the receiving node): reception
-//!   delay/histograms/tails, ARQ ack bookkeeping;
+//! * **creation site** (the worker that injects a task):
+//!   `TaskLedger::opened` — measured-task counts, concurrency `+1`;
+//!   admission rejections;
+//! * **delivery site** (the worker owning the receiving node):
+//!   `TaskLedger::measured_reception` — reception
+//!   delay/histograms/batch means/tails; ARQ ack bookkeeping;
 //! * **loss site** (the worker owning the full or dropping link):
-//!   dropped/evicted/lost counters;
-//! * **home site** (the worker owning the task's completion record):
-//!   broadcast/unicast delay, damaged counts, concurrency `-1`.
-//!
-//! Because task records live at per-task home workers rather than in
-//! one table, the workers record reception delays through
-//! [`TaskLedger::measured_reception`] and write the ledger's public
-//! counters directly instead of going through its task-table methods;
-//! the batch-means accumulator is therefore never fed and
-//! `reception_ci_batch` comes out `None` (it needs a single serial
-//! reception stream).
+//!   `TaskLedger::packet_dropped` / `lost` — dropped/evicted/lost
+//!   counters;
+//! * **home site** (the worker owning the task's `TaskSlot`):
+//!   `TaskLedger::completed` — broadcast/unicast delay, damaged counts,
+//!   concurrency `-1` at the slot of the task's last settlement, which
+//!   acks and loss notices carry.
 
 use pstar_sim::{ArqCounters, FaultTotals, FlowCounters, SimConfig, TaskLedger};
 
@@ -57,18 +57,13 @@ impl WorkerStats {
         }
     }
 
-    /// Folds `other` into `self`. Worker order is fixed by the caller,
-    /// so the merged moments are deterministic for a given worker count.
+    /// Folds `other` into `self`: exact, commutative and associative.
     pub fn merge(&mut self, other: &Self) {
         self.tasks.merge(&other.tasks);
         self.arq.merge(&other.arq);
         self.flow.merge(&other.flow);
-        // Every replica counts the same events and fault slots, so the
-        // first worker's stand — never a sum; only the time-to-recovery
-        // samples are per owned link (watch lists are disjoint by link
-        // ownership) and fold in.
         if let (Some(mine), Some(theirs)) = (&mut self.faults, &other.faults) {
-            mine.recovery_time.merge(&theirs.recovery_time);
+            mine.merge(theirs);
         }
         self.messages_sent += other.messages_sent;
     }
@@ -77,7 +72,7 @@ impl WorkerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstar_stats::Moments;
+    use pstar_stats::IntMoments;
 
     /// Every worker's replica of the fault clock counts the same events
     /// and fault slots: the merged totals are one replica's, never a
@@ -85,9 +80,9 @@ mod tests {
     #[test]
     fn fault_totals_are_one_replicas_and_recovery_samples_fold_in() {
         let cfg = SimConfig::quick(1);
-        let worker = |sample: f64| {
+        let worker = |sample: u64| {
             let mut stats = WorkerStats::new(&cfg, 16, 4);
-            let mut recovery_time = Moments::new();
+            let mut recovery_time = IntMoments::new();
             recovery_time.push(sample);
             stats.faults = Some(FaultTotals {
                 events_applied: 6,
@@ -96,12 +91,13 @@ mod tests {
             });
             stats
         };
-        let mut merged = worker(10.0);
-        merged.merge(&worker(20.0));
-        merged.merge(&worker(60.0));
+        let mut merged = worker(10);
+        merged.merge(&worker(20));
+        merged.merge(&worker(60));
         let totals = merged.faults.expect("a faulted run");
         assert_eq!((totals.events_applied, totals.fault_slots), (6, 250));
-        assert_eq!(totals.recovery_time.count(), 3);
-        assert_eq!(totals.recovery_time.mean(), 30.0);
+        let recovery = totals.recovery_time.summary();
+        assert_eq!((recovery.count, recovery.mean), (3, 30.0));
+        assert_eq!((recovery.min, recovery.max), (10.0, 60.0));
     }
 }

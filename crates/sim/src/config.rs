@@ -43,9 +43,6 @@ pub struct SimConfig {
     /// Per-node token-bucket admission control; `None` (default) admits
     /// every arrival.
     pub admission: Option<AdmissionConfig>,
-    /// Batch size for the batch-means reception-delay CI (the naive CI
-    /// underestimates the error of correlated delay streams).
-    pub delay_batch_size: u64,
     /// Exact-bucket range of the reception-delay histogram (delays at or
     /// above land in the overflow bucket and saturate the quantiles).
     pub delay_histogram_cap: usize,
@@ -88,7 +85,6 @@ impl Default for SimConfig {
             full_queue_policy: FullQueuePolicy::default(),
             arq: None,
             admission: None,
-            delay_batch_size: 512,
             delay_histogram_cap: 4096,
             profile_by_distance: false,
             trace_interval: None,

@@ -365,7 +365,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             let verdict = stop_verdict(
                 &self.cfg,
                 self.now,
-                self.ledger.outstanding_measured() + self.flow.deferred_measured,
+                self.ledger.outstanding_measured() as u64 + self.flow.deferred_measured,
                 self.guarded_occupancy(),
                 queue_limit,
                 || {
@@ -409,10 +409,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.obs_sample(t);
         }
 
-        // Window boundaries for the time-weighted concurrency counters:
-        // restart at warmup, snapshot at the end of the measurement window.
-        self.ledger.window_tick(t);
-
         // Phase 1: deliveries, in ascending link order — a deterministic
         // tie-break shared with the sharded engine's merge and
         // pstar-net's receiver-side merge, so every backend enqueues
@@ -442,7 +438,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.generate_arrivals();
         }
 
-        // Phase 3: service starts.
+        // Phase 3: service starts. The queued population is sampled
+        // here, after the slot's enqueues and before its service.
+        self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
         if self.in_measure_window() {
             self.flow.counters.occupancy_sum += self.kernel.queued() as u128;
         }
@@ -531,10 +529,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         }
         // Terminal loss: settle the packet's future receptions.
         self.ledger.packet_dropped(cause);
-        let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
-        let lost_measured = self
-            .ledger
-            .settle(self.now, pkt.task, broadcast, lost, cause);
+        let (_, lost) = receptions_at_stake(&self.scheme, &pkt);
+        let lost_measured = self.ledger.settle(self.now, pkt.task, lost, cause);
         if let Some(arq) = self.arq.as_deref_mut() {
             arq.counters.gave_up_receptions += lost_measured;
         }
@@ -606,7 +602,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                     task: e.pkt.task,
                 });
             }
-            self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
             self.arq
                 .as_deref_mut()
                 .expect("still installed")
@@ -633,10 +628,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             if d.measured {
                 self.flow.deferred_measured -= 1;
                 self.flow.counters.deferred_injections += 1;
-                self.flow
-                    .counters
-                    .defer_delay
-                    .push((self.now - d.arrival) as f64);
+                self.flow.counters.defer_delay.push(self.now - d.arrival);
             }
             self.new_task(d.src, d.dest, d.measured, None, d.arrival);
         }
@@ -762,7 +754,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 });
             }
         }
-        self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
         buf.clear();
         self.emit_buf = buf;
     }

@@ -332,21 +332,11 @@ impl<N: Network, S: Scheme> EventEngine<N, S> {
 
     fn new_task(&mut self, src: NodeId, dest: Option<NodeId>, measured: bool) {
         let t = self.now;
-        let (kind, remaining) = match dest {
-            None => (TaskKind::Broadcast, self.topo.node_count() - 1),
-            Some(_) => (TaskKind::Unicast, 1),
-        };
-        let task = self.tasks.insert(TaskSlot {
-            gen_time: t,
-            remaining,
-            measured,
-            kind,
-            lost: 0,
-            retx: false,
-        });
+        let slot = TaskSlot::new(t, dest.is_none(), self.topo.node_count() - 1, measured);
+        let task = self.tasks.insert(slot);
         if measured {
             self.outstanding_measured += 1;
-            match kind {
+            match slot.kind {
                 TaskKind::Broadcast => self.measured_broadcasts += 1,
                 TaskKind::Unicast => self.measured_unicasts += 1,
             }
@@ -407,9 +397,12 @@ impl<N: Network, S: Scheme> EventEngine<N, S> {
                 tl.record_reception(class, t - slot.gen_time);
             }
         }
-        if self.tasks.record_reception(task) && slot.measured {
-            self.broadcast_delay.push((t - slot.gen_time) as f64);
-            self.outstanding_measured -= 1;
+        if self.tasks.get_mut(task).receive(t) {
+            self.tasks.remove(task);
+            if slot.measured {
+                self.broadcast_delay.push((t - slot.gen_time) as f64);
+                self.outstanding_measured -= 1;
+            }
         }
     }
 
@@ -420,8 +413,9 @@ impl<N: Network, S: Scheme> EventEngine<N, S> {
             self.unicast_delay.push((t - slot.gen_time) as f64);
             self.outstanding_measured -= 1;
         }
-        let done = self.tasks.record_reception(task);
+        let done = self.tasks.get_mut(task).receive(t);
         debug_assert!(done);
+        self.tasks.remove(task);
     }
 
     /// Links with fresh enqueues this instant (service-start candidates).

@@ -4,8 +4,11 @@
 //! nothing, so every owner of a [`LinkKernel`] — the serial engine, each
 //! shard of the sharded engine, each `pstar-net` worker — runs a
 //! *replica* of the plan's clock over the links its kernel owns, and the
-//! sharded coordinator one over all links for the state only it holds.
-//! Replicas agree by construction: no epoch is ever sent anywhere.
+//! sharded coordinator, which owns none, one it only
+//! [`FaultClock::advance`]s for the liveness view. Replicas agree by
+//! construction: no epoch is ever sent anywhere, every replica counts
+//! the same events and fault slots, and the time-to-recovery samples of
+//! disjoint link ranges add up ([`FaultTotals::merge`]).
 //!
 //! One slot of a replica is [`FaultClock::tick`]:
 //!
@@ -18,11 +21,11 @@
 //!    Revive the repaired links the kernel owns — where the view says
 //!    alive: a link forced up and down again inside one epoch stays
 //!    dead.
-//! 3. [`FaultClock::watch`] — time-to-recovery bookkeeping: a death
-//!    abandons the link's pending measurement, a repair starts one.
-//! 4. [`FaultClock::slot`] — count the fault slot and probe the watched
-//!    links (busy = backlogged or transmitting), *after* the dying
-//!    links were drained and *before* the slot's deliveries. A repaired
+//! 3. Time-to-recovery bookkeeping: a death abandons the link's pending
+//!    measurement, a repair that holds starts one.
+//! 4. Count the fault slot and probe the watched links (busy =
+//!    backlogged or transmitting), *after* the dying links were drained
+//!    and *before* the slot's deliveries. A repaired
 //!    link has recovered once it has carried traffic again and its
 //!    backlog first clears; links that never see traffic again before
 //!    the run ends are censored (no sample).
@@ -40,7 +43,7 @@ use crate::kernel::LinkKernel;
 use crate::ledger::FaultTotals;
 use crate::packet::Packet;
 use pstar_faults::{FaultDelta, FaultPlan, FaultRuntime, LivenessView};
-use pstar_stats::Moments;
+use pstar_stats::IntMoments;
 use pstar_topology::{LinkId, Network, NodeId};
 
 /// Why a packet is being taken out of circulation. Shared between the
@@ -86,7 +89,7 @@ impl From<LossCause> for pstar_obs::DropKind {
 struct RecoveryTracker {
     /// `(link, repair_slot, served_since_repair)`.
     pending: Vec<(u32, u64, bool)>,
-    samples: Moments,
+    samples: IntMoments,
 }
 
 impl RecoveryTracker {
@@ -124,7 +127,7 @@ impl RecoveryTracker {
                 return true;
             }
             if *served {
-                samples.push((now - since) as f64);
+                samples.push(now - since);
                 false
             } else {
                 true
@@ -139,7 +142,7 @@ impl RecoveryTracker {
         let samples = &mut self.samples;
         self.pending.retain(|&(l, since, served)| {
             if served && !busy(l) {
-                samples.push((now - since) as f64);
+                samples.push(now - since);
             }
             false
         });
@@ -175,8 +178,6 @@ pub struct FaultClock {
     events_applied: u64,
     fault_slots: u64,
     recovery: RecoveryTracker,
-    /// `(link, busy)` as probed by the last [`FaultClock::slot`].
-    probes: Vec<(u32, bool)>,
     /// Scratch for the packets one dying link loses.
     lost: Vec<Packet>,
 }
@@ -196,7 +197,6 @@ impl FaultClock {
             events_applied: 0,
             fault_slots: 0,
             recovery: RecoveryTracker::new(),
-            probes: Vec::new(),
             lost: Vec::new(),
         }
     }
@@ -242,22 +242,27 @@ impl FaultClock {
                     link: link.0,
                     pkt,
                 }));
+                self.recovery.on_death(link.0);
             }
             for &link in &delta.repaired {
-                if kernel.owns(link.0) && self.view().link_alive(link) {
+                if kernel.owns(link.0) && self.runtime.view().link_alive(link) {
                     kernel.revive(link.0);
+                    self.recovery.on_repair(link.0, t);
                 }
             }
-            self.watch(delta, t, |link| kernel.owns(link));
         }
-        self.slot(t, |link| kernel.is_active(link));
+        if self.any_now {
+            self.fault_slots += 1;
+        }
+        if self.recovery.is_watching() {
+            self.recovery.tick(t, |link| kernel.is_active(link));
+        }
         delta.is_some()
     }
 
     /// Applies the plan events due at `t`; `Some` when effective
-    /// liveness changed. With [`FaultClock::watch`] and
-    /// [`FaultClock::slot`], the pieces of [`FaultClock::tick`] for a
-    /// replica that owns no kernel (the sharded coordinator).
+    /// liveness changed. All of a slot for a replica that owns no kernel
+    /// and is kept for its view (the sharded coordinator).
     pub fn advance(&mut self, t: u64) -> Option<FaultDelta> {
         if self.runtime.next_event_slot().is_none_or(|s| s > t) {
             return None;
@@ -268,61 +273,15 @@ impl FaultClock {
         delta.changed().then_some(delta)
     }
 
-    /// Recovery bookkeeping of one epoch over the links `owns` accepts:
-    /// a death abandons the link's pending measurement, a repair that
-    /// holds (the view says alive) starts one at `t`.
-    pub fn watch(&mut self, delta: &FaultDelta, t: u64, owns: impl Fn(u32) -> bool) {
-        for &link in &delta.newly_dead {
-            if owns(link.0) {
-                self.recovery.on_death(link.0);
-            }
-        }
-        for &link in &delta.repaired {
-            if owns(link.0) && self.runtime.view().link_alive(link) {
-                self.recovery.on_repair(link.0, t);
-            }
-        }
-    }
-
-    /// Per-slot accounting: counts the slot while anything is dead and
-    /// progresses the watched links by `busy` (backlogged or
-    /// transmitting *now*), remembering what it answered
-    /// ([`FaultClock::probes`]).
-    pub fn slot(&mut self, t: u64, mut busy: impl FnMut(u32) -> bool) {
-        if self.any_now {
-            self.fault_slots += 1;
-        }
-        self.probes.clear();
-        if self.recovery.is_watching() {
-            let probes = &mut self.probes;
-            self.recovery.tick(t, |link| {
-                let b = busy(link);
-                probes.push((link, b));
-                b
-            });
-        }
-    }
-
-    /// The `(link, busy)` probes the last [`FaultClock::slot`] took —
-    /// how a shard's busy bits reach the coordinator's replica.
-    pub fn probes(&self) -> &[(u32, bool)] {
-        &self.probes
-    }
-
     /// Closes the run after `now` slots: watched links whose backlog
     /// drained on the final slots (after the last tick) yield their
     /// sample, links that never carried traffic again are censored.
     pub fn finish(mut self, now: u64, busy: impl FnMut(u32) -> bool) -> FaultTotals {
         self.recovery.finalize(now, busy);
-        // Folded into a fresh accumulator so that a run without a sample
-        // reports the empty state (`min: inf, max: -inf`) on every
-        // backend, as `pstar-net`'s pinned reports do.
-        let mut recovery_time = Moments::new();
-        recovery_time.merge(&self.recovery.samples);
         FaultTotals {
             events_applied: self.events_applied,
             fault_slots: self.fault_slots,
-            recovery_time,
+            recovery_time: self.recovery.samples,
         }
     }
 }
@@ -524,7 +483,8 @@ mod tests {
         // Class 0 was served first; the backlog follows in service order.
         assert_eq!(lost, [(0, 5, 52), (1, 5, 50), (2, 5, 51), (3, 5, 53)]);
         assert!(kernel.is_alive(5), "the repair held");
-        assert_eq!(clock.probes(), [(7, true), (5, false)]);
+        // `(link, repaired at, busy when probed)`.
+        assert_eq!(clock.recovery.pending, [(7, 1, true), (5, 3, false)]);
     }
 
     /// A driver checks whether slot `t` runs before it ticks slot `t`:
@@ -562,8 +522,10 @@ mod tests {
         // Clear after serving: sample = now - repair_slot.
         tr.tick(110, |_| false);
         assert!(!tr.is_watching());
-        assert_eq!(tr.samples.count(), 1);
-        assert_eq!(tr.samples.summary().mean, 10.0);
+        // One sample is its own minimum and maximum (the derived
+        // all-zero `Moments::default()` used to make `min` read 0).
+        let s = tr.samples.summary();
+        assert_eq!((s.count, s.mean, s.min, s.max), (1, 10.0, 10.0, 10.0));
     }
 
     #[test]

@@ -2,22 +2,45 @@
 //! become a [`SimReport`] — written once for the serial [`crate::Engine`],
 //! the [`crate::ShardedEngine`] and the `pstar-net` runtime.
 //!
-//! * [`TaskLedger`] owns everything order-sensitive and global: the task
-//!   table, the delay moments and histogram, loss and damage counters,
-//!   the concurrency gauges. The serial engine and the sharded
-//!   coordinator call it from their delivery / generation / loss sites
-//!   in the same order, which is what makes their delay statistics
-//!   bit-identical. `pstar-net` keeps task records at per-task home
-//!   workers, so it calls [`TaskLedger::measured_reception`] and writes
-//!   the ledger's public counters directly, and merges one ledger per
+//! * [`TaskLedger`] owns everything read off task generation, reception,
+//!   completion and loss. Its rules are split by the *site* an event is
+//!   seen at — creation ([`TaskLedger::opened`]), delivery
+//!   ([`TaskLedger::measured_reception`]), loss
+//!   ([`TaskLedger::packet_dropped`], [`TaskLedger::lost`]) and the
+//!   task's home ([`TaskLedger::completed`], fed the [`TaskSlot`] a
+//!   [`TaskSlot::receive`] / [`TaskSlot::lose`] just completed). The
+//!   serial engine and the sharded coordinator see every site at once
+//!   and go through the composed [`TaskLedger::open_task`] /
+//!   [`TaskLedger::reception`] / [`TaskLedger::unicast_done`] /
+//!   [`TaskLedger::settle`] over the ledger's own task table;
+//!   `pstar-net` keeps a task's record at its home worker, calls each
+//!   rule at the worker that sees the site, and merges one ledger per
 //!   worker.
-//! * [`LinkCounters`] owns everything per link and order-free: waits,
-//!   busy slots, transmission counts. Every backend calls
-//!   [`LinkCounters::service_start`] where a link starts a
-//!   transmission; per-shard / per-worker counters merge exactly
-//!   (waits are [`IntMoments`]).
+//! * [`LinkCounters`] owns everything per link: waits, busy slots,
+//!   transmission counts. Every backend calls
+//!   [`LinkCounters::service_start`] where a link starts a transmission.
 //! * [`assemble`] is the only place the counters are normalized into a
 //!   report.
+//!
+//! Every statistic is a sum of integers (or a maximum, or a flag that
+//! only ever turns on), so accounting is **order-free**: the events of a
+//! run may be applied in any order, split over any number of ledgers,
+//! and merged in any order, and [`assemble`] returns the same report bit
+//! for bit (proptested in `crates/sim/tests/order_free.rs`). The definitions
+//! that make it so:
+//!
+//! 1. *Delays, waits, recovery times* are whole slots, accumulated as
+//!    [`IntMoments`] (count, sum, sum of squares, extremes).
+//! 2. *Concurrent tasks* ([`TimeWeighted`]) integrate `+1` at the slot a
+//!    task is injected and `−1` at the slot of its last settlement
+//!    ([`TaskSlot::last`]), wherever and whenever that is learnt of.
+//! 3. *Batch means* put a measured reception in the slice of the
+//!    measurement window its task was generated in ([`BatchMeans`]).
+//! 4. *Queue population* — its peak, its window sum — is sampled once a
+//!    slot, after the slot's enqueues and before its service starts.
+//! 5. *A fault-damaged broadcast* is a measured damaged broadcast with
+//!    at least one reception lost to a dead link
+//!    ([`TaskSlot::fault_lost`]), whichever loss came last.
 //!
 //! The event engine deliberately does not use this module: it is the
 //! independently written oracle the step engine is validated against.
@@ -31,7 +54,7 @@ use crate::metrics::{
 use crate::packet::{Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::scheme::Scheme;
 use crate::task::{TaskKind, TaskSlot, TaskTable};
-use pstar_stats::{BatchMeans, Histogram, IntMoments, LogHistogram, Moments, TimeWeighted};
+use pstar_stats::{BatchMeans, Histogram, IntMoments, LogHistogram, TimeWeighted};
 
 /// Tail-latency instrumentation carried by a backend with
 /// [`SimConfig::tails`] set: log-bucketed reception-delay and hop-wait
@@ -216,8 +239,9 @@ fn merge_tails(own: &mut Option<Box<TailsState>>, other: &Option<Box<TailsState>
 }
 
 /// `(is_broadcast, receptions)` a lost copy was still responsible for —
-/// the arguments of [`TaskLedger::settle`]. Must be evaluated against
-/// the scheme state *at the loss* (degraded-mode subtrees differ).
+/// what [`TaskLedger::lost`] and [`TaskSlot::lose`] are told. Must be
+/// evaluated against the scheme state *at the loss* (degraded-mode
+/// subtrees differ).
 pub fn receptions_at_stake<S: Scheme>(scheme: &S, pkt: &Packet) -> (bool, u32) {
     match pkt.kind {
         PacketKind::Broadcast(state) => {
@@ -229,101 +253,100 @@ pub fn receptions_at_stake<S: Scheme>(scheme: &S, pkt: &Packet) -> (bool, u32) {
     }
 }
 
-/// Task-level accounting: which tasks are in progress, and every
-/// statistic read off task generation, reception, completion and loss.
-///
-/// Some counters are public because `pstar-net` accounts tasks at
-/// distributed sites (creation / loss / home worker) and writes them
-/// directly; the engines go through the methods, which apply the shared
-/// rules (what counts as measured, when a broadcast is damaged, when
-/// `outstanding_measured` drops).
+/// Task-level accounting: every statistic read off task generation,
+/// reception, completion and loss (see the module docs for the site
+/// rules and why their order does not matter).
 #[derive(Debug)]
 pub struct TaskLedger {
+    /// The tasks in progress of a driver that keeps them all in one
+    /// place (the composed methods); empty under `pstar-net`.
     tasks: TaskTable,
-    outstanding_measured: u64,
-    reception_batch: BatchMeans,
-    warmup_slots: u64,
-    measure_end: u64,
+    /// Receptions of measured tasks opened by this ledger, less those it
+    /// saw delivered or lost for good: non-negative where one ledger
+    /// sees everything, any sign per `pstar-net` worker, and the number
+    /// still due once summed. Counted in receptions, not tasks, because
+    /// a reception's fate is known where and when it happens — a task's
+    /// completion only at its home, once the notice has travelled.
+    outstanding_measured: i64,
     /// Receptions that complete a broadcast (`N − 1`).
     receivers: u32,
-    /// The gauges' averages, frozen at the end of the measurement
-    /// window (or of the run, if it ends first).
-    concurrent_snapshot: Option<(f64, f64)>,
+    /// Broadcast tasks tagged for measurement.
+    measured_broadcasts: u64,
+    /// Unicast tasks tagged for measurement.
+    measured_unicasts: u64,
     /// Generation → reception delay of measured broadcast receptions.
-    reception_delay: Moments,
+    reception_delay: IntMoments,
     /// Linear histogram of the same delays (p50/p95/p99).
     reception_hist: Histogram,
+    /// The same delays by the window slice their task was generated in.
+    reception_batch: BatchMeans,
     /// Reception delay by hop distance from the source (empty unless
     /// [`SimConfig::profile_by_distance`]).
-    delay_by_distance: Vec<Moments>,
+    delay_by_distance: Vec<IntMoments>,
     /// Reception-side tail recorder.
     tails: Option<Box<TailsState>>,
+    /// Generation → last reception of undamaged measured broadcasts.
+    broadcast_delay: IntMoments,
+    /// Generation → delivery of measured unicasts.
+    unicast_delay: IntMoments,
+    /// Completion delay of measured tasks that needed a retransmission.
+    recovered_task_delay: IntMoments,
     /// Packets taken out of circulation (failed retries excluded).
     dropped_packets: u64,
     /// Subset of `dropped_packets` lost to dead links.
     fault_dropped: u64,
-    /// Broadcast tasks tagged for measurement.
-    pub measured_broadcasts: u64,
-    /// Unicast tasks tagged for measurement.
-    pub measured_unicasts: u64,
-    /// Generation → last reception of undamaged measured broadcasts.
-    pub broadcast_delay: Moments,
-    /// Generation → delivery of measured unicasts.
-    pub unicast_delay: Moments,
-    /// Completion delay of measured tasks that needed a retransmission.
-    pub recovered_task_delay: Moments,
     /// Measured receptions that will never happen.
-    pub lost_receptions: u64,
-    /// Measured broadcasts that completed with at least one loss.
-    pub damaged_broadcasts: u64,
+    lost_receptions: u64,
     /// Measured unicasts lost before delivery.
-    pub dropped_unicasts: u64,
-    /// Measured broadcasts whose completing settlement was a fault loss.
-    pub fault_damaged: u64,
-    /// Broadcast tasks in progress, time-weighted.
-    pub concurrent_bcast: TimeWeighted,
-    /// Unicast tasks in progress, time-weighted.
-    pub concurrent_ucast: TimeWeighted,
+    dropped_unicasts: u64,
+    /// Measured broadcasts that completed with at least one loss.
+    damaged_broadcasts: u64,
+    /// Subset of `damaged_broadcasts` with a reception lost to a fault.
+    fault_damaged: u64,
+    /// Broadcast tasks in progress over the measurement window.
+    concurrent_bcast: TimeWeighted,
+    /// Unicast tasks in progress over the measurement window.
+    concurrent_ucast: TimeWeighted,
 }
 
 impl TaskLedger {
     /// An empty ledger for a network of `node_count` nodes.
     pub fn new(cfg: &SimConfig, node_count: u32, diameter: u32) -> Self {
+        let window = TimeWeighted::new(cfg.warmup_slots, cfg.measure_end());
         Self {
             tasks: TaskTable::new(),
             outstanding_measured: 0,
-            reception_batch: BatchMeans::new(cfg.delay_batch_size),
-            warmup_slots: cfg.warmup_slots,
-            measure_end: cfg.measure_end(),
             receivers: node_count - 1,
             measured_broadcasts: 0,
             measured_unicasts: 0,
-            reception_delay: Moments::new(),
+            reception_delay: IntMoments::new(),
             reception_hist: Histogram::new(cfg.delay_histogram_cap),
-            broadcast_delay: Moments::new(),
-            unicast_delay: Moments::new(),
-            recovered_task_delay: Moments::new(),
+            reception_batch: BatchMeans::new(cfg.warmup_slots, cfg.measure_slots),
             delay_by_distance: if cfg.profile_by_distance {
-                vec![Moments::new(); diameter as usize + 1]
+                vec![IntMoments::new(); diameter as usize + 1]
             } else {
                 Vec::new()
             },
-            dropped_packets: 0,
-            lost_receptions: 0,
-            damaged_broadcasts: 0,
-            dropped_unicasts: 0,
-            fault_dropped: 0,
-            fault_damaged: 0,
-            concurrent_bcast: TimeWeighted::new(0, 0),
-            concurrent_ucast: TimeWeighted::new(0, 0),
-            concurrent_snapshot: None,
             tails: cfg.tails.then(TailsState::new),
+            broadcast_delay: IntMoments::new(),
+            unicast_delay: IntMoments::new(),
+            recovered_task_delay: IntMoments::new(),
+            dropped_packets: 0,
+            fault_dropped: 0,
+            lost_receptions: 0,
+            dropped_unicasts: 0,
+            damaged_broadcasts: 0,
+            fault_damaged: 0,
+            concurrent_bcast: window,
+            concurrent_ucast: window,
         }
     }
 
-    /// Measured tasks not yet completed (the drain condition).
+    /// Measured receptions opened less those delivered or lost (summed
+    /// over a run's ledgers: those still due — zero is the drain
+    /// condition).
     #[inline]
-    pub fn outstanding_measured(&self) -> u64 {
+    pub fn outstanding_measured(&self) -> i64 {
         self.outstanding_measured
     }
 
@@ -332,136 +355,52 @@ impl TaskLedger {
         (self.tasks.active(), self.tasks.capacity())
     }
 
-    /// Top-of-slot window boundaries for the concurrency gauges:
-    /// restart them at warmup, freeze their averages at the end of the
-    /// measurement window.
+    // -----------------------------------------------------------------
+    // The rules, by site
+    // -----------------------------------------------------------------
+
+    /// Creation site: a task was injected at slot `t`.
     #[inline]
-    pub fn window_tick(&mut self, t: u64) {
-        if t == self.warmup_slots {
-            self.concurrent_bcast.reset_window(t);
-            self.concurrent_ucast.reset_window(t);
-        }
-        if t == self.measure_end {
-            self.freeze_concurrency(t);
-        }
-    }
-
-    /// Freezes the `(broadcast, unicast)` concurrency averages at `now`
-    /// unless already frozen, and returns the frozen pair.
-    pub fn freeze_concurrency(&mut self, now: u64) -> (f64, f64) {
-        *self.concurrent_snapshot.get_or_insert_with(|| {
-            (
-                self.concurrent_bcast.average(now),
-                self.concurrent_ucast.average(now),
-            )
-        })
-    }
-
-    /// Registers a task generated at `gen_time` and injected at `t`
-    /// (they differ only for backpressure-deferred tasks); returns its
-    /// id.
-    pub fn open_task(&mut self, t: u64, gen_time: u64, broadcast: bool, measured: bool) -> u32 {
-        let (kind, remaining) = if broadcast {
-            (TaskKind::Broadcast, self.receivers)
-        } else {
-            (TaskKind::Unicast, 1)
-        };
-        let task = self.tasks.insert(TaskSlot {
-            gen_time,
-            remaining,
-            measured,
-            kind,
-            lost: 0,
-            retx: false,
-        });
-        if measured {
-            self.outstanding_measured += 1;
-        }
+    pub fn opened(&mut self, t: u64, broadcast: bool, measured: bool) {
         if broadcast {
             self.measured_broadcasts += u64::from(measured);
+            self.outstanding_measured += i64::from(measured) * i64::from(self.receivers);
             self.concurrent_bcast.add(t, 1);
         } else {
             self.measured_unicasts += u64::from(measured);
+            self.outstanding_measured += i64::from(measured);
             self.concurrent_ucast.add(t, 1);
         }
-        task
     }
 
-    /// Records the delay of one *measured* broadcast reception
-    /// (moments, histogram, by-distance profile, reception tails).
-    /// `class` is the delivering packet's priority (tails only: which
-    /// class pays which reception tail); `dist` is evaluated only when
-    /// distance profiling wants it. `pstar-net` calls this at its
-    /// delivery sites; the engines reach it through
-    /// [`TaskLedger::reception`].
+    /// Delivery site: one reception, at slot `t`, of a *measured*
+    /// broadcast generated at `gen_time` (moments, histogram, batch
+    /// means, by-distance profile, reception tails). `class` is the
+    /// delivering packet's priority (tails only: which class pays which
+    /// reception tail); `dist` is evaluated only when distance profiling
+    /// wants it.
     #[inline]
-    pub fn measured_reception(&mut self, delay: u64, class: u8, dist: impl FnOnce() -> u32) {
+    pub fn measured_reception(
+        &mut self,
+        gen_time: u64,
+        t: u64,
+        class: u8,
+        dist: impl FnOnce() -> u32,
+    ) {
+        let delay = t - gen_time;
+        self.outstanding_measured -= 1;
         if !self.delay_by_distance.is_empty() {
-            self.delay_by_distance[dist() as usize].push(delay as f64);
+            self.delay_by_distance[dist() as usize].push(delay);
         }
-        self.reception_delay.push(delay as f64);
+        self.reception_delay.push(delay);
         self.reception_hist.record(delay);
+        self.reception_batch.push(gen_time, delay);
         if let Some(tl) = self.tails.as_deref_mut() {
             tl.record_reception(class, delay);
         }
     }
 
-    /// One broadcast reception of `task` at slot `t` (`class`, `dist`:
-    /// see [`TaskLedger::measured_reception`]).
-    #[inline]
-    pub fn reception(&mut self, t: u64, task: u32, class: u8, dist: impl FnOnce() -> u32) {
-        // Read the slot *before* the reception possibly completes and
-        // recycles it.
-        let slot = *self.tasks.get(task);
-        let delay = t - slot.gen_time;
-        if slot.measured {
-            self.measured_reception(delay, class, dist);
-            self.reception_batch.push(delay as f64);
-        }
-        if self.tasks.record_reception(task) {
-            // Last reception completes the broadcast. Damaged tasks
-            // (some receptions lost) are excluded from the completion
-            // statistic — they never actually reached everyone.
-            if slot.measured {
-                if slot.lost == 0 {
-                    self.broadcast_delay.push(delay as f64);
-                    if slot.retx {
-                        self.recovered_task_delay.push(delay as f64);
-                    }
-                } else {
-                    self.damaged_broadcasts += 1;
-                }
-                self.outstanding_measured -= 1;
-            }
-            self.concurrent_bcast.add(t, -1);
-        }
-    }
-
-    /// Unicast `task` reached its destination at slot `t`.
-    #[inline]
-    pub fn unicast_done(&mut self, t: u64, task: u32) {
-        let slot = *self.tasks.get(task);
-        debug_assert_eq!(slot.kind, TaskKind::Unicast);
-        if slot.measured {
-            let delay = (t - slot.gen_time) as f64;
-            self.unicast_delay.push(delay);
-            if slot.retx {
-                self.recovered_task_delay.push(delay);
-            }
-            self.outstanding_measured -= 1;
-        }
-        let done = self.tasks.record_reception(task);
-        debug_assert!(done);
-        self.concurrent_ucast.add(t, -1);
-    }
-
-    /// A copy of `task` was scheduled for retransmission.
-    #[inline]
-    pub fn mark_retx(&mut self, task: u32) {
-        self.tasks.mark_retx(task);
-    }
-
-    /// Counts a packet leaving circulation. A failed retry is not a new
+    /// Loss site: a packet left circulation. A failed retry is not a new
     /// drop (no transmission happened).
     #[inline]
     pub fn packet_dropped(&mut self, cause: LossCause) {
@@ -473,57 +412,125 @@ impl TaskLedger {
         }
     }
 
-    /// Settles a terminally lost copy: `lost` receptions of `task` will
-    /// never happen (see [`receptions_at_stake`]). Returns how many of
-    /// them were measured.
-    pub fn settle(
-        &mut self,
-        t: u64,
-        task: u32,
-        broadcast: bool,
-        lost: u32,
-        cause: LossCause,
-    ) -> u64 {
-        let slot = *self.tasks.get(task);
-        let lost_measured = if slot.measured { u64::from(lost) } else { 0 };
-        self.lost_receptions += lost_measured;
-        let done = self.tasks.cancel_receptions(task, lost);
-        if broadcast {
-            if done {
-                if slot.measured {
-                    self.damaged_broadcasts += 1;
-                    if cause == LossCause::Fault {
-                        self.fault_damaged += 1;
-                    }
-                    self.outstanding_measured -= 1;
-                }
-                self.concurrent_bcast.add(t, -1);
-            }
-        } else {
-            debug_assert!(done && lost == 1);
-            if slot.measured {
-                self.dropped_unicasts += 1;
-                self.outstanding_measured -= 1;
-            }
-            self.concurrent_ucast.add(t, -1);
+    /// Loss site: `receptions` of a task (see [`receptions_at_stake`])
+    /// will never happen. Returns how many of them were measured.
+    #[inline]
+    pub fn lost(&mut self, measured: bool, broadcast: bool, receptions: u32) -> u64 {
+        if !measured {
+            return 0;
         }
-        lost_measured
+        self.outstanding_measured -= i64::from(receptions);
+        self.lost_receptions += u64::from(receptions);
+        self.dropped_unicasts += u64::from(!broadcast);
+        u64::from(receptions)
     }
 
-    /// Folds another worker's counters into this one (`pstar-net`; the
-    /// caller fixes the worker order, so merged moments are
-    /// deterministic for a given worker count). Both sides must have
-    /// frozen their concurrency snapshot: levels decompose additively
-    /// over workers (each task counts at exactly one), so the
-    /// time-averages sum.
+    /// Home site: `slot`'s last outstanding reception was just settled
+    /// ([`TaskSlot::receive`] / [`TaskSlot::lose`] returned `true`), at
+    /// slot `slot.last`. Damaged tasks (some receptions lost) are
+    /// excluded from the completion statistics — they never actually
+    /// reached everyone. (A unicast's home is its delivery site: its
+    /// one reception is counted as delivered here.)
+    #[inline]
+    pub fn completed(&mut self, slot: TaskSlot) {
+        debug_assert_eq!(slot.remaining, 0, "completing an unsettled task");
+        let broadcast = slot.kind == TaskKind::Broadcast;
+        if slot.measured {
+            if slot.lost == 0 {
+                let delay = slot.last - slot.gen_time;
+                if broadcast {
+                    self.broadcast_delay.push(delay);
+                } else {
+                    self.unicast_delay.push(delay);
+                    self.outstanding_measured -= 1;
+                }
+                if slot.retx {
+                    self.recovered_task_delay.push(delay);
+                }
+            } else if broadcast {
+                self.damaged_broadcasts += 1;
+                self.fault_damaged += u64::from(slot.fault_lost);
+            }
+        }
+        if broadcast {
+            self.concurrent_bcast.add(slot.last, -1);
+        } else {
+            self.concurrent_ucast.add(slot.last, -1);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The rules composed over one task table (the engines)
+    // -----------------------------------------------------------------
+
+    /// Registers a task generated at `gen_time` and injected at `t`
+    /// (they differ only for backpressure-deferred tasks); returns its
+    /// id.
+    pub fn open_task(&mut self, t: u64, gen_time: u64, broadcast: bool, measured: bool) -> u32 {
+        self.opened(t, broadcast, measured);
+        self.tasks
+            .insert(TaskSlot::new(gen_time, broadcast, self.receivers, measured))
+    }
+
+    /// One broadcast reception of `task` at slot `t` (`class`, `dist`:
+    /// see [`TaskLedger::measured_reception`]).
+    #[inline]
+    pub fn reception(&mut self, t: u64, task: u32, class: u8, dist: impl FnOnce() -> u32) {
+        let slot = self.tasks.get_mut(task);
+        let done = slot.receive(t);
+        let (gen_time, measured) = (slot.gen_time, slot.measured);
+        if measured {
+            self.measured_reception(gen_time, t, class, dist);
+        }
+        if done {
+            self.complete(task);
+        }
+    }
+
+    /// Unicast `task` reached its destination at slot `t`.
+    #[inline]
+    pub fn unicast_done(&mut self, t: u64, task: u32) {
+        debug_assert_eq!(self.tasks.get(task).kind, TaskKind::Unicast);
+        let done = self.tasks.get_mut(task).receive(t);
+        debug_assert!(done);
+        self.complete(task);
+    }
+
+    /// Takes the just-settled `task` out of the table and counts it.
+    #[inline]
+    fn complete(&mut self, task: u32) {
+        let slot = self.tasks.remove(task);
+        self.completed(slot);
+    }
+
+    /// A copy of `task` was scheduled for retransmission.
+    #[inline]
+    pub fn mark_retx(&mut self, task: u32) {
+        self.tasks.get_mut(task).retx = true;
+    }
+
+    /// Settles a copy of `task` lost for good at slot `t`: `lost`
+    /// receptions will never happen. Returns how many were measured.
+    pub fn settle(&mut self, t: u64, task: u32, lost: u32, cause: LossCause) -> u64 {
+        let slot = self.tasks.get_mut(task);
+        let done = slot.lose(t, lost, cause == LossCause::Fault);
+        let (measured, broadcast) = (slot.measured, slot.kind == TaskKind::Broadcast);
+        if done {
+            self.complete(task);
+        }
+        self.lost(measured, broadcast, lost)
+    }
+
+    /// Folds another ledger's counters into this one: exact, commutative
+    /// and associative (the task tables are not merged — a merged ledger
+    /// is for [`assemble`]).
     pub fn merge(&mut self, other: &Self) {
+        self.outstanding_measured += other.outstanding_measured;
         self.measured_broadcasts += other.measured_broadcasts;
         self.measured_unicasts += other.measured_unicasts;
         self.reception_delay.merge(&other.reception_delay);
         self.reception_hist.merge(&other.reception_hist);
-        self.broadcast_delay.merge(&other.broadcast_delay);
-        self.unicast_delay.merge(&other.unicast_delay);
-        self.recovered_task_delay.merge(&other.recovered_task_delay);
+        self.reception_batch.merge(&other.reception_batch);
         for (a, b) in self
             .delay_by_distance
             .iter_mut()
@@ -531,17 +538,18 @@ impl TaskLedger {
         {
             a.merge(b);
         }
-        self.dropped_packets += other.dropped_packets;
-        self.lost_receptions += other.lost_receptions;
-        self.damaged_broadcasts += other.damaged_broadcasts;
-        self.dropped_unicasts += other.dropped_unicasts;
-        self.fault_dropped += other.fault_dropped;
-        self.fault_damaged += other.fault_damaged;
-        let (cb, cu) = self.concurrent_snapshot.get_or_insert((0.0, 0.0));
-        let (ocb, ocu) = other.concurrent_snapshot.unwrap_or((0.0, 0.0));
-        *cb += ocb;
-        *cu += ocu;
         merge_tails(&mut self.tails, &other.tails);
+        self.broadcast_delay.merge(&other.broadcast_delay);
+        self.unicast_delay.merge(&other.unicast_delay);
+        self.recovered_task_delay.merge(&other.recovered_task_delay);
+        self.dropped_packets += other.dropped_packets;
+        self.fault_dropped += other.fault_dropped;
+        self.lost_receptions += other.lost_receptions;
+        self.dropped_unicasts += other.dropped_unicasts;
+        self.damaged_broadcasts += other.damaged_broadcasts;
+        self.fault_damaged += other.fault_damaged;
+        self.concurrent_bcast.merge(&other.concurrent_bcast);
+        self.concurrent_ucast.merge(&other.concurrent_ucast);
     }
 }
 
@@ -691,7 +699,7 @@ impl ArqCounters {
 
 /// Flow-control and occupancy counters (mergeable across `pstar-net`
 /// workers).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlowCounters {
     /// Measured broadcast arrivals rejected by admission control.
     pub rejected_broadcasts: u64,
@@ -700,25 +708,12 @@ pub struct FlowCounters {
     /// Measured injections deferred by source backpressure.
     pub deferred_injections: u64,
     /// Arrival → injection delay of those.
-    pub defer_delay: Moments,
+    pub defer_delay: IntMoments,
     /// Packets evicted by the drop-lowest-class policy.
     pub evicted: u64,
     /// Sum over window slots of the queued-packet population, sampled
     /// after arrivals and before service starts.
     pub occupancy_sum: u128,
-}
-
-impl Default for FlowCounters {
-    fn default() -> Self {
-        Self {
-            rejected_broadcasts: 0,
-            rejected_unicasts: 0,
-            deferred_injections: 0,
-            defer_delay: Moments::new(),
-            evicted: 0,
-            occupancy_sum: 0,
-        }
-    }
 }
 
 impl FlowCounters {
@@ -740,8 +735,24 @@ pub struct FaultTotals {
     pub events_applied: u64,
     /// Slots with at least one live fault.
     pub fault_slots: u64,
-    /// Time-to-recovery samples of repaired links.
-    pub recovery_time: Moments,
+    /// Time-to-recovery samples of the repaired links the replica's
+    /// kernel owns.
+    pub recovery_time: IntMoments,
+}
+
+impl FaultTotals {
+    /// Folds in the totals of another replica of the same plan, over
+    /// other links: every replica counts the same events and fault
+    /// slots, so those stand — never a sum; only the time-to-recovery
+    /// samples are per owned link and add up.
+    pub fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(
+            (self.events_applied, self.fault_slots),
+            (other.events_applied, other.fault_slots),
+            "replicas of one plan disagree"
+        );
+        self.recovery_time.merge(&other.recovery_time);
+    }
 }
 
 /// What [`assemble`] needs beyond the ledger and the link counters:
@@ -762,8 +773,8 @@ pub struct RunOutcome<'a> {
     pub stable: bool,
     /// Every measured task completed before the horizon.
     pub completed: bool,
-    /// Largest queued-packet population seen (the engines track the
-    /// intra-slot peak, `pstar-net` the end-of-slot peak).
+    /// Largest queued-packet population of any slot, sampled after the
+    /// slot's enqueues and before its service starts.
     pub peak_queue_total: i64,
     /// `(slot, queued packets)` samples.
     pub queue_trace: Vec<(u64, u64)>,
@@ -777,11 +788,7 @@ pub struct RunOutcome<'a> {
 
 /// Turns a finished run's counters into its [`SimReport`] — the one
 /// normalization rule every backend shares.
-///
-/// `reception_ci_batch` comes out `None` for a ledger whose receptions
-/// were never pushed through [`TaskLedger::reception`] (`pstar-net`:
-/// batch means need a single serial reception stream).
-pub fn assemble(mut ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) -> SimReport {
+pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) -> SimReport {
     let cfg = run.cfg;
     // Normalize by the *realized* measurement window: a run cut short
     // by `max_slots` (overload bail-out) has measured fewer than
@@ -817,7 +824,6 @@ pub fn assemble(mut ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>
             wait: links.wait_by_class[k].summary(),
         })
         .collect();
-    let (avg_cb, avg_cu) = ledger.freeze_concurrency(run.slots_run);
     let fraction = |delivered: u64, offered: u64| {
         if offered == 0 {
             1.0
@@ -896,8 +902,8 @@ pub fn assemble(mut ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>
         mean_link_utilization: mean_util,
         max_link_utilization: max_util,
         per_dim_utilization: per_dim,
-        avg_concurrent_broadcasts: avg_cb,
-        avg_concurrent_unicasts: avg_cu,
+        avg_concurrent_broadcasts: ledger.concurrent_bcast.average(run.slots_run),
+        avg_concurrent_unicasts: ledger.concurrent_ucast.average(run.slots_run),
         peak_queue_total: run.peak_queue_total,
         window_transmissions: links.window_transmissions,
         vc_transmissions: links.tx_by_vc,
@@ -927,14 +933,14 @@ mod tests {
     fn settle_on_the_last_outstanding_reception_damages_the_broadcast() {
         let mut l = ledger();
         let task = l.open_task(10, 10, true, true);
-        assert_eq!(l.outstanding_measured(), 1);
+        assert_eq!(l.outstanding_measured(), 3);
         l.reception(11, task, 0, || 1);
         l.reception(12, task, 0, || 1);
         assert_eq!(l.outstanding_measured(), 1, "one reception still due");
         // The copy carrying the last reception is lost for good.
         l.packet_dropped(LossCause::Fault);
-        assert_eq!(l.settle(13, task, true, 1, LossCause::Fault), 1);
-        assert_eq!(l.outstanding_measured(), 0, "decremented exactly once");
+        assert_eq!(l.settle(13, task, 1, LossCause::Fault), 1);
+        assert_eq!(l.outstanding_measured(), 0, "settled exactly once");
         assert_eq!(l.damaged_broadcasts, 1);
         assert_eq!(l.fault_damaged, 1);
         assert_eq!((l.dropped_packets, l.fault_dropped), (1, 1));
@@ -948,7 +954,7 @@ mod tests {
     fn a_loss_before_the_last_reception_damages_at_completion() {
         let mut l = ledger();
         let task = l.open_task(0, 0, true, true);
-        assert_eq!(l.settle(1, task, true, 2, LossCause::Overflow), 2);
+        assert_eq!(l.settle(1, task, 2, LossCause::Overflow), 2);
         assert_eq!((l.damaged_broadcasts, l.outstanding_measured()), (0, 1));
         l.reception(2, task, 0, || 1);
         assert_eq!((l.damaged_broadcasts, l.outstanding_measured()), (1, 0));
@@ -956,18 +962,40 @@ mod tests {
         assert_eq!(l.broadcast_delay.count(), 0);
     }
 
+    /// Fault damage is a property of the task, not of its last
+    /// settlement: one reception lost to a dead link marks the broadcast,
+    /// whether an overflow loss or a delivery completes it.
+    #[test]
+    fn one_fault_loss_marks_the_broadcast_whatever_completes_it() {
+        let mut l = ledger();
+        for completing_loss in [true, false] {
+            let task = l.open_task(0, 0, true, true);
+            l.settle(1, task, 1, LossCause::Fault);
+            l.reception(2, task, 0, || 1);
+            if completing_loss {
+                l.settle(3, task, 1, LossCause::Overflow);
+            } else {
+                l.reception(3, task, 0, || 1);
+            }
+        }
+        assert_eq!((l.damaged_broadcasts, l.fault_damaged), (2, 2));
+        assert_eq!(l.outstanding_measured(), 0);
+    }
+
     #[test]
     fn unmeasured_tasks_touch_only_the_gauges() {
         let mut l = ledger();
-        let b = l.open_task(0, 0, true, false);
-        let u = l.open_task(0, 0, false, false);
+        let w = SimConfig::quick(1).warmup_slots;
+        let b = l.open_task(w, w, true, false);
+        let u = l.open_task(w, w, false, false);
         assert_eq!(l.outstanding_measured(), 0);
-        l.unicast_done(3, u);
-        assert_eq!(l.settle(4, b, true, 3, LossCause::Fault), 0);
+        l.unicast_done(w + 3, u);
+        assert_eq!(l.settle(w + 4, b, 3, LossCause::Fault), 0);
         assert_eq!(l.measured_broadcasts + l.measured_unicasts, 0);
         assert_eq!(l.unicast_delay.count() + l.lost_receptions, 0);
-        assert_eq!(l.damaged_broadcasts, 0);
-        assert_eq!(l.concurrent_bcast.level() + l.concurrent_ucast.level(), 0);
+        assert_eq!(l.damaged_broadcasts + l.fault_damaged, 0);
+        assert_eq!(l.concurrent_bcast.average(w + 10), 0.4);
+        assert_eq!(l.concurrent_ucast.average(w + 10), 0.3);
     }
 
     #[test]

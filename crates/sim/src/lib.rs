@@ -76,10 +76,12 @@ pub use packet::{rotated_dim, BroadcastState, Emit, Packet, PacketKind, MAX_PRIO
 pub use perf::{CoordPhases, EnginePerf, EnginePerfConfig, WorkerPhases, PHASE_NAMES};
 pub use queue::PriorityQueue;
 pub use recovery::{
-    AdmissionConfig, Arq, ArqConfig, FullQueuePolicy, RetxEntry, TokenGate, ARQ_SEED_SALT,
+    splitmix64, AdmissionConfig, Arq, ArqConfig, FullQueuePolicy, RetxEntry, TokenGate,
+    ARQ_SEED_SALT,
 };
 pub use scheme::Scheme;
 pub use sharded::ShardedEngine;
+pub use task::{TaskKind, TaskSlot};
 
 // Fault-injection vocabulary, re-exported so downstream crates need not
 // depend on `pstar-faults` directly.

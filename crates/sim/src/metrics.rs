@@ -1,6 +1,6 @@
 //! Simulation output report.
 
-use pstar_stats::{LogHistogram, Summary};
+use pstar_stats::{IntMoments, LogHistogram, Summary};
 
 /// Per-priority-class measurements.
 #[derive(Debug, Clone, Copy)]
@@ -26,7 +26,8 @@ pub struct FaultReport {
     /// [`SimReport::dropped_packets`], which also counts buffer
     /// overflows).
     pub fault_dropped_packets: u64,
-    /// Measured broadcasts damaged specifically by fault drops.
+    /// Measured damaged broadcasts with at least one reception lost to a
+    /// fault drop (subset of [`SimReport::damaged_broadcasts`]).
     pub fault_damaged_broadcasts: u64,
     /// Time-to-recovery: slots from a link's repair until it has carried
     /// traffic again and its backlog first clears (at most one sample
@@ -48,7 +49,7 @@ impl Default for FaultReport {
             delivered_reception_fraction: 1.0,
             fault_dropped_packets: 0,
             fault_damaged_broadcasts: 0,
-            recovery_time: pstar_stats::Moments::default().summary(),
+            recovery_time: IntMoments::new().summary(),
             fault_slots: 0,
             class_wait_fault: Vec::new(),
         }
@@ -100,7 +101,7 @@ impl Default for RecoveryReport {
             recovered_deliveries: 0,
             gave_up_copies: 0,
             gave_up_receptions: 0,
-            recovered_task_delay: pstar_stats::Moments::default().summary(),
+            recovered_task_delay: IntMoments::new().summary(),
             pending_at_end: 0,
         }
     }
@@ -143,7 +144,7 @@ impl Default for FlowReport {
             rejected_broadcasts: 0,
             rejected_unicasts: 0,
             deferred_injections: 0,
-            defer_delay: pstar_stats::Moments::default().summary(),
+            defer_delay: IntMoments::new().summary(),
             evicted_packets: 0,
             mean_queued_packets: 0.0,
             goodput_fraction: 1.0,
@@ -269,8 +270,10 @@ pub struct SimReport {
     /// Reception-delay tail quantiles `(p50, p95, p99)` in slots.
     pub reception_quantiles: (u64, u64, u64),
     /// Batch-means 95% half-width for the reception delay — honest under
-    /// serial correlation, unlike `reception_delay.ci95()`. `None` when
-    /// too few batches completed.
+    /// serial correlation, unlike `reception_delay.ci95()`. A batch is
+    /// the receptions of the tasks generated in one of
+    /// [`pstar_stats::BATCHES`] equal slices of the measurement window;
+    /// `None` with fewer than two non-empty batches.
     pub reception_ci_batch: Option<f64>,
     /// Packets dropped at full finite buffers (0 with infinite queues).
     pub dropped_packets: u64,
@@ -300,7 +303,9 @@ pub struct SimReport {
     pub avg_concurrent_broadcasts: f64,
     /// Time-average number of unicast tasks in progress (Fig. 8).
     pub avg_concurrent_unicasts: f64,
-    /// Largest total queued-packet population seen.
+    /// Largest total queued-packet population of any slot, sampled after
+    /// the slot's enqueues and before its service starts (where
+    /// [`FlowReport::mean_queued_packets`] samples too).
     pub peak_queue_total: i64,
     /// Transmissions started during the window.
     pub window_transmissions: u64,
@@ -333,10 +338,60 @@ pub struct SimReport {
     pub tails: TailReport,
 }
 
+/// Returns from the enclosing function with `Some("<path>: a != b")` for
+/// the first listed field on which `$a` and `$b` — two values of struct
+/// `$ty` — differ. The fields (and after `in`, the nested reports the
+/// caller descends into itself) are named by destructuring `$ty`
+/// without a rest pattern, so a field added to the struct and not listed
+/// here is a compile error, not a field silently left out of the
+/// comparison. `Debug` text is the comparison: it spells an `f64` with
+/// the shortest digits that round-trip, so two floats print alike only
+/// when their bits do.
+macro_rules! return_first_difference {
+    ($ty:ident, $a:expr, $b:expr, $path:expr; $($field:ident),+ $(; in $($nested:ident),+)?) => {{
+        let $ty { $($field: _),+ $(, $($nested: _),+)? } = $a;
+        $(
+            let (a, b) = (format!("{:?}", $a.$field), format!("{:?}", $b.$field));
+            if a != b {
+                return Some(format!("{}{}: {a} != {b}", $path, stringify!($field)));
+            }
+        )+
+    }};
+}
+
 impl SimReport {
     /// `true` when the run is usable: stable and fully drained.
     pub fn ok(&self) -> bool {
         self.stable && self.completed
+    }
+
+    /// The one cross-backend comparison: `None` when `other` reports the
+    /// same run bit for bit, else the first field that differs (by its
+    /// path, e.g. `faults.recovery_time`) with both values. Every field
+    /// is compared; there is no tolerance.
+    pub fn first_difference(&self, other: &Self) -> Option<String> {
+        return_first_difference!(SimReport, self, other, "";
+            stable, completed, slots_run, measured_broadcasts, measured_unicasts,
+            reception_delay, reception_quantiles, reception_ci_batch, dropped_packets,
+            lost_receptions, damaged_broadcasts, dropped_unicasts, broadcast_delay,
+            unicast_delay, class, mean_link_utilization, max_link_utilization,
+            per_dim_utilization, avg_concurrent_broadcasts, avg_concurrent_unicasts,
+            peak_queue_total, window_transmissions, vc_transmissions, delay_by_distance,
+            queue_trace; in faults, recovery, flow, tails);
+        return_first_difference!(FaultReport, &self.faults, &other.faults, "faults.";
+            events_applied, delivered_reception_fraction, fault_dropped_packets,
+            fault_damaged_broadcasts, recovery_time, fault_slots, class_wait_fault);
+        return_first_difference!(RecoveryReport, &self.recovery, &other.recovery, "recovery.";
+            enabled, retransmissions, timeouts_scheduled, backoff_histogram, acked_receptions,
+            recovered_deliveries, gave_up_copies, gave_up_receptions, recovered_task_delay,
+            pending_at_end);
+        return_first_difference!(FlowReport, &self.flow, &other.flow, "flow.";
+            rejected_broadcasts, rejected_unicasts, deferred_injections, defer_delay,
+            evicted_packets, mean_queued_packets, goodput_fraction);
+        return_first_difference!(TailReport, &self.tails, &other.tails, "tails.";
+            enabled, reception_by_class, reception_all, reception_cdf, hop_wait, hop_wait_cdf,
+            service);
+        None
     }
 
     /// Load-weighted average wait `Σ ρ_k W_k / ρ` across classes — the
@@ -445,5 +500,27 @@ impl std::fmt::Display for SimReport {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A statistic nothing was recorded into reads the same whether the
+    /// report was defaulted (feature off) or assembled from an idle
+    /// accumulator (feature on, no sample): the empty summary, `±inf`
+    /// extremes included.
+    #[test]
+    fn defaulted_and_idle_statistics_read_alike() {
+        let idle = IntMoments::new().summary();
+        assert_eq!(FaultReport::default().recovery_time, idle);
+        assert_eq!(RecoveryReport::default().recovered_task_delay, idle);
+        assert_eq!(FlowReport::default().defer_delay, idle);
+        assert_eq!(pstar_stats::Moments::default().summary(), idle);
+        assert_eq!(
+            (idle.count, idle.min, idle.max),
+            (0, f64::INFINITY, f64::NEG_INFINITY)
+        );
     }
 }

@@ -26,8 +26,7 @@
 
 use crate::ledger::ArqCounters;
 use crate::packet::Packet;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// End-to-end ARQ (retransmission) configuration; install via
 /// [`crate::SimConfig::arq`].
@@ -35,8 +34,10 @@ use rand::{Rng, SeedableRng};
 /// A lost copy's attempt `a` (0 = the original transmission) waits
 /// `base_timeout << min(a, max_backoff_exp)` slots plus a uniform jitter
 /// in `0..=jitter` before being re-injected at the hop where it was
-/// lost. The jitter is drawn from a dedicated RNG stream derived from
-/// the run seed, so enabling ARQ never perturbs traffic randomness.
+/// lost. The jitter is a hash of the run seed and of where and when the
+/// copy was lost ([`Arq::on_loss`]) — no stream is drawn from, so
+/// enabling ARQ never perturbs traffic randomness and a timer fires at
+/// the same slot whichever driver armed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArqConfig {
     /// Slots before the first retransmission attempt (must be ≥ 1; 0 is
@@ -240,22 +241,35 @@ impl TimeoutWheel {
     }
 }
 
-/// Seed perturbation of the ARQ jitter streams: recovery draws come from
-/// their own stream, so enabling ARQ never shifts traffic randomness.
-/// XOR it into the run seed before [`Arq::new`].
+/// Seed perturbation of the ARQ jitter: XOR it into the run seed before
+/// [`Arq::new`], so the jitter hash shares no input with a traffic
+/// stream's seed.
 pub const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer: a bijection on `u64` whose output bits all
+/// depend on all input bits. Decorrelates seeds derived from a counter
+/// (per-worker streams) and is the mixing step of the ARQ jitter hash.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// The ARQ recovery state of one driver (the serial engine, or one
 /// `pstar-net` worker for the links it owns): armed timers, the jitter
-/// stream, and the counters. What arming a timer means for the task
+/// seed, and the counters. What arming a timer means for the task
 /// (marking it retransmitted) and what giving up means (settling the
 /// loss) stay with the caller.
 #[derive(Debug)]
 pub struct Arq {
     cfg: ArqConfig,
     wheel: TimeoutWheel,
-    /// Dedicated jitter stream (never a traffic RNG).
-    rng: StdRng,
+    jitter_seed: u64,
+    /// Per link: the last slot a timer was armed in for a loss on it,
+    /// and how many were.
+    armed: HashMap<u32, (u64, u32)>,
     /// Scratch lent out by [`Arq::take_due`].
     due: Vec<RetxEntry>,
     /// What the layer did so far; the caller adds the events it alone
@@ -264,13 +278,15 @@ pub struct Arq {
 }
 
 impl Arq {
-    /// An idle layer drawing jitter from `jitter_seed` (the run seed
-    /// salted with [`ARQ_SEED_SALT`]).
+    /// An idle layer hashing jitter from `jitter_seed` (the run seed
+    /// salted with [`ARQ_SEED_SALT`] — the same for every driver of a
+    /// run, whatever links it owns).
     pub fn new(cfg: ArqConfig, jitter_seed: u64) -> Self {
         Self {
             cfg,
             wheel: TimeoutWheel::new(),
-            rng: StdRng::seed_from_u64(jitter_seed),
+            jitter_seed,
+            armed: HashMap::new(),
             due: Vec::new(),
             counters: ArqCounters::default(),
         }
@@ -286,17 +302,30 @@ impl Arq {
     /// backoff timer — the copy will come back one attempt older, in
     /// class `boosted` — and returns `true`, or returns `false` once
     /// the retry budget is spent (the `GaveUp` terminal state: the
-    /// caller settles the loss for good).
+    /// caller settles the loss for good). The timeout's jitter is a pure
+    /// function of `(jitter seed, link, now, k)` for the `k`-th timer
+    /// armed for a loss on `link` in slot `now` — the order a link loses
+    /// packets in is the same under every driver, and copies lost
+    /// together get jitters of their own. (A function of the attempt, or
+    /// of what the packet carries, would not do: two tasks of one source
+    /// and slot look alike hop after hop and would retry in lockstep.)
     pub fn on_loss(&mut self, now: u64, link: u32, pkt: Packet, boosted: u8) -> bool {
         let attempt = pkt.attempt as u32;
         if self.cfg.max_retries.is_some_and(|m| attempt >= m) {
             self.counters.gave_up_copies += 1;
             return false;
         }
-        let jitter = if self.cfg.jitter > 0 {
-            self.rng.gen_range(0..=self.cfg.jitter)
-        } else {
-            0
+        let jitter = match self.cfg.jitter.checked_add(1) {
+            Some(span) if span > 1 => {
+                let armed = self.armed.entry(link).or_default();
+                if armed.0 != now {
+                    *armed = (now, 0);
+                }
+                armed.1 += 1;
+                let at = splitmix64(self.jitter_seed ^ now);
+                splitmix64(at ^ (u64::from(link) << 32 | u64::from(armed.1))) % span
+            }
+            _ => 0,
         };
         self.counters.timer_armed(attempt);
         let pkt = Packet {
@@ -415,5 +444,50 @@ mod tests {
         w.drain_due(5 + WHEEL_BUCKETS as u64, &mut out);
         assert_eq!(out[0].link, 2);
         assert!(w.is_empty());
+    }
+
+    /// The jitter is a function of the loss — the link, the slot, and
+    /// the loss's place among that link's losses of the slot — not of
+    /// who armed the timer or of what it armed elsewhere: two layers
+    /// that saw different histories fire the same losses at the same
+    /// slots, within `backoff ..= backoff + jitter`, and losses that
+    /// look alike in every field do not all pick the same slot.
+    #[test]
+    fn jitter_depends_on_the_loss_alone() {
+        let cfg = ArqConfig::default();
+        let arm = |arq: &mut Arq, now, link| {
+            let pkt = Packet {
+                attempt: 0,
+                ..entry(link, 9).pkt
+            };
+            assert!(arq.on_loss(now, link, pkt, 0));
+        };
+        let fire_slots = |arq: &mut Arq| -> Vec<(u64, u32)> {
+            let mut fired = Vec::new();
+            for t in 100..200 {
+                let due = arq.take_due(t);
+                fired.extend(due.iter().map(|e| (t, e.link)));
+                arq.give_back(due);
+            }
+            fired.retain(|&(_, link)| link == 5);
+            fired
+        };
+        let (mut alone, mut busy) = (Arq::new(cfg, 77), Arq::new(cfg, 77));
+        for k in 0..40 {
+            arm(&mut alone, 100, 5);
+            // The other layer also owns links 0 to 19, and loses on them
+            // in between.
+            arm(&mut busy, 100, k % 20 + 6 * (k % 20 / 5));
+            arm(&mut busy, 100, 5);
+        }
+        let slots = fire_slots(&mut alone);
+        assert_eq!(slots, fire_slots(&mut busy));
+        assert_eq!(slots.len(), 40);
+        let distinct: std::collections::BTreeSet<u64> = slots.iter().map(|&(t, _)| t).collect();
+        assert_eq!(
+            distinct.into_iter().collect::<Vec<_>>(),
+            (132..=139).collect::<Vec<_>>(),
+            "every jitter value is drawn"
+        );
     }
 }

@@ -7,23 +7,22 @@
 //! runs one [`LinkKernel`] — the same queueing, in-flight and service
 //! code the serial engine runs over all links — plus the scheme's
 //! broadcast forwarding for its nodes, and exchanges boundary
-//! deliveries per slot. Everything with global, order-sensitive state —
-//! the RNG, the task table, the delay statistics, fault accounting —
+//! deliveries per slot. The global state — the RNG and the task table —
 //! lives in a single coordinator that consumes shard messages in
 //! **ascending `(stage, link, seq)` key order**. That order equals the
 //! serial engine's processing order (the ascending-link-id merge rule
-//! shared with `pstar-net`), so a seeded run is bit-identical to the
-//! serial engine at any shard count, threaded or not, on every report
-//! field. The coordinator embeds the same [`TaskLedger`] the serial
-//! engine does and each shard's kernel the same
-//! [`crate::LinkCounters`] (see `crate::ledger`), so the accounting
-//! rules exist once.
+//! shared with `pstar-net`), so the coordinator draws what the serial
+//! engine draws and a seeded run is bit-identical to it at any shard
+//! count, threaded or not, on every report field. The coordinator
+//! embeds the same [`TaskLedger`] the serial engine does and each
+//! shard's kernel the same [`crate::LinkCounters`] (see
+//! `crate::ledger`), so the accounting rules exist once.
 //!
-//! Fault epochs are never sent to a shard: each shard, and the
-//! coordinator, ticks a replica of the plan's [`FaultClock`] — a shard
-//! in phase A1 over the links its kernel owns, the coordinator at the
-//! head of `mid_slot` with the shards' busy probes — and the
-//! coordinator's replica is the one the report reads.
+//! Fault epochs are never sent to a shard: each shard ticks a replica
+//! of the plan's [`FaultClock`] in phase A1 over the links its kernel
+//! owns — the report reads shard 0's event and fault-slot totals and
+//! every shard's time-to-recovery samples — and the coordinator advances
+//! one at the head of `mid_slot` for the liveness view alone.
 //!
 //! Scope: the sharded engine covers the measurement configurations the
 //! benchmarks run — fault plans (both dead-link policies), tails
@@ -36,7 +35,7 @@ use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{
-    assemble, receptions_at_stake, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
+    assemble, receptions_at_stake, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
 };
 use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
@@ -95,11 +94,7 @@ enum MsgBody {
     /// A packet was lost to a dead link (`lost` = receptions the copy
     /// was still responsible for, computed against the shard's scheme
     /// state *at the loss*).
-    Settle {
-        task: u32,
-        broadcast: bool,
-        lost: u32,
-    },
+    Settle { task: u32, lost: u32 },
     /// A unicast was delivered at a transit node; the coordinator must
     /// draw the next hop (scheme + RNG are global state).
     RouteReq {
@@ -175,10 +170,9 @@ impl<N> ShardCtx<'_, N> {
 /// loss (the caller chooses pre- or post-liveness-update, matching the
 /// serial engine's call sites).
 fn settle_pkt<S: Scheme>(scheme: &S, pkt: &Packet) -> MsgBody {
-    let (broadcast, lost) = receptions_at_stake(scheme, pkt);
+    let (_, lost) = receptions_at_stake(scheme, pkt);
     MsgBody::Settle {
         task: pkt.task,
-        broadcast,
         lost,
     }
 }
@@ -451,9 +445,8 @@ impl<S: Scheme> Shard<S> {
     }
 }
 
-/// All global, order-sensitive state: the RNG, the task ledger, fault
-/// accounting. Consumes shard messages in key order, which equals
-/// serial processing order.
+/// All global state: the RNG and the task ledger. Consumes shard
+/// messages in key order, which equals serial processing order.
 struct Coordinator<S> {
     scheme: S,
     cfg: SimConfig,
@@ -473,8 +466,8 @@ struct Coordinator<S> {
     queued_end: u64,
 
     emit_buf: Vec<Emit>,
-    /// The coordinator's replica of the fault clock — the one whose
-    /// totals the report carries — and what dead links do to emits.
+    /// The coordinator's replica of the fault clock, advanced for its
+    /// liveness view alone, and what dead links do to emits.
     faults: Option<Box<FaultClock>>,
     dead_policy: DeadLinkPolicy,
     now: u64,
@@ -482,8 +475,6 @@ struct Coordinator<S> {
     /// Per-shard staged enqueue commands (route forwards, generation).
     cmds: Vec<Vec<Cmd>>,
     gen_seq: u64,
-    gen_any: bool,
-    arrivals_any: bool,
 }
 
 impl<S: Scheme> Coordinator<S> {
@@ -492,50 +483,33 @@ impl<S: Scheme> Coordinator<S> {
         t >= self.cfg.warmup_slots && t < self.cfg.measure_end()
     }
 
-    /// Mid-slot global processing, in exact serial order: fault
-    /// bookkeeping (stage-0 settles, recovery progress), queue trace,
-    /// window boundaries, delivery events (stage 1), then arrivals.
+    /// Mid-slot global processing, in exact serial order: the fault
+    /// epoch's stage-0 settles, queue trace, delivery events (stage 1),
+    /// then arrivals.
     fn mid_slot<N: Network>(
         &mut self,
         ctx: &ShardCtx<'_, N>,
         t: u64,
         fault_qdelta: i64,
-        watch_busy: &[(u32, bool)],
         msgs: &[Msg],
     ) {
-        self.arrivals_any = false;
-        self.gen_any = false;
         self.gen_seq = 0;
 
-        // The coordinator's fault tick, in the pieces of
-        // `FaultClock::tick`: its replica owns no kernel — the shards
-        // killed and drained (stage 0) and probed the links.
+        // The coordinator's replica owns no kernel — the shards killed,
+        // drained (stage 0) and watch their own links: what the epoch
+        // lost settles against the scheme as it still is, then the
+        // scheme sees the new view.
         let split = msgs.partition_point(|m| m.key < STAGE1_BASE);
         if let Some(mut clock) = self.faults.take() {
-            let delta = clock.advance(t);
-            if let Some(delta) = &delta {
-                clock.watch(delta, t, |_| true);
-            }
+            let changed = clock.advance(t).is_some();
             for m in &msgs[..split] {
-                if let MsgBody::Settle {
-                    task,
-                    broadcast,
-                    lost,
-                } = m.body
-                {
-                    self.settle(t, task, broadcast, lost);
+                if let MsgBody::Settle { task, lost } = m.body {
+                    self.settle(t, task, lost);
                 }
             }
-            if delta.is_some() {
+            if changed {
                 self.scheme.on_liveness_change(clock.view());
             }
-            clock.slot(t, |l| {
-                watch_busy
-                    .iter()
-                    .find(|&&(g, _)| g == l)
-                    .map(|&(_, b)| b)
-                    .expect("watched link probed by its shard")
-            });
             self.faults = Some(clock);
         }
 
@@ -546,20 +520,13 @@ impl<S: Scheme> Coordinator<S> {
             }
         }
 
-        self.ledger.window_tick(t);
-
         for m in &msgs[split..] {
             match m.body {
                 MsgBody::Reception { task, class, dist } => {
-                    self.arrivals_any = true;
                     self.ledger.reception(t, task, class, || dist);
                 }
                 MsgBody::UnicastDone { task } => self.ledger.unicast_done(t, task),
-                MsgBody::Settle {
-                    task,
-                    broadcast,
-                    lost,
-                } => self.settle(t, task, broadcast, lost),
+                MsgBody::Settle { task, lost } => self.settle(t, task, lost),
                 MsgBody::RouteReq {
                     node,
                     dest,
@@ -567,7 +534,6 @@ impl<S: Scheme> Coordinator<S> {
                     gen_time,
                     len,
                 } => {
-                    self.arrivals_any = true;
                     let mut buf = std::mem::take(&mut self.emit_buf);
                     buf.clear();
                     self.scheme
@@ -639,7 +605,6 @@ impl<S: Scheme> Coordinator<S> {
         );
         self.emit_buf = buf;
         self.gen_seq += 1;
-        self.gen_any = true;
     }
 
     /// Resolves emits to links and stages enqueue commands for the
@@ -664,8 +629,8 @@ impl<S: Scheme> Coordinator<S> {
             if matches!(self.dead_policy, DeadLinkPolicy::Drop)
                 && self.faults.as_ref().is_some_and(|f| f.link_dead(gid))
             {
-                let (broadcast, lost) = receptions_at_stake(&self.scheme, &pkt);
-                self.settle(t, pkt.task, broadcast, lost);
+                let (_, lost) = receptions_at_stake(&self.scheme, &pkt);
+                self.settle(t, pkt.task, lost);
                 continue;
             }
             self.cmds[ctx.shard_of(gid)].push(Cmd {
@@ -678,10 +643,9 @@ impl<S: Scheme> Coordinator<S> {
 
     /// A fault-caused terminal loss (the only loss cause the sharded
     /// engine has): one dropped packet, its receptions settled.
-    fn settle(&mut self, t: u64, task: u32, broadcast: bool, lost: u32) {
+    fn settle(&mut self, t: u64, task: u32, lost: u32) {
         self.ledger.packet_dropped(LossCause::Fault);
-        self.ledger
-            .settle(t, task, broadcast, lost, LossCause::Fault);
+        self.ledger.settle(t, task, lost, LossCause::Fault);
     }
 
     /// End-of-slot accounting (peak, occupancy, trace baseline), then
@@ -694,14 +658,7 @@ impl<S: Scheme> Coordinator<S> {
         guard_tripped: bool,
         queue_limit: i64,
     ) -> Option<Stop> {
-        // The serial peak is sampled after each emit flush; the queue
-        // population is non-decreasing between the fault tick and
-        // service, so the last flush of the slot sees `pre_service`.
-        // Slots with no flush at all (fault requeues only) leave the
-        // peak untouched, exactly as the serial engine does.
-        if self.arrivals_any || self.gen_any {
-            self.peak_queue = self.peak_queue.max(pre_service as i64);
-        }
+        self.peak_queue = self.peak_queue.max(pre_service as i64);
         if self.in_window(t) {
             self.flow.occupancy_sum += pre_service as u128;
         }
@@ -715,7 +672,7 @@ impl<S: Scheme> Coordinator<S> {
         stop_verdict(
             &self.cfg,
             self.now,
-            self.ledger.outstanding_measured(),
+            self.ledger.outstanding_measured() as u64,
             self.queued_end as i64,
             queue_limit,
             || guard_tripped,
@@ -747,18 +704,14 @@ impl<N: Network, S: Scheme> ArrivalSink for GenSink<'_, N, S> {
     }
 }
 
-/// One shard's published A1 side data: its `fault_qdelta` and its
-/// clock's busy probes ([`FaultClock::probes`]), taken post-drain /
-/// pre-delivery exactly as the serial engine takes them.
-type A1Cell = Mutex<(i64, Vec<(u32, bool)>)>;
-
 /// Shared state of the threaded driver.
 struct Exchange {
     barrier: Barrier,
     /// Set by the coordinator before barrier ε of the last slot.
     stop: AtomicBool,
     inboxes: Vec<Mutex<Vec<(u32, Packet)>>>,
-    a1: Vec<A1Cell>,
+    /// Each shard's `fault_qdelta` of the slot.
+    fault_qdelta: Vec<Mutex<i64>>,
     /// Per-shard published message streams (each ascending), merged by
     /// the coordinator without sorting.
     msgs: Vec<Mutex<Vec<Msg>>>,
@@ -866,8 +819,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             now: 0,
             cmds: (0..shards).map(|_| Vec::new()).collect(),
             gen_seq: 0,
-            gen_any: false,
-            arrivals_any: false,
         };
         let link_target = topo.link_target_table();
         let link_dim = topo.link_dim_table();
@@ -890,7 +841,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         if plan.is_empty() {
             return self;
         }
-        // Every kernel owner, and the coordinator, runs a replica.
+        // Every kernel owner, and the coordinator for its view, runs a
+        // replica.
         let clock = Box::new(FaultClock::new(plan, &self.topo));
         for sh in &mut self.shards {
             sh.kernel.set_dead_link_policy(policy);
@@ -984,15 +936,19 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             assemble_perf(h, worker_perfs, arena, nsh, coord.now - t0, wall_ns)
         });
 
-        // The coordinator's replica closes against the shards' final
-        // queue state (the serial engine probes its own queues here).
-        let faults = coord
-            .faults
-            .take()
-            .map(|f| f.finish(coord.now, |l| shards[ctx.shard_of(l)].kernel.is_active(l)));
+        // Every shard's replica closes against its own final queue
+        // state; the totals fold like `pstar-net`'s.
+        let mut faults: Option<FaultTotals> = None;
         let mut link_counters = LinkCounters::new(&cfg, topo.d(), 0, links);
-        for sh in &shards {
+        for sh in &mut shards {
             link_counters.merge(sh.kernel.counters());
+            if let Some(clock) = sh.clock.take() {
+                let totals = clock.finish(coord.now, |l| sh.kernel.is_active(l));
+                match &mut faults {
+                    Some(all) => all.merge(&totals),
+                    None => faults = Some(totals),
+                }
+            }
         }
         let report = assemble(
             coord.ledger,
@@ -1063,7 +1019,6 @@ fn run_sequential<N: Network, S: Scheme>(
     let mut inboxes: Vec<Vec<(u32, Packet)>> = (0..nsh).map(|_| Vec::new()).collect();
     let mut msgs: Vec<Msg> = Vec::new();
     let mut merge_idx: Vec<usize> = Vec::new();
-    let mut watch: Vec<(u32, bool)> = Vec::new();
     let mut t = coord.now;
     let stop = loop {
         let mut mark = wp.as_ref().map(|w| w.now_ns());
@@ -1097,14 +1052,7 @@ fn run_sequential<N: Network, S: Scheme>(
             w.record_work(1, t, mark.unwrap(), now);
             mark = Some(now);
         }
-        let mut fault_qdelta = 0i64;
-        watch.clear();
-        for sh in shards.iter() {
-            fault_qdelta += sh.fault_qdelta;
-            if let Some(clock) = &sh.clock {
-                watch.extend_from_slice(clock.probes());
-            }
-        }
+        let fault_qdelta: i64 = shards.iter().map(|sh| sh.fault_qdelta).sum();
         let merged_len = if nsh == 1 {
             // Single shard: the stream is already in key order; it will
             // feed through below without copying.
@@ -1123,9 +1071,9 @@ fn run_sequential<N: Network, S: Scheme>(
             mark = Some(now);
         }
         if nsh == 1 {
-            coord.mid_slot(ctx, t, fault_qdelta, &watch, &shards[0].msgs);
+            coord.mid_slot(ctx, t, fault_qdelta, &shards[0].msgs);
         } else {
-            coord.mid_slot(ctx, t, fault_qdelta, &watch, &msgs);
+            coord.mid_slot(ctx, t, fault_qdelta, &msgs);
         }
         if let Some(h) = hooks.as_mut() {
             let now = h.now_ns();
@@ -1182,7 +1130,7 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
         barrier: Barrier::new(workers + 1),
         stop: AtomicBool::new(false),
         inboxes: (0..nsh).map(|_| Mutex::new(Vec::new())).collect(),
-        a1: (0..nsh).map(|_| Mutex::new((0, Vec::new()))).collect(),
+        fault_qdelta: (0..nsh).map(|_| Mutex::new(0)).collect(),
         msgs: (0..nsh).map(|_| Mutex::new(Vec::new())).collect(),
         cmds: (0..nsh).map(|_| Mutex::new(Vec::new())).collect(),
         b: (0..nsh).map(|_| Mutex::new(BReport::default())).collect(),
@@ -1218,12 +1166,11 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
 
         let mut msgs: Vec<Msg> = Vec::new();
         let mut merge_idx: Vec<usize> = Vec::new();
-        let mut watch: Vec<(u32, bool)> = Vec::new();
         let mut t = t0;
         let stop = loop {
             let mut mark = hooks.as_ref().map(|h| h.now_ns());
             ex.barrier.wait(); // α: A1 + shipping done
-            ex.barrier.wait(); // β: A2 done, msgs/a1 published
+            ex.barrier.wait(); // β: A2 done, msgs/fault_qdelta published
             if let Some(h) = hooks.as_mut() {
                 let now = h.now_ns();
                 h.record_wait(now - mark.unwrap());
@@ -1232,13 +1179,7 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
                 }
                 mark = Some(now);
             }
-            let mut fault_qdelta = 0i64;
-            watch.clear();
-            for s in 0..nsh {
-                let g = ex.a1[s].lock().unwrap();
-                fault_qdelta += g.0;
-                watch.extend_from_slice(&g.1);
-            }
+            let fault_qdelta: i64 = ex.fault_qdelta.iter().map(|q| *q.lock().unwrap()).sum();
             {
                 let guards: Vec<_> = ex.msgs.iter().map(|m| m.lock().unwrap()).collect();
                 let streams: Vec<&[Msg]> = guards.iter().map(|g| g.as_slice()).collect();
@@ -1252,7 +1193,7 @@ fn run_threaded<N: Network + Sync, S: Scheme + Clone + Send>(
                 }
                 mark = Some(now);
             }
-            coord.mid_slot(ctx, t, fault_qdelta, &watch, &msgs);
+            coord.mid_slot(ctx, t, fault_qdelta, &msgs);
             if let Some(h) = hooks.as_mut() {
                 let now = h.now_ns();
                 h.record_mid(now - mark.unwrap());
@@ -1347,12 +1288,7 @@ fn worker_loop<N: Network, S: Scheme>(
                     sh.out[ti] = batch;
                 }
             }
-            let mut g = ex.a1[base + i].lock().unwrap();
-            g.0 = sh.fault_qdelta;
-            g.1.clear();
-            if let Some(clock) = &sh.clock {
-                g.1.extend_from_slice(clock.probes());
-            }
+            *ex.fault_qdelta[base + i].lock().unwrap() = sh.fault_qdelta;
         }
         if let Some(w) = perf.as_mut() {
             let now = w.now_ns();

@@ -9,24 +9,82 @@ pub enum TaskKind {
     Unicast,
 }
 
-/// One active task's bookkeeping.
+/// One active task's bookkeeping: the record its *home* keeps until the
+/// last outstanding reception is settled, by a delivery or by a loss.
+/// The serial engine and the sharded coordinator keep every task in one
+/// table; `pstar-net` keeps a task at the worker owning its
+/// source (broadcast) or destination (unicast). Either way a settlement
+/// goes through [`TaskSlot::receive`] / [`TaskSlot::lose`], and the
+/// record of a task they complete through
+/// [`crate::TaskLedger::completed`].
 #[derive(Debug, Clone, Copy)]
 pub struct TaskSlot {
     /// Generation time.
     pub gen_time: u64,
+    /// Latest slot a reception or a loss of this task was settled at —
+    /// once `remaining` is 0, the slot the task completed in. A maximum,
+    /// so settlements may be applied in any order.
+    pub last: u64,
     /// Outstanding receptions before completion.
     pub remaining: u32,
+    /// Receptions lost for good (the task is "damaged" and excluded from
+    /// completion-delay statistics when > 0).
+    pub lost: u32,
     /// Generated inside the measurement window (counts toward statistics).
     pub measured: bool,
     /// Broadcast or unicast.
     pub kind: TaskKind,
-    /// Receptions lost to finite-buffer drops (the task is "damaged" and
-    /// excluded from completion-delay statistics when > 0).
-    pub lost: u32,
+    /// At least one of the lost receptions was lost to a dead link.
+    pub fault_lost: bool,
     /// At least one copy of this task was retransmitted (ARQ recovery);
     /// completed tasks with this flag contribute to the recovered
     /// time-to-full-delivery statistic.
     pub retx: bool,
+}
+
+impl TaskSlot {
+    /// The record of a task generated at `gen_time`; a broadcast
+    /// completes after `receivers` receptions, a unicast after one.
+    pub fn new(gen_time: u64, broadcast: bool, receivers: u32, measured: bool) -> Self {
+        let (kind, remaining) = if broadcast {
+            (TaskKind::Broadcast, receivers)
+        } else {
+            (TaskKind::Unicast, 1)
+        };
+        Self {
+            gen_time,
+            last: gen_time,
+            remaining,
+            lost: 0,
+            measured,
+            kind,
+            fault_lost: false,
+            retx: false,
+        }
+    }
+
+    /// One reception delivered at slot `t`; `true` when that completed
+    /// the task.
+    #[inline(always)]
+    pub fn receive(&mut self, t: u64) -> bool {
+        debug_assert!(self.remaining > 0, "reception after completion");
+        self.last = self.last.max(t);
+        self.remaining -= 1;
+        self.remaining == 0
+    }
+
+    /// `lost` receptions will never happen (the copy responsible for
+    /// them was lost for good at slot `t`, to a dead link when `fault`);
+    /// `true` when that completed the task.
+    #[inline]
+    pub fn lose(&mut self, t: u64, lost: u32, fault: bool) -> bool {
+        debug_assert!(self.remaining >= lost, "cancelling more than remain");
+        self.last = self.last.max(t);
+        self.remaining -= lost;
+        self.lost += lost;
+        self.fault_lost |= fault;
+        self.remaining == 0
+    }
 }
 
 /// Slab of active tasks with slot reuse. Completed slots are recycled so
@@ -65,44 +123,19 @@ impl TaskTable {
         &self.slots[idx as usize]
     }
 
-    /// Records one reception for task `idx`; returns `true` when the task
-    /// just completed (the slot is then freed and must not be used again).
+    /// Write access to a task.
     #[inline(always)]
-    pub fn record_reception(&mut self, idx: u32) -> bool {
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.remaining > 0, "reception after completion");
-        slot.remaining -= 1;
-        if slot.remaining == 0 {
-            self.free.push(idx);
-            self.active -= 1;
-            true
-        } else {
-            false
-        }
+    pub fn get_mut(&mut self, idx: u32) -> &mut TaskSlot {
+        &mut self.slots[idx as usize]
     }
 
-    /// Flags task `idx` as having needed at least one retransmission.
-    #[inline(always)]
-    pub fn mark_retx(&mut self, idx: u32) {
-        self.slots[idx as usize].retx = true;
-    }
-
-    /// Settles `lost` receptions that will never occur (finite-buffer
-    /// drop of a copy responsible for that many deliveries); returns
-    /// `true` when the task just completed.
+    /// Takes a completed task out of the table (its index is then free
+    /// and must not be used again).
     #[inline]
-    pub fn cancel_receptions(&mut self, idx: u32, lost: u32) -> bool {
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.remaining >= lost, "cancelling more than remain");
-        slot.remaining -= lost;
-        slot.lost += lost;
-        if slot.remaining == 0 {
-            self.free.push(idx);
-            self.active -= 1;
-            true
-        } else {
-            false
-        }
+    pub fn remove(&mut self, idx: u32) -> TaskSlot {
+        self.free.push(idx);
+        self.active -= 1;
+        self.slots[idx as usize]
     }
 
     /// Number of currently active tasks.
@@ -120,53 +153,46 @@ impl TaskTable {
 mod tests {
     use super::*;
 
-    fn slot(kind: TaskKind, remaining: u32) -> TaskSlot {
-        TaskSlot {
-            gen_time: 5,
-            remaining,
-            measured: true,
-            kind,
-            lost: 0,
-            retx: false,
-        }
+    fn slot(broadcast: bool, receivers: u32) -> TaskSlot {
+        TaskSlot::new(5, broadcast, receivers, true)
     }
 
     #[test]
     fn cancelled_receptions_complete_and_mark_lost() {
-        let mut t = TaskTable::new();
-        let id = t.insert(slot(TaskKind::Broadcast, 10));
-        assert!(!t.record_reception(id));
-        assert!(!t.cancel_receptions(id, 4));
-        assert_eq!(t.get(id).lost, 4);
-        assert_eq!(t.get(id).remaining, 5);
-        assert!(t.cancel_receptions(id, 5));
-        assert_eq!(t.active(), 0);
+        let mut s = slot(true, 10);
+        assert!(!s.receive(6));
+        assert!(!s.lose(9, 4, false));
+        assert_eq!((s.lost, s.remaining, s.fault_lost), (4, 5, false));
+        assert!(s.lose(7, 5, true));
+        assert_eq!((s.lost, s.fault_lost), (9, true));
+        assert_eq!(s.last, 9, "the latest settlement, whatever the order");
     }
 
     #[test]
     fn unicast_completes_after_one_reception() {
         let mut t = TaskTable::new();
-        let id = t.insert(slot(TaskKind::Unicast, 1));
+        let id = t.insert(slot(false, 15));
         assert_eq!(t.active(), 1);
-        assert!(t.record_reception(id));
+        assert!(t.get_mut(id).receive(8));
+        assert_eq!(t.remove(id).last, 8);
         assert_eq!(t.active(), 0);
     }
 
     #[test]
     fn broadcast_completes_after_all_receptions() {
-        let mut t = TaskTable::new();
-        let id = t.insert(slot(TaskKind::Broadcast, 3));
-        assert!(!t.record_reception(id));
-        assert!(!t.record_reception(id));
-        assert!(t.record_reception(id));
+        let mut s = slot(true, 3);
+        assert!(!s.receive(6));
+        assert!(!s.receive(9));
+        assert!(s.receive(7));
+        assert_eq!(s.last, 9);
     }
 
     #[test]
     fn slots_are_recycled() {
         let mut t = TaskTable::new();
-        let a = t.insert(slot(TaskKind::Unicast, 1));
-        t.record_reception(a);
-        let b = t.insert(slot(TaskKind::Unicast, 1));
+        let a = t.insert(slot(false, 1));
+        t.remove(a);
+        let b = t.insert(slot(false, 1));
         assert_eq!(a, b, "freed slot should be reused");
         assert_eq!(t.capacity(), 1);
     }
@@ -174,8 +200,8 @@ mod tests {
     #[test]
     fn distinct_active_tasks_get_distinct_slots() {
         let mut t = TaskTable::new();
-        let a = t.insert(slot(TaskKind::Broadcast, 5));
-        let b = t.insert(slot(TaskKind::Unicast, 1));
+        let a = t.insert(slot(true, 5));
+        let b = t.insert(slot(false, 1));
         assert_ne!(a, b);
         assert_eq!(t.get(a).remaining, 5);
         assert_eq!(t.get(b).kind, TaskKind::Unicast);

@@ -1,7 +1,7 @@
 //! # pstar-stats
 //!
 //! Streaming statistics for the simulator: numerically stable moment
-//! accumulators (Welford; exact integer sums for slot-valued waits),
+//! accumulators (Welford; exact integer sums for slot-valued data),
 //! integer histograms for delay distributions,
 //! time-weighted averages (for queue lengths and concurrent-task counts à
 //! la Little's law), and normal-approximation confidence intervals.
@@ -18,7 +18,7 @@ mod moments;
 mod mser;
 mod timeavg;
 
-pub use batch::BatchMeans;
+pub use batch::{BatchMeans, BATCHES};
 pub use histogram::Histogram;
 pub use loghist::{LogHistogram, DEFAULT_SUB_BITS};
 pub use moments::{IntMoments, Moments, Summary};

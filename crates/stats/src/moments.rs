@@ -12,13 +12,21 @@
 /// assert_eq!(m.mean(), 2.0);
 /// assert_eq!(m.variance(), 1.0); // unbiased (n − 1)
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Moments {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Moments {
+    /// The empty accumulator of [`Moments::new`] (`±inf` extremes, not
+    /// the all-zero state a derive would give).
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Moments {
@@ -144,15 +152,15 @@ impl Summary {
 }
 
 /// Exact integer moment accumulator for slot-valued observations
-/// (per-hop waits measured in whole slots).
+/// (waits, delays and recovery times measured in whole slots).
 ///
 /// [`Moments`] carries float state that depends on push order; integer
 /// sums commute exactly, so this accumulator is order-free: any
 /// partition of a sample stream over any number of accumulators, merged
 /// in any order, yields bit-identical summaries. The simulator's serial
-/// engine, sharded engine and thread-per-core runtime all accumulate
-/// waits through it, which is what makes their wait summaries equal
-/// field for field.
+/// engine, sharded engine and thread-per-core runtime accumulate every
+/// slot-valued statistic through it, which is what makes their
+/// summaries equal field for field.
 ///
 /// Exact while `count · max < 2^64` (the variance numerator
 /// `n·Σv² − (Σv)²` must fit `u128`) — slot counts are nowhere near it.
@@ -266,6 +274,19 @@ mod tests {
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.variance(), 0.0);
         assert_eq!(m.count(), 0);
+    }
+
+    /// An idle and a defaulted accumulator are the same empty state, of
+    /// either kind, and a single sample is its own minimum and maximum.
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let idle = Moments::new().summary();
+        assert_eq!(Moments::default().summary(), idle);
+        assert_eq!(IntMoments::default().summary(), idle);
+        assert_eq!((idle.min, idle.max), (f64::INFINITY, f64::NEG_INFINITY));
+        let mut one = Moments::default();
+        one.push(7.0);
+        assert_eq!((one.min(), one.max()), (7.0, 7.0));
     }
 
     #[test]

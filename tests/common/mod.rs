@@ -1,21 +1,21 @@
 //! Shared cross-backend test harness.
 //!
 //! Every integration suite that compares engines goes through these
-//! helpers so the comparison contract lives in exactly one place:
+//! helpers so the comparison contract lives in exactly one place —
+//! [`assert_reports_match`], which is `SimReport::first_difference`:
+//! every field, no tolerance. All three drivers account through the
+//! same ledger (`pstar_sim::TaskLedger` / `LinkCounters`), whose
+//! statistics are exact integer sums that merge order-free, so
 //!
-//! * serial vs **sharded**: full-report identity via
-//!   [`assert_reports_match`] — every field exact, the wait summaries
-//!   included: both engines account through the same ledger
-//!   (`pstar_sim::TaskLedger` / `LinkCounters`), and waits accumulate
-//!   as exact integer moments, which merge order-free.
-//! * serial vs **pstar-net** (virtual clock): exact count agreement via
-//!   [`assert_net_counts_match`] — the runtime's documented contract
-//!   for broadcast-only workloads. Mixed workloads agree statistically
-//!   only (unicast forwarding draws come from per-worker streams), so
-//!   the net helpers refuse specs with unicast traffic.
+//! * serial ≡ **sharded** at any shard and thread count, on everything
+//!   the sharded engine accepts;
+//! * serial ≡ **pstar-net** at any worker count, on every run without
+//!   unicast traffic. (With unicast, forwarding tie coins come from
+//!   per-worker streams and agreement is statistical, so the net helpers
+//!   refuse such specs rather than silently weakening the gate.)
 //!
-//! [`Backend`] + [`run_backend`] + [`cross_backend_agree`] compose the
-//! two into a one-call differential gate over a backend list — under an
+//! [`Backend`] + [`run_backend`] + [`cross_backend_agree`] compose that
+//! into a one-call differential gate over a backend list — under an
 //! optional fault plan ([`Faults`]), which every backend accepts — and
 //! [`scheme_rho_grid`] builds the scheme × ρ point set with a
 //! common-random-numbers seed per ρ index.
@@ -42,8 +42,8 @@ pub enum Backend {
     Serial,
     /// The sharded SoA engine (bit-identical to serial by contract).
     Sharded { shards: usize, threads: usize },
-    /// The thread-per-core runtime in virtual-clock mode (exact count
-    /// agreement for broadcast-only workloads).
+    /// The thread-per-core runtime (bit-identical to serial by contract
+    /// on workloads without unicast traffic).
     NetVirtual { workers: usize },
 }
 
@@ -114,197 +114,17 @@ pub fn net_run_under(
     .expect("the runtime failed")
 }
 
-/// Field-for-field serial-vs-sharded comparison; everything is
-/// required to match exactly.
-pub fn assert_reports_match(serial: &SimReport, sharded: &SimReport, label: &str) {
-    assert_eq!(serial.stable, sharded.stable, "{label}: stable");
-    assert_eq!(serial.completed, sharded.completed, "{label}: completed");
-    assert_eq!(serial.slots_run, sharded.slots_run, "{label}: slots_run");
-    assert_eq!(
-        serial.measured_broadcasts, sharded.measured_broadcasts,
-        "{label}: measured_broadcasts"
-    );
-    assert_eq!(
-        serial.measured_unicasts, sharded.measured_unicasts,
-        "{label}: measured_unicasts"
-    );
-    // Reception/task delay statistics live in the coordinator and are
-    // pushed in serial order: bit-exact, variance included.
-    assert_eq!(
-        serial.reception_delay, sharded.reception_delay,
-        "{label}: reception_delay"
-    );
-    assert_eq!(
-        serial.reception_quantiles, sharded.reception_quantiles,
-        "{label}: reception_quantiles"
-    );
-    assert_eq!(
-        serial.reception_ci_batch, sharded.reception_ci_batch,
-        "{label}: reception_ci_batch"
-    );
-    assert_eq!(
-        serial.broadcast_delay, sharded.broadcast_delay,
-        "{label}: broadcast_delay"
-    );
-    assert_eq!(
-        serial.unicast_delay, sharded.unicast_delay,
-        "{label}: unicast_delay"
-    );
-    assert_eq!(
-        serial.dropped_packets, sharded.dropped_packets,
-        "{label}: dropped_packets"
-    );
-    assert_eq!(
-        serial.lost_receptions, sharded.lost_receptions,
-        "{label}: lost_receptions"
-    );
-    assert_eq!(
-        serial.damaged_broadcasts, sharded.damaged_broadcasts,
-        "{label}: damaged_broadcasts"
-    );
-    assert_eq!(
-        serial.dropped_unicasts, sharded.dropped_unicasts,
-        "{label}: dropped_unicasts"
-    );
-    // Utilizations come from integer busy-slot counters in both engines,
-    // reduced in the same order: exact.
-    assert_eq!(
-        serial.mean_link_utilization, sharded.mean_link_utilization,
-        "{label}: mean_link_utilization"
-    );
-    assert_eq!(
-        serial.max_link_utilization, sharded.max_link_utilization,
-        "{label}: max_link_utilization"
-    );
-    assert_eq!(
-        serial.per_dim_utilization, sharded.per_dim_utilization,
-        "{label}: per_dim_utilization"
-    );
-    assert_eq!(
-        serial.avg_concurrent_broadcasts, sharded.avg_concurrent_broadcasts,
-        "{label}: avg_concurrent_broadcasts"
-    );
-    assert_eq!(
-        serial.avg_concurrent_unicasts, sharded.avg_concurrent_unicasts,
-        "{label}: avg_concurrent_unicasts"
-    );
-    assert_eq!(
-        serial.peak_queue_total, sharded.peak_queue_total,
-        "{label}: peak_queue_total"
-    );
-    assert_eq!(
-        serial.window_transmissions, sharded.window_transmissions,
-        "{label}: window_transmissions"
-    );
-    assert_eq!(
-        serial.vc_transmissions, sharded.vc_transmissions,
-        "{label}: vc_transmissions"
-    );
-    assert_eq!(
-        serial.queue_trace, sharded.queue_trace,
-        "{label}: queue_trace"
-    );
-    assert_eq!(
-        serial.delay_by_distance, sharded.delay_by_distance,
-        "{label}: delay_by_distance"
-    );
-    // Per-class service stats: utilization from integer busy slots,
-    // waits from exact integer moments — both merge order-free.
-    assert_eq!(serial.class.len(), sharded.class.len(), "{label}: classes");
-    for (k, (a, b)) in serial.class.iter().zip(&sharded.class).enumerate() {
-        assert_eq!(
-            a.utilization, b.utilization,
-            "{label}: class {k} utilization"
-        );
-        assert_eq!(a.wait, b.wait, "{label}: class {k} wait");
+/// The one comparison: `other` reports the run `serial` reports, every
+/// field bit for bit.
+pub fn assert_reports_match(serial: &SimReport, other: &SimReport, label: &str) {
+    if let Some(difference) = serial.first_difference(other) {
+        panic!("{label}: {difference}");
     }
-    // Resilience counters: all integer, all coordinator-side — exact.
-    assert_eq!(
-        serial.faults.events_applied, sharded.faults.events_applied,
-        "{label}: events_applied"
-    );
-    assert_eq!(
-        serial.faults.fault_dropped_packets, sharded.faults.fault_dropped_packets,
-        "{label}: fault_dropped_packets"
-    );
-    assert_eq!(
-        serial.faults.fault_damaged_broadcasts, sharded.faults.fault_damaged_broadcasts,
-        "{label}: fault_damaged_broadcasts"
-    );
-    assert_eq!(
-        serial.faults.fault_slots, sharded.faults.fault_slots,
-        "{label}: fault_slots"
-    );
-    assert_eq!(
-        serial.faults.delivered_reception_fraction, sharded.faults.delivered_reception_fraction,
-        "{label}: delivered_reception_fraction"
-    );
-    assert_eq!(
-        serial.faults.recovery_time, sharded.faults.recovery_time,
-        "{label}: recovery_time"
-    );
-    assert_eq!(
-        serial.faults.class_wait_fault, sharded.faults.class_wait_fault,
-        "{label}: class_wait_fault"
-    );
-    // Flow accounting (exact integer occupancy sums) and tails digests
-    // (integer bucket counters, merge-order free).
-    assert_eq!(
-        format!("{:?}", serial.flow),
-        format!("{:?}", sharded.flow),
-        "{label}: flow"
-    );
-    assert_eq!(
-        format!("{:?}", serial.tails),
-        format!("{:?}", sharded.tails),
-        "{label}: tails"
-    );
-}
-
-/// Exact count agreement between the simulator and the virtual-clock
-/// runtime: the measured task set, every delivery/loss counter and the
-/// fault counters. (Fault-*damaged* attribution is deliberately
-/// excluded: whether a task's completing settlement is the ack or the
-/// loss can swap under the runtime's one-slot control lag.)
-pub fn assert_net_counts_match(sim: &SimReport, net: &SimReport, label: &str) {
-    assert_eq!(
-        sim.measured_broadcasts, net.measured_broadcasts,
-        "{label}: measured task sets diverged — RNG mirror broken"
-    );
-    assert_eq!(
-        sim.reception_delay.count, net.reception_delay.count,
-        "{label}: delivered-reception counts diverged"
-    );
-    assert_eq!(
-        sim.lost_receptions, net.lost_receptions,
-        "{label}: lost-reception counts diverged"
-    );
-    assert_eq!(
-        sim.dropped_packets, net.dropped_packets,
-        "{label}: dropped-packet counts diverged"
-    );
-    assert_eq!(
-        sim.damaged_broadcasts, net.damaged_broadcasts,
-        "{label}: damaged-broadcast counts diverged"
-    );
-    assert_eq!(
-        sim.faults.fault_dropped_packets, net.faults.fault_dropped_packets,
-        "{label}: fault-drop counts diverged"
-    );
-    assert_eq!(
-        sim.faults.events_applied, net.faults.events_applied,
-        "{label}: applied fault events diverged"
-    );
-    assert_eq!(
-        sim.faults.fault_slots, net.faults.fault_slots,
-        "{label}: fault-slot counts diverged"
-    );
 }
 
 /// One-call differential gate: runs `spec` — under `faults`, if given —
-/// on the serial engine and on every listed backend, asserting each
-/// backend's agreement contract against the serial reference
-/// (full-report identity for sharded, exact counts for net).
+/// on the serial engine and on every listed backend, asserting
+/// [`assert_reports_match`] against the serial reference.
 ///
 /// Panics if a `NetVirtual` backend is listed for a spec with unicast
 /// traffic: mixed workloads are outside the runtime's draw-for-draw
@@ -321,23 +141,16 @@ pub fn cross_backend_agree(
     let serial = run_backend(topo, spec, cfg, Backend::Serial, faults.cloned());
     for &backend in backends {
         let sub = format!("{label} [{}]", backend.label());
-        match backend {
-            Backend::Serial => {}
-            Backend::Sharded { .. } => {
-                let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
-                assert_reports_match(&serial, &rep, &sub);
-            }
-            Backend::NetVirtual { .. } => {
-                assert!(
-                    spec.broadcast_load_fraction >= 1.0,
-                    "{sub}: net exact-count agreement is contractual only for \
-                     broadcast-only workloads (unicast forwarding draws are \
-                     per-worker streams); use a broadcast-only projection"
-                );
-                let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
-                assert_net_counts_match(&serial, &rep, &sub);
-            }
+        if matches!(backend, Backend::NetVirtual { .. }) {
+            assert!(
+                spec.broadcast_load_fraction >= 1.0,
+                "{sub}: net agreement is contractual only for workloads \
+                 without unicast traffic (forwarding tie coins are \
+                 per-worker streams); use a broadcast-only projection"
+            );
         }
+        let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
+        assert_reports_match(&serial, &rep, &sub);
     }
     serial
 }

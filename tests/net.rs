@@ -1,15 +1,15 @@
 //! Cross-backend validation: the thread-per-core runtime (`pstar-net`)
 //! against the slotted simulator (`pstar-sim`).
 //!
-//! In virtual-time mode the runtime's injector mirrors the engine's RNG
-//! draw order, so for a broadcast-only workload the *measured task set*
-//! of both backends is identical for a given seed — and since both run
-//! the drain protocol to completion with unbounded queues, the
-//! delivered-reception counts must agree **exactly**, for any worker
-//! count. Per-reception delays differ (the runtime's intra-slot service
-//! order is worker-sharded, the engine's is global), which is precisely
-//! why count agreement is the right invariant: it survives legitimate
-//! scheduling differences and breaks on any bookkeeping bug.
+//! The runtime's injector mirrors the engine's RNG draw order, its
+//! workers deliver in the engine's ascending-link order, and both
+//! account through the same order-free ledger, so for a workload without
+//! unicast traffic the two backends report the same run **bit for bit,
+//! field for field, at any worker count**
+//! (`common::assert_reports_match`, i.e. `SimReport::first_difference`
+//! is `None`) — fault plans, bounded queues, admission control, ARQ and
+//! truncated runs included. A bookkeeping bug, a reordered delivery or a
+//! statistic that depends on who counted it breaks the identity.
 //!
 //! The suite also checks the paper's headline ordering under common
 //! random numbers on the *runtime*: priority STAR's mean reception
@@ -23,19 +23,18 @@
 
 mod common;
 
-use common::{assert_net_counts_match, crn_seed, net_run, net_run_under};
+use common::{assert_reports_match, crn_seed, net_run, net_run_under};
 use priority_star::{run_scenario, ScenarioSpec, SchemeKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use pstar_net::{run_net, Channel, ChaosConfig, NetConfig, NetError};
+use pstar_net::{run_net, Channel, ChaosConfig, NetConfig, NetError, NetReport};
 use pstar_sim::{
     run_with_faults, Admit, DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, FullQueuePolicy,
     LinkKernel, LossCause, Packet, PacketKind, PriorityQueue, SimConfig,
 };
 use pstar_topology::{LinkId, NodeId, Torus};
 
-/// Virtual-time net and sim agree exactly on the measured task set and
-/// the delivered-reception counts, per scheme × ρ.
+/// Net and sim report the same run, per scheme × ρ.
 #[test]
 fn sim_and_net_agree_on_delivered_counts() {
     let topo = Torus::new(&[4, 4]);
@@ -57,15 +56,7 @@ fn sim_and_net_agree_on_delivered_counts() {
             let net = net_run(&spec, &topo, cfg, 3);
             let label = format!("{scheme:?} rho={rho}");
             assert!(sim.completed, "{label}: sim did not complete");
-            assert!(net.report.completed, "{label}: net did not complete");
-            assert_eq!(
-                sim.measured_broadcasts, net.report.measured_broadcasts,
-                "{label}: measured task sets diverged — RNG mirror broken"
-            );
-            assert_eq!(
-                sim.reception_delay.count, net.report.reception_delay.count,
-                "{label}: delivered-reception counts diverged"
-            );
+            assert_reports_match(&sim, &net.report, &label);
             assert_eq!(net.report.lost_receptions, 0, "{label}: phantom losses");
             assert_eq!(
                 net.report.reception_delay.count,
@@ -91,10 +82,7 @@ fn agreement_holds_across_worker_counts() {
     for workers in [1, 2, 5, 16] {
         let net = net_run(&spec, &topo, cfg, workers);
         assert!(net.report.completed, "W={workers}");
-        assert_eq!(
-            sim.reception_delay.count, net.report.reception_delay.count,
-            "W={workers}: delivered counts diverged"
-        );
+        assert_reports_match(&sim, &net.report, &format!("W={workers}"));
         assert_eq!(net.workers, workers.min(16));
     }
 }
@@ -152,7 +140,7 @@ fn fault_net_run(
     workers: usize,
     plan: FaultPlan,
     policy: DeadLinkPolicy,
-) -> pstar_net::NetReport {
+) -> NetReport {
     net_run_under(spec, topo, sim, workers, Some((plan, policy)))
 }
 
@@ -235,8 +223,7 @@ fn scripted_plans(topo: &Torus) -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// The CI fault-agreement gate: under each scripted plan, every scheme,
-/// and 1/2/4 workers, the virtual-clock runtime reproduces the engine's
-/// counts exactly (`common::assert_net_counts_match`).
+/// and 1/2/4 workers, the runtime reproduces the engine's report.
 #[test]
 fn sim_and_net_agree_under_faults() {
     let topo = Torus::new(&[4, 4]);
@@ -269,14 +256,14 @@ fn sim_and_net_agree_under_faults() {
                     DeadLinkPolicy::Drop,
                 );
                 let label = format!("{name} {scheme:?} W={workers}");
-                assert_net_counts_match(&sim, &net.report, &label);
+                assert_reports_match(&sim, &net.report, &label);
             }
         }
     }
 }
 
 /// Under `Requeue` nothing is lost to faults — packets wait out the
-/// outage — and the two backends still agree on delivered counts.
+/// outage — and the two backends still report the same run.
 #[test]
 fn sim_and_net_agree_under_requeue_policy() {
     let topo = Torus::new(&[4, 4]);
@@ -300,11 +287,90 @@ fn sim_and_net_agree_under_requeue_policy() {
         );
         let label = format!("W={workers}");
         assert_eq!(net.report.faults.fault_dropped_packets, 0, "{label}");
-        assert_eq!(
-            sim.reception_delay.count, net.report.reception_delay.count,
-            "{label}: delivered counts diverged"
+        assert_reports_match(&sim, &net.report, &label);
+    }
+}
+
+/// Losses that are not faults: bounded queues under both drop policies,
+/// admission control past saturation, and ARQ recovery over capacity-1
+/// queues (timers armed at one worker, jitter a function of the loss
+/// alone) — at every worker count the runtime reports the engine's run.
+#[test]
+fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
+    let topo = Torus::new(&[4, 4]);
+    let at_rho = |rho| ScenarioSpec {
+        rho,
+        ..ScenarioSpec::default()
+    };
+    let bounded = |policy, seed| SimConfig {
+        queue_capacity: Some(2),
+        full_queue_policy: policy,
+        ..SimConfig::quick(seed)
+    };
+    let arq = |seed| SimConfig {
+        queue_capacity: Some(1),
+        arq: Some(pstar_sim::ArqConfig::default()),
+        ..SimConfig::quick(seed)
+    };
+    let admitted = SimConfig {
+        admission: Some(pstar_sim::AdmissionConfig {
+            rate: at_rho(0.8).mix(&topo).lambda_broadcast,
+            burst: 4.0,
+        }),
+        ..SimConfig::quick(63)
+    };
+    let cases = [
+        (
+            "DropTail",
+            at_rho(0.9),
+            bounded(FullQueuePolicy::DropTail, 61),
+        ),
+        (
+            "DropLowestClass",
+            at_rho(0.9),
+            bounded(FullQueuePolicy::DropLowestClass, 62),
+        ),
+        ("admission", at_rho(1.2), admitted),
+        ("ARQ", at_rho(0.7), arq(64)),
+        (
+            "ARQ three-class",
+            ScenarioSpec {
+                scheme: SchemeKind::ThreeClass,
+                ..at_rho(0.6)
+            },
+            arq(65),
+        ),
+    ];
+    for (name, spec, cfg) in cases {
+        let sim = run_scenario(&topo, &spec, cfg);
+        assert!(sim.completed, "{name}: sim did not complete");
+        let lossy = sim.dropped_packets + sim.flow.rejected_broadcasts;
+        assert!(lossy > 0, "{name}: nothing was lost — the case is vacuous");
+        for workers in 1..=4 {
+            let net = net_run(&spec, &topo, cfg, workers);
+            assert_reports_match(&sim, &net.report, &format!("{name} W={workers}"));
+        }
+    }
+    // ARQ under a fault plan: timers armed by the fault tick too.
+    let (_, plan) = scripted_plans(&topo).swap_remove(1);
+    let sim = fault_sim_run(
+        &at_rho(0.7),
+        &topo,
+        arq(66),
+        plan.clone(),
+        DeadLinkPolicy::Drop,
+    );
+    assert!(sim.recovery.recovered_deliveries > 0 && sim.faults.fault_dropped_packets > 0);
+    for workers in [1, 2, 4] {
+        let net = fault_net_run(
+            &at_rho(0.7),
+            &topo,
+            arq(66),
+            workers,
+            plan.clone(),
+            DeadLinkPolicy::Drop,
         );
-        assert_eq!(sim.lost_receptions, net.report.lost_receptions, "{label}");
+        assert_reports_match(&sim, &net.report, &format!("ARQ + faults W={workers}"));
     }
 }
 
@@ -312,82 +378,51 @@ fn sim_and_net_agree_under_requeue_policy() {
 // Bit-identity pin: the message plane may change, the reports may not
 // ---------------------------------------------------------------------
 
-/// FNV-1a over everything a run reports: the `Debug` text of the whole
+/// What a run is pinned by: FNV-1a over the `Debug` text of the whole
 /// `SimReport` — every field, and `{:?}` spells an `f64` with the
 /// shortest text that round-trips, so two floats print alike only when
-/// their bits are equal — plus the runtime's message count.
-fn net_digest(net: &pstar_net::NetReport) -> u64 {
-    pstar_obs::fnv1a64(format!("{:?} sent={}", net.report, net.messages_sent).as_bytes())
+/// their bits are equal — and, per worker count, the runtime's message
+/// count (the one reported number that depends on the partition).
+struct Pin {
+    label: &'static str,
+    report: u64,
+    /// `(workers, messages_sent)`.
+    sent: &'static [(usize, u64)],
 }
 
-/// What a faulted run is pinned by beside [`net_digest`]: the digest of
-/// the `SimReport` alone, and the message count on its own.
-fn report_and_sent(net: &pstar_net::NetReport) -> (u64, u64) {
-    let report = pstar_obs::fnv1a64(format!("{:?}", net.report).as_bytes());
-    (report, net.messages_sent)
-}
-
-/// Checks the faulted runs of a pin test against [`PINNED_FAULTED`].
-fn assert_faulted_pins(got: &[(String, (u64, u64))]) {
-    for (label, (report, sent)) in got {
-        let (_, want_report, want_sent) = PINNED_FAULTED
-            .iter()
-            .find(|(want_label, ..)| want_label == label)
-            .unwrap_or_else(|| panic!("{label}: no report-only pin"));
+/// Runs one pinned case at each of its worker counts. The reports must
+/// be one report — equal to each other field for field, and to
+/// `serial`'s if the case has a serial twin — with the pinned digest.
+fn assert_pin(pin: &Pin, serial: Option<&pstar_sim::SimReport>, run: impl Fn(usize) -> NetReport) {
+    let label = pin.label;
+    let mut first: Option<pstar_sim::SimReport> = None;
+    for &(workers, want_sent) in pin.sent {
+        let net = run(workers);
+        let reference = serial.or(first.as_ref()).unwrap_or(&net.report);
+        assert_reports_match(reference, &net.report, &format!("{label} W={workers}"));
         assert_eq!(
-            report, want_report,
-            "{label}: the report itself differs from commit b81f95b (got {report:#018x})"
+            net.messages_sent, want_sent,
+            "{label} W={workers}: messages_sent"
         );
-        assert_eq!(sent, want_sent, "{label}: messages_sent");
+        first.get_or_insert(net.report);
     }
+    let digest = pstar_obs::fnv1a64(format!("{:?}", first.expect("a worker count")).as_bytes());
+    assert_eq!(
+        digest, pin.report,
+        "{label}: the report differs from the pinned one (got {digest:#018x})"
+    );
 }
 
-/// The five runs under a fault plan, by `SimReport` alone. The report
-/// digests were captured at commit b81f95b, the last one where worker 0
-/// owned the fault clock and sent every other worker each epoch's delta
-/// as a message: a replica per worker changes no reported number, so
-/// they are that commit's, while `messages_sent` is that commit's less
-/// `(W − 1) ·` the epochs that ran (558 957 − 12, 565 205 − 12,
-/// 20 938 − 4, 20 872 − 4, 38 144 − 9) — which is all that moved the
-/// full digests of these runs in [`PINNED_DIGESTS`] and
-/// [`PINNED_EARLY_STOPS`].
-const PINNED_FAULTED: [(&str, u64, u64); 5] = [
-    (
-        "4x4 staggered faults Drop W=3",
-        0xc539_cbd2_70d4_9f68,
-        558_945,
-    ),
-    (
-        "4x4 staggered faults Requeue W=3",
-        0x6d1f_77c5_2aeb_3ce4,
-        565_193,
-    ),
-    (
-        "4x4 faulted horizon Drop W=3",
-        0x619d_1681_2092_650c,
-        20_934,
-    ),
-    (
-        "4x4 faulted horizon Requeue W=3",
-        0x3665_51bd_70d4_17cc,
-        20_868,
-    ),
-    (
-        "4x4 crashes, losses cross workers W=4",
-        0x2a3a_f36b_c878_334a,
-        38_135,
-    ),
-];
-
-/// The digests below were captured at commit 18cea4f, where every
-/// message took its own channel lock and the slot ended in a third
-/// barrier. How messages cross workers and how the fleet synchronizes
-/// are host-time matters: drain points, per-sender order and the
-/// ascending-link merge fix every reported number for a given
-/// `(seed, workers, mode)`, so any difference here is a protocol bug.
-/// Re-pin only for a change that means to alter what a run reports —
-/// as the two faulted runs were when fault epochs stopped being
-/// messages ([`PINNED_FAULTED`]).
+/// How messages cross workers and how the fleet synchronizes are
+/// host-time matters: drain points, per-sender order and the
+/// ascending-link merge fix every reported number for a given seed, so
+/// any difference here is a protocol bug. The digests were re-pinned
+/// once, when accounting became order-free (integer delay moments,
+/// slice-bucketed batch means, one pre-service queue sample, completion
+/// stamped at its event slot): since then a run without unicast traffic
+/// has *one* report at every worker count — the serial engine's, whose
+/// pins in `tests/sharded.rs` carry the same digests for the same runs.
+/// Re-pin only for a change that means to alter what a run reports.
 #[test]
 fn net_reports_match_the_pinned_per_message_plane() {
     let short = |seed| SimConfig {
@@ -395,43 +430,46 @@ fn net_reports_match_the_pinned_per_message_plane() {
         measure_slots: 2_000,
         ..SimConfig::quick(seed)
     };
-    let mut got: Vec<(String, u64)> = Vec::new();
-    let mut faulted: Vec<(String, (u64, u64))> = Vec::new();
+    let [p8x8, mixed_pin, drop_pin, requeue_pin, arq_pin] = &PINNED_RUNS;
 
     let torus8 = Torus::new(&[8, 8]);
     let pstar = ScenarioSpec {
         rho: 0.7,
         ..ScenarioSpec::default()
     };
-    for workers in 1..=4 {
-        let net = net_run(&pstar, &torus8, short(41), workers);
-        got.push((format!("8x8 pstar rho.7 W={workers}"), net_digest(&net)));
-    }
+    let serial = run_scenario(&torus8, &pstar, short(41));
+    assert_eq!(
+        serial.peak_queue_total, 613,
+        "the pre-service peak is the intra-slot peak the engine tracked before"
+    );
+    assert_pin(p8x8, Some(&serial), |w| {
+        net_run(&pstar, &torus8, short(41), w)
+    });
 
+    // Unicast traffic: reproducible, outside the serial-identity contract.
     let mixed = ScenarioSpec {
         scheme: SchemeKind::ThreeClass,
         rho: 0.7,
         broadcast_load_fraction: 0.5,
         ..ScenarioSpec::default()
     };
-    let net = net_run(&mixed, &Torus::new(&[4, 4, 8]), short(42), 2);
-    got.push(("4x4x8 three-class mixed W=2".into(), net_digest(&net)));
+    let torus448 = Torus::new(&[4, 4, 8]);
+    assert_pin(mixed_pin, None, |w| {
+        net_run(&mixed, &torus448, short(42), w)
+    });
 
     let torus4 = Torus::new(&[4, 4]);
     let (_, staggered) = scripted_plans(&torus4).swap_remove(1);
-    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
-        let net = fault_net_run(
-            &pstar,
-            &torus4,
-            SimConfig::quick(43),
-            3,
-            staggered.clone(),
-            policy,
-        );
-        assert!(net.report.faults.events_applied > 0, "plan never fired");
-        let label = format!("4x4 staggered faults {policy:?} W=3");
-        faulted.push((label.clone(), report_and_sent(&net)));
-        got.push((label, net_digest(&net)));
+    for (pin, policy) in [
+        (drop_pin, DeadLinkPolicy::Drop),
+        (requeue_pin, DeadLinkPolicy::Requeue),
+    ] {
+        let cfg = SimConfig::quick(43);
+        let serial = fault_sim_run(&pstar, &torus4, cfg, staggered.clone(), policy);
+        assert!(serial.faults.events_applied > 0, "plan never fired");
+        assert_pin(pin, Some(&serial), |w| {
+            fault_net_run(&pstar, &torus4, cfg, w, staggered.clone(), policy)
+        });
     }
 
     let lossy = SimConfig {
@@ -439,31 +477,39 @@ fn net_reports_match_the_pinned_per_message_plane() {
         arq: Some(pstar_sim::ArqConfig::default()),
         ..SimConfig::quick(44)
     };
-    let net = net_run(&pstar, &torus4, lossy, 2);
-    assert!(net.report.recovery.retransmissions > 0, "ARQ never fired");
-    got.push(("4x4 capacity-1 ARQ W=2".into(), net_digest(&net)));
-
-    assert_faulted_pins(&faulted);
-    assert_eq!(got.len(), PINNED_DIGESTS.len());
-    for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_DIGESTS) {
-        assert_eq!(label, want_label);
-        assert_eq!(
-            *digest, want,
-            "{label}: report or message count differs from the pinned parent \
-             (got {digest:#018x})"
-        );
-    }
+    let serial = run_scenario(&torus4, &pstar, lossy);
+    assert!(serial.recovery.retransmissions > 0, "ARQ never fired");
+    assert_pin(arq_pin, Some(&serial), |w| {
+        net_run(&pstar, &torus4, lossy, w)
+    });
 }
 
-const PINNED_DIGESTS: [(&str, u64); 8] = [
-    ("8x8 pstar rho.7 W=1", 0x0a0e_0b5a_3072_5c31),
-    ("8x8 pstar rho.7 W=2", 0x1feb_0ac1_041e_c838),
-    ("8x8 pstar rho.7 W=3", 0x3de4_de58_72eb_03b5),
-    ("8x8 pstar rho.7 W=4", 0x4ccd_f673_01a3_fe4e),
-    ("4x4x8 three-class mixed W=2", 0x5b3f_f2f1_8cc3_64c2),
-    ("4x4 staggered faults Drop W=3", 0xcc8d_4f2e_d1ab_325b),
-    ("4x4 staggered faults Requeue W=3", 0x4e36_212a_09c6_f23c),
-    ("4x4 capacity-1 ARQ W=2", 0x7849_2ec8_3c07_3b00),
+const PINNED_RUNS: [Pin; 5] = [
+    Pin {
+        label: "8x8 pstar rho.7",
+        report: 0x38c6_fe0e_dc8e_80c4,
+        sent: &[(1, 0), (2, 286_459), (3, 404_855), (4, 457_620)],
+    },
+    Pin {
+        label: "4x4x8 three-class mixed",
+        report: 0xb782_76e2_2cc5_8292,
+        sent: &[(2, 630_631)],
+    },
+    Pin {
+        label: "4x4 staggered faults Drop",
+        report: 0x490d_6604_bb9c_3837,
+        sent: &[(3, 558_894)],
+    },
+    Pin {
+        label: "4x4 staggered faults Requeue",
+        report: 0x98c1_40d8_5923_48a3,
+        sent: &[(3, 565_142)],
+    },
+    Pin {
+        label: "4x4 capacity-1 ARQ",
+        report: 0x7aea_0280_1b85_6773,
+        sent: &[(1, 0), (2, 828_417), (4, 1_366_546)],
+    },
 ];
 
 /// Runs that end early — at the horizon, by the fleet-wide queue limit,
@@ -471,18 +517,11 @@ const PINNED_DIGESTS: [(&str, u64); 8] = [
 /// learns that slot `t − 1` was the last only at the rendezvous of slot
 /// `t`, after the send of `t` has already run, so these cases pin that
 /// the send ahead of the decision leaves no mark: a rejection, a sent
-/// message, a window tick or a fault tick counted for the slot that
-/// never ran changes the digest. Captured at commit 866ac3b, where every
-/// slot was decided before the next one began (the three faulted runs
-/// re-pinned with [`PINNED_FAULTED`]): the eight cases the issue
-/// that introduced the protocol named, plus the two its own mutation
-/// checks needed — the warm-up boundary, the one stop a misplaced window
-/// tick shows at, and a plan whose fault losses cross workers, where
-/// control shipped a slot early shows.
+/// message or a fault tick counted for the slot that never ran changes
+/// the report or the message count — and every one of these reports is
+/// the serial engine's, which stops before the slot.
 #[test]
 fn early_stops_match_the_pinned_decide_then_send_protocol() {
-    let mut got: Vec<(String, u64)> = Vec::new();
-    let mut faulted_runs: Vec<(String, (u64, u64))> = Vec::new();
     let (torus8, torus4) = (Torus::new(&[8, 8]), Torus::new(&[4, 4]));
     let at_rho = |rho| ScenarioSpec {
         rho,
@@ -498,6 +537,8 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         rate: 0.01,
         burst: 1.0,
     });
+    let [horizon_pin, limit_pin, guard_pin, boundary_pin, drop_pin, requeue_pin, crashes_pin] =
+        &PINNED_EARLY_STOPS;
 
     // Horizon inside the measurement window, admission rejecting.
     let horizon = SimConfig {
@@ -506,24 +547,23 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         trace_interval: Some(50),
         ..window(51, 2_000)
     };
-    for workers in [2, 3] {
-        let net = net_run(&overload, &torus8, horizon, workers);
-        let r = &net.report;
-        assert!(r.stable && !r.completed && r.slots_run == 777, "{r:?}");
-        assert_eq!(r.flow.rejected_broadcasts, 3_184);
-        got.push((format!("8x8 horizon W={workers}"), net_digest(&net)));
-    }
+    let serial = run_scenario(&torus8, &overload, horizon);
+    assert!(serial.stable && !serial.completed && serial.slots_run == 777);
+    assert_eq!(serial.flow.rejected_broadcasts, 3_184);
+    assert_pin(horizon_pin, Some(&serial), |w| {
+        net_run(&overload, &torus8, horizon, w)
+    });
 
     // Fleet-wide queue limit, a few slots in.
     let limit = SimConfig {
         unstable_queue_per_link: 3.0,
         ..window(52, 5_000)
     };
-    for workers in [2, 4] {
-        let net = net_run(&overload, &torus8, limit, workers);
-        assert!(!net.report.stable && net.report.slots_run == 21);
-        got.push((format!("8x8 queue limit W={workers}"), net_digest(&net)));
-    }
+    let serial = run_scenario(&torus8, &overload, limit);
+    assert!(!serial.stable && serial.slots_run == 21);
+    assert_pin(limit_pin, Some(&serial), |w| {
+        net_run(&overload, &torus8, limit, w)
+    });
 
     // The single-queue guard, which only looks every 4096 slots.
     let guard = SimConfig {
@@ -531,40 +571,25 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         unstable_single_queue: 5.0,
         ..window(53, 9_000)
     };
-    let net = net_run(&overload, &torus4, guard, 2);
-    assert!(!net.report.stable && net.report.slots_run == 4_096);
-    got.push(("4x4 single-queue guard W=2".into(), net_digest(&net)));
+    let serial = run_scenario(&torus4, &overload, guard);
+    assert!(!serial.stable && serial.slots_run == 4_096);
+    assert_pin(guard_pin, Some(&serial), |w| {
+        net_run(&overload, &torus4, guard, w)
+    });
 
-    // Horizon at the warm-up boundary: the slot that never runs is the
-    // one whose window tick would restart the concurrency gauges.
+    // Horizon at the warm-up boundary: the measurement window never
+    // opens, so every window statistic — the concurrency averages
+    // included — reads zero.
     let boundary = SimConfig {
         max_slots: 100,
         ..window(56, 2_000)
     };
-    let net = net_run(&degraded, &torus4, boundary, 2);
-    assert_eq!(net.report.slots_run, 100);
-    assert!(net.report.avg_concurrent_broadcasts > 0.0);
-    got.push(("4x4 horizon at warm-up W=2".into(), net_digest(&net)));
-
-    // Horizon in wall-clock mode: every worker's injector rejects.
-    let wall = SimConfig {
-        max_slots: 555,
-        admission,
-        ..window(54, 2_000)
-    };
-    let net = run_net(
-        &torus8,
-        overload.build_scheme(&torus8),
-        overload.mix(&torus8),
-        NetConfig {
-            workers: 2,
-            mode: pstar_net::ClockMode::WallClock,
-            ..NetConfig::new(wall)
-        },
-    )
-    .expect("run_net failed");
-    assert!(net.report.slots_run == 555 && net.report.flow.rejected_broadcasts > 0);
-    got.push(("8x8 wall-clock horizon W=2".into(), net_digest(&net)));
+    let serial = run_scenario(&torus4, &degraded, boundary);
+    assert_eq!(serial.slots_run, 100);
+    assert_eq!(serial.avg_concurrent_broadcasts, 0.0);
+    assert_pin(boundary_pin, Some(&serial), |w| {
+        net_run(&degraded, &torus4, boundary, w)
+    });
 
     // Horizon with faults live, the third event due at the slot that
     // never runs.
@@ -577,21 +602,24 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         max_slots: 400,
         ..window(55, 2_000)
     };
-    for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
-        let net = fault_net_run(&degraded, &torus4, faulted, 3, plan.clone(), policy);
-        let f = &net.report.faults;
-        assert_eq!((net.report.slots_run, f.events_applied), (400, 2));
+    for (pin, policy) in [
+        (drop_pin, DeadLinkPolicy::Drop),
+        (requeue_pin, DeadLinkPolicy::Requeue),
+    ] {
+        let serial = fault_sim_run(&degraded, &torus4, faulted, plan.clone(), policy);
+        let f = &serial.faults;
+        assert_eq!((serial.slots_run, f.events_applied), (400, 2));
         assert_eq!(f.fault_slots, 250);
-        let label = format!("4x4 faulted horizon {policy:?} W=3");
-        faulted_runs.push((label.clone(), report_and_sent(&net)));
-        got.push((label, net_digest(&net)));
+        assert_pin(pin, Some(&serial), |w| {
+            fault_net_run(&degraded, &torus4, faulted, w, plan.clone(), policy)
+        });
     }
 
     // Mass fault losses (two node crashes, six link outages at rho 0.9)
-    // whose settlements cross workers: a loss notice the fault tick of
-    // slot `t` produces must reach the task's home in slot `t + 1`, with
-    // the notices slot `t`'s deliveries produce — a slot earlier, some
-    // task's last settlement swaps between an ack and a fault loss.
+    // whose settlements cross workers: a task's acks and loss notices
+    // reach its home in another order than the engine settles them in,
+    // and which of them comes last differs. What a fault-damaged
+    // broadcast is does not depend on it.
     let mut events = vec![
         FaultEvent {
             slot: 300,
@@ -607,45 +635,71 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         max_slots: 600,
         ..window(57, 2_000)
     };
-    let net = fault_net_run(
+    let plan = FaultPlan::scripted(events);
+    let serial = fault_sim_run(
         &at_rho(0.9),
         &torus4,
         crashes,
-        4,
-        FaultPlan::scripted(events),
+        plan.clone(),
         DeadLinkPolicy::Drop,
     );
-    assert_eq!(net.report.faults.fault_damaged_broadcasts, 78);
-    let label = "4x4 crashes, losses cross workers W=4".to_string();
-    faulted_runs.push((label.clone(), report_and_sent(&net)));
-    got.push((label, net_digest(&net)));
-
-    assert_faulted_pins(&faulted_runs);
-    assert_eq!(got.len(), PINNED_EARLY_STOPS.len());
-    for ((label, digest), (want_label, want)) in got.iter().zip(PINNED_EARLY_STOPS) {
-        assert_eq!(label, want_label);
-        assert_eq!(
-            *digest, want,
-            "{label}: report or message count differs from the pinned parent \
-             (got {digest:#018x})"
+    assert!(
+        serial.faults.fault_damaged_broadcasts > 0,
+        "no fault damage"
+    );
+    assert_pin(crashes_pin, Some(&serial), |w| {
+        let net = fault_net_run(
+            &at_rho(0.9),
+            &torus4,
+            crashes,
+            w,
+            plan.clone(),
+            DeadLinkPolicy::Drop,
         );
-    }
+        assert_eq!(
+            net.report.faults.fault_damaged_broadcasts,
+            serial.faults.fault_damaged_broadcasts
+        );
+        net
+    });
 }
 
-const PINNED_EARLY_STOPS: [(&str, u64); 10] = [
-    ("8x8 horizon W=2", 0xd3d5_c6f0_cfb0_f53f),
-    ("8x8 horizon W=3", 0x6bd9_5fb1_57f5_21df),
-    ("8x8 queue limit W=2", 0x78db_d92b_7efa_a5ad),
-    ("8x8 queue limit W=4", 0xcfe1_f934_3d30_c086),
-    ("4x4 single-queue guard W=2", 0x8817_6949_e2b3_aca4),
-    ("4x4 horizon at warm-up W=2", 0x99f9_c3b1_9960_d493),
-    ("8x8 wall-clock horizon W=2", 0x83b1_7578_7eb2_d85c),
-    ("4x4 faulted horizon Drop W=3", 0xa39f_6cc1_e9f4_9115),
-    ("4x4 faulted horizon Requeue W=3", 0xa109_a1b9_f99b_a533),
-    (
-        "4x4 crashes, losses cross workers W=4",
-        0xf3d5_1bab_40c1_6a6f,
-    ),
+const PINNED_EARLY_STOPS: [Pin; 7] = [
+    Pin {
+        label: "8x8 horizon",
+        report: 0xa32b_3563_0467_3f7b,
+        sent: &[(2, 18_710), (3, 26_439)],
+    },
+    Pin {
+        label: "8x8 queue limit",
+        report: 0x4057_162a_51fb_f86c,
+        sent: &[(2, 2_339), (4, 3_892)],
+    },
+    Pin {
+        label: "4x4 single-queue guard",
+        report: 0x64af_bd97_1578_1ee1,
+        sent: &[(2, 209_650)],
+    },
+    Pin {
+        label: "4x4 horizon at warm-up",
+        report: 0x4a8e_1ff7_9c3f_bbce,
+        sent: &[(2, 3_639)],
+    },
+    Pin {
+        label: "4x4 faulted horizon Drop",
+        report: 0x6864_71ca_7db5_1c14,
+        sent: &[(3, 20_934)],
+    },
+    Pin {
+        label: "4x4 faulted horizon Requeue",
+        report: 0xcee0_23c8_14d7_0d55,
+        sent: &[(3, 20_868)],
+    },
+    Pin {
+        label: "4x4 crashes, losses cross workers",
+        report: 0x001b_e15f_4302_82ef,
+        sent: &[(4, 38_135)],
+    },
 ];
 
 fn packet(task: u32, priority: u8) -> Packet {
@@ -980,8 +1034,7 @@ proptest! {
 
     /// Randomized *transient* plans (a link-outage window plus an
     /// optional node outage, all repaired inside the measurement
-    /// window): sim and net agree exactly on delivered and fault-drop
-    /// counts at 1, 2, and 4 workers.
+    /// window): sim and net report the same run at 1, 2, and 4 workers.
     #[test]
     fn randomized_transient_plans_agree(
         seed in 0u64..1_000,
@@ -1024,13 +1077,7 @@ proptest! {
         let sim = fault_sim_run(&spec, &topo, cfg, plan.clone(), DeadLinkPolicy::Drop);
         for workers in [1usize, 2, 4] {
             let net = fault_net_run(&spec, &topo, cfg, workers, plan.clone(), DeadLinkPolicy::Drop);
-            prop_assert_eq!(sim.measured_broadcasts, net.report.measured_broadcasts);
-            prop_assert_eq!(sim.reception_delay.count, net.report.reception_delay.count);
-            prop_assert_eq!(sim.lost_receptions, net.report.lost_receptions);
-            prop_assert_eq!(
-                sim.faults.fault_dropped_packets,
-                net.report.faults.fault_dropped_packets
-            );
+            prop_assert_eq!(sim.first_difference(&net.report), None, "W={}", workers);
         }
     }
 }

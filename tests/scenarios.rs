@@ -8,11 +8,11 @@
 //!   exact, wait summaries included) at two shard counts, threaded and
 //!   not, on the scenario's own traffic mix.
 //! * **Net** — for every scenario's broadcast-only projection, the
-//!   virtual-clock runtime reproduces the serial engine's measured task
-//!   set and delivery counts exactly at two worker counts. (Mixed
-//!   workloads agree statistically only — unicast forwarding draws come
-//!   from per-worker streams — so the harness *refuses* net legs with
-//!   unicast traffic rather than silently weakening the gate.)
+//!   runtime reproduces the serial engine's full report at two worker
+//!   counts. (Mixed workloads agree statistically only — unicast
+//!   forwarding draws come from per-worker streams — so the harness
+//!   *refuses* net legs with unicast traffic rather than silently
+//!   weakening the gate.)
 //! * **Ordering** — under common random numbers, priority STAR's p99
 //!   reception delay beats FCFS-direct's on the steady scenario at high
 //!   load. (Scenario-dependent inversions — hot-spot saturation, bursty
@@ -22,9 +22,9 @@
 //!   broadcast phase respects the bandwidth/latency lower bound and
 //!   stays within a small constant factor of it.
 //! * **Rejection** — engines that cannot honor a scenario say so
-//!   loudly: the event engine refuses all non-default scenarios, the
-//!   runtime's wall-clock mode refuses via a typed error, and invalid
-//!   configs never run anywhere.
+//!   loudly: the event engine refuses all non-default scenarios, and
+//!   invalid configs never run anywhere — on the runtime, by a typed
+//!   error.
 //! * **Statistics** — the modulators actually deliver their advertised
 //!   long-run behavior: MMPP's realized mean multiplier is 1, ON-OFF
 //!   realizes its duty cycle, permutations are bijections on any
@@ -35,7 +35,7 @@ mod common;
 use common::{crn_seed, cross_backend_agree, Backend};
 use priority_star::prelude::*;
 use proptest::prelude::*;
-use pstar_net::{run_net, ClockMode, NetConfig, NetConfigError, NetError};
+use pstar_net::{run_net, NetConfig, NetConfigError, NetError};
 use pstar_sim::EventEngine;
 use pstar_traffic::ScenarioCursor;
 use rand::rngs::StdRng;
@@ -171,11 +171,10 @@ fn every_scenario_agrees_on_the_sharded_engine() {
 }
 
 /// Every scenario's broadcast-only projection reproduces the serial
-/// engine's measured task set and delivery counts exactly on the
-/// virtual-clock runtime at two worker counts. The projection is the
-/// runtime's documented draw-for-draw contract (see `tests/common`);
-/// the modulation axis — the part of a scenario the injector actually
-/// mirrors — is exercised in full.
+/// engine's report on the runtime at two worker counts. The projection
+/// is the runtime's documented draw-for-draw contract (see
+/// `tests/common`); the modulation axis — the part of a scenario the
+/// injector actually mirrors — is exercised in full.
 #[test]
 fn every_scenario_agrees_on_the_net_runtime() {
     let topo = Torus::new(&[4, 4]);
@@ -220,39 +219,32 @@ fn truncated_runs_normalize_by_the_realized_window_on_every_backend() {
         &spec,
         cut,
         None,
-        &[Backend::Sharded {
-            shards: 2,
-            threads: 1,
-        }],
+        &[
+            Backend::Sharded {
+                shards: 2,
+                threads: 1,
+            },
+            Backend::NetVirtual { workers: 2 },
+        ],
         "truncated",
     );
-    let net = common::run_backend(&topo, &spec, cut, Backend::NetVirtual { workers: 2 }, None);
-    for (label, rep) in [("serial", &serial), ("net(w=2)", &net)] {
-        assert!(!rep.completed, "{label}: the horizon must cut the window");
-        assert_eq!(rep.slots_run, cut.max_slots, "{label}: slots_run");
-        assert!(
-            (rep.mean_link_utilization - rho).abs() < 0.05,
-            "{label}: utilization {} vs offered {rho} over the realized window",
-            rep.mean_link_utilization
-        );
-        let class_sum: f64 = rep.class.iter().map(|c| c.utilization).sum();
-        assert!((class_sum - rep.mean_link_utilization).abs() < 1e-9);
-        let ratio = rep.flow.mean_queued_packets / reference.flow.mean_queued_packets;
-        assert!(
-            (0.75..1.25).contains(&ratio),
-            "{label}: mean queued packets {} vs {} of the full run",
-            rep.flow.mean_queued_packets,
-            reference.flow.mean_queued_packets
-        );
-    }
-    // Broadcast-only on the virtual clock, packets follow the serial
-    // trajectories exactly, so the window statistics are not just close.
-    assert_eq!(serial.mean_link_utilization, net.mean_link_utilization);
-    assert_eq!(
-        serial.flow.mean_queued_packets,
-        net.flow.mean_queued_packets
+    // Every backend reports the serial run, so its checks cover them all.
+    assert!(!serial.completed, "the horizon must cut the window");
+    assert_eq!(serial.slots_run, cut.max_slots);
+    assert!(
+        (serial.mean_link_utilization - rho).abs() < 0.05,
+        "utilization {} vs offered {rho} over the realized window",
+        serial.mean_link_utilization
     );
-    assert_eq!(serial.window_transmissions, net.window_transmissions);
+    let class_sum: f64 = serial.class.iter().map(|c| c.utilization).sum();
+    assert!((class_sum - serial.mean_link_utilization).abs() < 1e-9);
+    let ratio = serial.flow.mean_queued_packets / reference.flow.mean_queued_packets;
+    assert!(
+        (0.75..1.25).contains(&ratio),
+        "mean queued packets {} vs {} of the full run",
+        serial.flow.mean_queued_packets,
+        reference.flow.mean_queued_packets
+    );
 }
 
 /// CRN-paired ordering on the steady scenario at high load: priority
@@ -385,9 +377,7 @@ fn event_engine_rejects_scenarios() {
 }
 
 /// The runtime returns typed errors instead of panicking: an invalid
-/// scenario is `NetConfigError::Scenario`, and a valid scenario in
-/// wall-clock mode is `NetConfigError::WallClockScenario` (wall-clock
-/// injection cannot mirror the engine's draw order).
+/// scenario is `NetConfigError::Scenario`.
 #[test]
 fn runtime_rejects_scenarios_with_typed_errors() {
     let topo = Torus::new(&[4, 4]);
@@ -421,35 +411,6 @@ fn runtime_rejects_scenarios_with_typed_errors() {
                 ..
             }))
         ),
-        "wrong error: {err:?}"
-    );
-
-    let modulated = spec_for(
-        ScenarioConfig {
-            modulation: RateModulation::Diurnal {
-                period: 100,
-                amplitude: 0.3,
-            },
-            ..Default::default()
-        },
-        1.0,
-        SchemeKind::PriorityStar,
-        0.5,
-    );
-    let mut sim = SimConfig::quick(3);
-    sim.scenario = modulated.scenario;
-    let err = run_net(
-        &topo,
-        modulated.build_scheme(&topo),
-        modulated.mix(&topo),
-        NetConfig {
-            mode: ClockMode::WallClock,
-            ..NetConfig::new(sim)
-        },
-    )
-    .expect_err("wall-clock mode must refuse scenarios");
-    assert!(
-        matches!(err, NetError::Config(NetConfigError::WallClockScenario)),
         "wrong error: {err:?}"
     );
 }

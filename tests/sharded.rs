@@ -2,19 +2,19 @@
 //!
 //! The sharded engine's whole design contract is that sharding is a
 //! *performance* transform, not a semantic one: for a given seed the
-//! coordinator consumes shard messages in the exact order the serial
-//! engine would have processed the same events, so every report field —
-//! delivered/measured counts, delay moments, loss and fault counters,
-//! queue peaks/traces, tails digests, per-class service-wait summaries —
-//! is identical at any shard count, threaded or not. Both engines
-//! account through the same ledger (`pstar_sim::TaskLedger` in the
-//! serial engine and the coordinator, `pstar_sim::LinkCounters` per
-//! engine / per shard); waits are exact integer moments, so their merge
-//! is order-free and no tolerance is needed anywhere.
+//! coordinator draws what the serial engine draws, and every report
+//! field — delivered/measured counts, delay moments, loss and fault
+//! counters, queue peaks/traces, tails digests, per-class service-wait
+//! summaries — is identical at any shard count, threaded or not. Both
+//! engines account through the same ledger (`pstar_sim::TaskLedger` in
+//! the serial engine and the coordinator, `pstar_sim::LinkCounters` per
+//! engine / per shard), whose statistics are exact integer sums, so
+//! their merge is order-free and no tolerance is needed anywhere.
 
-//! The comparison itself — [`common::assert_reports_match`] — is shared
-//! with the scenario differential suite (`tests/scenarios.rs`), so the
-//! contract above is stated in exactly one place.
+//! The comparison itself — [`common::assert_reports_match`], i.e.
+//! `SimReport::first_difference` — is shared with every other
+//! cross-backend suite, so the contract above is stated in exactly one
+//! place.
 
 mod common;
 
@@ -208,7 +208,7 @@ fn sharded_runs_are_shard_count_invariant() {
 // ---------------------------------------------------------------------
 
 /// Every driver under differential test: shards 1/2/4/8 on one and two
-/// threads, and the runtime at 1/2/4 workers.
+/// threads, and the runtime at 1/2/3/4 workers.
 fn every_backend() -> Vec<Backend> {
     let mut backends = Vec::new();
     for threads in [1, 2] {
@@ -216,7 +216,7 @@ fn every_backend() -> Vec<Backend> {
             backends.push(Backend::Sharded { shards, threads });
         }
     }
-    backends.extend([1, 2, 4].map(|workers| Backend::NetVirtual { workers }));
+    backends.extend([1, 2, 3, 4].map(|workers| Backend::NetVirtual { workers }));
     backends
 }
 
@@ -438,12 +438,14 @@ fn report_digest(report: &SimReport) -> u64 {
 
 /// The serial and the sharded engine run on the same `LinkKernel`, so
 /// the serial ≡ sharded suites above cannot show that *neither* moved.
-/// These digests were captured at commit 6013377, the last one where
-/// the serial engine kept its own `Vec<PriorityQueue>`, in-flight vector
-/// and sorted active list; they cover the unbounded hot path, both
-/// dead-link policies, ARQ, every full-queue policy and admission
-/// control. Re-pin only for a change that means to alter what a run
-/// reports.
+/// These digests cover the unbounded hot path, both dead-link policies,
+/// ARQ, every full-queue policy and admission control. They were
+/// re-pinned once, when accounting became order-free (CHANGES.md PR 22
+/// lists, per run, what moved against the reports of commit bdfaa3a:
+/// mean and variance of the delay moments within 1e-9 relative, the
+/// batch-means CI, `recovery_time.min`, fault-damage attribution, the
+/// ARQ jitter's downstream — nothing else). Re-pin only for a change
+/// that means to alter what a run reports.
 #[test]
 fn serial_reports_match_the_pinned_pre_kernel_engine() {
     let short = |seed| SimConfig {
@@ -458,8 +460,15 @@ fn serial_reports_match_the_pinned_pre_kernel_engine() {
     let torus4 = Torus::new(&[4, 4]);
     let mut got: Vec<(&str, u64)> = Vec::new();
 
-    let rep = run_scenario(&Torus::new(&[8, 8]), &pstar(0.7), short(41));
+    let torus8 = Torus::new(&[8, 8]);
+    let rep = run_scenario(&torus8, &pstar(0.7), short(41));
     assert!(rep.ok());
+    // The queue peak is sampled once a slot, before service: on a
+    // fault-free run that is the intra-slot peak the engine tracked at
+    // commit bdfaa3a, here and on the sharded engine.
+    assert_eq!(rep.peak_queue_total, 613);
+    let sharded = run_scenario_sharded(&torus8, &pstar(0.7), short(41), 4, 2, None);
+    assert_eq!(sharded.peak_queue_total, 613);
     got.push(("8x8 pstar rho.7", report_digest(&rep)));
 
     let mixed = ScenarioSpec {
@@ -554,22 +563,24 @@ fn serial_reports_match_the_pinned_pre_kernel_engine() {
 }
 
 const PINNED_SERIAL_DIGESTS: [(&str, u64); 8] = [
-    ("8x8 pstar rho.7", 0xbd85_d6d9_f64f_f8e8),
-    ("4x4x8 three-class mixed", 0xf6bb_1c0e_f5c9_e05a),
-    ("4x4 staggered faults Drop", 0xbf53_3d87_1c46_9ea4),
-    ("4x4 staggered faults Requeue", 0xf1f0_540f_669f_09f7),
-    ("4x4 capacity-1 ARQ", 0xb2c3_0a7c_314d_2096),
-    ("4x4 capacity-2 DropLowestClass", 0xf382_7cce_bb75_b570),
-    ("4x4 capacity-2 Backpressure", 0xe554_b65e_b698_a9bf),
-    ("4x4 rho1.2 admission", 0x80a0_8751_016a_9617),
+    ("8x8 pstar rho.7", 0x38c6_fe0e_dc8e_80c4),
+    ("4x4x8 three-class mixed", 0xd9c0_1150_02ba_1d48),
+    ("4x4 staggered faults Drop", 0x490d_6604_bb9c_3837),
+    ("4x4 staggered faults Requeue", 0x98c1_40d8_5923_48a3),
+    ("4x4 capacity-1 ARQ", 0x7aea_0280_1b85_6773),
+    ("4x4 capacity-2 DropLowestClass", 0x6085_a202_879f_eb8a),
+    ("4x4 capacity-2 Backpressure", 0x2e4e_763e_03ae_4c9f),
+    ("4x4 rho1.2 admission", 0xe570_3a07_a5d4_e29b),
 ];
 
 /// The coordinate arithmetic under every hop — `Coordinates::digit` /
 /// `step`, `unicast::next_hop`'s ring offset, the tree rotation — is
 /// division-free; these three runs are the ones that lean on it hardest
 /// (unicast-only at even radix with tie coins, the asymmetric three-class
-/// mix, an odd radix with no ties). Captured at commit ac895e7, where all
-/// three were still `/` and `%`.
+/// mix, an odd radix with no ties). Re-pinned with
+/// [`PINNED_SERIAL_DIGESTS`]; against commit ac895e7, where all three
+/// were still `/` and `%`, only the delay moments' low bits and the
+/// batch-means CI moved.
 #[test]
 fn serial_reports_match_the_pinned_hardware_division_routing() {
     let short = |seed| SimConfig {
@@ -623,7 +634,7 @@ fn serial_reports_match_the_pinned_hardware_division_routing() {
 }
 
 const PINNED_DIVISION_DIGESTS: [(&str, u64); 3] = [
-    ("16x16 unicast-only rho.3", 0xd1d7_ddce_e6a8_5d1a),
-    ("8x8x16 three-class mixed rho.7", 0x4312_657a_6e50_8f8b),
-    ("5x5 three-class mixed rho.6", 0xb3d6_4985_68a7_219c),
+    ("16x16 unicast-only rho.3", 0xf8eb_0b05_5ce3_8ed4),
+    ("8x8x16 three-class mixed rho.7", 0x0b90_4ecd_57da_2c33),
+    ("5x5 three-class mixed rho.6", 0xa02e_f5c7_6806_7edb),
 ];
