@@ -1,17 +1,21 @@
 //! Traffic injection for the runtime.
 //!
-//! [`VirtualInjector`] is the virtual-time coordinator: one global
-//! generator that consumes its RNG in **exactly** the order
-//! `pstar_sim::Engine::generate_arrivals` does (Poisson totals → per-task
-//! source/destination draws → admission gate → length draw → scheme
-//! generation draws). Seeded with the same `SimConfig::seed`, it
-//! therefore produces the *identical* measured task set as a simulator
-//! run of the same spec — the foundation of the sim-vs-net agreement
-//! gates. The mirror is exact for workloads whose forwarding consumes no
-//! randomness (broadcast-only mixes: `on_broadcast_arrival` takes no
-//! RNG); unicast forwarding draws tie-break bits mid-slot
-//! (`unicast::next_hop`), which the simulator interleaves with arrival
-//! draws, so mixed workloads agree statistically but not per-task.
+//! [`VirtualInjector`] is the runtime's one injector: worker 0 runs it
+//! for the whole network, and it consumes its RNG in **exactly** the
+//! order `pstar_sim::Engine` does — the draw sequence is the shared
+//! `pstar_sim::generate_arrivals_into` (Poisson totals → per-task
+//! source/destination draws), then, per arrival, the admission gate, the
+//! length draw and the scheme's generation draws. Seeded with the same
+//! `SimConfig::seed`, it therefore produces the *identical* task set as
+//! a simulator run of the same spec. Each task goes to the owner of its
+//! source node, in that owner's slice of the slot's hand-over.
+//!
+//! Generation is the only place the mirror has to hold: the forwarding
+//! workers draw nothing from it. A broadcast copy's forwards take no
+//! randomness at all, so broadcast-only runs agree with the simulator
+//! bit for bit; a unicast hop's tie coin comes from the forwarding
+//! worker's own stream, so runs with unicast traffic agree with it
+//! statistically.
 
 use pstar_sim::{
     generate_arrivals_into, ArrivalSink, Emit, LivenessView, Scheme, SimConfig, TokenGate,
@@ -20,6 +24,8 @@ use pstar_topology::NodeId;
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::runtime::Batch;
 
 /// A freshly generated task, routed to the owner of its source node for
 /// enqueueing (and, for broadcasts, registration — unicast tasks are
@@ -53,65 +59,7 @@ impl InjectBatch {
     }
 }
 
-/// Where the global injector puts a task: the batch bound for the owner
-/// of its source node.
-pub(crate) trait InjectRoute {
-    fn batch_for(&mut self, src: NodeId) -> &mut InjectBatch;
-}
-
-/// Dead-node injection suppression probe. `None` = no fault plan (the
-/// branch costs nothing); the check sites mirror
-/// `Engine::generate_arrivals` exactly — see each caller.
-#[inline]
-fn node_dead(view: Option<&LivenessView>, node: NodeId) -> bool {
-    view.is_some_and(|v| !v.node_alive(node))
-}
-
-/// Shared per-arrival generation: admission gate (`bucket` is the
-/// source's index in it), then the length and scheme draws in the
-/// engine's exact order.
-#[allow(clippy::too_many_arguments)]
-fn generate_task<S: Scheme + ?Sized>(
-    rng: &mut StdRng,
-    cfg: &SimConfig,
-    scheme: &S,
-    gate: Option<&mut TokenGate>,
-    bucket: usize,
-    task: u32,
-    src: NodeId,
-    dest: Option<NodeId>,
-    t: u64,
-    measured: bool,
-    out: &mut InjectBatch,
-) -> bool {
-    // The gate fires *before* the length/scheme draws, exactly like
-    // `Engine::arrive` — a rejected arrival leaves the RNG stream
-    // untouched.
-    if gate.is_some_and(|g| !g.admit(bucket, dest.is_none(), measured)) {
-        return false;
-    }
-    let len = cfg.lengths.sample_length(rng);
-    // Schemes append to `out`, so the arena is handed to them as it is.
-    let first = out.emits.len() as u32;
-    match dest {
-        None => scheme.on_broadcast_generated(src, rng, &mut out.emits),
-        Some(d) => scheme.on_unicast_generated(src, d, rng, &mut out.emits),
-    }
-    let emits = first..out.emits.len() as u32;
-    debug_assert!(!emits.is_empty(), "task with no transmissions");
-    out.msgs.push(InjectMsg {
-        task,
-        src,
-        gen_time: t,
-        len,
-        measured,
-        broadcast: dest.is_none(),
-        emits,
-    });
-    true
-}
-
-/// The virtual-time global injector (see module docs).
+/// The global injector (see module docs).
 pub(crate) struct VirtualInjector {
     rng: StdRng,
     mix: TrafficMix,
@@ -147,24 +95,22 @@ impl VirtualInjector {
         }
     }
 
-    fn measured_at(&self, t: u64) -> bool {
-        t >= self.cfg.warmup_slots && t < self.cfg.measure_end()
-    }
-
-    /// Generates slot `t`'s arrivals into `route`'s batches, mirroring
-    /// `Engine::step`'s phase-2 order: token refill, then the arrival
-    /// draws. The draw sequence itself is not mirrored by hand — it *is*
-    /// the engine's, via `pstar_sim::generate_arrivals_into`, with this
-    /// injector plugged in as the [`ArrivalSink`]. `view` suppresses
-    /// injection at dead nodes at exactly the points the engine does
-    /// (the sink's `source_dead` probe), so the RNG stream stays aligned
-    /// with the simulator under the same fault plan — for any scenario.
-    pub fn slot<S: Scheme + ?Sized, R: InjectRoute>(
+    /// Generates slot `t`'s arrivals into `out`, the outbox of each
+    /// source's owner (`node_owner`), mirroring `Engine::step`'s phase-2
+    /// order: token refill, then the arrival draws. The draw sequence
+    /// itself is not mirrored by hand — it *is* the engine's, via
+    /// `pstar_sim::generate_arrivals_into`, with this injector plugged in
+    /// as the [`ArrivalSink`]. `view` suppresses injection at dead nodes
+    /// at exactly the points the engine does (the sink's `source_dead`
+    /// probe), so the RNG stream stays aligned with the simulator under
+    /// the same fault plan — for any scenario.
+    pub fn slot<S: Scheme + ?Sized>(
         &mut self,
         t: u64,
         scheme: &S,
         view: Option<&LivenessView>,
-        route: &mut R,
+        node_owner: &[u32],
+        out: &mut [Batch],
     ) {
         if let Some(gate) = self.gate.as_mut() {
             gate.refill();
@@ -177,7 +123,8 @@ impl VirtualInjector {
             scheme,
             view,
             t,
-            route,
+            node_owner,
+            out,
         };
         generate_arrivals_into(&mut sink, &mut cursor, mix, n, t);
         self.cursor = cursor;
@@ -185,43 +132,62 @@ impl VirtualInjector {
 }
 
 /// [`ArrivalSink`] adapter: the shared generator owns the draw order;
-/// `spawn` performs the per-task admission gate and length/scheme draws
-/// in the engine's exact order (`generate_task`).
-struct VirtualSink<'a, S: Scheme + ?Sized, R: InjectRoute> {
+/// `spawn` takes each arrival through the admission gate and the length
+/// and scheme draws, in the engine's exact order.
+struct VirtualSink<'a, S: Scheme + ?Sized> {
     inj: &'a mut VirtualInjector,
     scheme: &'a S,
     view: Option<&'a LivenessView>,
     t: u64,
-    route: &'a mut R,
+    node_owner: &'a [u32],
+    out: &'a mut [Batch],
 }
 
-impl<S: Scheme + ?Sized, R: InjectRoute> ArrivalSink for VirtualSink<'_, S, R> {
+impl<S: Scheme + ?Sized> ArrivalSink for VirtualSink<'_, S> {
     fn draw_ctx(&mut self) -> (&mut StdRng, &DestSampler) {
         let inj = &mut *self.inj;
         (&mut inj.rng, &inj.dests)
     }
 
+    /// Dead nodes generate nothing; without a fault plan (`view` is
+    /// `None`) the probe costs nothing.
     fn source_dead(&self, node: NodeId) -> bool {
-        node_dead(self.view, node)
+        self.view.is_some_and(|v| !v.node_alive(node))
     }
 
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
-        let task = self.inj.next_task;
-        let measured = self.inj.measured_at(self.t);
-        if generate_task(
-            &mut self.inj.rng,
-            &self.inj.cfg,
-            self.scheme,
-            self.inj.gate.as_mut(),
-            src.index(),
-            task,
-            src,
-            dest,
-            self.t,
-            measured,
-            self.route.batch_for(src),
-        ) {
-            self.inj.next_task += 1;
+        let inj = &mut *self.inj;
+        let measured = inj.cfg.in_window(self.t);
+        // The gate fires *before* the length/scheme draws, exactly like
+        // `Engine::arrive` — a rejected arrival leaves the RNG stream
+        // untouched.
+        let gate = inj.gate.as_mut();
+        if gate.is_some_and(|g| !g.admit(src.index(), dest.is_none(), measured)) {
+            return;
         }
+        let len = inj.cfg.lengths.sample_length(&mut inj.rng);
+        let out = &mut self.out[self.node_owner[src.index()] as usize].inject;
+        // Schemes append to the arena, so it is handed to them as it is.
+        let first = out.emits.len() as u32;
+        match dest {
+            None => self
+                .scheme
+                .on_broadcast_generated(src, &mut inj.rng, &mut out.emits),
+            Some(d) => self
+                .scheme
+                .on_unicast_generated(src, d, &mut inj.rng, &mut out.emits),
+        }
+        let emits = first..out.emits.len() as u32;
+        debug_assert!(!emits.is_empty(), "task with no transmissions");
+        out.msgs.push(InjectMsg {
+            task: inj.next_task,
+            src,
+            gen_time: self.t,
+            len,
+            measured,
+            broadcast: dest.is_none(),
+            emits,
+        });
+        inj.next_task += 1;
     }
 }

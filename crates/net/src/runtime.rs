@@ -2,10 +2,10 @@
 //!
 //! Topology nodes are sharded into contiguous ranges over `W` worker
 //! threads; each worker owns its nodes' outgoing links — one
-//! [`pstar_sim::LinkKernel`] over their contiguous id range, the same
-//! queueing and service code the simulator's engines run — a private
-//! [`crate::stats::WorkerStats`] accumulator, and — with ARQ on — its
-//! own [`pstar_sim::Arq`] timers.
+//! [`pstar_sim::Hop`] over their contiguous id range: the same queueing,
+//! service, delivery, forwarding, loss and ARQ code the serial engine
+//! runs — and its books: a private [`crate::stats::WorkerStats`]
+//! accumulator and the records of the tasks it is home to.
 //! Workers never share mutable state: everything crosses core
 //! boundaries in [`crate::channel::Mailbox`]es, one hand-over per peer
 //! per slot — a worker collects what it has for each peer (control,
@@ -53,7 +53,7 @@
 //! *The commit rule.* Send of `t` runs before slot `t − 1`'s outcome is
 //! known, so when `t − 1` turns out to be the last slot, send of `t` has
 //! already run. Nothing a report can see happens in it: the data and
-//! injection share of [`NetReport::messages_sent`] and the injectors'
+//! injection share of [`NetReport::messages_sent`] and the injector's
 //! admission-rejection counters are held back until the rendezvous says
 //! *run* (control messages are counted where they are produced); and
 //! control produced by slot `t` itself — its fault tick included — ships
@@ -129,11 +129,11 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
-use pstar_obs::{MetricsRegistry, TraceEvent, TraceRecord};
+use pstar_obs::{MetricsRegistry, TraceRecord, TraceSink};
 use pstar_sim::{
-    assemble, receptions_at_stake, splitmix64, stop_verdict, Admit, Arq, Emit, FaultClock,
-    FaultLoss, FullQueuePolicy, LinkCounters, LinkKernel, LossCause, Packet, PacketKind,
-    RunOutcome, Scheme, SimConfig, SimReport, Stop, TaskSlot, ARQ_SEED_SALT, MAX_PRIORITY_CLASSES,
+    assemble, splitmix64, stop_verdict, Emit, FaultClock, FullQueuePolicy, Homes, Hop, HopCtx,
+    LinkCounters, LossCause, Packet, PacketKind, RunOutcome, Scheme, SimConfig, SimReport, Stop,
+    TaskLedger, TaskSlot, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
@@ -143,7 +143,7 @@ use rand::SeedableRng;
 
 use crate::channel::{spin_until, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
-use crate::inject::{InjectBatch, InjectMsg, InjectRoute, VirtualInjector};
+use crate::inject::{InjectBatch, InjectMsg, VirtualInjector};
 use crate::stats::WorkerStats;
 
 /// Salt of the per-worker unicast-forwarding RNG streams.
@@ -261,11 +261,9 @@ pub struct NetWorkerPerf {
     /// Time spent waiting per slot: at the slot's rendezvous (index 0),
     /// and at the rendezvous of its own that a run with a fault plan
     /// decides the previous slot at (index 1; 0 on fault-free runs).
-    /// Index 2 is unused and reads 0; it keeps the array, and the
-    /// `barrier="c"` series [`NetPerf::publish`] writes, in shape. Time
-    /// spent inside the rendezvous' combiner is [`Self::decide_ns`], not
-    /// wait.
-    pub barrier_wait_ns: [u64; 3],
+    /// Time spent inside the rendezvous' combiner is
+    /// [`Self::decide_ns`], not wait.
+    pub barrier_wait_ns: [u64; 2],
     /// Send work time (phase A): finish scan, injection and the
     /// hand-overs.
     pub phase_a_ns: u64,
@@ -310,8 +308,7 @@ impl NetPerf {
     /// Publishes every worker's timings into `reg` as labeled counters
     /// (`net_slot_ns{worker=N}`, `net_barrier_wait_ns{worker,barrier}` —
     /// `barrier="a"` is the slot's rendezvous, `"b"` the decision
-    /// rendezvous of runs with a fault plan, and `"c"` is unused and
-    /// reads 0 —
+    /// rendezvous of runs with a fault plan —
     /// `net_phase_ns{worker,phase}`, `net_blocked_send_ns{worker}`) and
     /// gauges (`net_data_depth_high{worker}`), so net runs land in the
     /// same registry/exporter pipeline as the sharded engine.
@@ -321,12 +318,12 @@ impl NetPerf {
             let wl = [("worker", wid.as_str())];
             reg.counter("net_slots", &wl).add(wp.slots);
             reg.counter("net_slot_ns", &wl).add(wp.slot_ns_sum);
-            for (i, name) in ["a", "b", "c"].iter().enumerate() {
+            for (name, ns) in ["a", "b"].into_iter().zip(wp.barrier_wait_ns) {
                 reg.counter(
                     "net_barrier_wait_ns",
                     &[("worker", wid.as_str()), ("barrier", name)],
                 )
-                .add(wp.barrier_wait_ns[i]);
+                .add(ns);
             }
             for (name, ns) in [
                 ("phase_a", wp.phase_a_ns),
@@ -522,14 +519,14 @@ type TaskTable = HashMap<u32, TaskSlot, BuildHasherDefault<TaskIdHasher>>;
 /// loop back without leaving the thread, its `ctrl` stays empty (local
 /// control is applied directly).
 #[derive(Default)]
-struct Batch {
+pub(crate) struct Batch {
     /// Control messages of the *previous* slot (sealed at the top of the
     /// slot that sends them).
     ctrl: Vec<CtrlMsg>,
     /// This slot's deliveries, ascending in link id (finish-scan order).
     data: Vec<DataMsg>,
     /// This slot's injections.
-    inject: InjectBatch,
+    pub(crate) inject: InjectBatch,
 }
 
 impl Batch {
@@ -545,7 +542,6 @@ impl Batch {
 struct Shared {
     workers: usize,
     node_owner: Vec<u32>,
-    link_target: Vec<NodeId>,
     link_dim: Vec<u8>,
     /// The first link id of each worker's node range, plus the link
     /// count (`workers + 1` entries): worker `i` owns links
@@ -610,7 +606,6 @@ impl Shared {
         Ok(Self {
             workers: w,
             node_owner,
-            link_target: topo.link_target_table(),
             link_dim: topo.link_dim_table(),
             link_lo,
             sim: *sim,
@@ -685,7 +680,7 @@ impl Shared {
 struct NetWorkerAcc {
     /// Per-slot wall-time distribution (min/median/max come from here).
     slot_hist: LogHistogram,
-    barrier_wait_ns: [u64; 3],
+    barrier_wait_ns: [u64; 2],
     phase_a_ns: u64,
     phase_b_ns: u64,
     decide_ns: u64,
@@ -698,7 +693,7 @@ impl NetWorkerAcc {
     fn new() -> Self {
         Self {
             slot_hist: LogHistogram::new(),
-            barrier_wait_ns: [0; 3],
+            barrier_wait_ns: [0; 2],
             phase_a_ns: 0,
             phase_b_ns: 0,
             decide_ns: 0,
@@ -723,6 +718,166 @@ fn lap(
     }
 }
 
+/// A worker's trace track: the first [`NetConfig::trace_capacity`]
+/// records its hop rules and service starts produce.
+struct Track {
+    records: Vec<TraceRecord>,
+    cap: usize,
+}
+
+impl TraceSink for Track {
+    fn record(&mut self, rec: TraceRecord) {
+        if self.records.len() < self.cap {
+            self.records.push(rec);
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// What a worker counts and where its tasks' homes are: its share of the
+/// ledger, the records of the tasks it is home to (broadcast: the
+/// source's owner; unicast: the destination's), and the control notices
+/// it owes other homes. The hop rules reach it as their [`Homes`]: the
+/// delivery- and loss-site rules count here, the home-site ones are
+/// applied here or sent to the home.
+struct Books<'a> {
+    id: usize,
+    shared: &'a Shared,
+    stats: WorkerStats,
+    tasks: TaskTable,
+    /// Control messages the current slot has produced so far, index =
+    /// destination worker; sealed into the outboxes at the top of the
+    /// next slot.
+    pending_ctrl: Vec<Vec<CtrlMsg>>,
+}
+
+impl Books<'_> {
+    #[inline]
+    fn owner_of(&self, node: NodeId) -> usize {
+        self.shared.node_owner[node.index()] as usize
+    }
+
+    /// The worker keeping `pkt`'s task-completion record.
+    #[inline]
+    fn home_of(&self, pkt: &Packet) -> usize {
+        match pkt.kind {
+            PacketKind::Broadcast(state) => self.owner_of(state.src),
+            PacketKind::Unicast { dest } => self.owner_of(dest),
+        }
+    }
+
+    /// Settles `msg` at worker `home`: here and now when that is this
+    /// worker; otherwise it ships with the next slot's hand-over — the
+    /// one-slot lag of the control plane, the run's last slot included
+    /// (`take_last_ctrl`) — and counts as sent here, where it is
+    /// produced.
+    fn tell(&mut self, home: usize, msg: CtrlMsg) {
+        if home == self.id {
+            self.apply(msg);
+        } else {
+            self.pending_ctrl[home].push(msg);
+            self.stats.messages_sent += 1;
+        }
+    }
+
+    /// Applies one control message at this worker, the task's home.
+    fn apply(&mut self, msg: CtrlMsg) {
+        match msg {
+            CtrlMsg::Register {
+                task,
+                gen_time,
+                measured,
+            } => self.register(task, TaskSlot::new(gen_time, false, 1, measured)),
+            CtrlMsg::Ack { task, slot } => self.settle(task, |s| s.receive(slot)),
+            CtrlMsg::Lost {
+                task,
+                receptions,
+                fault,
+                slot,
+            } => self.settle(task, |s| s.lose(slot, receptions, fault)),
+            CtrlMsg::MarkRetx { task } => {
+                if let Some(slot) = self.tasks.get_mut(&task) {
+                    slot.retx = true;
+                }
+            }
+        }
+    }
+
+    /// `task` starts being tracked at this worker, its home.
+    fn register(&mut self, task: u32, slot: TaskSlot) {
+        let prev = self.tasks.insert(task, slot);
+        debug_assert!(prev.is_none(), "duplicate task id {task}");
+    }
+
+    /// Applies one settlement to `task`'s record; the one that completes
+    /// the task takes the record out and counts it — one table lookup
+    /// either way (a unicast's only settlement is its completion).
+    fn settle(&mut self, task: u32, settle: impl FnOnce(&mut TaskSlot) -> bool) {
+        let Entry::Occupied(mut record) = self.tasks.entry(task) else {
+            panic!("settlement for unknown task {task}");
+        };
+        if settle(record.get_mut()) {
+            self.stats.tasks.completed(record.remove());
+        }
+    }
+}
+
+impl Homes for Books<'_> {
+    fn ledger(&mut self) -> &mut TaskLedger {
+        &mut self.stats.tasks
+    }
+
+    #[inline]
+    fn broadcast_received(&mut self, t: u64, pkt: &Packet, dist: impl FnOnce() -> u32) {
+        if self.shared.sim.in_window(pkt.gen_time) {
+            self.stats
+                .tasks
+                .measured_reception(pkt.gen_time, t, pkt.priority, dist);
+        }
+        let ack = CtrlMsg::Ack {
+            task: pkt.task,
+            slot: t,
+        };
+        self.tell(self.home_of(pkt), ack);
+    }
+
+    #[inline]
+    fn unicast_arrived(&mut self, t: u64, pkt: &Packet) {
+        // The destination's owner *is* the unicast's home.
+        self.apply(CtrlMsg::Ack {
+            task: pkt.task,
+            slot: t,
+        });
+    }
+
+    fn retransmitting(&mut self, pkt: &Packet) {
+        self.tell(self.home_of(pkt), CtrlMsg::MarkRetx { task: pkt.task });
+    }
+
+    fn lost_for_good(
+        &mut self,
+        t: u64,
+        pkt: &Packet,
+        broadcast: bool,
+        receptions: u32,
+        cause: LossCause,
+    ) -> u64 {
+        let measured = self.shared.sim.in_window(pkt.gen_time);
+        let lost_measured = self.stats.tasks.lost(measured, broadcast, receptions);
+        let lost = CtrlMsg::Lost {
+            task: pkt.task,
+            receptions,
+            fault: cause == LossCause::Fault,
+            slot: t,
+        };
+        self.tell(self.home_of(pkt), lost);
+        lost_measured
+    }
+}
+
 /// One worker thread's whole state. The scheme is held by value: on
 /// fault-free runs `SS` is `&S` (the blanket `Scheme for &S` impl, zero
 /// cost, shared); on faulted runs each worker owns a clone so
@@ -730,20 +885,17 @@ fn lap(
 struct Worker<'a, N: Network + Sync, SS: Scheme> {
     id: usize,
     topo: &'a N,
-    scheme: SS,
     cfg: SimConfig,
     shared: &'a Shared,
-    /// Queueing and service for the owned links (a contiguous id
-    /// range: link ids are node-major).
-    kernel: LinkKernel,
-    tasks: TaskTable,
+    /// The hop rules over the owned links (a contiguous id range: link
+    /// ids are node-major), with this worker's scheme, ARQ timers,
+    /// fault-clock replica and trace track.
+    hop: Hop<SS>,
+    books: Books<'a>,
     /// Worker 0 only: the global injector.
     injector: Option<VirtualInjector>,
-    arq: Option<Arq>,
+    /// This worker's unicast tie coins: a stream of its own.
     fwd_rng: StdRng,
-    stats: WorkerStats,
-    trace: Vec<TraceRecord>,
-    trace_cap: usize,
     /// Worker 0 only: the sampled fleet-wide queue totals.
     queue_trace: Vec<(u64, u64)>,
     /// Outboxes, index = destination worker (`out[id]` loops back): the
@@ -752,21 +904,12 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// is swapped into its mailbox in one hand-over. What comes back is
     /// a batch the receiver emptied, so a slot allocates nothing.
     out: Vec<Batch>,
-    /// Control messages the current slot has produced so far, index =
-    /// destination worker; sealed into `out` at the top of the next slot.
-    pending_ctrl: Vec<Vec<CtrlMsg>>,
     /// Taken batches, index = source worker; emptied by process, then
     /// swapped back into the mailbox by the next take.
     inbox: Vec<Batch>,
     /// Data and injection messages of the send not yet committed: they
     /// count as sent once the rendezvous says the slot runs.
     uncommitted_sent: u64,
-    /// Scratch for one delivery's forwards.
-    emit_buf: Vec<Emit>,
-    /// Scratch for a fault epoch's losses.
-    loss_buf: Vec<FaultLoss>,
-    /// `Some` on faulted runs: this worker's replica of the fault clock.
-    faults: Option<Box<FaultClock>>,
     /// Chaos, resolved for this worker: panic right after the rendezvous
     /// that decides this slot; stall `(slot, millis)` once; from this
     /// slot on take no peer's mailbox (a "deaf" worker, for exercising
@@ -779,22 +922,10 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     perf: Option<Box<NetWorkerAcc>>,
 }
 
-/// Routes a generated task to the outbox of its source node's owner.
-struct OwnerRoute<'a> {
-    node_owner: &'a [u32],
-    out: &'a mut [Batch],
-}
-
-impl InjectRoute for OwnerRoute<'_> {
-    fn batch_for(&mut self, src: NodeId) -> &mut InjectBatch {
-        &mut self.out[self.node_owner[src.index()] as usize].inject
-    }
-}
-
 impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// Worker `id` of `shared`'s partition, before its first slot.
-    /// `clock` is its replica of the fault clock on a faulted run.
-    #[allow(clippy::too_many_arguments)]
+    /// `faults` is its replica of the fault clock on a faulted run, with
+    /// the dead-link policy.
     fn new(
         id: usize,
         topo: &'a N,
@@ -802,16 +933,26 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         shared: &'a Shared,
         cfg: &NetConfig,
         mix: TrafficMix,
-        policy: DeadLinkPolicy,
-        clock: Option<FaultClock>,
+        faults: Option<(FaultClock, DeadLinkPolicy)>,
     ) -> Self {
         let (sim, w) = (cfg.sim, shared.workers);
-        let n = topo.node_count();
-        let mut kernel =
-            LinkKernel::new(&sim, topo.d(), shared.link_lo[id], shared.link_lo[id + 1]);
-        kernel.set_dead_link_policy(policy);
+        let mut hop = Hop::new(
+            topo,
+            scheme,
+            &sim,
+            shared.link_lo[id],
+            shared.link_lo[id + 1],
+        );
+        if let Some((clock, policy)) = faults {
+            hop.install_faults(clock, policy);
+        }
+        if cfg.trace_capacity > 0 {
+            hop.obs = Some(Box::new(Track {
+                records: Vec::new(),
+                cap: cfg.trace_capacity,
+            }));
+        }
         let injector = (id == 0).then(|| VirtualInjector::new(&topo.dim_sizes(), mix, sim));
-        // Worker `id`'s unicast tie coins: a stream of its own.
         let fwd_seed = splitmix64(
             sim.seed ^ FWD_SEED_SALT ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
@@ -819,57 +960,27 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         Self {
             id,
             topo,
-            scheme,
             cfg: sim,
             shared,
-            kernel,
-            tasks: TaskTable::default(),
+            hop,
+            books: Books {
+                id,
+                shared,
+                stats: WorkerStats::new(&sim, topo.node_count(), topo.diameter()),
+                tasks: TaskTable::default(),
+                pending_ctrl: (0..w).map(|_| Vec::new()).collect(),
+            },
             injector,
-            arq: sim.arq.map(|a| Arq::new(a, sim.seed ^ ARQ_SEED_SALT)),
             fwd_rng: StdRng::seed_from_u64(fwd_seed),
-            stats: WorkerStats::new(&sim, n, topo.diameter()),
-            trace: Vec::new(),
-            trace_cap: cfg.trace_capacity,
             queue_trace: Vec::new(),
             out: (0..w).map(|_| Batch::default()).collect(),
-            pending_ctrl: (0..w).map(|_| Vec::new()).collect(),
             inbox: (0..w).map(|_| Batch::default()).collect(),
             uncommitted_sent: 0,
-            emit_buf: Vec::with_capacity(64),
-            loss_buf: Vec::new(),
-            faults: clock.map(Box::new),
             chaos_panic: chaos.panic_at_slot.filter(|_| chaos.victim(0, w) == id),
             chaos_delay: chaos.delay_at_slot.filter(|_| chaos.victim(1, w) == id),
             deaf_from: chaos.deaf_from_slot.filter(|_| chaos.victim(2, w) == id),
             perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
         }
-    }
-
-    #[inline]
-    fn owner_of(&self, node: NodeId) -> usize {
-        self.shared.node_owner[node.index()] as usize
-    }
-
-    #[inline]
-    fn in_window(&self, slot: u64) -> bool {
-        slot >= self.cfg.warmup_slots && slot < self.cfg.measure_end()
-    }
-
-    #[inline]
-    fn record_trace(&mut self, slot: u64, event: TraceEvent) {
-        if self.trace.len() < self.trace_cap {
-            self.trace.push(TraceRecord { slot, event });
-        }
-    }
-
-    /// Queues `msg` for `to`: it ships with the next slot's hand-over —
-    /// the one-slot lag of the control plane, the run's last slot
-    /// included (`take_last_ctrl`) — and counts as sent here, where it is
-    /// produced.
-    fn send_ctrl(&mut self, to: usize, msg: CtrlMsg) {
-        debug_assert_ne!(to, self.id, "local ctrl must be applied directly");
-        self.pending_ctrl[to].push(msg);
-        self.stats.messages_sent += 1;
     }
 
     // ---------------------------------------------------------------
@@ -883,7 +994,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         // With a fault plan installed the fault tick of slot `t` is
         // visible in the report, so slot `t − 1` must be decided before
         // it; without one, the decision rides the slot's rendezvous.
-        let decide_first = self.faults.is_some();
+        let decide_first = self.hop.faults.is_some();
         let mut t: u64 = 0;
         loop {
             shared.progress[id].store(t << 3, Ordering::Release);
@@ -997,7 +1108,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             let mut batch = std::mem::take(&mut self.inbox[from]);
             if mail[from * w + id].take(&mut batch) {
                 for msg in batch.ctrl.drain(..) {
-                    self.handle_ctrl(msg);
+                    self.books.apply(msg);
                 }
             }
             self.inbox[from] = batch;
@@ -1007,9 +1118,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// Top of slot: the control messages produced so far — the previous
     /// slot's — move into the outboxes this slot's send hands over.
     /// Whatever the slot itself produces from here on, its fault tick
-    /// included, collects in `pending_ctrl` for the next send.
+    /// included, collects in the books' pending control for the next
+    /// send.
     fn seal_ctrl(&mut self) {
-        for (batch, pending) in self.out.iter_mut().zip(&mut self.pending_ctrl) {
+        for (batch, pending) in self.out.iter_mut().zip(&mut self.books.pending_ctrl) {
             debug_assert!(batch.ctrl.is_empty(), "outbox came back unemptied");
             std::mem::swap(&mut batch.ctrl, pending);
         }
@@ -1025,31 +1137,18 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// Returns `true` when the run was poisoned during a hand-over.
     fn send(&mut self, t: u64) -> bool {
         let shared = self.shared;
-        let mut scan = self.kernel.finish_scan();
-        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
-            let target = shared.link_target[link as usize];
-            let to = shared.node_owner[target.index()] as usize;
-            self.out[to].data.push(DataMsg { link, pkt: *pkt });
+        let mut scan = self.hop.kernel.finish_scan();
+        while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
+            let pkt = *pkt;
+            let to = shared.node_owner[self.hop.target(link).index()] as usize;
+            self.out[to].data.push(DataMsg { link, pkt });
         }
-        {
-            // Disjoint borrows: the injector consumes the scheme and the
-            // liveness view (dead nodes generate no traffic, in the
-            // engine's exact RNG draw order).
-            let Self {
-                injector,
-                faults,
-                scheme,
-                out,
-                ..
-            } = &mut *self;
-            if let Some(inj) = injector {
-                let view = faults.as_ref().map(|f| f.view());
-                let mut route = OwnerRoute {
-                    node_owner: &shared.node_owner,
-                    out,
-                };
-                inj.slot(t, &*scheme, view, &mut route)
-            }
+        // The injector consumes the scheme and the liveness view (dead
+        // nodes generate no traffic, in the engine's exact RNG draw
+        // order).
+        if let Some(inj) = self.injector.as_mut() {
+            let view = self.hop.faults.as_ref().map(|f| f.view());
+            inj.slot(t, &self.hop.scheme, view, &shared.node_owner, &mut self.out);
         }
         self.hand_over(t)
     }
@@ -1075,16 +1174,32 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// The rendezvous said the slot runs: what its send counted becomes
     /// part of the report.
     fn commit_send(&mut self) {
-        self.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
+        let stats = &mut self.books.stats;
+        stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
         if let Some(gate) = self.injector.as_ref().and_then(|inj| inj.gate.as_ref()) {
-            self.stats.flow.rejected_broadcasts = gate.rejected_broadcasts;
-            self.stats.flow.rejected_unicasts = gate.rejected_unicasts;
+            stats.flow.rejected_broadcasts = gate.rejected_broadcasts;
+            stats.flow.rejected_unicasts = gate.rejected_unicasts;
         }
     }
 
     // ---------------------------------------------------------------
     // Process: take + handle, engine step order
     // ---------------------------------------------------------------
+
+    /// The hop rules' view of this worker at slot `t`.
+    fn hop_ctx<'w>(
+        topo: &'w N,
+        books: &'w mut Books<'a>,
+        fwd_rng: &'w mut StdRng,
+        t: u64,
+    ) -> HopCtx<'w, N, Books<'a>> {
+        HopCtx {
+            topo,
+            homes: books,
+            ties: fwd_rng,
+            t,
+        }
+    }
 
     fn process(&mut self, t: u64) {
         let (shared, w, id) = (self.shared, self.shared.workers, self.id);
@@ -1108,12 +1223,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         // 1. Control plane from slot t − 1: registrations must precede
         //    the deliveries so a task's home record always exists before
         //    its first ack or loss can arrive.
-        for from in 0..w {
-            let mut ctrl = std::mem::take(&mut self.inbox[from].ctrl);
-            for msg in ctrl.drain(..) {
-                self.handle_ctrl(msg);
+        for batch in &mut self.inbox {
+            for msg in batch.ctrl.drain(..) {
+                self.books.apply(msg);
             }
-            self.inbox[from].ctrl = ctrl;
         }
         // 2. Deliveries of slot t in ascending link order — the engine's
         //    delivery-scan order, which makes same-slot forwards enqueue
@@ -1123,20 +1236,17 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         //    holds only its own links, and workers own ascending,
         //    disjoint link ranges: the k-way merge of the runs is their
         //    concatenation in sender order, each processed where it lies.
+        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
         let mut last_link = None;
-        for from in 0..w {
-            let mut run = std::mem::take(&mut self.inbox[from].data);
-            for msg in run.drain(..) {
+        for batch in &mut self.inbox {
+            for msg in batch.data.drain(..) {
                 debug_assert!(last_link < Some(msg.link), "deliveries out of link order");
                 last_link = Some(msg.link);
-                self.process_deliver(msg.link, msg.pkt, t);
+                self.hop.deliver(&mut cx, msg.link, msg.pkt);
             }
-            self.inbox[from].data = run;
         }
         // 3. Due retransmissions (before arrivals, like the engine).
-        if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
-            self.fire_retx(t);
-        }
+        self.hop.fire_retransmissions(&mut cx);
         // 4. Injections of slot t (worker 0's injector is the one
         //    source).
         for from in 0..w {
@@ -1150,384 +1260,101 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
         // 5. The queued population, sampled at the engine's point: after
         //    arrivals, before service starts.
-        let pre_service = self.kernel.queued();
-        if self.in_window(t) {
-            self.stats.flow.occupancy_sum += pre_service as u128;
+        let pre_service = self.hop.kernel.queued();
+        if self.cfg.in_window(t) {
+            self.books.stats.flow.occupancy_sum += pre_service as u128;
         }
         // 6. Service starts on the owned links, link-id order.
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
-        let (trace, cap) = (&mut self.trace, self.trace_cap);
-        self.kernel.start(t, faulted, |link, pkt| {
-            if trace.len() < cap {
-                trace.push(TraceRecord {
-                    slot: t,
-                    event: TraceEvent::ServiceStart {
-                        link,
-                        class: pkt.priority,
-                        wait: t - pkt.enqueue_time,
-                        len: pkt.len,
-                        task: pkt.task,
-                    },
-                });
-            }
-        });
+        self.hop.start(t, |_, _| {});
         // 7. The slot's gauges for the next rendezvous' combiner, with
         //    the local single-queue divergence guard (each worker scans
         //    its own links on the engine's scan slots).
         let gauge = &shared.gauges[id];
         gauge
             .queued
-            .store(self.kernel.queued() as i64, Ordering::Relaxed);
+            .store(self.hop.kernel.queued() as i64, Ordering::Relaxed);
         gauge
             .pre_service
             .store(pre_service as i64, Ordering::Relaxed);
-        gauge
-            .outstanding
-            .store(self.stats.tasks.outstanding_measured(), Ordering::Relaxed);
+        gauge.outstanding.store(
+            self.books.stats.tasks.outstanding_measured(),
+            Ordering::Relaxed,
+        );
         if self
             .cfg
-            .single_queue_tripped(t + 1, || self.kernel.max_qlen())
+            .single_queue_tripped(t + 1, || self.hop.kernel.max_qlen())
         {
             gauge.unstable.store(true, Ordering::Relaxed);
         }
     }
 
-    fn handle_ctrl(&mut self, msg: CtrlMsg) {
-        match msg {
-            CtrlMsg::Register {
-                task,
-                gen_time,
-                measured,
-            } => self.home_register(TaskSlot::new(gen_time, false, 1, measured), task),
-            CtrlMsg::Ack { task, slot } => self.home_ack(task, slot),
-            CtrlMsg::Lost {
-                task,
-                receptions,
-                fault,
-                slot,
-            } => self.home_lost(task, receptions, fault, slot),
-            CtrlMsg::MarkRetx { task } => self.home_retx(task),
-        }
-    }
-
-    /// `task` starts being tracked at this worker, its home.
-    fn home_register(&mut self, slot: TaskSlot, task: u32) {
-        let prev = self.tasks.insert(task, slot);
-        debug_assert!(prev.is_none(), "duplicate task id {task}");
-    }
-
-    /// One reception of `task` — a broadcast copy, or the unicast at its
-    /// destination — delivered at slot `at`.
-    fn home_ack(&mut self, task: u32, at: u64) {
-        self.home_settle(task, |slot| slot.receive(at));
-    }
-
-    /// `receptions` of `task` lost for good at slot `at` (`fault`: to a
-    /// dead link).
-    fn home_lost(&mut self, task: u32, receptions: u32, fault: bool, at: u64) {
-        self.home_settle(task, |slot| slot.lose(at, receptions, fault));
-    }
-
-    /// Applies one settlement to `task`'s record; the one that completes
-    /// the task takes the record out and counts it — one table lookup
-    /// either way (a unicast's only settlement is its completion).
-    fn home_settle(&mut self, task: u32, settle: impl FnOnce(&mut TaskSlot) -> bool) {
-        let Entry::Occupied(mut record) = self.tasks.entry(task) else {
-            panic!("settlement for unknown task {task}");
-        };
-        if settle(record.get_mut()) {
-            self.stats.tasks.completed(record.remove());
-        }
-    }
-
-    /// A copy of `task` was scheduled for retransmission.
-    fn home_retx(&mut self, task: u32) {
-        if let Some(slot) = self.tasks.get_mut(&task) {
-            slot.retx = true;
-        }
-    }
-
+    /// A task generated by the injector starts at its source, this
+    /// worker: it is opened here, its record goes to its home, and its
+    /// first transmissions are offered to the source's links.
     fn process_inject(&mut self, msg: &InjectMsg, emits: &[Emit], t: u64) {
         // Counted by the *creating* worker, at injection: the task's
         // receptions are due from this slot on, wherever its home is.
-        self.stats.tasks.opened(t, msg.broadcast, msg.measured);
+        self.books
+            .stats
+            .tasks
+            .opened(t, msg.broadcast, msg.measured);
         if msg.broadcast {
+            // A broadcast's home is its source's owner: this worker.
             let receivers = self.topo.node_count() - 1;
             let slot = TaskSlot::new(msg.gen_time, true, receivers, msg.measured);
-            self.home_register(slot, msg.task);
+            self.books.register(msg.task, slot);
         } else {
-            let dest = match emits.first().map(|e| e.kind) {
-                Some(PacketKind::Unicast { dest }) => dest,
-                _ => unreachable!("unicast inject without unicast emit"),
+            let Some(PacketKind::Unicast { dest }) = emits.first().map(|e| e.kind) else {
+                unreachable!("unicast inject without unicast emit");
             };
-            let home = self.owner_of(dest);
-            if home == self.id {
-                let slot = TaskSlot::new(msg.gen_time, false, 1, msg.measured);
-                self.home_register(slot, msg.task);
-            } else {
-                self.send_ctrl(
-                    home,
-                    CtrlMsg::Register {
-                        task: msg.task,
-                        gen_time: msg.gen_time,
-                        measured: msg.measured,
-                    },
-                );
-            }
+            let register = CtrlMsg::Register {
+                task: msg.task,
+                gen_time: msg.gen_time,
+                measured: msg.measured,
+            };
+            self.books.tell(self.books.owner_of(dest), register);
         }
-        self.enqueue_emits(emits, msg.src, msg.task, msg.gen_time, msg.len, t);
-    }
-
-    fn process_deliver(&mut self, link: u32, pkt: Packet, t: u64) {
-        if self.trace_cap > 0 {
-            self.record_trace(
-                t,
-                TraceEvent::Delivery {
-                    link,
-                    class: pkt.priority,
-                    age: t - pkt.gen_time,
-                    task: pkt.task,
-                },
-            );
-        }
-        let node = self.shared.link_target[link as usize];
-        let measured = self.in_window(pkt.gen_time);
-        match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                if let Some(arq) = self.arq.as_mut() {
-                    arq.counters.acked(pkt.attempt);
-                }
-                if measured {
-                    let topo = self.topo;
-                    self.stats
-                        .tasks
-                        .measured_reception(pkt.gen_time, t, pkt.priority, || {
-                            topo.distance(state.src, node)
-                        });
-                }
-                let home = self.owner_of(state.src);
-                if home == self.id {
-                    self.home_ack(pkt.task, t);
-                } else {
-                    self.send_ctrl(
-                        home,
-                        CtrlMsg::Ack {
-                            task: pkt.task,
-                            slot: t,
-                        },
-                    );
-                }
-                let mut emits = std::mem::take(&mut self.emit_buf);
-                emits.clear();
-                self.scheme.on_broadcast_arrival(node, &state, &mut emits);
-                self.enqueue_emits(&emits, node, pkt.task, pkt.gen_time, pkt.len, t);
-                self.emit_buf = emits;
-            }
-            PacketKind::Unicast { dest } => {
-                if node == dest {
-                    // The destination's owner *is* the unicast home, so
-                    // completion is settled locally.
-                    if let Some(arq) = self.arq.as_mut() {
-                        arq.counters.acked(pkt.attempt);
-                    }
-                    self.home_ack(pkt.task, t);
-                } else {
-                    let mut emits = std::mem::take(&mut self.emit_buf);
-                    emits.clear();
-                    self.scheme
-                        .on_unicast_arrival(node, dest, &mut self.fwd_rng, &mut emits);
-                    debug_assert!(!emits.is_empty(), "unicast stranded");
-                    self.enqueue_emits(&emits, node, pkt.task, pkt.gen_time, pkt.len, t);
-                    self.emit_buf = emits;
-                }
-            }
-        }
-    }
-
-    /// Offers `emits` to `from`'s outgoing links (the engine's
-    /// `flush_emits`); a packet the kernel refuses or evicts is a loss.
-    fn enqueue_emits(
-        &mut self,
-        emits: &[Emit],
-        from: NodeId,
-        task: u32,
-        gen_time: u64,
-        len: u16,
-        t: u64,
-    ) {
-        for emit in emits {
-            debug_assert!(
-                (emit.priority as usize) < self.scheme.num_priorities(),
-                "emit priority out of range"
-            );
-            let link = self.topo.link_id(emit.link_from(from)).0;
-            let packet = emit.packet(task, gen_time, len, t);
-            match self.kernel.admit(link, packet) {
-                Admit::Queued => {}
-                Admit::Evicted(victim) => {
-                    self.stats.flow.evicted += 1;
-                    self.lose_packet(link, victim, t, LossCause::Overflow);
-                }
-                Admit::Lost(pkt, cause) => {
-                    self.lose_packet(link, pkt, t, cause);
-                    continue;
-                }
-            }
-            if self.trace_cap > 0 {
-                self.record_trace(
-                    t,
-                    TraceEvent::Enqueue {
-                        link,
-                        class: packet.priority,
-                        task: packet.task,
-                    },
-                );
-            }
-        }
-    }
-
-    /// The engine's `handle_loss`: ARQ arms a backoff timer, otherwise
-    /// (or once the retry budget is spent) the loss is settled
-    /// permanently. `LossCause::Retry` marks a failed re-injection,
-    /// which is not a new packet drop; `LossCause::Fault` feeds the
-    /// fault counters.
-    fn lose_packet(&mut self, link: u32, pkt: Packet, t: u64, cause: LossCause) {
-        if self.trace_cap > 0 {
-            self.record_trace(
-                t,
-                TraceEvent::Drop {
-                    link,
-                    class: pkt.priority,
-                    cause: cause.into(),
-                    task: pkt.task,
-                },
-            );
-        }
-        if let Some(arq) = self.arq.as_mut() {
-            let boosted = self.scheme.retransmit_priority(pkt.priority);
-            debug_assert!((boosted as usize) < self.scheme.num_priorities());
-            if arq.on_loss(t, link, pkt, boosted) {
-                let home = self.task_home(&pkt);
-                if home == self.id {
-                    self.home_retx(pkt.task);
-                } else {
-                    self.send_ctrl(home, CtrlMsg::MarkRetx { task: pkt.task });
-                }
-                self.stats.tasks.packet_dropped(cause);
-                return;
-            }
-        }
-        self.stats.tasks.packet_dropped(cause);
-        let lost_measured = self.settle_drop(&pkt, t, cause == LossCause::Fault);
-        if let Some(arq) = self.arq.as_mut() {
-            arq.counters.gave_up_receptions += lost_measured;
-        }
-    }
-
-    /// The worker owning a packet's task-completion record.
-    fn task_home(&self, pkt: &Packet) -> usize {
-        match pkt.kind {
-            PacketKind::Broadcast(state) => self.owner_of(state.src),
-            PacketKind::Unicast { dest } => self.owner_of(dest),
-        }
-    }
-
-    /// Settles a terminally lost packet: loss-site counters here, the
-    /// completion record updated at the task's home (`fault` carries the
-    /// loss attribution to its fault-damaged accounting). Returns how
-    /// many measured receptions were lost.
-    fn settle_drop(&mut self, pkt: &Packet, t: u64, fault: bool) -> u64 {
-        let (broadcast, receptions) = receptions_at_stake(&self.scheme, pkt);
-        let measured = self.in_window(pkt.gen_time);
-        let lost_measured = self.stats.tasks.lost(measured, broadcast, receptions);
-        let home = self.task_home(pkt);
-        if home == self.id {
-            self.home_lost(pkt.task, receptions, fault, t);
-        } else {
-            self.send_ctrl(
-                home,
-                CtrlMsg::Lost {
-                    task: pkt.task,
-                    receptions,
-                    fault,
-                    slot: t,
-                },
-            );
-        }
-        lost_measured
-    }
-
-    /// Fires due ARQ timers — the engine's `fire_retransmissions` for
-    /// this worker's links.
-    fn fire_retx(&mut self, t: u64) {
-        let due = self.arq.as_mut().expect("fire without ARQ").take_due(t);
-        for e in &due {
-            if let Admit::Lost(pkt, cause) = self.kernel.readmit(e.link, e.pkt, t) {
-                self.lose_packet(e.link, pkt, t, cause);
-                continue;
-            }
-            if self.trace_cap > 0 {
-                self.record_trace(
-                    t,
-                    TraceEvent::Retransmit {
-                        link: e.link,
-                        class: e.pkt.priority,
-                        attempt: e.pkt.attempt,
-                        task: e.pkt.task,
-                    },
-                );
-            }
-            self.arq
-                .as_mut()
-                .expect("still installed")
-                .counters
-                .retransmissions += 1;
-        }
-        self.arq.as_mut().expect("still installed").give_back(due);
+        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
+        self.hop
+            .offer(&mut cx, msg.src, emits, msg.task, msg.gen_time, msg.len);
     }
 
     // ---------------------------------------------------------------
     // Fault epochs
     // ---------------------------------------------------------------
 
-    /// Top of slot: one tick of this worker's fault-clock replica — the
-    /// engine's `fault_tick`, run before send so an epoch lands exactly
+    /// Top of slot: one tick of this worker's fault-clock replica
+    /// ([`Hop::fault_tick`]), run before send so an epoch lands exactly
     /// where the engine applies it: before this slot's deliveries,
-    /// arrivals, and service. What the epoch loses on owned links
-    /// settles against the scheme as it still is; then every worker
-    /// re-solves on its own clone: same view, same deterministic result
-    /// as the engine's single re-solve.
+    /// arrivals, and service. Every worker re-solves on its own scheme
+    /// clone: same view, same deterministic result as the engine's
+    /// single re-solve.
     fn fault_tick(&mut self, t: u64) {
         let mark = self.perf.as_ref().map(|_| Instant::now());
-        let mut clock = self.faults.take().expect("fault_tick without plan");
-        let mut losses = std::mem::take(&mut self.loss_buf);
-        if clock.tick(t, &mut self.kernel, &mut losses) {
-            for loss in losses.drain(..) {
-                self.lose_packet(loss.link, loss.pkt, t, LossCause::Fault);
-            }
-            self.scheme.on_liveness_change(clock.view());
+        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
+        if self.hop.fault_tick(&mut cx) {
             lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
         }
-        self.loss_buf = losses;
-        self.faults = Some(clock);
         // What the links hold now is what the slot starts from.
         self.shared.gauges[self.id]
             .queued
-            .store(self.kernel.queued() as i64, Ordering::Relaxed);
+            .store(self.hop.kernel.queued() as i64, Ordering::Relaxed);
     }
 
     /// Closes the books after `slots_run` slots.
     fn finish(mut self, slots_run: u64) -> WorkerOutput {
-        self.stats.arq = self.arq.take().map(Arq::finish).unwrap_or_default();
-        let kernel = &self.kernel;
-        self.stats.faults = self
-            .faults
-            .take()
-            .map(|f| f.finish(slots_run, |link| kernel.is_active(link)));
+        let trace = self.hop.obs.take().map_or_else(Vec::new, |sink| {
+            let track = sink.into_any().downcast::<Track>();
+            track.expect("a worker traces into its own track").records
+        });
+        let (links, faults, arq) = self.hop.finish(slots_run);
+        let mut stats = self.books.stats;
+        stats.faults = faults;
+        stats.arq = arq.unwrap_or_default();
         WorkerOutput {
-            stats: self.stats,
-            links: self.kernel.into_counters(),
-            trace: self.trace,
+            stats,
+            links,
+            trace,
             queue_trace: self.queue_trace,
             slots_run,
             perf: self.perf,
@@ -1754,10 +1581,10 @@ where
 
     // An empty plan is no plan, as on the engines: the run is the
     // fault-free one, report included.
-    let faults = faults.filter(|(plan, _)| !plan.is_empty());
-    let policy = faults.as_ref().map(|(_, p)| *p).unwrap_or_default();
     // The fault clock every worker starts a replica of.
-    let clock = faults.map(|(plan, _)| FaultClock::new(plan, topo));
+    let faults = faults
+        .filter(|(plan, _)| !plan.is_empty())
+        .map(|(plan, policy)| (FaultClock::new(plan, topo), policy));
     let shared = Shared::new(topo, w, &sim)?;
     let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
     // The one report rule (`pstar_sim::assemble`) over merged worker
@@ -1797,7 +1624,7 @@ where
             HORIZON
         };
         let mut stats = WorkerStats::new(&sim, n, topo.diameter());
-        stats.faults = clock.map(|c| c.finish(0, |_| false));
+        stats.faults = faults.map(|(clock, _)| clock.finish(0, |_| false));
         return Ok(NetReport {
             report: report_of(stats, new_link_counters(), 0, stop, 0, Vec::new()),
             workers: w,
@@ -1818,11 +1645,11 @@ where
             .map(|id| {
                 // Built on the main thread: `make_scheme` is `FnMut`.
                 let scheme = make_scheme(id);
-                let clock = clock.clone();
+                let faults = faults.clone();
                 s.spawn(move || {
                     supervised(shared_ref, id, move || {
                         let mut worker =
-                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, policy, clock);
+                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, faults);
                         let slots_run = worker.run();
                         worker.finish(slots_run)
                     })
@@ -2026,7 +1853,7 @@ mod tests {
         assert!(p.workers.iter().all(|wp| wp.slots == p.workers[0].slots));
         assert_eq!(p.workers[0].slots, inst.report.slots_run);
         assert!(p.workers.iter().map(|wp| wp.decide_ns).sum::<u64>() > 0);
-        assert!(p.workers.iter().all(|wp| wp.barrier_wait_ns[1..] == [0, 0]));
+        assert!(p.workers.iter().all(|wp| wp.barrier_wait_ns[1] == 0));
         // Publishing lands the per-worker counters in a registry.
         let reg = MetricsRegistry::new();
         p.publish(&reg);
@@ -2307,8 +2134,8 @@ mod tests {
         }
         let mut all = Vec::new();
         for worker in fleet {
-            all.push(of(&worker.emit_buf));
-            all.extend(worker.pending_ctrl.iter().map(of));
+            all.push(of(worker.hop.emit_scratch()));
+            all.extend(worker.books.pending_ctrl.iter().map(of));
             all.extend(worker.out.iter().flat_map(of_batch));
             all.extend(worker.inbox.iter().flat_map(of_batch));
         }
@@ -2346,19 +2173,7 @@ mod tests {
         };
         let shared = Shared::new(&topo, 2, &cfg.sim).unwrap();
         let mut fleet: Vec<_> = (0..2)
-            .map(|id| {
-                let policy = DeadLinkPolicy::default();
-                Worker::new(
-                    id,
-                    &topo,
-                    &scheme,
-                    &shared,
-                    &cfg,
-                    spec.mix(&topo),
-                    policy,
-                    None,
-                )
-            })
+            .map(|id| Worker::new(id, &topo, &scheme, &shared, &cfg, spec.mix(&topo), None))
             .collect();
         let step = |fleet: &mut Vec<Worker<'_, _, _>>, t: u64| {
             let mut crossed = [0usize; 3];
@@ -2389,7 +2204,10 @@ mod tests {
             step(&mut fleet, t);
         }
         let warm = fleet_buffers(&shared, &fleet);
-        let emit_buf: Vec<_> = fleet.iter().map(|w| w.emit_buf.as_ptr()).collect();
+        let emit_buf: Vec<_> = fleet
+            .iter()
+            .map(|w| w.hop.emit_scratch().as_ptr())
+            .collect();
         let mut crossed = [0usize; 3];
         for t in WARM..WARM + 100 {
             for (sum, c) in crossed.iter_mut().zip(step(&mut fleet, t)) {
@@ -2399,10 +2217,10 @@ mod tests {
         assert!(crossed.iter().all(|&c| c > 100), "idle share: {crossed:?}");
         assert_eq!(fleet_buffers(&shared, &fleet), warm);
         for (worker, ptr) in fleet.iter().zip(emit_buf) {
-            assert_eq!(worker.emit_buf.as_ptr(), ptr);
-            assert_eq!(worker.emit_buf.capacity(), 64);
+            assert_eq!(worker.hop.emit_scratch().as_ptr(), ptr);
+            assert_eq!(worker.hop.emit_scratch().capacity(), 64);
         }
-        let sent: u64 = fleet.iter().map(|w| w.stats.messages_sent).sum();
+        let sent: u64 = fleet.iter().map(|w| w.books.stats.messages_sent).sum();
         assert!(sent > 0 && fleet.iter().all(|w| w.uncommitted_sent == 0));
     }
 

@@ -10,7 +10,9 @@
 //! order the workers saw their events in nor the order they merge in
 //! reaches the report. Counters live at well-defined sites so no event
 //! is double counted across workers, and each site calls the ledger
-//! rule the simulator's engines call:
+//! rule the simulator's engines call — the delivery and loss sites
+//! through the hop rule (`pstar_sim::Hop`), which reaches a worker's
+//! books as its `pstar_sim::Homes`:
 //!
 //! * **creation site** (the worker that injects a task):
 //!   `TaskLedger::opened` — measured-task counts, concurrency `+1`;
@@ -19,8 +21,8 @@
 //!   `TaskLedger::measured_reception` — reception
 //!   delay/histograms/batch means/tails; ARQ ack bookkeeping;
 //! * **loss site** (the worker owning the full or dropping link):
-//!   `TaskLedger::packet_dropped` / `lost` — dropped/evicted/lost
-//!   counters;
+//!   `TaskLedger::packet_dropped` / `lost` — dropped/lost counters (the
+//!   link's kernel counts its evictions);
 //! * **home site** (the worker owning the task's `TaskSlot`):
 //!   `TaskLedger::completed` — broadcast/unicast delay, damaged counts,
 //!   concurrency `-1` at the slot of the task's last settlement, which
@@ -36,8 +38,8 @@ pub(crate) struct WorkerStats {
     /// ARQ counters (losing / retransmitting worker; all zero with ARQ
     /// off), taken from the worker's `pstar_sim::Arq` when it finishes.
     pub arq: ArqCounters,
-    /// Admission rejections (creation site), evictions (loss site) and
-    /// the window-bounded occupancy sum.
+    /// Admission rejections (creation site) and the window-bounded
+    /// occupancy sum.
     pub flow: FlowCounters,
     /// What this worker's replica of the fault clock totalled
     /// (`pstar_sim::FaultClock::finish`); `None` on fault-free runs.

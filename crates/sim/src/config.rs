@@ -111,6 +111,13 @@ impl SimConfig {
         self.warmup_slots + self.measure_slots
     }
 
+    /// `true` when `slot` lies in the measurement window: a task
+    /// generated then is measured.
+    #[inline]
+    pub fn in_window(&self, slot: u64) -> bool {
+        slot >= self.warmup_slots && slot < self.measure_end()
+    }
+
     /// The fleet-wide divergence guard's threshold, in queued packets,
     /// for a network of `links` links.
     pub fn queue_limit(&self, links: usize) -> i64 {

@@ -2,23 +2,20 @@
 
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::{stop_verdict, SimConfig, Stop};
-use crate::faultepoch::{FaultClock, FaultLoss, LossCause as DropCause};
-use crate::kernel::{Admit, LinkKernel};
-use crate::ledger::{assemble, receptions_at_stake, FlowCounters, RunOutcome, TaskLedger};
+use crate::faultepoch::FaultClock;
+use crate::hop::{Hop, HopCtx};
+use crate::ledger::{assemble, FlowCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
-use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
-use crate::recovery::{Arq, FullQueuePolicy, TokenGate, ARQ_SEED_SALT};
+use crate::packet::{Emit, MAX_PRIORITY_CLASSES};
+use crate::recovery::{FullQueuePolicy, TokenGate};
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
-use pstar_obs::{SlotSample, TraceEvent, TraceRecord, TraceSink};
+use pstar_obs::{SlotSample, TraceSink};
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-
-// `DropCause` is the crate-shared `LossCause` (see `faultepoch`): the
-// runtime backend attributes losses with the identical vocabulary.
 
 /// A task arrival deferred by source backpressure: it re-attempts
 /// injection each slot, and its eventual `gen_time` stays the arrival
@@ -48,25 +45,67 @@ struct FlowState {
     counters: FlowCounters,
 }
 
+/// Which field of a trace event named a node the topology does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceField {
+    /// The source node.
+    Src,
+    /// The unicast destination.
+    Dest,
+}
+
+/// Why [`Engine::replay`] refused a trace: its first event that names a
+/// node outside the topology. (`Trace::load` checks only the syntax of
+/// the fields it reads.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceError {
+    /// Index of the event in the trace (slot order).
+    pub event: usize,
+    /// The event's slot.
+    pub slot: u64,
+    /// Which of its fields is out of range.
+    pub field: TraceField,
+    /// The node it names.
+    pub node: u32,
+    /// Nodes the topology has.
+    pub nodes: u32,
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let field = match self.field {
+            TraceField::Src => "source",
+            TraceField::Dest => "destination",
+        };
+        write!(
+            f,
+            "trace event {} (slot {}) names {field} node {}, but the topology has {} nodes",
+            self.event, self.slot, self.node, self.nodes
+        )
+    }
+}
+
+impl std::error::Error for TraceError {}
+
 /// The simulator: a torus, a routing scheme, a workload, and per-link
 /// priority queues stepped slot by slot.
 ///
 /// The queues, the in-flight transmissions and the service discipline
-/// live in one [`LinkKernel`] over every link; the engine drives it and
-/// owns what a delivery, a loss and an arrival mean. See the crate docs
-/// for the timing model. Construction is cheap; `run` consumes the
+/// live in one [`LinkKernel`](crate::LinkKernel) over every link, and
+/// what a delivery, a forward and a loss mean in one [`Hop`]; the engine
+/// owns the slot order, the arrivals and the task table. See the crate
+/// docs for the timing model. Construction is cheap; `run` consumes the
 /// engine and returns a [`SimReport`].
 pub struct Engine<N: Network, S: Scheme> {
     topo: N,
-    scheme: S,
     mix: TrafficMix,
     cfg: SimConfig,
     rng: StdRng,
     now: u64,
 
-    /// Queueing and service for every link (dense `LinkId` order).
-    kernel: LinkKernel,
-    link_target: Vec<NodeId>,
+    /// The hop rules over every link (dense `LinkId` order), with the
+    /// scheme, the kernel, ARQ, the fault clock and the trace sink.
+    hop: Hop<S>,
     link_dim: Vec<u8>,
 
     dests: DestSampler,
@@ -79,31 +118,15 @@ pub struct Engine<N: Network, S: Scheme> {
     tx_by_dim: Vec<u64>,
     peak_queue: i64,
 
+    /// Scratch for a new task's first transmissions.
     emit_buf: Vec<Emit>,
-    /// Scratch for a fault epoch's losses; swapped out around the
-    /// settle loop so fault bursts never allocate per event.
-    loss_buf: Vec<FaultLoss>,
     /// Scratch for the decimated per-link queue snapshot; swapped into
     /// each [`SlotSample`] and back so sampling allocates once per run,
     /// not once per sample.
     sample_links: Vec<u32>,
     queue_trace: Vec<(u64, u64)>,
     unstable: bool,
-    /// The fault clock of an engine with a non-empty plan. Behind an
-    /// `Option` so the fault-free path pays nothing and — crucially —
-    /// never touches the engine RNG: a run with no plan is
-    /// bit-identical to one built before fault support existed.
-    faults: Option<Box<FaultClock>>,
-    /// ARQ recovery; behind an `Option` so the recovery-free path pays
-    /// nothing and stays bit-identical to the pre-recovery engine.
-    arq: Option<Box<Arq>>,
     flow: Box<FlowState>,
-    /// Observability sink; `None` (default) keeps every trace site at a
-    /// single never-taken branch and the run bit-identical to an engine
-    /// built before tracing existed (pinned by the `tests/obs.rs`
-    /// proptest). Sinks receive copies of engine state and can never
-    /// influence the simulation (in particular: never the RNG).
-    obs: Option<Box<dyn TraceSink>>,
     /// Cached `obs.decimation()`; 0 disables slot sampling.
     obs_decim: u64,
 }
@@ -142,8 +165,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             counters: FlowCounters::default(),
         });
         Self {
-            kernel: LinkKernel::new(&cfg, topo.d(), 0, topo.link_count()),
-            link_target: topo.link_target_table(),
+            hop: Hop::new(&topo, scheme, &cfg, 0, topo.link_count()),
             link_dim: topo.link_dim_table(),
             dests,
             scenario: ScenarioCursor::new(cfg.scenario),
@@ -151,21 +173,14 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             tx_by_dim: vec![0; topo.d()],
             peak_queue: 0,
             emit_buf: Vec::with_capacity(64),
-            loss_buf: Vec::new(),
             sample_links: Vec::new(),
             queue_trace: Vec::new(),
             unstable: false,
-            faults: None,
-            arq: cfg
-                .arq
-                .map(|a| Box::new(Arq::new(a, cfg.seed ^ ARQ_SEED_SALT))),
             flow,
-            obs: None,
             obs_decim: 0,
             rng: StdRng::seed_from_u64(cfg.seed),
             now: 0,
             topo,
-            scheme,
             mix,
             cfg,
         }
@@ -179,44 +194,36 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// dead link: dropped with full loss accounting, or held until
     /// repair.
     pub fn with_fault_plan(mut self, plan: FaultPlan, policy: DeadLinkPolicy) -> Self {
-        if plan.is_empty() {
-            self.faults = None;
-            return self;
+        if !plan.is_empty() {
+            let clock = FaultClock::new(plan, &self.topo);
+            self.hop.install_faults(clock, policy);
         }
-        self.kernel.set_dead_link_policy(policy);
-        self.faults = Some(Box::new(FaultClock::new(plan, &self.topo)));
         self
     }
 
     /// Installs an observability sink (builder style). The sink's
     /// decimation is queried once here; see [`pstar_obs::TraceSink`].
+    /// Sinks receive copies of engine state and can never influence the
+    /// simulation (in particular: never the RNG); without one every
+    /// trace site is a single never-taken branch.
     pub fn with_trace(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.obs_decim = sink.decimation();
-        self.obs = Some(sink);
+        self.hop.obs = Some(sink);
         self
-    }
-
-    /// Records one trace event — the single branch the hot loop pays
-    /// when tracing is disabled.
-    #[inline]
-    fn obs_record(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.obs.as_deref_mut() {
-            let slot = self.now;
-            sink.record(TraceRecord { slot, event });
-        }
     }
 
     /// Builds and delivers one decimated queue-state snapshot. Only
     /// called at sampling instants (`obs_decim > 0`), so the O(links)
     /// scan never touches an untraced run.
     fn obs_sample(&mut self, slot: u64) {
-        let links = self.kernel.n_links() as u32;
+        let kernel = &self.hop.kernel;
+        let links = kernel.n_links() as u32;
         let mut queued_by_link = std::mem::take(&mut self.sample_links);
         queued_by_link.clear();
         queued_by_link.reserve(links as usize);
         let mut sample = SlotSample {
             slot,
-            queued_total: self.kernel.queued(),
+            queued_total: kernel.queued(),
             in_flight_links: 0,
             queued_by_class: [0; MAX_PRIORITY_CLASSES],
             queued_by_link,
@@ -224,16 +231,16 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         for l in 0..links {
             let mut qlen = 0;
             for (c, acc) in sample.queued_by_class.iter_mut().enumerate() {
-                let n = self.kernel.class_len(l, c);
+                let n = kernel.class_len(l, c);
                 *acc += n as u64;
                 qlen += n;
             }
             sample.queued_by_link.push(qlen as u32);
-            if self.kernel.is_busy(l) {
+            if kernel.is_busy(l) {
                 sample.in_flight_links += 1;
             }
         }
-        if let Some(sink) = self.obs.as_deref_mut() {
+        if let Some(sink) = self.hop.obs.as_deref_mut() {
             sink.on_slot_sample(&sample);
         }
         self.sample_links = sample.queued_by_link;
@@ -282,7 +289,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// backpressure-deferred arrivals are occupancy the links haven't
     /// accepted yet.
     fn guarded_occupancy(&self) -> i64 {
-        (self.kernel.queued() + self.flow.deferred.len() as u64) as i64
+        (self.hop.kernel.queued() + self.flow.deferred.len() as u64) as i64
     }
 
     /// Replays a recorded workload trace instead of sampling arrivals.
@@ -290,27 +297,43 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// Events fire at their recorded slots with their recorded lengths;
     /// tasks generated inside the configured measurement window are
     /// tagged exactly as in a live run, so trace replays produce
-    /// comparable reports. After the last event the network drains.
-    pub fn replay(mut self, trace: &pstar_traffic::Trace) -> SimReport {
-        let queue_limit = self.cfg.queue_limit(self.kernel.n_links());
-        let mut next = 0;
+    /// comparable reports. After the last event the network drains. A
+    /// self-addressed unicast is skipped; a trace whose events name a
+    /// node the topology does not have is refused before the first slot,
+    /// naming the first such event.
+    pub fn replay(mut self, trace: &pstar_traffic::Trace) -> Result<SimReport, TraceError> {
         let events = trace.events();
+        let nodes = self.topo.node_count();
+        for (event, ev) in events.iter().enumerate() {
+            let bad = [(TraceField::Src, Some(ev.src)), (TraceField::Dest, ev.dest)]
+                .into_iter()
+                .find_map(|(field, node)| node.filter(|&v| v >= nodes).map(|v| (field, v)));
+            if let Some((field, node)) = bad {
+                return Err(TraceError {
+                    event,
+                    slot: ev.slot,
+                    field,
+                    node,
+                    nodes,
+                });
+            }
+        }
+        let queue_limit = self.cfg.queue_limit(self.hop.kernel.n_links());
+        let mut next = 0;
         let mut completed = true;
         loop {
             while next < events.len() && events[next].slot == self.now {
                 let ev = events[next];
-                let measured = self.in_measure_window();
+                next += 1;
                 let src = NodeId(ev.src);
                 let dest = ev.dest.map(NodeId);
                 if dest == Some(src) {
                     // Malformed external trace entry; skip rather than
                     // loop a self-addressed packet forever.
-                    next += 1;
                     continue;
                 }
-                let now = self.now;
+                let (now, measured) = (self.now, self.cfg.in_window(self.now));
                 self.new_task(src, dest, measured, Some(ev.len.max(1)), now);
-                next += 1;
             }
             if next >= events.len() && self.fully_idle() {
                 break;
@@ -326,7 +349,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             }
             self.step(false);
         }
-        self.report(completed)
+        Ok(self.report(completed))
     }
 
     /// Steps until the network is completely idle (no queued or in-flight
@@ -345,9 +368,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// and no injection is deferred — the drain condition.
     #[inline]
     fn fully_idle(&self) -> bool {
-        self.kernel.is_idle()
+        self.hop.kernel.is_idle()
             && self.flow.deferred.is_empty()
-            && self.arq.as_ref().is_none_or(|a| a.is_idle())
+            && self.hop.arq.as_ref().is_none_or(|a| a.is_idle())
     }
 
     /// Runs the full warmup → measure → drain protocol and reports.
@@ -360,7 +383,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// counters can be read after the run (downcast via
     /// [`pstar_obs::TraceSink::into_any`]).
     pub fn run_observed(mut self) -> (SimReport, Option<Box<dyn TraceSink>>) {
-        let queue_limit = self.cfg.queue_limit(self.kernel.n_links());
+        let queue_limit = self.cfg.queue_limit(self.hop.kernel.n_links());
         let stop = loop {
             let verdict = stop_verdict(
                 &self.cfg,
@@ -370,7 +393,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 queue_limit,
                 || {
                     self.cfg
-                        .single_queue_tripped(self.now, || self.kernel.max_qlen())
+                        .single_queue_tripped(self.now, || self.hop.kernel.max_qlen())
                 },
             );
             match verdict {
@@ -379,7 +402,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             }
         };
         self.unstable = stop == Stop::Unstable;
-        let sink = self.obs.take();
+        let sink = self.hop.obs.take();
         (self.report(stop == Stop::Completed), sink)
     }
 
@@ -387,19 +410,36 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     // Core stepping
     // ------------------------------------------------------------------
 
+    /// The hop rules' view of this engine at slot `t`: its topology, its
+    /// ledger as the one home of every task, its stream for unicast ties.
+    fn hop_ctx<'a>(
+        topo: &'a N,
+        ledger: &'a mut TaskLedger,
+        rng: &'a mut StdRng,
+        t: u64,
+    ) -> HopCtx<'a, N, TaskLedger> {
+        HopCtx {
+            topo,
+            homes: ledger,
+            ties: rng,
+            t,
+        }
+    }
+
     fn step(&mut self, arrivals: bool) {
         let t = self.now;
 
-        // Fault transitions take effect before anything else in the slot:
-        // a link dying at `t` fails the delivery it would have made at
-        // `t`. Fault-free engines never enter this branch.
-        if self.faults.is_some() {
-            self.fault_tick(t);
+        // Fault transitions take effect before anything else in the
+        // slot: a link dying at `t` fails the delivery it would have made
+        // at `t`. Fault-free engines hold no clock and tick nothing.
+        if self.hop.faults.is_some() {
+            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
+            self.hop.fault_tick(&mut cx);
         }
 
         if let Some(k) = self.cfg.trace_interval {
             if t % k == 0 {
-                self.queue_trace.push((t, self.kernel.queued()));
+                self.queue_trace.push((t, self.hop.kernel.queued()));
             }
         }
 
@@ -416,18 +456,17 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // per-packet trajectories agree exactly (which the
         // fault-agreement gate relies on: boundary-straddling drops are
         // order-sensitive).
-        let mut scan = self.kernel.finish_scan();
-        while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, t) {
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
+        let mut scan = self.hop.kernel.finish_scan();
+        while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
             let pkt = *pkt;
-            self.deliver(link, pkt);
+            self.hop.deliver(&mut cx, link, pkt);
         }
 
         // Phase 2: re-injections, then new tasks. Retransmission timers
         // and deferred (backpressured) injections fire before fresh
         // arrivals so recovered / older work keeps its age order.
-        if self.arq.as_ref().is_some_and(|a| !a.is_idle()) {
-            self.fire_retransmissions();
-        }
+        self.hop.fire_retransmissions(&mut cx);
         if !self.flow.deferred.is_empty() {
             self.retry_deferred();
         }
@@ -440,178 +479,17 @@ impl<N: Network, S: Scheme> Engine<N, S> {
 
         // Phase 3: service starts. The queued population is sampled
         // here, after the slot's enqueues and before its service.
-        self.peak_queue = self.peak_queue.max(self.kernel.queued() as i64);
-        if self.in_measure_window() {
-            self.flow.counters.occupancy_sum += self.kernel.queued() as u128;
+        let queued = self.hop.kernel.queued();
+        self.peak_queue = self.peak_queue.max(queued as i64);
+        if self.cfg.in_window(t) {
+            self.flow.counters.occupancy_sum += queued as u128;
         }
-        let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
-        let (obs, tx_by_dim, link_dim) = (&mut self.obs, &mut self.tx_by_dim, &self.link_dim);
-        self.kernel.start(t, faulted, |link, pkt| {
-            if let Some(sink) = obs.as_deref_mut() {
-                sink.record(TraceRecord {
-                    slot: t,
-                    event: TraceEvent::ServiceStart {
-                        link,
-                        class: pkt.priority,
-                        wait: t - pkt.enqueue_time,
-                        len: pkt.len,
-                        task: pkt.task,
-                    },
-                });
-            }
+        let (tx_by_dim, link_dim) = (&mut self.tx_by_dim, &self.link_dim);
+        self.hop.start(t, |link, _| {
             tx_by_dim[link_dim[link as usize] as usize] += 1;
         });
 
         self.now = t + 1;
-    }
-
-    /// `true` when the node is crashed (never without faults).
-    #[inline]
-    fn node_dead(&self, node: NodeId) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.node_dead(node))
-    }
-
-    /// One slot of the engine's fault clock (only called with a plan):
-    /// what an epoch loses settles against the scheme as it still is,
-    /// then the scheme sees the new view.
-    fn fault_tick(&mut self, t: u64) {
-        let mut clock = self.faults.take().expect("fault_tick without plan");
-        let mut losses = std::mem::take(&mut self.loss_buf);
-        if clock.tick(t, &mut self.kernel, &mut losses) {
-            for loss in losses.drain(..) {
-                self.handle_loss(loss.link, loss.pkt, DropCause::Fault);
-            }
-            self.scheme.on_liveness_change(clock.view());
-            if self.obs.is_some() {
-                let view = clock.view();
-                self.obs_record(TraceEvent::FaultEpoch {
-                    dead_links: view.dead_link_count(),
-                    dead_nodes: view.dead_node_count(),
-                });
-            }
-        }
-        self.loss_buf = losses;
-        self.faults = Some(clock);
-    }
-
-    /// Central loss handler: with ARQ recovery the packet's receptions
-    /// stay alive and a backoff timer is armed; without it (or once the
-    /// retry budget is exhausted — the `GaveUp` terminal state) the loss
-    /// is settled permanently.
-    fn handle_loss(&mut self, link: u32, pkt: Packet, cause: DropCause) {
-        if self.obs.is_some() {
-            // A copy lost at this hop — possibly recovered later by ARQ;
-            // terminal losses are distinguishable by a missing follow-up
-            // `Retransmit` for the same link/class.
-            self.obs_record(TraceEvent::Drop {
-                link,
-                class: pkt.priority,
-                cause: cause.into(),
-                task: pkt.task,
-            });
-        }
-        if let Some(arq) = self.arq.as_deref_mut() {
-            // Re-inject at the failed hop: the source's retransmission
-            // would be duplicate-suppressed along the already-ACKed tree
-            // prefix, so the effective retransmission starts where the
-            // copy was lost; the prefix traversal is folded into the
-            // timeout.
-            let boosted = self.scheme.retransmit_priority(pkt.priority);
-            debug_assert!(
-                (boosted as usize) < self.scheme.num_priorities(),
-                "retransmit_priority out of range"
-            );
-            if arq.on_loss(self.now, link, pkt, boosted) {
-                self.ledger.mark_retx(pkt.task);
-                self.ledger.packet_dropped(cause);
-                return;
-            }
-        }
-        // Terminal loss: settle the packet's future receptions.
-        self.ledger.packet_dropped(cause);
-        let (_, lost) = receptions_at_stake(&self.scheme, &pkt);
-        let lost_measured = self.ledger.settle(self.now, pkt.task, lost, cause);
-        if let Some(arq) = self.arq.as_deref_mut() {
-            arq.counters.gave_up_receptions += lost_measured;
-        }
-    }
-
-    fn deliver(&mut self, link: u32, pkt: Packet) {
-        if self.obs.is_some() {
-            self.obs_record(TraceEvent::Delivery {
-                link,
-                class: pkt.priority,
-                age: self.now - pkt.gen_time,
-                task: pkt.task,
-            });
-        }
-        let node = self.link_target[link as usize];
-        match pkt.kind {
-            PacketKind::Broadcast(state) => {
-                // Every broadcast reception is ACKed to the source over
-                // the (contention-free) control plane while ARQ is on.
-                if let Some(arq) = self.arq.as_deref_mut() {
-                    arq.counters.acked(pkt.attempt);
-                }
-                self.ledger.reception(self.now, pkt.task, pkt.priority, || {
-                    self.topo.distance(state.src, node)
-                });
-                self.emit_buf.clear();
-                self.scheme
-                    .on_broadcast_arrival(node, &state, &mut self.emit_buf);
-                self.flush_emits(node, pkt.task, pkt.gen_time, pkt.len);
-            }
-            PacketKind::Unicast { dest } => {
-                if node == dest {
-                    if let Some(arq) = self.arq.as_deref_mut() {
-                        arq.counters.acked(pkt.attempt);
-                    }
-                    self.ledger.unicast_done(self.now, pkt.task);
-                } else {
-                    self.emit_buf.clear();
-                    self.scheme
-                        .on_unicast_arrival(node, dest, &mut self.rng, &mut self.emit_buf);
-                    debug_assert!(!self.emit_buf.is_empty(), "unicast stranded at {node}");
-                    self.flush_emits(node, pkt.task, pkt.gen_time, pkt.len);
-                }
-            }
-        }
-    }
-
-    /// Fires due retransmission timers: re-injects each copy at the hop
-    /// where it was lost, or — if the kernel refuses it (link still
-    /// dead, bounded queue still full) — arms the next backoff round
-    /// (or gives up once the retry budget is spent).
-    fn fire_retransmissions(&mut self) {
-        let now = self.now;
-        let due = self
-            .arq
-            .as_deref_mut()
-            .expect("fire without ARQ")
-            .take_due(now);
-        for e in &due {
-            if let Admit::Lost(pkt, cause) = self.kernel.readmit(e.link, e.pkt, now) {
-                self.handle_loss(e.link, pkt, cause);
-                continue;
-            }
-            if self.obs.is_some() {
-                self.obs_record(TraceEvent::Retransmit {
-                    link: e.link,
-                    class: e.pkt.priority,
-                    attempt: e.pkt.attempt,
-                    task: e.pkt.task,
-                });
-            }
-            self.arq
-                .as_deref_mut()
-                .expect("still installed")
-                .counters
-                .retransmissions += 1;
-        }
-        self.arq
-            .as_deref_mut()
-            .expect("still installed")
-            .give_back(due);
     }
 
     /// Re-attempts backpressure-deferred injections in arrival order;
@@ -647,7 +525,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             .expect("backpressure without capacity") as usize;
         self.flow.out_links[src.index()]
             .iter()
-            .any(|&l| self.kernel.qlen(l) >= cap)
+            .any(|&l| self.hop.kernel.qlen(l) >= cap)
     }
 
     /// Admission-control and backpressure gate in front of task
@@ -685,11 +563,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         self.scenario = cursor;
     }
 
-    fn in_measure_window(&self) -> bool {
-        self.now >= self.cfg.warmup_slots && self.now < self.cfg.measure_end()
-    }
-
-    /// Registers a task and enqueues its initial transmissions.
+    /// Registers a task and offers its initial transmissions.
     /// `dest = None` is a broadcast; `len_override` bypasses the
     /// configured length law (trace replay). `gen_time` is normally the
     /// current slot, but a backpressure-deferred task keeps its original
@@ -702,81 +576,38 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         len_override: Option<u16>,
         gen_time: u64,
     ) -> u32 {
-        let task = self
-            .ledger
-            .open_task(self.now, gen_time, dest.is_none(), measured);
+        let t = self.now;
+        let task = self.ledger.open_task(t, gen_time, dest.is_none(), measured);
         let len = len_override.unwrap_or_else(|| self.cfg.lengths.sample_length(&mut self.rng));
-        self.emit_buf.clear();
+        let (scheme, emits) = (&self.hop.scheme, &mut self.emit_buf);
+        emits.clear();
         match dest {
-            None => self
-                .scheme
-                .on_broadcast_generated(src, &mut self.rng, &mut self.emit_buf),
-            Some(dest) => {
-                self.scheme
-                    .on_unicast_generated(src, dest, &mut self.rng, &mut self.emit_buf)
-            }
+            None => scheme.on_broadcast_generated(src, &mut self.rng, emits),
+            Some(dest) => scheme.on_unicast_generated(src, dest, &mut self.rng, emits),
         }
-        debug_assert!(!self.emit_buf.is_empty(), "task with no transmissions");
-        self.flush_emits(src, task, gen_time, len);
+        debug_assert!(!emits.is_empty(), "task with no transmissions");
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
+        self.hop
+            .offer(&mut cx, src, &self.emit_buf, task, gen_time, len);
         task
     }
 
-    /// Offers `emit_buf`'s transmissions to `from`'s outgoing links; a
-    /// packet the kernel refuses or evicts is a loss.
-    fn flush_emits(&mut self, from: NodeId, task: u32, gen_time: u64, len: u16) {
-        let t = self.now;
-        // Swap the buffer out to appease the borrow checker without
-        // allocating: flushing never re-enters emit generation.
-        let mut buf = std::mem::take(&mut self.emit_buf);
-        for emit in &buf {
-            debug_assert!(
-                (emit.priority as usize) < self.scheme.num_priorities(),
-                "emit priority out of range"
-            );
-            let link = self.topo.link_id(emit.link_from(from)).0;
-            let packet = emit.packet(task, gen_time, len, t);
-            match self.kernel.admit(link, packet) {
-                Admit::Queued => {}
-                Admit::Evicted(victim) => {
-                    self.flow.counters.evicted += 1;
-                    self.handle_loss(link, victim, DropCause::Overflow);
-                }
-                Admit::Lost(pkt, cause) => {
-                    self.handle_loss(link, pkt, cause);
-                    continue;
-                }
-            }
-            if self.obs.is_some() {
-                self.obs_record(TraceEvent::Enqueue {
-                    link,
-                    class: packet.priority,
-                    task: packet.task,
-                });
-            }
-        }
-        buf.clear();
-        self.emit_buf = buf;
-    }
-
-    fn report(mut self, completed: bool) -> SimReport {
-        let (now, kernel) = (self.now, &self.kernel);
-        let faults = self
-            .faults
-            .take()
-            .map(|f| f.finish(now, |l| kernel.is_active(l)));
-        let arq = self.arq.map(|a| a.finish());
+    fn report(self, completed: bool) -> SimReport {
+        let num_classes = self.hop.scheme.num_priorities();
+        let (links, faults, arq) = self.hop.finish(self.now);
+        let mut flow = self.flow.counters;
         if let Some(gate) = &self.flow.gate {
-            self.flow.counters.rejected_broadcasts = gate.rejected_broadcasts;
-            self.flow.counters.rejected_unicasts = gate.rejected_unicasts;
+            flow.rejected_broadcasts = gate.rejected_broadcasts;
+            flow.rejected_unicasts = gate.rejected_unicasts;
         }
         assemble(
             self.ledger,
-            self.kernel.into_counters(),
+            links,
             RunOutcome {
                 cfg: &self.cfg,
                 link_dim: &self.link_dim,
                 d: self.topo.d(),
-                num_classes: self.scheme.num_priorities(),
+                num_classes,
                 slots_run: self.now,
                 stable: !self.unstable,
                 completed,
@@ -784,7 +615,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                 queue_trace: self.queue_trace,
                 faults,
                 arq: arq.as_ref(),
-                flow: &self.flow.counters,
+                flow: &flow,
             },
         )
     }
@@ -796,11 +627,11 @@ impl<N: Network, S: Scheme> ArrivalSink for Engine<N, S> {
     }
 
     fn source_dead(&self, node: NodeId) -> bool {
-        self.node_dead(node)
+        self.hop.faults.as_ref().is_some_and(|f| f.node_dead(node))
     }
 
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
-        let measured = self.in_measure_window();
+        let measured = self.cfg.in_window(self.now);
         self.arrive(src, dest, measured);
     }
 }
@@ -808,7 +639,7 @@ impl<N: Network, S: Scheme> ArrivalSink for Engine<N, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::BroadcastState;
+    use crate::packet::{BroadcastState, PacketKind};
     use pstar_topology::Direction;
     use pstar_topology::Torus;
 
@@ -1137,7 +968,7 @@ mod tests {
             pstar_faults::FaultPlan::none(),
             pstar_faults::DeadLinkPolicy::Drop,
         );
-        assert!(engine.faults.is_none());
+        assert!(engine.hop.faults.is_none());
     }
 
     #[test]
@@ -1334,14 +1165,14 @@ mod tests {
         // Slot 1: B and C fill the queue to capacity...
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.kernel.qlen(0), 2);
+        assert_eq!(e.hop.kernel.qlen(0), 2);
         // ...then the link dies: A is requeued head-of-line, one over.
         e.step(false);
-        assert_eq!(e.kernel.qlen(0), 3, "capacity + 1 after requeue");
+        assert_eq!(e.hop.kernel.qlen(0), 3, "capacity + 1 after requeue");
         // A further emit toward the (full, dead) queue is dropped — the
         // overflow never compounds.
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.kernel.qlen(0), 3);
+        assert_eq!(e.hop.kernel.qlen(0), 3);
         e.run_until_idle();
         let rep = e.report(true);
         assert_eq!(rep.dropped_packets, 1, "only the post-overflow emit");
@@ -1512,10 +1343,10 @@ mod tests {
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.kernel.qlen(0), 2);
+        assert_eq!(e.hop.kernel.qlen(0), 2);
         // A class-0 broadcast copy evicts the newest queued unicast.
         e.inject_broadcast(NodeId(0));
-        assert_eq!(e.kernel.qlen(0), 2);
+        assert_eq!(e.hop.kernel.qlen(0), 2);
         e.run_until_idle();
         let rep = e.report(true);
         assert_eq!(rep.flow.evicted_packets, 1);
@@ -1608,6 +1439,64 @@ mod tests {
         .with_trace(Box::new(pstar_obs::NullSink::with_decimation(8)))
         .run_observed();
         assert_eq!(format!("{base:?}"), format!("{traced:?}"));
+    }
+
+    /// Replays `events` on the 8-node ring.
+    fn replay(events: Vec<pstar_traffic::TraceEvent>) -> Result<SimReport, TraceError> {
+        let (t, s) = ring(8);
+        let trace = pstar_traffic::Trace::new(events);
+        let cfg = SimConfig {
+            warmup_slots: 0,
+            measure_slots: 100,
+            ..SimConfig::quick(3)
+        };
+        Engine::new(t, s, TrafficMix::broadcast_only(0.0), cfg).replay(&trace)
+    }
+
+    fn event(slot: u64, src: u32, dest: Option<u32>) -> pstar_traffic::TraceEvent {
+        pstar_traffic::TraceEvent {
+            slot,
+            src,
+            dest,
+            len: 1,
+        }
+    }
+
+    /// A trace source outside the topology is refused, naming the first
+    /// such event; a self-addressed unicast before it is still skipped.
+    #[test]
+    fn replay_refuses_a_source_outside_the_topology() {
+        let err = replay(vec![
+            event(1, 2, Some(2)),
+            event(2, 0, None),
+            event(3, 8, None),
+            event(4, 9, Some(1)),
+        ])
+        .expect_err("node 8 is not on an 8-node ring");
+        assert_eq!(
+            err,
+            TraceError {
+                event: 2,
+                slot: 3,
+                field: TraceField::Src,
+                node: 8,
+                nodes: 8
+            }
+        );
+        assert!(err.to_string().contains("source node 8"), "{err}");
+    }
+
+    /// A unicast destination outside the topology is refused too — it
+    /// would otherwise wrap to a node the packet is already at.
+    #[test]
+    fn replay_refuses_a_destination_outside_the_topology() {
+        let err = replay(vec![event(3, 1, Some(8))]).expect_err("node 8 is off the ring");
+        assert_eq!((err.event, err.field, err.node), (0, TraceField::Dest, 8));
+        let rep = replay(vec![event(3, 1, Some(1)), event(3, 1, Some(5))]).expect("in range");
+        assert_eq!(
+            rep.unicast_delay.count, 1,
+            "the self-addressed one is skipped"
+        );
     }
 
     #[test]

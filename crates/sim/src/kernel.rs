@@ -4,7 +4,7 @@
 //! serves one packet at a time (DESIGN.md §3). [`LinkKernel`] owns that
 //! state for a contiguous range of links — the queued packets, the
 //! transmission in flight, which links are backlogged, busy and alive,
-//! and the service-start statistics ([`LinkCounters`]) — and makes the
+//! and the service-start and eviction statistics ([`LinkCounters`]) — and makes the
 //! five decisions every backend needs: **admit** a packet, **kill** or
 //! **revive** a link, **finish** the transmissions completing in a slot,
 //! **start** service on idle links, and **re-admit** a retransmission.
@@ -14,8 +14,8 @@
 //!
 //! The kernel reports outcomes ([`Admit`]) and never touches a task
 //! ledger, a scheme, a random stream or a channel: what a delivery or a
-//! terminal loss *means* stays with the driver, so the kernel does not
-//! branch on who calls it. Links are named by their global id
+//! loss *means* is the hop rule's ([`crate::Hop`]), so the kernel does
+//! not branch on who calls it. Links are named by their global id
 //! throughout; the range offset never leaves this module.
 //!
 //! Layout: every packet of the range, queued or in flight, lives in one
@@ -422,7 +422,10 @@ impl LinkKernel {
                 FullQueuePolicy::Backpressure => {}
                 FullQueuePolicy::DropLowestClass => {
                     match self.unlink_lower_tail(li, pkt.priority) {
-                        Some(victim) => outcome = Admit::Evicted(self.take(victim)),
+                        Some(victim) => {
+                            self.counters.evicted();
+                            outcome = Admit::Evicted(self.take(victim));
+                        }
                         None => return Admit::Lost(pkt, LossCause::Overflow),
                     }
                 }

@@ -52,7 +52,6 @@ use crate::metrics::{
     TailReport,
 };
 use crate::packet::{Packet, PacketKind, MAX_PRIORITY_CLASSES};
-use crate::scheme::Scheme;
 use crate::task::{TaskKind, TaskSlot, TaskTable};
 use pstar_stats::{BatchMeans, Histogram, IntMoments, LogHistogram, TimeWeighted};
 
@@ -238,21 +237,6 @@ fn merge_tails(own: &mut Option<Box<TailsState>>, other: &Option<Box<TailsState>
     }
 }
 
-/// `(is_broadcast, receptions)` a lost copy was still responsible for —
-/// what [`TaskLedger::lost`] and [`TaskSlot::lose`] are told. Must be
-/// evaluated against the scheme state *at the loss* (degraded-mode
-/// subtrees differ).
-pub fn receptions_at_stake<S: Scheme>(scheme: &S, pkt: &Packet) -> (bool, u32) {
-    match pkt.kind {
-        PacketKind::Broadcast(state) => {
-            let lost = scheme.subtree_receptions(&state);
-            debug_assert!(lost >= 1);
-            (true, lost)
-        }
-        PacketKind::Unicast { .. } => (false, 1),
-    }
-}
-
 /// Task-level accounting: every statistic read off task generation,
 /// reception, completion and loss (see the module docs for the site
 /// rules and why their order does not matter).
@@ -412,7 +396,7 @@ impl TaskLedger {
         }
     }
 
-    /// Loss site: `receptions` of a task (see [`receptions_at_stake`])
+    /// Loss site: `receptions` of a task (what a lost copy had at stake)
     /// will never happen. Returns how many of them were measured.
     #[inline]
     pub fn lost(&mut self, measured: bool, broadcast: bool, receptions: u32) -> u64 {
@@ -571,6 +555,8 @@ pub struct LinkCounters {
     busy_by_link: Vec<u64>,
     tx_by_vc: [u64; 4],
     window_transmissions: u64,
+    /// Packets the drop-lowest-class policy evicted (whole run).
+    evicted: u64,
     tails: Option<Box<TailsState>>,
 }
 
@@ -589,8 +575,15 @@ impl LinkCounters {
             busy_by_link: vec![0; n_links],
             tx_by_vc: [0; 4],
             window_transmissions: 0,
+            evicted: 0,
             tails: cfg.tails.then(TailsState::new),
         }
+    }
+
+    /// A queued packet was evicted for a more important arrival.
+    #[inline]
+    pub(crate) fn evicted(&mut self) {
+        self.evicted += 1;
     }
 
     /// Link `link` (an index into this range) starts transmitting `pkt`
@@ -635,6 +628,7 @@ impl LinkCounters {
             *a += b;
         }
         self.window_transmissions += other.window_transmissions;
+        self.evicted += other.evicted;
         merge_tails(&mut self.tails, &other.tails);
     }
 }
@@ -709,8 +703,6 @@ pub struct FlowCounters {
     pub deferred_injections: u64,
     /// Arrival → injection delay of those.
     pub defer_delay: IntMoments,
-    /// Packets evicted by the drop-lowest-class policy.
-    pub evicted: u64,
     /// Sum over window slots of the queued-packet population, sampled
     /// after arrivals and before service starts.
     pub occupancy_sum: u128,
@@ -723,7 +715,6 @@ impl FlowCounters {
         self.rejected_unicasts += other.rejected_unicasts;
         self.deferred_injections += other.deferred_injections;
         self.defer_delay.merge(&other.defer_delay);
-        self.evicted += other.evicted;
         self.occupancy_sum += other.occupancy_sum;
     }
 }
@@ -869,7 +860,7 @@ pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) ->
         rejected_unicasts: run.flow.rejected_unicasts,
         deferred_injections: run.flow.deferred_injections,
         defer_delay: run.flow.defer_delay.summary(),
-        evicted_packets: run.flow.evicted,
+        evicted_packets: links.evicted,
         mean_queued_packets: if realized == 0 {
             0.0
         } else {

@@ -29,16 +29,18 @@
 //! that lasts until every tagged task completes. Queue blow-ups and
 //! horizon overruns are reported as instability rather than hanging.
 //!
-//! ## One kernel, one ledger
+//! ## One kernel, one hop rule, one ledger
 //!
 //! The per-link state — queues, the transmission in flight, admission,
 //! link death, service starts — is written once, in [`LinkKernel`], and
-//! the ARQ timers once, in [`Arq`]; how a run is counted and how the
-//! counters become a [`SimReport`] is written once, in the ledger
-//! ([`TaskLedger`], [`LinkCounters`], [`assemble`]). [`Engine`],
-//! [`ShardedEngine`] and the `pstar-net` runtime are drivers of those;
-//! [`EventEngine`] keeps its own [`PriorityQueue`]s and accounting
-//! because it is the oracle the step engine is cross-validated against.
+//! the ARQ timers once, in [`Arq`]; what a delivery, a forward, a loss
+//! and a retransmission mean is written once, in [`Hop`]; how a run is
+//! counted and how the counters become a [`SimReport`] is written once,
+//! in the ledger ([`TaskLedger`], [`LinkCounters`], [`assemble`]).
+//! [`Engine`] and the `pstar-net` runtime are drivers of those, and
+//! [`ShardedEngine`] of the kernel and the ledger; [`EventEngine`] keeps
+//! its own [`PriorityQueue`]s and accounting because it is the oracle the
+//! step engine is cross-validated against.
 
 #![warn(missing_docs)]
 
@@ -47,6 +49,7 @@ mod config;
 mod engine;
 mod event_engine;
 mod faultepoch;
+mod hop;
 mod kernel;
 mod ledger;
 mod metrics;
@@ -60,13 +63,14 @@ mod task;
 
 pub use arrivals::{generate_arrivals_into, sample_poisson, ArrivalSink};
 pub use config::{stop_verdict, SimConfig, Stop, SINGLE_QUEUE_SCAN_PERIOD};
-pub use engine::Engine;
+pub use engine::{Engine, TraceError, TraceField};
 pub use event_engine::EventEngine;
 pub use faultepoch::{FaultClock, FaultLoss, LossCause};
+pub use hop::{Homes, Hop, HopCtx};
 pub use kernel::{Admit, FinishScan, LinkKernel};
 pub use ledger::{
-    assemble, receptions_at_stake, ArqCounters, FaultTotals, FlowCounters, LinkCounters,
-    RunOutcome, TailsState, TaskLedger, BACKOFF_HIST_BUCKETS,
+    assemble, ArqCounters, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TailsState,
+    TaskLedger, BACKOFF_HIST_BUCKETS,
 };
 pub use metrics::{
     ClassStats, FaultReport, FlowReport, HopPhase, RecoveryReport, SimReport, TailQuantiles,
@@ -105,13 +109,14 @@ const _: () = assert!(
     "pstar-obs class array out of sync with packet format"
 );
 
-/// Replays a recorded workload trace through a fresh engine.
+/// Replays a recorded workload trace through a fresh engine; a trace
+/// naming a node `topo` does not have is refused ([`Engine::replay`]).
 pub fn run_trace<N, S: Scheme>(
     topo: &N,
     scheme: S,
     trace: &pstar_traffic::Trace,
     cfg: SimConfig,
-) -> SimReport
+) -> Result<SimReport, TraceError>
 where
     N: pstar_topology::Network + Clone,
 {

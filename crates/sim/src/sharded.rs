@@ -33,10 +33,9 @@
 use crate::arrivals::{generate_arrivals_into, ArrivalSink};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
+use crate::hop::receptions_at_stake;
 use crate::kernel::{Admit, LinkKernel};
-use crate::ledger::{
-    assemble, receptions_at_stake, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger,
-};
+use crate::ledger::{assemble, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
 use crate::packet::{Emit, Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::perf::{assemble_perf, CoordHooks, EnginePerf, EnginePerfConfig, WorkerPerf};
@@ -478,11 +477,6 @@ struct Coordinator<S> {
 }
 
 impl<S: Scheme> Coordinator<S> {
-    #[inline]
-    fn in_window(&self, t: u64) -> bool {
-        t >= self.cfg.warmup_slots && t < self.cfg.measure_end()
-    }
-
     /// Mid-slot global processing, in exact serial order: the fault
     /// epoch's stage-0 settles, queue trace, delivery events (stage 1),
     /// then arrivals.
@@ -659,7 +653,7 @@ impl<S: Scheme> Coordinator<S> {
         queue_limit: i64,
     ) -> Option<Stop> {
         self.peak_queue = self.peak_queue.max(pre_service as i64);
-        if self.in_window(t) {
+        if self.cfg.in_window(t) {
             self.flow.occupancy_sum += pre_service as u128;
         }
         self.queued_end = end_total;
@@ -698,7 +692,7 @@ impl<N: Network, S: Scheme> ArrivalSink for GenSink<'_, N, S> {
     }
 
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
-        let measured = self.t >= self.co.cfg.warmup_slots && self.t < self.co.cfg.measure_end();
+        let measured = self.co.cfg.in_window(self.t);
         let ctx = self.ctx;
         self.co.new_task(&ctx, self.t, src, dest, measured);
     }

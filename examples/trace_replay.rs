@@ -57,7 +57,8 @@ fn main() {
         ("fcfs-direct", StarScheme::fcfs_direct(&topo)),
         ("priority-star", StarScheme::priority_star(&topo)),
     ] {
-        let rep = pstar_sim::run_trace(&topo, scheme, &trace, cfg);
+        let rep = pstar_sim::run_trace(&topo, scheme, &trace, cfg)
+            .expect("every trace node is on the torus");
         assert!(rep.ok(), "replay did not converge: {rep}");
         println!(
             "{label:<16} {:>10.2} {:>10.2}",

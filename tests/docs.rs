@@ -1,15 +1,23 @@
-//! Docs-vs-tree check: every repository path the top-level documents
-//! cite in back-ticks must exist, so a deleted crate, example or artefact
-//! cannot live on in the prose.
+//! Docs-vs-tree check: every repository path and every `Type::member`
+//! the top-level documents cite in back-ticks must exist, so a deleted
+//! crate, example, artefact, function, field or variant cannot live on in
+//! the prose.
 //!
-//! Checked spans are those that start with `crates/`, `tests/`,
+//! Checked paths are spans that start with `crates/`, `tests/`,
 //! `examples/`, `benchmark/` or `.github/`, and bare root-level `*.md` /
 //! `*.json` / `*.toml` names. Globs, placeholders and the benchmark's
 //! git-ignored output directories are skipped, and so are `results/…`
 //! outputs — except inside the EXPERIMENTS.md section that lists the
 //! committed reference outputs, where every `results/…` file must be in
 //! the tree.
+//!
+//! Checked names are spans that start with a path whose last two
+//! segments are a CamelCase type and an identifier (`Engine::replay`,
+//! `pstar_sim::Hop::deliver(cx, …)`, `Admit::Lost`): the member must be
+//! declared somewhere under `crates/` — as a `fn`, as a field (or
+//! constant) `member:`, or, CamelCase, as a line-leading variant.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
@@ -113,6 +121,119 @@ fn every_cited_path_exists() {
         missing.is_empty(),
         "documents cite paths that are not in the tree:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The `(type, member)` a span cites, if it starts with one.
+fn cited_member(span: &str) -> Option<(&str, &str)> {
+    let path = span
+        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .next()?;
+    let segments: Vec<&str> = path.split("::").collect();
+    let [.., ty, member] = segments[..] else {
+        return None;
+    };
+    let ident = |s: &str| {
+        s.chars()
+            .next()
+            .is_some_and(|c| c.is_alphabetic() || c == '_')
+    };
+    let camel = ty.starts_with(|c: char| c.is_ascii_uppercase());
+    (camel && ty != "Self" && ident(member)).then_some((ty, member))
+}
+
+/// Every name `text` declares: `fn` names, identifiers followed by a
+/// single `:` (fields, constants), and CamelCase identifiers that open a
+/// line (enum variants).
+fn declared_names(text: &str, names: &mut HashSet<String>) {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    for line in text.lines() {
+        let mut prev: Option<&str> = None;
+        let mut rest = line;
+        let mut first = true;
+        while let Some(start) = rest.find(|c: char| c.is_alphabetic() || c == '_') {
+            let len = rest[start..]
+                .find(|c: char| !is_ident(c))
+                .unwrap_or(rest.len() - start);
+            let id = &rest[start..start + len];
+            let after = &rest[start + len..];
+            let opens_line = first && rest[..start].trim().is_empty();
+            if prev == Some("fn")
+                || (after.starts_with(':') && !after.starts_with("::"))
+                || (opens_line && id.starts_with(|c: char| c.is_ascii_uppercase()))
+            {
+                names.insert(id.to_string());
+            }
+            first = false;
+            prev = Some(id);
+            rest = after;
+        }
+    }
+}
+
+/// Every name declared in a `.rs` file under `dir`.
+fn declared_under(dir: &Path, names: &mut HashSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            declared_under(&path, names);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            declared_names(
+                &std::fs::read_to_string(&path).expect("a source file"),
+                names,
+            );
+        }
+    }
+}
+
+/// Every `Type::member` citation in `text` whose member `names` lacks.
+fn missing_members(names: &HashSet<String>, text: &str) -> Vec<String> {
+    code_spans(text)
+        .iter()
+        .filter_map(|span| cited_member(span))
+        .filter(|(_, member)| !names.contains(*member))
+        .map(|(ty, member)| format!("{ty}::{member}"))
+        .collect()
+}
+
+#[test]
+fn every_cited_name_exists() {
+    let root = repo_root();
+    let mut names = HashSet::new();
+    declared_under(&root.join("crates"), &mut names);
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        missing.extend(
+            missing_members(&names, &text)
+                .into_iter()
+                .map(|m| format!("{doc}: `{m}`")),
+        );
+    }
+    assert!(
+        missing.is_empty(),
+        "documents cite names that are not declared under crates/:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn name_checker_sees_fns_fields_and_variants() {
+    let mut names = HashSet::new();
+    declared_names(
+        "pub struct Hop<S> {\n    pub kernel: LinkKernel,\n}\n\
+         impl Hop {\n    pub fn deliver(&mut self) {}\n}\n\
+         enum Admit {\n    Queued,\n    Lost(Packet),\n}\n\
+         let x = Admit::Evicted;\n",
+        &mut names,
+    );
+    let text = "`Hop::deliver`, `pstar_sim::Hop::kernel`, `Admit::Lost(pkt, cause)`,\n\
+                `Engine::flush_emits(…)`, `Admit::Evicted`, `sim::stop_verdict`,\n\
+                `u64::MAX`, `Hop`, `crates/sim/src/hop.rs`\n";
+    assert_eq!(
+        missing_members(&names, text),
+        ["Engine::flush_emits", "Admit::Evicted"]
     );
 }
 

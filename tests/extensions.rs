@@ -259,15 +259,18 @@ fn trace_replay_is_deterministic_and_comparable() {
     );
     let c = cfg(31);
 
-    let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c);
-    let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c);
+    let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c)
+        .expect("every trace node is on the torus");
+    let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c)
+        .expect("every trace node is on the torus");
     assert!(a.ok(), "{a}");
     assert_eq!(a.reception_delay.mean, b.reception_delay.mean);
     assert_eq!(a.window_transmissions, b.window_transmissions);
 
     // Same instance, different scheme: the FCFS baseline is strictly
     // slower on this very workload.
-    let f = pstar_sim::run_trace(&topo, StarScheme::fcfs_direct(&topo), &trace, c);
+    let f = pstar_sim::run_trace(&topo, StarScheme::fcfs_direct(&topo), &trace, c)
+        .expect("every trace node is on the torus");
     assert!(f.ok());
     assert!(f.reception_delay.mean > a.reception_delay.mean);
     // Identical offered workload → identical measured task counts.
@@ -295,8 +298,10 @@ fn trace_file_roundtrip_replays_identically() {
     let loaded = Trace::load(&path).unwrap();
 
     let c = cfg(32);
-    let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c);
-    let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &loaded, c);
+    let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, c)
+        .expect("every trace node is on the torus");
+    let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &loaded, c)
+        .expect("every trace node is on the torus");
     assert_eq!(a.reception_delay.mean, b.reception_delay.mean);
     assert_eq!(a.unicast_delay.mean, b.unicast_delay.mean);
 }

@@ -27,10 +27,13 @@ use common::{assert_reports_match, crn_seed, net_run, net_run_under};
 use priority_star::{run_scenario, ScenarioSpec, SchemeKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use pstar_net::{run_net, Channel, ChaosConfig, NetConfig, NetError, NetReport};
+use pstar_net::{
+    run_net, run_net_with_faults, Channel, ChaosConfig, NetConfig, NetError, NetReport,
+};
 use pstar_sim::{
-    run_with_faults, Admit, DeadLinkPolicy, FaultEvent, FaultKind, FaultPlan, FullQueuePolicy,
-    LinkKernel, LossCause, Packet, PacketKind, PriorityQueue, SimConfig,
+    run_with_faults, Admit, DeadLinkPolicy, Engine, FaultEvent, FaultKind, FaultPlan,
+    FullQueuePolicy, LinkKernel, LossCause, ObsCollector, Packet, PacketKind, PriorityQueue,
+    SimConfig, TraceEvent, TraceRecord,
 };
 use pstar_topology::{LinkId, NodeId, Torus};
 
@@ -371,6 +374,164 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
             DeadLinkPolicy::Drop,
         );
         assert_reports_match(&sim, &net.report, &format!("ARQ + faults W={workers}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// One hop rule: both drivers trace the same events
+// ---------------------------------------------------------------------
+
+/// `rec` with its task id masked: the engine's ids are slab indices,
+/// the runtime's the injector's counter.
+fn masked(rec: &TraceRecord) -> TraceRecord {
+    let event = match rec.event {
+        TraceEvent::Enqueue { link, class, .. } => TraceEvent::Enqueue {
+            link,
+            class,
+            task: 0,
+        },
+        TraceEvent::ServiceStart {
+            link,
+            class,
+            wait,
+            len,
+            ..
+        } => TraceEvent::ServiceStart {
+            link,
+            class,
+            wait,
+            len,
+            task: 0,
+        },
+        TraceEvent::Delivery {
+            link, class, age, ..
+        } => TraceEvent::Delivery {
+            link,
+            class,
+            age,
+            task: 0,
+        },
+        TraceEvent::Drop {
+            link, class, cause, ..
+        } => TraceEvent::Drop {
+            link,
+            class,
+            cause,
+            task: 0,
+        },
+        TraceEvent::Retransmit {
+            link,
+            class,
+            attempt,
+            ..
+        } => TraceEvent::Retransmit {
+            link,
+            class,
+            attempt,
+            task: 0,
+        },
+        epoch @ TraceEvent::FaultEpoch { .. } => epoch,
+    };
+    TraceRecord {
+        slot: rec.slot,
+        event,
+    }
+}
+
+/// `records`, masked, as one sorted multiset of `(slot, event)`.
+fn slot_multiset<'a>(records: impl Iterator<Item = &'a TraceRecord>) -> Vec<(u64, String)> {
+    let mut all: Vec<(u64, String)> = records
+        .map(|rec| (rec.slot, format!("{:?}", masked(rec).event)))
+        .collect();
+    all.sort_unstable();
+    all
+}
+
+/// The serial engine and every `pstar-net` worker run one hop rule —
+/// deliver, forward, lose, retransmit, settle a fault epoch — so a
+/// faulted broadcast-only run traces the same events on both: record
+/// for record at one worker, and slot by slot at two, where each worker's
+/// replica of the fault clock records the epochs it applies. Plain
+/// queues, and capacity-1 queues evicting the lowest class with ARQ
+/// retrying, under both dead-link policies.
+#[test]
+fn serial_and_net_trace_the_same_hops() {
+    let topo = Torus::new(&[4, 4]);
+    let spec = ScenarioSpec::default();
+    let links: Vec<LinkId> = pstar_sim::shuffled_links(topo.link_count(), 0xFA)
+        .into_iter()
+        .take(3)
+        .collect();
+    let plan = FaultPlan::link_outage_window(&links, 300, 700);
+    let plain = |seed| SimConfig {
+        warmup_slots: 200,
+        measure_slots: 1_000,
+        lengths: spec.lengths,
+        ..SimConfig::quick(seed)
+    };
+    let lossy = SimConfig {
+        queue_capacity: Some(1),
+        full_queue_policy: FullQueuePolicy::DropLowestClass,
+        arq: Some(pstar_sim::ArqConfig::default()),
+        ..plain(6)
+    };
+    for (name, cfg) in [("plain", plain(5)), ("lossy", lossy)] {
+        for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
+            let label = format!("{name} {policy:?}");
+            let (serial, sink) =
+                Engine::new(topo.clone(), spec.build_scheme(&topo), spec.mix(&topo), cfg)
+                    .with_fault_plan(plan.clone(), policy)
+                    .with_trace(Box::new(ObsCollector::new(1 << 20, 0)))
+                    .run_observed();
+            let obs = sink
+                .expect("the sink comes back")
+                .into_any()
+                .downcast::<ObsCollector>()
+                .expect("an ObsCollector");
+            assert_eq!(obs.ring.total_recorded(), obs.ring.len() as u64);
+            let records: Vec<TraceRecord> = obs.ring.iter().copied().collect();
+            assert_eq!(obs.counts.fault_epochs, 2, "{label}");
+            if name == "lossy" {
+                assert!(
+                    obs.counts.drops > 0 && obs.counts.retransmits > 0,
+                    "{label}"
+                );
+            }
+            for workers in [1, 2] {
+                let net = run_net_with_faults(
+                    &topo,
+                    spec.build_scheme(&topo),
+                    spec.mix(&topo),
+                    NetConfig {
+                        workers,
+                        trace_capacity: 1 << 20,
+                        ..NetConfig::new(cfg)
+                    },
+                    plan.clone(),
+                    policy,
+                )
+                .expect("the runtime failed");
+                let at = format!("{label} W={workers}");
+                assert_reports_match(&serial, &net.report, &at);
+                if workers == 1 {
+                    let track = &net.worker_traces[0].1;
+                    let first = records
+                        .iter()
+                        .zip(track)
+                        .position(|(s, n)| masked(s) != masked(n));
+                    assert_eq!(first, None, "{at}: first differing record");
+                    assert_eq!(track.len(), records.len(), "{at}: record count");
+                } else {
+                    let tracks = net.worker_traces.iter().flat_map(|(_, t)| t);
+                    // Every worker records each epoch its replica applies.
+                    let epochs = records
+                        .iter()
+                        .filter(|r| matches!(r.event, TraceEvent::FaultEpoch { .. }));
+                    let want = slot_multiset(records.iter().chain(epochs));
+                    assert!(slot_multiset(tracks) == want, "{at}: per-slot multisets");
+                }
+            }
+        }
     }
 }
 
@@ -995,26 +1156,18 @@ proptest! {
         prop_assert!(reference.links.iter().all(|l| l.queue.is_empty() && l.in_flight.is_none()));
     }
 
-    /// The runtime's channel preserves per-sender FIFO order for any
-    /// mix of single sends and batch hand-overs (empty ones included),
-    /// split across drains anywhere.
+    /// The runtime's channel is a FIFO: any run of sends, split across
+    /// drains anywhere, comes out in send order.
     #[test]
     fn channel_never_reorders(
-        ops in prop::collection::vec((0u32..40, any::<bool>(), any::<bool>()), 1..12)
+        ops in prop::collection::vec((0u32..40, any::<bool>()), 1..12)
     ) {
-        let ch = Channel::unbounded();
-        let mut outbox = Vec::new();
+        let ch = Channel::bounded(512);
         let mut sent = 0u32;
         let mut received = Vec::new();
-        for (count, batched, drain) in ops {
-            if batched {
-                outbox.extend(sent..sent + count);
-                ch.send_batch(&mut outbox);
-                prop_assert!(outbox.is_empty());
-            } else {
-                for v in sent..sent + count {
-                    ch.send(v);
-                }
+        for (count, drain) in ops {
+            for v in sent..sent + count {
+                ch.send(v);
             }
             sent += count;
             if drain {
@@ -1023,7 +1176,6 @@ proptest! {
         }
         ch.drain_into(&mut received);
         prop_assert_eq!(received, (0..sent).collect::<Vec<_>>());
-        prop_assert!(ch.is_empty());
     }
 }
 

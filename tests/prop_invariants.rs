@@ -228,8 +228,10 @@ proptest! {
         let mut cfg = SimConfig::quick(seed ^ 1);
         cfg.warmup_slots = 0;
         cfg.measure_slots = 1_000;
-        let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, cfg);
-        let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, cfg);
+        let a = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, cfg)
+        .expect("every trace node is on the torus");
+        let b = pstar_sim::run_trace(&topo, StarScheme::priority_star(&topo), &trace, cfg)
+        .expect("every trace node is on the torus");
         prop_assert!(a.completed);
         prop_assert_eq!(a.reception_delay.mean, b.reception_delay.mean);
         prop_assert_eq!(a.window_transmissions, b.window_transmissions);
