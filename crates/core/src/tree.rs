@@ -61,7 +61,7 @@ fn ring_initiation(
     let (fwd, back) = if n == 2 {
         // Hypercube dimension: a single link; no choice to balance.
         (1, 0)
-    } else if (n - 1) % 2 == 0 {
+    } else if (n - 1).is_multiple_of(2) {
         (half, half)
     } else if flip {
         (half + 1, half)

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn mailbox_sits_alone_on_its_cache_lines() {
         assert!(std::mem::align_of::<Mailbox<Shares>>() >= 128);
-        assert!(std::mem::size_of::<Mailbox<Shares>>() % 128 == 0);
+        assert!(std::mem::size_of::<Mailbox<Shares>>().is_multiple_of(128));
     }
 
     /// One hand-over carries all three shares, each in send order; an

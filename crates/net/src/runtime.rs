@@ -1038,7 +1038,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             // The slot runs. What the links held at its top — after its
             // fault tick, before its deliveries — is the total the
             // rendezvous just took.
-            if id == 0 && self.cfg.trace_interval.is_some_and(|k| t % k == 0) {
+            if id == 0 && self.cfg.queue_sampled_at(t) {
                 let total = shared.tally.total.load(Ordering::Relaxed);
                 self.queue_trace.push((t, total.max(0) as u64));
             }

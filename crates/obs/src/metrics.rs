@@ -518,7 +518,7 @@ impl<W: std::io::Write> JsonlSink<W> {
     /// Writes one snapshot line if `slot` is on the sampling grid;
     /// returns whether a line was written.
     pub fn maybe_sample(&mut self, slot: u64, registry: &MetricsRegistry) -> std::io::Result<bool> {
-        if slot % self.every != 0 {
+        if !slot.is_multiple_of(self.every) {
             return Ok(false);
         }
         self.sample(slot, registry)?;

@@ -54,8 +54,8 @@ pub struct SimConfig {
     pub profile_by_distance: bool,
     /// When `Some(k)`, sample the total queued-packet population every `k`
     /// slots into [`crate::SimReport::queue_trace`] — the §2 "queues grow
-    /// unbounded past saturation" diagnostic. `None` (default) disables
-    /// tracing.
+    /// unbounded past saturation" diagnostic. `None` (default) and
+    /// `Some(0)` disable tracing ([`SimConfig::queue_sampled_at`]).
     pub trace_interval: Option<u64>,
     /// Tail-latency instrumentation: per-class reception-delay
     /// percentiles and the trunk/ending/unicast hop-wait decomposition
@@ -118,6 +118,15 @@ impl SimConfig {
         slot >= self.warmup_slots && slot < self.measure_end()
     }
 
+    /// `true` when slot `slot` takes a [`SimConfig::trace_interval`]
+    /// sample: every `k`-th slot from 0 under `Some(k)`, none under
+    /// `None` or `Some(0)`.
+    #[inline]
+    pub fn queue_sampled_at(&self, slot: u64) -> bool {
+        self.trace_interval
+            .is_some_and(|k| k > 0 && slot.is_multiple_of(k))
+    }
+
     /// The fleet-wide divergence guard's threshold, in queued packets,
     /// for a network of `links` links.
     pub fn queue_limit(&self, links: usize) -> i64 {
@@ -132,7 +141,7 @@ impl SimConfig {
     /// [`SimConfig::unstable_single_queue`].
     pub fn single_queue_tripped(&self, next_slot: u64, max_qlen: impl FnOnce() -> usize) -> bool {
         next_slot > 0
-            && next_slot % SINGLE_QUEUE_SCAN_PERIOD == 0
+            && next_slot.is_multiple_of(SINGLE_QUEUE_SCAN_PERIOD)
             && max_qlen() as f64 > self.unstable_single_queue
     }
 }

@@ -437,15 +437,13 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.hop.fault_tick(&mut cx);
         }
 
-        if let Some(k) = self.cfg.trace_interval {
-            if t % k == 0 {
-                self.queue_trace.push((t, self.hop.kernel.queued()));
-            }
+        if self.cfg.queue_sampled_at(t) {
+            self.queue_trace.push((t, self.hop.kernel.queued()));
         }
 
         // Decimated observability snapshot of the state the previous
         // slot left behind. `obs_decim > 0` only with a sink installed.
-        if self.obs_decim > 0 && t % self.obs_decim == 0 {
+        if self.obs_decim > 0 && t.is_multiple_of(self.obs_decim) {
             self.obs_sample(t);
         }
 

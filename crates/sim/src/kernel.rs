@@ -18,15 +18,33 @@
 //! not branch on who calls it. Links are named by their global id
 //! throughout; the range offset never leaves this module.
 //!
-//! Layout: every packet of the range, queued or in flight, lives in one
-//! arena of intrusively linked nodes with a LIFO free list — a packet is
-//! written once when admitted and read in place until delivered. A
-//! (link, class) FIFO is a head, a tail and a length; a link has a class
-//! mask, the node it is transmitting and that transmission's finish
-//! slot; and one `u64` bitset each for *backlogged*, *busy* and *alive*
-//! lets the finish and start scans walk set bits in ascending link order
-//! a word at a time. Everything but the arena is all-zero when idle, so
-//! building a kernel touches almost no memory.
+//! Layout. A packet-hop is one admission, one service start and one
+//! delivery; the storage is chosen so that each touches few cache lines
+//! and takes no branch that depends on the traffic (DESIGN.md §3.2):
+//! - A *queued* packet lives in one arena of intrusively linked nodes
+//!   with a LIFO free list. It is written once when admitted and read in
+//!   place when its service starts.
+//! - At service start the packet is copied once into the *in-flight
+//!   list*: one `Flight` per busy link, in ascending link order. Its
+//!   node is freed at once, so the arena holds queued packets only. The
+//!   finish scan reads the slot's deliveries from this list in order; a
+//!   flight that outlives the slot is carried over and merged with the
+//!   next slot's starts.
+//! - A link's FIFO state — a head, a tail and a length per class, and
+//!   the class mask — is one 64-byte record (`LinkFifos`), so an
+//!   admission or a service start reads one record instead of four
+//!   arrays.
+//! - Arena node 0 is a sink: it is the tail of every empty FIFO, so
+//!   linking a packet at the tail is the same stores whether or not the
+//!   FIFO was empty, and unlinking one leaves no branch on what is left.
+//!   Under load, whether a class FIFO is empty is close to a coin flip;
+//!   the mispredicted branches this replaces were the kernel's largest
+//!   cost.
+//! - One `u64` bitset each for *backlogged*, *busy* and *alive* lets the
+//!   start scan walk set bits in ascending link order a word at a time.
+//!
+//! The records come from small zeroed allocations, where all-zero means
+//! every class empty, so building a kernel touches almost no memory.
 //! [`crate::PriorityQueue`] is the reference model this is
 //! property-tested against (`tests/net.rs`).
 //!
@@ -38,11 +56,15 @@
 use crate::config::SimConfig;
 use crate::faultepoch::LossCause;
 use crate::ledger::LinkCounters;
-use crate::packet::{Packet, MAX_PRIORITY_CLASSES};
+use crate::packet::{Packet, PacketKind, MAX_PRIORITY_CLASSES};
 use crate::recovery::FullQueuePolicy;
 use pstar_faults::DeadLinkPolicy;
+use pstar_topology::NodeId;
+// A plain `if` or a mask is turned back into a branch by the optimizer;
+// this hint keeps the FIFO updates branch-free.
+use std::hint::select_unpredictable;
 
-/// Sentinel for "no node" in the arena's intrusive lists.
+/// Sentinel for "no node" in the free list.
 const NIL: u32 = u32::MAX;
 
 /// What the kernel did with a packet offered to a link.
@@ -67,6 +89,128 @@ struct Node {
     next: u32,
 }
 
+/// The arena node that is the tail of every empty class FIFO. It is
+/// never allocated, and what is linked behind it is never read.
+const SINK: u32 = 0;
+
+const SINK_NODE: Node = Node {
+    pkt: Packet {
+        task: 0,
+        gen_time: 0,
+        enqueue_time: 0,
+        len: 0,
+        priority: 0,
+        vc: 0,
+        attempt: 0,
+        kind: PacketKind::Unicast { dest: NodeId(0) },
+    },
+    next: NIL,
+};
+
+/// A transmission in progress: the busy link (global id), the slot it
+/// completes in and its packet. The slot is kept modulo 2³², which
+/// keeps a flight at 48 bytes and loses nothing: a flight lasts at most
+/// `u16::MAX` slots, so no slot a finish scan compares it with is 2³²
+/// away from its own.
+#[derive(Clone, Copy)]
+struct Flight {
+    link: u32,
+    finish: u32,
+    pkt: Packet,
+}
+
+/// One link's FIFO state, 16 words: word [`MASK`] is the class mask
+/// (bit `c` set ⇔ class `c` is non-empty), then each class's head, tail
+/// and length side by side ([`HEAD`], [`TAIL`], [`LEN`] plus
+/// [`class_at`]). An empty class's tail is [`SINK`] and its head is
+/// stale. All-zero is a record with every class empty.
+type LinkFifos = [u32; 16];
+
+const _: () = assert!(
+    std::mem::size_of::<LinkFifos>() == 64 && class_at(MAX_PRIORITY_CLASSES - 1) + LEN < 16,
+    "a link's FIFO record is 64 bytes and holds every class"
+);
+const _: () = assert!(MAX_PRIORITY_CLASSES.is_power_of_two());
+
+const MASK: usize = 0;
+const HEAD: usize = 0;
+const TAIL: usize = 1;
+const LEN: usize = 2;
+
+/// Where class `class`'s head, tail and length start in a record.
+#[inline(always)]
+const fn class_at(class: usize) -> usize {
+    1 + 3 * class
+}
+
+/// `class` as a record index the compiler can see is in range, so that
+/// indexing a record needs no bounds check.
+#[inline(always)]
+fn class_index(class: usize) -> usize {
+    debug_assert!(class < MAX_PRIORITY_CLASSES);
+    class & (MAX_PRIORITY_CLASSES - 1)
+}
+
+/// Class `class` of `rec` gained a packet.
+#[inline(always)]
+fn grew(rec: &mut LinkFifos, class: usize) {
+    rec[class_at(class) + LEN] += 1;
+    rec[MASK] |= 1 << class;
+}
+
+/// Class `class` of `rec` lost a packet; `true` when no class of the
+/// link has one left.
+#[inline(always)]
+fn shrank(rec: &mut LinkFifos, class: usize) -> bool {
+    let at = class_at(class);
+    rec[at + LEN] -= 1;
+    let emptied = rec[at + LEN] == 0;
+    rec[at + TAIL] = select_unpredictable(emptied, SINK, rec[at + TAIL]);
+    rec[MASK] &= !(u32::from(emptied) << class);
+    rec[MASK] == 0
+}
+
+/// Records per block of [`FifoRecords`], a power of two.
+const BLOCK: usize = 1 << 7;
+
+/// The [`LinkFifos`] records of a range, in zeroed 8 KiB blocks.
+///
+/// Blocks, not one allocation: glibc maps an allocation of 128 KiB or
+/// more on its own, and once such a mapping is freed it serves later
+/// ones from reused heap memory that `calloc` must clear by writing it,
+/// so building a kernel would cost time in proportion to its links. An
+/// 8 KiB block stays below that threshold and wastes little on a small
+/// range. (Aligning records to cache lines was measured and bought
+/// nothing.)
+struct FifoRecords {
+    blocks: Vec<Box<[LinkFifos; BLOCK]>>,
+    len: usize,
+}
+
+impl FifoRecords {
+    fn new(n: usize) -> Self {
+        let blocks = (0..n.div_ceil(BLOCK))
+            .map(|_| {
+                vec![[0; 16]; BLOCK]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("a whole block")
+            })
+            .collect();
+        Self { blocks, len: n }
+    }
+
+    #[inline(always)]
+    fn get(&self, li: usize) -> &LinkFifos {
+        &self.blocks[li / BLOCK][li % BLOCK]
+    }
+
+    #[inline(always)]
+    fn get_mut(&mut self, li: usize) -> &mut LinkFifos {
+        &mut self.blocks[li / BLOCK][li % BLOCK]
+    }
+}
+
 #[inline]
 fn bit_get(bits: &[u64], i: usize) -> bool {
     bits[i >> 6] & (1u64 << (i & 63)) != 0
@@ -82,13 +226,19 @@ fn bit_clear(bits: &mut [u64], i: usize) {
     bits[i >> 6] &= !(1u64 << (i & 63));
 }
 
-/// Progress of one pass over the busy links (see
-/// [`LinkKernel::next_finished`]): the word being walked and its
-/// not-yet-visited busy bits.
+/// Clears bit `i` when `cond`, without a branch on it.
+#[inline]
+fn bit_clear_if(bits: &mut [u64], i: usize, cond: bool) {
+    bits[i >> 6] &= !(u64::from(cond) << (i & 63));
+}
+
+/// Progress of one pass over the in-flight list (see
+/// [`LinkKernel::next_finished`]): the next flight to read, and where
+/// the next one that outlives the slot is carried to.
 #[derive(Debug)]
 pub struct FinishScan {
-    word: usize,
-    mask: u64,
+    read: usize,
+    carry: usize,
 }
 
 /// Queueing, in-flight state and service for the links `lo .. hi` (see
@@ -99,24 +249,22 @@ pub struct LinkKernel {
     full_policy: FullQueuePolicy,
     dead_policy: DeadLinkPolicy,
 
+    /// The queued packets, [`SINK`] first; the (link, class) FIFOs are
+    /// threaded through it.
     arena: Vec<Node>,
     free_head: u32,
-    /// The (link, class) FIFOs threaded through the arena, indexed
-    /// `link * MAX_PRIORITY_CLASSES + class`; head and tail mean
-    /// something only while the length is nonzero.
-    fifo_head: Vec<u32>,
-    fifo_tail: Vec<u32>,
-    fifo_len: Vec<u32>,
-    /// Bit `c` set ⇔ class `c` of the link is non-empty.
-    class_mask: Vec<u8>,
+    fifos: FifoRecords,
 
     backlog: Vec<u64>,
     busy: Vec<u64>,
     alive: Vec<u64>,
-    /// The node a link is transmitting and the slot it completes in;
-    /// meaningful while the link's busy bit is set.
-    flight_node: Vec<u32>,
-    flight_finish: Vec<u64>,
+    /// One flight per busy link, in ascending link order (between a
+    /// finish scan's first call and its `None`, the slot's finished
+    /// flights are still in it).
+    flights: Vec<Flight>,
+    /// Where [`LinkKernel::start`] merges carried-over flights with new
+    /// ones; empty between calls and kept only for its capacity.
+    merged: Vec<Flight>,
 
     queued: u64,
     counters: LinkCounters,
@@ -136,17 +284,14 @@ impl LinkKernel {
             capacity: cfg.queue_capacity,
             full_policy: cfg.full_queue_policy,
             dead_policy: DeadLinkPolicy::default(),
-            arena: Vec::new(),
+            arena: vec![SINK_NODE],
             free_head: NIL,
-            fifo_head: vec![0; n * MAX_PRIORITY_CLASSES],
-            fifo_tail: vec![0; n * MAX_PRIORITY_CLASSES],
-            fifo_len: vec![0; n * MAX_PRIORITY_CLASSES],
-            class_mask: vec![0; n],
+            fifos: FifoRecords::new(n),
             backlog: vec![0; words],
             busy: vec![0; words],
             alive: vec![u64::MAX; words],
-            flight_node: vec![0; n],
-            flight_finish: vec![0; n],
+            flights: Vec::new(),
+            merged: Vec::new(),
             queued: 0,
             counters: LinkCounters::new(cfg, d, lo as usize, n),
         }
@@ -161,7 +306,7 @@ impl LinkKernel {
     /// Number of links in the range.
     #[inline]
     pub fn n_links(&self) -> usize {
-        self.class_mask.len()
+        self.fifos.len
     }
 
     /// `true` when global link `link` belongs to this kernel.
@@ -190,16 +335,15 @@ impl LinkKernel {
 
     #[inline]
     fn local_qlen(&self, li: usize) -> usize {
-        let at = li * MAX_PRIORITY_CLASSES;
-        self.fifo_len[at..at + MAX_PRIORITY_CLASSES]
-            .iter()
-            .map(|&len| len as usize)
+        let rec = self.fifos.get(li);
+        (0..MAX_PRIORITY_CLASSES)
+            .map(|c| rec[class_at(c) + LEN] as usize)
             .sum()
     }
 
     /// Packets queued on `link` in one priority class.
     pub fn class_len(&self, link: u32, class: usize) -> usize {
-        self.fifo_len[self.local(link) * MAX_PRIORITY_CLASSES + class] as usize
+        self.fifos.get(self.local(link))[class_at(class_index(class)) + LEN] as usize
     }
 
     /// The longest queue of the range (the divergence guard's probe).
@@ -262,9 +406,9 @@ impl LinkKernel {
         self.counters
     }
 
-    /// `(nodes ever allocated, nodes free now)`. The arena never
-    /// shrinks, so the first is the range's peak population of queued
-    /// and in-flight packets.
+    /// `(nodes ever allocated, nodes free now)`. The arena holds queued
+    /// packets only and never shrinks, so the first is the range's peak
+    /// population of queued packets.
     pub fn arena_stats(&self) -> (u32, u32) {
         let mut free = 0;
         let mut cur = self.free_head;
@@ -272,7 +416,7 @@ impl LinkKernel {
             free += 1;
             cur = self.arena[cur as usize].next;
         }
-        (self.arena.len() as u32, free)
+        (self.arena.len() as u32 - 1, free)
     }
 
     // -----------------------------------------------------------------
@@ -293,82 +437,65 @@ impl LinkKernel {
         }
     }
 
+    /// Frees node `slot` and hands its packet out.
     #[inline]
-    fn free(&mut self, slot: u32) {
-        self.arena[slot as usize].next = self.free_head;
+    fn take(&mut self, slot: u32) -> Packet {
+        let node = &mut self.arena[slot as usize];
+        node.next = self.free_head;
         self.free_head = slot;
+        node.pkt
     }
 
-    /// Index of the class FIFO node `slot`'s packet belongs to on `li`.
-    #[inline]
-    fn fifo_of(&self, li: usize, slot: u32) -> usize {
-        let class = self.arena[slot as usize].pkt.priority as usize;
-        debug_assert!(class < MAX_PRIORITY_CLASSES);
-        li * MAX_PRIORITY_CLASSES + class
-    }
-
-    #[inline]
-    fn grew(&mut self, li: usize, idx: usize) {
-        self.fifo_len[idx] += 1;
-        self.class_mask[li] |= 1 << (idx % MAX_PRIORITY_CLASSES);
+    /// Links node `slot` at the tail of class `class`'s FIFO on `li`:
+    /// behind the old tail, which is [`SINK`] when the FIFO was empty.
+    #[inline(always)]
+    fn link_back(&mut self, li: usize, class: usize, slot: u32) {
+        let class = class_index(class);
+        let at = class_at(class);
+        let rec = self.fifos.get_mut(li);
+        self.arena[rec[at + TAIL] as usize].next = slot;
+        rec[at + HEAD] = select_unpredictable(rec[at + LEN] == 0, slot, rec[at + HEAD]);
+        rec[at + TAIL] = slot;
+        grew(rec, class);
         bit_set(&mut self.backlog, li);
         self.queued += 1;
     }
 
-    #[inline]
-    fn shrank(&mut self, li: usize, idx: usize) {
-        self.fifo_len[idx] -= 1;
-        if self.fifo_len[idx] == 0 {
-            self.class_mask[li] &= !(1 << (idx % MAX_PRIORITY_CLASSES));
-            if self.class_mask[li] == 0 {
-                bit_clear(&mut self.backlog, li);
-            }
-        }
-        self.queued -= 1;
-    }
-
-    /// Links node `slot` at the tail of its class FIFO.
-    #[inline]
-    fn link_back(&mut self, li: usize, slot: u32) {
-        let idx = self.fifo_of(li, slot);
-        if self.fifo_len[idx] > 0 {
-            self.arena[self.fifo_tail[idx] as usize].next = slot;
-        } else {
-            self.fifo_head[idx] = slot;
-        }
-        self.fifo_tail[idx] = slot;
-        self.grew(li, idx);
-    }
-
-    /// Links node `slot` — an interrupted transmission — at the *head*
-    /// of its class FIFO, so it resumes first after repair.
-    /// Deliberately not subject to the capacity bound: the packet was
-    /// admitted to this queue once, and a full queue may hold
+    /// Links node `slot` — an interrupted transmission of class `class` —
+    /// at the *head* of its class FIFO, so it resumes first after
+    /// repair. Deliberately not subject to the capacity bound: the packet
+    /// was admitted to this queue once, and a full queue may hold
     /// `capacity + 1` packets after a requeue — bounded, because a link
     /// has one packet in service.
-    fn link_front(&mut self, li: usize, slot: u32) {
-        let idx = self.fifo_of(li, slot);
-        if self.fifo_len[idx] > 0 {
-            self.arena[slot as usize].next = self.fifo_head[idx];
+    fn link_front(&mut self, li: usize, class: usize, slot: u32) {
+        let class = class_index(class);
+        let at = class_at(class);
+        let rec = self.fifos.get_mut(li);
+        if rec[at + LEN] > 0 {
+            self.arena[slot as usize].next = rec[at + HEAD];
         } else {
-            self.fifo_tail[idx] = slot;
+            rec[at + TAIL] = slot;
         }
-        self.fifo_head[idx] = slot;
-        self.grew(li, idx);
+        rec[at + HEAD] = slot;
+        grew(rec, class);
+        bit_set(&mut self.backlog, li);
+        self.queued += 1;
     }
 
     /// Unlinks the head of the lowest-numbered non-empty class:
     /// non-preemptive head-of-line priority, FIFO within a class.
     #[inline]
     fn unlink_head(&mut self, li: usize) -> Option<u32> {
-        let mask = self.class_mask[li];
-        if mask == 0 {
+        let rec = self.fifos.get_mut(li);
+        if rec[MASK] == 0 {
             return None;
         }
-        let idx = li * MAX_PRIORITY_CLASSES + mask.trailing_zeros() as usize;
-        let slot = self.fifo_head[idx];
-        self.fifo_head[idx] = self.arena[slot as usize].next;
-        self.shrank(li, idx);
+        let class = class_index(rec[MASK].trailing_zeros() as usize);
+        let at = class_at(class);
+        let slot = rec[at + HEAD];
+        rec[at + HEAD] = self.arena[slot as usize].next;
+        bit_clear_if(&mut self.backlog, li, shrank(rec, class));
+        self.queued -= 1;
         Some(slot)
     }
 
@@ -376,27 +503,22 @@ impl LinkKernel {
     /// strictly below `than`'s, if any: the newest packet of the least
     /// important backlog makes room for a more important arrival.
     fn unlink_lower_tail(&mut self, li: usize, than: u8) -> Option<u32> {
+        let rec = self.fifos.get_mut(li);
         let class = (than as usize + 1..MAX_PRIORITY_CLASSES)
             .rev()
-            .find(|&c| self.class_mask[li] & (1 << c) != 0)?;
-        let idx = li * MAX_PRIORITY_CLASSES + class;
-        let tail = self.fifo_tail[idx];
+            .find(|&c| rec[MASK] & (1 << c) != 0)?;
+        let at = class_at(class);
+        let tail = rec[at + TAIL];
         // Singly linked: walk to the tail's predecessor. Bounded queues
         // are short, and only they evict.
-        let mut cur = self.fifo_head[idx];
+        let mut cur = rec[at + HEAD];
         while cur != tail {
-            self.fifo_tail[idx] = cur;
+            rec[at + TAIL] = cur;
             cur = self.arena[cur as usize].next;
         }
-        self.shrank(li, idx);
+        bit_clear_if(&mut self.backlog, li, shrank(rec, class));
+        self.queued -= 1;
         Some(tail)
-    }
-
-    /// Frees node `slot` and hands its packet out.
-    #[inline]
-    fn take(&mut self, slot: u32) -> Packet {
-        self.free(slot);
-        self.arena[slot as usize].pkt
     }
 
     // -----------------------------------------------------------------
@@ -433,7 +555,7 @@ impl LinkKernel {
             }
         }
         let slot = self.alloc(pkt);
-        self.link_back(li, slot);
+        self.link_back(li, pkt.priority as usize, slot);
         outcome
     }
 
@@ -456,7 +578,7 @@ impl LinkKernel {
         }
         pkt.enqueue_time = now;
         let slot = self.alloc(pkt);
-        self.link_back(li, slot);
+        self.link_back(li, pkt.priority as usize, slot);
         Admit::Queued
     }
 
@@ -472,11 +594,16 @@ impl LinkKernel {
         let drop = matches!(self.dead_policy, DeadLinkPolicy::Drop);
         if bit_get(&self.busy, li) {
             bit_clear(&mut self.busy, li);
-            let slot = self.flight_node[li];
+            let at = self
+                .flights
+                .binary_search_by_key(&link, |f| f.link)
+                .expect("a busy link has a flight");
+            let pkt = self.flights.remove(at).pkt;
             if drop {
-                lost.push(self.take(slot));
+                lost.push(pkt);
             } else {
-                self.link_front(li, slot);
+                let slot = self.alloc(pkt);
+                self.link_front(li, pkt.priority as usize, slot);
             }
         }
         if drop {
@@ -496,64 +623,93 @@ impl LinkKernel {
     /// [`LinkKernel::next_finished`].
     #[inline]
     pub fn finish_scan(&self) -> FinishScan {
-        FinishScan {
-            word: 0,
-            mask: self.busy.first().copied().unwrap_or(0),
-        }
+        FinishScan { read: 0, carry: 0 }
     }
 
     /// Takes the next transmission completing at slot `t` off its link.
     /// Called until `None` on one [`LinkKernel::finish_scan`], it yields
-    /// the slot's deliveries in ascending link order. The packet is
-    /// lent from its arena node, which the next admission may reuse:
-    /// copy it to keep it. The caller may [`LinkKernel::admit`] between
-    /// calls (a delivery's forwards never make a link busy) but not
-    /// [`LinkKernel::start`].
+    /// the slot's deliveries in ascending link order; a scan once begun
+    /// must reach `None` before the next [`LinkKernel::start`] or
+    /// [`LinkKernel::kill`]. The packet is lent from the in-flight list,
+    /// which the next call may overwrite: copy it to keep it. The caller
+    /// may [`LinkKernel::admit`] between calls (a delivery's forwards
+    /// never make a link busy).
     #[inline(always)]
     pub fn next_finished(&mut self, scan: &mut FinishScan, t: u64) -> Option<(u32, &Packet)> {
-        loop {
-            while scan.mask == 0 {
-                scan.word += 1;
-                if scan.word >= self.busy.len() {
-                    return None;
-                }
-                scan.mask = self.busy[scan.word];
+        while scan.read < self.flights.len() {
+            let at = scan.read;
+            scan.read += 1;
+            let f = &self.flights[at];
+            if f.finish == t as u32 {
+                let li = self.local(f.link);
+                bit_clear(&mut self.busy, li);
+                let f = &self.flights[at];
+                return Some((f.link, &f.pkt));
             }
-            let b = scan.mask.trailing_zeros() as usize;
-            scan.mask &= scan.mask - 1;
-            let li = (scan.word << 6) | b;
-            if self.flight_finish[li] == t {
-                self.busy[scan.word] &= !(1u64 << b);
-                let slot = self.flight_node[li];
-                self.free(slot);
-                return Some((self.lo + li as u32, &self.arena[slot as usize].pkt));
-            }
+            // Still transmitting: carried over, in order, for `start`.
+            self.flights[scan.carry] = self.flights[at];
+            scan.carry += 1;
         }
+        self.flights.truncate(scan.carry);
+        None
     }
 
     /// Starts service on every backlogged, idle, alive link, in
     /// ascending link order: the head-of-line packet leaves the queue
-    /// (not the arena), is counted by the one
+    /// and the arena for the in-flight list, is counted by the one
     /// [`LinkCounters::service_start`], and occupies the link until slot
     /// `t + len`. `faulted` says whether
     /// any fault is live anywhere (it feeds the fault-epoch waits);
     /// `each` sees every `(link, packet)` as it starts.
     #[inline(always)]
     pub fn start(&mut self, t: u64, faulted: bool, mut each: impl FnMut(u32, &Packet)) {
+        // The new in-flight list: the flights carried over from the
+        // finish scan merged with this slot's starts, both ascending.
+        // With nothing carried over, the starts go straight into it.
+        if self.flights.capacity() == 0 {
+            // Room for a flight on every link, reserved once: a list
+            // grown by doubling beside the arena leaves its old copies in
+            // the heap. Not in `new`, which allocates only small blocks
+            // (see `FifoRecords`).
+            self.flights.reserve_exact(self.n_links());
+        }
+        let carry = !self.flights.is_empty();
+        let mut flights = if carry {
+            std::mem::take(&mut self.merged)
+        } else {
+            std::mem::take(&mut self.flights)
+        };
+        let mut carried = 0;
         for w in 0..self.backlog.len() {
             let mut m = self.backlog[w] & !self.busy[w] & self.alive[w];
             while m != 0 {
                 let b = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let li = (w << 6) | b;
+                let link = self.lo + li as u32;
+                while carried < self.flights.len() && self.flights[carried].link < link {
+                    flights.push(self.flights[carried]);
+                    carried += 1;
+                }
                 let slot = self.unlink_head(li).expect("backlogged link has a packet");
-                let pkt = &self.arena[slot as usize].pkt;
-                each(self.lo + li as u32, pkt);
-                self.counters.service_start(li, pkt, t, faulted);
-                self.flight_node[li] = slot;
-                self.flight_finish[li] = t + pkt.len as u64;
+                flights.push(Flight {
+                    link,
+                    finish: 0,
+                    pkt: self.take(slot),
+                });
+                let f = flights.last_mut().expect("just pushed");
+                f.finish = (t + u64::from(f.pkt.len)) as u32;
+                each(link, &f.pkt);
+                self.counters.service_start(li, &f.pkt, t, faulted);
                 self.busy[w] |= 1u64 << b;
             }
+        }
+        if carry {
+            flights.extend_from_slice(&self.flights[carried..]);
+            self.flights.clear();
+            self.merged = std::mem::replace(&mut self.flights, flights);
+        } else {
+            self.flights = flights;
         }
     }
 }
@@ -561,8 +717,6 @@ impl LinkKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketKind;
-    use pstar_topology::NodeId;
 
     fn pkt(priority: u8, task: u32) -> Packet {
         Packet {
@@ -707,6 +861,55 @@ mod tests {
         assert_eq!(finished(&mut k, 3), [(163, 99)]);
         assert_eq!(k.max_qlen(), 5);
         assert_eq!(k.class_len(199, 0), 5);
+    }
+
+    #[test]
+    fn carried_flights_merge_with_new_starts_across_record_blocks() {
+        // Local links 127 | 128 and 255 | 256 sit in different record
+        // blocks; the range starts at a nonzero global id.
+        let cfg = SimConfig::quick(5);
+        let mut k = kernel(&cfg, 1000, 1300, DeadLinkPolicy::Requeue);
+        let long = |task, len| Packet {
+            len,
+            ..pkt(0, task)
+        };
+        for (link, task, len) in [
+            (1127, 1, 3),
+            (1128, 2, 1),
+            (1256, 3, 2),
+            (1255, 7, 1),
+            (1127, 4, 1),
+            (1128, 5, 1),
+            (1256, 6, 1),
+        ] {
+            assert!(matches!(k.admit(link, long(task, len)), Admit::Queued));
+        }
+        let mut started = Vec::new();
+        k.start(0, false, |link, p| started.push((link, p.task)));
+        assert_eq!(started, [(1127, 1), (1128, 2), (1255, 7), (1256, 3)]);
+        assert_eq!(finished(&mut k, 1), [(1128, 2), (1255, 7)]);
+        // 1127 and 1256 are still transmitting; 1128 starts between them.
+        k.start(1, false, |_, _| {});
+        assert_eq!(finished(&mut k, 2), [(1128, 5), (1256, 3)]);
+        k.start(2, false, |_, _| {});
+        // Between two slots 1127 dies and is repaired: its carried-over
+        // flight returns to the head of its queue and starts afresh.
+        let mut lost = Vec::new();
+        k.kill(1127, &mut lost);
+        k.revive(1127);
+        assert!(lost.is_empty() && !k.is_busy(1127) && k.qlen(1127) == 2);
+        assert_eq!(finished(&mut k, 3), [(1256, 6)]);
+        k.start(3, false, |_, _| {});
+        for t in 4..6 {
+            assert_eq!(finished(&mut k, t), []);
+            k.start(t, false, |_, _| panic!("1127 is busy"));
+        }
+        assert_eq!(finished(&mut k, 6), [(1127, 1)]);
+        k.start(6, false, |_, _| {});
+        assert_eq!(finished(&mut k, 7), [(1127, 4)]);
+        assert!(k.is_idle());
+        let (nodes, free) = k.arena_stats();
+        assert_eq!(nodes, free, "the arena holds queued packets only");
     }
 
     #[test]

@@ -319,8 +319,8 @@ pub struct SimReport {
     /// [`crate::SimConfig::profile_by_distance`] is set). Entry 0 is
     /// unused (the source does not receive).
     pub delay_by_distance: Vec<Summary>,
-    /// `(slot, total queued packets)` samples, when
-    /// [`crate::SimConfig::trace_interval`] is set (empty otherwise).
+    /// `(slot, total queued packets)` samples, at the slots
+    /// [`crate::SimConfig::queue_sampled_at`] names (none by default).
     /// Bounded queues ⇔ stability; linear growth ⇔ offered load above the
     /// scheme's sustainable throughput (§2).
     pub queue_trace: Vec<(u64, u64)>,

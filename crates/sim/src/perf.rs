@@ -131,8 +131,9 @@ pub struct EnginePerf {
     pub boundary_packets: u64,
     /// Messages fed through the coordinator's k-way merge.
     pub merged_msgs: u64,
-    /// Per-shard packet-arena high-water marks (the arena never
-    /// shrinks, so its final length *is* the peak occupancy).
+    /// Per-shard packet-arena high-water marks: the peak of *queued*
+    /// packets (in-flight ones leave the arena at service start, and the
+    /// arena never shrinks, so its final length is that peak).
     pub arena_slots: Vec<u32>,
     /// Per-shard free-list length at run end (arena slots allocated at
     /// peak but idle at the end).
@@ -269,7 +270,7 @@ impl CoordHooks {
     pub(crate) fn end_of_slot(&mut self, t: u64) {
         self.slots_ctr.inc();
         if let Some(sink) = self.sink.as_mut() {
-            if (t - self.t0) % self.sample_every == 0 {
+            if (t - self.t0).is_multiple_of(self.sample_every) {
                 let _ = sink.sample(t, &self.registry);
             }
         }

@@ -507,11 +507,9 @@ impl<S: Scheme> Coordinator<S> {
             self.faults = Some(clock);
         }
 
-        if let Some(k) = self.cfg.trace_interval {
-            if t % k == 0 {
-                self.queue_trace
-                    .push((t, (self.queued_end as i64 + fault_qdelta) as u64));
-            }
+        if self.cfg.queue_sampled_at(t) {
+            self.queue_trace
+                .push((t, (self.queued_end as i64 + fault_qdelta) as u64));
         }
 
         for m in &msgs[split..] {

@@ -61,7 +61,7 @@ impl std::fmt::Display for NodeId {
 /// `n/4` for even `n` and `(n² − 1) / (4n)` for odd `n`.
 pub fn exact_avg_ring_distance(n: u32) -> f64 {
     let nf = n as f64;
-    if n % 2 == 0 {
+    if n.is_multiple_of(2) {
         nf / 4.0
     } else {
         (nf * nf - 1.0) / (4.0 * nf)

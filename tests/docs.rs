@@ -255,3 +255,61 @@ fn checker_flags_deleted_paths_and_skips_outputs() {
         ]
     );
 }
+
+/// The first PR whose CHANGES.md entry is held to [`CHANGES_ENTRY_CAP`].
+const CAPPED_FROM_PR: u32 = 26;
+
+/// Bytes a CHANGES.md entry may take (ROADMAP item 8): what changed,
+/// what was deleted, which digests moved, and the claimed numbers.
+const CHANGES_ENTRY_CAP: usize = 4096;
+
+/// `(PR number, bytes)` of every `- PR N:` entry of a CHANGES.md text:
+/// its line and every line under it up to the next one that starts at
+/// the margin, newlines counted.
+fn changes_entries(text: &str) -> Vec<(u32, usize)> {
+    let mut entries: Vec<(u32, usize)> = Vec::new();
+    let mut open = false;
+    for line in text.lines() {
+        let pr = line
+            .strip_prefix("- PR ")
+            .and_then(|rest| rest.split(':').next())
+            .and_then(|n| n.parse().ok());
+        if let Some(pr) = pr {
+            entries.push((pr, 0));
+            open = true;
+        } else if !line.is_empty() && !line.starts_with(char::is_whitespace) {
+            open = false;
+        }
+        if open {
+            entries.last_mut().expect("an open entry").1 += line.len() + 1;
+        }
+    }
+    entries
+}
+
+#[test]
+fn changes_entries_stay_under_the_cap() {
+    let text = std::fs::read_to_string(repo_root().join("CHANGES.md")).expect("CHANGES.md");
+    let over: Vec<String> = changes_entries(&text)
+        .into_iter()
+        .filter(|&(pr, bytes)| pr >= CAPPED_FROM_PR && bytes > CHANGES_ENTRY_CAP)
+        .map(|(pr, bytes)| format!("PR {pr}: {bytes} bytes"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "CHANGES.md entries over {CHANGES_ENTRY_CAP} bytes (run lists belong \
+         in the benchmark's records):\n{}",
+        over.join("\n")
+    );
+}
+
+#[test]
+fn changes_entries_span_their_indented_lines() {
+    let text = "# Changes\n\n- PR 7: one line\n- PR 26: head\n  - sub\n\n  - more\n\
+                ## Next\n- PR 27: x\ntrailing prose\n";
+    assert_eq!(
+        changes_entries(text),
+        [(7, 17), (26, 32), (27, 11)],
+        "an entry ends at the next line that starts at the margin"
+    );
+}

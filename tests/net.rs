@@ -1033,9 +1033,13 @@ impl ReferenceLinks {
         Ok(())
     }
 
-    /// Lengths and the backlog / busy / alive sets agree link by link.
+    /// Lengths and the backlog / busy / alive sets agree link by link,
+    /// and nothing is lost between them: the kernel's arena holds
+    /// exactly its queued packets, and exactly the reference's
+    /// transmissions are in flight.
     fn assert_same_state(&self, kernel: &LinkKernel) -> Result<(), TestCaseError> {
         let mut queued = 0;
+        let mut in_flight = 0;
         for l in &self.links {
             prop_assert_eq!(kernel.qlen(l.id), l.queue.len(), "len of link {}", l.id);
             for class in 0..4 {
@@ -1045,8 +1049,15 @@ impl ReferenceLinks {
             prop_assert_eq!(kernel.is_busy(l.id), l.in_flight.is_some());
             prop_assert_eq!(kernel.is_alive(l.id), l.alive);
             queued += l.queue.len() as u64;
+            in_flight += usize::from(l.in_flight.is_some());
         }
         prop_assert_eq!(kernel.queued(), queued);
+        let (nodes, free) = kernel.arena_stats();
+        prop_assert_eq!(u64::from(nodes - free), queued, "live arena nodes");
+        let busy = (KERNEL_LO..KERNEL_LO + 70)
+            .filter(|&l| kernel.is_busy(l))
+            .count();
+        prop_assert_eq!(busy, in_flight, "busy links");
         Ok(())
     }
 }
@@ -1062,10 +1073,13 @@ proptest! {
     /// `LinkKernel` against one `PriorityQueue` + in-flight register per
     /// link and the decisions the engines used to spell out themselves,
     /// over random admits, slots, link deaths, repairs and re-admissions.
+    /// Packets last one to three slots, so transmissions outlive slots
+    /// and interleave with new ones, and a busy link may die and be
+    /// repaired between two slots.
     #[test]
     fn priority_queue_fifo_per_class_and_no_class0_starvation(
         ops in prop::collection::vec((any::<bool>(), 0u8..4), 1..200),
-        kernel_ops in prop::collection::vec((0u8..8, 0usize..7, 0u8..4), 1..300),
+        kernel_ops in prop::collection::vec((0u8..9, 0usize..7, 0u8..4, 1u16..=3), 1..300),
         requeue in any::<bool>(),
         capacity in 0u32..4,
         full_policy in 0u8..3,
@@ -1115,10 +1129,9 @@ proptest! {
         kernel.set_dead_link_policy(policy);
         let mut lost = Vec::new();
         let mut t = 0u64;
-        for (i, (op, link, class)) in kernel_ops.into_iter().enumerate() {
-            let link = KERNEL_LINKS[link];
-            // Every other packet occupies its link for two slots.
-            let pkt = Packet { len: 1 + (i % 2) as u16, ..packet(i as u32, class) };
+        for (i, (op, at, class, len)) in kernel_ops.into_iter().enumerate() {
+            let link = KERNEL_LINKS[at];
+            let pkt = Packet { len, ..packet(i as u32, class) };
             match op {
                 0..=2 => prop_assert_eq!(outcome(kernel.admit(link, pkt)), reference.admit(link, pkt)),
                 3 | 4 => {
@@ -1134,6 +1147,21 @@ proptest! {
                 6 => {
                     kernel.revive(link);
                     reference.at(link).alive = true;
+                }
+                7 => {
+                    // The first busy link from `at` on dies and is
+                    // repaired before the next slot.
+                    let busy = (0..KERNEL_LINKS.len())
+                        .map(|k| KERNEL_LINKS[(at + k) % KERNEL_LINKS.len()])
+                        .find(|&l| kernel.is_busy(l));
+                    if let Some(link) = busy {
+                        lost.clear();
+                        kernel.kill(link, &mut lost);
+                        let got: Vec<u32> = lost.iter().map(|p| p.task).collect();
+                        prop_assert_eq!(got, reference.kill(link));
+                        kernel.revive(link);
+                        reference.at(link).alive = true;
+                    }
                 }
                 _ => prop_assert_eq!(
                     outcome(kernel.readmit(link, pkt, t)),

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{assert_reports_match, cross_backend_agree, Backend};
+use common::{assert_reports_match, cross_backend_agree, run_backend, Backend};
 use priority_star::prelude::*;
 use pstar_sim::{
     BroadcastState, DeadLinkPolicy, Emit, FaultEvent, FaultKind, FaultPlan, LivenessView, Scheme,
@@ -60,6 +60,37 @@ fn outage_plan(topo: &Torus) -> FaultPlan {
             kind: FaultKind::LinkUp(LinkId(links - 2)),
         },
     ])
+}
+
+/// `trace_interval: Some(0)` samples nothing, exactly like `None`, on
+/// every backend: zero is never used as the sampling divisor.
+#[test]
+fn zero_trace_interval_samples_nothing_on_every_backend() {
+    let topo = Torus::new(&[4, 4]);
+    let spec = ScenarioSpec::default();
+    let off = SimConfig {
+        warmup_slots: 200,
+        measure_slots: 800,
+        ..SimConfig::quick(7)
+    };
+    let zero = SimConfig {
+        trace_interval: Some(0),
+        ..off
+    };
+    for backend in [
+        Backend::Serial,
+        Backend::Sharded {
+            shards: 2,
+            threads: 2,
+        },
+        Backend::NetVirtual { workers: 2 },
+    ] {
+        let label = backend.label();
+        let rep = run_backend(&topo, &spec, zero, backend, None);
+        assert!(rep.queue_trace.is_empty(), "{label}: sampled at Some(0)");
+        let none = run_backend(&topo, &spec, off, backend, None);
+        assert_eq!(none.first_difference(&rep), None, "{label}");
+    }
 }
 
 /// Healthy runs: every scheme × ρ ∈ {0.5, 0.9} × shard counts
