@@ -21,7 +21,10 @@ pub struct CustomArgs {
 
 /// Parses the argument list following `custom`.
 ///
-/// Returns `Err(message)` on malformed input so `main` can print usage.
+/// Returns `Err(message)` on malformed or out-of-range input so `main`
+/// can print usage: these values come from outside the program, and
+/// every one the simulator would refuse with a panic, or turn into an
+/// unbounded arrival rate, is refused here.
 pub fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
     let mut dims = vec![8, 8];
     let mut spec = ScenarioSpec::default();
@@ -78,6 +81,34 @@ pub fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
             other => return Err(format!("unknown custom option `{other}`")),
         }
     }
+    if dims.is_empty() || dims.iter().any(|&k| k < 2) {
+        return Err(format!("every extent of --dims must be >= 2, got {dims:?}"));
+    }
+    let nodes: u64 = dims.iter().map(|&k| u64::from(k)).product();
+    if nodes > u64::from(u32::MAX) {
+        return Err(format!("--dims {dims:?} has more than 2^32 - 1 nodes"));
+    }
+    if let SourceDistribution::HotSpot { node, weight } = spec.sources {
+        if u64::from(node) >= nodes {
+            return Err(format!(
+                "hot-spot node {node} is not below the node count {nodes}"
+            ));
+        }
+        if !(weight >= 0.0 && weight.is_finite()) {
+            return Err(format!(
+                "hot-spot weight must be finite and >= 0, got {weight}"
+            ));
+        }
+    }
+    if !(spec.rho >= 0.0 && spec.rho.is_finite()) {
+        return Err(format!("--rho must be finite and >= 0, got {}", spec.rho));
+    }
+    if !(0.0..=1.0).contains(&spec.broadcast_load_fraction) {
+        return Err(format!(
+            "--broadcast-fraction must lie in [0, 1], got {}",
+            spec.broadcast_load_fraction
+        ));
+    }
     Ok(CustomArgs {
         dims,
         spec,
@@ -85,24 +116,34 @@ pub fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
     })
 }
 
+/// Parses a length law; every length it can draw is at least one slot.
 fn parse_lengths(v: &str) -> Result<WorkloadSpec, String> {
-    if let Some(rest) = v.strip_prefix("fixed:") {
-        Ok(WorkloadSpec::Fixed(
-            rest.parse().map_err(|e| format!("bad length: {e}"))?,
-        ))
+    let law = if let Some(rest) = v.strip_prefix("fixed:") {
+        WorkloadSpec::Fixed(rest.parse().map_err(|e| format!("bad length: {e}"))?)
     } else if let Some(rest) = v.strip_prefix("geometric:") {
-        Ok(WorkloadSpec::Geometric(
-            rest.parse().map_err(|e| format!("bad mean: {e}"))?,
-        ))
+        WorkloadSpec::Geometric(rest.parse().map_err(|e| format!("bad mean: {e}"))?)
     } else if let Some(rest) = v.strip_prefix("uniform:") {
         let (a, b) = rest.split_once(':').ok_or("uniform format is MIN:MAX")?;
-        Ok(WorkloadSpec::Uniform(
+        WorkloadSpec::Uniform(
             a.parse().map_err(|e| format!("bad min: {e}"))?,
             b.parse().map_err(|e| format!("bad max: {e}"))?,
-        ))
+        )
+    } else {
+        return Err(format!(
+            "unknown length law `{v}` (fixed:L | geometric:M | uniform:A:B)"
+        ));
+    };
+    let valid = match law {
+        WorkloadSpec::Fixed(l) => l >= 1,
+        WorkloadSpec::Geometric(mean) => mean >= 1.0 && mean.is_finite(),
+        WorkloadSpec::Uniform(min, max) => 1 <= min && min <= max,
+    };
+    if valid {
+        Ok(law)
     } else {
         Err(format!(
-            "unknown length law `{v}` (fixed:L | geometric:M | uniform:A:B)"
+            "length law `{v}` must draw lengths >= 1 (fixed:L >= 1, geometric:M >= 1, \
+             uniform:A:B with 1 <= A <= B)"
         ))
     }
 }
@@ -202,6 +243,29 @@ mod tests {
         assert!(parse_args(&strs(&["--scheme", "nope"])).is_err());
         assert!(parse_args(&strs(&["--frobnicate"])).is_err());
         assert!(parse_args(&strs(&["--rho"])).is_err());
+        // Out-of-range values from the command line are refused, not run
+        // into an assert or an unbounded arrival rate.
+        for bad in [
+            &["--hotspot", "99:8", "--dims", "4,4"][..],
+            &["--hotspot", "3:-1"],
+            &["--lengths", "fixed:0"],
+            &["--lengths", "uniform:5:1"],
+            &["--lengths", "uniform:0:3"],
+            &["--lengths", "geometric:0"],
+            &["--lengths", "geometric:inf"],
+            &["--rho", "inf"],
+            &["--rho", "-1"],
+            &["--rho", "nan"],
+            &["--broadcast-fraction", "2"],
+            &["--broadcast-fraction", "nan"],
+            &["--dims", "4,0"],
+            &["--dims", "1"],
+            &["--dims", "65536,65536"],
+        ] {
+            let err = parse_args(&strs(bad)).expect_err(&format!("{bad:?} must be refused"));
+            assert!(!err.is_empty());
+        }
+        assert!(parse_args(&strs(&["--hotspot", "15:8", "--dims", "4,4"])).is_ok());
     }
 
     #[test]

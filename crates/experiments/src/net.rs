@@ -20,8 +20,8 @@
 //!
 //! Under `--smoke` the run is the CI gate for the runtime: the two
 //! backends must report the same run, **every field bit for bit**, for
-//! every arm (the injector mirrors the engine's RNG draw order and
-//! accounting is order-free, so any divergence is a bug, not noise), and
+//! every arm (both draw their tasks with the one injector and account
+//! order-free, so any divergence is a bug, not noise), and
 //! priority STAR must beat FCFS-direct on p99 reception delay at
 //! ρ = 0.9 *on the real runtime* — the paper's discipline surviving an
 //! actual concurrent harness, not just the simulator.

@@ -22,10 +22,6 @@ use std::fmt;
 /// thread is spawned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetConfigError {
-    /// `FullQueuePolicy::Backpressure` with a finite queue capacity:
-    /// deferral needs a global injection gate, which distributed
-    /// injection does not have.
-    Backpressure,
     /// The scheme declares more priority classes than the packet format
     /// carries.
     TooManyPriorityClasses {
@@ -45,11 +41,6 @@ pub enum NetConfigError {
 impl fmt::Display for NetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Backpressure => write!(
-                f,
-                "pstar-net does not support FullQueuePolicy::Backpressure \
-                 (injection is distributed; there is no global source gate)"
-            ),
             Self::TooManyPriorityClasses { requested, max } => write!(
                 f,
                 "scheme uses {requested} priority classes; the packet format carries at most {max}"
@@ -257,7 +248,7 @@ mod tests {
         assert!(s.contains("worker 0 @ slot 10 (phase-b)"));
         assert!(s.contains("worker 1 @ slot 9 (phase-a)"));
         assert!(s.contains("worker 2 @ slot 10 (rendezvous)"));
-        let c: NetError = NetConfigError::Backpressure.into();
-        assert!(c.to_string().contains("Backpressure"));
+        let c: NetError = NetConfigError::LinksNotNodeContiguous.into();
+        assert!(c.to_string().contains("node-contiguous"));
     }
 }

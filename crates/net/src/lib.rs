@@ -17,19 +17,22 @@
 //!
 //! ## The contract
 //!
-//! A global injector on worker 0 mirrors the engine's RNG draw order,
-//! workers deliver in the engine's ascending-link order, and every
-//! statistic is one of `pstar_sim::TaskLedger`'s order-free integer
-//! sums. So for a workload without unicast traffic (the paper's
-//! random-broadcasting model and the default `ScenarioSpec`) a run
-//! reports what the simulator reports for the same seed, **bit for bit
-//! and field for field, at any worker count** —
-//! `SimReport::first_difference` is `None` — under fault plans, bounded
-//! queues (`DropTail`, `DropLowestClass`), admission control, ARQ and
-//! truncated runs alike. Unicast forwarding draws tie-break randomness
-//! mid-slot, which the engine interleaves with arrival draws and the
-//! workers take from per-worker streams: workloads with unicast traffic
-//! agree statistically, not draw-for-draw.
+//! Worker 0 draws every task with the engine's own injector
+//! (`pstar_sim::Injector`), every worker applies the engine's hop rules
+//! (`pstar_sim::Hop`) — a task waiting at its source under backpressure
+//! included, since a source's out-links belong to one worker — workers
+//! deliver in the engine's ascending-link order, and every statistic is
+//! one of `pstar_sim::TaskLedger`'s order-free integer sums. So for a
+//! workload without unicast traffic (the paper's random-broadcasting
+//! model and the default `ScenarioSpec`) a run reports what the
+//! simulator reports for the same seed, **bit for bit and field for
+//! field, at any worker count** — `SimReport::first_difference` is
+//! `None` — under fault plans, bounded queues under every full-queue
+//! policy, admission control, ARQ and truncated runs alike. Unicast
+//! forwarding draws tie-break randomness mid-slot, which the engine
+//! interleaves with arrival draws and the workers take from per-worker
+//! streams: workloads with unicast traffic agree statistically, not
+//! draw-for-draw.
 //!
 //! ## Faults and supervised shutdown
 //!
@@ -48,19 +51,11 @@
 //! [`NetError::BarrierTimeout`] with per-worker positions, and
 //! [`ChaosConfig`] injects exactly these failures deterministically for
 //! testing.
-//!
-//! ## Known, documented deviations from the engine
-//!
-//! * `FullQueuePolicy::Backpressure` is unsupported (rejected as
-//!   [`NetConfigError::Backpressure`]): deferral needs a global
-//!   injection gate, which distributed injection does not have.
-//!   `DropTail` and `DropLowestClass` are supported exactly.
 
 #![warn(missing_docs)]
 
 mod channel;
 mod error;
-mod inject;
 mod runtime;
 mod stats;
 

@@ -19,29 +19,30 @@
 //! *process*:
 //!
 //! * **Send** — each worker moves the deliveries finishing at `t` off
-//!   its links into the outbox of the target node's owner, and traffic
-//!   is injected (worker 0 runs the global
-//!   [`crate::inject::VirtualInjector`] straight into the source
-//!   owners' outboxes). Each non-empty outbox — the control messages slot
-//!   `t − 1` produced, slot `t`'s deliveries and slot `t`'s injections —
-//!   then goes to its peer in one hand-over, into the pair's mailbox of
-//!   parity `t % 2`.
+//!   its links into the outbox of the target node's owner, and worker 0
+//!   draws the slot's tasks with the one [`pstar_sim::Injector`]
+//!   straight into the source owners' outboxes. Each non-empty outbox —
+//!   the control messages slot `t − 1` produced, slot `t`'s deliveries
+//!   and slot `t`'s tasks — then goes to its peer in one hand-over, into
+//!   the pair's mailbox of parity `t % 2`.
 //! * **Rendezvous** — the one barrier of the slot. Its *last arriver*,
 //!   before it releases the others, decides slot `t − 1`: it totals the
-//!   per-worker gauge lines (queued packets, measured receptions still
-//!   due, the single-queue guard's flag) and settles completed /
+//!   per-worker gauge lines (queued packets, tasks waiting at their
+//!   sources, measured receptions still due, the single-queue guard's
+//!   flag) and settles completed /
 //!   horizon / unstable by the simulator's exact criteria. Everyone
 //!   leaves the rendezvous knowing both that slot `t`'s traffic is in
 //!   the mailboxes and whether slot `t` exists.
 //! * **Process** — each worker takes its peers' mailboxes of parity
 //!   `t % 2`, then handles control (acks/losses/registrations from slot
 //!   `t − 1`, each carrying the slot it happened in), then this slot's
-//!   deliveries in ascending link order
-//!   (applying scheme forwarding), then fires its due ARQ
-//!   retransmissions, then processes injections, and finally starts
-//!   service on idle owned links — the same deliveries →
-//!   retransmissions → arrivals → service order as one `Engine::step` —
-//!   and publishes its gauge line.
+//!   deliveries in ascending link order (applying scheme forwarding),
+//!   then fires its due ARQ retransmissions, then lets its sources'
+//!   tasks arrive ([`pstar_sim::Hop::arrive`]: the tasks waiting under
+//!   source backpressure retry, then the slot's), and finally starts
+//!   service on idle owned links — the same deliveries → retransmissions
+//!   → arrivals → service order as one `Engine::step` — and publishes its
+//!   gauge line.
 //!
 //! *Why one rendezvous is enough.* Mailbox `t % 2` is written before
 //! rendezvous `t` and read after it, and its next write (send of
@@ -71,17 +72,20 @@
 //! are one contiguous id range, so the senders' delivery runs — each
 //! ascending, a finish scan's order — concatenate into one ascending
 //! sequence. Every RNG is seeded from `SimConfig::seed`, and the
-//! injector consumes its RNG in the engine's exact draw order, which
-//! makes the task population identical to a simulator run of the same
-//! config. Every statistic is an order-free integer sum
+//! injector is the engine's, drawing every task in full at its arrival,
+//! which makes the task population identical to a simulator run of the
+//! same config whatever the queues hold. A source's out-links belong to
+//! one worker, so whether a task waits at its source under backpressure
+//! is decided where the engine decides it, against the same queues.
+//! Every statistic is an order-free integer sum
 //! (`pstar_sim::TaskLedger`), so on a run without unicast traffic the
 //! whole report equals the simulator's bit for bit at any worker count
 //! (`SimReport::first_difference` is `None`; `tests/net.rs`), under a
-//! [`FaultPlan`] ([`run_net_with_faults`]), bounded queues, admission
-//! control and ARQ included. Unicast forwarding still draws its tie
-//! coins from per-worker streams, so a run with unicast traffic is
-//! reproducible for a given `(seed, workers)` pair and agrees with the
-//! simulator statistically.
+//! [`FaultPlan`] ([`run_net_with_faults`]), bounded queues under every
+//! full-queue policy, admission control and ARQ included. Unicast
+//! forwarding still draws its tie coins from per-worker streams, so a run
+//! with unicast traffic is reproducible for a given `(seed, workers)`
+//! pair and agrees with the simulator statistically.
 //!
 //! # Runtime faults
 //!
@@ -131,9 +135,9 @@ use std::time::{Duration, Instant};
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceRecord, TraceSink};
 use pstar_sim::{
-    assemble, splitmix64, stop_verdict, Emit, FaultClock, FullQueuePolicy, Homes, Hop, HopCtx,
-    LinkCounters, LossCause, Packet, PacketKind, RunOutcome, Scheme, SimConfig, SimReport, Stop,
-    TaskLedger, TaskSlot, MAX_PRIORITY_CLASSES,
+    assemble, splitmix64, stop_verdict, FaultClock, Homes, Hop, HopCtx, InjectBatch, InjectMsg,
+    Injector, LinkCounters, LossCause, Packet, PacketKind, RunOutcome, Scheme, SimConfig,
+    SimReport, Stop, TaskLedger, TaskSlot, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
@@ -143,7 +147,6 @@ use rand::SeedableRng;
 
 use crate::channel::{spin_until, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
-use crate::inject::{InjectBatch, InjectMsg, VirtualInjector};
 use crate::stats::WorkerStats;
 
 /// Salt of the per-worker unicast-forwarding RNG streams.
@@ -154,8 +157,8 @@ const FWD_SEED_SALT: u64 = 0x5BF0_3635_0D52_A34F;
 /// names them (ROADMAP `[benchmark]` (c) lists both for release).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
-    /// Worker 0 runs a single global injector that mirrors the
-    /// simulator's RNG draw order, so both generate the same tasks.
+    /// Worker 0 draws every task with the simulator's injector, so both
+    /// generate the same tasks.
     #[default]
     Virtual,
 }
@@ -163,11 +166,9 @@ pub enum ClockMode {
 /// Configuration of one runtime execution.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// The simulation parameters (window, seed, ARQ, admission, …) —
-    /// the same struct the simulator runs from.
-    /// [`FullQueuePolicy::Backpressure`] is not supported (injection is
-    /// distributed; there is no global source gate) and is rejected as
-    /// [`NetConfigError::Backpressure`].
+    /// The simulation parameters (window, seed, ARQ, admission, bounded
+    /// queues, …) — the same struct the simulator runs from, every field
+    /// honoured as the simulator honours it.
     pub sim: SimConfig,
     /// Worker threads; `0` uses the machine's available parallelism.
     /// Clamped to the node count.
@@ -432,9 +433,13 @@ struct GaugeLine {
     /// The worker's balance of measured receptions
     /// (`TaskLedger::outstanding_measured`): plus a task's receptions
     /// where it is injected, minus one where a reception is delivered
-    /// or lost. One worker's balance may be negative; the sum over
-    /// workers is the number of measured receptions still due.
+    /// or lost — plus its measured tasks waiting at their sources. One
+    /// worker's balance may be negative; the sum over workers is zero
+    /// once nothing measured is still due.
     outstanding: AtomicI64,
+    /// Tasks waiting at the worker's sources under backpressure:
+    /// occupancy the fleet-wide guard counts beside `queued`.
+    deferred: AtomicI64,
     /// Set once the worker's single-queue divergence guard trips.
     unstable: AtomicBool,
 }
@@ -525,13 +530,26 @@ pub(crate) struct Batch {
     ctrl: Vec<CtrlMsg>,
     /// This slot's deliveries, ascending in link id (finish-scan order).
     data: Vec<DataMsg>,
-    /// This slot's injections.
-    pub(crate) inject: InjectBatch,
+    /// This slot's tasks at the receiver's sources (from worker 0).
+    inject: InjectBatch,
 }
 
 impl Batch {
     fn is_empty(&self) -> bool {
         self.ctrl.is_empty() && self.data.is_empty() && self.inject.is_empty()
+    }
+}
+
+/// The injector draws straight into the outboxes.
+impl std::borrow::Borrow<InjectBatch> for Batch {
+    fn borrow(&self) -> &InjectBatch {
+        &self.inject
+    }
+}
+
+impl std::borrow::BorrowMut<InjectBatch> for Batch {
+    fn borrow_mut(&mut self) -> &mut InjectBatch {
+        &mut self.inject
     }
 }
 
@@ -641,10 +659,12 @@ impl Shared {
     /// decided slot, the last included.
     fn decide(&self, slot: u64) {
         let total = self.total_queued();
-        let (mut pre_service, mut outstanding, mut tripped) = (0i64, 0i64, false);
+        let (mut pre_service, mut outstanding, mut deferred) = (0i64, 0i64, 0i64);
+        let mut tripped = false;
         for g in &self.gauges {
             pre_service += g.pre_service.load(Ordering::Relaxed);
             outstanding += g.outstanding.load(Ordering::Relaxed);
+            deferred += g.deferred.load(Ordering::Relaxed);
             tripped |= g.unstable.load(Ordering::Relaxed);
         }
         if pre_service > self.tally.peak.load(Ordering::Relaxed) {
@@ -658,7 +678,7 @@ impl Shared {
             &self.sim,
             slot + 1,
             outstanding as u64,
-            total,
+            total + deferred,
             self.queue_limit,
             || tripped,
         );
@@ -830,6 +850,31 @@ impl Homes for Books<'_> {
         &mut self.stats.tasks
     }
 
+    /// Counted here, the source's owner, at injection: the task's
+    /// receptions are due from this slot on, wherever its home is. A
+    /// broadcast's home is this worker; a unicast's is its destination's
+    /// owner, which a `Register` tells.
+    fn open(&mut self, t: u64, msg: &InjectMsg) -> u32 {
+        let broadcast = msg.dest.is_none();
+        self.stats.tasks.opened(t, broadcast, msg.measured);
+        match msg.dest {
+            None => {
+                let receivers = self.shared.node_owner.len() as u32 - 1;
+                let slot = TaskSlot::new(msg.gen_time, true, receivers, msg.measured);
+                self.register(msg.task, slot);
+            }
+            Some(dest) => {
+                let register = CtrlMsg::Register {
+                    task: msg.task,
+                    gen_time: msg.gen_time,
+                    measured: msg.measured,
+                };
+                self.tell(self.owner_of(dest), register);
+            }
+        }
+        msg.task
+    }
+
     #[inline]
     fn broadcast_received(&mut self, t: u64, pkt: &Packet, dist: impl FnOnce() -> u32) {
         if self.shared.sim.in_window(pkt.gen_time) {
@@ -892,8 +937,8 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// fault-clock replica and trace track.
     hop: Hop<SS>,
     books: Books<'a>,
-    /// Worker 0 only: the global injector.
-    injector: Option<VirtualInjector>,
+    /// Worker 0 only: the one injector, drawing every source's tasks.
+    injector: Option<Injector>,
     /// This worker's unicast tie coins: a stream of its own.
     fwd_rng: StdRng,
     /// Worker 0 only: the sampled fleet-wide queue totals.
@@ -952,7 +997,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 cap: cfg.trace_capacity,
             }));
         }
-        let injector = (id == 0).then(|| VirtualInjector::new(&topo.dim_sizes(), mix, sim));
+        let injector = (id == 0).then(|| Injector::new(&topo.dim_sizes(), mix, &sim));
         let fwd_seed = splitmix64(
             sim.seed ^ FWD_SEED_SALT ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
@@ -1143,12 +1188,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             let to = shared.node_owner[self.hop.target(link).index()] as usize;
             self.out[to].data.push(DataMsg { link, pkt });
         }
-        // The injector consumes the scheme and the liveness view (dead
-        // nodes generate no traffic, in the engine's exact RNG draw
-        // order).
+        // Dead nodes generate no traffic, in the engine's exact RNG draw
+        // order: the injector reads this worker's fault-clock replica.
         if let Some(inj) = self.injector.as_mut() {
-            let view = self.hop.faults.as_ref().map(|f| f.view());
-            inj.slot(t, &self.hop.scheme, view, &shared.node_owner, &mut self.out);
+            let (scheme, faults) = (&self.hop.scheme, self.hop.faults.as_deref());
+            let owner = |v: NodeId| shared.node_owner[v.index()] as usize;
+            inj.slot(t, scheme, faults, &mut self.out, owner);
         }
         self.hand_over(t)
     }
@@ -1174,11 +1219,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// The rendezvous said the slot runs: what its send counted becomes
     /// part of the report.
     fn commit_send(&mut self) {
-        let stats = &mut self.books.stats;
-        stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
-        if let Some(gate) = self.injector.as_ref().and_then(|inj| inj.gate.as_ref()) {
-            stats.flow.rejected_broadcasts = gate.rejected_broadcasts;
-            stats.flow.rejected_unicasts = gate.rejected_unicasts;
+        self.books.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
+        if let Some(gate) = self.injector.as_ref().and_then(|inj| inj.gate()) {
+            self.hop.flow.rejected_broadcasts = gate.rejected_broadcasts;
+            self.hop.flow.rejected_unicasts = gate.rejected_unicasts;
         }
     }
 
@@ -1247,22 +1291,15 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
         // 3. Due retransmissions (before arrivals, like the engine).
         self.hop.fire_retransmissions(&mut cx);
-        // 4. Injections of slot t (worker 0's injector is the one
-        //    source).
-        for from in 0..w {
-            let mut batch = std::mem::take(&mut self.inbox[from].inject);
-            for msg in batch.msgs.drain(..) {
-                let emits = &batch.emits[msg.emits.start as usize..msg.emits.end as usize];
-                self.process_inject(&msg, emits, t);
-            }
-            batch.emits.clear();
-            self.inbox[from].inject = batch;
-        }
+        // 4. Arrivals at this worker's sources: the tasks waiting there
+        //    retry, then slot t's, which worker 0's injector drew.
+        self.hop.arrive(&mut cx, &self.inbox[0].inject);
+        self.inbox[0].inject.clear();
         // 5. The queued population, sampled at the engine's point: after
         //    arrivals, before service starts.
         let pre_service = self.hop.kernel.queued();
         if self.cfg.in_window(t) {
-            self.books.stats.flow.occupancy_sum += pre_service as u128;
+            self.hop.flow.occupancy_sum += pre_service as u128;
         }
         // 6. Service starts on the owned links, link-id order.
         self.hop.start(t, |_, _| {});
@@ -1276,47 +1313,18 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         gauge
             .pre_service
             .store(pre_service as i64, Ordering::Relaxed);
+        let (deferred, deferred_measured) = self.hop.deferred();
         gauge.outstanding.store(
-            self.books.stats.tasks.outstanding_measured(),
+            self.books.stats.tasks.outstanding_measured() + deferred_measured as i64,
             Ordering::Relaxed,
         );
+        gauge.deferred.store(deferred as i64, Ordering::Relaxed);
         if self
             .cfg
             .single_queue_tripped(t + 1, || self.hop.kernel.max_qlen())
         {
             gauge.unstable.store(true, Ordering::Relaxed);
         }
-    }
-
-    /// A task generated by the injector starts at its source, this
-    /// worker: it is opened here, its record goes to its home, and its
-    /// first transmissions are offered to the source's links.
-    fn process_inject(&mut self, msg: &InjectMsg, emits: &[Emit], t: u64) {
-        // Counted by the *creating* worker, at injection: the task's
-        // receptions are due from this slot on, wherever its home is.
-        self.books
-            .stats
-            .tasks
-            .opened(t, msg.broadcast, msg.measured);
-        if msg.broadcast {
-            // A broadcast's home is its source's owner: this worker.
-            let receivers = self.topo.node_count() - 1;
-            let slot = TaskSlot::new(msg.gen_time, true, receivers, msg.measured);
-            self.books.register(msg.task, slot);
-        } else {
-            let Some(PacketKind::Unicast { dest }) = emits.first().map(|e| e.kind) else {
-                unreachable!("unicast inject without unicast emit");
-            };
-            let register = CtrlMsg::Register {
-                task: msg.task,
-                gen_time: msg.gen_time,
-                measured: msg.measured,
-            };
-            self.books.tell(self.books.owner_of(dest), register);
-        }
-        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
-        self.hop
-            .offer(&mut cx, msg.src, emits, msg.task, msg.gen_time, msg.len);
     }
 
     // ---------------------------------------------------------------
@@ -1347,8 +1355,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             let track = sink.into_any().downcast::<Track>();
             track.expect("a worker traces into its own track").records
         });
+        let flow = self.hop.flow;
         let (links, faults, arq) = self.hop.finish(slots_run);
         let mut stats = self.books.stats;
+        stats.flow = flow;
         stats.faults = faults;
         stats.arq = arq.unwrap_or_default();
         WorkerOutput {
@@ -1560,11 +1570,6 @@ where
             max: MAX_PRIORITY_CLASSES,
         }
         .into());
-    }
-    if cfg.sim.queue_capacity.is_some()
-        && matches!(cfg.sim.full_queue_policy, FullQueuePolicy::Backpressure)
-    {
-        return Err(NetConfigError::Backpressure.into());
     }
     if let Err(e) = cfg.sim.scenario.validate(&topo.dim_sizes(), mix.bernoulli) {
         return Err(NetConfigError::Scenario(e).into());
@@ -1950,26 +1955,6 @@ mod tests {
         let net = run(SchemeKind::PriorityStar, 0.5, sim, 2);
         assert!(!net.report.completed);
         assert_eq!(net.report.slots_run, 0);
-    }
-
-    /// Invalid configs come back as structured errors, not panics.
-    #[test]
-    fn backpressure_is_rejected() {
-        let topo = Torus::new(&[4, 4]);
-        let spec = ScenarioSpec::default();
-        let mut sim = SimConfig::quick(1);
-        sim.lengths = spec.lengths;
-        sim.queue_capacity = Some(4);
-        sim.full_queue_policy = FullQueuePolicy::Backpressure;
-        let err = run_net(
-            &topo,
-            spec.build_scheme(&topo),
-            spec.mix(&topo),
-            NetConfig::new(sim),
-        )
-        .expect_err("Backpressure must be rejected");
-        assert_eq!(err, NetError::Config(NetConfigError::Backpressure));
-        assert!(err.to_string().contains("Backpressure"));
     }
 
     #[test]

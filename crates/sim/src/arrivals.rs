@@ -1,19 +1,27 @@
-//! Backend-neutral arrival sampling.
+//! Task creation, written once.
 //!
-//! Both the slotted [`crate::Engine`] and any external runtime driving
-//! the same workload model (e.g. `pstar-net`'s virtual-time injector)
-//! must draw arrival counts identically for their task streams to be
-//! comparable under common random numbers — so the sampler lives here,
-//! outside either engine. The scenario layer (rate modulation,
-//! destination matrices, the all-to-all phase) threads through this one
-//! function too: every backend advances the same
-//! [`ScenarioCursor`] through the same code path, which is why seeded
-//! scenario runs stay bit-identical across serial, sharded, and net.
+//! Every driver — the serial [`crate::Engine`], the sharded engine's
+//! coordinator and `pstar-net`'s worker 0 — takes a slot's tasks from one
+//! [`Injector`]: the arrival draws of [`generate_arrivals_into`], then,
+//! per arrival, the admission gate, the length draw and the scheme's
+//! generation draws, all at the arrival. Seeded alike, every driver
+//! therefore creates the same tasks, whatever its queues hold; whether a
+//! task then waits at its source is the hop rule's business
+//! ([`crate::Hop::arrive`]). The scenario layer (rate modulation,
+//! destination matrices, the all-to-all phase) threads through the same
+//! code, which is why seeded scenario runs stay bit-identical across
+//! serial, sharded and net.
 
+use crate::config::SimConfig;
+use crate::faultepoch::FaultClock;
+use crate::packet::Emit;
+use crate::recovery::TokenGate;
+use crate::scheme::Scheme;
 use pstar_topology::NodeId;
 use pstar_traffic::{ArrivalProcess, DestSampler, PoissonArrivals, ScenarioCursor, TrafficMix};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use std::borrow::BorrowMut;
 
 /// Above this rate the exact product method is replaced by a normal
 /// approximation. Knuth's method consumes Θ(λ) uniforms — a λ in the
@@ -60,12 +68,10 @@ pub fn sample_poisson(rng: &mut StdRng, lambda: f64) -> u32 {
 
 /// Consumer side of the per-slot arrival draw sequence.
 ///
-/// The serial [`crate::Engine`], the sharded engine's coordinator, and
-/// `pstar-net`'s virtual-clock injector all implement this so they
-/// share one copy of the draw *order* — the part that must match
-/// variate-for-variate for seeded runs to be bit-identical. Dead
-/// sources still consume their draws; only the resulting task is
-/// suppressed.
+/// The [`Injector`] implements it for every driver, so there is one copy
+/// of the draw *order* — the part that must match variate-for-variate
+/// for seeded runs to be bit-identical. Dead sources still consume their
+/// draws; only the resulting task is suppressed.
 pub trait ArrivalSink {
     /// Splits out the RNG and the destination sampler (both owned by
     /// the implementor) for the next draw.
@@ -76,9 +82,7 @@ pub trait ArrivalSink {
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>);
 }
 
-/// One slot's worth of arrivals, in the exact draw order the serial
-/// engine uses (see `Engine::generate_arrivals` for the rationale on
-/// each ordering choice).
+/// One slot's worth of arrivals, in the one draw order.
 ///
 /// Per slot, in order: (1) the modulator advances — zero draws for
 /// steady/diurnal scenarios, one for MMPP/ON-OFF; (2) if this is the
@@ -180,6 +184,229 @@ pub fn generate_arrivals_into<C: ArrivalSink>(
                 sink.spawn(src, Some(dest));
             }
         }
+    }
+}
+
+/// A task as drawn at its arrival: everything its source needs to open
+/// it, now or — deferred by source backpressure — in a later slot.
+#[derive(Debug, Clone)]
+pub struct InjectMsg {
+    /// The injector's id for the task. A driver that keeps every task in
+    /// one [`crate::TaskLedger`] uses the ledger's id instead.
+    pub task: u32,
+    /// The source node.
+    pub src: NodeId,
+    /// The unicast destination; `None` for a broadcast.
+    pub dest: Option<NodeId>,
+    /// The arrival slot, which stays the task's generation time if it
+    /// waits at its source.
+    pub gen_time: u64,
+    /// Packet length in slots.
+    pub len: u16,
+    /// Tagged for measurement (generated inside the window).
+    pub measured: bool,
+    /// The task's initial transmissions, as a range of the
+    /// [`InjectBatch::emits`] arena the message travels with.
+    pub emits: std::ops::Range<u32>,
+}
+
+/// Tasks and, in one arena beside them, every task's initial
+/// transmissions. A batch is reused slot after slot (and travels whole
+/// through a `pstar-net` mailbox hand-over), so drawing a task allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct InjectBatch {
+    /// The tasks, in draw order.
+    pub msgs: Vec<InjectMsg>,
+    /// Their initial transmissions.
+    pub emits: Vec<Emit>,
+}
+
+impl InjectBatch {
+    /// `true` when the batch holds no task.
+    pub fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+
+    /// Empties the batch, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.msgs.clear();
+        self.emits.clear();
+    }
+
+    /// The tasks with their initial transmissions, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&InjectMsg, &[Emit])> {
+        self.msgs
+            .iter()
+            .map(|m| (m, &self.emits[m.emits.start as usize..m.emits.end as usize]))
+    }
+
+    /// Appends a copy of `msg` with its transmissions `emits`.
+    pub(crate) fn push(&mut self, msg: &InjectMsg, emits: &[Emit]) {
+        let first = self.emits.len() as u32;
+        self.emits.extend_from_slice(emits);
+        self.msgs.push(InjectMsg {
+            emits: first..self.emits.len() as u32,
+            ..msg.clone()
+        });
+    }
+}
+
+/// The one task generator (module docs): the seeded stream, the
+/// destination sampler, the scenario cursor and the admission gate.
+#[derive(Debug)]
+pub struct Injector {
+    rng: StdRng,
+    mix: TrafficMix,
+    dests: DestSampler,
+    cursor: ScenarioCursor,
+    cfg: SimConfig,
+    n: u32,
+    gate: Option<TokenGate>,
+    next_task: u32,
+}
+
+impl Injector {
+    /// The injector of a network with per-dimension extents `dims`,
+    /// seeded from `cfg.seed`.
+    ///
+    /// Panics if `cfg.scenario` does not fit `dims`; every driver
+    /// validates it first and refuses in its own terms.
+    pub fn new(dims: &[u32], mix: TrafficMix, cfg: &SimConfig) -> Self {
+        let n: u32 = dims.iter().product();
+        Self {
+            rng: StdRng::seed_from_u64(cfg.seed),
+            mix,
+            dests: cfg
+                .scenario
+                .resolve_dests(dims)
+                .expect("scenario validated by the driver"),
+            cursor: ScenarioCursor::new(cfg.scenario),
+            gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
+            cfg: *cfg,
+            n,
+            next_task: 0,
+        }
+    }
+
+    /// The seeded stream. A driver with one owner (the serial engine,
+    /// the sharded coordinator) draws its unicast tie coins from it
+    /// too, between the slots' arrival draws.
+    pub(crate) fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+
+    /// The admission gate and its rejection counts; `None` unless
+    /// admission control is on.
+    pub fn gate(&self) -> Option<&TokenGate> {
+        self.gate.as_ref()
+    }
+
+    /// Draws slot `t`'s tasks into `out[owner(src)]`: the token refill,
+    /// then [`generate_arrivals_into`]'s draws, each arrival through the
+    /// admission gate and then its length and generation draws. A source
+    /// `faults` says is crashed generates nothing (its draws are still
+    /// taken).
+    pub fn slot<S, B>(
+        &mut self,
+        t: u64,
+        scheme: &S,
+        faults: Option<&FaultClock>,
+        out: &mut [B],
+        owner: impl Fn(NodeId) -> usize,
+    ) where
+        S: Scheme + ?Sized,
+        B: BorrowMut<InjectBatch>,
+    {
+        if let Some(gate) = self.gate.as_mut() {
+            gate.refill();
+        }
+        let (mix, n) = (self.mix, self.n);
+        let mut cursor = self.cursor;
+        let mut draws = SlotDraws {
+            inj: self,
+            scheme,
+            faults,
+            t,
+            out,
+            owner,
+        };
+        generate_arrivals_into(&mut draws, &mut cursor, mix, n, t);
+        self.cursor = cursor;
+    }
+
+    /// Draws one task arriving at `src` in slot `t` into `out`, past
+    /// every gate: its length (`len`, when given, overrides the length
+    /// law) and the scheme's generation draws.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn draw<S: Scheme + ?Sized>(
+        &mut self,
+        t: u64,
+        scheme: &S,
+        src: NodeId,
+        dest: Option<NodeId>,
+        measured: bool,
+        len: Option<u16>,
+        out: &mut InjectBatch,
+    ) {
+        let len = len.unwrap_or_else(|| self.cfg.lengths.sample_length(&mut self.rng));
+        // Schemes append to the arena, so it is handed to them as it is.
+        let first = out.emits.len() as u32;
+        match dest {
+            None => scheme.on_broadcast_generated(src, &mut self.rng, &mut out.emits),
+            Some(d) => scheme.on_unicast_generated(src, d, &mut self.rng, &mut out.emits),
+        }
+        let emits = first..out.emits.len() as u32;
+        debug_assert!(!emits.is_empty(), "task with no transmissions");
+        out.msgs.push(InjectMsg {
+            task: self.next_task,
+            src,
+            dest,
+            gen_time: t,
+            len,
+            measured,
+            emits,
+        });
+        self.next_task += 1;
+    }
+}
+
+/// [`ArrivalSink`] of one slot's draws: the shared generator owns the
+/// draw order, `spawn` takes each arrival through the admission gate —
+/// which draws nothing, so a rejection leaves the stream untouched —
+/// and then [`Injector::draw`].
+struct SlotDraws<'a, S: ?Sized, B, F> {
+    inj: &'a mut Injector,
+    scheme: &'a S,
+    faults: Option<&'a FaultClock>,
+    t: u64,
+    out: &'a mut [B],
+    owner: F,
+}
+
+impl<S, B, F> ArrivalSink for SlotDraws<'_, S, B, F>
+where
+    S: Scheme + ?Sized,
+    B: BorrowMut<InjectBatch>,
+    F: Fn(NodeId) -> usize,
+{
+    fn draw_ctx(&mut self) -> (&mut StdRng, &DestSampler) {
+        (&mut self.inj.rng, &self.inj.dests)
+    }
+
+    fn source_dead(&self, node: NodeId) -> bool {
+        self.faults.is_some_and(|f| f.node_dead(node))
+    }
+
+    fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
+        let measured = self.inj.cfg.in_window(self.t);
+        let gate = self.inj.gate.as_mut();
+        if gate.is_some_and(|g| !g.admit(src.index(), dest.is_none(), measured)) {
+            return;
+        }
+        let out = self.out[(self.owner)(src)].borrow_mut();
+        self.inj
+            .draw(self.t, self.scheme, src, dest, measured, None, out);
     }
 }
 

@@ -1,49 +1,18 @@
 //! The slotted simulation engine.
 
-use crate::arrivals::{generate_arrivals_into, ArrivalSink};
+use crate::arrivals::{InjectBatch, Injector};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::FaultClock;
 use crate::hop::{Hop, HopCtx};
-use crate::ledger::{assemble, FlowCounters, RunOutcome, TaskLedger};
+use crate::ledger::{assemble, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
-use crate::packet::{Emit, MAX_PRIORITY_CLASSES};
-use crate::recovery::{FullQueuePolicy, TokenGate};
+use crate::packet::MAX_PRIORITY_CLASSES;
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{SlotSample, TraceSink};
 use pstar_topology::{Network, NodeId};
-use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
+use pstar_traffic::TrafficMix;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::VecDeque;
-
-/// A task arrival deferred by source backpressure: it re-attempts
-/// injection each slot, and its eventual `gen_time` stays the arrival
-/// slot so defer time shows up in the delay statistics.
-#[derive(Clone, Copy)]
-struct DeferredTask {
-    src: NodeId,
-    dest: Option<NodeId>,
-    arrival: u64,
-    measured: bool,
-}
-
-/// Flow-control state (admission tokens, backpressure queue, overload
-/// counters). Always present but empty/zero-cost when the features are
-/// off.
-struct FlowState {
-    /// The admission gate; `None` unless admission control is on.
-    gate: Option<TokenGate>,
-    /// Arrival-ordered backpressured tasks; only ever non-empty under
-    /// `FullQueuePolicy::Backpressure` with a finite capacity.
-    deferred: VecDeque<DeferredTask>,
-    /// Measured tasks currently deferred (keeps the drain loop alive
-    /// until they inject).
-    deferred_measured: u64,
-    /// Outgoing links per node; built only for backpressure.
-    out_links: Vec<Vec<u32>>,
-    counters: FlowCounters,
-}
 
 /// Which field of a trace event named a node the topology does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,16 +60,14 @@ impl std::error::Error for TraceError {}
 /// priority queues stepped slot by slot.
 ///
 /// The queues, the in-flight transmissions and the service discipline
-/// live in one [`LinkKernel`](crate::LinkKernel) over every link, and
-/// what a delivery, a forward and a loss mean in one [`Hop`]; the engine
-/// owns the slot order, the arrivals and the task table. See the crate
-/// docs for the timing model. Construction is cheap; `run` consumes the
-/// engine and returns a [`SimReport`].
+/// live in one [`LinkKernel`](crate::LinkKernel) over every link, what an
+/// arrival, a delivery, a forward and a loss mean in one [`Hop`], and
+/// task creation in one [`Injector`]; the engine owns the slot order and
+/// the task table. See the crate docs for the timing model. Construction
+/// is cheap; `run` consumes the engine and returns a [`SimReport`].
 pub struct Engine<N: Network, S: Scheme> {
     topo: N,
-    mix: TrafficMix,
     cfg: SimConfig,
-    rng: StdRng,
     now: u64,
 
     /// The hop rules over every link (dense `LinkId` order), with the
@@ -108,25 +75,22 @@ pub struct Engine<N: Network, S: Scheme> {
     hop: Hop<S>,
     link_dim: Vec<u8>,
 
-    dests: DestSampler,
-    /// Scenario modulation cursor, advanced once per slot through the
-    /// shared arrival generator.
-    scenario: ScenarioCursor,
+    /// The task generator; its stream also draws the unicast tie coins.
+    injector: Injector,
+    /// Scratch for the tasks drawn in one go.
+    arrivals: InjectBatch,
 
     // Measurement state (see `crate::ledger`).
     ledger: TaskLedger,
     tx_by_dim: Vec<u64>,
     peak_queue: i64,
 
-    /// Scratch for a new task's first transmissions.
-    emit_buf: Vec<Emit>,
     /// Scratch for the decimated per-link queue snapshot; swapped into
     /// each [`SlotSample`] and back so sampling allocates once per run,
     /// not once per sample.
     sample_links: Vec<u32>,
     queue_trace: Vec<(u64, u64)>,
     unstable: bool,
-    flow: Box<FlowState>,
     /// Cached `obs.decimation()`; 0 disables slot sampling.
     obs_decim: u64,
 }
@@ -142,46 +106,20 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         if let Err(e) = cfg.scenario.validate(&dims, mix.bernoulli) {
             panic!("invalid scenario config: {e}");
         }
-        let dests = cfg
-            .scenario
-            .resolve_dests(&dims)
-            .expect("validated just above");
-        let n = topo.node_count();
-        let flow = Box::new(FlowState {
-            gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
-            deferred: VecDeque::new(),
-            deferred_measured: 0,
-            out_links: if matches!(cfg.full_queue_policy, FullQueuePolicy::Backpressure)
-                && cfg.queue_capacity.is_some()
-            {
-                let mut out = vec![Vec::new(); n as usize];
-                for (l, src) in topo.link_source_table().iter().enumerate() {
-                    out[src.index()].push(l as u32);
-                }
-                out
-            } else {
-                Vec::new()
-            },
-            counters: FlowCounters::default(),
-        });
         Self {
             hop: Hop::new(&topo, scheme, &cfg, 0, topo.link_count()),
             link_dim: topo.link_dim_table(),
-            dests,
-            scenario: ScenarioCursor::new(cfg.scenario),
-            ledger: TaskLedger::new(&cfg, n, topo.diameter()),
+            injector: Injector::new(&dims, mix, &cfg),
+            arrivals: InjectBatch::default(),
+            ledger: TaskLedger::new(&cfg, topo.node_count(), topo.diameter()),
             tx_by_dim: vec![0; topo.d()],
             peak_queue: 0,
-            emit_buf: Vec::with_capacity(64),
             sample_links: Vec::new(),
             queue_trace: Vec::new(),
             unstable: false,
-            flow,
             obs_decim: 0,
-            rng: StdRng::seed_from_u64(cfg.seed),
             now: 0,
             topo,
-            mix,
             cfg,
         }
     }
@@ -274,22 +212,39 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// deterministic tree/latency tests together with
     /// [`Engine::run_until_idle`].
     pub fn inject_broadcast(&mut self, src: NodeId) -> u32 {
-        let now = self.now;
-        self.new_task(src, None, true, None, now)
+        self.inject(src, None, true, None)
     }
 
     /// Injects a single unicast task, tagged for measurement.
     pub fn inject_unicast(&mut self, src: NodeId, dest: NodeId) -> u32 {
         assert_ne!(src, dest, "unicast to self");
-        let now = self.now;
-        self.new_task(src, Some(dest), true, None, now)
+        self.inject(src, Some(dest), true, None)
     }
 
-    /// Queue occupancy as the divergence guard counts it:
-    /// backpressure-deferred arrivals are occupancy the links haven't
-    /// accepted yet.
+    /// Draws one task at `src` now and injects it past every gate
+    /// ([`Hop::inject`]); `len` overrides the length law.
+    fn inject(
+        &mut self,
+        src: NodeId,
+        dest: Option<NodeId>,
+        measured: bool,
+        len: Option<u16>,
+    ) -> u32 {
+        let t = self.now;
+        let batch = &mut self.arrivals;
+        self.injector
+            .draw(t, &self.hop.scheme, src, dest, measured, len, batch);
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
+        let (msg, emits) = self.arrivals.iter().next().expect("one task drawn");
+        let task = self.hop.inject(&mut cx, msg, emits);
+        self.arrivals.clear();
+        task
+    }
+
+    /// Queue occupancy as the divergence guard counts it: tasks waiting
+    /// at their sources are occupancy the links haven't accepted yet.
     fn guarded_occupancy(&self) -> i64 {
-        (self.hop.kernel.queued() + self.flow.deferred.len() as u64) as i64
+        (self.hop.kernel.queued() + self.hop.deferred().0) as i64
     }
 
     /// Replays a recorded workload trace instead of sampling arrivals.
@@ -332,10 +287,10 @@ impl<N: Network, S: Scheme> Engine<N, S> {
                     // loop a self-addressed packet forever.
                     continue;
                 }
-                let (now, measured) = (self.now, self.cfg.in_window(self.now));
-                self.new_task(src, dest, measured, Some(ev.len.max(1)), now);
+                let measured = self.cfg.in_window(self.now);
+                self.inject(src, dest, measured, Some(ev.len.max(1)));
             }
-            if next >= events.len() && self.fully_idle() {
+            if next >= events.len() && self.hop.is_idle() {
                 break;
             }
             if self.now >= self.cfg.max_slots {
@@ -357,20 +312,11 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// slots stepped. Panics after `max_slots` as a safety net.
     pub fn run_until_idle(&mut self) -> u64 {
         let start = self.now;
-        while !self.fully_idle() {
+        while !self.hop.is_idle() {
             assert!(self.now < self.cfg.max_slots, "drain did not terminate");
             self.step(false);
         }
         self.now - start
-    }
-
-    /// `true` when no link holds a packet, no recovery timer is armed
-    /// and no injection is deferred — the drain condition.
-    #[inline]
-    fn fully_idle(&self) -> bool {
-        self.hop.kernel.is_idle()
-            && self.flow.deferred.is_empty()
-            && self.hop.arq.as_ref().is_none_or(|a| a.is_idle())
     }
 
     /// Runs the full warmup → measure → drain protocol and reports.
@@ -388,7 +334,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             let verdict = stop_verdict(
                 &self.cfg,
                 self.now,
-                self.ledger.outstanding_measured() as u64 + self.flow.deferred_measured,
+                self.ledger.outstanding_measured() as u64 + self.hop.deferred().1,
                 self.guarded_occupancy(),
                 queue_limit,
                 || {
@@ -433,7 +379,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // slot: a link dying at `t` fails the delivery it would have made
         // at `t`. Fault-free engines hold no clock and tick nothing.
         if self.hop.faults.is_some() {
-            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
+            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
             self.hop.fault_tick(&mut cx);
         }
 
@@ -454,7 +400,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // per-packet trajectories agree exactly (which the
         // fault-agreement gate relies on: boundary-straddling drops are
         // order-sensitive).
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
         let mut scan = self.hop.kernel.finish_scan();
         while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
             let pkt = *pkt;
@@ -462,25 +408,25 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         }
 
         // Phase 2: re-injections, then new tasks. Retransmission timers
-        // and deferred (backpressured) injections fire before fresh
-        // arrivals so recovered / older work keeps its age order.
+        // and tasks waiting at their sources fire before fresh arrivals
+        // so recovered / older work keeps its age order.
         self.hop.fire_retransmissions(&mut cx);
-        if !self.flow.deferred.is_empty() {
-            self.retry_deferred();
-        }
         if arrivals {
-            if let Some(gate) = self.flow.gate.as_mut() {
-                gate.refill();
-            }
-            self.generate_arrivals();
+            let scheme = &self.hop.scheme;
+            let (faults, batch) = (self.hop.faults.as_deref(), &mut self.arrivals);
+            self.injector
+                .slot(t, scheme, faults, std::slice::from_mut(batch), |_| 0);
         }
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
+        self.hop.arrive(&mut cx, &self.arrivals);
+        self.arrivals.clear();
 
         // Phase 3: service starts. The queued population is sampled
         // here, after the slot's enqueues and before its service.
         let queued = self.hop.kernel.queued();
         self.peak_queue = self.peak_queue.max(queued as i64);
         if self.cfg.in_window(t) {
-            self.flow.counters.occupancy_sum += queued as u128;
+            self.hop.flow.occupancy_sum += queued as u128;
         }
         let (tx_by_dim, link_dim) = (&mut self.tx_by_dim, &self.link_dim);
         self.hop.start(t, |link, _| {
@@ -490,111 +436,11 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         self.now = t + 1;
     }
 
-    /// Re-attempts backpressure-deferred injections in arrival order;
-    /// tasks whose source still has a full output queue keep waiting.
-    fn retry_deferred(&mut self) {
-        let mut i = 0;
-        while i < self.flow.deferred.len() {
-            let d = self.flow.deferred[i];
-            if self.source_blocked(d.src) {
-                i += 1;
-                continue;
-            }
-            self.flow.deferred.remove(i);
-            if d.measured {
-                self.flow.deferred_measured -= 1;
-                self.flow.counters.deferred_injections += 1;
-                self.flow.counters.defer_delay.push(self.now - d.arrival);
-            }
-            self.new_task(d.src, d.dest, d.measured, None, d.arrival);
-        }
-    }
-
-    /// `true` when backpressure is on and any of `src`'s output queues
-    /// is at capacity, so new injections from `src` must wait.
-    #[inline]
-    fn source_blocked(&self, src: NodeId) -> bool {
-        if self.flow.out_links.is_empty() {
-            return false;
-        }
-        let cap = self
-            .cfg
-            .queue_capacity
-            .expect("backpressure without capacity") as usize;
-        self.flow.out_links[src.index()]
-            .iter()
-            .any(|&l| self.hop.kernel.qlen(l) >= cap)
-    }
-
-    /// Admission-control and backpressure gate in front of task
-    /// creation. With both features off this is exactly `new_task`.
-    fn arrive(&mut self, src: NodeId, dest: Option<NodeId>, measured: bool) {
-        let gate = self.flow.gate.as_mut();
-        if gate.is_some_and(|g| !g.admit(src.index(), dest.is_none(), measured)) {
-            return;
-        }
-        if self.source_blocked(src) {
-            if measured {
-                self.flow.deferred_measured += 1;
-            }
-            self.flow.deferred.push_back(DeferredTask {
-                src,
-                dest,
-                arrival: self.now,
-                measured,
-            });
-            return;
-        }
-        self.new_task(src, dest, measured, None, self.now);
-    }
-
-    fn generate_arrivals(&mut self) {
-        // The draw order lives in `arrivals::generate_arrivals_into`,
-        // shared with the sharded engine's coordinator so both consume
-        // the seed stream variate-for-variate. The cursor is copied out
-        // and back because the engine itself is the sink.
-        let n = self.topo.node_count();
-        let mix = self.mix;
-        let slot = self.now;
-        let mut cursor = self.scenario;
-        generate_arrivals_into(self, &mut cursor, mix, n, slot);
-        self.scenario = cursor;
-    }
-
-    /// Registers a task and offers its initial transmissions.
-    /// `dest = None` is a broadcast; `len_override` bypasses the
-    /// configured length law (trace replay). `gen_time` is normally the
-    /// current slot, but a backpressure-deferred task keeps its original
-    /// arrival slot so the defer time counts inside its delays.
-    fn new_task(
-        &mut self,
-        src: NodeId,
-        dest: Option<NodeId>,
-        measured: bool,
-        len_override: Option<u16>,
-        gen_time: u64,
-    ) -> u32 {
-        let t = self.now;
-        let task = self.ledger.open_task(t, gen_time, dest.is_none(), measured);
-        let len = len_override.unwrap_or_else(|| self.cfg.lengths.sample_length(&mut self.rng));
-        let (scheme, emits) = (&self.hop.scheme, &mut self.emit_buf);
-        emits.clear();
-        match dest {
-            None => scheme.on_broadcast_generated(src, &mut self.rng, emits),
-            Some(dest) => scheme.on_unicast_generated(src, dest, &mut self.rng, emits),
-        }
-        debug_assert!(!emits.is_empty(), "task with no transmissions");
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, &mut self.rng, t);
-        self.hop
-            .offer(&mut cx, src, &self.emit_buf, task, gen_time, len);
-        task
-    }
-
     fn report(self, completed: bool) -> SimReport {
         let num_classes = self.hop.scheme.num_priorities();
+        let mut flow = self.hop.flow;
         let (links, faults, arq) = self.hop.finish(self.now);
-        let mut flow = self.flow.counters;
-        if let Some(gate) = &self.flow.gate {
+        if let Some(gate) = self.injector.gate() {
             flow.rejected_broadcasts = gate.rejected_broadcasts;
             flow.rejected_unicasts = gate.rejected_unicasts;
         }
@@ -619,25 +465,10 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     }
 }
 
-impl<N: Network, S: Scheme> ArrivalSink for Engine<N, S> {
-    fn draw_ctx(&mut self) -> (&mut StdRng, &DestSampler) {
-        (&mut self.rng, &self.dests)
-    }
-
-    fn source_dead(&self, node: NodeId) -> bool {
-        self.hop.faults.as_ref().is_some_and(|f| f.node_dead(node))
-    }
-
-    fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
-        let measured = self.cfg.in_window(self.now);
-        self.arrive(src, dest, measured);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{BroadcastState, PacketKind};
+    use crate::packet::{BroadcastState, Emit, PacketKind};
     use pstar_topology::Direction;
     use pstar_topology::Torus;
 
@@ -1315,17 +1146,34 @@ mod tests {
     #[test]
     fn backpressure_defers_injection_instead_of_dropping() {
         let (t, s) = ring(8);
-        let lambda = ring_lambda(&t, 0.8);
+        // ρ 0.6 of broadcasts plus ρ 0.2 of unicasts, in packets of a
+        // length drawn per task: 1 or 2 slots, mean 1.5.
+        let mix = TrafficMix::mixed(ring_lambda(&t, 0.4), 0.8 / 3.0 / t.avg_distance());
         let mut cfg = SimConfig::quick(37);
+        cfg.lengths = pstar_traffic::WorkloadSpec::Uniform(1, 2);
         cfg.queue_capacity = Some(2);
         cfg.full_queue_policy = crate::recovery::FullQueuePolicy::Backpressure;
-        let rep = crate::run(&t, s, TrafficMix::broadcast_only(lambda), cfg);
+        let rep = crate::run(&t, s, mix, cfg);
         assert!(rep.ok(), "{rep}");
         assert_eq!(rep.dropped_packets, 0, "backpressure never drops");
         assert_eq!(rep.lost_receptions, 0);
         assert!(rep.flow.deferred_injections > 0);
         assert_eq!(rep.flow.defer_delay.count, rep.flow.deferred_injections);
         assert!(rep.flow.defer_delay.mean >= 1.0);
+        // Every draw is taken at the arrival, so which tasks exist does
+        // not depend on what the queues held: the unbounded run of the
+        // same seed creates the same ones.
+        let unbounded = SimConfig {
+            queue_capacity: None,
+            ..cfg
+        };
+        let unbounded = crate::run(&t, TestScheme { topo: t.clone() }, mix, unbounded);
+        assert!(unbounded.ok(), "{unbounded}");
+        assert_eq!(
+            (rep.measured_broadcasts, rep.measured_unicasts),
+            (unbounded.measured_broadcasts, unbounded.measured_unicasts)
+        );
+        assert!(rep.measured_unicasts > 0);
     }
 
     #[test]

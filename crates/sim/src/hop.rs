@@ -5,8 +5,9 @@
 //! the STAR tree or the e-cube next hop, and a copy that cannot be placed
 //! is lost. [`Hop`] holds the state every owner of a [`LinkKernel`]
 //! carries for that — the scheme, the kernel, the ARQ layer, its replica
-//! of the fault clock, the trace sink, the forward and loss scratch and
-//! the link-target table — and writes the five rules once:
+//! of the fault clock, the trace sink, the tasks waiting at its sources,
+//! the forward and loss scratch and the link-target table — and writes
+//! the six rules once:
 //!
 //! 1. [`Hop::deliver`] — a copy finished its link: trace it, count the
 //!    ARQ ack, record the reception, ask the scheme for the forwards and
@@ -20,20 +21,25 @@
 //!    copies at the hop that lost them.
 //! 5. [`Hop::fault_tick`] — a fault epoch: what it loses settles against
 //!    the scheme as it still is, then the scheme sees the new view.
+//! 6. [`Hop::arrive`] — a task arrives at its source: under source
+//!    backpressure it waits while an out-link of the source is full;
+//!    otherwise it opens at its home and offers its first transmissions
+//!    ([`Hop::inject`]).
 //!
 //! The serial [`crate::Engine`] runs one `Hop` over every link and each
 //! `pstar-net` worker one over the links of its nodes. A driver lends the
 //! rules a [`HopCtx`] — its topology, its [`Homes`] (where a task's
 //! completion record lives), the stream unicast ties are drawn from, and
-//! the slot — and keeps only its slot order, its arrivals and its
-//! transport.
+//! the slot — and keeps only its slot order, its transport and where a
+//! task's home is. Its tasks come from the one [`crate::Injector`].
 
+use crate::arrivals::{InjectBatch, InjectMsg};
 use crate::config::SimConfig;
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
 use crate::kernel::{Admit, LinkKernel};
-use crate::ledger::{ArqCounters, FaultTotals, LinkCounters, TaskLedger};
+use crate::ledger::{ArqCounters, FaultTotals, FlowCounters, LinkCounters, TaskLedger};
 use crate::packet::{Emit, Packet, PacketKind};
-use crate::recovery::{Arq, ARQ_SEED_SALT};
+use crate::recovery::{Arq, FullQueuePolicy, ARQ_SEED_SALT};
 use crate::scheme::Scheme;
 use pstar_faults::DeadLinkPolicy;
 use pstar_obs::{TraceEvent, TraceRecord, TraceSink};
@@ -64,6 +70,10 @@ pub trait Homes {
     /// where a home is.
     fn ledger(&mut self) -> &mut TaskLedger;
 
+    /// Task `msg` starts at its source at slot `t`: count it there and
+    /// keep its record at its home. Returns the id its packets carry.
+    fn open(&mut self, t: u64, msg: &InjectMsg) -> u32;
+
     /// A copy of broadcast `pkt.task` was received at slot `t`, `dist()`
     /// hops from its source.
     fn broadcast_received(&mut self, t: u64, pkt: &Packet, dist: impl FnOnce() -> u32);
@@ -92,6 +102,10 @@ pub trait Homes {
 impl Homes for TaskLedger {
     fn ledger(&mut self) -> &mut TaskLedger {
         self
+    }
+
+    fn open(&mut self, t: u64, msg: &InjectMsg) -> u32 {
+        self.open_task(t, msg.gen_time, msg.dest.is_none(), msg.measured)
     }
 
     #[inline]
@@ -148,6 +162,12 @@ pub struct Hop<S> {
     /// Observability sink; `None` keeps every trace site at a single
     /// never-taken branch.
     pub obs: Option<Box<dyn TraceSink>>,
+    /// Source backpressure's waiting tasks; `None` unless
+    /// [`FullQueuePolicy::Backpressure`] bounds the queues.
+    deferral: Option<Box<Deferral>>,
+    /// Deferrals and the occupancy the driver samples; the driver sets
+    /// the admission rejections its injector counted.
+    pub flow: FlowCounters,
     /// Receiving node of every link of the topology.
     link_target: Vec<NodeId>,
     /// Scratch for one delivery's forwards.
@@ -156,10 +176,53 @@ pub struct Hop<S> {
     losses: Vec<FaultLoss>,
 }
 
+/// The tasks waiting at this owner's sources under source backpressure.
+/// A source's out-links all belong to one owner (link ids are
+/// node-major), so whether its tasks wait depends on that owner's queues
+/// alone, and different sources never interact.
+struct Deferral {
+    /// The bound a full out-link is at.
+    capacity: usize,
+    /// This owner's out-links of each node.
+    out_links: Vec<Vec<u32>>,
+    /// The waiting tasks in arrival order, drawn in full.
+    tasks: InjectBatch,
+    /// Scratch the retry pass refills.
+    spare: InjectBatch,
+    /// How many of them are measured.
+    measured: u64,
+}
+
+impl Deferral {
+    /// `true` while an out-link of `src` is at capacity.
+    fn blocked(&self, kernel: &LinkKernel, src: NodeId) -> bool {
+        self.out_links[src.index()]
+            .iter()
+            .any(|&l| kernel.qlen(l) >= self.capacity)
+    }
+}
+
 impl<S: Scheme> Hop<S> {
-    /// Idle state for the global links `lo .. hi` of `topo`, with ARQ as
-    /// `cfg` says and no fault plan.
+    /// Idle state for the global links `lo .. hi` of `topo`, with ARQ and
+    /// source backpressure as `cfg` says and no fault plan.
     pub fn new<N: Network>(topo: &N, scheme: S, cfg: &SimConfig, lo: u32, hi: u32) -> Self {
+        let deferral = cfg
+            .queue_capacity
+            .filter(|_| cfg.full_queue_policy == FullQueuePolicy::Backpressure)
+            .map(|capacity| {
+                let mut out_links = vec![Vec::new(); topo.node_count() as usize];
+                let sources = topo.link_source_table();
+                for l in lo..hi {
+                    out_links[sources[l as usize].index()].push(l);
+                }
+                Box::new(Deferral {
+                    capacity: capacity as usize,
+                    out_links,
+                    tasks: InjectBatch::default(),
+                    spare: InjectBatch::default(),
+                    measured: 0,
+                })
+            });
         Self {
             scheme,
             kernel: LinkKernel::new(cfg, topo.d(), lo, hi),
@@ -168,6 +231,8 @@ impl<S: Scheme> Hop<S> {
                 .map(|a| Box::new(Arq::new(a, cfg.seed ^ ARQ_SEED_SALT))),
             faults: None,
             obs: None,
+            deferral,
+            flow: FlowCounters::default(),
             link_target: topo.link_target_table(),
             emits: Vec::with_capacity(64),
             losses: Vec::new(),
@@ -208,6 +273,82 @@ impl<S: Scheme> Hop<S> {
         if let Some(arq) = self.arq.as_deref_mut() {
             arq.counters.acked(pkt.attempt);
         }
+    }
+
+    /// Tasks waiting at this owner's sources, and how many of them are
+    /// measured: occupancy the links have not accepted yet, and tasks the
+    /// drain waits for.
+    pub fn deferred(&self) -> (u64, u64) {
+        self.deferral
+            .as_ref()
+            .map_or((0, 0), |d| (d.tasks.msgs.len() as u64, d.measured))
+    }
+
+    /// `true` when no link holds a packet, no task waits at its source
+    /// and no retransmission timer is armed — the drain condition.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.kernel.is_idle()
+            && self.deferred().0 == 0
+            && self.arq.as_ref().is_none_or(|a| a.is_idle())
+    }
+
+    /// Rule 6: slot `cx.t`'s `arrivals` at this owner's sources, in draw
+    /// order, after the tasks that wait from earlier slots have retried
+    /// in theirs. Under source backpressure a task whose source has a
+    /// full out-link waits — as drawn, its arrival slot kept as its
+    /// generation time so the wait counts inside its delays; any other
+    /// task is injected.
+    pub fn arrive<N: Network, H: Homes>(
+        &mut self,
+        cx: &mut HopCtx<'_, N, H>,
+        arrivals: &InjectBatch,
+    ) {
+        let Some(mut d) = self.deferral.take() else {
+            for (msg, emits) in arrivals.iter() {
+                self.inject(cx, msg, emits);
+            }
+            return;
+        };
+        // Within the arrival phase queues only grow, so a task that still
+        // waits here blocks every later arrival at its source as well.
+        let mut waiting = std::mem::take(&mut d.spare);
+        for (msg, emits) in d.tasks.iter() {
+            if d.blocked(&self.kernel, msg.src) {
+                waiting.push(msg, emits);
+                continue;
+            }
+            if msg.measured {
+                d.measured -= 1;
+                self.flow.deferred_injections += 1;
+                self.flow.defer_delay.push(cx.t - msg.gen_time);
+            }
+            self.inject(cx, msg, emits);
+        }
+        d.tasks.clear();
+        d.spare = std::mem::replace(&mut d.tasks, waiting);
+        for (msg, emits) in arrivals.iter() {
+            if d.blocked(&self.kernel, msg.src) {
+                d.measured += u64::from(msg.measured);
+                d.tasks.push(msg, emits);
+            } else {
+                self.inject(cx, msg, emits);
+            }
+        }
+        self.deferral = Some(d);
+    }
+
+    /// Rule 6 past its gate: opens `msg`'s task at its home
+    /// ([`Homes::open`]) and offers its initial transmissions `emits` at
+    /// its source. Returns the task's id.
+    pub fn inject<N: Network, H: Homes>(
+        &mut self,
+        cx: &mut HopCtx<'_, N, H>,
+        msg: &InjectMsg,
+        emits: &[Emit],
+    ) -> u32 {
+        let task = cx.homes.open(cx.t, msg);
+        self.offer(cx, msg.src, emits, task, msg.gen_time, msg.len);
+        task
     }
 
     /// Rule 1: `pkt` finished `link` at slot `cx.t`. A broadcast copy is

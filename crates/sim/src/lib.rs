@@ -33,12 +33,13 @@
 //!
 //! The per-link state — queues, the transmission in flight, admission,
 //! link death, service starts — is written once, in [`LinkKernel`], and
-//! the ARQ timers once, in [`Arq`]; what a delivery, a forward, a loss
-//! and a retransmission mean is written once, in [`Hop`]; how a run is
-//! counted and how the counters become a [`SimReport`] is written once,
-//! in the ledger ([`TaskLedger`], [`LinkCounters`], [`assemble`]).
-//! [`Engine`] and the `pstar-net` runtime are drivers of those, and
-//! [`ShardedEngine`] of the kernel and the ledger; [`EventEngine`] keeps
+//! the ARQ timers once, in [`Arq`]; task creation once, in [`Injector`];
+//! what an arrival, a delivery, a forward, a loss and a retransmission
+//! mean once, in [`Hop`]; how a run is counted and how the counters
+//! become a [`SimReport`] once, in the ledger ([`TaskLedger`],
+//! [`LinkCounters`], [`assemble`]). [`Engine`] and the `pstar-net`
+//! runtime are drivers of those, and [`ShardedEngine`] of the injector,
+//! the kernel and the ledger; [`EventEngine`] keeps
 //! its own [`PriorityQueue`]s and accounting because it is the oracle the
 //! step engine is cross-validated against.
 
@@ -61,7 +62,9 @@ mod scheme;
 mod sharded;
 mod task;
 
-pub use arrivals::{generate_arrivals_into, sample_poisson, ArrivalSink};
+pub use arrivals::{
+    generate_arrivals_into, sample_poisson, ArrivalSink, InjectBatch, InjectMsg, Injector,
+};
 pub use config::{stop_verdict, SimConfig, Stop, SINGLE_QUEUE_SCAN_PERIOD};
 pub use engine::{Engine, TraceError, TraceField};
 pub use event_engine::EventEngine;

@@ -88,7 +88,8 @@ pub enum FullQueuePolicy {
     DropLowestClass,
     /// Never drop at the queue: new tasks are *deferred at the source*
     /// while any of the source node's output queues is full, and
-    /// re-attempted each slot in arrival order. In-transit forwards may
+    /// re-attempted each slot in arrival order — each as drawn at its
+    /// arrival, length and tree included. In-transit forwards may
     /// briefly exceed the bound (a store-and-forward hop cannot refuse a
     /// packet already on the wire), exactly like the documented
     /// one-slot overflow of a fault requeue.

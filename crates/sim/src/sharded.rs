@@ -30,10 +30,10 @@
 //! ARQ recovery, admission control, bounded queues and observability
 //! sinks stay on the serial engine (construction asserts they are off).
 
-use crate::arrivals::{generate_arrivals_into, ArrivalSink};
+use crate::arrivals::{InjectBatch, Injector};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
-use crate::hop::receptions_at_stake;
+use crate::hop::{receptions_at_stake, Homes};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{assemble, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
@@ -42,9 +42,7 @@ use crate::perf::{assemble_perf, CoordHooks, EnginePerf, EnginePerfConfig, Worke
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_topology::{Network, NodeId};
-use pstar_traffic::{DestSampler, ScenarioCursor, TrafficMix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pstar_traffic::TrafficMix;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -444,18 +442,16 @@ impl<S: Scheme> Shard<S> {
     }
 }
 
-/// All global state: the RNG and the task ledger. Consumes shard
-/// messages in key order, which equals serial processing order.
+/// All global state: the injector (whose stream also draws the unicast
+/// tie coins) and the task ledger. Consumes shard messages in key order,
+/// which equals serial processing order.
 struct Coordinator<S> {
     scheme: S,
     cfg: SimConfig,
-    rng: StdRng,
-    dests: DestSampler,
-    /// Scenario modulation cursor (coordinator-owned, like the RNG).
-    scenario: ScenarioCursor,
+    injector: Injector,
+    /// Scratch for a slot's arrivals.
+    arrivals: InjectBatch,
     ledger: TaskLedger,
-    node_count: u32,
-    mix: TrafficMix,
 
     queue_trace: Vec<(u64, u64)>,
     peak_queue: i64,
@@ -473,7 +469,6 @@ struct Coordinator<S> {
 
     /// Per-shard staged enqueue commands (route forwards, generation).
     cmds: Vec<Vec<Cmd>>,
-    gen_seq: u64,
 }
 
 impl<S: Scheme> Coordinator<S> {
@@ -487,8 +482,6 @@ impl<S: Scheme> Coordinator<S> {
         fault_qdelta: i64,
         msgs: &[Msg],
     ) {
-        self.gen_seq = 0;
-
         // The coordinator's replica owns no kernel — the shards killed,
         // drained (stage 0) and watch their own links: what the epoch
         // lost settles against the scheme as it still is, then the
@@ -529,7 +522,7 @@ impl<S: Scheme> Coordinator<S> {
                     let mut buf = std::mem::take(&mut self.emit_buf);
                     buf.clear();
                     self.scheme
-                        .on_unicast_arrival(node, dest, &mut self.rng, &mut buf);
+                        .on_unicast_arrival(node, dest, self.injector.rng(), &mut buf);
                     debug_assert!(!buf.is_empty(), "unicast stranded at {node}");
                     self.flush_cmds(
                         ctx,
@@ -548,55 +541,21 @@ impl<S: Scheme> Coordinator<S> {
             }
         }
 
-        let n = self.node_count;
-        let mix = self.mix;
-        let mut cursor = self.scenario;
-        let mut sink = GenSink {
-            co: self,
-            ctx: *ctx,
-            t,
-        };
-        generate_arrivals_into(&mut sink, &mut cursor, mix, n, t);
-        self.scenario = cursor;
-    }
-
-    /// Serial `new_task`, minus the flow-control gates (asserted off).
-    fn new_task<N: Network>(
-        &mut self,
-        ctx: &ShardCtx<'_, N>,
-        t: u64,
-        src: NodeId,
-        dest: Option<NodeId>,
-        measured: bool,
-    ) {
-        let task = self.ledger.open_task(t, t, dest.is_none(), measured);
-        let len = self.cfg.lengths.sample_length(&mut self.rng);
-        let mut buf = std::mem::take(&mut self.emit_buf);
-        buf.clear();
-        match dest {
-            None => self
-                .scheme
-                .on_broadcast_generated(src, &mut self.rng, &mut buf),
-            Some(dest) => self
-                .scheme
-                .on_unicast_generated(src, dest, &mut self.rng, &mut buf),
+        // Arrivals, in draw order (flow control is asserted off).
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        let faults = self.faults.as_deref();
+        let batch = std::slice::from_mut(&mut arrivals);
+        self.injector.slot(t, &self.scheme, faults, batch, |_| 0);
+        for (seq, (msg, emits)) in arrivals.iter().enumerate() {
+            let meta = FlowMeta {
+                task: self.ledger.open(t, msg),
+                gen_time: msg.gen_time,
+                len: msg.len,
+            };
+            self.flush_cmds(ctx, t, (2, seq as u64), msg.src, meta, emits);
         }
-        debug_assert!(!buf.is_empty(), "task with no transmissions");
-        let seq = self.gen_seq;
-        self.flush_cmds(
-            ctx,
-            t,
-            (2, seq),
-            src,
-            FlowMeta {
-                task,
-                gen_time: t,
-                len,
-            },
-            &buf,
-        );
-        self.emit_buf = buf;
-        self.gen_seq += 1;
+        arrivals.clear();
+        self.arrivals = arrivals;
     }
 
     /// Resolves emits to links and stages enqueue commands for the
@@ -672,30 +631,6 @@ impl<S: Scheme> Coordinator<S> {
     }
 }
 
-/// Adapter giving the coordinator the serial engine's arrival-draw
-/// sequence (`arrivals::generate_arrivals_into`).
-struct GenSink<'a, N, S> {
-    co: &'a mut Coordinator<S>,
-    ctx: ShardCtx<'a, N>,
-    t: u64,
-}
-
-impl<N: Network, S: Scheme> ArrivalSink for GenSink<'_, N, S> {
-    fn draw_ctx(&mut self) -> (&mut StdRng, &DestSampler) {
-        (&mut self.co.rng, &self.co.dests)
-    }
-
-    fn source_dead(&self, node: NodeId) -> bool {
-        self.co.faults.as_ref().is_some_and(|f| f.node_dead(node))
-    }
-
-    fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
-        let measured = self.co.cfg.in_window(self.t);
-        let ctx = self.ctx;
-        self.co.new_task(&ctx, self.t, src, dest, measured);
-    }
-}
-
 /// Shared state of the threaded driver.
 struct Exchange {
     barrier: Barrier,
@@ -757,10 +692,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         if let Err(e) = cfg.scenario.validate(&dims, mix.bernoulli) {
             panic!("invalid scenario config: {e}");
         }
-        let dests = cfg
-            .scenario
-            .resolve_dests(&dims)
-            .expect("validated just above");
         let links = topo.link_count();
         let link_source = topo.link_source_table();
         assert!(
@@ -795,12 +726,9 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
         let coord = Coordinator {
             scheme,
             cfg,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            dests,
-            scenario: ScenarioCursor::new(cfg.scenario),
+            injector: Injector::new(&dims, mix, &cfg),
+            arrivals: InjectBatch::default(),
             ledger: TaskLedger::new(&cfg, n, topo.diameter()),
-            node_count: n,
-            mix,
             queue_trace: Vec::new(),
             peak_queue: 0,
             flow: FlowCounters::default(),
@@ -810,7 +738,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             dead_policy: DeadLinkPolicy::default(),
             now: 0,
             cmds: (0..shards).map(|_| Vec::new()).collect(),
-            gen_seq: 0,
         };
         let link_target = topo.link_target_table();
         let link_dim = topo.link_dim_table();

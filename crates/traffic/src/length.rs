@@ -24,6 +24,14 @@ pub trait LengthDistribution {
 #[derive(Debug, Clone, Copy)]
 pub struct DeterministicLength(pub u16);
 
+impl DeterministicLength {
+    /// Creates the fixed length `len ≥ 1`.
+    pub fn new(len: u16) -> Self {
+        assert!(len >= 1, "fixed packet length must be >= 1");
+        Self(len)
+    }
+}
+
 impl LengthDistribution for DeterministicLength {
     #[inline(always)]
     fn sample<R: Rng + ?Sized>(&self, _rng: &mut R) -> u16 {
@@ -138,6 +146,15 @@ mod tests {
         }
         assert_eq!(l.mean(), 3.0);
         assert_eq!(l.second_moment(), 9.0);
+    }
+
+    /// A fixed length of zero is refused like a geometric mean or a
+    /// uniform minimum below one — a zero mean length would divide the
+    /// arrival rates into infinity.
+    #[test]
+    #[should_panic(expected = "fixed packet length must be >= 1")]
+    fn fixed_length_zero_is_rejected() {
+        crate::WorkloadSpec::Fixed(0).mean();
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl WorkloadSpec {
     #[inline]
     pub fn sample_length<R: Rng + ?Sized>(&self, rng: &mut R) -> u16 {
         match *self {
-            WorkloadSpec::Fixed(l) => DeterministicLength(l).sample(rng),
+            WorkloadSpec::Fixed(l) => DeterministicLength::new(l).sample(rng),
             WorkloadSpec::Geometric(mean) => GeometricLength::with_mean(mean).sample(rng),
             WorkloadSpec::Uniform(a, b) => UniformLength::new(a, b).sample(rng),
         }
@@ -85,7 +85,7 @@ impl WorkloadSpec {
     /// Mean length.
     pub fn mean(&self) -> f64 {
         match *self {
-            WorkloadSpec::Fixed(l) => DeterministicLength(l).mean(),
+            WorkloadSpec::Fixed(l) => DeterministicLength::new(l).mean(),
             WorkloadSpec::Geometric(mean) => GeometricLength::with_mean(mean).mean(),
             WorkloadSpec::Uniform(a, b) => UniformLength::new(a, b).mean(),
         }
@@ -94,7 +94,7 @@ impl WorkloadSpec {
     /// Second moment of the length.
     pub fn second_moment(&self) -> f64 {
         match *self {
-            WorkloadSpec::Fixed(l) => DeterministicLength(l).second_moment(),
+            WorkloadSpec::Fixed(l) => DeterministicLength::new(l).second_moment(),
             WorkloadSpec::Geometric(mean) => GeometricLength::with_mean(mean).second_moment(),
             WorkloadSpec::Uniform(a, b) => UniformLength::new(a, b).second_moment(),
         }

@@ -294,10 +294,13 @@ fn sim_and_net_agree_under_requeue_policy() {
     }
 }
 
-/// Losses that are not faults: bounded queues under both drop policies,
-/// admission control past saturation, and ARQ recovery over capacity-1
-/// queues (timers armed at one worker, jitter a function of the loss
-/// alone) — at every worker count the runtime reports the engine's run.
+/// Losses that are not faults: bounded queues under every full-queue
+/// policy, admission control past saturation, and ARQ recovery over
+/// capacity-1 queues (timers armed at one worker, jitter a function of
+/// the loss alone) — at every worker count the runtime reports the
+/// engine's run. Source backpressure is decided at each source's owner,
+/// against its own queues, plainly, beside ARQ under faults and under
+/// `Requeue`.
 #[test]
 fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
     let topo = Torus::new(&[4, 4]);
@@ -374,6 +377,59 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
             DeadLinkPolicy::Drop,
         );
         assert_reports_match(&sim, &net.report, &format!("ARQ + faults W={workers}"));
+    }
+    // Source backpressure: plain, with ARQ under the staggered plan, and
+    // under `Requeue`. Every draw is taken at the arrival, so the task
+    // population is the unbounded run's.
+    let backpressure = |seed| bounded(FullQueuePolicy::Backpressure, seed);
+    let (_, outage) = scripted_plans(&topo).swap_remove(0);
+    let runs = [
+        ("Backpressure", backpressure(67), None),
+        (
+            "Backpressure + ARQ + faults",
+            SimConfig {
+                arq: Some(pstar_sim::ArqConfig::default()),
+                ..backpressure(68)
+            },
+            Some((plan, DeadLinkPolicy::Drop)),
+        ),
+        (
+            "Backpressure + Requeue",
+            backpressure(69),
+            Some((outage, DeadLinkPolicy::Requeue)),
+        ),
+    ];
+    for (name, cfg, faults) in runs {
+        let spec = at_rho(0.9);
+        let sim = match faults.clone() {
+            Some((plan, policy)) => fault_sim_run(&spec, &topo, cfg, plan, policy),
+            None => run_scenario(&topo, &spec, cfg),
+        };
+        assert!(sim.completed, "{name}: sim did not complete");
+        assert!(sim.flow.deferred_injections > 0, "{name}: nothing waited");
+        if cfg.arq.is_some() {
+            assert!(sim.recovery.retransmissions > 0, "{name}: ARQ never fired");
+        }
+        let unbounded = SimConfig {
+            queue_capacity: None,
+            ..cfg
+        };
+        let unbounded = match faults.clone() {
+            Some((plan, policy)) => fault_sim_run(&spec, &topo, unbounded, plan, policy),
+            None => run_scenario(&topo, &spec, unbounded),
+        };
+        assert_eq!(
+            sim.measured_broadcasts, unbounded.measured_broadcasts,
+            "{name}: the queues changed which tasks exist"
+        );
+        for workers in 1..=4 {
+            let net = net_run_under(&spec, &topo, cfg, workers, faults.clone());
+            assert_eq!(
+                net.report.measured_broadcasts,
+                unbounded.measured_broadcasts
+            );
+            assert_reports_match(&sim, &net.report, &format!("{name} W={workers}"));
+        }
     }
 }
 
