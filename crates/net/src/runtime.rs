@@ -5,26 +5,35 @@
 //! [`pstar_sim::Hop`] over their contiguous id range: the same queueing,
 //! service, delivery, forwarding, loss and ARQ code the serial engine
 //! runs — and its books: a private [`crate::stats::WorkerStats`]
-//! accumulator and the records of the tasks it is home to.
+//! accumulator and the records of the tasks it is home to, the tasks it
+//! opened at its sources. A record lives in the serial engine's
+//! [`pstar_sim::TaskTable`] slab, and the handle every copy of the task
+//! carries ([`pstar_sim::Packet::task`]) is `slot << b | home` with
+//! `b = ⌈log₂ W⌉`: at one worker exactly the engine's ledger slot, and
+//! at any worker count a home found by a mask and a record by an index.
 //! Workers never share mutable state: everything crosses core
 //! boundaries in [`crate::channel::Mailbox`]es, one hand-over per peer
 //! per slot — a worker collects what it has for each peer (control,
 //! deliveries, injections) in one outbox it owns and swaps the whole
 //! outbox into the pair's mailbox, so no lock is taken per message and
-//! none at all towards a peer it has nothing for.
+//! none at all towards a peer it has nothing for. What stays on a
+//! worker never enters an outbox: the deliveries to its own nodes are
+//! taken off its kernel where they are processed, and a notice to a
+//! home it is itself is applied at once.
 //!
 //! # Slot protocol
 //!
 //! Every slot `t` is one exchange — *send*, **one rendezvous**,
 //! *process*:
 //!
-//! * **Send** — each worker moves the deliveries finishing at `t` off
-//!   its links into the outbox of the target node's owner, and worker 0
-//!   draws the slot's tasks with the one [`pstar_sim::Injector`]
-//!   straight into the source owners' outboxes. Each non-empty outbox —
-//!   the control messages slot `t − 1` produced, slot `t`'s deliveries
-//!   and slot `t`'s tasks — then goes to its peer in one hand-over, into
-//!   the pair's mailbox of parity `t % 2`.
+//! * **Send** — each worker copies the deliveries finishing at `t` on
+//!   its links whose target node another worker owns into that owner's
+//!   outbox, leaving them on its kernel, and worker 0 draws the slot's
+//!   tasks with the one [`pstar_sim::Injector`] straight into the source
+//!   owners' outboxes. Each non-empty outbox — the control messages slot
+//!   `t − 1` produced, slot `t`'s deliveries and slot `t`'s tasks — then
+//!   goes to its peer in one hand-over, into the pair's mailbox of
+//!   parity `t % 2`.
 //! * **Rendezvous** — the one barrier of the slot. Its *last arriver*,
 //!   before it releases the others, decides slot `t − 1`: it totals the
 //!   per-worker gauge lines (queued packets, tasks waiting at their
@@ -34,9 +43,11 @@
 //!   leaves the rendezvous knowing both that slot `t`'s traffic is in
 //!   the mailboxes and whether slot `t` exists.
 //! * **Process** — each worker takes its peers' mailboxes of parity
-//!   `t % 2`, then handles control (acks/losses/registrations from slot
-//!   `t − 1`, each carrying the slot it happened in), then this slot's
-//!   deliveries in ascending link order (applying scheme forwarding),
+//!   `t % 2`, then handles control (acks, loss and retransmission
+//!   notices from slot `t − 1`, each carrying the slot it happened in),
+//!   then this slot's deliveries in ascending link order (applying
+//!   scheme forwarding) — its own taken off its kernel by the finish
+//!   scan at its place in that order, as `Engine::step` takes them —
 //!   then fires its due ARQ retransmissions, then lets its sources'
 //!   tasks arrive ([`pstar_sim::Hop::arrive`]: the tasks waiting under
 //!   source backpressure retry, then the slot's), and finally starts
@@ -70,8 +81,9 @@
 //! A mailbox holds one sender's batch in send order, batches are taken
 //! after the rendezvous in a fixed sender order, and a worker's links
 //! are one contiguous id range, so the senders' delivery runs — each
-//! ascending, a finish scan's order — concatenate into one ascending
-//! sequence. Every RNG is seeded from `SimConfig::seed`, and the
+//! ascending, a finish scan's order, the worker's own run at its own
+//! place — concatenate into one ascending sequence. Every RNG is seeded
+//! from `SimConfig::seed`, and the
 //! injector is the engine's, drawing every task in full at its arrival,
 //! which makes the task population identical to a simulator run of the
 //! same config whatever the queues hold. A source's out-links belong to
@@ -124,8 +136,6 @@
 //! a run returns when its work does. [`ChaosConfig`] injects exactly
 //! these failures deterministically.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -136,8 +146,8 @@ use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceRecord, TraceSink};
 use pstar_sim::{
     assemble, splitmix64, stop_verdict, FaultClock, Homes, Hop, HopCtx, InjectBatch, InjectMsg,
-    Injector, LinkCounters, LossCause, Packet, PacketKind, RunOutcome, Scheme, SimConfig,
-    SimReport, Stop, TaskLedger, TaskSlot, MAX_PRIORITY_CLASSES,
+    Injector, LinkCounters, LossCause, Packet, RunOutcome, Scheme, SimConfig, SimReport, Stop,
+    TaskLedger, TaskSlot, TaskTable, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
@@ -222,7 +232,9 @@ pub struct NetReport {
     pub wall_secs: f64,
     /// Simulated slots per wall-clock second.
     pub slots_per_sec: f64,
-    /// Cross-worker messages sent (data + control + injection).
+    /// Cross-worker messages sent (data + control + injection). A slot's
+    /// acks of one task to one home count once: they travel as one
+    /// message.
     pub messages_sent: u64,
     /// Per-worker trace tracks `(worker, records)`, when
     /// [`NetConfig::trace_capacity`] is nonzero.
@@ -460,25 +472,23 @@ struct Tally {
     peak: AtomicI64,
 }
 
-/// A delivery crossing a worker boundary (or looped back locally).
+/// A delivery crossing a worker boundary.
 struct DataMsg {
     link: u32,
     pkt: Packet,
 }
 
-/// Control-plane traffic: task registration, acks, loss settlements.
-/// Mirrors the simulator's contention-free ARQ control plane — a
-/// mailbox takes any number of them and they are never modeled as
-/// carrying load.
+/// Control-plane traffic: what a worker tells the home of a task it saw
+/// a copy of, by the handle the copies carry. Mirrors the simulator's
+/// contention-free ARQ control plane — a mailbox takes any number of
+/// them and they are never modeled as carrying load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CtrlMsg {
-    /// A unicast task registered at its home (the destination's owner).
-    Register {
-        task: u32,
-        gen_time: u64,
-        measured: bool,
-    },
-    /// One broadcast reception delivered at `slot`, acked to the home.
-    Ack { task: u32, slot: u64 },
+    /// `count` receptions of the task delivered at `slot` on the
+    /// sender's nodes: one message per (task, slot, home), which the
+    /// home applies as `count` receptions ([`TaskSlot::receive_n`]: its
+    /// record is an order-free maximum and sum).
+    Ack { task: u32, slot: u64, count: u32 },
     /// `receptions` of the task settled as permanently lost at `slot`.
     /// `fault` carries the loss attribution (dead link vs. overflow) so
     /// the home can count fault-damaged broadcasts like the engine does.
@@ -492,43 +502,18 @@ enum CtrlMsg {
     MarkRetx { task: u32 },
 }
 
-/// Hasher of the task-home table. Task ids are sequential counters
-/// generated inside this program (never outside input, so there is no
-/// collision attack to defend against), and one multiplication spreads
-/// them over both the bucket bits (low) and the control-byte bits (high)
-/// — SipHash on every ack and loss bought nothing.
-#[derive(Default)]
-struct TaskIdHasher(u64);
-
-impl Hasher for TaskIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("task ids hash through write_u32");
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// The tasks a worker is home to (broadcast: the source's owner;
-/// unicast: the destination's owner), by the injector's task id.
-type TaskTable = HashMap<u32, TaskSlot, BuildHasherDefault<TaskIdHasher>>;
-
 /// Everything one worker has for one peer in one slot — what a single
 /// mailbox hand-over carries. The outbox a worker keeps for *itself*
-/// (index = its own id) is the same type: its deliveries and injections
-/// loop back without leaving the thread, its `ctrl` stays empty (local
-/// control is applied directly).
+/// (index = its own id) is the same type, and only worker 0's is ever
+/// used: the tasks its injector drew for its own sources loop back
+/// without leaving the thread.
 #[derive(Default)]
 pub(crate) struct Batch {
     /// Control messages of the *previous* slot (sealed at the top of the
     /// slot that sends them).
     ctrl: Vec<CtrlMsg>,
-    /// This slot's deliveries, ascending in link id (finish-scan order).
+    /// This slot's deliveries to the receiver's nodes, ascending in link
+    /// id (finish-scan order).
     data: Vec<DataMsg>,
     /// This slot's tasks at the receiver's sources (from worker 0).
     inject: InjectBatch,
@@ -560,6 +545,10 @@ impl std::borrow::BorrowMut<InjectBatch> for Batch {
 struct Shared {
     workers: usize,
     node_owner: Vec<u32>,
+    /// The owner of every link's target node: where a delivery goes.
+    target_owner: Vec<u32>,
+    /// `⌈log₂ W⌉`: a task handle is `slab slot << home_bits | home`.
+    home_bits: u32,
     link_dim: Vec<u8>,
     /// The first link id of each worker's node range, plus the link
     /// count (`workers + 1` entries): worker `i` owns links
@@ -621,9 +610,12 @@ impl Shared {
         let first_link_of = |node: u32| link_source.partition_point(|src| src.0 < node) as u32;
         let mut link_lo: Vec<u32> = ranges.iter().map(|r| first_link_of(r.start)).collect();
         link_lo.push(link_source.len() as u32);
+        let owner_of = |v: &NodeId| node_owner[v.index()];
         Ok(Self {
             workers: w,
+            target_owner: topo.link_target_table().iter().map(owner_of).collect(),
             node_owner,
+            home_bits: w.next_power_of_two().trailing_zeros(),
             link_dim: topo.link_dim_table(),
             link_lo,
             sim: *sim,
@@ -758,89 +750,123 @@ impl TraceSink for Track {
 }
 
 /// What a worker counts and where its tasks' homes are: its share of the
-/// ledger, the records of the tasks it is home to (broadcast: the
-/// source's owner; unicast: the destination's), and the control notices
-/// it owes other homes. The hop rules reach it as their [`Homes`]: the
-/// delivery- and loss-site rules count here, the home-site ones are
-/// applied here or sent to the home.
+/// ledger, the records of the tasks it is home to (those it opened, at
+/// its sources), and the control notices it owes other homes. The hop
+/// rules reach it as their [`Homes`]: the delivery- and loss-site rules
+/// count here, the home-site ones are applied here or sent to the home.
 struct Books<'a> {
     id: usize,
     shared: &'a Shared,
     stats: WorkerStats,
     tasks: TaskTable,
     /// Control messages the current slot has produced so far, index =
-    /// destination worker; sealed into the outboxes at the top of the
-    /// next slot.
-    pending_ctrl: Vec<Vec<CtrlMsg>>,
+    /// home worker; sealed into the outboxes at the top of the next slot.
+    pending: Vec<Vec<CtrlMsg>>,
+    /// This slot's receptions of tasks homed elsewhere, by task handle
+    /// (unique over all homes), and those handles in the order of their
+    /// first reception: the slot's `Ack`s, one per task
+    /// ([`Books::seal_acks`]).
+    acks: Vec<u32>,
+    acked: Vec<u32>,
 }
 
 impl Books<'_> {
+    /// The worker keeping the record of the task with handle `task`.
     #[inline]
-    fn owner_of(&self, node: NodeId) -> usize {
-        self.shared.node_owner[node.index()] as usize
+    fn home_of(&self, task: u32) -> usize {
+        (task & ((1 << self.shared.home_bits) - 1)) as usize
     }
 
-    /// The worker keeping `pkt`'s task-completion record.
-    #[inline]
-    fn home_of(&self, pkt: &Packet) -> usize {
-        match pkt.kind {
-            PacketKind::Broadcast(state) => self.owner_of(state.src),
-            PacketKind::Unicast { dest } => self.owner_of(dest),
-        }
+    /// The slab slot of `task`'s record at its home.
+    fn index_of(&self, task: u32) -> u32 {
+        task >> self.shared.home_bits
     }
 
-    /// Settles `msg` at worker `home`: here and now when that is this
+    /// Settles `msg` at `task`'s home: here and now when that is this
     /// worker; otherwise it ships with the next slot's hand-over — the
     /// one-slot lag of the control plane, the run's last slot included
     /// (`take_last_ctrl`) — and counts as sent here, where it is
     /// produced.
-    fn tell(&mut self, home: usize, msg: CtrlMsg) {
+    fn tell(&mut self, task: u32, msg: CtrlMsg) {
+        let home = self.home_of(task);
         if home == self.id {
             self.apply(msg);
         } else {
-            self.pending_ctrl[home].push(msg);
+            self.pending[home].push(msg);
             self.stats.messages_sent += 1;
         }
     }
 
+    /// One reception of `task` delivered at slot `t`: settled here when
+    /// this worker is its home, otherwise counted towards the slot's
+    /// `Ack` of the task, which counts as sent at its first reception.
+    #[inline]
+    fn ack(&mut self, t: u64, task: u32) {
+        if self.home_of(task) == self.id {
+            return self.settle(task, |s| s.receive(t));
+        }
+        let at = task as usize;
+        if at >= self.acks.len() {
+            self.acks.resize(at + 1, 0);
+        }
+        if self.acks[at] == 0 {
+            self.acked.push(task);
+            self.stats.messages_sent += 1;
+        }
+        self.acks[at] += 1;
+    }
+
+    /// The receptions slot `slot` delivered of tasks homed elsewhere —
+    /// every one counted since the last seal — become one
+    /// `Ack { task, slot, count }` per (task, slot, home), behind the
+    /// notices already pending for that home.
+    fn seal_acks(&mut self, slot: u64) {
+        let mask = (1 << self.shared.home_bits) - 1;
+        for task in self.acked.drain(..) {
+            let ack = CtrlMsg::Ack {
+                task,
+                slot,
+                count: std::mem::take(&mut self.acks[task as usize]),
+            };
+            self.pending[(task & mask) as usize].push(ack);
+        }
+    }
+
     /// Applies one control message at this worker, the task's home.
+    ///
+    /// A `MarkRetx` always finds its task's record: the copy it marks
+    /// was lost with its receptions still outstanding, and they stay so
+    /// until that copy is delivered in a later slot or lost for good by
+    /// the same worker (its ARQ timers re-admit at the hop that lost
+    /// it), whose `Lost` follows the `MarkRetx` in that worker's FIFO
+    /// batch. So the task cannot complete, and its slot cannot be
+    /// reused, before the mark arrives.
     fn apply(&mut self, msg: CtrlMsg) {
         match msg {
-            CtrlMsg::Register {
-                task,
-                gen_time,
-                measured,
-            } => self.register(task, TaskSlot::new(gen_time, false, 1, measured)),
-            CtrlMsg::Ack { task, slot } => self.settle(task, |s| s.receive(slot)),
+            CtrlMsg::Ack { task, slot, count } => self.settle(task, |s| s.receive_n(slot, count)),
             CtrlMsg::Lost {
                 task,
                 receptions,
                 fault,
                 slot,
             } => self.settle(task, |s| s.lose(slot, receptions, fault)),
-            CtrlMsg::MarkRetx { task } => {
-                if let Some(slot) = self.tasks.get_mut(&task) {
-                    slot.retx = true;
-                }
-            }
+            CtrlMsg::MarkRetx { task } => self.settle(task, |s| {
+                s.retx = true;
+                false
+            }),
         }
     }
 
-    /// `task` starts being tracked at this worker, its home.
-    fn register(&mut self, task: u32, slot: TaskSlot) {
-        let prev = self.tasks.insert(task, slot);
-        debug_assert!(prev.is_none(), "duplicate task id {task}");
-    }
-
-    /// Applies one settlement to `task`'s record; the one that completes
-    /// the task takes the record out and counts it — one table lookup
-    /// either way (a unicast's only settlement is its completion).
+    /// Applies one notice to `task`'s record, which must be live; the
+    /// settlement that completes the task takes the record out, frees
+    /// its slot and counts it.
+    #[inline]
     fn settle(&mut self, task: u32, settle: impl FnOnce(&mut TaskSlot) -> bool) {
-        let Entry::Occupied(mut record) = self.tasks.entry(task) else {
-            panic!("settlement for unknown task {task}");
-        };
-        if settle(record.get_mut()) {
-            self.stats.tasks.completed(record.remove());
+        let index = self.index_of(task);
+        let record = self.tasks.get_mut(index);
+        debug_assert!(record.remaining > 0, "notice for finished task {task}");
+        if settle(record) {
+            self.stats.tasks.completed(self.tasks.remove(index));
         }
     }
 }
@@ -850,56 +876,39 @@ impl Homes for Books<'_> {
         &mut self.stats.tasks
     }
 
-    /// Counted here, the source's owner, at injection: the task's
-    /// receptions are due from this slot on, wherever its home is. A
-    /// broadcast's home is this worker; a unicast's is its destination's
-    /// owner, which a `Register` tells.
+    /// Counted and kept here, the source's owner, at injection: the
+    /// task's receptions are due from this slot on, and this worker is
+    /// its home. The handle is the record's slab slot tagged with this
+    /// worker's id.
     fn open(&mut self, t: u64, msg: &InjectMsg) -> u32 {
         let broadcast = msg.dest.is_none();
         self.stats.tasks.opened(t, broadcast, msg.measured);
-        match msg.dest {
-            None => {
-                let receivers = self.shared.node_owner.len() as u32 - 1;
-                let slot = TaskSlot::new(msg.gen_time, true, receivers, msg.measured);
-                self.register(msg.task, slot);
-            }
-            Some(dest) => {
-                let register = CtrlMsg::Register {
-                    task: msg.task,
-                    gen_time: msg.gen_time,
-                    measured: msg.measured,
-                };
-                self.tell(self.owner_of(dest), register);
-            }
-        }
-        msg.task
+        let receivers = self.shared.node_owner.len() as u32 - 1;
+        let record = TaskSlot::new(msg.gen_time, broadcast, receivers, msg.measured);
+        let index = self.tasks.insert(record);
+        debug_assert!(index.leading_zeros() >= self.shared.home_bits);
+        index << self.shared.home_bits | self.id as u32
     }
 
-    #[inline]
+    #[inline(always)]
     fn broadcast_received(&mut self, t: u64, pkt: &Packet, dist: impl FnOnce() -> u32) {
         if self.shared.sim.in_window(pkt.gen_time) {
             self.stats
                 .tasks
                 .measured_reception(pkt.gen_time, t, pkt.priority, dist);
         }
-        let ack = CtrlMsg::Ack {
-            task: pkt.task,
-            slot: t,
-        };
-        self.tell(self.home_of(pkt), ack);
+        self.ack(t, pkt.task);
     }
 
     #[inline]
     fn unicast_arrived(&mut self, t: u64, pkt: &Packet) {
-        // The destination's owner *is* the unicast's home.
-        self.apply(CtrlMsg::Ack {
-            task: pkt.task,
-            slot: t,
-        });
+        let measured = self.shared.sim.in_window(pkt.gen_time);
+        self.stats.tasks.unicast_delivered(measured);
+        self.ack(t, pkt.task);
     }
 
     fn retransmitting(&mut self, pkt: &Packet) {
-        self.tell(self.home_of(pkt), CtrlMsg::MarkRetx { task: pkt.task });
+        self.tell(pkt.task, CtrlMsg::MarkRetx { task: pkt.task });
     }
 
     fn lost_for_good(
@@ -918,7 +927,7 @@ impl Homes for Books<'_> {
             fault: cause == LossCause::Fault,
             slot: t,
         };
-        self.tell(self.home_of(pkt), lost);
+        self.tell(pkt.task, lost);
         lost_measured
     }
 }
@@ -930,7 +939,6 @@ impl Homes for Books<'_> {
 struct Worker<'a, N: Network + Sync, SS: Scheme> {
     id: usize,
     topo: &'a N,
-    cfg: SimConfig,
     shared: &'a Shared,
     /// The hop rules over the owned links (a contiguous id range: link
     /// ids are node-major), with this worker's scheme, ARQ timers,
@@ -943,11 +951,12 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     fwd_rng: StdRng,
     /// Worker 0 only: the sampled fleet-wide queue totals.
     queue_trace: Vec<(u64, u64)>,
-    /// Outboxes, index = destination worker (`out[id]` loops back): the
-    /// slot's deliveries and injections collect here during send, beside
-    /// the control sealed at the top of the slot, and each non-empty one
-    /// is swapped into its mailbox in one hand-over. What comes back is
-    /// a batch the receiver emptied, so a slot allocates nothing.
+    /// Outboxes, index = destination worker (`out[id]` loops worker 0's
+    /// injections back): the slot's cross-worker deliveries and
+    /// injections collect here during send, beside the control sealed at
+    /// the top of the slot, and each non-empty one is swapped into its
+    /// mailbox in one hand-over. What comes back is a batch the receiver
+    /// emptied, so a slot allocates nothing.
     out: Vec<Batch>,
     /// Taken batches, index = source worker; emptied by process, then
     /// swapped back into the mailbox by the next take.
@@ -1005,15 +1014,16 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         Self {
             id,
             topo,
-            cfg: sim,
             shared,
             hop,
             books: Books {
                 id,
                 shared,
                 stats: WorkerStats::new(&sim, topo.node_count(), topo.diameter()),
-                tasks: TaskTable::default(),
-                pending_ctrl: (0..w).map(|_| Vec::new()).collect(),
+                tasks: TaskTable::new(),
+                pending: (0..w).map(|_| Vec::new()).collect(),
+                acks: Vec::new(),
+                acked: Vec::new(),
             },
             injector,
             fwd_rng: StdRng::seed_from_u64(fwd_seed),
@@ -1055,13 +1065,13 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             if decide_first && t > 0 && self.rendezvous(Some(t - 1), 1) {
                 // Slot `t − 1` was the last and nothing of slot `t` has
                 // happened: hand its control over on its own.
-                self.seal_ctrl();
+                self.seal_ctrl(t);
                 if !self.hand_over(t) && !self.rendezvous(None, 0) {
                     self.take_last_ctrl(t);
                 }
                 break;
             }
-            self.seal_ctrl();
+            self.seal_ctrl(t);
             if decide_first {
                 self.fault_tick(t);
             }
@@ -1083,7 +1093,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             // The slot runs. What the links held at its top — after its
             // fault tick, before its deliveries — is the total the
             // rendezvous just took.
-            if id == 0 && self.cfg.queue_sampled_at(t) {
+            if id == 0 && shared.sim.queue_sampled_at(t) {
                 let total = shared.tally.total.load(Ordering::Relaxed);
                 self.queue_trace.push((t, total.max(0) as u64));
             }
@@ -1139,7 +1149,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     /// After the last slot: the control it produced (the acks and loss
-    /// notices of its deliveries, its registrations) reaches the homes,
+    /// notices of its deliveries and losses) reaches the homes,
     /// so that a task whose last settlement was in the run's last slot
     /// completes in the report as it does in the engine's. The slot-`t`
     /// traffic a fault-free run's send handed over with it never runs.
@@ -1160,33 +1170,39 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         }
     }
 
-    /// Top of slot: the control messages produced so far — the previous
-    /// slot's — move into the outboxes this slot's send hands over.
+    /// Top of slot `t`: the control messages produced so far — slot
+    /// `t − 1`'s, its receptions' acks now sealed — move into the
+    /// outboxes this slot's send hands over.
     /// Whatever the slot itself produces from here on, its fault tick
     /// included, collects in the books' pending control for the next
     /// send.
-    fn seal_ctrl(&mut self) {
-        for (batch, pending) in self.out.iter_mut().zip(&mut self.books.pending_ctrl) {
+    fn seal_ctrl(&mut self, t: u64) {
+        self.books.seal_acks(t.saturating_sub(1));
+        for (batch, pending) in self.out.iter_mut().zip(&mut self.books.pending) {
             debug_assert!(batch.ctrl.is_empty(), "outbox came back unemptied");
             std::mem::swap(&mut batch.ctrl, pending);
         }
     }
 
     // ---------------------------------------------------------------
-    // Send: move finished deliveries + inject traffic, hand over
+    // Send: ship cross-worker deliveries + inject traffic, hand over
     // ---------------------------------------------------------------
 
     /// Slot `t`'s send. It runs before slot `t − 1` is decided (on
     /// fault-free runs), so it must not do anything a report can see:
-    /// what it counts stays uncommitted until [`Worker::commit_send`].
-    /// Returns `true` when the run was poisoned during a hand-over.
+    /// what it counts stays uncommitted until [`Worker::commit_send`],
+    /// and the deliveries it ships stay on the kernel, which process
+    /// takes them off. Returns `true` when the run was poisoned during a
+    /// hand-over.
     fn send(&mut self, t: u64) -> bool {
-        let shared = self.shared;
-        let mut scan = self.hop.kernel.finish_scan();
-        while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
-            let pkt = *pkt;
-            let to = shared.node_owner[self.hop.target(link).index()] as usize;
-            self.out[to].data.push(DataMsg { link, pkt });
+        let (shared, id) = (self.shared, self.id);
+        if shared.workers > 1 {
+            for (link, pkt) in self.hop.kernel.finishing(t) {
+                let to = shared.target_owner[link as usize] as usize;
+                if to != id {
+                    self.out[to].data.push(DataMsg { link, pkt: *pkt });
+                }
+            }
         }
         // Dead nodes generate no traffic, in the engine's exact RNG draw
         // order: the injector reads this worker's fault-clock replica.
@@ -1230,25 +1246,10 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     // Process: take + handle, engine step order
     // ---------------------------------------------------------------
 
-    /// The hop rules' view of this worker at slot `t`.
-    fn hop_ctx<'w>(
-        topo: &'w N,
-        books: &'w mut Books<'a>,
-        fwd_rng: &'w mut StdRng,
-        t: u64,
-    ) -> HopCtx<'w, N, Books<'a>> {
-        HopCtx {
-            topo,
-            homes: books,
-            ties: fwd_rng,
-            t,
-        }
-    }
-
     fn process(&mut self, t: u64) {
         let (shared, w, id) = (self.shared, self.shared.workers, self.id);
-        // 0. One take per peer; what this worker sent itself loops back
-        //    by the same swap, without a mailbox. A deaf worker (chaos)
+        // 0. One take per peer; the tasks worker 0 drew for itself loop
+        //    back by the same swap, without a mailbox. A deaf worker (chaos)
         //    stops taking, so its peers' next put of this parity finds
         //    the mailbox occupied and waits — the hang the watchdog
         //    exists to catch.
@@ -1264,9 +1265,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 }
             }
         }
-        // 1. Control plane from slot t − 1: registrations must precede
-        //    the deliveries so a task's home record always exists before
-        //    its first ack or loss can arrive.
+        // 1. Control plane from slot t − 1.
         for batch in &mut self.inbox {
             for msg in batch.ctrl.drain(..) {
                 self.books.apply(msg);
@@ -1280,13 +1279,33 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         //    holds only its own links, and workers own ascending,
         //    disjoint link ranges: the k-way merge of the runs is their
         //    concatenation in sender order, each processed where it lies.
-        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
+        //    This worker's own run is its finish scan, which takes every
+        //    delivery off the kernel and skips those send shipped.
+        let mut cx = HopCtx {
+            topo: self.topo,
+            homes: &mut self.books,
+            ties: &mut self.fwd_rng,
+            t,
+        };
         let mut last_link = None;
-        for batch in &mut self.inbox {
-            for msg in batch.data.drain(..) {
-                debug_assert!(last_link < Some(msg.link), "deliveries out of link order");
-                last_link = Some(msg.link);
-                self.hop.deliver(&mut cx, msg.link, msg.pkt);
+        for (from, batch) in self.inbox.iter_mut().enumerate() {
+            if from != id {
+                for msg in batch.data.drain(..) {
+                    debug_assert!(last_link < Some(msg.link), "deliveries out of link order");
+                    last_link = Some(msg.link);
+                    self.hop.deliver(&mut cx, msg.link, msg.pkt);
+                }
+                continue;
+            }
+            let mut scan = self.hop.kernel.finish_scan();
+            while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
+                if shared.target_owner[link as usize] as usize != id {
+                    continue;
+                }
+                let pkt = *pkt;
+                debug_assert!(last_link < Some(link), "deliveries out of link order");
+                last_link = Some(link);
+                self.hop.deliver(&mut cx, link, pkt);
             }
         }
         // 3. Due retransmissions (before arrivals, like the engine).
@@ -1298,7 +1317,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         // 5. The queued population, sampled at the engine's point: after
         //    arrivals, before service starts.
         let pre_service = self.hop.kernel.queued();
-        if self.cfg.in_window(t) {
+        if shared.sim.in_window(t) {
             self.hop.flow.occupancy_sum += pre_service as u128;
         }
         // 6. Service starts on the owned links, link-id order.
@@ -1319,8 +1338,8 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             Ordering::Relaxed,
         );
         gauge.deferred.store(deferred as i64, Ordering::Relaxed);
-        if self
-            .cfg
+        if shared
+            .sim
             .single_queue_tripped(t + 1, || self.hop.kernel.max_qlen())
         {
             gauge.unstable.store(true, Ordering::Relaxed);
@@ -1339,7 +1358,12 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     /// single re-solve.
     fn fault_tick(&mut self, t: u64) {
         let mark = self.perf.as_ref().map(|_| Instant::now());
-        let mut cx = Self::hop_ctx(self.topo, &mut self.books, &mut self.fwd_rng, t);
+        let mut cx = HopCtx {
+            topo: self.topo,
+            homes: &mut self.books,
+            ties: &mut self.fwd_rng,
+            t,
+        };
         if self.hop.fault_tick(&mut cx) {
             lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
         }
@@ -2098,10 +2122,13 @@ mod tests {
         assert!(took < Duration::from_millis(250), "50 runs took {took:?}");
     }
 
-    /// Every buffer of a stepped fleet — outboxes, pending control,
-    /// inboxes, both parities of every mailbox, the forward scratch —
-    /// as `(address, capacity in bytes)`, sorted: hand-overs move
-    /// buffers between owners, so the multiset is what stays put.
+    /// Every buffer of a stepped fleet — outboxes, pending control, the
+    /// slot's list of acked tasks, inboxes, both parities of every
+    /// mailbox, the forward scratch — as `(address, capacity in bytes)`,
+    /// sorted: hand-overs move buffers between owners, so the multiset
+    /// is what stays put. Per-task state — the slabs and the reception
+    /// counts indexed by task handle — grows with the homes' slabs
+    /// and is not part of it.
     fn fleet_buffers<N: Network + Sync, SS: Scheme>(
         shared: &Shared,
         fleet: &[Worker<'_, N, SS>],
@@ -2120,7 +2147,8 @@ mod tests {
         let mut all = Vec::new();
         for worker in fleet {
             all.push(of(worker.hop.emit_scratch()));
-            all.extend(worker.books.pending_ctrl.iter().map(of));
+            all.extend(worker.books.pending.iter().map(of));
+            all.push(of(&worker.books.acked));
             all.extend(worker.out.iter().flat_map(of_batch));
             all.extend(worker.inbox.iter().flat_map(of_batch));
         }
@@ -2163,7 +2191,7 @@ mod tests {
         let step = |fleet: &mut Vec<Worker<'_, _, _>>, t: u64| {
             let mut crossed = [0usize; 3];
             for worker in fleet.iter_mut() {
-                worker.seal_ctrl();
+                worker.seal_ctrl(t);
                 let peer = &worker.out[1 - worker.id];
                 crossed[0] += peer.ctrl.len();
                 assert!(!worker.send(t), "no put may wait in a stepped fleet");
@@ -2207,6 +2235,135 @@ mod tests {
         }
         let sent: u64 = fleet.iter().map(|w| w.books.stats.messages_sent).sum();
         assert!(sent > 0 && fleet.iter().all(|w| w.uncommitted_sent == 0));
+    }
+
+    /// Books of worker `id` of `shared`'s fleet, over a 4×4 torus.
+    fn books(shared: &Shared, id: usize) -> Books<'_> {
+        Books {
+            id,
+            shared,
+            stats: WorkerStats::new(&shared.sim, 16, 4),
+            tasks: TaskTable::new(),
+            pending: (0..shared.workers).map(|_| Vec::new()).collect(),
+            acks: Vec::new(),
+            acked: Vec::new(),
+        }
+    }
+
+    /// A task opened at slot `t`: a broadcast from node 0, or a unicast
+    /// to node 9.
+    fn opened(books: &mut Books<'_>, t: u64, broadcast: bool) -> u32 {
+        let msg = InjectMsg {
+            src: NodeId(0),
+            dest: (!broadcast).then_some(NodeId(9)),
+            gen_time: t,
+            len: 1,
+            measured: true,
+            emits: 0..1,
+        };
+        books.open(t, &msg)
+    }
+
+    /// A slot's receptions of one task at one home travel as one `Ack`
+    /// with their count; another slot, another home or another task
+    /// takes a message of its own, and only a new message counts.
+    #[test]
+    fn acks_coalesce_per_task_slot_and_home() {
+        let topo = Torus::new(&[4, 4]);
+        let shared = Shared::new(&topo, 3, &SimConfig::quick(1)).unwrap();
+        let ack = |task, slot, count| CtrlMsg::Ack { task, slot, count };
+        // Three workers: a handle is `slab slot << 2 | home`.
+        let (a, b, c) = (5 << 2 | 1, 5 << 2 | 2, 6 << 2 | 1);
+        let mut books = books(&shared, 0);
+        for _ in 0..4 {
+            books.ack(7, a);
+        }
+        books.ack(7, b);
+        books.ack(7, c);
+        books.ack(7, a);
+        assert_eq!(books.stats.messages_sent, 3);
+        books.seal_acks(7);
+        assert_eq!(books.pending[1], [ack(a, 7, 5), ack(c, 7, 1)]);
+        assert_eq!(books.pending[2], [ack(b, 7, 1)]);
+        let sealed = std::mem::take(&mut books.pending[1]);
+        books.ack(8, a);
+        books.ack(8, a);
+        books.seal_acks(8);
+        assert_eq!(books.pending[1], [ack(a, 8, 2)], "another slot");
+        assert_eq!(sealed, [ack(a, 7, 5), ack(c, 7, 1)]);
+        assert_eq!(books.stats.messages_sent, 4);
+    }
+
+    /// A home applies a coalesced `Ack` as the receptions it counts:
+    /// the ledger and the slab end up as after one `Ack` per reception.
+    /// Handles carry the home, and a completed task's slot is reused.
+    #[test]
+    fn a_coalesced_ack_settles_like_its_receptions() {
+        let topo = Torus::new(&[4, 4]);
+        let sim = SimConfig::quick(1);
+        let shared = Shared::new(&topo, 2, &sim).unwrap();
+        let t = sim.warmup_slots;
+        let (mut once, mut each) = (books(&shared, 1), books(&shared, 1));
+        let task = opened(&mut once, t, true);
+        assert_eq!(opened(&mut each, t, true), task);
+        assert_eq!((once.home_of(task), once.index_of(task)), (1, 0));
+        once.apply(CtrlMsg::Ack {
+            task,
+            slot: t + 3,
+            count: 14,
+        });
+        for _ in 0..14 {
+            each.apply(CtrlMsg::Ack {
+                task,
+                slot: t + 3,
+                count: 1,
+            });
+        }
+        assert_eq!(format!("{:?}", once.tasks), format!("{:?}", each.tasks));
+        for books in [&mut once, &mut each] {
+            books.apply(CtrlMsg::Ack {
+                task,
+                slot: t + 5,
+                count: 1,
+            });
+            assert_eq!(books.tasks.active(), 0, "15 receptions complete it");
+        }
+        assert_eq!(
+            format!("{:?}", once.stats.tasks),
+            format!("{:?}", each.stats.tasks)
+        );
+        assert_eq!(opened(&mut once, t, false), task, "the slot is reused");
+    }
+
+    /// A settlement or a retransmission mark addressed to a task that
+    /// has completed — its slab slot free — panics in a debug build.
+    #[test]
+    fn a_stale_handle_panics_in_debug_builds() {
+        let topo = Torus::new(&[4, 4]);
+        let sim = SimConfig::quick(1);
+        let shared = Shared::new(&topo, 2, &sim).unwrap();
+        let stale = [
+            CtrlMsg::Ack {
+                task: 0,
+                slot: 1,
+                count: 1,
+            },
+            CtrlMsg::Lost {
+                task: 0,
+                receptions: 1,
+                fault: false,
+                slot: 1,
+            },
+            CtrlMsg::MarkRetx { task: 0 },
+        ];
+        for msg in stale {
+            let mut home = books(&shared, 0);
+            let task = opened(&mut home, 0, false);
+            home.ack(1, task);
+            assert_eq!(home.tasks.active(), 0, "the unicast completed");
+            let outcome = catch_unwind(AssertUnwindSafe(|| home.apply(msg)));
+            assert_eq!(outcome.is_err(), cfg!(debug_assertions), "{msg:?}");
+        }
     }
 
     /// The stop rule is the simulator's, in its order: a run whose last

@@ -19,11 +19,13 @@
 //!   admission rejections;
 //! * **delivery site** (the worker owning the receiving node):
 //!   `TaskLedger::measured_reception` — reception
-//!   delay/histograms/batch means/tails; ARQ ack bookkeeping;
+//!   delay/histograms/batch means/tails — and
+//!   `TaskLedger::unicast_delivered`; ARQ ack bookkeeping;
 //! * **loss site** (the worker owning the full or dropping link):
 //!   `TaskLedger::packet_dropped` / `lost` — dropped/lost counters (the
 //!   link's kernel counts its evictions);
-//! * **home site** (the worker owning the task's `TaskSlot`):
+//! * **home site** (the worker that opened the task and keeps its
+//!   `TaskSlot`):
 //!   `TaskLedger::completed` — broadcast/unicast delay, damaged counts,
 //!   concurrency `-1` at the slot of the task's last settlement, which
 //!   acks and loss notices carry.

@@ -191,9 +191,6 @@ pub fn generate_arrivals_into<C: ArrivalSink>(
 /// it, now or — deferred by source backpressure — in a later slot.
 #[derive(Debug, Clone)]
 pub struct InjectMsg {
-    /// The injector's id for the task. A driver that keeps every task in
-    /// one [`crate::TaskLedger`] uses the ledger's id instead.
-    pub task: u32,
     /// The source node.
     pub src: NodeId,
     /// The unicast destination; `None` for a broadcast.
@@ -263,7 +260,6 @@ pub struct Injector {
     cfg: SimConfig,
     n: u32,
     gate: Option<TokenGate>,
-    next_task: u32,
 }
 
 impl Injector {
@@ -285,7 +281,6 @@ impl Injector {
             gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
             cfg: *cfg,
             n,
-            next_task: 0,
         }
     }
 
@@ -359,7 +354,6 @@ impl Injector {
         let emits = first..out.emits.len() as u32;
         debug_assert!(!emits.is_empty(), "task with no transmissions");
         out.msgs.push(InjectMsg {
-            task: self.next_task,
             src,
             dest,
             gen_time: t,
@@ -367,7 +361,6 @@ impl Injector {
             measured,
             emits,
         });
-        self.next_task += 1;
     }
 }
 

@@ -246,12 +246,6 @@ impl<S: Scheme> Hop<S> {
         self.faults = Some(Box::new(clock));
     }
 
-    /// The node `link` delivers to.
-    #[inline]
-    pub fn target(&self, link: u32) -> NodeId {
-        self.link_target[link as usize]
-    }
-
     /// The forward scratch (a steady-state slot reuses it as it is).
     pub fn emit_scratch(&self) -> &Vec<Emit> {
         &self.emits
@@ -354,7 +348,12 @@ impl<S: Scheme> Hop<S> {
     /// Rule 1: `pkt` finished `link` at slot `cx.t`. A broadcast copy is
     /// a reception and forwards along its tree; a unicast at its
     /// destination completes, elsewhere it takes the next hop.
-    #[inline]
+    ///
+    /// Always inlined, like `offer`: it runs for every delivered copy,
+    /// and a `pstar-net` worker calls it from two sites (its peers' runs
+    /// and its own finish scan), where it would otherwise stay out of
+    /// line.
+    #[inline(always)]
     pub fn deliver<N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,

@@ -626,6 +626,16 @@ impl LinkKernel {
         FinishScan { read: 0, carry: 0 }
     }
 
+    /// The transmissions completing at slot `t`, in ascending link order,
+    /// left where they are: what the next [`LinkKernel::finish_scan`]
+    /// for `t` will take, seen ahead of it (a `pstar-net` worker ships
+    /// the ones bound for another worker's nodes before it runs the
+    /// scan).
+    pub fn finishing(&self, t: u64) -> impl Iterator<Item = (u32, &Packet)> + '_ {
+        let due = self.flights.iter().filter(move |f| f.finish == t as u32);
+        due.map(|f| (f.link, &f.pkt))
+    }
+
     /// Takes the next transmission completing at slot `t` off its link.
     /// Called until `None` on one [`LinkKernel::finish_scan`], it yields
     /// the slot's deliveries in ascending link order; a scan once begun

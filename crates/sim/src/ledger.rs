@@ -5,7 +5,8 @@
 //! * [`TaskLedger`] owns everything read off task generation, reception,
 //!   completion and loss. Its rules are split by the *site* an event is
 //!   seen at — creation ([`TaskLedger::opened`]), delivery
-//!   ([`TaskLedger::measured_reception`]), loss
+//!   ([`TaskLedger::measured_reception`],
+//!   [`TaskLedger::unicast_delivered`]), loss
 //!   ([`TaskLedger::packet_dropped`], [`TaskLedger::lost`]) and the
 //!   task's home ([`TaskLedger::completed`], fed the [`TaskSlot`] a
 //!   [`TaskSlot::receive`] / [`TaskSlot::lose`] just completed). The
@@ -243,7 +244,8 @@ fn merge_tails(own: &mut Option<Box<TailsState>>, other: &Option<Box<TailsState>
 #[derive(Debug)]
 pub struct TaskLedger {
     /// The tasks in progress of a driver that keeps them all in one
-    /// place (the composed methods); empty under `pstar-net`.
+    /// place (the composed methods); empty under `pstar-net`, whose
+    /// workers keep their tasks' records beside their ledgers.
     tasks: TaskTable,
     /// Receptions of measured tasks opened by this ledger, less those it
     /// saw delivered or lost for good: non-negative where one ledger
@@ -384,6 +386,15 @@ impl TaskLedger {
         }
     }
 
+    /// Delivery site: a unicast reached its destination, so if it is
+    /// `measured` its one reception is no longer due. Counted here, where
+    /// the delivery is seen, and not at the task's home, which may learn
+    /// of it a slot later: the drain condition must not lag the delivery.
+    #[inline]
+    pub fn unicast_delivered(&mut self, measured: bool) {
+        self.outstanding_measured -= i64::from(measured);
+    }
+
     /// Loss site: a packet left circulation. A failed retry is not a new
     /// drop (no transmission happened).
     #[inline]
@@ -413,8 +424,9 @@ impl TaskLedger {
     /// ([`TaskSlot::receive`] / [`TaskSlot::lose`] returned `true`), at
     /// slot `slot.last`. Damaged tasks (some receptions lost) are
     /// excluded from the completion statistics — they never actually
-    /// reached everyone. (A unicast's home is its delivery site: its
-    /// one reception is counted as delivered here.)
+    /// reached everyone. (A unicast's one reception was counted as
+    /// delivered at its delivery site,
+    /// [`TaskLedger::unicast_delivered`].)
     #[inline]
     pub fn completed(&mut self, slot: TaskSlot) {
         debug_assert_eq!(slot.remaining, 0, "completing an unsettled task");
@@ -426,7 +438,6 @@ impl TaskLedger {
                     self.broadcast_delay.push(delay);
                 } else {
                     self.unicast_delay.push(delay);
-                    self.outstanding_measured -= 1;
                 }
                 if slot.retx {
                     self.recovered_task_delay.push(delay);
@@ -475,6 +486,7 @@ impl TaskLedger {
     #[inline]
     pub fn unicast_done(&mut self, t: u64, task: u32) {
         debug_assert_eq!(self.tasks.get(task).kind, TaskKind::Unicast);
+        self.unicast_delivered(self.tasks.get(task).measured);
         let done = self.tasks.get_mut(task).receive(t);
         debug_assert!(done);
         self.complete(task);

@@ -88,7 +88,7 @@ pub use recovery::{
 };
 pub use scheme::Scheme;
 pub use sharded::ShardedEngine;
-pub use task::{TaskKind, TaskSlot};
+pub use task::{TaskKind, TaskSlot, TaskTable};
 
 // Fault-injection vocabulary, re-exported so downstream crates need not
 // depend on `pstar-faults` directly.

@@ -12,10 +12,10 @@ pub enum TaskKind {
 /// One active task's bookkeeping: the record its *home* keeps until the
 /// last outstanding reception is settled, by a delivery or by a loss.
 /// The serial engine and the sharded coordinator keep every task in one
-/// table; `pstar-net` keeps a task at the worker owning its
-/// source (broadcast) or destination (unicast). Either way a settlement
-/// goes through [`TaskSlot::receive`] / [`TaskSlot::lose`], and the
-/// record of a task they complete through
+/// table; `pstar-net` keeps a task in the table of the worker owning its
+/// source, the one that opened it. Either way a settlement goes through
+/// [`TaskSlot::receive`] / [`TaskSlot::receive_n`] / [`TaskSlot::lose`],
+/// and the record of a task they complete through
 /// [`crate::TaskLedger::completed`].
 #[derive(Debug, Clone, Copy)]
 pub struct TaskSlot {
@@ -67,9 +67,16 @@ impl TaskSlot {
     /// the task.
     #[inline(always)]
     pub fn receive(&mut self, t: u64) -> bool {
-        debug_assert!(self.remaining > 0, "reception after completion");
+        self.receive_n(t, 1)
+    }
+
+    /// `n` receptions delivered at slot `t`, settled at once; `true` when
+    /// that completed the task. The record is a maximum and a sum, so
+    /// this is exactly `n` calls of [`TaskSlot::receive`].
+    #[inline(always)]
+    pub fn receive_n(&mut self, t: u64, n: u32) -> bool {
         self.last = self.last.max(t);
-        self.remaining -= 1;
+        self.remaining -= n;
         self.remaining == 0
     }
 
@@ -90,7 +97,9 @@ impl TaskSlot {
 /// Slab of active tasks with slot reuse. Completed slots are recycled so
 /// long runs keep the table at the size of the *concurrent* task
 /// population (Θ(thousands)), not the total generated population
-/// (Θ(millions)).
+/// (Θ(millions)). A free slot holds the record of the task that last
+/// completed in it, so its `remaining` is 0: a settlement that finds
+/// `remaining == 0` was addressed to a task that no longer exists.
 #[derive(Debug, Default)]
 pub struct TaskTable {
     slots: Vec<TaskSlot>,
@@ -176,6 +185,22 @@ mod tests {
         assert!(t.get_mut(id).receive(8));
         assert_eq!(t.remove(id).last, 8);
         assert_eq!(t.active(), 0);
+    }
+
+    #[test]
+    fn receive_n_is_n_receptions() {
+        let (mut one_by_one, mut at_once) = (slot(true, 7), slot(true, 7));
+        assert!(!one_by_one.receive(9));
+        assert!(!at_once.receive(9));
+        for _ in 0..4 {
+            assert!(!one_by_one.receive(6));
+        }
+        assert!(!at_once.receive_n(6, 4));
+        assert_eq!(format!("{one_by_one:?}"), format!("{at_once:?}"));
+        assert!(!one_by_one.receive(8));
+        assert!(one_by_one.receive(8));
+        assert!(at_once.receive_n(8, 2));
+        assert_eq!(format!("{one_by_one:?}"), format!("{at_once:?}"));
     }
 
     #[test]

@@ -178,10 +178,9 @@ proptest! {
             homes.push((home, TaskSlot::new(t.gen_time, t.broadcast, RECEIVERS, measured(t))));
             steps.push((pick(k), Step::Opened(id)));
             for &u in &t.units {
-                // A unicast is delivered at its home; anything else is
-                // seen wherever it happens.
-                let site = if t.broadcast || u.lost { pick(k) } else { home };
-                steps.push((site, if u.lost { Step::Dropped(id, u) } else { Step::Delivered(id, u) }));
+                // Every delivery and loss is seen wherever it happens,
+                // and settled at the task's home.
+                steps.push((pick(k), if u.lost { Step::Dropped(id, u) } else { Step::Delivered(id, u) }));
                 steps.push((home, Step::Settled(id, u)));
             }
         }
@@ -199,6 +198,8 @@ proptest! {
                     let t = &tasks[id];
                     if t.broadcast && measured(t) {
                         ledger.measured_reception(t.gen_time, t.gen_time + u.after, u.class, || u.dist);
+                    } else if !t.broadcast {
+                        ledger.unicast_delivered(measured(t));
                     }
                 }
                 Step::Dropped(id, u) => {

@@ -1,7 +1,7 @@
-//! Docs-vs-tree check: every repository path and every `Type::member`
-//! the top-level documents cite in back-ticks must exist, so a deleted
-//! crate, example, artefact, function, field or variant cannot live on in
-//! the prose.
+//! Docs-vs-tree check: every repository path, every `Type::member` and
+//! every `experiments <subcommand>` the top-level documents cite in
+//! back-ticks must exist, so a deleted crate, example, artefact,
+//! function, field, variant or subcommand cannot live on in the prose.
 //!
 //! Checked paths are spans that start with `crates/`, `tests/`,
 //! `examples/`, `benchmark/` or `.github/`, and bare root-level `*.md` /
@@ -16,6 +16,12 @@
 //! `pstar_sim::Hop::deliver(cx, …)`, `Admit::Lost`): the member must be
 //! declared somewhere under `crates/` — as a `fn`, as a field (or
 //! constant) `member:`, or, CamelCase, as a line-leading variant.
+//!
+//! Checked subcommands are the first word after `experiments` and its
+//! flags in a span (each alternative of `experiments a | b`): it must be
+//! a match arm of `run_command` in `crates/experiments/src/main.rs`, or
+//! one of the subcommands `main` hands the rest of the line to
+//! (`custom`, `trace`).
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -254,6 +260,96 @@ fn checker_flags_deleted_paths_and_skips_outputs() {
             "results/not-committed.csv"
         ]
     );
+}
+
+/// Every subcommand `main.rs` dispatches: the string patterns of
+/// `run_command`'s match arms, and the commands `main` compares
+/// `cmds[0]` with.
+fn dispatched(main_rs: &str) -> HashSet<String> {
+    let literals = |text: &str| -> Vec<String> {
+        text.split('"')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    let (head, arms) = main_rs
+        .split_once("fn run_command")
+        .expect("main.rs has a run_command");
+    let mut names: HashSet<String> = head
+        .lines()
+        .filter_map(|line| line.split_once("cmds[0] == "))
+        .flat_map(|(_, rest)| literals(rest))
+        .collect();
+    for line in arms.lines().map(str::trim) {
+        if let Some((patterns, _)) = line.split_once("=>") {
+            if patterns.starts_with('"') {
+                names.extend(literals(patterns));
+            }
+        }
+    }
+    names
+}
+
+/// The subcommands the `experiments …` spans of `text` cite.
+fn cited_subcommands(text: &str) -> Vec<String> {
+    let mut cited = Vec::new();
+    for span in code_spans(text) {
+        let Some(rest) = span.strip_prefix("experiments ") else {
+            continue;
+        };
+        for alternative in rest.split('|') {
+            let mut words = alternative.split_whitespace();
+            while let Some(word) = words.next() {
+                if word == "--out" {
+                    words.next();
+                } else if !word.starts_with('-') {
+                    if !word.contains(['<', '…', '*', '.']) {
+                        cited.push(word.to_string());
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    cited
+}
+
+#[test]
+fn every_cited_subcommand_is_dispatched() {
+    let root = repo_root();
+    let main_rs = std::fs::read_to_string(root.join("crates/experiments/src/main.rs"))
+        .expect("the experiments main.rs");
+    let known = dispatched(&main_rs);
+    assert!(
+        ["fig2", "verify", "resilience-net", "custom", "trace"]
+            .iter()
+            .all(|c| known.contains(*c)),
+        "the dispatch table was not read: {known:?}"
+    );
+    let mut missing = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("reading {doc}: {e}"));
+        missing.extend(
+            cited_subcommands(&text)
+                .into_iter()
+                .filter(|c| !known.contains(c))
+                .map(|c| format!("{doc}: `experiments {c}`")),
+        );
+    }
+    assert!(
+        missing.is_empty(),
+        "documents cite subcommands main.rs does not dispatch:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn subcommand_checker_reads_flags_and_alternatives() {
+    let text = "`experiments --smoke --out DIR net`, `experiments fig2 | engine`,\n\
+                `experiments <name>`, `experiments trace export --chrome`, `cargo test`\n";
+    assert_eq!(cited_subcommands(text), ["net", "fig2", "engine", "trace"]);
 }
 
 /// The first PR whose CHANGES.md entry is held to [`CHANGES_ENTRY_CAP`].

@@ -437,8 +437,9 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
 // One hop rule: both drivers trace the same events
 // ---------------------------------------------------------------------
 
-/// `rec` with its task id masked: the engine's ids are slab indices,
-/// the runtime's the injector's counter.
+/// `rec` with its task id masked: the engine's ids are its ledger's slab
+/// slots, the runtime's its homes' slots tagged with the home worker —
+/// the same ids at one worker, other ones at more.
 fn masked(rec: &TraceRecord) -> TraceRecord {
     let event = match rec.event {
         TraceEvent::Enqueue { link, class, .. } => TraceEvent::Enqueue {
@@ -506,8 +507,10 @@ fn slot_multiset<'a>(records: impl Iterator<Item = &'a TraceRecord>) -> Vec<(u64
 /// The serial engine and every `pstar-net` worker run one hop rule —
 /// deliver, forward, lose, retransmit, settle a fault epoch — so a
 /// faulted broadcast-only run traces the same events on both: record
-/// for record at one worker, and slot by slot at two, where each worker's
-/// replica of the fault clock records the epochs it applies. Plain
+/// for record, task ids included, at one worker, whose slab allocates
+/// and frees its handles in the engine's order; and slot by slot at two,
+/// where each worker's replica of the fault clock records the epochs it
+/// applies. Plain
 /// queues, and capacity-1 queues evicting the lowest class with ARQ
 /// retrying, under both dead-link policies.
 #[test]
@@ -571,10 +574,7 @@ fn serial_and_net_trace_the_same_hops() {
                 assert_reports_match(&serial, &net.report, &at);
                 if workers == 1 {
                     let track = &net.worker_traces[0].1;
-                    let first = records
-                        .iter()
-                        .zip(track)
-                        .position(|(s, n)| masked(s) != masked(n));
+                    let first = records.iter().zip(track).position(|(s, n)| s != n);
                     assert_eq!(first, None, "{at}: first differing record");
                     assert_eq!(track.len(), records.len(), "{at}: record count");
                 } else {
@@ -705,27 +705,27 @@ const PINNED_RUNS: [Pin; 5] = [
     Pin {
         label: "8x8 pstar rho.7",
         report: 0x38c6_fe0e_dc8e_80c4,
-        sent: &[(1, 0), (2, 286_459), (3, 404_855), (4, 457_620)],
+        sent: &[(1, 0), (2, 132_360), (3, 226_269), (4, 280_745)],
     },
     Pin {
         label: "4x4x8 three-class mixed",
         report: 0xb782_76e2_2cc5_8292,
-        sent: &[(2, 630_631)],
+        sent: &[(2, 361_535)],
     },
     Pin {
         label: "4x4 staggered faults Drop",
         report: 0x490d_6604_bb9c_3837,
-        sent: &[(3, 558_894)],
+        sent: &[(3, 477_392)],
     },
     Pin {
         label: "4x4 staggered faults Requeue",
         report: 0x98c1_40d8_5923_48a3,
-        sent: &[(3, 565_142)],
+        sent: &[(3, 487_634)],
     },
     Pin {
         label: "4x4 capacity-1 ARQ",
         report: 0x7aea_0280_1b85_6773,
-        sent: &[(1, 0), (2, 828_417), (4, 1_366_546)],
+        sent: &[(1, 0), (2, 722_951), (4, 1_282_925)],
     },
 ];
 
@@ -885,37 +885,37 @@ const PINNED_EARLY_STOPS: [Pin; 7] = [
     Pin {
         label: "8x8 horizon",
         report: 0xa32b_3563_0467_3f7b,
-        sent: &[(2, 18_710), (3, 26_439)],
+        sent: &[(2, 7_541), (3, 12_976)],
     },
     Pin {
         label: "8x8 queue limit",
         report: 0x4057_162a_51fb_f86c,
-        sent: &[(2, 2_339), (4, 3_892)],
+        sent: &[(2, 1_278), (4, 2_708)],
     },
     Pin {
         label: "4x4 single-queue guard",
         report: 0x64af_bd97_1578_1ee1,
-        sent: &[(2, 209_650)],
+        sent: &[(2, 207_387)],
     },
     Pin {
         label: "4x4 horizon at warm-up",
         report: 0x4a8e_1ff7_9c3f_bbce,
-        sent: &[(2, 3_639)],
+        sent: &[(2, 2_830)],
     },
     Pin {
         label: "4x4 faulted horizon Drop",
         report: 0x6864_71ca_7db5_1c14,
-        sent: &[(3, 20_934)],
+        sent: &[(3, 17_828)],
     },
     Pin {
         label: "4x4 faulted horizon Requeue",
         report: 0xcee0_23c8_14d7_0d55,
-        sent: &[(3, 20_868)],
+        sent: &[(3, 17_762)],
     },
     Pin {
         label: "4x4 crashes, losses cross workers",
         report: 0x001b_e15f_4302_82ef,
-        sent: &[(4, 38_135)],
+        sent: &[(4, 35_630)],
     },
 ];
 
