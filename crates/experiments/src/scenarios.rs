@@ -19,11 +19,9 @@
 //!
 //! Under `--smoke` the run is the CI gate:
 //!
-//! 1. **Cross-backend differential**: each scenario runs on the serial
-//!    engine, the sharded engine at 2 and 4 shards (on the scenario's
-//!    own mix) and the pstar-net runtime at 2 and 3 workers (on the
-//!    scenario's broadcast-only projection — the runtime's documented
-//!    contract excludes unicast forwarding draws), and every one must
+//! 1. **Cross-backend differential**: each scenario runs, on its own
+//!    mix, on the serial engine, the sharded engine at 2 and 4 shards
+//!    and the pstar-net runtime at 2 and 3 workers, and every one must
 //!    report the serial run bit for bit
 //!    (`SimReport::first_difference`).
 //! 2. **All-to-all bound**: the measured completion of a simultaneous
@@ -409,19 +407,11 @@ fn all_to_all_gate(ctx: &Ctx, topo: &Torus) -> AllToAll {
     }
 }
 
-/// Every scenario through serial, sharded (2 and 4 shards, the
-/// scenario's own mix) and the pstar-net runtime (2 and 3 workers),
-/// asserting report identity. The net legs run each scenario's
-/// **broadcast-only projection**: draw-for-draw agreement on mixed
-/// workloads is a documented non-goal of the runtime (unicast
-/// forwarding tie-breaks come from per-worker streams, which the
-/// engine interleaves into its single stream — see `pstar-net`'s crate
-/// docs), so net agreement is contractual only without unicast.
-/// Destination matrices shape unicast traffic, so on the net legs
-/// their samplers sit constructed-but-idle; serial ≡ sharded covers
-/// them cross-backend on the full mix. The heavyweight version of this
-/// gate — more grids, fault plans, CRN ordering, proptests — lives in
-/// `tests/scenarios.rs`; this is the CI smoke echo.
+/// Every scenario, on its own mix, through serial, sharded (2 and 4
+/// shards) and the pstar-net runtime (2 and 3 workers), asserting
+/// report identity. The heavyweight version of this gate — more grids,
+/// fault plans, CRN ordering, proptests — lives in `tests/scenarios.rs`;
+/// this is the CI smoke echo.
 fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario], gate: &mut Gate) {
     for (si, s) in scens.iter().enumerate() {
         let spec = point_spec(s, SchemeKind::PriorityStar, 0.5);
@@ -438,20 +428,17 @@ fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario], gate: &mut Gat
                 format!("{}: serial == sharded@{shards}", s.label),
             );
         }
-        let mut bspec = spec;
-        bspec.broadcast_load_fraction = 1.0;
-        let serial_b = run_scenario(topo, &bspec, cfg);
         // The runtime takes the scenario through `SimConfig`, so the
         // spec must be applied to the config by hand (the run_scenario_*
         // wrappers do this internally).
         let mut net_sim = cfg;
-        net_sim.lengths = bspec.lengths;
-        net_sim.scenario = bspec.scenario;
-        let mix = bspec.mix(topo);
+        net_sim.lengths = spec.lengths;
+        net_sim.scenario = spec.scenario;
+        let mix = spec.mix(topo);
         for workers in [2usize, 3] {
             let net = run_net(
                 topo,
-                bspec.build_scheme(topo),
+                spec.build_scheme(topo),
                 mix,
                 NetConfig {
                     workers,
@@ -462,11 +449,11 @@ fn differential_gate(ctx: &Ctx, topo: &Torus, scens: &[Scenario], gate: &mut Gat
             let r = &net.report;
             gate.same_report(
                 "differential",
-                &serial_b,
+                &serial,
                 r,
                 format!(
-                    "{}: serial == net@{workers}, broadcast-only ({} bcast, {} recv)",
-                    s.label, r.measured_broadcasts, r.reception_delay.count
+                    "{}: serial == net@{workers} ({} bcast, {} ucast)",
+                    s.label, r.measured_broadcasts, r.measured_unicasts
                 ),
             );
         }

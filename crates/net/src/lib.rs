@@ -22,17 +22,13 @@
 //! (`pstar_sim::Hop`) — a task waiting at its source under backpressure
 //! included, since a source's out-links belong to one worker — workers
 //! deliver in the engine's ascending-link order, and every statistic is
-//! one of `pstar_sim::TaskLedger`'s order-free integer sums. So for a
-//! workload without unicast traffic (the paper's random-broadcasting
-//! model and the default `ScenarioSpec`) a run reports what the
-//! simulator reports for the same seed, **bit for bit and field for
-//! field, at any worker count** — `SimReport::first_difference` is
-//! `None` — under fault plans, bounded queues under every full-queue
-//! policy, admission control, ARQ and truncated runs alike. Unicast
-//! forwarding draws tie-break randomness mid-slot, which the engine
-//! interleaves with arrival draws and the workers take from per-worker
-//! streams: workloads with unicast traffic agree statistically, not
-//! draw-for-draw.
+//! one of `pstar_sim::TaskLedger`'s order-free integer sums; a transit
+//! unicast's tie coin is keyed by its delivery, which every worker count
+//! makes alike. So a run reports what the simulator reports for the
+//! same seed, **bit for bit and field for field, at any worker count** —
+//! `SimReport::first_difference` is `None` — broadcast, unicast and
+//! mixed workloads, under fault plans, bounded queues under every
+//! full-queue policy, admission control, ARQ and truncated runs alike.
 //!
 //! ## Faults and supervised shutdown
 //!

@@ -89,15 +89,13 @@
 //! same config whatever the queues hold. A source's out-links belong to
 //! one worker, so whether a task waits at its source under backpressure
 //! is decided where the engine decides it, against the same queues.
-//! Every statistic is an order-free integer sum
-//! (`pstar_sim::TaskLedger`), so on a run without unicast traffic the
-//! whole report equals the simulator's bit for bit at any worker count
-//! (`SimReport::first_difference` is `None`; `tests/net.rs`), under a
-//! [`FaultPlan`] ([`run_net_with_faults`]), bounded queues under every
-//! full-queue policy, admission control and ARQ included. Unicast
-//! forwarding still draws its tie coins from per-worker streams, so a run
-//! with unicast traffic is reproducible for a given `(seed, workers)`
-//! pair and agrees with the simulator statistically.
+//! A transit unicast's tie coin is keyed by its delivery `(slot, link)`,
+//! which no partition changes. Every statistic is an order-free integer
+//! sum (`pstar_sim::TaskLedger`), so the whole report equals the
+//! simulator's bit for bit at any worker count
+//! (`SimReport::first_difference` is `None`; `tests/net.rs`), unicast
+//! traffic, a [`FaultPlan`] ([`run_net_with_faults`]), bounded queues
+//! under every full-queue policy, admission control and ARQ included.
 //!
 //! # Runtime faults
 //!
@@ -145,22 +143,17 @@ use std::time::{Duration, Instant};
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceRecord, TraceSink};
 use pstar_sim::{
-    assemble, splitmix64, stop_verdict, FaultClock, Homes, Hop, HopCtx, InjectBatch, InjectMsg,
-    Injector, LinkCounters, LossCause, Packet, RunOutcome, Scheme, SimConfig, SimReport, Stop,
-    TaskLedger, TaskSlot, TaskTable, MAX_PRIORITY_CLASSES,
+    assemble, stop_verdict, FaultClock, Homes, Hop, HopCtx, InjectBatch, InjectMsg, Injector,
+    LinkCounters, LossCause, Packet, RunOutcome, Scheme, SimConfig, SimReport, Stop, TaskLedger,
+    TaskSlot, TaskTable, MAX_PRIORITY_CLASSES,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::channel::{spin_until, Mailbox};
 use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
 use crate::stats::WorkerStats;
-
-/// Salt of the per-worker unicast-forwarding RNG streams.
-const FWD_SEED_SALT: u64 = 0x5BF0_3635_0D52_A34F;
 
 /// How traffic is generated. There is one way; the enum and
 /// [`NetConfig::mode`] remain only because `benchmark/src/arms.rs`
@@ -947,8 +940,6 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     books: Books<'a>,
     /// Worker 0 only: the one injector, drawing every source's tasks.
     injector: Option<Injector>,
-    /// This worker's unicast tie coins: a stream of its own.
-    fwd_rng: StdRng,
     /// Worker 0 only: the sampled fleet-wide queue totals.
     queue_trace: Vec<(u64, u64)>,
     /// Outboxes, index = destination worker (`out[id]` loops worker 0's
@@ -1007,9 +998,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             }));
         }
         let injector = (id == 0).then(|| Injector::new(&topo.dim_sizes(), mix, &sim));
-        let fwd_seed = splitmix64(
-            sim.seed ^ FWD_SEED_SALT ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
         let chaos = &cfg.chaos;
         Self {
             id,
@@ -1026,7 +1014,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 acked: Vec::new(),
             },
             injector,
-            fwd_rng: StdRng::seed_from_u64(fwd_seed),
             queue_trace: Vec::new(),
             out: (0..w).map(|_| Batch::default()).collect(),
             inbox: (0..w).map(|_| Batch::default()).collect(),
@@ -1284,7 +1271,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         let mut cx = HopCtx {
             topo: self.topo,
             homes: &mut self.books,
-            ties: &mut self.fwd_rng,
             t,
         };
         let mut last_link = None;
@@ -1361,7 +1347,6 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
         let mut cx = HopCtx {
             topo: self.topo,
             homes: &mut self.books,
-            ties: &mut self.fwd_rng,
             t,
         };
         if self.hop.fault_tick(&mut cx) {

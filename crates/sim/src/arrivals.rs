@@ -284,13 +284,6 @@ impl Injector {
         }
     }
 
-    /// The seeded stream. A driver with one owner (the serial engine,
-    /// the sharded coordinator) draws its unicast tie coins from it
-    /// too, between the slots' arrival draws.
-    pub(crate) fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// The admission gate and its rejection counts; `None` unless
     /// admission control is on.
     pub fn gate(&self) -> Option<&TokenGate> {

@@ -12,7 +12,6 @@ use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{SlotSample, TraceSink};
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
-use rand::rngs::StdRng;
 
 /// Which field of a trace event named a node the topology does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +74,7 @@ pub struct Engine<N: Network, S: Scheme> {
     hop: Hop<S>,
     link_dim: Vec<u8>,
 
-    /// The task generator; its stream also draws the unicast tie coins.
+    /// The task generator.
     injector: Injector,
     /// Scratch for the tasks drawn in one go.
     arrivals: InjectBatch,
@@ -234,7 +233,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         let batch = &mut self.arrivals;
         self.injector
             .draw(t, &self.hop.scheme, src, dest, measured, len, batch);
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
         let (msg, emits) = self.arrivals.iter().next().expect("one task drawn");
         let task = self.hop.inject(&mut cx, msg, emits);
         self.arrivals.clear();
@@ -356,18 +355,12 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     // Core stepping
     // ------------------------------------------------------------------
 
-    /// The hop rules' view of this engine at slot `t`: its topology, its
-    /// ledger as the one home of every task, its stream for unicast ties.
-    fn hop_ctx<'a>(
-        topo: &'a N,
-        ledger: &'a mut TaskLedger,
-        rng: &'a mut StdRng,
-        t: u64,
-    ) -> HopCtx<'a, N, TaskLedger> {
+    /// The hop rules' view of this engine at slot `t`: its topology and
+    /// its ledger as the one home of every task.
+    fn hop_ctx<'a>(topo: &'a N, ledger: &'a mut TaskLedger, t: u64) -> HopCtx<'a, N, TaskLedger> {
         HopCtx {
             topo,
             homes: ledger,
-            ties: rng,
             t,
         }
     }
@@ -379,7 +372,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // slot: a link dying at `t` fails the delivery it would have made
         // at `t`. Fault-free engines hold no clock and tick nothing.
         if self.hop.faults.is_some() {
-            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
+            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
             self.hop.fault_tick(&mut cx);
         }
 
@@ -400,7 +393,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         // per-packet trajectories agree exactly (which the
         // fault-agreement gate relies on: boundary-straddling drops are
         // order-sensitive).
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
         let mut scan = self.hop.kernel.finish_scan();
         while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
             let pkt = *pkt;
@@ -417,7 +410,6 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.injector
                 .slot(t, scheme, faults, std::slice::from_mut(batch), |_| 0);
         }
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, self.injector.rng(), t);
         self.hop.arrive(&mut cx, &self.arrivals);
         self.arrivals.clear();
 
@@ -471,6 +463,7 @@ mod tests {
     use crate::packet::{BroadcastState, Emit, PacketKind};
     use pstar_topology::Direction;
     use pstar_topology::Torus;
+    use rand::rngs::StdRng;
 
     /// Minimal correct scheme used to exercise the engine without the
     /// priority-star crate: ring broadcast on dimension 0 of a 1-D torus

@@ -29,9 +29,14 @@
 //! The serial [`crate::Engine`] runs one `Hop` over every link and each
 //! `pstar-net` worker one over the links of its nodes. A driver lends the
 //! rules a [`HopCtx`] — its topology, its [`Homes`] (where a task's
-//! completion record lives), the stream unicast ties are drawn from, and
-//! the slot — and keeps only its slot order, its transport and where a
-//! task's home is. Its tasks come from the one [`crate::Injector`].
+//! completion record lives) and the slot — and keeps only its slot
+//! order, its transport and where a task's home is. Its tasks come from
+//! the one [`crate::Injector`].
+//!
+//! A transit unicast's tie coin (§4: an n/2 wrap tie goes + or −
+//! uniformly at random) is the one draw made after a task's arrival. It
+//! is keyed by the delivery that asks for it ([`TieCoin`]), so every
+//! driver draws the same coin for the same delivery.
 
 use crate::arrivals::{InjectBatch, InjectMsg};
 use crate::config::SimConfig;
@@ -39,12 +44,98 @@ use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{ArqCounters, FaultTotals, FlowCounters, LinkCounters, TaskLedger};
 use crate::packet::{Emit, Packet, PacketKind};
-use crate::recovery::{Arq, FullQueuePolicy, ARQ_SEED_SALT};
+use crate::recovery::{splitmix64, Arq, FullQueuePolicy, ARQ_SEED_SALT};
 use crate::scheme::Scheme;
 use pstar_faults::DeadLinkPolicy;
 use pstar_obs::{TraceEvent, TraceRecord, TraceSink};
 use pstar_topology::{Network, NodeId};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Seed perturbation of the tie coin: XOR it into the run seed, so the
+/// coin's hash shares no input with a traffic stream's seed or the ARQ
+/// jitter's.
+const TIE_SALT: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// The tie coin of transit unicasts, keyed by the delivery: the stream
+/// the scheme draws from at the delivery of slot `t` by link `link` is
+/// seeded from `splitmix64(seed ^ TIE_SALT ^ (t · L + link))`, `L` the
+/// link count. A link serves one packet at a time, so `(t, link)` names
+/// one delivery, every driver makes the same deliveries, and no two
+/// packets share a coin.
+///
+/// Seeding costs five splitmix steps, and a scheme draws only on an
+/// exact tie (about one dimension turn in sixteen on 16×16). So the
+/// scheme is first lent an idle stream; only if it drew from it is it
+/// asked once more, with the keyed stream ([`TieCoin::redraw`]).
+pub(crate) struct TieCoin {
+    /// `seed ^ TIE_SALT`.
+    salt: u64,
+    /// The link count `L`.
+    links: u64,
+    /// The stream lent to a scheme that may not draw, and its untouched
+    /// state to tell whether it did.
+    lent: StdRng,
+    idle: StdRng,
+}
+
+impl TieCoin {
+    /// The coin of run `seed` on a topology of `links` links.
+    pub(crate) fn new(seed: u64, links: u32) -> Self {
+        let idle = StdRng::seed_from_u64(seed);
+        Self {
+            salt: seed ^ TIE_SALT,
+            links: u64::from(links),
+            lent: idle.clone(),
+            idle,
+        }
+    }
+
+    /// The keyed stream of the delivery of slot `t` by `link`.
+    pub(crate) fn stream(&self, t: u64, link: u32) -> StdRng {
+        let key = t.wrapping_mul(self.links).wrapping_add(u64::from(link));
+        StdRng::seed_from_u64(splitmix64(self.salt ^ key))
+    }
+
+    /// Appends to `out` the forward of a unicast for `dest` that `link`
+    /// delivered to transit `node` at slot `t`.
+    #[inline]
+    pub(crate) fn route<S: Scheme>(
+        &mut self,
+        scheme: &S,
+        t: u64,
+        link: u32,
+        node: NodeId,
+        dest: NodeId,
+        out: &mut Vec<Emit>,
+    ) {
+        let start = out.len();
+        scheme.on_unicast_arrival(node, dest, &mut self.lent, out);
+        if self.lent != self.idle {
+            self.redraw(scheme, t, link, node, dest, out, start);
+        }
+    }
+
+    /// The scheme drew a tie from the idle stream: forget that answer
+    /// and ask again with the delivery's keyed stream.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn redraw<S: Scheme>(
+        &mut self,
+        scheme: &S,
+        t: u64,
+        link: u32,
+        node: NodeId,
+        dest: NodeId,
+        out: &mut Vec<Emit>,
+        start: usize,
+    ) {
+        self.lent.clone_from(&self.idle);
+        out.truncate(start);
+        scheme.on_unicast_arrival(node, dest, &mut self.stream(t, link), out);
+    }
+}
 
 /// `(is_broadcast, receptions)` a lost copy was still responsible for —
 /// what a loss settles. Must be evaluated against the scheme state *at
@@ -134,15 +225,13 @@ impl Homes for TaskLedger {
     }
 }
 
-/// What a driver lends the hop rules: its topology, its [`Homes`], the
-/// stream a unicast's tie coin is drawn from, and the slot.
+/// What a driver lends the hop rules: its topology, its [`Homes`] and
+/// the slot.
 pub struct HopCtx<'a, N, H> {
     /// The topology (link ids, hop distances).
     pub topo: &'a N,
     /// Where the driver's tasks are completed.
     pub homes: &'a mut H,
-    /// The stream `Scheme::on_unicast_arrival` draws its tie coin from.
-    pub ties: &'a mut StdRng,
     /// The current slot.
     pub t: u64,
 }
@@ -165,6 +254,8 @@ pub struct Hop<S> {
     /// Source backpressure's waiting tasks; `None` unless
     /// [`FullQueuePolicy::Backpressure`] bounds the queues.
     deferral: Option<Box<Deferral>>,
+    /// Transit unicasts' tie coin.
+    coin: TieCoin,
     /// Deferrals and the occupancy the driver samples; the driver sets
     /// the admission rejections its injector counted.
     pub flow: FlowCounters,
@@ -232,6 +323,7 @@ impl<S: Scheme> Hop<S> {
             faults: None,
             obs: None,
             deferral,
+            coin: TieCoin::new(cfg.seed, topo.link_count()),
             flow: FlowCounters::default(),
             link_target: topo.link_target_table(),
             emits: Vec::with_capacity(64),
@@ -389,8 +481,8 @@ impl<S: Scheme> Hop<S> {
                 return;
             }
             PacketKind::Unicast { dest } => {
-                self.scheme
-                    .on_unicast_arrival(node, dest, cx.ties, &mut self.emits);
+                self.coin
+                    .route(&self.scheme, t, link, node, dest, &mut self.emits);
                 debug_assert!(!self.emits.is_empty(), "unicast stranded at {node}");
             }
         }
@@ -596,8 +688,9 @@ mod tests {
     use super::*;
     use crate::packet::BroadcastState;
     use crate::recovery::ArqConfig;
-    use pstar_topology::Torus;
-    use rand::SeedableRng;
+    use pstar_topology::{Direction, Torus};
+    use rand::Rng;
+    use std::cell::Cell;
 
     /// A scheme whose forwards the test never asks for.
     struct NoForwards;
@@ -620,6 +713,151 @@ mod tests {
         }
     }
 
+    /// A scheme at an exact tie on every transit hop, or never at one:
+    /// `next_hop`'s coin, and how often it was asked.
+    struct Tied {
+        ties: bool,
+        asked: Cell<u32>,
+    }
+
+    impl Tied {
+        fn new(ties: bool) -> Self {
+            Self {
+                ties,
+                asked: Cell::new(0),
+            }
+        }
+    }
+
+    impl Scheme for Tied {
+        fn num_priorities(&self) -> usize {
+            1
+        }
+
+        fn on_broadcast_generated(&self, _: NodeId, _: &mut StdRng, _: &mut Vec<Emit>) {}
+
+        fn on_broadcast_arrival(&self, _: NodeId, _: &BroadcastState, _: &mut Vec<Emit>) {}
+
+        fn on_unicast_generated(&self, _: NodeId, _: NodeId, _: &mut StdRng, _: &mut Vec<Emit>) {}
+
+        fn on_unicast_arrival(
+            &self,
+            _: NodeId,
+            dest: NodeId,
+            rng: &mut StdRng,
+            out: &mut Vec<Emit>,
+        ) {
+            self.asked.set(self.asked.get() + 1);
+            let plus = !self.ties || rng.gen::<bool>();
+            out.push(Emit {
+                dim: 0,
+                dir: if plus {
+                    Direction::Plus
+                } else {
+                    Direction::Minus
+                },
+                kind: PacketKind::Unicast { dest },
+                priority: 0,
+                vc: 0,
+            });
+        }
+
+        fn subtree_receptions(&self, _: &BroadcastState) -> u32 {
+            1
+        }
+    }
+
+    /// The coin `route` hands a tied scheme at the delivery of slot `t`
+    /// by `link`: `true` is +.
+    fn coin(c: &mut TieCoin, scheme: &Tied, t: u64, link: u32, out: &mut Vec<Emit>) -> bool {
+        out.clear();
+        c.route(scheme, t, link, NodeId(1), NodeId(3), out);
+        assert_eq!(out.len(), 1, "one forward, the idle answer forgotten");
+        out[0].dir == Direction::Plus
+    }
+
+    /// A scheme that does not draw is asked once; one that draws is asked
+    /// again and gets the delivery's keyed stream — the same coin whatever
+    /// the coin's history, so every driver draws it alike.
+    #[test]
+    fn a_tie_is_drawn_from_the_delivery_s_keyed_stream() {
+        let mut out = Vec::new();
+        let (mut a, mut b) = (TieCoin::new(7, 64), TieCoin::new(7, 64));
+        let straight = Tied::new(false);
+        assert!(coin(&mut a, &straight, 5, 3, &mut out));
+        assert_eq!(straight.asked.get(), 1, "no draw, no second ask");
+        let tied = Tied::new(true);
+        for (t, link) in [(5, 3), (5, 4), (6, 3), (1 << 40, 63)] {
+            let want = a.stream(t, link).gen::<bool>();
+            assert_eq!(coin(&mut a, &tied, t, link, &mut out), want);
+        }
+        assert_eq!(tied.asked.get(), 8, "every tie asks twice");
+        // `b` has seen none of `a`'s deliveries.
+        assert_eq!(
+            coin(&mut b, &tied, 6, 3, &mut out),
+            coin(&mut a, &tied, 6, 3, &mut out)
+        );
+        let other_seed = TieCoin::new(8, 64);
+        let differs =
+            (0..64).any(|l| other_seed.stream(5, l).gen::<bool>() != a.stream(5, l).gen::<bool>());
+        assert!(differs, "the seed reaches the coin");
+    }
+
+    /// Pearson's χ² of a 2×2 contingency table against independence of
+    /// its rows and columns (one degree of freedom).
+    fn chi2_2x2(n: [[u64; 2]; 2]) -> f64 {
+        let row = n.map(|r| (r[0] + r[1]) as f64);
+        let col = [0, 1].map(|j| (n[0][j] + n[1][j]) as f64);
+        let total = row[0] + row[1];
+        let mut chi2 = 0.0;
+        for (i, r) in n.iter().enumerate() {
+            for (j, &count) in r.iter().enumerate() {
+                let expected = row[i] * col[j] / total;
+                chi2 += (count as f64 - expected).powi(2) / expected;
+            }
+        }
+        chi2
+    }
+
+    /// The keyed coin is fair, and independent of the coin of the next
+    /// delivery on its link and of the neighbouring link's in its slot —
+    /// keys one and `L` apart. Over a 2 000-slot × 64-link grid every χ²
+    /// (one degree of freedom) stays under 10.83, the 0.1 % point.
+    #[test]
+    fn the_keyed_coin_is_fair_and_independent_of_its_neighbours() {
+        const SLOTS: u64 = 2_000;
+        const LINKS: u32 = 64;
+        let (mut c, tied, mut out) = (TieCoin::new(0xC0FFEE, LINKS), Tied::new(true), Vec::new());
+        let coins: Vec<Vec<bool>> = (0..SLOTS)
+            .map(|t| {
+                (0..LINKS)
+                    .map(|l| coin(&mut c, &tied, t, l, &mut out))
+                    .collect()
+            })
+            .collect();
+        let plus = coins.iter().flatten().filter(|&&p| p).count() as u64;
+        let n = SLOTS * u64::from(LINKS);
+        let fair = (2.0 * plus as f64 - n as f64).powi(2) / n as f64;
+        assert!(fair < 10.83, "+ {plus} of {n}: χ² {fair:.2}");
+        let mut next_slot = [[0u64; 2]; 2];
+        let mut next_link = [[0u64; 2]; 2];
+        for t in 0..SLOTS as usize {
+            for l in 0..LINKS as usize {
+                let here = usize::from(coins[t][l]);
+                if t + 1 < SLOTS as usize {
+                    next_slot[here][usize::from(coins[t + 1][l])] += 1;
+                }
+                if l + 1 < LINKS as usize {
+                    next_link[here][usize::from(coins[t][l + 1])] += 1;
+                }
+            }
+        }
+        for (name, table) in [("next slot", next_slot), ("next link", next_link)] {
+            let chi2 = chi2_2x2(table);
+            assert!(chi2 < 10.83, "{name}: {table:?} χ² {chi2:.2}");
+        }
+    }
+
     /// Rules 3 and 4 together: a lost copy arms a retry at the hop that
     /// lost it, a retry the kernel refuses is lost again, and once the
     /// budget is spent the loss settles — exactly once.
@@ -638,7 +876,6 @@ mod tests {
         };
         let mut hop = Hop::new(&topo, NoForwards, &cfg, 0, topo.link_count());
         let mut ledger = TaskLedger::new(&cfg, 4, 2);
-        let mut rng = StdRng::seed_from_u64(0);
         let t = cfg.warmup_slots;
         let task = ledger.open_task(t, t, false, true);
         let pkt = |task| Packet {
@@ -654,7 +891,6 @@ mod tests {
         let mut cx = HopCtx {
             topo: &topo,
             homes: &mut ledger,
-            ties: &mut rng,
             t,
         };
         hop.lose(&mut cx, 0, pkt(task), LossCause::Overflow);

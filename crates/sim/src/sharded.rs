@@ -5,10 +5,11 @@
 //! belongs to the shard owning its *source* node (link ids are
 //! node-major, so each shard owns a contiguous link range). Each shard
 //! runs one [`LinkKernel`] — the same queueing, in-flight and service
-//! code the serial engine runs over all links — plus the scheme's
-//! broadcast forwarding for its nodes, and exchanges boundary
-//! deliveries per slot. The global state — the RNG and the task table —
-//! lives in a single coordinator that consumes shard messages in
+//! code the serial engine runs over all links — plus the forwarding of
+//! its nodes' deliveries (a transit unicast's tie coin is keyed by the
+//! delivery, `crate::hop`'s `TieCoin`), and exchanges boundary
+//! deliveries per slot. The global state — the injector and the task
+//! table — lives in a single coordinator that consumes shard messages in
 //! **ascending `(stage, link, seq)` key order**. That order equals the
 //! serial engine's processing order (the ascending-link-id merge rule
 //! shared with `pstar-net`), so the coordinator draws what the serial
@@ -33,7 +34,7 @@
 use crate::arrivals::{InjectBatch, Injector};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
-use crate::hop::{receptions_at_stake, Homes};
+use crate::hop::{receptions_at_stake, Homes, TieCoin};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{assemble, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
@@ -53,17 +54,16 @@ use std::sync::{Barrier, Mutex};
 ///   [`FaultLoss`]'s `(death, seq)`);
 /// * stage 1 — delivery events (`major` = delivering global link id;
 ///   `minor` 0 = the arrival itself, `1 + i` = its `i`-th emitted
-///   forward);
-/// * stage 2 — task generation (`major` = per-slot generation
-///   sequence, `minor` = `1 + i` for the `i`-th initial emit).
+///   forward).
 ///
 /// Ordering this key reproduces the serial engine's within-slot
 /// processing order exactly: fault disposal, then deliveries in
-/// ascending link order (each followed by its own forwards), then
-/// arrivals in draw order. Packed into one integer (stage in bits
-/// 96–97, major in 32–95, minor in 0–31) so the per-slot merge
-/// compares single words; every producer pushes in strictly ascending
-/// key order, so merging the per-shard streams never needs a sort.
+/// ascending link order (each followed by its own forwards); the
+/// coordinator's arrivals follow in draw order. Packed into one integer
+/// (stage in bits 96–97, major in 32–95, minor in 0–31) so the per-slot
+/// merge compares single words; every shard pushes in strictly
+/// ascending key order, so merging the per-shard streams never needs a
+/// sort.
 type Key = u128;
 
 /// Packs a `(stage, major, minor)` triple into a [`Key`].
@@ -74,12 +74,6 @@ fn key(stage: u8, major: u64, minor: u32) -> Key {
 
 /// First key of stage 1; everything below it is a fault settlement.
 const STAGE1_BASE: Key = 1 << 96;
-
-/// Extracts the `major` field of a packed [`Key`].
-#[inline]
-fn key_major(k: Key) -> u64 {
-    (k >> 32) as u64
-}
 
 /// Payload of a shard→coordinator message.
 #[derive(Clone, Copy)]
@@ -92,15 +86,6 @@ enum MsgBody {
     /// was still responsible for, computed against the shard's scheme
     /// state *at the loss*).
     Settle { task: u32, lost: u32 },
-    /// A unicast was delivered at a transit node; the coordinator must
-    /// draw the next hop (scheme + RNG are global state).
-    RouteReq {
-        node: NodeId,
-        dest: NodeId,
-        task: u32,
-        gen_time: u64,
-        len: u16,
-    },
 }
 
 /// A keyed shard→coordinator message.
@@ -110,10 +95,9 @@ struct Msg {
     body: MsgBody,
 }
 
-/// A keyed coordinator→shard (or shard-local) enqueue command.
+/// A coordinator→shard enqueue command: a new task's transmission.
 #[derive(Clone, Copy)]
 struct Cmd {
-    key: Key,
     link: u32,
     pkt: Packet,
 }
@@ -175,16 +159,16 @@ fn settle_pkt<S: Scheme>(scheme: &S, pkt: &Packet) -> MsgBody {
 }
 
 /// One spatial shard: the [`LinkKernel`] of a contiguous range of
-/// links, the scheme replica that forwards their deliveries, and the
-/// per-slot exchange buffers.
+/// links, the scheme replica and tie coin that forward their
+/// deliveries, and the per-slot exchange buffers.
 struct Shard<S> {
     id: u32,
     scheme: S,
     kernel: LinkKernel,
+    coin: TieCoin,
 
     // Per-slot buffers.
     local_arrivals: Vec<(u32, Packet)>,
-    enq_local: Vec<Cmd>,
     msgs: Vec<Msg>,
     out: Vec<Vec<(u32, Packet)>>,
     emit_buf: Vec<Emit>,
@@ -196,32 +180,25 @@ struct Shard<S> {
     fault_qdelta: i64,
     b: BReport,
 
-    /// Broadcast-only fast path: with no unicast traffic the
-    /// coordinator never issues stage-1 commands, so shard-local emits
-    /// (produced in key order) can enqueue immediately in phase A2 and
-    /// phase B merely appends the coordinator's stage-2 generation
-    /// commands — the per-slot key merge disappears.
-    direct: bool,
     /// This shard's replica of the fault clock; `None` without a plan.
     clock: Option<Box<FaultClock>>,
 }
 
 impl<S: Scheme> Shard<S> {
     /// A shard among `shards`.
-    fn new(id: u32, kernel: LinkKernel, scheme: S, shards: usize, direct: bool) -> Self {
+    fn new(id: u32, kernel: LinkKernel, scheme: S, coin: TieCoin, shards: usize) -> Self {
         Self {
             id,
             scheme,
             kernel,
+            coin,
             local_arrivals: Vec::new(),
-            enq_local: Vec::new(),
             msgs: Vec::new(),
             out: (0..shards).map(|_| Vec::new()).collect(),
             emit_buf: Vec::with_capacity(64),
             loss_buf: Vec::new(),
             fault_qdelta: 0,
             b: BReport::default(),
-            direct,
             clock: None,
         }
     }
@@ -233,7 +210,6 @@ impl<S: Scheme> Shard<S> {
     fn phase_a1<N: Network>(&mut self, t: u64, ctx: &ShardCtx<'_, N>) {
         self.msgs.clear();
         self.local_arrivals.clear();
-        self.enq_local.clear();
         self.fault_qdelta = 0;
 
         if let Some(clock) = self.clock.as_deref_mut() {
@@ -275,9 +251,9 @@ impl<S: Scheme> Shard<S> {
     }
 
     /// Phase A2: process this shard's arrivals (remote inbox merged
-    /// with local ones in ascending delivering-link order), running the
-    /// scheme's broadcast forwarding locally and deferring everything
-    /// task-/RNG-touching to the coordinator via keyed messages.
+    /// with local ones in ascending delivering-link order), forwarding
+    /// them locally and telling the coordinator what touches a task via
+    /// keyed messages.
     fn phase_a2<N: Network>(
         &mut self,
         t: u64,
@@ -309,6 +285,8 @@ impl<S: Scheme> Shard<S> {
 
     fn handle_arrival<N: Network>(&mut self, t: u64, ctx: &ShardCtx<'_, N>, gid: u32, pkt: Packet) {
         let node = ctx.link_target[gid as usize];
+        let mut buf = std::mem::take(&mut self.emit_buf);
+        buf.clear();
         match pkt.kind {
             PacketKind::Broadcast(state) => {
                 let dist = if ctx.cfg.profile_by_distance {
@@ -324,49 +302,31 @@ impl<S: Scheme> Shard<S> {
                         dist,
                     },
                 });
-                let mut buf = std::mem::take(&mut self.emit_buf);
-                buf.clear();
                 self.scheme.on_broadcast_arrival(node, &state, &mut buf);
-                self.queue_emits(
-                    t,
-                    ctx,
-                    node,
-                    FlowMeta {
-                        task: pkt.task,
-                        gen_time: pkt.gen_time,
-                        len: pkt.len,
-                    },
-                    gid as u64,
-                    &buf,
-                );
-                self.emit_buf = buf;
+            }
+            PacketKind::Unicast { dest } if node == dest => {
+                self.msgs.push(Msg {
+                    key: key(1, gid as u64, 0),
+                    body: MsgBody::UnicastDone { task: pkt.task },
+                });
             }
             PacketKind::Unicast { dest } => {
-                if node == dest {
-                    self.msgs.push(Msg {
-                        key: key(1, gid as u64, 0),
-                        body: MsgBody::UnicastDone { task: pkt.task },
-                    });
-                } else {
-                    self.msgs.push(Msg {
-                        key: key(1, gid as u64, 0),
-                        body: MsgBody::RouteReq {
-                            node,
-                            dest,
-                            task: pkt.task,
-                            gen_time: pkt.gen_time,
-                            len: pkt.len,
-                        },
-                    });
-                }
+                self.coin.route(&self.scheme, t, gid, node, dest, &mut buf);
             }
         }
+        let meta = FlowMeta {
+            task: pkt.task,
+            gen_time: pkt.gen_time,
+            len: pkt.len,
+        };
+        self.queue_emits(t, ctx, node, meta, gid as u64, &buf);
+        self.emit_buf = buf;
     }
 
-    /// Stages a delivery's forwards for enqueue: emits toward dead
-    /// links become keyed loss settles under the drop policy (using the
-    /// post-update scheme, like the serial flush path); everything else
-    /// becomes a local enqueue command merged in phase B.
+    /// Enqueues a delivery's forwards — in key order, as they are
+    /// produced, ahead of the coordinator's new tasks in phase B. Emits
+    /// toward dead links become keyed loss settles under the drop policy
+    /// (using the post-update scheme, like the serial flush path).
     fn queue_emits<N: Network>(
         &mut self,
         t: u64,
@@ -382,20 +342,14 @@ impl<S: Scheme> Shard<S> {
                 self.kernel.owns(link),
                 "emit link not owned by the emitting node's shard"
             );
-            let key = key(1, gid, 1 + i as u32);
             let pkt = emit.packet(meta.task, meta.gen_time, meta.len, t);
             if self.kernel.drops(link) {
                 self.msgs.push(Msg {
-                    key,
+                    key: key(1, gid, 1 + i as u32),
                     body: settle_pkt(&self.scheme, &pkt),
                 });
-            } else if self.direct {
-                // Broadcast-only: no stage-1 coordinator commands can
-                // interleave, so the A2 processing order IS the merged
-                // key order for this link — enqueue on the spot.
-                self.admit(link, pkt);
             } else {
-                self.enq_local.push(Cmd { key, link, pkt });
+                self.admit(link, pkt);
             }
         }
     }
@@ -409,30 +363,13 @@ impl<S: Scheme> Shard<S> {
         debug_assert!(matches!(outcome, Admit::Queued), "unbounded admit refused");
     }
 
-    /// Phase B: merge local and coordinator enqueues in key order
-    /// (reproducing the serial per-queue insertion order), then start
-    /// service on every backlogged, idle, alive link.
+    /// Phase B: enqueue the coordinator's new tasks in draw order,
+    /// after the slot's forwards (the serial per-queue insertion order),
+    /// then start service on every backlogged, idle, alive link.
     fn phase_b(&mut self, t: u64, cfg: &SimConfig, cmds: &mut Vec<Cmd>) {
-        let local = std::mem::take(&mut self.enq_local);
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let pick_local = match (local.get(i), cmds.get(j)) {
-                (Some(a), Some(b)) => a.key < b.key,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let cmd = if pick_local {
-                i += 1;
-                local[i - 1]
-            } else {
-                j += 1;
-                cmds[j - 1]
-            };
+        for cmd in cmds.drain(..) {
             self.admit(cmd.link, cmd.pkt);
         }
-        cmds.clear();
-        self.enq_local = local;
 
         self.b.pre_service = self.kernel.queued();
         let faulted = self.clock.as_ref().is_some_and(|c| c.any_now());
@@ -442,9 +379,8 @@ impl<S: Scheme> Shard<S> {
     }
 }
 
-/// All global state: the injector (whose stream also draws the unicast
-/// tie coins) and the task ledger. Consumes shard messages in key order,
-/// which equals serial processing order.
+/// All global state: the injector and the task ledger. Consumes shard
+/// messages in key order, which equals serial processing order.
 struct Coordinator<S> {
     scheme: S,
     cfg: SimConfig,
@@ -460,14 +396,13 @@ struct Coordinator<S> {
     flow: FlowCounters,
     queued_end: u64,
 
-    emit_buf: Vec<Emit>,
     /// The coordinator's replica of the fault clock, advanced for its
     /// liveness view alone, and what dead links do to emits.
     faults: Option<Box<FaultClock>>,
     dead_policy: DeadLinkPolicy,
     now: u64,
 
-    /// Per-shard staged enqueue commands (route forwards, generation).
+    /// Per-shard staged enqueue commands of the slot's new tasks.
     cmds: Vec<Vec<Cmd>>,
 }
 
@@ -512,32 +447,6 @@ impl<S: Scheme> Coordinator<S> {
                 }
                 MsgBody::UnicastDone { task } => self.ledger.unicast_done(t, task),
                 MsgBody::Settle { task, lost } => self.settle(t, task, lost),
-                MsgBody::RouteReq {
-                    node,
-                    dest,
-                    task,
-                    gen_time,
-                    len,
-                } => {
-                    let mut buf = std::mem::take(&mut self.emit_buf);
-                    buf.clear();
-                    self.scheme
-                        .on_unicast_arrival(node, dest, self.injector.rng(), &mut buf);
-                    debug_assert!(!buf.is_empty(), "unicast stranded at {node}");
-                    self.flush_cmds(
-                        ctx,
-                        t,
-                        (1, key_major(m.key)),
-                        node,
-                        FlowMeta {
-                            task,
-                            gen_time,
-                            len,
-                        },
-                        &buf,
-                    );
-                    self.emit_buf = buf;
-                }
             }
         }
 
@@ -546,13 +455,13 @@ impl<S: Scheme> Coordinator<S> {
         let faults = self.faults.as_deref();
         let batch = std::slice::from_mut(&mut arrivals);
         self.injector.slot(t, &self.scheme, faults, batch, |_| 0);
-        for (seq, (msg, emits)) in arrivals.iter().enumerate() {
+        for (msg, emits) in arrivals.iter() {
             let meta = FlowMeta {
                 task: self.ledger.open(t, msg),
                 gen_time: msg.gen_time,
                 len: msg.len,
             };
-            self.flush_cmds(ctx, t, (2, seq as u64), msg.src, meta, emits);
+            self.flush_cmds(ctx, t, msg.src, meta, emits);
         }
         arrivals.clear();
         self.arrivals = arrivals;
@@ -565,12 +474,11 @@ impl<S: Scheme> Coordinator<S> {
         &mut self,
         ctx: &ShardCtx<'_, N>,
         t: u64,
-        prefix: (u8, u64),
         from: NodeId,
         meta: FlowMeta,
         emits: &[Emit],
     ) {
-        for (i, emit) in emits.iter().enumerate() {
+        for emit in emits {
             debug_assert!(
                 (emit.priority as usize) < self.scheme.num_priorities(),
                 "emit priority out of range"
@@ -584,11 +492,7 @@ impl<S: Scheme> Coordinator<S> {
                 self.settle(t, pkt.task, lost);
                 continue;
             }
-            self.cmds[ctx.shard_of(gid)].push(Cmd {
-                key: key(prefix.0, prefix.1, 1 + i as u32),
-                link: gid,
-                pkt,
-            });
+            self.cmds[ctx.shard_of(gid)].push(Cmd { link: gid, pkt });
         }
     }
 
@@ -718,8 +622,8 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
                 s as u32,
                 LinkKernel::new(&cfg, topo.d(), lo, hi),
                 scheme.clone(),
+                TieCoin::new(cfg.seed, links),
                 shards,
-                mix.lambda_unicast == 0.0,
             ));
         }
 
@@ -733,7 +637,6 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
             peak_queue: 0,
             flow: FlowCounters::default(),
             queued_end: 0,
-            emit_buf: Vec::with_capacity(64),
             faults: None,
             dead_policy: DeadLinkPolicy::default(),
             now: 0,

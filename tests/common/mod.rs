@@ -9,10 +9,9 @@
 //!
 //! * serial ≡ **sharded** at any shard and thread count, on everything
 //!   the sharded engine accepts;
-//! * serial ≡ **pstar-net** at any worker count, on every run without
-//!   unicast traffic. (With unicast, forwarding tie coins come from
-//!   per-worker streams and agreement is statistical, so the net helpers
-//!   refuse such specs rather than silently weakening the gate.)
+//! * serial ≡ **pstar-net** at any worker count, on every run — a
+//!   transit unicast's tie coin is keyed by its delivery, which no
+//!   partition changes.
 //!
 //! [`Backend`] + [`run_backend`] + [`cross_backend_agree`] compose that
 //! into a one-call differential gate over a backend list — under an
@@ -42,8 +41,7 @@ pub enum Backend {
     Serial,
     /// The sharded SoA engine (bit-identical to serial by contract).
     Sharded { shards: usize, threads: usize },
-    /// The thread-per-core runtime (bit-identical to serial by contract
-    /// on workloads without unicast traffic).
+    /// The thread-per-core runtime (bit-identical to serial by contract).
     NetVirtual { workers: usize },
 }
 
@@ -125,11 +123,6 @@ pub fn assert_reports_match(serial: &SimReport, other: &SimReport, label: &str) 
 /// One-call differential gate: runs `spec` — under `faults`, if given —
 /// on the serial engine and on every listed backend, asserting
 /// [`assert_reports_match`] against the serial reference.
-///
-/// Panics if a `NetVirtual` backend is listed for a spec with unicast
-/// traffic: mixed workloads are outside the runtime's draw-for-draw
-/// contract, and a gate that silently weakens itself is worse than one
-/// that refuses.
 pub fn cross_backend_agree(
     topo: &Torus,
     spec: &ScenarioSpec,
@@ -141,14 +134,6 @@ pub fn cross_backend_agree(
     let serial = run_backend(topo, spec, cfg, Backend::Serial, faults.cloned());
     for &backend in backends {
         let sub = format!("{label} [{}]", backend.label());
-        if matches!(backend, Backend::NetVirtual { .. }) {
-            assert!(
-                spec.broadcast_load_fraction >= 1.0,
-                "{sub}: net agreement is contractual only for workloads \
-                 without unicast traffic (forwarding tie coins are \
-                 per-worker streams); use a broadcast-only projection"
-            );
-        }
         let rep = run_backend(topo, spec, cfg, backend, faults.cloned());
         assert_reports_match(&serial, &rep, &sub);
     }

@@ -2,10 +2,10 @@
 //! against the slotted simulator (`pstar-sim`).
 //!
 //! The runtime's injector mirrors the engine's RNG draw order, its
-//! workers deliver in the engine's ascending-link order, and both
-//! account through the same order-free ledger, so for a workload without
-//! unicast traffic the two backends report the same run **bit for bit,
-//! field for field, at any worker count**
+//! workers deliver in the engine's ascending-link order, a transit
+//! unicast's tie coin is keyed by its delivery, and both account through
+//! the same order-free ledger, so the two backends report the same run
+//! **bit for bit, field for field, at any worker count**
 //! (`common::assert_reports_match`, i.e. `SimReport::first_difference`
 //! is `None`) — fault plans, bounded queues, admission control, ARQ and
 //! truncated runs included. A bookkeeping bug, a reordered delivery or a
@@ -71,22 +71,29 @@ fn sim_and_net_agree_on_delivered_counts() {
 }
 
 /// The agreement is independent of the worker count — sharding moves
-/// work between threads, never creates or destroys it.
+/// work between threads, never creates or destroys it — on broadcast,
+/// mixed and unicast-only traffic: a transit tie is keyed by its
+/// delivery, which no partition moves.
 #[test]
 fn agreement_holds_across_worker_counts() {
     let topo = Torus::new(&[4, 4]);
-    let spec = ScenarioSpec {
-        scheme: SchemeKind::PriorityStar,
-        rho: 0.9,
-        ..ScenarioSpec::default()
-    };
-    let cfg = SimConfig::quick(crn_seed(1));
-    let sim = run_scenario(&topo, &spec, cfg);
-    for workers in [1, 2, 5, 16] {
-        let net = net_run(&spec, &topo, cfg, workers);
-        assert!(net.report.completed, "W={workers}");
-        assert_reports_match(&sim, &net.report, &format!("W={workers}"));
-        assert_eq!(net.workers, workers.min(16));
+    for (rho, broadcast_load_fraction) in [(0.9, 1.0), (0.8, 0.5), (0.6, 0.0)] {
+        let spec = ScenarioSpec {
+            scheme: SchemeKind::PriorityStar,
+            rho,
+            broadcast_load_fraction,
+            ..ScenarioSpec::default()
+        };
+        let cfg = SimConfig::quick(crn_seed(1));
+        let sim = run_scenario(&topo, &spec, cfg);
+        assert_eq!(sim.measured_unicasts > 0, broadcast_load_fraction < 1.0);
+        for workers in [1, 2, 3, 4, 5, 16] {
+            let label = format!("broadcast share {broadcast_load_fraction} W={workers}");
+            let net = net_run(&spec, &topo, cfg, workers);
+            assert!(net.report.completed, "{label}");
+            assert_reports_match(&sim, &net.report, &label);
+            assert_eq!(net.workers, workers.min(16));
+        }
     }
 }
 
@@ -225,31 +232,34 @@ fn scripted_plans(topo: &Torus) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// The CI fault-agreement gate: under each scripted plan, every scheme,
-/// and 1/2/4 workers, the runtime reproduces the engine's report.
+/// The CI fault-agreement gate: under each scripted plan, every scheme
+/// (and a mixed workload), and 1–4 workers, the runtime reproduces the
+/// engine's report.
 #[test]
 fn sim_and_net_agree_under_faults() {
     let topo = Torus::new(&[4, 4]);
     let schemes = [
-        SchemeKind::PriorityStar,
-        SchemeKind::ThreeClass,
-        SchemeKind::FcfsDirect,
-        SchemeKind::FcfsBalanced,
+        (SchemeKind::PriorityStar, 1.0),
+        (SchemeKind::ThreeClass, 1.0),
+        (SchemeKind::FcfsDirect, 1.0),
+        (SchemeKind::FcfsBalanced, 1.0),
+        (SchemeKind::ThreeClass, 0.5),
     ];
     for (pi, (name, plan)) in scripted_plans(&topo).into_iter().enumerate() {
-        for scheme in schemes {
+        for (scheme, broadcast_load_fraction) in schemes {
             let spec = ScenarioSpec {
                 scheme,
                 rho: 0.7,
+                broadcast_load_fraction,
                 ..ScenarioSpec::default()
             };
             let cfg = SimConfig::quick(crn_seed(pi));
             let sim = fault_sim_run(&spec, &topo, cfg, plan.clone(), DeadLinkPolicy::Drop);
             assert!(
                 sim.faults.fault_dropped_packets > 0,
-                "{name} {scheme:?}: plan drew no fault losses — gate is vacuous"
+                "{name} {scheme:?} {broadcast_load_fraction}: plan drew no fault losses — gate is vacuous"
             );
-            for workers in [1, 2, 4] {
+            for workers in 1..=4 {
                 let net = fault_net_run(
                     &spec,
                     &topo,
@@ -258,7 +268,7 @@ fn sim_and_net_agree_under_faults() {
                     plan.clone(),
                     DeadLinkPolicy::Drop,
                 );
-                let label = format!("{name} {scheme:?} W={workers}");
+                let label = format!("{name} {scheme:?} {broadcast_load_fraction} W={workers}");
                 assert_reports_match(&sim, &net.report, &label);
             }
         }
@@ -266,31 +276,36 @@ fn sim_and_net_agree_under_faults() {
 }
 
 /// Under `Requeue` nothing is lost to faults — packets wait out the
-/// outage — and the two backends still report the same run.
+/// outage — and the two backends still report the same run, broadcast
+/// only and mixed.
 #[test]
 fn sim_and_net_agree_under_requeue_policy() {
     let topo = Torus::new(&[4, 4]);
     let (_, plan) = scripted_plans(&topo).swap_remove(0);
-    let spec = ScenarioSpec {
-        scheme: SchemeKind::PriorityStar,
-        rho: 0.7,
-        ..ScenarioSpec::default()
-    };
-    let cfg = SimConfig::quick(crn_seed(2));
-    let sim = fault_sim_run(&spec, &topo, cfg, plan.clone(), DeadLinkPolicy::Requeue);
-    assert_eq!(sim.faults.fault_dropped_packets, 0, "Requeue must not drop");
-    for workers in [1, 4] {
-        let net = fault_net_run(
-            &spec,
-            &topo,
-            cfg,
-            workers,
-            plan.clone(),
-            DeadLinkPolicy::Requeue,
-        );
-        let label = format!("W={workers}");
-        assert_eq!(net.report.faults.fault_dropped_packets, 0, "{label}");
-        assert_reports_match(&sim, &net.report, &label);
+    for (name, broadcast_load_fraction) in [("broadcast", 1.0), ("mixed", 0.5)] {
+        let spec = ScenarioSpec {
+            scheme: SchemeKind::PriorityStar,
+            rho: 0.7,
+            broadcast_load_fraction,
+            ..ScenarioSpec::default()
+        };
+        let cfg = SimConfig::quick(crn_seed(2));
+        let sim = fault_sim_run(&spec, &topo, cfg, plan.clone(), DeadLinkPolicy::Requeue);
+        assert_eq!(sim.faults.fault_dropped_packets, 0, "Requeue must not drop");
+        assert_eq!(sim.measured_unicasts > 0, broadcast_load_fraction < 1.0);
+        for workers in 1..=4 {
+            let net = fault_net_run(
+                &spec,
+                &topo,
+                cfg,
+                workers,
+                plan.clone(),
+                DeadLinkPolicy::Requeue,
+            );
+            let label = format!("{name} W={workers}");
+            assert_eq!(net.report.faults.fault_dropped_packets, 0, "{label}");
+            assert_reports_match(&sim, &net.report, &label);
+        }
     }
 }
 
@@ -300,13 +315,18 @@ fn sim_and_net_agree_under_requeue_policy() {
 /// the loss alone) — at every worker count the runtime reports the
 /// engine's run. Source backpressure is decided at each source's owner,
 /// against its own queues, plainly, beside ARQ under faults and under
-/// `Requeue`.
+/// `Requeue`. ARQ and backpressure also carry mixed traffic, whose
+/// transit ties every worker count draws alike.
 #[test]
 fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
     let topo = Torus::new(&[4, 4]);
     let at_rho = |rho| ScenarioSpec {
         rho,
         ..ScenarioSpec::default()
+    };
+    let mixed = |rho| ScenarioSpec {
+        broadcast_load_fraction: 0.5,
+        ..at_rho(rho)
     };
     let bounded = |policy, seed| SimConfig {
         queue_capacity: Some(2),
@@ -346,10 +366,13 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
             },
             arq(65),
         ),
+        ("ARQ mixed", mixed(0.6), arq(70)),
     ];
     for (name, spec, cfg) in cases {
         let sim = run_scenario(&topo, &spec, cfg);
         assert!(sim.completed, "{name}: sim did not complete");
+        let has_unicast = spec.broadcast_load_fraction < 1.0;
+        assert_eq!(sim.measured_unicasts > 0, has_unicast, "{name}: unicasts");
         let lossy = sim.dropped_packets + sim.flow.rejected_broadcasts;
         assert!(lossy > 0, "{name}: nothing was lost — the case is vacuous");
         for workers in 1..=4 {
@@ -384,9 +407,11 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
     let backpressure = |seed| bounded(FullQueuePolicy::Backpressure, seed);
     let (_, outage) = scripted_plans(&topo).swap_remove(0);
     let runs = [
-        ("Backpressure", backpressure(67), None),
+        ("Backpressure", at_rho(0.9), backpressure(67), None),
+        ("Backpressure mixed", mixed(0.7), backpressure(71), None),
         (
             "Backpressure + ARQ + faults",
+            at_rho(0.9),
             SimConfig {
                 arq: Some(pstar_sim::ArqConfig::default()),
                 ..backpressure(68)
@@ -395,18 +420,20 @@ fn sim_and_net_agree_under_bounded_queues_admission_and_arq() {
         ),
         (
             "Backpressure + Requeue",
+            at_rho(0.9),
             backpressure(69),
             Some((outage, DeadLinkPolicy::Requeue)),
         ),
     ];
-    for (name, cfg, faults) in runs {
-        let spec = at_rho(0.9);
+    for (name, spec, cfg, faults) in runs {
         let sim = match faults.clone() {
             Some((plan, policy)) => fault_sim_run(&spec, &topo, cfg, plan, policy),
             None => run_scenario(&topo, &spec, cfg),
         };
         assert!(sim.completed, "{name}: sim did not complete");
         assert!(sim.flow.deferred_injections > 0, "{name}: nothing waited");
+        let has_unicast = spec.broadcast_load_fraction < 1.0;
+        assert_eq!(sim.measured_unicasts > 0, has_unicast, "{name}: unicasts");
         if cfg.arq.is_some() {
             assert!(sim.recovery.retransmissions > 0, "{name}: ARQ never fired");
         }
@@ -607,23 +634,19 @@ struct Pin {
     sent: &'static [(usize, u64)],
 }
 
-/// Runs one pinned case at each of its worker counts. The reports must
-/// be one report — equal to each other field for field, and to
-/// `serial`'s if the case has a serial twin — with the pinned digest.
-fn assert_pin(pin: &Pin, serial: Option<&pstar_sim::SimReport>, run: impl Fn(usize) -> NetReport) {
+/// Runs one pinned case at each of its worker counts. Every report must
+/// be `serial`'s field for field, with the pinned digest.
+fn assert_pin(pin: &Pin, serial: &pstar_sim::SimReport, run: impl Fn(usize) -> NetReport) {
     let label = pin.label;
-    let mut first: Option<pstar_sim::SimReport> = None;
     for &(workers, want_sent) in pin.sent {
         let net = run(workers);
-        let reference = serial.or(first.as_ref()).unwrap_or(&net.report);
-        assert_reports_match(reference, &net.report, &format!("{label} W={workers}"));
+        assert_reports_match(serial, &net.report, &format!("{label} W={workers}"));
         assert_eq!(
             net.messages_sent, want_sent,
             "{label} W={workers}: messages_sent"
         );
-        first.get_or_insert(net.report);
     }
-    let digest = pstar_obs::fnv1a64(format!("{:?}", first.expect("a worker count")).as_bytes());
+    let digest = pstar_obs::fnv1a64(format!("{serial:?}").as_bytes());
     assert_eq!(
         digest, pin.report,
         "{label}: the report differs from the pinned one (got {digest:#018x})"
@@ -639,6 +662,7 @@ fn assert_pin(pin: &Pin, serial: Option<&pstar_sim::SimReport>, run: impl Fn(usi
 /// stamped at its event slot): since then a run without unicast traffic
 /// has *one* report at every worker count — the serial engine's, whose
 /// pins in `tests/sharded.rs` carry the same digests for the same runs.
+/// Since transit ties are keyed by their delivery, so does a mixed run.
 /// Re-pin only for a change that means to alter what a run reports.
 #[test]
 fn net_reports_match_the_pinned_per_message_plane() {
@@ -659,11 +683,9 @@ fn net_reports_match_the_pinned_per_message_plane() {
         serial.peak_queue_total, 613,
         "the pre-service peak is the intra-slot peak the engine tracked before"
     );
-    assert_pin(p8x8, Some(&serial), |w| {
-        net_run(&pstar, &torus8, short(41), w)
-    });
+    assert_pin(p8x8, &serial, |w| net_run(&pstar, &torus8, short(41), w));
 
-    // Unicast traffic: reproducible, outside the serial-identity contract.
+    // Unicast traffic: every tie coin is keyed by its delivery.
     let mixed = ScenarioSpec {
         scheme: SchemeKind::ThreeClass,
         rho: 0.7,
@@ -671,7 +693,9 @@ fn net_reports_match_the_pinned_per_message_plane() {
         ..ScenarioSpec::default()
     };
     let torus448 = Torus::new(&[4, 4, 8]);
-    assert_pin(mixed_pin, None, |w| {
+    let serial = run_scenario(&torus448, &mixed, short(42));
+    assert!(serial.measured_unicasts > 0, "no unicast traffic measured");
+    assert_pin(mixed_pin, &serial, |w| {
         net_run(&mixed, &torus448, short(42), w)
     });
 
@@ -684,7 +708,7 @@ fn net_reports_match_the_pinned_per_message_plane() {
         let cfg = SimConfig::quick(43);
         let serial = fault_sim_run(&pstar, &torus4, cfg, staggered.clone(), policy);
         assert!(serial.faults.events_applied > 0, "plan never fired");
-        assert_pin(pin, Some(&serial), |w| {
+        assert_pin(pin, &serial, |w| {
             fault_net_run(&pstar, &torus4, cfg, w, staggered.clone(), policy)
         });
     }
@@ -696,9 +720,7 @@ fn net_reports_match_the_pinned_per_message_plane() {
     };
     let serial = run_scenario(&torus4, &pstar, lossy);
     assert!(serial.recovery.retransmissions > 0, "ARQ never fired");
-    assert_pin(arq_pin, Some(&serial), |w| {
-        net_run(&pstar, &torus4, lossy, w)
-    });
+    assert_pin(arq_pin, &serial, |w| net_run(&pstar, &torus4, lossy, w));
 }
 
 const PINNED_RUNS: [Pin; 5] = [
@@ -709,8 +731,8 @@ const PINNED_RUNS: [Pin; 5] = [
     },
     Pin {
         label: "4x4x8 three-class mixed",
-        report: 0xb782_76e2_2cc5_8292,
-        sent: &[(2, 361_535)],
+        report: 0x2fa1_d187_b7da_ec31,
+        sent: &[(1, 0), (2, 360_468), (3, 600_225), (4, 660_024)],
     },
     Pin {
         label: "4x4 staggered faults Drop",
@@ -767,7 +789,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
     let serial = run_scenario(&torus8, &overload, horizon);
     assert!(serial.stable && !serial.completed && serial.slots_run == 777);
     assert_eq!(serial.flow.rejected_broadcasts, 3_184);
-    assert_pin(horizon_pin, Some(&serial), |w| {
+    assert_pin(horizon_pin, &serial, |w| {
         net_run(&overload, &torus8, horizon, w)
     });
 
@@ -778,7 +800,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
     };
     let serial = run_scenario(&torus8, &overload, limit);
     assert!(!serial.stable && serial.slots_run == 21);
-    assert_pin(limit_pin, Some(&serial), |w| {
+    assert_pin(limit_pin, &serial, |w| {
         net_run(&overload, &torus8, limit, w)
     });
 
@@ -790,7 +812,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
     };
     let serial = run_scenario(&torus4, &overload, guard);
     assert!(!serial.stable && serial.slots_run == 4_096);
-    assert_pin(guard_pin, Some(&serial), |w| {
+    assert_pin(guard_pin, &serial, |w| {
         net_run(&overload, &torus4, guard, w)
     });
 
@@ -804,7 +826,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
     let serial = run_scenario(&torus4, &degraded, boundary);
     assert_eq!(serial.slots_run, 100);
     assert_eq!(serial.avg_concurrent_broadcasts, 0.0);
-    assert_pin(boundary_pin, Some(&serial), |w| {
+    assert_pin(boundary_pin, &serial, |w| {
         net_run(&degraded, &torus4, boundary, w)
     });
 
@@ -827,7 +849,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         let f = &serial.faults;
         assert_eq!((serial.slots_run, f.events_applied), (400, 2));
         assert_eq!(f.fault_slots, 250);
-        assert_pin(pin, Some(&serial), |w| {
+        assert_pin(pin, &serial, |w| {
             fault_net_run(&degraded, &torus4, faulted, w, plan.clone(), policy)
         });
     }
@@ -864,7 +886,7 @@ fn early_stops_match_the_pinned_decide_then_send_protocol() {
         serial.faults.fault_damaged_broadcasts > 0,
         "no fault damage"
     );
-    assert_pin(crashes_pin, Some(&serial), |w| {
+    assert_pin(crashes_pin, &serial, |w| {
         let net = fault_net_run(
             &at_rho(0.9),
             &torus4,

@@ -7,12 +7,9 @@
 //!   engine reproduces the serial engine's full report (every field
 //!   exact, wait summaries included) at two shard counts, threaded and
 //!   not, on the scenario's own traffic mix.
-//! * **Net** — for every scenario's broadcast-only projection, the
-//!   runtime reproduces the serial engine's full report at two worker
-//!   counts. (Mixed workloads agree statistically only — unicast
-//!   forwarding draws come from per-worker streams — so the harness
-//!   *refuses* net legs with unicast traffic rather than silently
-//!   weakening the gate.)
+//! * **Net** — for every scenario in the catalog, on its own traffic
+//!   mix, the runtime reproduces the serial engine's full report at two
+//!   worker counts.
 //! * **Ordering** — under common random numbers, priority STAR's p99
 //!   reception delay beats FCFS-direct's on the steady scenario at high
 //!   load. (Scenario-dependent inversions — hot-spot saturation, bursty
@@ -170,16 +167,15 @@ fn every_scenario_agrees_on_the_sharded_engine() {
     }
 }
 
-/// Every scenario's broadcast-only projection reproduces the serial
-/// engine's report on the runtime at two worker counts. The projection
-/// is the runtime's documented draw-for-draw contract (see
-/// `tests/common`); the modulation axis — the part of a scenario the
-/// injector actually mirrors — is exercised in full.
+/// Every scenario, on its own mix (unicast included where the
+/// destination matrix needs it — the permutations tie on 4×4),
+/// reproduces the serial engine's report on the runtime at two worker
+/// counts.
 #[test]
 fn every_scenario_agrees_on_the_net_runtime() {
     let topo = Torus::new(&[4, 4]);
-    for (si, (name, scenario, _)) in catalog().into_iter().enumerate() {
-        let spec = spec_for(scenario, 1.0, SchemeKind::PriorityStar, 0.5);
+    for (si, (name, scenario, frac)) in catalog().into_iter().enumerate() {
+        let spec = spec_for(scenario, frac, SchemeKind::PriorityStar, 0.5);
         let cfg = SimConfig::quick(crn_seed(si) ^ 0x9E37);
         cross_backend_agree(
             &topo,

@@ -128,60 +128,67 @@ fn sharded_matches_serial_healthy() {
     }
 }
 
-/// Mixed broadcast/unicast traffic takes the unicast routing path
-/// (coordinator-side RNG forwarding), which the broadcast-only suite
-/// never touches.
+/// Mixed broadcast/unicast traffic takes the unicast routing path (a
+/// shard forwards a transit unicast itself, its tie coin keyed by the
+/// delivery), which the broadcast-only suite never touches.
 #[test]
 fn sharded_matches_serial_mixed_traffic() {
     let topo = Torus::new(&[4, 4]);
-    let spec = ScenarioSpec {
-        scheme: SchemeKind::PriorityStar,
-        rho: 0.8,
-        broadcast_load_fraction: 0.5,
-        ..ScenarioSpec::default()
-    };
-    let cfg = cfg_with(0x31ED_0001, true, false, false);
-    let serial = run_scenario(&topo, &spec, cfg);
-    assert!(serial.ok(), "serial mixed run not clean");
-    assert!(serial.measured_unicasts > 0, "no unicast traffic measured");
-    for shards in [1usize, 3, 8] {
-        let sharded = run_scenario_sharded(&topo, &spec, cfg, shards, 1, None);
-        assert_reports_match(&serial, &sharded, &format!("mixed shards={shards}"));
+    for broadcast_load_fraction in [0.5, 0.0] {
+        let spec = ScenarioSpec {
+            scheme: SchemeKind::PriorityStar,
+            rho: 0.8,
+            broadcast_load_fraction,
+            ..ScenarioSpec::default()
+        };
+        let cfg = cfg_with(0x31ED_0001, true, false, false);
+        let serial = run_scenario(&topo, &spec, cfg);
+        let label = format!("broadcast share {broadcast_load_fraction}");
+        assert!(serial.ok(), "{label}: serial run not clean");
+        assert!(serial.measured_unicasts > 0, "{label}: no unicast measured");
+        for shards in [1usize, 3, 8] {
+            let sharded = run_scenario_sharded(&topo, &spec, cfg, shards, 1, None);
+            assert_reports_match(&serial, &sharded, &format!("{label} shards={shards}"));
+        }
     }
 }
 
-/// Faulted runs, both dead-link policies: loss settlement, degraded
-/// routing, recovery tracking and the fault counters all cross the
-/// shard boundary.
+/// Faulted runs, both dead-link policies, broadcast only and mixed: loss
+/// settlement, degraded routing, recovery tracking and the fault
+/// counters all cross the shard boundary.
 #[test]
 fn sharded_matches_serial_under_faults() {
     let topo = Torus::new(&[4, 4]);
-    let spec = ScenarioSpec {
-        scheme: SchemeKind::PriorityStar,
-        rho: 0.6,
-        ..ScenarioSpec::default()
-    };
-    for (pi, policy) in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue]
-        .into_iter()
-        .enumerate()
-    {
-        let cfg = cfg_with(0xFA17_0000 + pi as u64, true, true, false);
-        let serial = run_scenario_with_faults(&topo, &spec, cfg, outage_plan(&topo), policy);
-        assert!(serial.completed, "{policy:?}: serial did not complete");
-        assert!(
-            serial.faults.events_applied >= 4,
-            "{policy:?}: outage never applied"
-        );
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = run_scenario_sharded(
-                &topo,
-                &spec,
-                cfg,
-                shards,
-                1,
-                Some((outage_plan(&topo), policy)),
+    for broadcast_load_fraction in [1.0, 0.5] {
+        let spec = ScenarioSpec {
+            scheme: SchemeKind::PriorityStar,
+            rho: 0.6,
+            broadcast_load_fraction,
+            ..ScenarioSpec::default()
+        };
+        for (pi, policy) in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue]
+            .into_iter()
+            .enumerate()
+        {
+            let label = format!("{policy:?} broadcast share {broadcast_load_fraction}");
+            let cfg = cfg_with(0xFA17_0000 + pi as u64, true, true, false);
+            let serial = run_scenario_with_faults(&topo, &spec, cfg, outage_plan(&topo), policy);
+            assert!(serial.completed, "{label}: serial did not complete");
+            assert!(
+                serial.faults.events_applied >= 4,
+                "{label}: outage never applied"
             );
-            assert_reports_match(&serial, &sharded, &format!("{policy:?} shards={shards}"));
+            for shards in [1usize, 2, 4, 8] {
+                let sharded = run_scenario_sharded(
+                    &topo,
+                    &spec,
+                    cfg,
+                    shards,
+                    1,
+                    Some((outage_plan(&topo), policy)),
+                );
+                assert_reports_match(&serial, &sharded, &format!("{label} shards={shards}"));
+            }
         }
     }
 }
@@ -597,7 +604,7 @@ fn serial_reports_match_the_pinned_pre_kernel_engine() {
 
 const PINNED_SERIAL_DIGESTS: [(&str, u64); 8] = [
     ("8x8 pstar rho.7", 0x38c6_fe0e_dc8e_80c4),
-    ("4x4x8 three-class mixed", 0xd9c0_1150_02ba_1d48),
+    ("4x4x8 three-class mixed", 0x2fa1_d187_b7da_ec31),
     ("4x4 staggered faults Drop", 0x490d_6604_bb9c_3837),
     ("4x4 staggered faults Requeue", 0x98c1_40d8_5923_48a3),
     ("4x4 capacity-1 ARQ", 0x7aea_0280_1b85_6773),
@@ -667,7 +674,7 @@ fn serial_reports_match_the_pinned_hardware_division_routing() {
 }
 
 const PINNED_DIVISION_DIGESTS: [(&str, u64); 3] = [
-    ("16x16 unicast-only rho.3", 0xf8eb_0b05_5ce3_8ed4),
-    ("8x8x16 three-class mixed rho.7", 0x0b90_4ecd_57da_2c33),
+    ("16x16 unicast-only rho.3", 0x392e_eb9e_f0df_1b80),
+    ("8x8x16 three-class mixed rho.7", 0x77f5_4a40_fb37_370b),
     ("5x5 three-class mixed rho.6", 0xa02e_f5c7_6806_7edb),
 ];
