@@ -23,9 +23,10 @@
 //! included, since a source's out-links belong to one worker — workers
 //! deliver in the engine's ascending-link order, and every statistic is
 //! one of `pstar_sim::TaskLedger`'s order-free integer sums; a transit
-//! unicast's tie coin is keyed by its delivery, which every worker count
-//! makes alike. So a run reports what the simulator reports for the
-//! same seed, **bit for bit and field for field, at any worker count** —
+//! unicast's tie coin comes from its node's stream, which the node's
+//! owner draws in that same order at every worker count. So a run
+//! reports what the simulator reports for the same seed, **bit for bit
+//! and field for field, at any worker count** —
 //! `SimReport::first_difference` is `None` — broadcast, unicast and
 //! mixed workloads, under fault plans, bounded queues under every
 //! full-queue policy, admission control, ARQ and truncated runs alike.

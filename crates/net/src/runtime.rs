@@ -89,8 +89,9 @@
 //! same config whatever the queues hold. A source's out-links belong to
 //! one worker, so whether a task waits at its source under backpressure
 //! is decided where the engine decides it, against the same queues.
-//! A transit unicast's tie coin is keyed by its delivery `(slot, link)`,
-//! which no partition changes. Every statistic is an order-free integer
+//! A transit unicast's tie coin comes from the stream of the node it is
+//! delivered to, drawn in that delivery order by the node's owner, so no
+//! partition changes it. Every statistic is an order-free integer
 //! sum (`pstar_sim::TaskLedger`), so the whole report equals the
 //! simulator's bit for bit at any worker count
 //! (`SimReport::first_difference` is `None`; `tests/net.rs`), unicast

@@ -35,8 +35,8 @@
 //!
 //! A transit unicast's tie coin (§4: an n/2 wrap tie goes + or −
 //! uniformly at random) is the one draw made after a task's arrival. It
-//! is keyed by the delivery that asks for it ([`TieCoin`]), so every
-//! driver draws the same coin for the same delivery.
+//! comes from a stream of the node it is delivered to ([`TieCoins`]),
+//! so every driver draws the same coin for the same delivery.
 
 use crate::arrivals::{InjectBatch, InjectMsg};
 use crate::config::SimConfig;
@@ -52,88 +52,44 @@ use pstar_topology::{Network, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Seed perturbation of the tie coin: XOR it into the run seed, so the
-/// coin's hash shares no input with a traffic stream's seed or the ARQ
+/// Seed perturbation of the tie coins: XOR it into the run seed, so the
+/// coins share no stream with a traffic stream's seed or the ARQ
 /// jitter's.
 const TIE_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 
-/// The tie coin of transit unicasts, keyed by the delivery: the stream
-/// the scheme draws from at the delivery of slot `t` by link `link` is
-/// seeded from `splitmix64(seed ^ TIE_SALT ^ (t · L + link))`, `L` the
-/// link count. A link serves one packet at a time, so `(t, link)` names
-/// one delivery, every driver makes the same deliveries, and no two
-/// packets share a coin.
+/// The tie coins of transit unicasts: one stream per node, the stream of
+/// node `v` seeded from `splitmix64(splitmix64(seed ^ TIE_SALT) ^ v)`.
+/// The run seed is hashed before the node is mixed in, so two seeds
+/// share no node's stream. A stream is seeded when its node first needs
+/// it, so building an engine seeds nothing.
 ///
-/// Seeding costs five splitmix steps, and a scheme draws only on an
-/// exact tie (about one dimension turn in sixteen on 16×16). So the
-/// scheme is first lent an idle stream; only if it drew from it is it
-/// asked once more, with the keyed stream ([`TieCoin::redraw`]).
-pub(crate) struct TieCoin {
-    /// `seed ^ TIE_SALT`.
+/// Every driver handles the deliveries to a node in the same order —
+/// slot by slot, each slot's in ascending link order, by the node's
+/// owner — because the queues' insertion order depends on it. So a
+/// node's ties are drawn in the same order, from the same stream, at any
+/// partition, and the scheme is asked once per delivery.
+pub(crate) struct TieCoins {
+    /// `splitmix64(seed ^ TIE_SALT)`.
     salt: u64,
-    /// The link count `L`.
-    links: u64,
-    /// The stream lent to a scheme that may not draw, and its untouched
-    /// state to tell whether it did.
-    lent: StdRng,
-    idle: StdRng,
+    /// Each node's stream, once seeded.
+    streams: Vec<Option<StdRng>>,
 }
 
-impl TieCoin {
-    /// The coin of run `seed` on a topology of `links` links.
-    pub(crate) fn new(seed: u64, links: u32) -> Self {
-        let idle = StdRng::seed_from_u64(seed);
+impl TieCoins {
+    /// The coins of run `seed` on a topology of `nodes` nodes.
+    pub(crate) fn new(seed: u64, nodes: u32) -> Self {
         Self {
-            salt: seed ^ TIE_SALT,
-            links: u64::from(links),
-            lent: idle.clone(),
-            idle,
+            salt: splitmix64(seed ^ TIE_SALT),
+            streams: vec![None; nodes as usize],
         }
     }
 
-    /// The keyed stream of the delivery of slot `t` by `link`.
-    pub(crate) fn stream(&self, t: u64, link: u32) -> StdRng {
-        let key = t.wrapping_mul(self.links).wrapping_add(u64::from(link));
-        StdRng::seed_from_u64(splitmix64(self.salt ^ key))
-    }
-
-    /// Appends to `out` the forward of a unicast for `dest` that `link`
-    /// delivered to transit `node` at slot `t`.
+    /// The stream a transit unicast at `node` draws its tie from.
     #[inline]
-    pub(crate) fn route<S: Scheme>(
-        &mut self,
-        scheme: &S,
-        t: u64,
-        link: u32,
-        node: NodeId,
-        dest: NodeId,
-        out: &mut Vec<Emit>,
-    ) {
-        let start = out.len();
-        scheme.on_unicast_arrival(node, dest, &mut self.lent, out);
-        if self.lent != self.idle {
-            self.redraw(scheme, t, link, node, dest, out, start);
-        }
-    }
-
-    /// The scheme drew a tie from the idle stream: forget that answer
-    /// and ask again with the delivery's keyed stream.
-    #[cold]
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn redraw<S: Scheme>(
-        &mut self,
-        scheme: &S,
-        t: u64,
-        link: u32,
-        node: NodeId,
-        dest: NodeId,
-        out: &mut Vec<Emit>,
-        start: usize,
-    ) {
-        self.lent.clone_from(&self.idle);
-        out.truncate(start);
-        scheme.on_unicast_arrival(node, dest, &mut self.stream(t, link), out);
+    pub(crate) fn at(&mut self, node: NodeId) -> &mut StdRng {
+        let salt = self.salt;
+        self.streams[node.index()]
+            .get_or_insert_with(|| StdRng::seed_from_u64(splitmix64(salt ^ u64::from(node.0))))
     }
 }
 
@@ -254,8 +210,8 @@ pub struct Hop<S> {
     /// Source backpressure's waiting tasks; `None` unless
     /// [`FullQueuePolicy::Backpressure`] bounds the queues.
     deferral: Option<Box<Deferral>>,
-    /// Transit unicasts' tie coin.
-    coin: TieCoin,
+    /// Transit unicasts' tie coins, one stream per node.
+    coins: TieCoins,
     /// Deferrals and the occupancy the driver samples; the driver sets
     /// the admission rejections its injector counted.
     pub flow: FlowCounters,
@@ -323,7 +279,7 @@ impl<S: Scheme> Hop<S> {
             faults: None,
             obs: None,
             deferral,
-            coin: TieCoin::new(cfg.seed, topo.link_count()),
+            coins: TieCoins::new(cfg.seed, topo.node_count()),
             flow: FlowCounters::default(),
             link_target: topo.link_target_table(),
             emits: Vec::with_capacity(64),
@@ -481,8 +437,9 @@ impl<S: Scheme> Hop<S> {
                 return;
             }
             PacketKind::Unicast { dest } => {
-                self.coin
-                    .route(&self.scheme, t, link, node, dest, &mut self.emits);
+                let rng = self.coins.at(node);
+                self.scheme
+                    .on_unicast_arrival(node, dest, rng, &mut self.emits);
                 debug_assert!(!self.emits.is_empty(), "unicast stranded at {node}");
             }
         }
@@ -690,7 +647,7 @@ mod tests {
     use crate::recovery::ArqConfig;
     use pstar_topology::{Direction, Torus};
     use rand::Rng;
-    use std::cell::Cell;
+    use std::cell::RefCell;
 
     /// A scheme whose forwards the test never asks for.
     struct NoForwards;
@@ -713,20 +670,11 @@ mod tests {
         }
     }
 
-    /// A scheme at an exact tie on every transit hop, or never at one:
-    /// `next_hop`'s coin, and how often it was asked.
+    /// A scheme at an exact tie on every transit hop: it draws `next_hop`'s
+    /// coin and records it, so its length is how often it was asked.
+    #[derive(Default)]
     struct Tied {
-        ties: bool,
-        asked: Cell<u32>,
-    }
-
-    impl Tied {
-        fn new(ties: bool) -> Self {
-            Self {
-                ties,
-                asked: Cell::new(0),
-            }
-        }
+        coins: RefCell<Vec<bool>>,
     }
 
     impl Scheme for Tied {
@@ -747,8 +695,8 @@ mod tests {
             rng: &mut StdRng,
             out: &mut Vec<Emit>,
         ) {
-            self.asked.set(self.asked.get() + 1);
-            let plus = !self.ties || rng.gen::<bool>();
+            let plus = rng.gen::<bool>();
+            self.coins.borrow_mut().push(plus);
             out.push(Emit {
                 dim: 0,
                 dir: if plus {
@@ -767,40 +715,50 @@ mod tests {
         }
     }
 
-    /// The coin `route` hands a tied scheme at the delivery of slot `t`
-    /// by `link`: `true` is +.
-    fn coin(c: &mut TieCoin, scheme: &Tied, t: u64, link: u32, out: &mut Vec<Emit>) -> bool {
-        out.clear();
-        c.route(scheme, t, link, NodeId(1), NodeId(3), out);
-        assert_eq!(out.len(), 1, "one forward, the idle answer forgotten");
-        out[0].dir == Direction::Plus
-    }
-
-    /// A scheme that does not draw is asked once; one that draws is asked
-    /// again and gets the delivery's keyed stream — the same coin whatever
-    /// the coin's history, so every driver draws it alike.
+    /// `Hop::deliver` asks the scheme once per transit delivery and lends
+    /// it the stream of the node delivered to: a node's coins follow its
+    /// own deliveries, whatever the other nodes' ties in between.
     #[test]
-    fn a_tie_is_drawn_from_the_delivery_s_keyed_stream() {
-        let mut out = Vec::new();
-        let (mut a, mut b) = (TieCoin::new(7, 64), TieCoin::new(7, 64));
-        let straight = Tied::new(false);
-        assert!(coin(&mut a, &straight, 5, 3, &mut out));
-        assert_eq!(straight.asked.get(), 1, "no draw, no second ask");
-        let tied = Tied::new(true);
-        for (t, link) in [(5, 3), (5, 4), (6, 3), (1 << 40, 63)] {
-            let want = a.stream(t, link).gen::<bool>();
-            assert_eq!(coin(&mut a, &tied, t, link, &mut out), want);
+    fn a_transit_tie_draws_once_from_its_node_s_stream() {
+        let topo = Torus::new(&[8]);
+        let cfg = SimConfig::quick(7);
+        let mut hop = Hop::new(&topo, Tied::default(), &cfg, 0, topo.link_count());
+        let mut ledger = TaskLedger::new(&cfg, 8, 2);
+        let t = cfg.warmup_slots;
+        let task = ledger.open_task(t, t, false, true);
+        let targets = topo.link_target_table();
+        // Deliveries to nodes other than the destination, node 0 among
+        // them several times, interleaved with the others.
+        let links: Vec<u32> = (0..topo.link_count())
+            .filter(|&l| targets[l as usize] != NodeId(4))
+            .cycle()
+            .take(40)
+            .collect();
+        let mut cx = HopCtx {
+            topo: &topo,
+            homes: &mut ledger,
+            t,
+        };
+        for &link in &links {
+            let pkt = Packet {
+                task,
+                gen_time: t,
+                enqueue_time: t,
+                len: 1,
+                priority: 0,
+                vc: 0,
+                attempt: 0,
+                kind: PacketKind::Unicast { dest: NodeId(4) },
+            };
+            hop.deliver(&mut cx, link, pkt);
         }
-        assert_eq!(tied.asked.get(), 8, "every tie asks twice");
-        // `b` has seen none of `a`'s deliveries.
-        assert_eq!(
-            coin(&mut b, &tied, 6, 3, &mut out),
-            coin(&mut a, &tied, 6, 3, &mut out)
-        );
-        let other_seed = TieCoin::new(8, 64);
-        let differs =
-            (0..64).any(|l| other_seed.stream(5, l).gen::<bool>() != a.stream(5, l).gen::<bool>());
-        assert!(differs, "the seed reaches the coin");
+        let drawn = hop.scheme.coins.borrow().clone();
+        assert_eq!(drawn.len(), links.len(), "one ask per delivery");
+        let mut fresh = TieCoins::new(7, topo.node_count());
+        for (&link, &coin) in links.iter().zip(&drawn) {
+            let node = targets[link as usize];
+            assert_eq!(coin, fresh.at(node).gen::<bool>(), "link {link}");
+        }
     }
 
     /// Pearson's χ² of a 2×2 contingency table against independence of
@@ -819,40 +777,51 @@ mod tests {
         chi2
     }
 
-    /// The keyed coin is fair, and independent of the coin of the next
-    /// delivery on its link and of the neighbouring link's in its slot —
-    /// keys one and `L` apart. Over a 2 000-slot × 64-link grid every χ²
-    /// (one degree of freedom) stays under 10.83, the 0.1 % point.
+    /// The first `draws` coins of each of `nodes` nodes under `seed`.
+    fn coin_grid(seed: u64, nodes: u32, draws: usize) -> Vec<Vec<bool>> {
+        let mut c = TieCoins::new(seed, nodes);
+        (0..nodes)
+            .map(|v| (0..draws).map(|_| c.at(NodeId(v)).gen::<bool>()).collect())
+            .collect()
+    }
+
+    /// The coins are fair, and independent of the next coin of the same
+    /// node, of the neighbouring node's coin at the same draw, and of the
+    /// coin of another seed: over a 64-node × 2 000-draw grid every χ²
+    /// (one degree of freedom) stays under 10.83, the 0.1 % point. The
+    /// other seed is `seed ^ 1` at node `v ^ 1`, the pair a seed XORed
+    /// straight into the node key would make equal.
     #[test]
-    fn the_keyed_coin_is_fair_and_independent_of_its_neighbours() {
-        const SLOTS: u64 = 2_000;
-        const LINKS: u32 = 64;
-        let (mut c, tied, mut out) = (TieCoin::new(0xC0FFEE, LINKS), Tied::new(true), Vec::new());
-        let coins: Vec<Vec<bool>> = (0..SLOTS)
-            .map(|t| {
-                (0..LINKS)
-                    .map(|l| coin(&mut c, &tied, t, l, &mut out))
-                    .collect()
-            })
-            .collect();
+    fn the_tie_coins_are_fair_and_independent() {
+        const NODES: u32 = 64;
+        const DRAWS: usize = 2_000;
+        let seed = 0xC0FFEE;
+        let coins = coin_grid(seed, NODES, DRAWS);
+        let other = coin_grid(seed ^ 1, NODES, DRAWS);
         let plus = coins.iter().flatten().filter(|&&p| p).count() as u64;
-        let n = SLOTS * u64::from(LINKS);
+        let n = DRAWS as u64 * u64::from(NODES);
         let fair = (2.0 * plus as f64 - n as f64).powi(2) / n as f64;
         assert!(fair < 10.83, "+ {plus} of {n}: χ² {fair:.2}");
-        let mut next_slot = [[0u64; 2]; 2];
-        let mut next_link = [[0u64; 2]; 2];
-        for t in 0..SLOTS as usize {
-            for l in 0..LINKS as usize {
-                let here = usize::from(coins[t][l]);
-                if t + 1 < SLOTS as usize {
-                    next_slot[here][usize::from(coins[t + 1][l])] += 1;
+        let mut next_draw = [[0u64; 2]; 2];
+        let mut next_node = [[0u64; 2]; 2];
+        let mut next_seed = [[0u64; 2]; 2];
+        for v in 0..NODES as usize {
+            for i in 0..DRAWS {
+                let here = usize::from(coins[v][i]);
+                if i + 1 < DRAWS {
+                    next_draw[here][usize::from(coins[v][i + 1])] += 1;
                 }
-                if l + 1 < LINKS as usize {
-                    next_link[here][usize::from(coins[t][l + 1])] += 1;
+                if v + 1 < NODES as usize {
+                    next_node[here][usize::from(coins[v + 1][i])] += 1;
                 }
+                next_seed[here][usize::from(other[v ^ 1][i])] += 1;
             }
         }
-        for (name, table) in [("next slot", next_slot), ("next link", next_link)] {
+        for (name, table) in [
+            ("next draw", next_draw),
+            ("next node", next_node),
+            ("next seed", next_seed),
+        ] {
             let chi2 = chi2_2x2(table);
             assert!(chi2 < 10.83, "{name}: {table:?} χ² {chi2:.2}");
         }

@@ -249,7 +249,7 @@ pub const ARQ_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer: a bijection on `u64` whose output bits all
 /// depend on all input bits. Decorrelates seeds derived from a counter
-/// (the tie coin's delivery key) and is the mixing step of the ARQ jitter
+/// (the tie coins' node streams) and is the mixing step of the ARQ jitter
 /// hash.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

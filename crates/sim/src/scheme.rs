@@ -42,12 +42,6 @@ pub trait Scheme {
     );
 
     /// Forward for a unicast delivered at intermediate `node ≠ dest`.
-    ///
-    /// `rng` is for a tie only (§4: an n/2 wrap tie goes + or −
-    /// uniformly at random). The hop rule may ask twice for one delivery
-    /// — first with an idle stream, then, if the scheme drew from it,
-    /// with the delivery's keyed stream — and keeps the second answer, so
-    /// the forwards must depend on the arguments and the draws alone.
     fn on_unicast_arrival(&self, node: NodeId, dest: NodeId, rng: &mut StdRng, out: &mut Vec<Emit>);
 
     /// Number of receptions an in-flight broadcast copy is still

@@ -6,8 +6,8 @@
 //! node-major, so each shard owns a contiguous link range). Each shard
 //! runs one [`LinkKernel`] — the same queueing, in-flight and service
 //! code the serial engine runs over all links — plus the forwarding of
-//! its nodes' deliveries (a transit unicast's tie coin is keyed by the
-//! delivery, `crate::hop`'s `TieCoin`), and exchanges boundary
+//! its nodes' deliveries (a transit unicast's tie coin comes from its
+//! node's stream, `crate::hop`'s `TieCoins`), and exchanges boundary
 //! deliveries per slot. The global state — the injector and the task
 //! table — lives in a single coordinator that consumes shard messages in
 //! **ascending `(stage, link, seq)` key order**. That order equals the
@@ -34,7 +34,7 @@
 use crate::arrivals::{InjectBatch, Injector};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::{FaultClock, FaultLoss, LossCause};
-use crate::hop::{receptions_at_stake, Homes, TieCoin};
+use crate::hop::{receptions_at_stake, Homes, TieCoins};
 use crate::kernel::{Admit, LinkKernel};
 use crate::ledger::{assemble, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
@@ -159,13 +159,13 @@ fn settle_pkt<S: Scheme>(scheme: &S, pkt: &Packet) -> MsgBody {
 }
 
 /// One spatial shard: the [`LinkKernel`] of a contiguous range of
-/// links, the scheme replica and tie coin that forward their
+/// links, the scheme replica and tie coins that forward their
 /// deliveries, and the per-slot exchange buffers.
 struct Shard<S> {
     id: u32,
     scheme: S,
     kernel: LinkKernel,
-    coin: TieCoin,
+    coins: TieCoins,
 
     // Per-slot buffers.
     local_arrivals: Vec<(u32, Packet)>,
@@ -186,12 +186,12 @@ struct Shard<S> {
 
 impl<S: Scheme> Shard<S> {
     /// A shard among `shards`.
-    fn new(id: u32, kernel: LinkKernel, scheme: S, coin: TieCoin, shards: usize) -> Self {
+    fn new(id: u32, kernel: LinkKernel, scheme: S, coins: TieCoins, shards: usize) -> Self {
         Self {
             id,
             scheme,
             kernel,
-            coin,
+            coins,
             local_arrivals: Vec::new(),
             msgs: Vec::new(),
             out: (0..shards).map(|_| Vec::new()).collect(),
@@ -311,7 +311,8 @@ impl<S: Scheme> Shard<S> {
                 });
             }
             PacketKind::Unicast { dest } => {
-                self.coin.route(&self.scheme, t, gid, node, dest, &mut buf);
+                let rng = self.coins.at(node);
+                self.scheme.on_unicast_arrival(node, dest, rng, &mut buf);
             }
         }
         let meta = FlowMeta {
@@ -622,7 +623,7 @@ impl<N: Network + Sync, S: Scheme + Clone + Send> ShardedEngine<N, S> {
                 s as u32,
                 LinkKernel::new(&cfg, topo.d(), lo, hi),
                 scheme.clone(),
-                TieCoin::new(cfg.seed, links),
+                TieCoins::new(cfg.seed, n),
                 shards,
             ));
         }

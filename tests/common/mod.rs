@@ -10,7 +10,7 @@
 //! * serial ≡ **sharded** at any shard and thread count, on everything
 //!   the sharded engine accepts;
 //! * serial ≡ **pstar-net** at any worker count, on every run — a
-//!   transit unicast's tie coin is keyed by its delivery, which no
+//!   transit unicast's tie coin comes from its node's stream, which no
 //!   partition changes.
 //!
 //! [`Backend`] + [`run_backend`] + [`cross_backend_agree`] compose that

@@ -413,7 +413,7 @@ fn changes_entries_span_their_indented_lines() {
 /// Bytes DESIGN.md may take (ROADMAP item 8): its size when the budget
 /// was set. Design prose a change adds, it deletes elsewhere; lowering
 /// the budget toward the ≤ 40 KB target is later work.
-const DESIGN_BUDGET: usize = 78_818;
+const DESIGN_BUDGET: usize = 78_804;
 
 #[test]
 fn design_stays_within_its_budget() {

@@ -3,7 +3,7 @@
 //!
 //! The runtime's injector mirrors the engine's RNG draw order, its
 //! workers deliver in the engine's ascending-link order, a transit
-//! unicast's tie coin is keyed by its delivery, and both account through
+//! unicast's tie coin comes from its node's stream, and both account through
 //! the same order-free ledger, so the two backends report the same run
 //! **bit for bit, field for field, at any worker count**
 //! (`common::assert_reports_match`, i.e. `SimReport::first_difference`
@@ -72,8 +72,8 @@ fn sim_and_net_agree_on_delivered_counts() {
 
 /// The agreement is independent of the worker count — sharding moves
 /// work between threads, never creates or destroys it — on broadcast,
-/// mixed and unicast-only traffic: a transit tie is keyed by its
-/// delivery, which no partition moves.
+/// mixed and unicast-only traffic: a transit tie comes from its node's
+/// stream, drawn in the same delivery order at every partition.
 #[test]
 fn agreement_holds_across_worker_counts() {
     let topo = Torus::new(&[4, 4]);
@@ -662,7 +662,7 @@ fn assert_pin(pin: &Pin, serial: &pstar_sim::SimReport, run: impl Fn(usize) -> N
 /// stamped at its event slot): since then a run without unicast traffic
 /// has *one* report at every worker count — the serial engine's, whose
 /// pins in `tests/sharded.rs` carry the same digests for the same runs.
-/// Since transit ties are keyed by their delivery, so does a mixed run.
+/// Since transit ties come from per-node streams, so does a mixed run.
 /// Re-pin only for a change that means to alter what a run reports.
 #[test]
 fn net_reports_match_the_pinned_per_message_plane() {
@@ -685,7 +685,7 @@ fn net_reports_match_the_pinned_per_message_plane() {
     );
     assert_pin(p8x8, &serial, |w| net_run(&pstar, &torus8, short(41), w));
 
-    // Unicast traffic: every tie coin is keyed by its delivery.
+    // Unicast traffic: every tie coin comes from its node's stream.
     let mixed = ScenarioSpec {
         scheme: SchemeKind::ThreeClass,
         rho: 0.7,
@@ -731,8 +731,8 @@ const PINNED_RUNS: [Pin; 5] = [
     },
     Pin {
         label: "4x4x8 three-class mixed",
-        report: 0x2fa1_d187_b7da_ec31,
-        sent: &[(1, 0), (2, 360_468), (3, 600_225), (4, 660_024)],
+        report: 0x3b09_c944_db72_0abf,
+        sent: &[(1, 0), (2, 362_695), (3, 603_911), (4, 664_149)],
     },
     Pin {
         label: "4x4 staggered faults Drop",

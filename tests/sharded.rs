@@ -129,8 +129,8 @@ fn sharded_matches_serial_healthy() {
 }
 
 /// Mixed broadcast/unicast traffic takes the unicast routing path (a
-/// shard forwards a transit unicast itself, its tie coin keyed by the
-/// delivery), which the broadcast-only suite never touches.
+/// shard forwards a transit unicast itself, its tie coin from the node's
+/// stream), which the broadcast-only suite never touches.
 #[test]
 fn sharded_matches_serial_mixed_traffic() {
     let topo = Torus::new(&[4, 4]);
@@ -604,7 +604,7 @@ fn serial_reports_match_the_pinned_pre_kernel_engine() {
 
 const PINNED_SERIAL_DIGESTS: [(&str, u64); 8] = [
     ("8x8 pstar rho.7", 0x38c6_fe0e_dc8e_80c4),
-    ("4x4x8 three-class mixed", 0x2fa1_d187_b7da_ec31),
+    ("4x4x8 three-class mixed", 0x3b09_c944_db72_0abf),
     ("4x4 staggered faults Drop", 0x490d_6604_bb9c_3837),
     ("4x4 staggered faults Requeue", 0x98c1_40d8_5923_48a3),
     ("4x4 capacity-1 ARQ", 0x7aea_0280_1b85_6773),
@@ -674,7 +674,7 @@ fn serial_reports_match_the_pinned_hardware_division_routing() {
 }
 
 const PINNED_DIVISION_DIGESTS: [(&str, u64); 3] = [
-    ("16x16 unicast-only rho.3", 0x392e_eb9e_f0df_1b80),
-    ("8x8x16 three-class mixed rho.7", 0x77f5_4a40_fb37_370b),
+    ("16x16 unicast-only rho.3", 0x7d40_2668_ccde_4b9c),
+    ("8x8x16 three-class mixed rho.7", 0x41bc_8b68_df2d_c51a),
     ("5x5 three-class mixed rho.6", 0xa02e_f5c7_6806_7edb),
 ];
