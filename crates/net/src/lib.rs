@@ -18,10 +18,11 @@
 //! ## The contract
 //!
 //! Worker 0 draws every task with the engine's own injector
-//! (`pstar_sim::Injector`), every worker applies the engine's hop rules
-//! (`pstar_sim::Hop`) — a task waiting at its source under backpressure
-//! included, since a source's out-links belong to one worker — workers
-//! deliver in the engine's ascending-link order, and every statistic is
+//! (`pstar_sim::Injector`), every worker runs the engine's one slot body
+//! (`pstar_sim::Hop::slot`) — a task waiting at its source under
+//! backpressure included, since a source's out-links belong to one
+//! worker — over the deliveries to its nodes in the engine's
+//! ascending-link order, and every statistic is
 //! one of `pstar_sim::TaskLedger`'s order-free integer sums; a transit
 //! unicast's tie coin comes from its node's stream, which the node's
 //! owner draws in that same order at every worker count. So a run

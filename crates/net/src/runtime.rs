@@ -43,17 +43,11 @@
 //!   leaves the rendezvous knowing both that slot `t`'s traffic is in
 //!   the mailboxes and whether slot `t` exists.
 //! * **Process** — each worker takes its peers' mailboxes of parity
-//!   `t % 2`, then handles control (acks, loss and retransmission
-//!   notices from slot `t − 1`, each carrying the slot it happened in),
-//!   then this slot's deliveries in ascending link order (applying
-//!   scheme forwarding) — its own taken off its kernel by the finish
-//!   scan at its place in that order, as `Engine::step` takes them —
-//!   then fires its due ARQ retransmissions, then lets its sources'
-//!   tasks arrive ([`pstar_sim::Hop::arrive`]: the tasks waiting under
-//!   source backpressure retry, then the slot's), and finally starts
-//!   service on idle owned links — the same deliveries → retransmissions
-//!   → arrivals → service order as one `Engine::step` — and publishes its
-//!   gauge line.
+//!   `t % 2`, handles control (acks, loss and retransmission notices
+//!   from slot `t − 1`, each carrying the slot it happened in), runs the
+//!   engine's one slot body, [`pstar_sim::Hop::slot`], over its peers'
+//!   delivery runs and the tasks worker 0 drew for its sources, and
+//!   publishes its gauge line.
 //!
 //! *Why one rendezvous is enough.* Mailbox `t % 2` is written before
 //! rendezvous `t` and read after it, and its next write (send of
@@ -466,12 +460,6 @@ struct Tally {
     peak: AtomicI64,
 }
 
-/// A delivery crossing a worker boundary.
-struct DataMsg {
-    link: u32,
-    pkt: Packet,
-}
-
 /// Control-plane traffic: what a worker tells the home of a task it saw
 /// a copy of, by the handle the copies carry. Mirrors the simulator's
 /// contention-free ARQ control plane — a mailbox takes any number of
@@ -506,9 +494,10 @@ pub(crate) struct Batch {
     /// Control messages of the *previous* slot (sealed at the top of the
     /// slot that sends them).
     ctrl: Vec<CtrlMsg>,
-    /// This slot's deliveries to the receiver's nodes, ascending in link
-    /// id (finish-scan order).
-    data: Vec<DataMsg>,
+    /// This slot's deliveries to the receiver's nodes as `(link,
+    /// packet)`, ascending in link id (finish-scan order): one run of
+    /// `Hop::slot`.
+    data: Vec<(u32, Packet)>,
     /// This slot's tasks at the receiver's sources (from worker 0).
     inject: InjectBatch,
 }
@@ -1188,7 +1177,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
             for (link, pkt) in self.hop.kernel.finishing(t) {
                 let to = shared.target_owner[link as usize] as usize;
                 if to != id {
-                    self.out[to].data.push(DataMsg { link, pkt: *pkt });
+                    self.out[to].data.push((link, *pkt));
                 }
             }
         }
@@ -1231,7 +1220,7 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
     }
 
     // ---------------------------------------------------------------
-    // Process: take + handle, engine step order
+    // Process: take, control, the one slot body
     // ---------------------------------------------------------------
 
     fn process(&mut self, t: u64) {
@@ -1259,57 +1248,22 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 self.books.apply(msg);
             }
         }
-        // 2. Deliveries of slot t in ascending link order — the engine's
-        //    delivery-scan order, which makes same-slot forwards enqueue
-        //    identically to the engine; the fault-agreement gate relies
-        //    on it (boundary-straddling drops are order-sensitive). Each
-        //    sender's run is ascending (its finish scan's order) and
-        //    holds only its own links, and workers own ascending,
-        //    disjoint link ranges: the k-way merge of the runs is their
-        //    concatenation in sender order, each processed where it lies.
-        //    This worker's own run is its finish scan, which takes every
-        //    delivery off the kernel and skips those send shipped.
+        // 2. The slot body, the engine's: the senders' delivery runs in
+        //    sender order with this worker's finish scan in its own place —
+        //    workers own ascending, disjoint link ranges, so that is
+        //    ascending link order — then retransmissions, the arrivals
+        //    worker 0 drew for this worker's sources, service starts.
         let mut cx = HopCtx {
             topo: self.topo,
             homes: &mut self.books,
             t,
         };
-        let mut last_link = None;
-        for (from, batch) in self.inbox.iter_mut().enumerate() {
-            if from != id {
-                for msg in batch.data.drain(..) {
-                    debug_assert!(last_link < Some(msg.link), "deliveries out of link order");
-                    last_link = Some(msg.link);
-                    self.hop.deliver(&mut cx, msg.link, msg.pkt);
-                }
-                continue;
-            }
-            let mut scan = self.hop.kernel.finish_scan();
-            while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
-                if shared.target_owner[link as usize] as usize != id {
-                    continue;
-                }
-                let pkt = *pkt;
-                debug_assert!(last_link < Some(link), "deliveries out of link order");
-                last_link = Some(link);
-                self.hop.deliver(&mut cx, link, pkt);
-            }
-        }
-        // 3. Due retransmissions (before arrivals, like the engine).
-        self.hop.fire_retransmissions(&mut cx);
-        // 4. Arrivals at this worker's sources: the tasks waiting there
-        //    retry, then slot t's, which worker 0's injector drew.
-        self.hop.arrive(&mut cx, &self.inbox[0].inject);
-        self.inbox[0].inject.clear();
-        // 5. The queued population, sampled at the engine's point: after
-        //    arrivals, before service starts.
-        let pre_service = self.hop.kernel.queued();
-        if shared.sim.in_window(t) {
-            self.hop.flow.occupancy_sum += pre_service as u128;
-        }
-        // 6. Service starts on the owned links, link-id order.
-        self.hop.start(t, |_, _| {});
-        // 7. The slot's gauges for the next rendezvous' combiner, with
+        let mut arrivals = std::mem::take(&mut self.inbox[0].inject);
+        let runs = self.inbox.iter_mut().enumerate();
+        let runs = runs.map(|(from, batch)| (from != id).then_some(&mut batch.data));
+        let pre_service = self.hop.slot(&mut cx, runs, &mut arrivals, |_, _| {});
+        self.inbox[0].inject = arrivals;
+        // 3. The slot's gauges for the next rendezvous' combiner, with
         //    the local single-queue divergence guard (each worker scans
         //    its own links on the engine's scan slots).
         let gauge = &shared.gauges[id];

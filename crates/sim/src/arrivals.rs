@@ -7,10 +7,16 @@
 //! generation draws, all at the arrival. Seeded alike, every driver
 //! therefore creates the same tasks, whatever its queues hold; whether a
 //! task then waits at its source is the hop rule's business
-//! ([`crate::Hop::arrive`]). The scenario layer (rate modulation,
-//! destination matrices, the all-to-all phase) threads through the same
-//! code, which is why seeded scenario runs stay bit-identical across
-//! serial, sharded and net.
+//! (`Hop::arrive`). The scenario layer (rate modulation, destination
+//! matrices, the all-to-all phase) threads through the same code, which
+//! is why seeded scenario runs stay bit-identical across serial, sharded
+//! and net.
+//!
+//! A recorded [`pstar_traffic::Trace`] is the other arrival source
+//! ([`Injector::replaying`]): its events take the place of the draws of
+//! [`generate_arrivals_into`], and from there on a replayed task arrives
+//! as a live one does — through the admission gate, suppressed at a
+//! crashed source, with its recorded length in place of the length draw.
 
 use crate::config::SimConfig;
 use crate::faultepoch::FaultClock;
@@ -18,7 +24,9 @@ use crate::packet::Emit;
 use crate::recovery::TokenGate;
 use crate::scheme::Scheme;
 use pstar_topology::NodeId;
-use pstar_traffic::{ArrivalProcess, DestSampler, PoissonArrivals, ScenarioCursor, TrafficMix};
+use pstar_traffic::{
+    ArrivalProcess, DestSampler, PoissonArrivals, ScenarioCursor, Trace, TraceEvent, TrafficMix,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::BorrowMut;
@@ -249,14 +257,60 @@ impl InjectBatch {
     }
 }
 
+/// Which field of a trace event named a node the topology does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceField {
+    /// The source node.
+    Src,
+    /// The unicast destination.
+    Dest,
+}
+
+/// Why [`Injector::replaying`] refused a trace: its first event that
+/// names a node outside the topology. (`Trace::load` checks only the
+/// syntax of the fields it reads.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceError {
+    /// Index of the event in the trace (slot order).
+    pub event: usize,
+    /// The event's slot.
+    pub slot: u64,
+    /// Which of its fields is out of range.
+    pub field: TraceField,
+    /// The node it names.
+    pub node: u32,
+    /// Nodes the topology has.
+    pub nodes: u32,
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let field = match self.field {
+            TraceField::Src => "source",
+            TraceField::Dest => "destination",
+        };
+        write!(
+            f,
+            "trace event {} (slot {}) names {field} node {}, but the topology has {} nodes",
+            self.event, self.slot, self.node, self.nodes
+        )
+    }
+}
+
+impl std::error::Error for TraceError {}
+
 /// The one task generator (module docs): the seeded stream, the
-/// destination sampler, the scenario cursor and the admission gate.
+/// destination sampler, the scenario cursor or a trace, and the
+/// admission gate.
 #[derive(Debug)]
 pub struct Injector {
     rng: StdRng,
     mix: TrafficMix,
     dests: DestSampler,
     cursor: ScenarioCursor,
+    /// `Some` when the tasks come from a trace instead of `mix`: its
+    /// events not yet due, in slot order.
+    replay: Option<std::iter::Peekable<std::vec::IntoIter<TraceEvent>>>,
     cfg: SimConfig,
     n: u32,
     gate: Option<TokenGate>,
@@ -278,10 +332,38 @@ impl Injector {
                 .resolve_dests(dims)
                 .expect("scenario validated by the driver"),
             cursor: ScenarioCursor::new(cfg.scenario),
+            replay: None,
             gate: cfg.admission.map(|adm| TokenGate::new(adm, n as usize)),
             cfg: *cfg,
             n,
         }
+    }
+
+    /// The injector of a recorded `trace` on a network with
+    /// per-dimension extents `dims`: each event is a task arriving at
+    /// its slot with its recorded length, through the admission gate,
+    /// and suppressed at a crashed source, as a live arrival is. A
+    /// self-addressed unicast is skipped (it would never leave its
+    /// source). A trace whose events name a node the network does not
+    /// have is refused, naming the first such event.
+    pub fn replaying(dims: &[u32], trace: &Trace, cfg: &SimConfig) -> Result<Self, TraceError> {
+        let inj = Self::new(dims, TrafficMix::broadcast_only(0.0), cfg);
+        for (event, ev) in trace.events().iter().enumerate() {
+            let bad = [(TraceField::Src, Some(ev.src)), (TraceField::Dest, ev.dest)]
+                .into_iter()
+                .find_map(|(field, node)| node.filter(|&v| v >= inj.n).map(|v| (field, v)));
+            if let Some((field, node)) = bad {
+                return Err(TraceError {
+                    event,
+                    slot: ev.slot,
+                    field,
+                    node,
+                    nodes: inj.n,
+                });
+            }
+        }
+        let replay = Some(trace.events().to_vec().into_iter().peekable());
+        Ok(Self { replay, ..inj })
     }
 
     /// The admission gate and its rejection counts; `None` unless
@@ -291,10 +373,10 @@ impl Injector {
     }
 
     /// Draws slot `t`'s tasks into `out[owner(src)]`: the token refill,
-    /// then [`generate_arrivals_into`]'s draws, each arrival through the
-    /// admission gate and then its length and generation draws. A source
-    /// `faults` says is crashed generates nothing (its draws are still
-    /// taken).
+    /// then [`generate_arrivals_into`]'s draws — or the trace's events
+    /// due by `t` — each arrival through the admission gate and then its
+    /// length and generation draws. A source `faults` says is crashed
+    /// generates nothing (its draws are still taken).
     pub fn slot<S, B>(
         &mut self,
         t: u64,
@@ -311,6 +393,7 @@ impl Injector {
         }
         let (mix, n) = (self.mix, self.n);
         let mut cursor = self.cursor;
+        let mut replay = self.replay.take();
         let mut draws = SlotDraws {
             inj: self,
             scheme,
@@ -318,9 +401,21 @@ impl Injector {
             t,
             out,
             owner,
+            len: None,
         };
-        generate_arrivals_into(&mut draws, &mut cursor, mix, n, t);
+        match replay.as_mut() {
+            None => generate_arrivals_into(&mut draws, &mut cursor, mix, n, t),
+            Some(events) => {
+                while let Some(ev) = events.next_if(|ev| ev.slot <= t) {
+                    if ev.dest != Some(ev.src) && !draws.source_dead(NodeId(ev.src)) {
+                        draws.len = Some(ev.len.max(1));
+                        draws.spawn(NodeId(ev.src), ev.dest.map(NodeId));
+                    }
+                }
+            }
+        }
         self.cursor = cursor;
+        self.replay = replay;
     }
 
     /// Draws one task arriving at `src` in slot `t` into `out`, past
@@ -357,10 +452,10 @@ impl Injector {
     }
 }
 
-/// [`ArrivalSink`] of one slot's draws: the shared generator owns the
-/// draw order, `spawn` takes each arrival through the admission gate —
-/// which draws nothing, so a rejection leaves the stream untouched —
-/// and then [`Injector::draw`].
+/// [`ArrivalSink`] of one slot's draws: the shared generator — or the
+/// trace — owns the draw order, `spawn` takes each arrival through the
+/// admission gate — which draws nothing, so a rejection leaves the
+/// stream untouched — and then [`Injector::draw`].
 struct SlotDraws<'a, S: ?Sized, B, F> {
     inj: &'a mut Injector,
     scheme: &'a S,
@@ -368,6 +463,9 @@ struct SlotDraws<'a, S: ?Sized, B, F> {
     t: u64,
     out: &'a mut [B],
     owner: F,
+    /// The recorded length of the arrival spawned next, which overrides
+    /// the length law.
+    len: Option<u16>,
 }
 
 impl<S, B, F> ArrivalSink for SlotDraws<'_, S, B, F>
@@ -385,6 +483,7 @@ where
     }
 
     fn spawn(&mut self, src: NodeId, dest: Option<NodeId>) {
+        let len = self.len.take();
         let measured = self.inj.cfg.in_window(self.t);
         let gate = self.inj.gate.as_mut();
         if gate.is_some_and(|g| !g.admit(src.index(), dest.is_none(), measured)) {
@@ -392,7 +491,7 @@ where
         }
         let out = self.out[(self.owner)(src)].borrow_mut();
         self.inj
-            .draw(self.t, self.scheme, src, dest, measured, None, out);
+            .draw(self.t, self.scheme, src, dest, measured, len, out);
     }
 }
 

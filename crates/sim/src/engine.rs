@@ -1,6 +1,6 @@
 //! The slotted simulation engine.
 
-use crate::arrivals::{InjectBatch, Injector};
+use crate::arrivals::{InjectBatch, Injector, TraceError};
 use crate::config::{stop_verdict, SimConfig, Stop};
 use crate::faultepoch::FaultClock;
 use crate::hop::{Hop, HopCtx};
@@ -13,57 +13,16 @@ use pstar_obs::{SlotSample, TraceSink};
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
 
-/// Which field of a trace event named a node the topology does not have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceField {
-    /// The source node.
-    Src,
-    /// The unicast destination.
-    Dest,
-}
-
-/// Why [`Engine::replay`] refused a trace: its first event that names a
-/// node outside the topology. (`Trace::load` checks only the syntax of
-/// the fields it reads.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceError {
-    /// Index of the event in the trace (slot order).
-    pub event: usize,
-    /// The event's slot.
-    pub slot: u64,
-    /// Which of its fields is out of range.
-    pub field: TraceField,
-    /// The node it names.
-    pub node: u32,
-    /// Nodes the topology has.
-    pub nodes: u32,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let field = match self.field {
-            TraceField::Src => "source",
-            TraceField::Dest => "destination",
-        };
-        write!(
-            f,
-            "trace event {} (slot {}) names {field} node {}, but the topology has {} nodes",
-            self.event, self.slot, self.node, self.nodes
-        )
-    }
-}
-
-impl std::error::Error for TraceError {}
-
 /// The simulator: a torus, a routing scheme, a workload, and per-link
 /// priority queues stepped slot by slot.
 ///
 /// The queues, the in-flight transmissions and the service discipline
 /// live in one [`LinkKernel`](crate::LinkKernel) over every link, what an
-/// arrival, a delivery, a forward and a loss mean in one [`Hop`], and
-/// task creation in one [`Injector`]; the engine owns the slot order and
-/// the task table. See the crate docs for the timing model. Construction
-/// is cheap; `run` consumes the engine and returns a [`SimReport`].
+/// arrival, a delivery, a forward and a loss mean and the order a slot
+/// applies them in in one [`Hop`], and task creation in one
+/// [`Injector`]; the engine owns the clock, the stop rule and the task
+/// table. See the crate docs for the timing model. Construction is
+/// cheap; `run` consumes the engine and returns a [`SimReport`].
 pub struct Engine<N: Network, S: Scheme> {
     topo: N,
     cfg: SimConfig,
@@ -211,28 +170,22 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// deterministic tree/latency tests together with
     /// [`Engine::run_until_idle`].
     pub fn inject_broadcast(&mut self, src: NodeId) -> u32 {
-        self.inject(src, None, true, None)
+        self.inject(src, None)
     }
 
     /// Injects a single unicast task, tagged for measurement.
     pub fn inject_unicast(&mut self, src: NodeId, dest: NodeId) -> u32 {
         assert_ne!(src, dest, "unicast to self");
-        self.inject(src, Some(dest), true, None)
+        self.inject(src, Some(dest))
     }
 
-    /// Draws one task at `src` now and injects it past every gate
-    /// ([`Hop::inject`]); `len` overrides the length law.
-    fn inject(
-        &mut self,
-        src: NodeId,
-        dest: Option<NodeId>,
-        measured: bool,
-        len: Option<u16>,
-    ) -> u32 {
+    /// Draws one measured task at `src` now and injects it past every
+    /// gate (`Hop::inject`).
+    fn inject(&mut self, src: NodeId, dest: Option<NodeId>) -> u32 {
         let t = self.now;
         let batch = &mut self.arrivals;
         self.injector
-            .draw(t, &self.hop.scheme, src, dest, measured, len, batch);
+            .draw(t, &self.hop.scheme, src, dest, true, None, batch);
         let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
         let (msg, emits) = self.arrivals.iter().next().expect("one task drawn");
         let task = self.hop.inject(&mut cx, msg, emits);
@@ -240,70 +193,23 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         task
     }
 
-    /// Queue occupancy as the divergence guard counts it: tasks waiting
-    /// at their sources are occupancy the links haven't accepted yet.
-    fn guarded_occupancy(&self) -> i64 {
-        (self.hop.kernel.queued() + self.hop.deferred().0) as i64
-    }
-
-    /// Replays a recorded workload trace instead of sampling arrivals.
+    /// Replays a recorded workload trace instead of sampling arrivals
+    /// ([`Injector::replaying`]), under the run loop and stop rule of
+    /// [`Engine::run`].
     ///
-    /// Events fire at their recorded slots with their recorded lengths;
-    /// tasks generated inside the configured measurement window are
-    /// tagged exactly as in a live run, so trace replays produce
-    /// comparable reports. After the last event the network drains. A
+    /// Each event is a task arriving at its recorded slot with its
+    /// recorded length, exactly as a live arrival: tagged for
+    /// measurement inside the configured window, through the admission
+    /// gate, suppressed at a crashed source, waiting at its source under
+    /// backpressure. The run stops as a live one does: once the window
+    /// is over and every measured task is done, at the horizon, or when
+    /// a divergence guard trips — later events never fire. A
     /// self-addressed unicast is skipped; a trace whose events name a
-    /// node the topology does not have is refused before the first slot,
-    /// naming the first such event.
+    /// node the topology does not have is refused before the first
+    /// slot, naming the first such event.
     pub fn replay(mut self, trace: &pstar_traffic::Trace) -> Result<SimReport, TraceError> {
-        let events = trace.events();
-        let nodes = self.topo.node_count();
-        for (event, ev) in events.iter().enumerate() {
-            let bad = [(TraceField::Src, Some(ev.src)), (TraceField::Dest, ev.dest)]
-                .into_iter()
-                .find_map(|(field, node)| node.filter(|&v| v >= nodes).map(|v| (field, v)));
-            if let Some((field, node)) = bad {
-                return Err(TraceError {
-                    event,
-                    slot: ev.slot,
-                    field,
-                    node,
-                    nodes,
-                });
-            }
-        }
-        let queue_limit = self.cfg.queue_limit(self.hop.kernel.n_links());
-        let mut next = 0;
-        let mut completed = true;
-        loop {
-            while next < events.len() && events[next].slot == self.now {
-                let ev = events[next];
-                next += 1;
-                let src = NodeId(ev.src);
-                let dest = ev.dest.map(NodeId);
-                if dest == Some(src) {
-                    // Malformed external trace entry; skip rather than
-                    // loop a self-addressed packet forever.
-                    continue;
-                }
-                let measured = self.cfg.in_window(self.now);
-                self.inject(src, dest, measured, Some(ev.len.max(1)));
-            }
-            if next >= events.len() && self.hop.is_idle() {
-                break;
-            }
-            if self.now >= self.cfg.max_slots {
-                completed = false;
-                break;
-            }
-            if self.guarded_occupancy() > queue_limit {
-                self.unstable = true;
-                completed = false;
-                break;
-            }
-            self.step(false);
-        }
-        Ok(self.report(completed))
+        self.injector = Injector::replaying(&self.topo.dim_sizes(), trace, &self.cfg)?;
+        Ok(self.run())
     }
 
     /// Steps until the network is completely idle (no queued or in-flight
@@ -330,11 +236,14 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     pub fn run_observed(mut self) -> (SimReport, Option<Box<dyn TraceSink>>) {
         let queue_limit = self.cfg.queue_limit(self.hop.kernel.n_links());
         let stop = loop {
+            // Tasks waiting at their sources are occupancy the links have
+            // not accepted yet and, when measured, work still due.
+            let (deferred, deferred_measured) = self.hop.deferred();
             let verdict = stop_verdict(
                 &self.cfg,
                 self.now,
-                self.ledger.outstanding_measured() as u64 + self.hop.deferred().1,
-                self.guarded_occupancy(),
+                self.ledger.outstanding_measured() as u64 + deferred_measured,
+                (self.hop.kernel.queued() + deferred) as i64,
                 queue_limit,
                 || {
                     self.cfg
@@ -365,6 +274,9 @@ impl<N: Network, S: Scheme> Engine<N, S> {
         }
     }
 
+    /// One slot: the fault tick, the samples of the state the previous
+    /// slot left behind, the slot's tasks (`arrivals`: drawn, or none
+    /// while draining), then the one slot body, `Hop::slot`.
     fn step(&mut self, arrivals: bool) {
         let t = self.now;
 
@@ -386,44 +298,23 @@ impl<N: Network, S: Scheme> Engine<N, S> {
             self.obs_sample(t);
         }
 
-        // Phase 1: deliveries, in ascending link order — a deterministic
-        // tie-break shared with the sharded engine's merge and
-        // pstar-net's receiver-side merge, so every backend enqueues
-        // same-slot forwards into each queue in the same order and
-        // per-packet trajectories agree exactly (which the
-        // fault-agreement gate relies on: boundary-straddling drops are
-        // order-sensitive).
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
-        let mut scan = self.hop.kernel.finish_scan();
-        while let Some((link, pkt)) = self.hop.kernel.next_finished(&mut scan, t) {
-            let pkt = *pkt;
-            self.hop.deliver(&mut cx, link, pkt);
-        }
-
-        // Phase 2: re-injections, then new tasks. Retransmission timers
-        // and tasks waiting at their sources fire before fresh arrivals
-        // so recovered / older work keeps its age order.
-        self.hop.fire_retransmissions(&mut cx);
+        // The slot's tasks are drawn here, ahead of the deliveries they
+        // arrive after: no draw reads a queue, only the fault clock,
+        // which has ticked.
         if arrivals {
             let scheme = &self.hop.scheme;
             let (faults, batch) = (self.hop.faults.as_deref(), &mut self.arrivals);
             self.injector
                 .slot(t, scheme, faults, std::slice::from_mut(batch), |_| 0);
         }
-        self.hop.arrive(&mut cx, &self.arrivals);
-        self.arrivals.clear();
-
-        // Phase 3: service starts. The queued population is sampled
-        // here, after the slot's enqueues and before its service.
-        let queued = self.hop.kernel.queued();
-        self.peak_queue = self.peak_queue.max(queued as i64);
-        if self.cfg.in_window(t) {
-            self.hop.flow.occupancy_sum += queued as u128;
-        }
+        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
         let (tx_by_dim, link_dim) = (&mut self.tx_by_dim, &self.link_dim);
-        self.hop.start(t, |link, _| {
-            tx_by_dim[link_dim[link as usize] as usize] += 1;
-        });
+        let queued = self
+            .hop
+            .slot(&mut cx, [None], &mut self.arrivals, |link, _| {
+                tx_by_dim[link_dim[link as usize] as usize] += 1;
+            });
+        self.peak_queue = self.peak_queue.max(queued as i64);
 
         self.now = t + 1;
     }
@@ -460,6 +351,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::TraceField;
     use crate::packet::{BroadcastState, Emit, PacketKind};
     use pstar_topology::Direction;
     use pstar_topology::Torus;
@@ -1280,16 +1172,28 @@ mod tests {
         assert_eq!(format!("{base:?}"), format!("{traced:?}"));
     }
 
-    /// Replays `events` on the 8-node ring.
-    fn replay(events: Vec<pstar_traffic::TraceEvent>) -> Result<SimReport, TraceError> {
+    /// Replays `events` on the 8-node ring under `cfg` and `plan`, with
+    /// a 100-slot window from slot 0.
+    fn replay_under(
+        cfg: SimConfig,
+        plan: FaultPlan,
+        events: Vec<pstar_traffic::TraceEvent>,
+    ) -> Result<SimReport, TraceError> {
         let (t, s) = ring(8);
         let trace = pstar_traffic::Trace::new(events);
         let cfg = SimConfig {
             warmup_slots: 0,
             measure_slots: 100,
-            ..SimConfig::quick(3)
+            ..cfg
         };
-        Engine::new(t, s, TrafficMix::broadcast_only(0.0), cfg).replay(&trace)
+        Engine::new(t, s, TrafficMix::broadcast_only(0.0), cfg)
+            .with_fault_plan(plan, DeadLinkPolicy::Drop)
+            .replay(&trace)
+    }
+
+    /// Replays `events` on the 8-node ring.
+    fn replay(events: Vec<pstar_traffic::TraceEvent>) -> Result<SimReport, TraceError> {
+        replay_under(SimConfig::quick(3), FaultPlan::none(), events)
     }
 
     fn event(slot: u64, src: u32, dest: Option<u32>) -> pstar_traffic::TraceEvent {
@@ -1336,6 +1240,61 @@ mod tests {
             rep.unicast_delay.count, 1,
             "the self-addressed one is skipped"
         );
+    }
+
+    /// A replayed task arrives as a live one does: a source crashed for
+    /// the whole run opens none of its tasks, so none of their copies is
+    /// lost either.
+    #[test]
+    fn replay_opens_no_task_at_a_crashed_source() {
+        let plan = FaultPlan::scripted(vec![pstar_faults::FaultEvent {
+            slot: 0,
+            kind: pstar_faults::FaultKind::NodeCrash(NodeId(3)),
+        }]);
+        let events = (0..20)
+            .map(|k| event(k * 4, 3, (k % 2 == 0).then_some(6)))
+            .collect();
+        let rep = replay_under(SimConfig::quick(3), plan, events).expect("in range");
+        assert_eq!((rep.measured_broadcasts, rep.measured_unicasts), (0, 0));
+        assert_eq!(rep.dropped_packets, 0, "{rep}");
+    }
+
+    /// Replayed tasks pass the admission gate: a burst beyond the bucket
+    /// is rejected and counted.
+    #[test]
+    fn replay_goes_through_the_admission_gate() {
+        let cfg = SimConfig {
+            admission: Some(crate::recovery::AdmissionConfig {
+                rate: 0.05,
+                burst: 2.0,
+            }),
+            ..SimConfig::quick(3)
+        };
+        let events = (0..10).map(|_| event(5, 0, None)).collect();
+        let rep = replay_under(cfg, FaultPlan::none(), events).expect("in range");
+        assert!(rep.flow.rejected_broadcasts > 0, "{rep}");
+        assert_eq!(
+            rep.measured_broadcasts + rep.flow.rejected_broadcasts,
+            10,
+            "every event is admitted or rejected"
+        );
+    }
+
+    /// Replayed tasks wait at their source under backpressure: behind a
+    /// full out-link of capacity 1 the rest of a burst is deferred, and
+    /// nothing is dropped.
+    #[test]
+    fn replay_defers_at_a_full_source_under_backpressure() {
+        let cfg = SimConfig {
+            queue_capacity: Some(1),
+            full_queue_policy: crate::recovery::FullQueuePolicy::Backpressure,
+            ..SimConfig::quick(3)
+        };
+        let events = (0..10).map(|_| event(5, 0, Some(1))).collect();
+        let rep = replay_under(cfg, FaultPlan::none(), events).expect("in range");
+        assert!(rep.flow.deferred_injections > 0, "{rep}");
+        assert_eq!(rep.dropped_packets, 0);
+        assert_eq!(rep.unicast_delay.count, 10);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The hop rule, written once: what happens to a copy at a node.
+//! The hop rule, written once: what happens to a copy at a node, and
+//! the order a slot applies it in.
 //!
 //! The paper's model is one rule applied at every node: a copy finishes
 //! its link, the node counts the reception and forwards the copy along
@@ -7,7 +8,7 @@
 //! carries for that — the scheme, the kernel, the ARQ layer, its replica
 //! of the fault clock, the trace sink, the tasks waiting at its sources,
 //! the forward and loss scratch and the link-target table — and writes
-//! the six rules once:
+//! the rules once:
 //!
 //! 1. [`Hop::deliver`] — a copy finished its link: trace it, count the
 //!    ARQ ack, record the reception, ask the scheme for the forwards and
@@ -26,12 +27,16 @@
 //!    otherwise it opens at its home and offers its first transmissions
 //!    ([`Hop::inject`]).
 //!
-//! The serial [`crate::Engine`] runs one `Hop` over every link and each
-//! `pstar-net` worker one over the links of its nodes. A driver lends the
-//! rules a [`HopCtx`] — its topology, its [`Homes`] (where a task's
-//! completion record lives) and the slot — and keeps only its slot
-//! order, its transport and where a task's home is. Its tasks come from
-//! the one [`crate::Injector`].
+//! [`Hop::slot`] is the one slot body: deliveries in ascending link
+//! order, due retransmissions, arrivals, the occupancy sample, service
+//! starts. The serial [`crate::Engine`] runs one `Hop` over every link
+//! and each `pstar-net` worker one over the links of its nodes; each
+//! ticks the fault clock, then calls `Hop::slot` once a slot. A driver
+//! lends it a [`HopCtx`] — its topology, its [`Homes`] (where a task's
+//! completion record lives) and the slot — the deliveries other owners
+//! made to its nodes, and the slot's tasks from the one
+//! [`crate::Injector`]; it keeps only its transport and where a task's
+//! home is.
 //!
 //! A transit unicast's tie coin (§4: an n/2 wrap tie goes + or −
 //! uniformly at random) is the one draw made after a task's arrival. It
@@ -51,6 +56,7 @@ use pstar_obs::{TraceEvent, TraceRecord, TraceSink};
 use pstar_topology::{Network, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Seed perturbation of the tie coins: XOR it into the run seed, so the
 /// coins share no stream with a traffic stream's seed or the ARQ
@@ -217,6 +223,11 @@ pub struct Hop<S> {
     pub flow: FlowCounters,
     /// Receiving node of every link of the topology.
     link_target: Vec<NodeId>,
+    /// The nodes this owner's links leave from, and so the deliveries
+    /// its finish scan makes: another owner holds the rest.
+    nodes: Range<u32>,
+    /// The measurement window, whose slots' occupancy is sampled.
+    window: Range<u64>,
     /// Scratch for one delivery's forwards.
     emits: Vec<Emit>,
     /// Scratch for a fault epoch's losses.
@@ -253,11 +264,22 @@ impl<S: Scheme> Hop<S> {
     /// Idle state for the global links `lo .. hi` of `topo`, with ARQ and
     /// source backpressure as `cfg` says and no fault plan.
     pub fn new<N: Network>(topo: &N, scheme: S, cfg: &SimConfig, lo: u32, hi: u32) -> Self {
+        let n = topo.node_count();
+        // Link ids are node-major: a part of the links leaves from the
+        // nodes from its first link's source up to the next part's. The
+        // whole network is built without the source table, which is
+        // costly on a large topology.
+        let nodes = if hi - lo == topo.link_count() {
+            0..n
+        } else {
+            let sources = topo.link_source_table();
+            sources[lo as usize].0..sources.get(hi as usize).map_or(n, |v| v.0)
+        };
         let deferral = cfg
             .queue_capacity
             .filter(|_| cfg.full_queue_policy == FullQueuePolicy::Backpressure)
             .map(|capacity| {
-                let mut out_links = vec![Vec::new(); topo.node_count() as usize];
+                let mut out_links = vec![Vec::new(); n as usize];
                 let sources = topo.link_source_table();
                 for l in lo..hi {
                     out_links[sources[l as usize].index()].push(l);
@@ -279,9 +301,11 @@ impl<S: Scheme> Hop<S> {
             faults: None,
             obs: None,
             deferral,
-            coins: TieCoins::new(cfg.seed, topo.node_count()),
+            coins: TieCoins::new(cfg.seed, n),
             flow: FlowCounters::default(),
             link_target: topo.link_target_table(),
+            nodes,
+            window: cfg.warmup_slots..cfg.measure_end(),
             emits: Vec::with_capacity(64),
             losses: Vec::new(),
         }
@@ -334,13 +358,78 @@ impl<S: Scheme> Hop<S> {
             && self.arq.as_ref().is_none_or(|a| a.is_idle())
     }
 
+    /// One slot `cx.t` of this owner, after its fault tick, in the
+    /// model's phase order:
+    ///
+    /// 1. The slot's deliveries, in ascending link order (`Hop::deliver`):
+    ///    `runs` holds one entry per owner in owner order — the ascending
+    ///    run of deliveries another owner made to this owner's nodes, or
+    ///    `None` in this owner's own place, once, where its finish scan
+    ///    delivers, skipping the deliveries whose targets another owner
+    ///    holds. That order is the one every driver shares: a node's
+    ///    same-slot forwards enter each queue alike, and its tie coins
+    ///    fall alike.
+    /// 2. Due ARQ retransmissions (`Hop::fire_retransmissions`).
+    /// 3. The slot's `arrivals` at this owner's sources (`Hop::arrive`),
+    ///    after the recovered and the waiting work, which keeps its age
+    ///    order.
+    /// 4. The occupancy sample: the packets queued after the slot's
+    ///    enqueues and before its service.
+    /// 5. Service starts (`Hop::start`); `each_start` sees each.
+    ///
+    /// The runs are drained and the arrivals emptied. Returns the sampled
+    /// occupancy, which the queue peak is taken over.
+    ///
+    /// Always inlined: each driver calls it once, and inlined, its
+    /// context stays in registers across the deliveries instead of being
+    /// reloaded through a reference (out of line, serial `ucast16_rho30`
+    /// ran about 15 % slower on a 2-core VM).
+    #[inline(always)]
+    pub fn slot<'r, N: Network, H: Homes>(
+        &mut self,
+        cx: &mut HopCtx<'_, N, H>,
+        runs: impl IntoIterator<Item = Option<&'r mut Vec<(u32, Packet)>>>,
+        arrivals: &mut InjectBatch,
+        each_start: impl FnMut(u32, &Packet),
+    ) -> u64 {
+        let mut last_link = None;
+        for run in runs {
+            let Some(run) = run else {
+                let mut scan = self.kernel.finish_scan();
+                while let Some((link, pkt)) = self.kernel.next_finished(&mut scan, cx.t) {
+                    if self.nodes.contains(&self.link_target[link as usize].0) {
+                        let pkt = *pkt;
+                        debug_assert!(last_link < Some(link), "deliveries out of link order");
+                        last_link = Some(link);
+                        self.deliver(cx, link, pkt);
+                    }
+                }
+                continue;
+            };
+            for (link, pkt) in run.drain(..) {
+                debug_assert!(last_link < Some(link), "deliveries out of link order");
+                last_link = Some(link);
+                self.deliver(cx, link, pkt);
+            }
+        }
+        self.fire_retransmissions(cx);
+        self.arrive(cx, arrivals);
+        arrivals.clear();
+        let queued = self.kernel.queued();
+        if self.window.contains(&cx.t) {
+            self.flow.occupancy_sum += queued as u128;
+        }
+        self.start(cx.t, each_start);
+        queued
+    }
+
     /// Rule 6: slot `cx.t`'s `arrivals` at this owner's sources, in draw
     /// order, after the tasks that wait from earlier slots have retried
     /// in theirs. Under source backpressure a task whose source has a
     /// full out-link waits — as drawn, its arrival slot kept as its
     /// generation time so the wait counts inside its delays; any other
     /// task is injected.
-    pub fn arrive<N: Network, H: Homes>(
+    pub(crate) fn arrive<N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
         arrivals: &InjectBatch,
@@ -382,7 +471,7 @@ impl<S: Scheme> Hop<S> {
     /// Rule 6 past its gate: opens `msg`'s task at its home
     /// ([`Homes::open`]) and offers its initial transmissions `emits` at
     /// its source. Returns the task's id.
-    pub fn inject<N: Network, H: Homes>(
+    pub(crate) fn inject<N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
         msg: &InjectMsg,
@@ -398,11 +487,10 @@ impl<S: Scheme> Hop<S> {
     /// destination completes, elsewhere it takes the next hop.
     ///
     /// Always inlined, like `offer`: it runs for every delivered copy,
-    /// and a `pstar-net` worker calls it from two sites (its peers' runs
-    /// and its own finish scan), where it would otherwise stay out of
-    /// line.
+    /// and [`Hop::slot`] calls it for its peers' runs and for its own
+    /// finish scan, where it would otherwise stay out of line.
     #[inline(always)]
-    pub fn deliver<N: Network, H: Homes>(
+    pub(crate) fn deliver<N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
         link: u32,
@@ -457,7 +545,7 @@ impl<S: Scheme> Hop<S> {
     /// Always inlined: it runs for every delivered copy and every new
     /// task, and a call there passes seven arguments, two on the stack.
     #[inline(always)]
-    pub fn offer<N: Network, H: Homes>(
+    pub(crate) fn offer<N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
         from: NodeId,
@@ -497,7 +585,7 @@ impl<S: Scheme> Hop<S> {
     /// without it — or once the retry budget is spent, the `GaveUp`
     /// terminal state — the loss settles for good. A
     /// [`LossCause::Retry`] is a failed re-injection, not a new drop.
-    pub fn lose<N, H: Homes>(
+    pub(crate) fn lose<N, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
         link: u32,
@@ -548,7 +636,7 @@ impl<S: Scheme> Hop<S> {
     /// at the hop that lost it — or, if the kernel refuses it (link
     /// still dead, bounded queue still full), losing it again, which
     /// arms the next backoff round or gives up.
-    pub fn fire_retransmissions<N, H: Homes>(&mut self, cx: &mut HopCtx<'_, N, H>) {
+    pub(crate) fn fire_retransmissions<N, H: Homes>(&mut self, cx: &mut HopCtx<'_, N, H>) {
         let Some(arq) = self.arq.as_deref_mut().filter(|a| !a.is_idle()) else {
             return;
         };
@@ -610,7 +698,7 @@ impl<S: Scheme> Hop<S> {
     /// ([`LinkKernel::start`]) and traces it; `each` sees every
     /// `(link, packet)` as it starts.
     #[inline]
-    pub fn start(&mut self, t: u64, mut each: impl FnMut(u32, &Packet)) {
+    pub(crate) fn start(&mut self, t: u64, mut each: impl FnMut(u32, &Packet)) {
         let faulted = self.faults.as_ref().is_some_and(|f| f.any_now());
         let obs = &mut self.obs;
         self.kernel.start(t, faulted, |link, pkt| {

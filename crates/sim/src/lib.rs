@@ -35,7 +35,8 @@
 //! link death, service starts — is written once, in [`LinkKernel`], and
 //! the ARQ timers once, in [`Arq`]; task creation once, in [`Injector`];
 //! what an arrival, a delivery, a forward, a loss and a retransmission
-//! mean once, in [`Hop`]; how a run is counted and how the counters
+//! mean, and the order a slot applies them in, once, in [`Hop`]
+//! ([`Hop::slot`]); how a run is counted and how the counters
 //! become a [`SimReport`] once, in the ledger ([`TaskLedger`],
 //! [`LinkCounters`], [`assemble`]). [`Engine`] and the `pstar-net`
 //! runtime are drivers of those, and [`ShardedEngine`] of the injector,
@@ -64,9 +65,10 @@ mod task;
 
 pub use arrivals::{
     generate_arrivals_into, sample_poisson, ArrivalSink, InjectBatch, InjectMsg, Injector,
+    TraceError, TraceField,
 };
 pub use config::{stop_verdict, SimConfig, Stop, SINGLE_QUEUE_SCAN_PERIOD};
-pub use engine::{Engine, TraceError, TraceField};
+pub use engine::Engine;
 pub use event_engine::EventEngine;
 pub use faultepoch::{FaultClock, FaultLoss, LossCause};
 pub use hop::{Homes, Hop, HopCtx};
@@ -112,8 +114,10 @@ const _: () = assert!(
     "pstar-obs class array out of sync with packet format"
 );
 
-/// Replays a recorded workload trace through a fresh engine; a trace
-/// naming a node `topo` does not have is refused ([`Engine::replay`]).
+/// Replays a recorded workload trace through a fresh engine: its events
+/// arrive as live tasks do (admission gate, crashed sources, source
+/// backpressure) and the run stops by the live stop rule. A trace naming
+/// a node `topo` does not have is refused ([`Engine::replay`]).
 pub fn run_trace<N, S: Scheme>(
     topo: &N,
     scheme: S,
