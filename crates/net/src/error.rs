@@ -18,44 +18,11 @@
 
 use std::fmt;
 
-/// A configuration the runtime cannot execute, detected before any
-/// thread is spawned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetConfigError {
-    /// The scheme declares more priority classes than the packet format
-    /// carries.
-    TooManyPriorityClasses {
-        /// Classes the scheme wants.
-        requested: usize,
-        /// The `MAX_PRIORITY_CLASSES` ceiling.
-        max: usize,
-    },
-    /// The workload scenario is invalid for this topology/arrival model
-    /// (wrapping [`pstar_traffic::ScenarioError`]).
-    Scenario(pstar_traffic::ScenarioError),
-    /// The topology's dense link ids are not grouped by source node, so
-    /// a worker's links would not form one contiguous range.
-    LinksNotNodeContiguous,
-}
-
-impl fmt::Display for NetConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::TooManyPriorityClasses { requested, max } => write!(
-                f,
-                "scheme uses {requested} priority classes; the packet format carries at most {max}"
-            ),
-            Self::Scenario(e) => write!(f, "invalid scenario config: {e}"),
-            Self::LinksNotNodeContiguous => write!(
-                f,
-                "the topology's link ids are not node-contiguous; \
-                 pstar-net partitions links by contiguous id ranges"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for NetConfigError {}
+/// A configuration the runtime cannot execute: the topology's link ids
+/// are not node-contiguous, refused before any thread is spawned, or
+/// every worker's clock refuses the scheme or the scenario before its
+/// first slot. It is the clock's own [`pstar_sim::ConfigError`].
+pub use pstar_sim::ConfigError as NetConfigError;
 
 /// Where a worker was when its progress was last observed — the
 /// per-worker context attached to [`NetError::BarrierTimeout`].

@@ -23,31 +23,29 @@
 //!
 //! # Slot protocol
 //!
-//! Every slot `t` is one exchange — *send*, **one rendezvous**,
-//! *process*:
+//! A worker is a [`pstar_sim::Clock`] over its links with the threaded
+//! transport `Worker`: the clock owns the slot order, the fault tick,
+//! the injector's draw (worker 0's), the commit, `Hop::slot`, the gauge
+//! and the one decision rule ([`pstar_sim::Gauge::decide`]); the worker
+//! owns where things travel and who decides. Every slot `t` is one
+//! exchange — *send*, **one rendezvous**, *process*:
 //!
 //! * **Send** — each worker copies the deliveries finishing at `t` on
 //!   its links whose target node another worker owns into that owner's
-//!   outbox, leaving them on its kernel, and worker 0 draws the slot's
-//!   tasks with the one [`pstar_sim::Injector`] straight into the source
-//!   owners' outboxes. Each non-empty outbox — the control messages slot
-//!   `t − 1` produced, slot `t`'s deliveries and slot `t`'s tasks — then
-//!   goes to its peer in one hand-over, into the pair's mailbox of
-//!   parity `t % 2`.
+//!   outbox, leaving them on its kernel, and worker 0's clock draws the
+//!   slot's tasks straight into the source owners' outboxes. Each
+//!   non-empty outbox — the control messages slot `t − 1` produced, slot
+//!   `t`'s deliveries and slot `t`'s tasks — then goes to its peer in one
+//!   hand-over, into the pair's mailbox of parity `t % 2`.
 //! * **Rendezvous** — the one barrier of the slot. Its *last arriver*,
-//!   before it releases the others, decides slot `t − 1`: it totals the
-//!   per-worker gauge lines (queued packets, tasks waiting at their
-//!   sources, measured receptions still due, the single-queue guard's
-//!   flag) and settles completed /
-//!   horizon / unstable by the simulator's exact criteria. Everyone
-//!   leaves the rendezvous knowing both that slot `t`'s traffic is in
-//!   the mailboxes and whether slot `t` exists.
+//!   before it releases the others, sums the per-worker gauge lines and
+//!   decides whether slot `t` runs. Everyone leaves knowing both that
+//!   slot `t`'s traffic is in the mailboxes and whether slot `t` exists.
 //! * **Process** — each worker takes its peers' mailboxes of parity
-//!   `t % 2`, handles control (acks, loss and retransmission notices
-//!   from slot `t − 1`, each carrying the slot it happened in), runs the
-//!   engine's one slot body, [`pstar_sim::Hop::slot`], over its peers'
-//!   delivery runs and the tasks worker 0 drew for its sources, and
-//!   publishes its gauge line.
+//!   `t % 2`, applies their control (acks, loss and retransmission
+//!   notices from slot `t − 1`, each carrying the slot it happened in),
+//!   and its clock runs `Hop::slot` over the peers' delivery runs and
+//!   the tasks worker 0 drew for its sources, then publishes its gauge.
 //!
 //! *Why one rendezvous is enough.* Mailbox `t % 2` is written before
 //! rendezvous `t` and read after it, and its next write (send of
@@ -56,19 +54,15 @@
 //! at the end of process and read by the last arriver of the next
 //! rendezvous, when every writer is waiting or about to arrive.
 //!
-//! *The commit rule.* Send of `t` runs before slot `t − 1`'s outcome is
-//! known, so when `t − 1` turns out to be the last slot, send of `t` has
-//! already run. Nothing a report can see happens in it: the data and
-//! injection share of [`NetReport::messages_sent`] and the injector's
-//! admission-rejection counters are held back until the rendezvous says
-//! *run* (control messages are counted where they are produced); and
-//! control produced by slot `t` itself — its fault tick included — ships
-//! with send of `t + 1`, never with send of `t`. The control of the last
-//! slot still reaches the homes: of what send of `t` handed over, the
-//! workers apply the control and drop the rest (a faulted run, which has
-//! not sent, hands it over on its own), so a task whose last reception
-//! fell in the last slot completes in the report as it does in the
-//! engine's.
+//! *The commit rule* is the clock's: send of `t` runs before the
+//! decision, so nothing a report can see happens in it — its data and
+//! injection messages count in [`NetReport::messages_sent`] only at the
+//! commit (control counts where it is produced), and control slot `t`
+//! produces, its fault tick's included, ships with send of `t + 1`.
+//! When slot `t` does not run, the workers still apply the control that
+//! send of `t` handed over (a faulted run, which has not sent, hands it
+//! over on its own), so a task whose last reception fell in the last
+//! slot completes in the report as it does in the engine's.
 //!
 //! # Determinism
 //!
@@ -105,14 +99,11 @@
 //! (`Scheme::on_liveness_change` — the degraded-mode re-solve). The
 //! report carries one replica's event and fault-slot totals (every
 //! replica counts the same ones) and every worker's time-to-recovery
-//! samples. The fault tick drops packets, counts fault
-//! slots and probes link state *before* the slot's finish scan — all of
-//! it visible in a report — so a run with a plan installed does not
-//! send ahead of the decision: slot `t − 1` is decided at a rendezvous
-//! of its own at the top of slot `t`, ahead of the fault tick, and the
-//! exchange rendezvous decides nothing — two waits a slot, where a
-//! fault-free run makes one. Which of the two shapes runs follows from
-//! whether a plan is installed.
+//! samples. The fault tick is visible in a report, so the clock of a
+//! run with a plan installed decides first: at a rendezvous of its own
+//! at the top of slot `t`, ahead of the fault tick, and the exchange
+//! rendezvous decides nothing — two waits a slot, where a fault-free
+//! run makes one.
 //!
 //! # Supervised shutdown
 //!
@@ -129,6 +120,7 @@
 //! a run returns when its work does. [`ChaosConfig`] injects exactly
 //! these failures deterministically.
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -138,16 +130,16 @@ use std::time::{Duration, Instant};
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
 use pstar_obs::{MetricsRegistry, TraceRecord, TraceSink};
 use pstar_sim::{
-    assemble, stop_verdict, FaultClock, Homes, Hop, HopCtx, InjectBatch, InjectMsg, Injector,
-    LinkCounters, LossCause, Packet, RunOutcome, Scheme, SimConfig, SimReport, Stop, TaskLedger,
-    TaskSlot, TaskTable, MAX_PRIORITY_CLASSES,
+    assemble, Clock, ConfigError, Deliveries, FaultClock, Gauge, Homes, InjectBatch, InjectMsg,
+    LinkCounters, LinkKernel, LossCause, Packet, RunOutcome, Scheme, SimConfig, SimReport, Stop,
+    TaskLedger, TaskSlot, TaskTable, Transport,
 };
 use pstar_stats::LogHistogram;
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
 
 use crate::channel::{spin_until, Mailbox};
-use crate::error::{ChaosConfig, NetConfigError, NetError, WorkerPosition};
+use crate::error::{ChaosConfig, NetError, WorkerPosition};
 use crate::stats::WorkerStats;
 
 /// How traffic is generated. There is one way; the enum and
@@ -245,7 +237,7 @@ pub struct NetPerf {
 
 /// One worker's accumulated timings over a whole run. All durations are
 /// wall nanoseconds summed across slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetWorkerPerf {
     /// Worker id (its index in [`NetPerf::workers`]).
     pub worker: u32,
@@ -343,11 +335,17 @@ impl NetPerf {
     }
 }
 
-// Stop codes in the shared stop flag.
+// The shared stop flag: `RUN`, or the stop's index in `STOPS` plus one.
 const RUN: u8 = 0;
-const COMPLETED: u8 = 1;
-const HORIZON: u8 = 2;
-const UNSTABLE: u8 = 3;
+const STOPS: [Stop; 3] = [Stop::Completed, Stop::Horizon, Stop::Unstable];
+
+fn stop_code(stop: Stop) -> u8 {
+    STOPS
+        .iter()
+        .position(|&s| s == stop)
+        .expect("every stop has a code") as u8
+        + 1
+}
 
 /// A value alone on its cache lines, so that no two workers ever write
 /// — or one spins on what another writes — within one line. 128 bytes
@@ -400,7 +398,7 @@ impl SlotBarrier {
     /// earlier arriver wrote before arriving, and the `Release` store of
     /// `generation` pairs with the waiters' `Acquire` loads, so they see
     /// everything `combine` wrote. That chain is what orders the plain
-    /// (`Relaxed`) gauge, tally and stop words around a rendezvous.
+    /// (`Relaxed`) gauge, peak and stop words around a rendezvous.
     pub fn wait_with(&self, poison: &AtomicBool, combine: impl FnOnce()) -> bool {
         if poison.load(Ordering::Acquire) {
             return true;
@@ -418,46 +416,38 @@ impl SlotBarrier {
     }
 }
 
-/// What a worker publishes at the end of process for the next
-/// rendezvous' combiner: one line per worker, written by its owner only.
+/// A worker's [`Gauge`] as it publishes it at the end of process for the
+/// next rendezvous' combiner: one line per worker, written by its owner
+/// only. `queued` is written again after a faulted run's fault tick.
 /// `Relaxed` throughout — [`SlotBarrier::wait_with`] orders the accesses.
 #[derive(Default)]
 #[repr(align(128))]
 struct GaugeLine {
-    /// Packets queued on the worker's links, at the end of process —
-    /// and, on a faulted run, again after the next slot's fault tick.
     queued: AtomicI64,
-    /// The same before the slot's service starts: what the queue peak is
-    /// taken over.
     pre_service: AtomicI64,
-    /// The worker's balance of measured receptions
-    /// (`TaskLedger::outstanding_measured`): plus a task's receptions
-    /// where it is injected, minus one where a reception is delivered
-    /// or lost — plus its measured tasks waiting at their sources. One
-    /// worker's balance may be negative; the sum over workers is zero
-    /// once nothing measured is still due.
     outstanding: AtomicI64,
-    /// Tasks waiting at the worker's sources under backpressure:
-    /// occupancy the fleet-wide guard counts beside `queued`.
     deferred: AtomicI64,
-    /// Set once the worker's single-queue divergence guard trips.
     unstable: AtomicBool,
 }
 
-/// The combiner's running totals, written by the last arriver of a
-/// deciding rendezvous before it releases the fleet and read after it —
-/// so also `Relaxed`, and never written by two threads at once. Apart
-/// from the stop code ([`Shared::stop`]), which every worker reads every
-/// slot and which is written once a run: on a line of its own it stays
-/// in every cache until then.
-#[derive(Default)]
-#[repr(align(128))]
-struct Tally {
-    /// Fleet-wide queued packets as last published (what worker 0
-    /// samples into the queue trace).
-    total: AtomicI64,
-    /// Largest fleet-wide pre-service population of any decided slot.
-    peak: AtomicI64,
+impl GaugeLine {
+    fn store(&self, g: &Gauge) {
+        self.queued.store(g.queued, Ordering::Relaxed);
+        self.pre_service.store(g.pre_service, Ordering::Relaxed);
+        self.outstanding.store(g.outstanding, Ordering::Relaxed);
+        self.deferred.store(g.deferred, Ordering::Relaxed);
+        self.unstable.store(g.unstable, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> Gauge {
+        Gauge {
+            queued: self.queued.load(Ordering::Relaxed),
+            pre_service: self.pre_service.load(Ordering::Relaxed),
+            outstanding: self.outstanding.load(Ordering::Relaxed),
+            deferred: self.deferred.load(Ordering::Relaxed),
+            unstable: self.unstable.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Control-plane traffic: what a worker tells the home of a task it saw
@@ -497,7 +487,7 @@ pub(crate) struct Batch {
     /// This slot's deliveries to the receiver's nodes as `(link,
     /// packet)`, ascending in link id (finish-scan order): one run of
     /// `Hop::slot`.
-    data: Vec<(u32, Packet)>,
+    data: Deliveries,
     /// This slot's tasks at the receiver's sources (from worker 0).
     inject: InjectBatch,
 }
@@ -523,7 +513,7 @@ impl std::borrow::BorrowMut<InjectBatch> for Batch {
 
 /// Everything the workers share. What is written during a run sits in
 /// 128-byte-aligned homes of its own ([`Padded`], [`SlotBarrier`],
-/// [`GaugeLine`], [`Tally`], [`Mailbox`]); the rest is read-only once
+/// [`GaugeLine`], [`Mailbox`]); the rest is read-only once
 /// the threads run.
 struct Shared {
     workers: usize,
@@ -537,7 +527,7 @@ struct Shared {
     /// count (`workers + 1` entries): worker `i` owns links
     /// `[link_lo[i], link_lo[i + 1])`.
     link_lo: Vec<u32>,
-    /// The decision criteria (`pstar_sim::stop_verdict`): the run's
+    /// The decision criteria (`pstar_sim::Gauge::decide`): the run's
     /// configuration and the fleet-wide queued-packet limit.
     sim: SimConfig,
     queue_limit: i64,
@@ -548,8 +538,14 @@ struct Shared {
     /// Mailboxes by slot parity, indexed `from * W + to`.
     mail: [Vec<Mailbox<Batch>>; 2],
     gauges: Vec<GaugeLine>,
-    tally: Tally,
-    /// `RUN` until the combiner decides a slot to be the last.
+    /// The largest fleet-wide pre-service population of any decided
+    /// slot: written by the last arriver of a deciding rendezvous before
+    /// it releases the fleet — so also `Relaxed`, and never by two
+    /// threads at once — and read after the run.
+    peak: Padded<AtomicI64>,
+    /// `RUN` until the combiner decides a slot to be the last. Every
+    /// worker reads it every slot and it is written once a run: on a
+    /// line of its own it stays in every cache until then.
     stop: Padded<AtomicU8>,
     /// Supervised-shutdown latch: once `true`, every worker aborts at
     /// its next barrier wait or blocked put.
@@ -570,7 +566,7 @@ struct Shared {
 
 impl Shared {
     /// Partitions `topo` over `w` workers and lays out the shared state.
-    fn new<N: Network>(topo: &N, w: usize, sim: &SimConfig) -> Result<Self, NetConfigError> {
+    fn new<N: Network>(topo: &N, w: usize, sim: &SimConfig) -> Result<Self, ConfigError> {
         let n = topo.node_count();
         // Contiguous node shards; owner tables for nodes and links.
         let ranges: Vec<std::ops::Range<u32>> = (0..w)
@@ -588,7 +584,7 @@ impl Shared {
         // sharded engine partitions by. It is also what makes the
         // senders' delivery runs concatenate in ascending link order.
         if link_source.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(NetConfigError::LinksNotNodeContiguous);
+            return Err(ConfigError::LinksNotNodeContiguous);
         }
         let first_link_of = |node: u32| link_source.partition_point(|src| src.0 < node) as u32;
         let mut link_lo: Vec<u32> = ranges.iter().map(|r| first_link_of(r.start)).collect();
@@ -606,7 +602,7 @@ impl Shared {
             barrier: SlotBarrier::new(w),
             mail: [(); 2].map(|()| (0..w * w).map(|_| Mailbox::new()).collect()),
             gauges: (0..w).map(|_| GaugeLine::default()).collect(),
-            tally: Tally::default(),
+            peak: Padded::default(),
             stop: Padded::default(),
             poison: Padded::default(),
             first_error: Mutex::new(None),
@@ -616,87 +612,36 @@ impl Shared {
         })
     }
 
-    /// Totals the queued packets the workers last published (a
-    /// combiner's job, like [`Shared::decide`]).
-    fn total_queued(&self) -> i64 {
-        let total = self
-            .gauges
-            .iter()
-            .map(|g| g.queued.load(Ordering::Relaxed))
-            .sum();
-        self.tally.total.store(total, Ordering::Relaxed);
-        total
-    }
-
-    /// Decides `slot` — the combiner of the rendezvous that follows it,
-    /// run by the last arriver alone — by the simulator's stop rule
-    /// (`pstar_sim::stop_verdict`). The queue peak is sampled on every
-    /// decided slot, the last included.
-    fn decide(&self, slot: u64) {
-        let total = self.total_queued();
-        let (mut pre_service, mut outstanding, mut deferred) = (0i64, 0i64, 0i64);
-        let mut tripped = false;
-        for g in &self.gauges {
-            pre_service += g.pre_service.load(Ordering::Relaxed);
-            outstanding += g.outstanding.load(Ordering::Relaxed);
-            deferred += g.deferred.load(Ordering::Relaxed);
-            tripped |= g.unstable.load(Ordering::Relaxed);
+    /// Decides whether slot `t` runs — the combiner of a deciding
+    /// rendezvous, run by the last arriver alone — by the clock's one
+    /// rule over the fleet's gauge ([`Gauge::decide`]), which also takes
+    /// the queue peak on every decided slot, the last included.
+    fn decide(&self, t: u64) {
+        let mut fleet = Gauge::default();
+        for line in &self.gauges {
+            fleet.add(&line.load());
         }
-        if pre_service > self.tally.peak.load(Ordering::Relaxed) {
-            self.tally.peak.store(pre_service, Ordering::Relaxed);
+        let before = self.peak.load(Ordering::Relaxed);
+        let mut peak = before;
+        let verdict = fleet.decide(&self.sim, self.queue_limit, t, &mut peak);
+        if peak != before {
+            self.peak.store(peak, Ordering::Relaxed);
         }
-        debug_assert!(
-            outstanding >= 0,
-            "more measured receptions settled than opened"
-        );
-        let verdict = stop_verdict(
-            &self.sim,
-            slot + 1,
-            outstanding as u64,
-            total + deferred,
-            self.queue_limit,
-            || tripped,
-        );
         if let Some(stop) = verdict {
-            let code = match stop {
-                Stop::Completed => COMPLETED,
-                Stop::Horizon => HORIZON,
-                Stop::Unstable => UNSTABLE,
-            };
-            self.stop.store(code, Ordering::Relaxed);
+            self.stop.store(stop_code(stop), Ordering::Relaxed);
         }
     }
 }
 
 /// Thread-local perf accumulator of one worker ([`NetConfig::perf`]
-/// runs only). Plain fields, no atomics: the worker owns it for the
-/// whole run and it is published into [`NetPerf`] after join.
-#[derive(Debug)]
+/// runs only): the per-slot wall-time distribution, from which the
+/// slot-time fields of its [`NetWorkerPerf`] come after join, and the
+/// rest of them. Plain fields, no atomics: the worker owns it for the
+/// whole run.
+#[derive(Debug, Default)]
 struct NetWorkerAcc {
-    /// Per-slot wall-time distribution (min/median/max come from here).
     slot_hist: LogHistogram,
-    barrier_wait_ns: [u64; 2],
-    phase_a_ns: u64,
-    phase_b_ns: u64,
-    decide_ns: u64,
-    fault_apply_ns: u64,
-    blocked_send_ns: u64,
-    data_depth_high: usize,
-}
-
-impl NetWorkerAcc {
-    fn new() -> Self {
-        Self {
-            slot_hist: LogHistogram::new(),
-            barrier_wait_ns: [0; 2],
-            phase_a_ns: 0,
-            phase_b_ns: 0,
-            decide_ns: 0,
-            fault_apply_ns: 0,
-            blocked_send_ns: 0,
-            data_depth_high: 0,
-        }
-    }
+    perf: NetWorkerPerf,
 }
 
 /// Adds the time since `mark` to the accumulator field `field` picks.
@@ -706,10 +651,10 @@ impl NetWorkerAcc {
 fn lap(
     perf: &mut Option<Box<NetWorkerAcc>>,
     mark: Option<Instant>,
-    field: impl FnOnce(&mut NetWorkerAcc) -> &mut u64,
+    field: impl FnOnce(&mut NetWorkerPerf) -> &mut u64,
 ) {
     if let (Some(p), Some(m)) = (perf.as_mut(), mark) {
-        *field(p) += m.elapsed().as_nanos() as u64;
+        *field(&mut p.perf) += m.elapsed().as_nanos() as u64;
     }
 }
 
@@ -915,23 +860,15 @@ impl Homes for Books<'_> {
     }
 }
 
-/// One worker thread's whole state. The scheme is held by value: on
-/// fault-free runs `SS` is `&S` (the blanket `Scheme for &S` impl, zero
-/// cost, shared); on faulted runs each worker owns a clone so
-/// `Scheme::on_liveness_change` can mutate degraded-mode state.
-struct Worker<'a, N: Network + Sync, SS: Scheme> {
+/// One worker thread's transport: its books, its outboxes and inboxes,
+/// and what it tells the fleet. The hop rules over its links, worker 0's
+/// injector and the slot order live in the worker's [`Clock`], which
+/// calls these at the phase boundaries of the module docs; the progress
+/// words, perf laps and chaos points sit at those boundaries.
+struct Worker<'a> {
     id: usize,
-    topo: &'a N,
     shared: &'a Shared,
-    /// The hop rules over the owned links (a contiguous id range: link
-    /// ids are node-major), with this worker's scheme, ARQ timers,
-    /// fault-clock replica and trace track.
-    hop: Hop<SS>,
     books: Books<'a>,
-    /// Worker 0 only: the one injector, drawing every source's tasks.
-    injector: Option<Injector>,
-    /// Worker 0 only: the sampled fleet-wide queue totals.
-    queue_trace: Vec<(u64, u64)>,
     /// Outboxes, index = destination worker (`out[id]` loops worker 0's
     /// injections back): the slot's cross-worker deliveries and
     /// injections collect here during send, beside the control sealed at
@@ -955,45 +892,20 @@ struct Worker<'a, N: Network + Sync, SS: Scheme> {
     /// `Some` on [`NetConfig::perf`] runs: this worker's timing
     /// accumulator. `None` costs one never-taken branch per phase.
     perf: Option<Box<NetWorkerAcc>>,
+    /// Perf runs only: when the slot began (after a chaos stall) and when
+    /// its current phase did.
+    slot_t0: Option<Instant>,
+    mark: Option<Instant>,
 }
 
-impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
-    /// Worker `id` of `shared`'s partition, before its first slot.
-    /// `faults` is its replica of the fault clock on a faulted run, with
-    /// the dead-link policy.
-    fn new(
-        id: usize,
-        topo: &'a N,
-        scheme: SS,
-        shared: &'a Shared,
-        cfg: &NetConfig,
-        mix: TrafficMix,
-        faults: Option<(FaultClock, DeadLinkPolicy)>,
-    ) -> Self {
-        let (sim, w) = (cfg.sim, shared.workers);
-        let mut hop = Hop::new(
-            topo,
-            scheme,
-            &sim,
-            shared.link_lo[id],
-            shared.link_lo[id + 1],
-        );
-        if let Some((clock, policy)) = faults {
-            hop.install_faults(clock, policy);
-        }
-        if cfg.trace_capacity > 0 {
-            hop.obs = Some(Box::new(Track {
-                records: Vec::new(),
-                cap: cfg.trace_capacity,
-            }));
-        }
-        let injector = (id == 0).then(|| Injector::new(&topo.dim_sizes(), mix, &sim));
-        let chaos = &cfg.chaos;
+impl<'a> Worker<'a> {
+    /// Worker `id` of `shared`'s partition of `topo`, before its first
+    /// slot.
+    fn new<N: Network>(id: usize, topo: &N, shared: &'a Shared, cfg: &NetConfig) -> Self {
+        let (sim, w, chaos) = (cfg.sim, shared.workers, &cfg.chaos);
         Self {
             id,
-            topo,
             shared,
-            hop,
             books: Books {
                 id,
                 shared,
@@ -1003,192 +915,82 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 acks: Vec::new(),
                 acked: Vec::new(),
             },
-            injector,
-            queue_trace: Vec::new(),
             out: (0..w).map(|_| Batch::default()).collect(),
             inbox: (0..w).map(|_| Batch::default()).collect(),
             uncommitted_sent: 0,
             chaos_panic: chaos.panic_at_slot.filter(|_| chaos.victim(0, w) == id),
             chaos_delay: chaos.delay_at_slot.filter(|_| chaos.victim(1, w) == id),
             deaf_from: chaos.deaf_from_slot.filter(|_| chaos.victim(2, w) == id),
-            perf: cfg.perf.then(|| Box::new(NetWorkerAcc::new())),
+            perf: cfg.perf.then(Box::default),
+            slot_t0: None,
+            mark: None,
         }
     }
 
-    // ---------------------------------------------------------------
-    // The slot loop
-    // ---------------------------------------------------------------
-
-    /// Runs slots until one is decided to be the last (or the fleet is
-    /// poisoned) and returns how many ran.
-    fn run(&mut self) -> u64 {
-        let (shared, id) = (self.shared, self.id);
-        // With a fault plan installed the fault tick of slot `t` is
-        // visible in the report, so slot `t − 1` must be decided before
-        // it; without one, the decision rides the slot's rendezvous.
-        let decide_first = self.hop.faults.is_some();
-        let mut t: u64 = 0;
-        loop {
-            shared.progress[id].store(t << 3, Ordering::Release);
-            if shared.poison.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some((slot, ms)) = self.chaos_delay {
-                if slot == t {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-            }
-            let slot_t0 = self.perf.as_ref().map(|_| Instant::now());
-            if decide_first && t > 0 && self.rendezvous(Some(t - 1), 1) {
-                // Slot `t − 1` was the last and nothing of slot `t` has
-                // happened: hand its control over on its own.
-                self.seal_ctrl(t);
-                if !self.hand_over(t) && !self.rendezvous(None, 0) {
-                    self.take_last_ctrl(t);
-                }
-                break;
-            }
-            self.seal_ctrl(t);
-            if decide_first {
-                self.fault_tick(t);
-            }
-            shared.progress[id].store((t << 3) | 1, Ordering::Release);
-            let mark = slot_t0.map(|_| Instant::now());
-            let aborted = self.send(t);
-            lap(&mut self.perf, mark, |p| &mut p.phase_a_ns);
-            if aborted {
-                break;
-            }
-            shared.progress[id].store((t << 3) | 3, Ordering::Release);
-            let decides = (!decide_first && t > 0).then(|| t - 1);
-            if self.rendezvous(decides, 0) {
-                // Slot `t − 1` was the last: of what send of `t` handed
-                // over, its control is still to be applied.
-                self.take_last_ctrl(t);
-                break;
-            }
-            // The slot runs. What the links held at its top — after its
-            // fault tick, before its deliveries — is the total the
-            // rendezvous just took.
-            if id == 0 && shared.sim.queue_sampled_at(t) {
-                let total = shared.tally.total.load(Ordering::Relaxed);
-                self.queue_trace.push((t, total.max(0) as u64));
-            }
-            shared.progress[id].store((t << 3) | 2, Ordering::Release);
-            let mark = slot_t0.map(|_| Instant::now());
-            self.commit_send();
-            self.process(t);
-            lap(&mut self.perf, mark, |p| &mut p.phase_b_ns);
-            if let (Some(p), Some(t0)) = (self.perf.as_mut(), slot_t0) {
-                p.slot_hist.record(t0.elapsed().as_nanos() as u64);
-            }
-            t += 1;
-        }
-        shared.progress[id].store((t << 3) | 4, Ordering::Release);
-        t
+    /// Marks the worker at `phase` of slot `t` for the watchdog.
+    fn progress(&self, t: u64, phase: u64) {
+        self.shared.progress[self.id].store((t << 3) | phase, Ordering::Release);
     }
 
     /// One barrier wait of the slot path, telemetry index `which`. With
-    /// `decides`, the last arriver decides that slot before releasing
-    /// the fleet, and every worker then acts on the verdict; without, it
-    /// only re-totals the queued packets (a faulted run's exchange
-    /// rendezvous, after the fault ticks). Returns `true` when the loop
-    /// must end: the fleet is poisoned, or the decided slot was the
-    /// last.
-    fn rendezvous(&mut self, decides: Option<u64>, which: usize) -> bool {
+    /// `decides`, the last arriver decides whether that slot runs before
+    /// releasing the fleet, and every worker then acts on the verdict;
+    /// without (a faulted run's exchange rendezvous), it combines
+    /// nothing. `Break(None)` when the fleet is poisoned.
+    fn rendezvous(&mut self, decides: Option<u64>, which: usize) -> ControlFlow<Option<Stop>> {
         let shared = self.shared;
         let mark = self.perf.as_ref().map(|_| Instant::now());
         let mut decide_ns = 0u64;
         let aborted = shared.barrier.wait_with(&shared.poison, || {
-            let m = mark.map(|_| Instant::now());
-            match decides {
-                Some(slot) => shared.decide(slot),
-                None => {
-                    shared.total_queued();
-                }
+            if let Some(t) = decides {
+                let m = mark.map(|_| Instant::now());
+                shared.decide(t);
+                decide_ns = m.map_or(0, |m| m.elapsed().as_nanos() as u64);
             }
-            decide_ns = m.map_or(0, |m| m.elapsed().as_nanos() as u64);
         });
         if aborted {
-            return true;
+            return ControlFlow::Break(None);
         }
         if let (Some(p), Some(m)) = (self.perf.as_mut(), mark) {
-            p.decide_ns += decide_ns;
-            p.barrier_wait_ns[which] += (m.elapsed().as_nanos() as u64).saturating_sub(decide_ns);
+            p.perf.decide_ns += decide_ns;
+            let waited = m.elapsed().as_nanos() as u64;
+            p.perf.barrier_wait_ns[which] += waited.saturating_sub(decide_ns);
         }
-        let Some(slot) = decides else {
-            return false;
+        let Some(t) = decides else {
+            return ControlFlow::Continue(());
         };
-        if self.chaos_panic == Some(slot) {
+        if let Some(slot) = self.chaos_panic.filter(|&slot| slot + 1 == t) {
             panic!("chaos: injected panic at slot {slot} on worker {}", self.id);
         }
-        shared.stop.load(Ordering::Relaxed) != RUN
+        match shared.stop.load(Ordering::Relaxed) {
+            RUN => ControlFlow::Continue(()),
+            code => ControlFlow::Break(Some(STOPS[code as usize - 1])),
+        }
     }
 
-    /// After the last slot: the control it produced (the acks and loss
-    /// notices of its deliveries and losses) reaches the homes,
-    /// so that a task whose last settlement was in the run's last slot
-    /// completes in the report as it does in the engine's. The slot-`t`
-    /// traffic a fault-free run's send handed over with it never runs.
-    fn take_last_ctrl(&mut self, t: u64) {
+    /// One take per peer of slot `t`'s parity, their control (of slot
+    /// `t − 1`) applied; the tasks worker 0 drew for its own sources loop
+    /// back by the same swap, without a mailbox. A deaf worker (chaos)
+    /// stops taking, so its peers' next put of this parity finds the
+    /// mailbox occupied and waits — the hang the watchdog exists to
+    /// catch.
+    fn take(&mut self, t: u64) {
         let (shared, w, id) = (self.shared, self.shared.workers, self.id);
-        if shared.poison.load(Ordering::Acquire) {
-            return;
-        }
+        let deaf = self.deaf_from.is_some_and(|s| t >= s);
         let mail = &shared.mail[(t % 2) as usize];
-        for from in (0..w).filter(|&from| from != id) {
-            let mut batch = std::mem::take(&mut self.inbox[from]);
-            if mail[from * w + id].take(&mut batch) {
-                for msg in batch.ctrl.drain(..) {
-                    self.books.apply(msg);
+        for (from, batch) in self.inbox.iter_mut().enumerate() {
+            debug_assert!(batch.is_empty(), "inbox not emptied by the last process");
+            if from == id {
+                std::mem::swap(batch, &mut self.out[id]);
+            } else if !deaf && mail[from * w + id].take(batch) {
+                if let Some(p) = self.perf.as_mut() {
+                    p.perf.data_depth_high = p.perf.data_depth_high.max(batch.data.len());
                 }
             }
-            self.inbox[from] = batch;
-        }
-    }
-
-    /// Top of slot `t`: the control messages produced so far — slot
-    /// `t − 1`'s, its receptions' acks now sealed — move into the
-    /// outboxes this slot's send hands over.
-    /// Whatever the slot itself produces from here on, its fault tick
-    /// included, collects in the books' pending control for the next
-    /// send.
-    fn seal_ctrl(&mut self, t: u64) {
-        self.books.seal_acks(t.saturating_sub(1));
-        for (batch, pending) in self.out.iter_mut().zip(&mut self.books.pending) {
-            debug_assert!(batch.ctrl.is_empty(), "outbox came back unemptied");
-            std::mem::swap(&mut batch.ctrl, pending);
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Send: ship cross-worker deliveries + inject traffic, hand over
-    // ---------------------------------------------------------------
-
-    /// Slot `t`'s send. It runs before slot `t − 1` is decided (on
-    /// fault-free runs), so it must not do anything a report can see:
-    /// what it counts stays uncommitted until [`Worker::commit_send`],
-    /// and the deliveries it ships stay on the kernel, which process
-    /// takes them off. Returns `true` when the run was poisoned during a
-    /// hand-over.
-    fn send(&mut self, t: u64) -> bool {
-        let (shared, id) = (self.shared, self.id);
-        if shared.workers > 1 {
-            for (link, pkt) in self.hop.kernel.finishing(t) {
-                let to = shared.target_owner[link as usize] as usize;
-                if to != id {
-                    self.out[to].data.push((link, *pkt));
-                }
+            for msg in batch.ctrl.drain(..) {
+                self.books.apply(msg);
             }
         }
-        // Dead nodes generate no traffic, in the engine's exact RNG draw
-        // order: the injector reads this worker's fault-clock replica.
-        if let Some(inj) = self.injector.as_mut() {
-            let (scheme, faults) = (&self.hop.scheme, self.hop.faults.as_deref());
-            let owner = |v: NodeId| shared.node_owner[v.index()] as usize;
-            inj.slot(t, scheme, faults, &mut self.out, owner);
-        }
-        self.hand_over(t)
     }
 
     /// Swaps each non-empty outbox into its peer's mailbox of slot `t`'s
@@ -1201,138 +1003,184 @@ impl<'a, N: Network + Sync, SS: Scheme> Worker<'a, N, SS> {
                 continue;
             }
             self.uncommitted_sent += (batch.data.len() + batch.inject.msgs.len()) as u64;
-            let blocked_ns = self.perf.as_mut().map(|p| &mut p.blocked_send_ns);
+            let blocked_ns = self.perf.as_mut().map(|p| &mut p.perf.blocked_send_ns);
             if mail[to].put(batch, &shared.poison, blocked_ns) {
                 return true;
             }
         }
         false
     }
+}
 
-    /// The rendezvous said the slot runs: what its send counted becomes
-    /// part of the report.
-    fn commit_send(&mut self) {
-        self.books.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
-        if let Some(gate) = self.injector.as_ref().and_then(|inj| inj.gate()) {
-            self.hop.flow.rejected_broadcasts = gate.rejected_broadcasts;
-            self.hop.flow.rejected_unicasts = gate.rejected_unicasts;
+impl<'a> Transport for Worker<'a> {
+    type Homes = Books<'a>;
+    type Out = Batch;
+    const SENDS_AHEAD: bool = true;
+
+    fn homes(&mut self) -> &mut Books<'a> {
+        &mut self.books
+    }
+
+    /// Top of slot `t`: the control messages produced so far — slot
+    /// `t − 1`'s, its receptions' acks now sealed — move into the
+    /// outboxes this slot's send hands over. Whatever the slot itself
+    /// produces from here on, its fault tick included, collects in the
+    /// books' pending control for the next send.
+    fn seal(&mut self, t: u64) -> bool {
+        self.progress(t, 0);
+        if self.shared.poison.load(Ordering::Acquire) {
+            return true;
+        }
+        if let Some((slot, ms)) = self.chaos_delay {
+            if slot == t {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+        }
+        self.slot_t0 = self.perf.as_ref().map(|_| Instant::now());
+        self.books.seal_acks(t.saturating_sub(1));
+        for (batch, pending) in self.out.iter_mut().zip(&mut self.books.pending) {
+            debug_assert!(batch.ctrl.is_empty(), "outbox came back unemptied");
+            std::mem::swap(&mut batch.ctrl, pending);
+        }
+        false
+    }
+
+    fn decide(&mut self, t: u64, first: bool) -> ControlFlow<Option<Stop>> {
+        self.rendezvous(Some(t), usize::from(first))
+    }
+
+    /// One tick of this worker's fault-clock replica, timed when it
+    /// changed liveness.
+    fn fault_tick(&mut self, _t: u64, tick: impl FnOnce(&mut Books<'a>) -> bool) {
+        let mark = self.perf.as_ref().map(|_| Instant::now());
+        if tick(&mut self.books) {
+            lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
         }
     }
 
-    // ---------------------------------------------------------------
-    // Process: take, control, the one slot body
-    // ---------------------------------------------------------------
-
-    fn process(&mut self, t: u64) {
-        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
-        // 0. One take per peer; the tasks worker 0 drew for itself loop
-        //    back by the same swap, without a mailbox. A deaf worker (chaos)
-        //    stops taking, so its peers' next put of this parity finds
-        //    the mailbox occupied and waits — the hang the watchdog
-        //    exists to catch.
-        let deaf = self.deaf_from.is_some_and(|s| t >= s);
-        let mail = &shared.mail[(t % 2) as usize];
-        for (from, batch) in self.inbox.iter_mut().enumerate() {
-            debug_assert!(batch.is_empty(), "inbox not emptied by the last process");
-            if from == id {
-                std::mem::swap(batch, &mut self.out[id]);
-            } else if !deaf && mail[from * w + id].take(batch) {
-                if let Some(p) = self.perf.as_mut() {
-                    p.data_depth_high = p.data_depth_high.max(batch.data.len());
+    /// Slot `t`'s send: the deliveries finishing at `t` on this worker's
+    /// links whose target another worker owns are copied into its
+    /// outbox, left on the kernel, which process takes them off. The
+    /// injector of worker 0 draws into the source owners' outboxes.
+    fn collect(&mut self, t: u64, kernel: &LinkKernel) -> (&mut [Batch], impl Fn(NodeId) -> usize) {
+        let (shared, id) = (self.shared, self.id);
+        self.progress(t, 1);
+        self.mark = self.slot_t0.map(|_| Instant::now());
+        if shared.workers > 1 {
+            for (link, pkt) in kernel.finishing(t) {
+                let to = shared.target_owner[link as usize] as usize;
+                if to != id {
+                    self.out[to].data.push((link, *pkt));
                 }
             }
         }
-        // 1. Control plane from slot t − 1.
-        for batch in &mut self.inbox {
-            for msg in batch.ctrl.drain(..) {
-                self.books.apply(msg);
+        (&mut self.out, move |v: NodeId| {
+            shared.node_owner[v.index()] as usize
+        })
+    }
+
+    fn send(&mut self, t: u64) -> bool {
+        let aborted = self.hand_over(t);
+        lap(&mut self.perf, self.mark.take(), |p| &mut p.phase_a_ns);
+        self.progress(t, 3);
+        aborted
+    }
+
+    fn exchange(&mut self, _t: u64) -> bool {
+        self.rendezvous(None, 0).is_break()
+    }
+
+    fn commit(&mut self, t: u64) {
+        self.progress(t, 2);
+        self.mark = self.slot_t0.map(|_| Instant::now());
+        self.books.stats.messages_sent += std::mem::take(&mut self.uncommitted_sent);
+    }
+
+    /// Slot `t`'s take, then the slot body's inputs: the senders'
+    /// delivery runs in sender order with this worker's finish scan in its
+    /// own place — workers own ascending, disjoint link ranges, so that is
+    /// ascending link order — and the tasks worker 0 drew for this
+    /// worker's sources.
+    ///
+    /// Always inlined, so that the clock's slot body sees the books as a
+    /// field of its own state, apart from the hop rules, and keeps its
+    /// context in registers across the deliveries (`Hop::slot`).
+    #[inline(always)]
+    fn inputs(
+        &mut self,
+        t: u64,
+    ) -> (
+        &mut Books<'a>,
+        impl IntoIterator<Item = Option<&mut Deliveries>>,
+        &mut InjectBatch,
+        impl FnMut(u32, &Packet),
+    ) {
+        self.take(t);
+        let id = self.id;
+        let (first, rest) = self.inbox.split_first_mut().expect("one inbox per worker");
+        let data = std::iter::once(&mut first.data).chain(rest.iter_mut().map(|b| &mut b.data));
+        let runs = data
+            .enumerate()
+            .map(move |(from, data)| (from != id).then_some(data));
+        (&mut self.books, runs, &mut first.inject, |_, _| {})
+    }
+
+    /// The slot's gauge line for the next rendezvous' combiner.
+    fn publish(&mut self, gauge: &Gauge) {
+        self.shared.gauges[self.id].store(gauge);
+        lap(&mut self.perf, self.mark.take(), |p| &mut p.phase_b_ns);
+        if let (Some(p), Some(t0)) = (self.perf.as_mut(), self.slot_t0.take()) {
+            p.slot_hist.record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// After the last slot: the control it produced (the acks and loss
+    /// notices of its deliveries and losses) reaches the homes, so that a
+    /// task whose last settlement was in the run's last slot completes in
+    /// the report as it does in the engine's. A faulted run, which has not
+    /// sent, hands it over on its own; the slot-`t` traffic a fault-free
+    /// run's send handed over with it never runs.
+    fn last(&mut self, t: u64, sent: bool) {
+        let poisoned = self.shared.poison.load(Ordering::Acquire);
+        if poisoned || !sent && (self.hand_over(t) || self.rendezvous(None, 0).is_break()) {
+            return;
+        }
+        let (shared, w, id) = (self.shared, self.shared.workers, self.id);
+        let mail = &shared.mail[(t % 2) as usize];
+        for from in (0..w).filter(|&from| from != id) {
+            let mut batch = std::mem::take(&mut self.inbox[from]);
+            if mail[from * w + id].take(&mut batch) {
+                for msg in batch.ctrl.drain(..) {
+                    self.books.apply(msg);
+                }
             }
-        }
-        // 2. The slot body, the engine's: the senders' delivery runs in
-        //    sender order with this worker's finish scan in its own place —
-        //    workers own ascending, disjoint link ranges, so that is
-        //    ascending link order — then retransmissions, the arrivals
-        //    worker 0 drew for this worker's sources, service starts.
-        let mut cx = HopCtx {
-            topo: self.topo,
-            homes: &mut self.books,
-            t,
-        };
-        let mut arrivals = std::mem::take(&mut self.inbox[0].inject);
-        let runs = self.inbox.iter_mut().enumerate();
-        let runs = runs.map(|(from, batch)| (from != id).then_some(&mut batch.data));
-        let pre_service = self.hop.slot(&mut cx, runs, &mut arrivals, |_, _| {});
-        self.inbox[0].inject = arrivals;
-        // 3. The slot's gauges for the next rendezvous' combiner, with
-        //    the local single-queue divergence guard (each worker scans
-        //    its own links on the engine's scan slots).
-        let gauge = &shared.gauges[id];
-        gauge
-            .queued
-            .store(self.hop.kernel.queued() as i64, Ordering::Relaxed);
-        gauge
-            .pre_service
-            .store(pre_service as i64, Ordering::Relaxed);
-        let (deferred, deferred_measured) = self.hop.deferred();
-        gauge.outstanding.store(
-            self.books.stats.tasks.outstanding_measured() + deferred_measured as i64,
-            Ordering::Relaxed,
-        );
-        gauge.deferred.store(deferred as i64, Ordering::Relaxed);
-        if shared
-            .sim
-            .single_queue_tripped(t + 1, || self.hop.kernel.max_qlen())
-        {
-            gauge.unstable.store(true, Ordering::Relaxed);
+            self.inbox[from] = batch;
         }
     }
+}
 
-    // ---------------------------------------------------------------
-    // Fault epochs
-    // ---------------------------------------------------------------
-
-    /// Top of slot: one tick of this worker's fault-clock replica
-    /// ([`Hop::fault_tick`]), run before send so an epoch lands exactly
-    /// where the engine applies it: before this slot's deliveries,
-    /// arrivals, and service. Every worker re-solves on its own scheme
-    /// clone: same view, same deterministic result as the engine's
-    /// single re-solve.
-    fn fault_tick(&mut self, t: u64) {
-        let mark = self.perf.as_ref().map(|_| Instant::now());
-        let mut cx = HopCtx {
-            topo: self.topo,
-            homes: &mut self.books,
-            t,
-        };
-        if self.hop.fault_tick(&mut cx) {
-            lap(&mut self.perf, mark, |p| &mut p.fault_apply_ns);
-        }
-        // What the links hold now is what the slot starts from.
-        self.shared.gauges[self.id]
-            .queued
-            .store(self.hop.kernel.queued() as i64, Ordering::Relaxed);
-    }
-
-    /// Closes the books after `slots_run` slots.
-    fn finish(mut self, slots_run: u64) -> WorkerOutput {
-        let trace = self.hop.obs.take().map_or_else(Vec::new, |sink| {
-            let track = sink.into_any().downcast::<Track>();
-            track.expect("a worker traces into its own track").records
-        });
-        let flow = self.hop.flow;
-        let (links, faults, arq) = self.hop.finish(slots_run);
-        let mut stats = self.books.stats;
-        stats.flow = flow;
-        stats.faults = faults;
-        stats.arq = arq.unwrap_or_default();
-        WorkerOutput {
-            stats,
-            links,
-            trace,
-            queue_trace: self.queue_trace,
-            slots_run,
-            perf: self.perf,
-        }
+/// Closes a worker's books after its clock stopped with `stop`.
+fn finish<SS: Scheme>(mut clock: Clock<SS, Worker<'_>>, stop: Option<Stop>) -> WorkerOutput {
+    let slots_run = clock.now();
+    let trace = clock.hop.obs.take().map_or_else(Vec::new, |sink| {
+        let track = sink.into_any().downcast::<Track>();
+        track.expect("a worker traces into its own track").records
+    });
+    let (hop, worker, queue_trace) = clock.into_parts();
+    let flow = hop.flow;
+    let (links, faults, arq) = hop.finish(slots_run);
+    let mut stats = worker.books.stats;
+    stats.flow = flow;
+    stats.faults = faults;
+    stats.arq = arq.unwrap_or_default();
+    WorkerOutput {
+        stats,
+        links,
+        trace,
+        queue_trace,
+        slots_run,
+        stop,
+        perf: worker.perf,
     }
 }
 
@@ -1342,9 +1190,11 @@ struct WorkerOutput {
     /// Service-start counters of the worker's own link range.
     links: LinkCounters,
     trace: Vec<TraceRecord>,
-    /// Worker 0 only.
+    /// What the worker's links held at the trace's sampling slots.
     queue_trace: Vec<(u64, u64)>,
     slots_run: u64,
+    /// `None` when the fleet was poisoned.
+    stop: Option<Stop>,
     /// Perf runs only.
     perf: Option<Box<NetWorkerAcc>>,
 }
@@ -1528,16 +1378,6 @@ where
     N: Network + Sync,
     SS: Scheme + Send,
 {
-    if num_priorities > MAX_PRIORITY_CLASSES {
-        return Err(NetConfigError::TooManyPriorityClasses {
-            requested: num_priorities,
-            max: MAX_PRIORITY_CLASSES,
-        }
-        .into());
-    }
-    if let Err(e) = cfg.sim.scenario.validate(&topo.dim_sizes(), mix.bernoulli) {
-        return Err(NetConfigError::Scenario(e).into());
-    }
     let sim = cfg.sim;
     let n = topo.node_count();
     let links = topo.link_count() as usize;
@@ -1555,61 +1395,10 @@ where
         .filter(|(plan, _)| !plan.is_empty())
         .map(|(plan, policy)| (FaultClock::new(plan, topo), policy));
     let shared = Shared::new(topo, w, &sim)?;
-    let new_link_counters = || LinkCounters::new(&sim, topo.d(), 0, links);
-    // The one report rule (`pstar_sim::assemble`) over merged worker
-    // counters; the net-specific inputs are the combiner's queue peak
-    // and the stop code.
-    let report_of = |merged: WorkerStats,
-                     link_counters: LinkCounters,
-                     slots_run: u64,
-                     stop: u8,
-                     peak_queue_total: i64,
-                     queue_trace: Vec<(u64, u64)>| {
-        assemble(
-            merged.tasks,
-            link_counters,
-            RunOutcome {
-                cfg: &sim,
-                link_dim: &shared.link_dim,
-                d: topo.d(),
-                num_classes: num_priorities,
-                slots_run,
-                stable: stop != UNSTABLE,
-                completed: stop == COMPLETED,
-                peak_queue_total,
-                queue_trace,
-                faults: merged.faults,
-                arq: sim.arq.map(|_| &merged.arq),
-                flow: &merged.flow,
-            },
-        )
-    };
-
-    // Zero-slot configs mirror the engine's pre-step checks.
-    if sim.measure_end() == 0 || sim.max_slots == 0 {
-        let stop = if sim.measure_end() == 0 {
-            COMPLETED
-        } else {
-            HORIZON
-        };
-        let mut stats = WorkerStats::new(&sim, n, topo.diameter());
-        stats.faults = faults.map(|(clock, _)| clock.finish(0, |_| false));
-        return Ok(NetReport {
-            report: report_of(stats, new_link_counters(), 0, stop, 0, Vec::new()),
-            workers: w,
-            wall_secs: 0.0,
-            slots_per_sec: 0.0,
-            messages_sent: 0,
-            worker_traces: Vec::new(),
-            perf: cfg.perf.then(|| NetPerf {
-                workers: Vec::new(),
-            }),
-        });
-    }
 
     let shared_ref = &shared;
     let started = std::time::Instant::now();
-    let outputs: Vec<Option<WorkerOutput>> = std::thread::scope(|s| {
+    let outputs: Vec<Option<Result<WorkerOutput, ConfigError>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..w)
             .map(|id| {
                 // Built on the main thread: `make_scheme` is `FnMut`.
@@ -1617,10 +1406,24 @@ where
                 let faults = faults.clone();
                 s.spawn(move || {
                     supervised(shared_ref, id, move || {
-                        let mut worker =
-                            Worker::new(id, topo, scheme, shared_ref, &cfg, mix, faults);
-                        let slots_run = worker.run();
-                        worker.finish(slots_run)
+                        // Every worker's clock refuses a bad config alike,
+                        // before its first rendezvous.
+                        let links = shared_ref.link_lo[id]..shared_ref.link_lo[id + 1];
+                        let worker = Worker::new(id, topo, shared_ref, &cfg);
+                        let mut clock =
+                            Clock::new(topo, scheme, mix, &sim, links, id == 0, worker)?;
+                        if let Some((faults, policy)) = faults {
+                            clock.hop.install_faults(faults, policy);
+                        }
+                        if cfg.trace_capacity > 0 {
+                            clock.trace(Box::new(Track {
+                                records: Vec::new(),
+                                cap: cfg.trace_capacity,
+                            }));
+                        }
+                        let stop = clock.run(topo);
+                        clock.transport.progress(clock.now(), 4);
+                        Ok(finish(clock, stop))
                     })
                 })
             })
@@ -1644,7 +1447,8 @@ where
     let mut results: Vec<WorkerOutput> = Vec::with_capacity(w);
     for out in outputs {
         match out {
-            Some(o) => results.push(o),
+            Some(Ok(o)) => results.push(o),
+            Some(Err(refused)) => return Err(refused.into()),
             // Defensive: a missing output always records an error first.
             None => {
                 return Err(NetError::WorkerPanic {
@@ -1655,29 +1459,22 @@ where
         }
     }
 
-    let stop = shared.stop.load(Ordering::Acquire);
-    let slots_run = results[0].slots_run;
+    let (slots_run, stop) = (results[0].slots_run, results[0].stop);
     let perf = cfg.perf.then(|| NetPerf {
         workers: results
             .iter()
             .enumerate()
             .map(|(i, out)| {
                 let acc = out.perf.as_deref().expect("perf run collects accumulators");
+                let hist = &acc.slot_hist;
                 NetWorkerPerf {
                     worker: i as u32,
-                    slots: acc.slot_hist.count(),
-                    slot_ns_sum: (acc.slot_hist.mean() * acc.slot_hist.count() as f64).round()
-                        as u64,
-                    slot_ns_min: acc.slot_hist.min(),
-                    slot_ns_median: acc.slot_hist.quantile(0.5),
-                    slot_ns_max: acc.slot_hist.max(),
-                    barrier_wait_ns: acc.barrier_wait_ns,
-                    phase_a_ns: acc.phase_a_ns,
-                    phase_b_ns: acc.phase_b_ns,
-                    decide_ns: acc.decide_ns,
-                    fault_apply_ns: acc.fault_apply_ns,
-                    blocked_send_ns: acc.blocked_send_ns,
-                    data_depth_high: acc.data_depth_high,
+                    slots: hist.count(),
+                    slot_ns_sum: (hist.mean() * hist.count() as f64).round() as u64,
+                    slot_ns_min: hist.min(),
+                    slot_ns_median: hist.quantile(0.5),
+                    slot_ns_max: hist.max(),
+                    ..acc.perf.clone()
                 }
             })
             .collect(),
@@ -1688,8 +1485,8 @@ where
     // whole-network set.
     let mut iter = results.into_iter();
     let first = iter.next().expect("at least one worker");
-    let (mut merged, queue_trace) = (first.stats, first.queue_trace);
-    let mut link_counters = new_link_counters();
+    let (mut merged, mut queue_trace) = (first.stats, first.queue_trace);
+    let mut link_counters = LinkCounters::new(&sim, topo.d(), 0, links);
     link_counters.merge(&first.links);
     let mut worker_traces = Vec::new();
     if cfg.trace_capacity > 0 {
@@ -1698,21 +1495,37 @@ where
     for (i, out) in iter.enumerate() {
         merged.merge(&out.stats);
         link_counters.merge(&out.links);
+        for (total, (_, queued)) in queue_trace.iter_mut().zip(out.queue_trace) {
+            total.1 += queued;
+        }
         if cfg.trace_capacity > 0 {
             worker_traces.push((i as u32 + 1, out.trace));
         }
     }
     let messages_sent = merged.messages_sent;
-    let peak_queue_total = shared.tally.peak.load(Ordering::Acquire);
-    Ok(NetReport {
-        report: report_of(
-            merged,
-            link_counters,
+    // The one report rule (`pstar_sim::assemble`) over merged worker
+    // counters; the net-specific inputs are the combiner's queue peak
+    // and the stop.
+    let report = assemble(
+        merged.tasks,
+        link_counters,
+        RunOutcome {
+            cfg: &sim,
+            link_dim: &shared.link_dim,
+            d: topo.d(),
+            num_classes: num_priorities,
             slots_run,
-            stop,
-            peak_queue_total,
+            stable: stop != Some(Stop::Unstable),
+            completed: stop == Some(Stop::Completed),
+            peak_queue_total: shared.peak.load(Ordering::Acquire),
             queue_trace,
-        ),
+            faults: merged.faults,
+            arq: sim.arq.map(|_| &merged.arq),
+            flow: &merged.flow,
+        },
+    );
+    Ok(NetReport {
+        report,
         workers: w,
         wall_secs,
         slots_per_sec: if wall_secs > 0.0 {
@@ -1730,7 +1543,7 @@ where
 mod tests {
     use super::*;
     use priority_star::{ScenarioSpec, SchemeKind};
-    use pstar_topology::Torus;
+    use pstar_topology::{LinkId, Torus};
 
     fn run(scheme: SchemeKind, rho: f64, mut sim: SimConfig, workers: usize) -> NetReport {
         let topo = Torus::new(&[4, 4]);
@@ -1858,6 +1671,37 @@ mod tests {
         // integer sum: who counted what cannot show.
         assert_eq!(a.report.first_difference(&b.report), None);
         assert!(a.messages_sent == 0 && b.messages_sent > 0);
+    }
+
+    /// Every worker samples the queue trace over its own links, after its
+    /// fault tick: the traces add up to the engine's, under a fault plan
+    /// too.
+    #[test]
+    fn worker_queue_traces_add_up_to_the_engines() {
+        let topo = Torus::new(&[4, 4]);
+        let spec = ScenarioSpec {
+            rho: 0.7,
+            ..ScenarioSpec::default()
+        };
+        let sim = SimConfig {
+            trace_interval: Some(7),
+            lengths: spec.lengths,
+            ..SimConfig::quick(9)
+        };
+        let plan = || FaultPlan::link_outage_window(&[LinkId(3), LinkId(20)], 2_500, 4_000);
+        let policy = DeadLinkPolicy::Requeue;
+        let (scheme, mix) = (spec.build_scheme(&topo), spec.mix(&topo));
+        let serial = pstar_sim::run_with_faults(&topo, &scheme, mix, sim, plan(), policy);
+        assert!(serial.queue_trace.len() > 1_000);
+        for workers in [2, 3] {
+            let cfg = NetConfig {
+                workers,
+                ..NetConfig::new(sim)
+            };
+            let net = run_net_with_faults(&topo, &scheme, mix, cfg, plan(), policy);
+            let report = net.expect("run_net failed").report;
+            assert_eq!(report.first_difference(&serial), None, "W={workers}");
+        }
     }
 
     /// Bounded queues with tail drop: every measured reception is
@@ -2069,9 +1913,9 @@ mod tests {
     /// is what stays put. Per-task state — the slabs and the reception
     /// counts indexed by task handle — grows with the homes' slabs
     /// and is not part of it.
-    fn fleet_buffers<N: Network + Sync, SS: Scheme>(
+    fn fleet_buffers<SS: Scheme>(
         shared: &Shared,
-        fleet: &[Worker<'_, N, SS>],
+        fleet: &[Clock<SS, Worker<'_>>],
     ) -> Vec<(usize, usize)> {
         fn of<T>(v: &Vec<T>) -> (usize, usize) {
             (v.as_ptr() as usize, v.capacity() * std::mem::size_of::<T>())
@@ -2085,8 +1929,9 @@ mod tests {
             ]
         }
         let mut all = Vec::new();
-        for worker in fleet {
-            all.push(of(worker.hop.emit_scratch()));
+        for clock in fleet {
+            let worker = &clock.transport;
+            all.push(of(clock.hop.emit_scratch()));
             all.extend(worker.books.pending.iter().map(of));
             all.push(of(&worker.books.acked));
             all.extend(worker.out.iter().flat_map(of_batch));
@@ -2100,10 +1945,10 @@ mod tests {
     }
 
     /// A steady-state slot allocates nothing on the message plane: with
-    /// the fleet stepped on one thread in the order the rendezvous
-    /// enforces (every send, the decision, every process), after the
-    /// warm-up the outboxes, inject arenas, mailbox batches and the
-    /// forward scratch are the same allocations at the same capacities
+    /// the fleet's clocks stepped on one thread in the order the
+    /// rendezvous enforces (every send and decision, then every process),
+    /// after the warm-up the outboxes, inject arenas, mailbox batches and
+    /// the forward scratch are the same allocations at the same capacities
     /// 100 slots later — while every share of the hand-over (control,
     /// deliveries, injections with their emits) carries traffic.
     #[test]
@@ -2124,57 +1969,70 @@ mod tests {
                 ..SimConfig::quick(29)
             })
         };
-        let shared = Shared::new(&topo, 2, &cfg.sim).unwrap();
+        let mut shared = Shared::new(&topo, 2, &cfg.sim).unwrap();
+        // One thread steps the fleet, so every rendezvous is a party of
+        // one: each worker's decision combines the same published gauges.
+        shared.barrier = SlotBarrier::new(1);
+        let shared = &shared;
         let mut fleet: Vec<_> = (0..2)
-            .map(|id| Worker::new(id, &topo, &scheme, &shared, &cfg, spec.mix(&topo), None))
+            .map(|id| {
+                let links = shared.link_lo[id]..shared.link_lo[id + 1];
+                let worker = Worker::new(id, &topo, shared, &cfg);
+                Clock::new(
+                    &topo,
+                    &scheme,
+                    spec.mix(&topo),
+                    &cfg.sim,
+                    links,
+                    id == 0,
+                    worker,
+                )
+                .unwrap()
+            })
             .collect();
-        let step = |fleet: &mut Vec<Worker<'_, _, _>>, t: u64| {
-            let mut crossed = [0usize; 3];
-            for worker in fleet.iter_mut() {
-                worker.seal_ctrl(t);
-                let peer = &worker.out[1 - worker.id];
-                crossed[0] += peer.ctrl.len();
-                assert!(!worker.send(t), "no put may wait in a stepped fleet");
+        let step = |fleet: &mut Vec<Clock<_, Worker<'_>>>| {
+            for clock in fleet.iter_mut() {
+                assert!(clock.open(&topo, true).is_continue(), "the slot runs");
             }
+            let mut crossed = [0usize; 3];
             for parity in &shared.mail {
                 for mb in parity {
-                    let (data, inject) = mb.peek(|b| (b.data.len(), b.inject.emits.len()));
-                    crossed[1] += data;
-                    crossed[2] += inject;
+                    let counts = mb.peek(|b| [b.ctrl.len(), b.data.len(), b.inject.emits.len()]);
+                    for (sum, c) in crossed.iter_mut().zip(counts) {
+                        *sum += c;
+                    }
                 }
             }
-            if t > 0 {
-                shared.decide(t - 1);
-                assert_eq!(shared.stop.load(Ordering::Relaxed), RUN);
-            }
-            for worker in fleet.iter_mut() {
-                worker.commit_send();
-                worker.process(t);
+            for clock in fleet.iter_mut() {
+                clock.close(&topo);
             }
             crossed
         };
-        for t in 0..WARM {
-            step(&mut fleet, t);
+        for _ in 0..WARM {
+            step(&mut fleet);
         }
-        let warm = fleet_buffers(&shared, &fleet);
+        let warm = fleet_buffers(shared, &fleet);
         let emit_buf: Vec<_> = fleet
             .iter()
-            .map(|w| w.hop.emit_scratch().as_ptr())
+            .map(|c| c.hop.emit_scratch().as_ptr())
             .collect();
         let mut crossed = [0usize; 3];
-        for t in WARM..WARM + 100 {
-            for (sum, c) in crossed.iter_mut().zip(step(&mut fleet, t)) {
+        for _ in 0..100 {
+            for (sum, c) in crossed.iter_mut().zip(step(&mut fleet)) {
                 *sum += c;
             }
         }
         assert!(crossed.iter().all(|&c| c > 100), "idle share: {crossed:?}");
-        assert_eq!(fleet_buffers(&shared, &fleet), warm);
-        for (worker, ptr) in fleet.iter().zip(emit_buf) {
-            assert_eq!(worker.hop.emit_scratch().as_ptr(), ptr);
-            assert_eq!(worker.hop.emit_scratch().capacity(), 64);
+        assert_eq!(fleet_buffers(shared, &fleet), warm);
+        for (clock, ptr) in fleet.iter().zip(emit_buf) {
+            assert_eq!(clock.hop.emit_scratch().as_ptr(), ptr);
+            assert_eq!(clock.hop.emit_scratch().capacity(), 64);
         }
-        let sent: u64 = fleet.iter().map(|w| w.books.stats.messages_sent).sum();
-        assert!(sent > 0 && fleet.iter().all(|w| w.uncommitted_sent == 0));
+        let sent: u64 = fleet
+            .iter()
+            .map(|c| c.transport.books.stats.messages_sent)
+            .sum();
+        assert!(sent > 0 && fleet.iter().all(|c| c.transport.uncommitted_sent == 0));
     }
 
     /// Books of worker `id` of `shared`'s fleet, over a 4×4 torus.
@@ -2320,14 +2178,20 @@ mod tests {
         assert_eq!(sim.measure_end(), pstar_sim::SINGLE_QUEUE_SCAN_PERIOD);
         let shared = Shared::new(&topo, 2, &sim).unwrap();
         shared.gauges[1].unstable.store(true, Ordering::Relaxed);
-        shared.decide(4_095);
-        assert_eq!(shared.stop.load(Ordering::Relaxed), COMPLETED);
+        shared.decide(4_096);
+        assert_eq!(
+            shared.stop.load(Ordering::Relaxed),
+            stop_code(Stop::Completed)
+        );
         // With a measured task outstanding the same slot is unstable.
         let shared = Shared::new(&topo, 2, &sim).unwrap();
         shared.gauges[0].outstanding.store(1, Ordering::Relaxed);
         shared.gauges[1].unstable.store(true, Ordering::Relaxed);
-        shared.decide(4_095);
-        assert_eq!(shared.stop.load(Ordering::Relaxed), UNSTABLE);
+        shared.decide(4_096);
+        assert_eq!(
+            shared.stop.load(Ordering::Relaxed),
+            stop_code(Stop::Unstable)
+        );
     }
 
     #[test]
@@ -2336,7 +2200,7 @@ mod tests {
         assert!(align_of::<Padded<AtomicBool>>() >= 128);
         assert!(align_of::<Padded<AtomicU64>>() >= 128);
         assert!(align_of::<GaugeLine>() >= 128);
-        assert!(align_of::<Tally>() >= 128);
+        assert!(align_of::<Padded<AtomicI64>>() >= 128);
         assert!(align_of::<Padded<AtomicU8>>() >= 128);
         assert!(align_of::<SlotBarrier>() >= 128);
         assert!(align_of::<Mailbox<Batch>>() >= 128);

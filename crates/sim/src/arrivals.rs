@@ -320,8 +320,8 @@ impl Injector {
     /// The injector of a network with per-dimension extents `dims`,
     /// seeded from `cfg.seed`.
     ///
-    /// Panics if `cfg.scenario` does not fit `dims`; every driver
-    /// validates it first and refuses in its own terms.
+    /// Panics if `cfg.scenario` does not fit `dims`; the slot clock
+    /// ([`crate::Clock::new`]) and the sharded engine validate it first.
     pub fn new(dims: &[u32], mix: TrafficMix, cfg: &SimConfig) -> Self {
         let n: u32 = dims.iter().product();
         Self {

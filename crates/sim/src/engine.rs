@@ -1,85 +1,125 @@
 //! The slotted simulation engine.
 
 use crate::arrivals::{InjectBatch, Injector, TraceError};
-use crate::config::{stop_verdict, SimConfig, Stop};
+use crate::clock::{Clock, Gauge, Transport};
+use crate::config::{SimConfig, Stop};
 use crate::faultepoch::FaultClock;
-use crate::hop::{Hop, HopCtx};
+use crate::hop::{Deliveries, HopCtx};
+use crate::kernel::LinkKernel;
 use crate::ledger::{assemble, RunOutcome, TaskLedger};
 use crate::metrics::SimReport;
-use crate::packet::MAX_PRIORITY_CLASSES;
+use crate::packet::Packet;
 use crate::scheme::Scheme;
 use pstar_faults::{DeadLinkPolicy, FaultPlan};
-use pstar_obs::{SlotSample, TraceSink};
+use pstar_obs::TraceSink;
 use pstar_topology::{Network, NodeId};
 use pstar_traffic::TrafficMix;
+use std::ops::ControlFlow;
 
 /// The simulator: a torus, a routing scheme, a workload, and per-link
 /// priority queues stepped slot by slot.
 ///
-/// The queues, the in-flight transmissions and the service discipline
-/// live in one [`LinkKernel`](crate::LinkKernel) over every link, what an
-/// arrival, a delivery, a forward and a loss mean and the order a slot
-/// applies them in in one [`Hop`], and task creation in one
-/// [`Injector`]; the engine owns the clock, the stop rule and the task
-/// table. See the crate docs for the timing model. Construction is
+/// The engine is one [`Clock`] over every link with an inline transport:
+/// the queues, the in-flight transmissions and the service discipline
+/// live in one [`LinkKernel`], what an arrival, a delivery, a forward and
+/// a loss mean and the order a slot applies them in in one
+/// [`crate::Hop`], task creation in one [`Injector`], and the slot order
+/// and the stop rule in the clock; the engine keeps the topology and the
+/// task ledger. See the crate docs for the timing model. Construction is
 /// cheap; `run` consumes the engine and returns a [`SimReport`].
 pub struct Engine<N: Network, S: Scheme> {
     topo: N,
-    cfg: SimConfig,
-    now: u64,
+    clock: Clock<S, Inline>,
+}
 
-    /// The hop rules over every link (dense `LinkId` order), with the
-    /// scheme, the kernel, ARQ, the fault clock and the trace sink.
-    hop: Hop<S>,
-    link_dim: Vec<u8>,
-
-    /// The task generator.
-    injector: Injector,
-    /// Scratch for the tasks drawn in one go.
-    arrivals: InjectBatch,
-
-    // Measurement state (see `crate::ledger`).
+/// The engine's transport: one owner of every link, so nothing travels,
+/// and the stop is decided in place from the gauge the last slot left.
+pub(crate) struct Inline {
+    /// The one home of every task (see `crate::ledger`).
     ledger: TaskLedger,
+    /// The slot's tasks, drawn in one go.
+    arrivals: InjectBatch,
+    link_dim: Vec<u8>,
+    /// Transmissions started per dimension, whatever the window.
     tx_by_dim: Vec<u64>,
-    peak_queue: i64,
+    gauge: Gauge,
+    peak: i64,
+    cfg: SimConfig,
+    queue_limit: i64,
+}
 
-    /// Scratch for the decimated per-link queue snapshot; swapped into
-    /// each [`SlotSample`] and back so sampling allocates once per run,
-    /// not once per sample.
-    sample_links: Vec<u32>,
-    queue_trace: Vec<(u64, u64)>,
-    unstable: bool,
-    /// Cached `obs.decimation()`; 0 disables slot sampling.
-    obs_decim: u64,
+impl Transport for Inline {
+    type Homes = TaskLedger;
+    type Out = InjectBatch;
+
+    fn homes(&mut self) -> &mut TaskLedger {
+        &mut self.ledger
+    }
+
+    #[inline]
+    fn decide(&mut self, t: u64, _first: bool) -> ControlFlow<Option<Stop>> {
+        let verdict = self
+            .gauge
+            .decide(&self.cfg, self.queue_limit, t, &mut self.peak);
+        match verdict {
+            Some(stop) => ControlFlow::Break(Some(stop)),
+            None => ControlFlow::Continue(()),
+        }
+    }
+
+    fn fault_tick(&mut self, _t: u64, tick: impl FnOnce(&mut TaskLedger) -> bool) {
+        tick(&mut self.ledger);
+    }
+
+    fn collect(
+        &mut self,
+        _t: u64,
+        _kernel: &LinkKernel,
+    ) -> (&mut [InjectBatch], impl Fn(NodeId) -> usize) {
+        (std::slice::from_mut(&mut self.arrivals), |_| 0)
+    }
+
+    #[inline(always)]
+    fn inputs(
+        &mut self,
+        _t: u64,
+    ) -> (
+        &mut TaskLedger,
+        impl IntoIterator<Item = Option<&mut Deliveries>>,
+        &mut InjectBatch,
+        impl FnMut(u32, &Packet),
+    ) {
+        let (tx_by_dim, link_dim) = (&mut self.tx_by_dim, &self.link_dim);
+        let each_start = |link: u32, _: &Packet| {
+            tx_by_dim[link_dim[link as usize] as usize] += 1;
+        };
+        (&mut self.ledger, [None], &mut self.arrivals, each_start)
+    }
+
+    #[inline]
+    fn publish(&mut self, gauge: &Gauge) {
+        self.gauge = *gauge;
+    }
 }
 
 impl<N: Network, S: Scheme> Engine<N, S> {
-    /// Builds an engine ready to run.
+    /// Builds an engine ready to run. Panics on a configuration the
+    /// clock refuses ([`crate::ConfigError`]).
     pub fn new(topo: N, scheme: S, mix: TrafficMix, cfg: SimConfig) -> Self {
-        assert!(
-            scheme.num_priorities() <= MAX_PRIORITY_CLASSES,
-            "scheme uses too many priority classes"
-        );
-        let dims = topo.dim_sizes();
-        if let Err(e) = cfg.scenario.validate(&dims, mix.bernoulli) {
-            panic!("invalid scenario config: {e}");
-        }
-        Self {
-            hop: Hop::new(&topo, scheme, &cfg, 0, topo.link_count()),
-            link_dim: topo.link_dim_table(),
-            injector: Injector::new(&dims, mix, &cfg),
-            arrivals: InjectBatch::default(),
+        let inline = Inline {
             ledger: TaskLedger::new(&cfg, topo.node_count(), topo.diameter()),
+            arrivals: InjectBatch::default(),
+            link_dim: topo.link_dim_table(),
             tx_by_dim: vec![0; topo.d()],
-            peak_queue: 0,
-            sample_links: Vec::new(),
-            queue_trace: Vec::new(),
-            unstable: false,
-            obs_decim: 0,
-            now: 0,
-            topo,
+            gauge: Gauge::default(),
+            peak: 0,
             cfg,
-        }
+            queue_limit: cfg.queue_limit(topo.link_count() as usize),
+        };
+        let links = 0..topo.link_count();
+        let clock = Clock::new(&topo, scheme, mix, &cfg, links, true, inline)
+            .unwrap_or_else(|e| panic!("{e}"));
+        Self { topo, clock }
     }
 
     /// Installs a fault plan (builder style). An empty plan is a no-op —
@@ -92,7 +132,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     pub fn with_fault_plan(mut self, plan: FaultPlan, policy: DeadLinkPolicy) -> Self {
         if !plan.is_empty() {
             let clock = FaultClock::new(plan, &self.topo);
-            self.hop.install_faults(clock, policy);
+            self.clock.hop.install_faults(clock, policy);
         }
         self
     }
@@ -103,54 +143,19 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// simulation (in particular: never the RNG); without one every
     /// trace site is a single never-taken branch.
     pub fn with_trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.obs_decim = sink.decimation();
-        self.hop.obs = Some(sink);
+        self.clock.trace(sink);
         self
-    }
-
-    /// Builds and delivers one decimated queue-state snapshot. Only
-    /// called at sampling instants (`obs_decim > 0`), so the O(links)
-    /// scan never touches an untraced run.
-    fn obs_sample(&mut self, slot: u64) {
-        let kernel = &self.hop.kernel;
-        let links = kernel.n_links() as u32;
-        let mut queued_by_link = std::mem::take(&mut self.sample_links);
-        queued_by_link.clear();
-        queued_by_link.reserve(links as usize);
-        let mut sample = SlotSample {
-            slot,
-            queued_total: kernel.queued(),
-            in_flight_links: 0,
-            queued_by_class: [0; MAX_PRIORITY_CLASSES],
-            queued_by_link,
-        };
-        for l in 0..links {
-            let mut qlen = 0;
-            for (c, acc) in sample.queued_by_class.iter_mut().enumerate() {
-                let n = kernel.class_len(l, c);
-                *acc += n as u64;
-                qlen += n;
-            }
-            sample.queued_by_link.push(qlen as u32);
-            if kernel.is_busy(l) {
-                sample.in_flight_links += 1;
-            }
-        }
-        if let Some(sink) = self.hop.obs.as_deref_mut() {
-            sink.on_slot_sample(&sample);
-        }
-        self.sample_links = sample.queued_by_link;
     }
 
     /// Current simulation time.
     pub fn now(&self) -> u64 {
-        self.now
+        self.clock.now()
     }
 
     /// Number of tasks currently in progress (and the slab's high-water
     /// allocation footprint).
     pub fn active_tasks(&self) -> (usize, usize) {
-        self.ledger.active_tasks()
+        self.clock.transport.ledger.active_tasks()
     }
 
     /// The simulated topology.
@@ -162,7 +167,7 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// (always counted, unlike the window-gated statistics) — used by the
     /// tree-shape tests that verify the `a_{i,l}` counts of Eq. (1).
     pub fn transmissions_per_dim(&self) -> &[u64] {
-        &self.tx_by_dim
+        &self.clock.transport.tx_by_dim
     }
 
     /// Injects a single broadcast task at `src`, tagged for measurement
@@ -182,14 +187,27 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// Draws one measured task at `src` now and injects it past every
     /// gate (`Hop::inject`).
     fn inject(&mut self, src: NodeId, dest: Option<NodeId>) -> u32 {
-        let t = self.now;
-        let batch = &mut self.arrivals;
-        self.injector
-            .draw(t, &self.hop.scheme, src, dest, true, None, batch);
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
-        let (msg, emits) = self.arrivals.iter().next().expect("one task drawn");
-        let task = self.hop.inject(&mut cx, msg, emits);
-        self.arrivals.clear();
+        let t = self.clock.now();
+        let clock = &mut self.clock;
+        let inline = &mut clock.transport;
+        let injector = clock.injector.as_mut().expect("the engine draws");
+        injector.draw(
+            t,
+            &clock.hop.scheme,
+            src,
+            dest,
+            true,
+            None,
+            &mut inline.arrivals,
+        );
+        let (msg, emits) = inline.arrivals.iter().next().expect("one task drawn");
+        let mut cx = HopCtx {
+            topo: &self.topo,
+            homes: &mut inline.ledger,
+            t,
+        };
+        let task = clock.hop.inject(&mut cx, msg, emits);
+        inline.arrivals.clear();
         task
     }
 
@@ -208,7 +226,8 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// node the topology does not have is refused before the first
     /// slot, naming the first such event.
     pub fn replay(mut self, trace: &pstar_traffic::Trace) -> Result<SimReport, TraceError> {
-        self.injector = Injector::replaying(&self.topo.dim_sizes(), trace, &self.cfg)?;
+        let replaying = Injector::replaying(&self.topo.dim_sizes(), trace, self.clock.cfg())?;
+        self.clock.injector = Some(replaying);
         Ok(self.run())
     }
 
@@ -216,12 +235,15 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// packets), without generating any arrivals. Returns the number of
     /// slots stepped. Panics after `max_slots` as a safety net.
     pub fn run_until_idle(&mut self) -> u64 {
-        let start = self.now;
-        while !self.hop.is_idle() {
-            assert!(self.now < self.cfg.max_slots, "drain did not terminate");
-            self.step(false);
+        let start = self.clock.now();
+        while !self.clock.hop.is_idle() {
+            assert!(
+                self.clock.now() < self.clock.cfg().max_slots,
+                "drain did not terminate"
+            );
+            self.clock.step(&self.topo);
         }
-        self.now - start
+        self.clock.now() - start
     }
 
     /// Runs the full warmup → measure → drain protocol and reports.
@@ -234,112 +256,33 @@ impl<N: Network, S: Scheme> Engine<N, S> {
     /// counters can be read after the run (downcast via
     /// [`pstar_obs::TraceSink::into_any`]).
     pub fn run_observed(mut self) -> (SimReport, Option<Box<dyn TraceSink>>) {
-        let queue_limit = self.cfg.queue_limit(self.hop.kernel.n_links());
-        let stop = loop {
-            // Tasks waiting at their sources are occupancy the links have
-            // not accepted yet and, when measured, work still due.
-            let (deferred, deferred_measured) = self.hop.deferred();
-            let verdict = stop_verdict(
-                &self.cfg,
-                self.now,
-                self.ledger.outstanding_measured() as u64 + deferred_measured,
-                (self.hop.kernel.queued() + deferred) as i64,
-                queue_limit,
-                || {
-                    self.cfg
-                        .single_queue_tripped(self.now, || self.hop.kernel.max_qlen())
-                },
-            );
-            match verdict {
-                Some(stop) => break stop,
-                None => self.step(true),
-            }
-        };
-        self.unstable = stop == Stop::Unstable;
-        let sink = self.hop.obs.take();
-        (self.report(stop == Stop::Completed), sink)
+        let stop = self.clock.run(&self.topo);
+        let sink = self.clock.hop.obs.take();
+        (
+            self.report(stop.expect("one owner never abandons a run")),
+            sink,
+        )
     }
 
-    // ------------------------------------------------------------------
-    // Core stepping
-    // ------------------------------------------------------------------
-
-    /// The hop rules' view of this engine at slot `t`: its topology and
-    /// its ledger as the one home of every task.
-    fn hop_ctx<'a>(topo: &'a N, ledger: &'a mut TaskLedger, t: u64) -> HopCtx<'a, N, TaskLedger> {
-        HopCtx {
-            topo,
-            homes: ledger,
-            t,
-        }
-    }
-
-    /// One slot: the fault tick, the samples of the state the previous
-    /// slot left behind, the slot's tasks (`arrivals`: drawn, or none
-    /// while draining), then the one slot body, `Hop::slot`.
-    fn step(&mut self, arrivals: bool) {
-        let t = self.now;
-
-        // Fault transitions take effect before anything else in the
-        // slot: a link dying at `t` fails the delivery it would have made
-        // at `t`. Fault-free engines hold no clock and tick nothing.
-        if self.hop.faults.is_some() {
-            let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
-            self.hop.fault_tick(&mut cx);
-        }
-
-        if self.cfg.queue_sampled_at(t) {
-            self.queue_trace.push((t, self.hop.kernel.queued()));
-        }
-
-        // Decimated observability snapshot of the state the previous
-        // slot left behind. `obs_decim > 0` only with a sink installed.
-        if self.obs_decim > 0 && t.is_multiple_of(self.obs_decim) {
-            self.obs_sample(t);
-        }
-
-        // The slot's tasks are drawn here, ahead of the deliveries they
-        // arrive after: no draw reads a queue, only the fault clock,
-        // which has ticked.
-        if arrivals {
-            let scheme = &self.hop.scheme;
-            let (faults, batch) = (self.hop.faults.as_deref(), &mut self.arrivals);
-            self.injector
-                .slot(t, scheme, faults, std::slice::from_mut(batch), |_| 0);
-        }
-        let mut cx = Self::hop_ctx(&self.topo, &mut self.ledger, t);
-        let (tx_by_dim, link_dim) = (&mut self.tx_by_dim, &self.link_dim);
-        let queued = self
-            .hop
-            .slot(&mut cx, [None], &mut self.arrivals, |link, _| {
-                tx_by_dim[link_dim[link as usize] as usize] += 1;
-            });
-        self.peak_queue = self.peak_queue.max(queued as i64);
-
-        self.now = t + 1;
-    }
-
-    fn report(self, completed: bool) -> SimReport {
-        let num_classes = self.hop.scheme.num_priorities();
-        let mut flow = self.hop.flow;
-        let (links, faults, arq) = self.hop.finish(self.now);
-        if let Some(gate) = self.injector.gate() {
-            flow.rejected_broadcasts = gate.rejected_broadcasts;
-            flow.rejected_unicasts = gate.rejected_unicasts;
-        }
+    fn report(self, stop: Stop) -> SimReport {
+        let num_classes = self.clock.hop.scheme.num_priorities();
+        let (slots_run, cfg) = (self.clock.now(), *self.clock.cfg());
+        let (hop, inline, queue_trace) = self.clock.into_parts();
+        let flow = hop.flow;
+        let (links, faults, arq) = hop.finish(slots_run);
         assemble(
-            self.ledger,
+            inline.ledger,
             links,
             RunOutcome {
-                cfg: &self.cfg,
-                link_dim: &self.link_dim,
+                cfg: &cfg,
+                link_dim: &inline.link_dim,
                 d: self.topo.d(),
                 num_classes,
-                slots_run: self.now,
-                stable: !self.unstable,
-                completed,
-                peak_queue_total: self.peak_queue,
-                queue_trace: self.queue_trace,
+                slots_run,
+                stable: stop != Stop::Unstable,
+                completed: stop == Stop::Completed,
+                peak_queue_total: inline.peak,
+                queue_trace,
                 faults,
                 arq: arq.as_ref(),
                 flow: &flow,
@@ -516,7 +459,7 @@ mod tests {
 
     /// Finalizes an engine into a report for injection-style tests.
     fn e2_report(e: Engine<Torus, TestScheme>) -> SimReport {
-        e.report(true)
+        e.report(Stop::Completed)
     }
 
     #[test]
@@ -637,7 +580,7 @@ mod tests {
             e.inject_unicast(NodeId(0), NodeId(1));
         }
         e.run_until_idle();
-        let rep = e.report(true);
+        let rep = e.report(Stop::Completed);
         assert_eq!(rep.unicast_delay.count, 10);
         assert_eq!(rep.unicast_delay.min, 1.0);
         assert_eq!(rep.unicast_delay.max, 10.0);
@@ -682,7 +625,7 @@ mod tests {
             pstar_faults::FaultPlan::none(),
             pstar_faults::DeadLinkPolicy::Drop,
         );
-        assert!(engine.hop.faults.is_none());
+        assert!(engine.clock.hop.faults.is_none());
     }
 
     #[test]
@@ -771,7 +714,7 @@ mod tests {
         // neighbor-bound unicast that must use it.
         e.inject_unicast(NodeId(0), NodeId(1));
         e.run_until_idle();
-        let rep = e.report(true);
+        let rep = e.report(Stop::Completed);
         assert_eq!(rep.dropped_packets, 0);
         assert_eq!(rep.unicast_delay.count, 1);
         // Delivered only after the slot-50 repair.
@@ -875,20 +818,20 @@ mod tests {
         );
         // Slot 0 (link alive): A enters service.
         e.inject_unicast(NodeId(0), NodeId(1));
-        e.step(false);
+        e.clock.step(&e.topo);
         // Slot 1: B and C fill the queue to capacity...
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.hop.kernel.qlen(0), 2);
+        assert_eq!(e.clock.hop.kernel.qlen(0), 2);
         // ...then the link dies: A is requeued head-of-line, one over.
-        e.step(false);
-        assert_eq!(e.hop.kernel.qlen(0), 3, "capacity + 1 after requeue");
+        e.clock.step(&e.topo);
+        assert_eq!(e.clock.hop.kernel.qlen(0), 3, "capacity + 1 after requeue");
         // A further emit toward the (full, dead) queue is dropped — the
         // overflow never compounds.
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.hop.kernel.qlen(0), 3);
+        assert_eq!(e.clock.hop.kernel.qlen(0), 3);
         e.run_until_idle();
-        let rep = e.report(true);
+        let rep = e.report(Stop::Completed);
         assert_eq!(rep.dropped_packets, 1, "only the post-overflow emit");
         assert_eq!(rep.unicast_delay.count, 3);
         // The interrupted packet resumed head-of-line after repair.
@@ -1074,12 +1017,12 @@ mod tests {
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
         e.inject_unicast(NodeId(0), NodeId(1));
-        assert_eq!(e.hop.kernel.qlen(0), 2);
+        assert_eq!(e.clock.hop.kernel.qlen(0), 2);
         // A class-0 broadcast copy evicts the newest queued unicast.
         e.inject_broadcast(NodeId(0));
-        assert_eq!(e.hop.kernel.qlen(0), 2);
+        assert_eq!(e.clock.hop.kernel.qlen(0), 2);
         e.run_until_idle();
-        let rep = e.report(true);
+        let rep = e.report(Stop::Completed);
         assert_eq!(rep.flow.evicted_packets, 1);
         assert_eq!(rep.dropped_unicasts, 2, "one tail-dropped, one evicted");
         assert_eq!(rep.unicast_delay.count, 1);

@@ -30,9 +30,9 @@
 //! [`Hop::slot`] is the one slot body: deliveries in ascending link
 //! order, due retransmissions, arrivals, the occupancy sample, service
 //! starts. The serial [`crate::Engine`] runs one `Hop` over every link
-//! and each `pstar-net` worker one over the links of its nodes; each
-//! ticks the fault clock, then calls `Hop::slot` once a slot. A driver
-//! lends it a [`HopCtx`] — its topology, its [`Homes`] (where a task's
+//! and each `pstar-net` worker one over the links of its nodes; the one
+//! slot clock around it ([`crate::Clock`]) ticks the fault clock, then
+//! calls `Hop::slot` once a slot. A driver lends it a [`HopCtx`] — its topology, its [`Homes`] (where a task's
 //! completion record lives) and the slot — the deliveries other owners
 //! made to its nodes, and the slot's tasks from the one
 //! [`crate::Injector`]; it keeps only its transport and where a task's
@@ -186,6 +186,10 @@ impl Homes for TaskLedger {
         self.settle(t, pkt.task, receptions, cause)
     }
 }
+
+/// One owner's deliveries to another owner's nodes in one slot, as
+/// `(link, packet)` in ascending link order: a run [`Hop::slot`] takes.
+pub type Deliveries = Vec<(u32, Packet)>;
 
 /// What a driver lends the hop rules: its topology, its [`Homes`] and
 /// the slot.
@@ -388,7 +392,7 @@ impl<S: Scheme> Hop<S> {
     pub fn slot<'r, N: Network, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
-        runs: impl IntoIterator<Item = Option<&'r mut Vec<(u32, Packet)>>>,
+        runs: impl IntoIterator<Item = Option<&'r mut Deliveries>>,
         arrivals: &mut InjectBatch,
         each_start: impl FnMut(u32, &Packet),
     ) -> u64 {
@@ -585,6 +589,10 @@ impl<S: Scheme> Hop<S> {
     /// without it — or once the retry budget is spent, the `GaveUp`
     /// terminal state — the loss settles for good. A
     /// [`LossCause::Retry`] is a failed re-injection, not a new drop.
+    ///
+    /// Never inlined: losses are rare, and inlined into a `pstar-net`
+    /// worker's slot loop this grew the delivery path.
+    #[inline(never)]
     pub(crate) fn lose<N, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,

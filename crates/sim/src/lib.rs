@@ -36,10 +36,13 @@
 //! the ARQ timers once, in [`Arq`]; task creation once, in [`Injector`];
 //! what an arrival, a delivery, a forward, a loss and a retransmission
 //! mean, and the order a slot applies them in, once, in [`Hop`]
-//! ([`Hop::slot`]); how a run is counted and how the counters
+//! ([`Hop::slot`]); the slot clock around it — the fault tick, the
+//! draw, the decision whether the next slot runs, the samples and the
+//! gauge — once, in [`Clock`]; how a run is counted and how the counters
 //! become a [`SimReport`] once, in the ledger ([`TaskLedger`],
-//! [`LinkCounters`], [`assemble`]). [`Engine`] and the `pstar-net`
-//! runtime are drivers of those, and [`ShardedEngine`] of the injector,
+//! [`LinkCounters`], [`assemble`]). [`Engine`] is the clock with an
+//! inline [`Transport`] and each `pstar-net` worker the clock with a
+//! threaded one; [`ShardedEngine`] drives the injector,
 //! the kernel and the ledger; [`EventEngine`] keeps
 //! its own [`PriorityQueue`]s and accounting because it is the oracle the
 //! step engine is cross-validated against.
@@ -47,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod arrivals;
+mod clock;
 mod config;
 mod engine;
 mod event_engine;
@@ -67,11 +71,12 @@ pub use arrivals::{
     generate_arrivals_into, sample_poisson, ArrivalSink, InjectBatch, InjectMsg, Injector,
     TraceError, TraceField,
 };
+pub use clock::{Clock, ConfigError, Gauge, Transport};
 pub use config::{stop_verdict, SimConfig, Stop, SINGLE_QUEUE_SCAN_PERIOD};
 pub use engine::Engine;
 pub use event_engine::EventEngine;
 pub use faultepoch::{FaultClock, FaultLoss, LossCause};
-pub use hop::{Homes, Hop, HopCtx};
+pub use hop::{Deliveries, Homes, Hop, HopCtx};
 pub use kernel::{Admit, FinishScan, LinkKernel};
 pub use ledger::{
     assemble, ArqCounters, FaultTotals, FlowCounters, LinkCounters, RunOutcome, TailsState,
