@@ -4,7 +4,7 @@
 use crate::balance::{balance_broadcast_only, balance_mixed};
 use crate::discipline::{Discipline, TrafficClass};
 use crate::distribution::EndingDimDistribution;
-use crate::tree::{star_forward_emits, star_initial_emits};
+use crate::tree::{star_forward_each, star_forward_emits, star_initial_emits};
 use crate::unicast;
 use pstar_sim::{rotated_dim, BroadcastState, Emit, PacketKind, Scheme};
 use pstar_topology::{NodeId, Torus};
@@ -201,6 +201,19 @@ impl Scheme for StarScheme {
 
     fn on_broadcast_arrival(&self, _node: NodeId, state: &BroadcastState, out: &mut Vec<Emit>) {
         star_forward_emits(&self.topo, state, self.discipline, out);
+    }
+
+    /// One tree walk, each forward handed over as it is built: the
+    /// scratch is never touched.
+    #[inline(always)]
+    fn each_broadcast_forward(
+        &self,
+        _node: NodeId,
+        state: &BroadcastState,
+        _scratch: &mut Vec<Emit>,
+        f: impl FnMut(Emit),
+    ) {
+        star_forward_each(&self.topo, state, self.discipline, f);
     }
 
     fn on_unicast_generated(
@@ -629,5 +642,135 @@ mod tests {
         );
         assert!(rep.ok(), "{rep}");
         assert!((rep.mean_link_utilization - 0.8).abs() < 0.06);
+    }
+
+    /// Every broadcast state a STAR tree of `topo` reaches, from every
+    /// source, ending dimension and split orientation.
+    fn reachable_states(topo: &Torus) -> Vec<BroadcastState> {
+        let scheme = StarScheme::fcfs_direct(topo);
+        let mut out = Vec::new();
+        for src in topo.coords().nodes() {
+            for l in 0..topo.d() {
+                for flip in [false, true] {
+                    star_initial_emits(topo, src, l, flip, Discipline::Fcfs, &mut out);
+                }
+            }
+        }
+        let state = |e: &Emit| match e.kind {
+            PacketKind::Broadcast(st) => st,
+            PacketKind::Unicast { .. } => unreachable!("a tree emits broadcasts"),
+        };
+        let mut todo: Vec<BroadcastState> = out.iter().map(state).collect();
+        let mut seen = std::collections::HashSet::new();
+        while let Some(st) = todo.pop() {
+            if seen.insert(st) {
+                out.clear();
+                scheme.on_broadcast_arrival(st.src, &st, &mut out);
+                todo.extend(out.iter().map(state));
+            }
+        }
+        seen.into_iter().collect()
+    }
+
+    /// The hop rule takes a delivery's forwards from
+    /// `each_broadcast_forward`: for every reachable state, under every
+    /// discipline, directly and through a shared reference (what
+    /// `pstar-net` workers run), it hands over exactly the emits of
+    /// `on_broadcast_arrival`, in the same order, and leaves the
+    /// scratch alone.
+    #[test]
+    fn each_broadcast_forward_hands_over_the_arrival_emits_in_order() {
+        for topo in [
+            Torus::new(&[4, 4]),
+            Torus::new(&[5, 5]),
+            Torus::new(&[8, 8, 16]),
+            Torus::hypercube(4),
+        ] {
+            let states = reachable_states(&topo);
+            assert!(states.len() > topo.node_count() as usize, "{topo}");
+            for discipline in [
+                Discipline::Fcfs,
+                Discipline::PriorityStar,
+                Discipline::ThreeClass,
+            ] {
+                let scheme = StarScheme::new(
+                    topo.clone(),
+                    EndingDimDistribution::uniform(topo.d()),
+                    discipline,
+                );
+                let (mut want, mut got, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+                for st in &states {
+                    want.clear();
+                    scheme.on_broadcast_arrival(st.src, st, &mut want);
+                    got.clear();
+                    scheme.each_broadcast_forward(st.src, st, &mut scratch, |e| got.push(e));
+                    assert_eq!(got, want, "{topo} {discipline:?} {st:?}");
+                    got.clear();
+                    let shared = <&StarScheme as Scheme>::each_broadcast_forward;
+                    shared(&&scheme, st.src, st, &mut scratch, |e| got.push(e));
+                    assert_eq!(got, want, "{topo} {discipline:?} {st:?} through &S");
+                }
+                assert!(scratch.is_empty(), "the override writes no scratch");
+            }
+        }
+    }
+
+    /// A scheme that implements only the required methods: its forwards
+    /// reach the hop rule through the provided, collecting
+    /// `each_broadcast_forward`.
+    struct Collecting(StarScheme);
+
+    impl Scheme for Collecting {
+        fn num_priorities(&self) -> usize {
+            self.0.num_priorities()
+        }
+
+        fn on_broadcast_generated(&self, src: NodeId, rng: &mut StdRng, out: &mut Vec<Emit>) {
+            self.0.on_broadcast_generated(src, rng, out);
+        }
+
+        fn on_broadcast_arrival(&self, node: NodeId, state: &BroadcastState, out: &mut Vec<Emit>) {
+            self.0.on_broadcast_arrival(node, state, out);
+        }
+
+        fn on_unicast_generated(
+            &self,
+            src: NodeId,
+            dest: NodeId,
+            rng: &mut StdRng,
+            out: &mut Vec<Emit>,
+        ) {
+            self.0.on_unicast_generated(src, dest, rng, out);
+        }
+
+        fn on_unicast_arrival(
+            &self,
+            node: NodeId,
+            dest: NodeId,
+            rng: &mut StdRng,
+            out: &mut Vec<Emit>,
+        ) {
+            self.0.on_unicast_arrival(node, dest, rng, out);
+        }
+
+        fn subtree_receptions(&self, state: &BroadcastState) -> u32 {
+            self.0.subtree_receptions(state)
+        }
+    }
+
+    /// The default method delivers: a run of a scheme without the
+    /// override is the run of the scheme with it, report for report.
+    #[test]
+    fn a_scheme_without_the_override_delivers_through_the_default() {
+        let topo = Torus::new(&[5, 5]);
+        let rates = rates_for_rho(&topo, 0.8, 0.7);
+        let mix = TrafficMix::mixed(rates.lambda_broadcast, rates.lambda_unicast);
+        let scheme =
+            || StarScheme::priority_star_mixed(&topo, rates.lambda_broadcast, rates.lambda_unicast);
+        let cfg = SimConfig::quick(12);
+        let direct = pstar_sim::run(&topo, scheme(), mix, cfg);
+        let collected = pstar_sim::run(&topo, Collecting(scheme()), mix, cfg);
+        assert!(direct.ok() && direct.measured_broadcasts > 0, "{direct}");
+        assert_eq!(direct.first_difference(&collected), None);
     }
 }

@@ -8,7 +8,7 @@
 //! in the `+` direction and `⌊(n−1)/2⌋` in the `−` direction, so every
 //! tree path is a shortest path and each node receives exactly one copy.
 //!
-//! [`star_initial_emits`]/[`star_forward_emits`] translate this tree into
+//! [`star_initial_emits`]/[`star_forward_each`] translate this tree into
 //! simulator transmissions; [`SpanningTree`] materializes it explicitly
 //! for analysis, rendering (Fig. 1) and the Eq. (1) verification tests.
 
@@ -28,7 +28,7 @@ pub fn virtual_channel(dim: usize, ending_dim: usize) -> u8 {
 }
 
 /// Emits the ring-broadcast initiation of phase `phase` (both ring
-/// directions from the initiating node).
+/// directions from the initiating node) into `out`.
 ///
 /// For odd `n` the two directions cover `(n−1)/2` nodes each. For even
 /// `n` one direction must take the extra node; always favouring `+`
@@ -38,6 +38,7 @@ pub fn virtual_channel(dim: usize, ending_dim: usize) -> u8 {
 /// at generation time: over uniformly random sources every directed link
 /// then carries exactly the same expected load, preserving the paper's
 /// balance property, while trees stay deterministic given the flip.
+#[inline(always)]
 fn ring_initiation(
     topo: &Torus,
     src: NodeId,
@@ -45,7 +46,7 @@ fn ring_initiation(
     phase: usize,
     flip: bool,
     discipline: Discipline,
-    out: &mut Vec<Emit>,
+    out: &mut impl FnMut(Emit),
 ) {
     let d = topo.d();
     let dim = rotated_dim(ending_dim, phase, d);
@@ -84,10 +85,10 @@ fn ring_initiation(
         vc,
     };
     if fwd > 0 {
-        out.push(mk(Direction::Plus, fwd));
+        out(mk(Direction::Plus, fwd));
     }
     if back > 0 {
-        out.push(mk(Direction::Minus, back));
+        out(mk(Direction::Minus, back));
     }
 }
 
@@ -101,18 +102,33 @@ pub fn star_initial_emits(
     discipline: Discipline,
     out: &mut Vec<Emit>,
 ) {
+    let mut push = |emit| out.push(emit);
     for phase in 0..topo.d() {
-        ring_initiation(topo, src, ending_dim, phase, flip, discipline, out);
+        ring_initiation(topo, src, ending_dim, phase, flip, discipline, &mut push);
     }
 }
 
 /// Forwards triggered by the arrival of a broadcast copy with state
-/// `state`: ring continuation plus later-phase initiations.
+/// `state`, collected into `out` (see [`star_forward_each`]).
 pub fn star_forward_emits(
     topo: &Torus,
     state: &BroadcastState,
     discipline: Discipline,
     out: &mut Vec<Emit>,
+) {
+    star_forward_each(topo, state, discipline, |emit| out.push(emit));
+}
+
+/// Forwards triggered by the arrival of a broadcast copy with state
+/// `state` — ring continuation, then later-phase initiations — handed to
+/// `out` one by one. Always inlined, so a caller's `out` takes each
+/// forward as it is built, in registers.
+#[inline(always)]
+pub fn star_forward_each(
+    topo: &Torus,
+    state: &BroadcastState,
+    discipline: Discipline,
+    mut out: impl FnMut(Emit),
 ) {
     let d = topo.d();
     let ending_dim = state.ending_dim as usize;
@@ -124,7 +140,7 @@ pub fn star_forward_emits(
         } else {
             TrafficClass::BroadcastTrunk
         };
-        out.push(Emit {
+        out(Emit {
             dim: dim as u8,
             dir: state.dir,
             kind: PacketKind::Broadcast(BroadcastState {
@@ -137,7 +153,7 @@ pub fn star_forward_emits(
     }
     for later in phase + 1..d {
         ring_initiation(
-            topo, state.src, ending_dim, later, state.flip, discipline, out,
+            topo, state.src, ending_dim, later, state.flip, discipline, &mut out,
         );
     }
 }

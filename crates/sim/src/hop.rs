@@ -11,12 +11,12 @@
 //! the rules once:
 //!
 //! 1. [`Hop::deliver`] — a copy finished its link: trace it, count the
-//!    ARQ ack, record the reception, ask the scheme for the forwards and
-//!    offer them.
-//! 2. [`Hop::offer`] — transmissions are offered to a node's links: the
-//!    kernel queues, evicts for or refuses each one, and whatever it
-//!    turns away is lost.
-//! 3. [`Hop::lose`] — a copy is lost: ARQ arms a retry, or the loss
+//!    ARQ ack, record the reception, and offer each forward as the scheme
+//!    hands it over ([`Scheme::each_broadcast_forward`]).
+//! 2. `Offer::offer` — a transmission is offered to a node's link: the
+//!    kernel queues, evicts for or refuses it, and whatever it turns
+//!    away is lost.
+//! 3. `Offer::lose` — a copy is lost: ARQ arms a retry, or the loss
 //!    settles for good against the scheme's receptions at stake.
 //! 4. [`Hop::fire_retransmissions`] — due ARQ timers re-admit their
 //!    copies at the hop that lost them.
@@ -232,7 +232,9 @@ pub struct Hop<S> {
     nodes: Range<u32>,
     /// The measurement window, whose slots' occupancy is sampled.
     window: Range<u64>,
-    /// Scratch for one delivery's forwards.
+    /// Scratch for one delivery's forwards, where the scheme collects
+    /// them: a transit unicast's, or a broadcast's under a scheme that
+    /// keeps [`Scheme::each_broadcast_forward`]'s default.
     emits: Vec<Emit>,
     /// Scratch for a fault epoch's losses.
     losses: Vec<FaultLoss>,
@@ -261,6 +263,119 @@ impl Deferral {
         self.out_links[src.index()]
             .iter()
             .any(|&l| kernel.qlen(l) >= self.capacity)
+    }
+}
+
+/// Records one trace event — the single branch a site pays when
+/// tracing is off.
+#[inline]
+fn record(obs: &mut Option<Box<dyn TraceSink>>, slot: u64, event: TraceEvent) {
+    if let Some(sink) = obs.as_deref_mut() {
+        sink.record(TraceRecord { slot, event });
+    }
+}
+
+/// What rules 2 and 3 touch of a [`Hop`]: the scheme, shared, and the
+/// kernel, the ARQ layer and the trace sink. Borrowed apart from the
+/// forward scratch, so the scheme can hand a delivery's forwards over
+/// while each is offered.
+struct Offer<'h, S> {
+    scheme: &'h S,
+    kernel: &'h mut LinkKernel,
+    arq: &'h mut Option<Box<Arq>>,
+    obs: &'h mut Option<Box<dyn TraceSink>>,
+}
+
+impl<S: Scheme> Offer<'_, S> {
+    /// Rule 2: offers `emit` — a transmission of `task`, generated at
+    /// `gen_time`, `len` slots long — to `from`'s outgoing link at slot
+    /// `cx.t`. A packet the kernel refuses or evicts is lost.
+    ///
+    /// Always inlined: it runs for every forward and every new task's
+    /// transmission, and a call there passes eight arguments.
+    #[inline(always)]
+    fn offer<N: Network, H: Homes>(
+        &mut self,
+        cx: &mut HopCtx<'_, N, H>,
+        from: NodeId,
+        emit: Emit,
+        task: u32,
+        gen_time: u64,
+        len: u16,
+    ) {
+        debug_assert!(
+            (emit.priority as usize) < self.scheme.num_priorities(),
+            "emit priority out of range"
+        );
+        let link = cx.topo.link_id(emit.link_from(from)).0;
+        let pkt = emit.packet(task, gen_time, len, cx.t);
+        match self.kernel.admit(link, pkt) {
+            Admit::Queued => {}
+            Admit::Evicted(victim) => self.lose(cx, link, victim, LossCause::Overflow),
+            Admit::Lost(pkt, cause) => {
+                self.lose(cx, link, pkt, cause);
+                return;
+            }
+        }
+        let class = pkt.priority;
+        record(self.obs, cx.t, TraceEvent::Enqueue { link, class, task });
+    }
+
+    /// Rule 3: `pkt` was lost at `link` in slot `cx.t`. With ARQ the
+    /// copy's receptions stay alive and a backoff timer is armed;
+    /// without it — or once the retry budget is spent, the `GaveUp`
+    /// terminal state — the loss settles for good. A
+    /// [`LossCause::Retry`] is a failed re-injection, not a new drop.
+    ///
+    /// Never inlined: losses are rare, and inlined into a `pstar-net`
+    /// worker's slot loop this grew the delivery path.
+    #[inline(never)]
+    fn lose<N, H: Homes>(
+        &mut self,
+        cx: &mut HopCtx<'_, N, H>,
+        link: u32,
+        pkt: Packet,
+        cause: LossCause,
+    ) {
+        let t = cx.t;
+        // A copy lost at this hop — possibly recovered later by ARQ;
+        // terminal losses are told apart by a missing `Retransmit` for
+        // the same link and class.
+        record(
+            self.obs,
+            t,
+            TraceEvent::Drop {
+                link,
+                class: pkt.priority,
+                cause: cause.into(),
+                task: pkt.task,
+            },
+        );
+        if let Some(arq) = self.arq.as_deref_mut() {
+            // Re-inject at the failed hop: the source's retransmission
+            // would be duplicate-suppressed along the already-ACKed tree
+            // prefix, so the effective retransmission starts where the
+            // copy was lost; the prefix traversal is folded into the
+            // timeout.
+            let boosted = self.scheme.retransmit_priority(pkt.priority);
+            debug_assert!(
+                (boosted as usize) < self.scheme.num_priorities(),
+                "retransmit_priority out of range"
+            );
+            if arq.on_loss(t, link, pkt, boosted) {
+                cx.homes.retransmitting(&pkt);
+                cx.homes.ledger().packet_dropped(cause);
+                return;
+            }
+        }
+        cx.homes.ledger().packet_dropped(cause);
+        let (broadcast, receptions) = receptions_at_stake(self.scheme, &pkt);
+        let lost_measured = cx
+            .homes
+            .lost_for_good(t, &pkt, broadcast, receptions, cause);
+        if let Some(arq) = self.arq.as_deref_mut() {
+            arq.counters.gave_up_receptions += lost_measured;
+        }
     }
 }
 
@@ -327,13 +442,31 @@ impl<S: Scheme> Hop<S> {
         &self.emits
     }
 
-    /// Records one trace event — the single branch a site pays when
-    /// tracing is off.
+    /// Records one trace event (see [`record`]).
     #[inline]
     fn record(&mut self, slot: u64, event: TraceEvent) {
-        if let Some(sink) = self.obs.as_deref_mut() {
-            sink.record(TraceRecord { slot, event });
-        }
+        record(&mut self.obs, slot, event);
+    }
+
+    /// The part of this owner a transmission offered to its links
+    /// touches, and the forward scratch beside it.
+    #[inline]
+    fn offering(&mut self) -> (Offer<'_, S>, &mut Vec<Emit>) {
+        let Hop {
+            scheme,
+            kernel,
+            arq,
+            obs,
+            emits,
+            ..
+        } = self;
+        let to = Offer {
+            scheme,
+            kernel,
+            arq,
+            obs,
+        };
+        (to, emits)
     }
 
     /// A delivered copy of a task was acknowledged over the ARQ control
@@ -482,7 +615,10 @@ impl<S: Scheme> Hop<S> {
         emits: &[Emit],
     ) -> u32 {
         let task = cx.homes.open(cx.t, msg);
-        self.offer(cx, msg.src, emits, task, msg.gen_time, msg.len);
+        let (mut to, _) = self.offering();
+        for &emit in emits {
+            to.offer(cx, msg.src, emit, task, msg.gen_time, msg.len);
+        }
         task
     }
 
@@ -490,8 +626,14 @@ impl<S: Scheme> Hop<S> {
     /// a reception and forwards along its tree; a unicast at its
     /// destination completes, elsewhere it takes the next hop.
     ///
-    /// Always inlined, like `offer`: it runs for every delivered copy,
-    /// and [`Hop::slot`] calls it for its peers' runs and for its own
+    /// A broadcast's forwards are offered as the scheme hands them over
+    /// ([`Scheme::each_broadcast_forward`]), so a scheme that builds them
+    /// one by one writes each once, into its queue node, and no forward
+    /// is stored and read back in between (on a 2-core VM the read-back
+    /// of a just-written forward stalled on store-to-load forwarding).
+    ///
+    /// Always inlined: it runs for every delivered copy, and
+    /// [`Hop::slot`] calls it for its peers' runs and for its own
     /// finish scan, where it would otherwise stay out of line.
     #[inline(always)]
     pub(crate) fn deliver<N: Network, H: Homes>(
@@ -511,7 +653,7 @@ impl<S: Scheme> Hop<S> {
             },
         );
         let node = self.link_target[link as usize];
-        self.emits.clear();
+        let (task, gen_time, len) = (pkt.task, pkt.gen_time, pkt.len);
         match pkt.kind {
             PacketKind::Broadcast(state) => {
                 // Every reception is ACKed to the source over the
@@ -520,79 +662,37 @@ impl<S: Scheme> Hop<S> {
                 let topo = cx.topo;
                 cx.homes
                     .broadcast_received(t, &pkt, || topo.distance(state.src, node));
-                self.scheme
-                    .on_broadcast_arrival(node, &state, &mut self.emits);
+                let (mut to, emits) = self.offering();
+                let scheme = to.scheme;
+                scheme.each_broadcast_forward(
+                    node,
+                    &state,
+                    emits,
+                    // Without the attribute the closure stays out of line:
+                    // a call per forward, the `Emit` passed in memory.
+                    #[inline(always)]
+                    |emit| to.offer(cx, node, emit, task, gen_time, len),
+                );
             }
             PacketKind::Unicast { dest } if node == dest => {
                 self.acked(&pkt);
                 cx.homes.unicast_arrived(t, &pkt);
-                return;
             }
             PacketKind::Unicast { dest } => {
+                self.emits.clear();
                 let rng = self.coins.at(node);
                 self.scheme
                     .on_unicast_arrival(node, dest, rng, &mut self.emits);
                 debug_assert!(!self.emits.is_empty(), "unicast stranded at {node}");
-            }
-        }
-        // Offering never re-enters forward generation: the scratch is
-        // lent out for the loop and comes back with its allocation.
-        let emits = std::mem::take(&mut self.emits);
-        self.offer(cx, node, &emits, pkt.task, pkt.gen_time, pkt.len);
-        self.emits = emits;
-    }
-
-    /// Rule 2: offers `emits` — transmissions of `task`, generated at
-    /// `gen_time`, `len` slots long — to `from`'s outgoing links at slot
-    /// `cx.t`. A packet the kernel refuses or evicts is lost.
-    ///
-    /// Always inlined: it runs for every delivered copy and every new
-    /// task, and a call there passes seven arguments, two on the stack.
-    #[inline(always)]
-    pub(crate) fn offer<N: Network, H: Homes>(
-        &mut self,
-        cx: &mut HopCtx<'_, N, H>,
-        from: NodeId,
-        emits: &[Emit],
-        task: u32,
-        gen_time: u64,
-        len: u16,
-    ) {
-        for emit in emits {
-            debug_assert!(
-                (emit.priority as usize) < self.scheme.num_priorities(),
-                "emit priority out of range"
-            );
-            let link = cx.topo.link_id(emit.link_from(from)).0;
-            let pkt = emit.packet(task, gen_time, len, cx.t);
-            match self.kernel.admit(link, pkt) {
-                Admit::Queued => {}
-                Admit::Evicted(victim) => self.lose(cx, link, victim, LossCause::Overflow),
-                Admit::Lost(pkt, cause) => {
-                    self.lose(cx, link, pkt, cause);
-                    continue;
+                let (mut to, emits) = self.offering();
+                for &emit in emits.iter() {
+                    to.offer(cx, node, emit, task, gen_time, len);
                 }
             }
-            self.record(
-                cx.t,
-                TraceEvent::Enqueue {
-                    link,
-                    class: pkt.priority,
-                    task,
-                },
-            );
         }
     }
 
-    /// Rule 3: `pkt` was lost at `link` in slot `cx.t`. With ARQ the
-    /// copy's receptions stay alive and a backoff timer is armed;
-    /// without it — or once the retry budget is spent, the `GaveUp`
-    /// terminal state — the loss settles for good. A
-    /// [`LossCause::Retry`] is a failed re-injection, not a new drop.
-    ///
-    /// Never inlined: losses are rare, and inlined into a `pstar-net`
-    /// worker's slot loop this grew the delivery path.
-    #[inline(never)]
+    /// Rule 3 (see [`Offer::lose`]).
     pub(crate) fn lose<N, H: Homes>(
         &mut self,
         cx: &mut HopCtx<'_, N, H>,
@@ -600,44 +700,7 @@ impl<S: Scheme> Hop<S> {
         pkt: Packet,
         cause: LossCause,
     ) {
-        let t = cx.t;
-        // A copy lost at this hop — possibly recovered later by ARQ;
-        // terminal losses are told apart by a missing `Retransmit` for
-        // the same link and class.
-        self.record(
-            t,
-            TraceEvent::Drop {
-                link,
-                class: pkt.priority,
-                cause: cause.into(),
-                task: pkt.task,
-            },
-        );
-        if let Some(arq) = self.arq.as_deref_mut() {
-            // Re-inject at the failed hop: the source's retransmission
-            // would be duplicate-suppressed along the already-ACKed tree
-            // prefix, so the effective retransmission starts where the
-            // copy was lost; the prefix traversal is folded into the
-            // timeout.
-            let boosted = self.scheme.retransmit_priority(pkt.priority);
-            debug_assert!(
-                (boosted as usize) < self.scheme.num_priorities(),
-                "retransmit_priority out of range"
-            );
-            if arq.on_loss(t, link, pkt, boosted) {
-                cx.homes.retransmitting(&pkt);
-                cx.homes.ledger().packet_dropped(cause);
-                return;
-            }
-        }
-        cx.homes.ledger().packet_dropped(cause);
-        let (broadcast, receptions) = receptions_at_stake(&self.scheme, &pkt);
-        let lost_measured = cx
-            .homes
-            .lost_for_good(t, &pkt, broadcast, receptions, cause);
-        if let Some(arq) = self.arq.as_deref_mut() {
-            arq.counters.gave_up_receptions += lost_measured;
-        }
+        self.offering().0.lose(cx, link, pkt, cause);
     }
 
     /// Rule 4: fires the ARQ timers due at `cx.t`, re-injecting each copy

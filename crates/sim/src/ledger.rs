@@ -31,7 +31,10 @@
 //! that make it so:
 //!
 //! 1. *Delays, waits, recovery times* are whole slots, accumulated as
-//!    [`IntMoments`] (count, sum, sum of squares, extremes).
+//!    [`IntMoments`] (count, sum, sum of squares, extremes). The two per
+//!    hop — reception delays and service-start waits — are counted by
+//!    value, one increment each, and folded into their moments at report
+//!    time ([`IntMoments::add_counts`]), which is the same sum.
 //! 2. *Concurrent tasks* ([`TimeWeighted`]) integrate `+1` at the slot a
 //!    task is injected and `−1` at the slot of its last settlement
 //!    ([`TaskSlot::last`]), wherever and whenever that is learnt of.
@@ -260,9 +263,9 @@ pub struct TaskLedger {
     measured_broadcasts: u64,
     /// Unicast tasks tagged for measurement.
     measured_unicasts: u64,
-    /// Generation → reception delay of measured broadcast receptions.
-    reception_delay: IntMoments,
-    /// Linear histogram of the same delays (p50/p95/p99).
+    /// Generation → reception delay of measured broadcast receptions,
+    /// one bucket increment each: their count, moments and p50/p95/p99
+    /// are derived from it at report time.
     reception_hist: Histogram,
     /// The same delays by the window slice their task was generated in.
     reception_batch: BatchMeans,
@@ -305,7 +308,6 @@ impl TaskLedger {
             receivers: node_count - 1,
             measured_broadcasts: 0,
             measured_unicasts: 0,
-            reception_delay: IntMoments::new(),
             reception_hist: Histogram::new(cfg.delay_histogram_cap),
             reception_batch: BatchMeans::new(cfg.warmup_slots, cfg.measure_slots),
             delay_by_distance: if cfg.profile_by_distance {
@@ -360,8 +362,8 @@ impl TaskLedger {
     }
 
     /// Delivery site: one reception, at slot `t`, of a *measured*
-    /// broadcast generated at `gen_time` (moments, histogram, batch
-    /// means, by-distance profile, reception tails). `class` is the
+    /// broadcast generated at `gen_time` (histogram, batch means,
+    /// by-distance profile, reception tails). `class` is the
     /// delivering packet's priority (tails only: which class pays which
     /// reception tail); `dist` is evaluated only when distance profiling
     /// wants it.
@@ -378,7 +380,6 @@ impl TaskLedger {
         if !self.delay_by_distance.is_empty() {
             self.delay_by_distance[dist() as usize].push(delay);
         }
-        self.reception_delay.push(delay);
         self.reception_hist.record(delay);
         self.reception_batch.push(gen_time, delay);
         if let Some(tl) = self.tails.as_deref_mut() {
@@ -524,7 +525,6 @@ impl TaskLedger {
         self.outstanding_measured += other.outstanding_measured;
         self.measured_broadcasts += other.measured_broadcasts;
         self.measured_unicasts += other.measured_unicasts;
-        self.reception_delay.merge(&other.reception_delay);
         self.reception_hist.merge(&other.reception_hist);
         self.reception_batch.merge(&other.reception_batch);
         for (a, b) in self
@@ -549,6 +549,13 @@ impl TaskLedger {
     }
 }
 
+/// Waits below this many slots are counted by value, one increment per
+/// service start ([`LinkCounters::service_start`]); longer ones, rare at
+/// any stable load, are pushed into the class's [`IntMoments`]. A class's
+/// table is 2 KiB and allocated at its first in-window start, so building
+/// an engine allocates none.
+const WAIT_TABLE: usize = 256;
+
 /// Link-level accounting: per-class waits and busy slots, per-link busy
 /// slots, transmission counts. Covers the contiguous link range
 /// `lo_link .. lo_link + n_links` (the whole network for the serial
@@ -561,12 +568,15 @@ pub struct LinkCounters {
     measure_end: u64,
     /// Topology dimension count (the tails' ending-phase test).
     d: usize,
-    wait_by_class: [IntMoments; MAX_PRIORITY_CLASSES],
+    /// In-window waits by class, counted by value below [`WAIT_TABLE`]
+    /// slots; a class's table is allocated at its first in-window start.
+    wait_counts: [Vec<u64>; MAX_PRIORITY_CLASSES],
+    /// In-window waits of [`WAIT_TABLE`] slots or more, by class.
+    wait_long: [IntMoments; MAX_PRIORITY_CLASSES],
     wait_fault: [IntMoments; MAX_PRIORITY_CLASSES],
     busy_by_class: [u64; MAX_PRIORITY_CLASSES],
     busy_by_link: Vec<u64>,
     tx_by_vc: [u64; 4],
-    window_transmissions: u64,
     /// Packets the drop-lowest-class policy evicted (whole run).
     evicted: u64,
     tails: Option<Box<TailsState>>,
@@ -581,12 +591,12 @@ impl LinkCounters {
             warmup_slots: cfg.warmup_slots,
             measure_end: cfg.measure_end(),
             d,
-            wait_by_class: [IntMoments::new(); MAX_PRIORITY_CLASSES],
+            wait_counts: std::array::from_fn(|_| Vec::new()),
+            wait_long: [IntMoments::new(); MAX_PRIORITY_CLASSES],
             wait_fault: [IntMoments::new(); MAX_PRIORITY_CLASSES],
             busy_by_class: [0; MAX_PRIORITY_CLASSES],
             busy_by_link: vec![0; n_links],
             tx_by_vc: [0; 4],
-            window_transmissions: 0,
             evicted: 0,
             tails: cfg.tails.then(TailsState::new),
         }
@@ -615,14 +625,16 @@ impl LinkCounters {
         }
         let class = pkt.priority as usize;
         let wait = t - pkt.enqueue_time;
-        self.wait_by_class[class].push(wait);
+        match self.wait_counts[class].get_mut(wait as usize) {
+            Some(n) => *n += 1,
+            None => self.uncounted_wait(class, wait),
+        }
         if faulted {
             self.wait_fault[class].push(wait);
         }
         if let Some(tl) = self.tails.as_deref_mut() {
             tl.record_service(pkt, wait, self.d);
         }
-        self.window_transmissions += 1;
         // Credit busy slots only for the part of the service that
         // overlaps the window, so utilizations stay exact estimates.
         let busy = (t + pkt.len as u64).min(self.measure_end) - t;
@@ -630,10 +642,44 @@ impl LinkCounters {
         self.busy_by_link[link] += busy;
     }
 
+    /// A wait the class's table does not count: its first, which
+    /// allocates the table, or one of [`WAIT_TABLE`] slots or more.
+    #[cold]
+    #[inline(never)]
+    fn uncounted_wait(&mut self, class: usize, wait: u64) {
+        let counts = &mut self.wait_counts[class];
+        counts.resize(WAIT_TABLE, 0);
+        match counts.get_mut(wait as usize) {
+            Some(n) => *n += 1,
+            None => self.wait_long[class].push(wait),
+        }
+    }
+
+    /// Class `k`'s in-window waits: the table folded over the long ones.
+    fn class_waits(&self, k: usize) -> IntMoments {
+        let mut waits = self.wait_long[k];
+        waits.add_counts(&self.wait_counts[k]);
+        waits
+    }
+
+    /// Service starts inside the measurement window: one wait each.
+    fn window_transmissions(&self) -> u64 {
+        (0..MAX_PRIORITY_CLASSES)
+            .map(|k| self.wait_counts[k].iter().sum::<u64>() + self.wait_long[k].count())
+            .sum()
+    }
+
     /// Folds `other` (a sub-range of this range, or the same range) in.
     pub fn merge(&mut self, other: &Self) {
         for k in 0..MAX_PRIORITY_CLASSES {
-            self.wait_by_class[k].merge(&other.wait_by_class[k]);
+            if !other.wait_counts[k].is_empty() {
+                let counts = &mut self.wait_counts[k];
+                counts.resize(WAIT_TABLE, 0);
+                for (a, b) in counts.iter_mut().zip(&other.wait_counts[k]) {
+                    *a += b;
+                }
+            }
+            self.wait_long[k].merge(&other.wait_long[k]);
             self.wait_fault[k].merge(&other.wait_fault[k]);
             self.busy_by_class[k] += other.busy_by_class[k];
         }
@@ -644,7 +690,6 @@ impl LinkCounters {
         for (a, b) in self.tx_by_vc.iter_mut().zip(&other.tx_by_vc) {
             *a += b;
         }
-        self.window_transmissions += other.window_transmissions;
         self.evicted += other.evicted;
         merge_tails(&mut self.tails, &other.tails);
     }
@@ -829,7 +874,7 @@ pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) ->
     let class = (0..run.num_classes)
         .map(|k| ClassStats {
             utilization: links.busy_by_class[k] as f64 / (window * n_links),
-            wait: links.wait_by_class[k].summary(),
+            wait: links.class_waits(k).summary(),
         })
         .collect();
     let fraction = |delivered: u64, offered: u64| {
@@ -839,7 +884,8 @@ pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) ->
             delivered as f64 / offered as f64
         }
     };
-    let delivered = ledger.reception_delay.count() + ledger.unicast_delay.count();
+    let reception_delay = ledger.reception_hist.moments();
+    let delivered = reception_delay.count() + ledger.unicast_delay.count();
     let offered = delivered + ledger.lost_receptions;
     let faults = match run.faults {
         Some(f) => FaultReport {
@@ -893,7 +939,7 @@ pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) ->
         slots_run: run.slots_run,
         measured_broadcasts: ledger.measured_broadcasts,
         measured_unicasts: ledger.measured_unicasts,
-        reception_delay: ledger.reception_delay.summary(),
+        reception_delay: reception_delay.summary(),
         reception_quantiles: (
             ledger.reception_hist.quantile(0.5),
             ledger.reception_hist.quantile(0.95),
@@ -913,7 +959,7 @@ pub fn assemble(ledger: TaskLedger, links: LinkCounters, run: RunOutcome<'_>) ->
         avg_concurrent_broadcasts: ledger.concurrent_bcast.average(run.slots_run),
         avg_concurrent_unicasts: ledger.concurrent_ucast.average(run.slots_run),
         peak_queue_total: run.peak_queue_total,
-        window_transmissions: links.window_transmissions,
+        window_transmissions: links.window_transmissions(),
         vc_transmissions: links.tx_by_vc,
         delay_by_distance: ledger
             .delay_by_distance
@@ -953,7 +999,7 @@ mod tests {
         assert_eq!(l.fault_damaged, 1);
         assert_eq!((l.dropped_packets, l.fault_dropped), (1, 1));
         assert_eq!(l.lost_receptions, 1);
-        assert_eq!(l.reception_delay.count(), 2);
+        assert_eq!(l.reception_hist.count(), 2);
         assert_eq!(l.broadcast_delay.count(), 0, "a damaged task has no delay");
         assert_eq!(l.active_tasks().0, 0, "the task slot was recycled");
     }
@@ -1030,15 +1076,60 @@ mod tests {
         hi.service_start(1, &pkt(end - 3, 1), end, false); // after the window
         whole.merge(&hi);
         assert_eq!(whole.tx_by_vc, [0, 0, 4, 0], "counted over the whole run");
-        assert_eq!(whole.window_transmissions, 2);
+        assert_eq!(whole.window_transmissions(), 2);
         assert_eq!(
             whole.busy_by_link,
             [1, 0, 0, 0, 0, 1],
             "clipped at the window end"
         );
         assert_eq!(whole.busy_by_class[1], 2);
-        let waits = whole.wait_by_class[1].summary();
+        let waits = whole.class_waits(1).summary();
         assert_eq!((waits.count, waits.min, waits.max), (2, 2.0, 5.0));
         assert_eq!(whole.wait_fault[1].count(), 1);
+    }
+
+    /// The counted waits give exactly what one push per service start
+    /// gives — waits at and past the table's end, classes whose table
+    /// was never allocated, and a merge by range included.
+    #[test]
+    fn counted_waits_equal_one_push_per_start() {
+        let cfg = SimConfig::quick(1);
+        let w = cfg.warmup_slots;
+        let pkt = |priority, enqueue_time| Packet {
+            task: 0,
+            gen_time: 0,
+            enqueue_time,
+            len: 1,
+            priority,
+            vc: 0,
+            attempt: 0,
+            kind: PacketKind::Unicast {
+                dest: pstar_topology::NodeId(0),
+            },
+        };
+        let cap = WAIT_TABLE as u64;
+        let waits = [0, 1, 7, cap - 1, cap, cap + 1, 3 * cap, 0, 5];
+        let mut lo = LinkCounters::new(&cfg, 2, 0, 8);
+        let mut hi = LinkCounters::new(&cfg, 2, 4, 4);
+        let mut pushed = [IntMoments::new(); MAX_PRIORITY_CLASSES];
+        for (i, &wait) in waits.iter().enumerate() {
+            // Class 3 is never started: its table stays unallocated.
+            let class = (i % 3) as u8;
+            let t = w + 4 * cap + i as u64;
+            let part = if i % 2 == 0 { &mut lo } else { &mut hi };
+            part.service_start(i % 4, &pkt(class, t - wait), t, false);
+            pushed[class as usize].push(wait);
+        }
+        assert!(lo.wait_counts[3].is_empty() && hi.wait_counts[3].is_empty());
+        lo.merge(&hi);
+        for (k, pushed) in pushed.iter().enumerate() {
+            assert_eq!(lo.class_waits(k), *pushed, "class {k}");
+            let (a, b) = (lo.class_waits(k).summary(), pushed.summary());
+            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "class {k}");
+            assert_eq!(a.variance.to_bits(), b.variance.to_bits(), "class {k}");
+        }
+        assert_eq!(lo.window_transmissions(), waits.len() as u64);
+        let long: u64 = lo.wait_long.iter().map(IntMoments::count).sum();
+        assert_eq!(long, 3, "waits of the table's length or more");
     }
 }

@@ -10,7 +10,7 @@ pub const MAX_PRIORITY_CLASSES: usize = 4;
 
 /// Routing state of a broadcast copy travelling inside one ring segment of
 /// the rotated dimension-ordered (STAR/SDC) spanning tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BroadcastState {
     /// Source node of the broadcast task.
     pub src: NodeId,
@@ -96,7 +96,7 @@ pub struct Packet {
 /// A transmission requested by a [`crate::Scheme`]: the engine resolves
 /// `(dim, dir)` against the emitting node to find the link, stamps times
 /// and enqueues.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Emit {
     /// Travel dimension (0-based).
     pub dim: u8,

@@ -32,6 +32,27 @@ pub trait Scheme {
     /// (so `state.hops_left ≥ 1` counts `node` itself).
     fn on_broadcast_arrival(&self, node: NodeId, state: &BroadcastState, out: &mut Vec<Emit>);
 
+    /// The forwards of [`Scheme::on_broadcast_arrival`], handed to `f` by
+    /// value one by one, in the same order. The hop rule takes a
+    /// delivery's forwards here, so a scheme that overrides it writes
+    /// each forward once, straight into its queue node, instead of into
+    /// a vector the hop rule reads back. The default collects into
+    /// `scratch` (cleared first) and replays it.
+    #[inline]
+    fn each_broadcast_forward(
+        &self,
+        node: NodeId,
+        state: &BroadcastState,
+        scratch: &mut Vec<Emit>,
+        mut f: impl FnMut(Emit),
+    ) {
+        scratch.clear();
+        self.on_broadcast_arrival(node, state, scratch);
+        for &emit in scratch.iter() {
+            f(emit);
+        }
+    }
+
     /// Initial transmission(s) of a unicast from `src` to `dest ≠ src`.
     fn on_unicast_generated(
         &self,
@@ -77,7 +98,7 @@ pub trait Scheme {
     fn on_liveness_change(&mut self, _view: &LivenessView) {}
 }
 
-impl<S: Scheme + ?Sized> Scheme for &S {
+impl<S: Scheme> Scheme for &S {
     fn num_priorities(&self) -> usize {
         (**self).num_priorities()
     }
@@ -88,6 +109,17 @@ impl<S: Scheme + ?Sized> Scheme for &S {
 
     fn on_broadcast_arrival(&self, node: NodeId, state: &BroadcastState, out: &mut Vec<Emit>) {
         (**self).on_broadcast_arrival(node, state, out)
+    }
+
+    #[inline(always)]
+    fn each_broadcast_forward(
+        &self,
+        node: NodeId,
+        state: &BroadcastState,
+        scratch: &mut Vec<Emit>,
+        f: impl FnMut(Emit),
+    ) {
+        (**self).each_broadcast_forward(node, state, scratch, f)
     }
 
     fn on_unicast_generated(

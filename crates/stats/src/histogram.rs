@@ -1,14 +1,20 @@
-//! Integer-valued histogram with an overflow bucket.
+//! Integer-valued histogram with an exact overflow tail.
+
+use crate::IntMoments;
 
 /// Histogram over non-negative integer observations (e.g. slot-valued
-/// delays). Values at or above the configured cap land in a single
-/// overflow bucket; quantile queries treat them as `cap`.
+/// delays). Values below the configured cap are counted in their own
+/// bucket; values at or above it go to an exact [`IntMoments`] tail, so
+/// count, mean and moments stay exact while quantile queries treat them
+/// as `cap`.
+///
+/// Recording is one bucket increment: count, sum and moments are derived
+/// from the buckets when asked for, which is what lets the simulator
+/// keep one per-reception counter instead of three.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u128,
+    overflow: IntMoments,
 }
 
 impl Histogram {
@@ -17,31 +23,35 @@ impl Histogram {
         assert!(cap > 0, "histogram cap must be positive");
         Self {
             buckets: vec![0; cap],
-            overflow: 0,
-            count: 0,
-            sum: 0,
+            overflow: IntMoments::new(),
         }
     }
 
     /// Records one observation.
     #[inline(always)]
     pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value as u128;
         match self.buckets.get_mut(value as usize) {
             Some(b) => *b += 1,
-            None => self.overflow += 1,
+            None => self.overflow.push(value),
         }
+    }
+
+    /// Exact moments of every observation, overflowed ones included:
+    /// what pushing each into one [`IntMoments`] would have given.
+    pub fn moments(&self) -> IntMoments {
+        let mut m = self.overflow;
+        m.add_counts(&self.buckets);
+        m
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum::<u64>() + self.overflow.count()
     }
 
     /// Number of observations that exceeded the cap.
     pub fn overflow_count(&self) -> u64 {
-        self.overflow
+        self.overflow.count()
     }
 
     /// Fraction of observations that exceeded the cap (0 when empty).
@@ -51,38 +61,21 @@ impl Histogram {
     /// [`Histogram::quantile`] can only clamp it. Check this before
     /// trusting a tail percentile from the linear histogram.
     pub fn overflow_fraction(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            count => self.overflow_count() as f64 / count as f64,
         }
     }
 
     /// Exact mean of all observations (including overflowed ones).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+        self.moments().summary().mean
     }
 
     /// `q`-quantile (0 ≤ q ≤ 1) by bucket walk; overflowed values count as
     /// the cap. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (value, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return value as u64;
-            }
-        }
-        self.buckets.len() as u64
+        self.quantile_checked(q).0
     }
 
     /// Like [`Histogram::quantile`], but flags saturation: the second
@@ -91,10 +84,11 @@ impl Histogram {
     /// for an unknown larger observation.
     pub fn quantile_checked(&self, q: f64) -> (u64, bool) {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return (0, false);
         }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q * count as f64).ceil() as u64).max(1);
         let mut seen = 0;
         for (value, &n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -116,9 +110,7 @@ impl Histogram {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
+        self.overflow.merge(&other.overflow);
     }
 }
 

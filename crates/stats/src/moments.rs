@@ -212,6 +212,24 @@ impl IntMoments {
         self.max = self.max.max(v);
     }
 
+    /// Adds `counts[v]` observations of each value `v`: exactly what
+    /// that many [`IntMoments::push`]es of each value give, in any order.
+    /// A counter table folds in here at report time, so a hot path can
+    /// count a slot-valued statistic with one increment.
+    pub fn add_counts(&mut self, counts: &[u64]) {
+        for (v, &n) in counts.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let v = v as u64;
+            self.count += n;
+            self.sum += u128::from(v) * u128::from(n);
+            self.sumsq += u128::from(v) * u128::from(v) * u128::from(n);
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+    }
+
     /// Merges another accumulator into this one (exact, commutative,
     /// associative).
     pub fn merge(&mut self, other: &Self) {

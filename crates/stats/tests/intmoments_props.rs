@@ -1,7 +1,8 @@
 //! Property tests for `IntMoments`: its merge is *exactly* commutative
 //! and associative (the reason the simulator's wait summaries are
 //! identical however service starts are partitioned over shards or
-//! workers), and it agrees with the Welford `Moments` it stands in for.
+//! workers), it agrees with the Welford `Moments` it stands in for, and
+//! a table of counts folds in as exactly that many pushes.
 
 use proptest::prelude::*;
 use pstar_stats::{IntMoments, Moments};
@@ -57,6 +58,27 @@ proptest! {
         prop_assert_eq!(l.variance.to_bits(), r.variance.to_bits());
     }
 
+    /// `add_counts` is exactly `counts[v]` pushes of each value `v` on
+    /// top of what the accumulator already held, empty tables included.
+    #[test]
+    fn add_counts_equals_one_push_per_count(
+        before in prop::collection::vec(0u64..1 << 40, 0..50),
+        counts in prop::collection::vec(0u64..4, 0..300),
+    ) {
+        let mut counted = int_of(&before);
+        counted.add_counts(&counts);
+        let mut pushed = int_of(&before);
+        for (v, &n) in counts.iter().enumerate() {
+            for _ in 0..n {
+                pushed.push(v as u64);
+            }
+        }
+        prop_assert_eq!(counted, pushed);
+        let (c, p) = (counted.summary(), pushed.summary());
+        prop_assert_eq!(c.mean.to_bits(), p.mean.to_bits());
+        prop_assert_eq!(c.variance.to_bits(), p.variance.to_bits());
+    }
+
     /// `count`/`min`/`max` equal `Moments` exactly; mean and variance
     /// agree within 1e-9 relative, over streams of up to 2^20 samples.
     #[test]
@@ -97,4 +119,15 @@ fn empty_and_single_sample_follow_the_moments_conventions() {
     let mut w = Moments::new();
     w.push(7.0);
     assert_eq!(one.summary(), w.summary());
+}
+
+#[test]
+fn an_empty_or_all_zero_table_adds_nothing() {
+    for before in [IntMoments::new(), int_of(&[3, 9])] {
+        let mut m = before;
+        m.add_counts(&[]);
+        assert_eq!(m, before);
+        m.add_counts(&[0; 64]);
+        assert_eq!(m, before);
+    }
 }
